@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,19 +21,10 @@ from . import gauss as gaussmod
 from .exact import format_rational, parse_rational
 
 SCHEMA_VERSION = "1.0"
-THREADS_ENV = "SCHWARZ_ATLAS_THREADS"
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    fmt: str = "text"
-    seed: int = 0
-    tolerances: dict = None
 
 
 def _complex_out(z):
@@ -159,7 +148,7 @@ def _cmd_gauss_monodromy(args):
         print("error: integer exponent difference (logarithmic case)", file=sys.stderr)
         return EXIT_USAGE, None
     mats = {s: gaussmod.monodromy_at(p, s) for s in (0, 1, "inf")}
-    relation = gaussmod.monodromy_relation_residual(p)
+    relation = gaussmod.monodromy_relation_residual(mats[0], mats[1], mats["inf"])
     spectra = {}
     mismatch = 0.0
     for s, M in mats.items():
@@ -558,28 +547,14 @@ def build_parser():
     return parser
 
 
-def _configure_threads():
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return
-    try:
-        cap = max(1, int(raw))
-    except ValueError:
-        return
-    try:
-        import numba
-
-        numba.set_num_threads(min(cap, numba.get_num_threads()))
-    except ImportError:
-        pass
-
-
 def main(argv=None):
-    _configure_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         code, payload = args.func(args)
+    except gaussmod.NumericFailure as exc:
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

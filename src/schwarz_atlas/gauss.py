@@ -3,9 +3,10 @@ exact Riemann schemes, numeric local solutions and continuation, loop
 monodromy, conformal triangle (Schwarz) maps with measured vertex angles, and
 the degree-2 pullback to the four-point equation on {1, -1, 0, inf}.
 
-Parameters are exact rationals; the numerics run on the first-order companion
-system via the kernels in _kernels (per-step tolerance 1e-12 by default, with
-the accumulated error estimate reported on request).
+Parameters are exact rationals.  Continuation runs through
+_kernels.gauss_segment, which re-expands the solutions in Taylor series at
+ordinary points and sums each series to machine precision; a numeric
+breakdown raises NumericFailure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
+from ._kernels import NumericFailure
 from .exact import ExponentTriple, exponent_differences
 from .triangle import GeneralizedCircle, angle_between_sides, circle_intersections
 
@@ -29,6 +31,7 @@ __all__ = [
     "SolutionFrame",
     "PathInC",
     "LogarithmicCaseError",
+    "NumericFailure",
     "riemann_scheme",
     "local_basis_at_zero",
     "continue_along",
@@ -46,7 +49,6 @@ __all__ = [
 ]
 
 BASE_POINT = 0.5
-DEFAULT_RTOL = 1e-12
 
 
 class LogarithmicCaseError(ValueError):
@@ -226,35 +228,36 @@ def _segment_distance(a, b, q):
     return abs(q - (a + t * d))
 
 
-def _transport(p, points, matrix, rtol=DEFAULT_RTOL):
+def _transport(p, points, matrix):
     """Run the segment kernel along consecutive waypoints.
 
     Returns (matrix, min |det| along the way, accumulated error estimate).
+    Raises NumericFailure, naming the segment, when the kernel cannot finish.
     """
     al, be, ga = p.floats()
     F = np.asarray(matrix, dtype=np.complex128).copy()
     mindet = abs(F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0])
     errsum = 0.0
     for a, b in zip(points, points[1:]):
-        F, md, es, ok = _kernels.gauss_segment(
-            al, be, ga, complex(a), complex(b), F, rtol
-        )
+        F, md, es, ok = _kernels.gauss_segment(al, be, ga, complex(a), complex(b), F)
         mindet = min(mindet, md)
         errsum += es
         if not ok:
-            raise ValueError(f"step size underflow on segment {a} -> {b}")
+            s = min((0.0, 1.0), key=lambda q: _segment_distance(a, b, q))
+            raise NumericFailure(
+                f"segment {a} -> {b}: reaches the singular point {s:g}")
     return F, mindet, errsum
 
 
-def continue_along(p, path, frame, rtol=DEFAULT_RTOL):
+def continue_along(p, path, frame):
     """Analytic continuation of a frame along the path (linear in the frame)."""
     if abs(complex(path.points[0]) - frame.base) > 1e-12:
         raise ValueError("frame is not based at the start of the path")
-    F, _, _ = _transport(p, path.points, frame.matrix, rtol)
+    F, _, _ = _transport(p, path.points, frame.matrix)
     return SolutionFrame(base=complex(path.points[-1]), matrix=F)
 
 
-def wronskian_check(p, path, frame=None, rtol=DEFAULT_RTOL):
+def wronskian_check(p, path, frame=None):
     """True iff |det| of the transported frame never drops below 1e-12 times
     its initial value along the path."""
     if frame is None:
@@ -262,7 +265,7 @@ def wronskian_check(p, path, frame=None, rtol=DEFAULT_RTOL):
     det0 = abs(frame.wronskian)
     if det0 == 0.0:
         return False
-    _, mindet, _ = _transport(p, path.points, frame.matrix, rtol)
+    _, mindet, _ = _transport(p, path.points, frame.matrix)
     return mindet > 1e-12 * det0
 
 
@@ -276,23 +279,21 @@ LOOP_INFINITY = (
 _LOOPS = {0: LOOP_ZERO, 1: LOOP_ONE, "inf": LOOP_INFINITY}
 
 
-def monodromy_at(p, s, rtol=DEFAULT_RTOL):
+def monodromy_at(p, s):
     """Monodromy matrix of the loop around s in {0, 1, "inf"}, in the frame of
     initial jets at the base point 1/2.  Eigenvalues are exp(2 pi i e) for the
     two local exponents e at s."""
     key = "inf" if s in ("inf", "infinity", math.inf) else s
     if key not in _LOOPS:
         raise ValueError(f"singular point must be 0, 1 or 'inf', got {s!r}")
-    F, _, _ = _transport(p, _LOOPS[key], np.eye(2, dtype=np.complex128), rtol)
+    F, _, _ = _transport(p, _LOOPS[key], np.eye(2, dtype=np.complex128))
     return F
 
 
-def monodromy_relation_residual(p, rtol=DEFAULT_RTOL):
-    """Max-norm distance of M_inf M_1 M_0 from the identity."""
-    m0 = monodromy_at(p, 0, rtol)
-    m1 = monodromy_at(p, 1, rtol)
-    mi = monodromy_at(p, "inf", rtol)
-    return float(np.max(np.abs(mi @ m1 @ m0 - np.eye(2))))
+def monodromy_relation_residual(m0, m1, minf):
+    """Max-norm distance of M_inf M_1 M_0 from the identity, for the loop
+    matrices returned by monodromy_at at 0, 1 and "inf"."""
+    return float(np.max(np.abs(minf @ m1 @ m0 - np.eye(2))))
 
 
 def expected_monodromy_spectrum(p, s):
@@ -327,7 +328,7 @@ def _plan_path(z0, z1, lift=0.6):
     return (z0, z0 + h, z1 + h, z1)
 
 
-def schwarz_map(p, z, frame=None, rtol=DEFAULT_RTOL):
+def schwarz_map(p, z, frame=None):
     """Ratio of the two Frobenius solutions at 0, continued to z.
 
     A zero of the denominator solution is a pole of the map and comes back as
@@ -336,7 +337,7 @@ def schwarz_map(p, z, frame=None, rtol=DEFAULT_RTOL):
     if frame is None:
         frame = local_basis_at_zero(p, BASE_POINT)
     pts = _plan_path(frame.base, z)
-    F, _, _ = _transport(p, pts, frame.matrix, rtol)
+    F, _, _ = _transport(p, pts, frame.matrix)
     num, den = F[0, 0], F[0, 1]
     if abs(den) <= 1e-14 * max(1.0, abs(num)):
         return complex(math.inf, math.inf)
@@ -369,7 +370,7 @@ def _fit_circle(points):
     return circ, float(svals[-1]) / scale
 
 
-def vertex_angles(p, basis=None, rtol=DEFAULT_RTOL):
+def vertex_angles(p, basis=None):
     """Interior angles of the conformal image triangle at the images of 0, 1
     and infinity, measured from the fitted boundary-arc circles.
 
@@ -391,7 +392,7 @@ def vertex_angles(p, basis=None, rtol=DEFAULT_RTOL):
             for params in sides_params:
                 pts = []
                 for t in params:
-                    w = schwarz_map(p, t, frame=fr, rtol=rtol)
+                    w = schwarz_map(p, t, frame=fr)
                     if not (math.isfinite(w.real) and math.isfinite(w.imag)) or abs(w) > 1e4:
                         raise ValueError("boundary sample at or near the chart infinity")
                     pts.append(w)
@@ -498,7 +499,7 @@ def pullback_coefficients(pb, z):
     return k1 * u1 + 2 * k2 * u2, (k1 / 2 + k2) ** 2 - lam**2
 
 
-def pullback_ode_residual(pb, z, rtol=DEFAULT_RTOL, radius=0.15, nsamples=32):
+def pullback_ode_residual(pb, z, radius=0.15, nsamples=32):
     """Residual of f(w(z)) in the pulled-back operator, for both basis
     solutions f of the corresponding two-point-parameter equation.
 
@@ -525,10 +526,10 @@ def pullback_ode_residual(pb, z, rtol=DEFAULT_RTOL, radius=0.15, nsamples=32):
         if abs(w_center - s) < 2.0 * spread:
             raise ValueError("pullback image circle too close to a singular point")
     anchor_pts = _plan_path(frame0.base, w_center)
-    F_anchor, _, _ = _transport(p, anchor_pts, frame0.matrix, rtol)
+    F_anchor, _, _ = _transport(p, anchor_pts, frame0.matrix)
     values = np.empty((nsamples, 2), dtype=np.complex128)
     for j, w in enumerate(ws):
-        F, _, _ = _transport(p, (w_center, w), F_anchor, rtol)
+        F, _, _ = _transport(p, (w_center, w), F_anchor)
         values[j] = F[0, :]
     coeffs = np.fft.fft(values, axis=0) / nsamples
     g = coeffs[0]

@@ -120,15 +120,6 @@ def default_base_point(system):
     return logs
 
 
-def _log_of(system, point):
-    if isinstance(point, TorusPoint):
-        return np.log(point.z)
-    point = np.asarray(point)
-    if point.dtype == np.complex128 and point.ndim == 1:
-        return point.copy()
-    raise TypeError("expected a TorusPoint or a complex log-coordinate vector")
-
-
 # ---------------------------------------------------------------------------
 # coefficient assembly
 

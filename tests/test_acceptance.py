@@ -121,10 +121,12 @@ def test_criterion_6_monodromy_relation_and_spectra():
         if p.log_case:
             continue
         count += 1
-        worst_rel = max(worst_rel, gauss.monodromy_relation_residual(p))
-        for s in (0, 1, "inf"):
+        loops = {s: gauss.monodromy_at(p, s) for s in (0, 1, "inf")}
+        worst_rel = max(worst_rel, gauss.monodromy_relation_residual(
+            loops[0], loops[1], loops["inf"]))
+        for s, M in loops.items():
             worst_spec = max(worst_spec, gauss.spectrum_mismatch(
-                gauss.monodromy_at(p, s), gauss.expected_monodromy_spectrum(p, s)))
+                M, gauss.expected_monodromy_spectrum(p, s)))
     ok = worst_rel < 1e-7 and worst_spec < 1e-6
     _verdict(6, ok, f"relation {worst_rel:.2e}, spectra {worst_spec:.2e}")
 

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 
 import jsonschema
@@ -73,6 +74,19 @@ def test_gauss_monodromy_exit_codes():
     code, _ = run_cli(["gauss", "monodromy", "--alpha", "1/84", "--beta", "13/84",
                        "--gamma", "1/2", "--tol", "1e-18"])
     assert code == 1
+
+
+def test_gauss_monodromy_numeric_failure_exits_1(capsys):
+    # |alpha| this large needs more series terms than a step allows: the run
+    # must stop quickly with the numeric-failure code and say where and why
+    t0 = time.monotonic()
+    code, out = run_cli(["gauss", "monodromy", "--alpha=2000/3", "--beta=1/7",
+                         "--gamma=1/2"])
+    elapsed = time.monotonic() - t0
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert "segment" in err and "did not converge" in err
+    assert elapsed < 10.0
 
 
 def test_malformed_rational_rejected():

@@ -2,14 +2,15 @@
 conformal triangle map and the degree-2 pullback.
 
 Numeric expectations are checked against independent oracles: the binomial
-series, central finite differences, homotopy of paths, and the exact Riemann
-scheme data.
+series, central finite differences, homotopy of paths, the exact Riemann
+scheme data, and closed forms in mpmath.hyp2f1 at 30 digits.
 """
 
 import cmath
 import math
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -129,10 +130,80 @@ def test_monodromy_eigenvalues_and_relation():
     p = P_STD
     m0 = G.monodromy_at(p, 0)
     assert G.spectrum_mismatch(m0, [1.0, -1.0]) < 1e-9  # gamma = 1/2
-    for s in (0, 1, "inf"):
+    loops = {s: G.monodromy_at(p, s) for s in (0, 1, "inf")}
+    for s, M in loops.items():
         expected = G.expected_monodromy_spectrum(p, s)
-        assert G.spectrum_mismatch(G.monodromy_at(p, s), expected) < 1e-9
-    assert G.monodromy_relation_residual(p) < 1e-9
+        assert G.spectrum_mismatch(M, expected) < 1e-9
+    assert G.monodromy_relation_residual(loops[0], loops[1], loops["inf"]) < 1e-9
+
+
+def _mp(x):
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _frobenius_oracle(p, z):
+    """Jets (rows: value, derivative) of the Frobenius basis at 0,
+    z^(1-gamma) 2F1(alpha-gamma+1, beta-gamma+1; 2-gamma; z) and
+    2F1(alpha, beta; gamma; z), on the principal branches."""
+    with mpmath.workdps(30):
+        a, b, c = _mp(p.alpha), _mp(p.beta), _mp(p.gamma)
+        z = mpmath.mpc(z)
+        r = 1 - c
+        zr = mpmath.exp(r * mpmath.log(z))
+        g1 = mpmath.hyp2f1(a + r, b + r, 1 + r, z)
+        d1 = (a + r) * (b + r) / (1 + r) * mpmath.hyp2f1(a + r + 1, b + r + 1, 2 + r, z)
+        g2 = mpmath.hyp2f1(a, b, c, z)
+        d2 = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z)
+        return np.array([[complex(zr * g1), complex(g2)],
+                         [complex(r * zr / z * g1 + zr * d1), complex(d2)]])
+
+
+def _basis_at_one_oracle(p):
+    """Jets at 1/2 of the basis at 1: in w = 1 - z the equation has
+    parameters (alpha, beta, alpha+beta-gamma+1), and d/dz = -d/dw.  Columns
+    have exponents gamma-alpha-beta and 0 at 1."""
+    q = G.GaussParams(p.alpha, p.beta, p.alpha + p.beta - p.gamma + 1)
+    return _frobenius_oracle(q, 0.5) * np.array([[1.0], [-1.0]])
+
+
+ORACLE_PARAMS = (
+    P_STD,
+    G.GaussParams(F(7, 3), F(-10, 9), F(-3, 7)),
+    G.GaussParams(F(2, 5), F(-3, 7), F(5, 6)),
+)
+
+
+def _param_id(p):
+    return f"{p.alpha},{p.beta},{p.gamma}"
+
+
+@pytest.mark.parametrize("p", ORACLE_PARAMS, ids=_param_id)
+def test_continuation_matches_hyp2f1(p):
+    # straight segments from 1/2 stay in one half-plane, where continuation
+    # gives the principal branches of z^(1-gamma) and 2F1
+    base = G.local_basis_at_zero(p, 0.5)
+    for z in (1.1 + 0.2j, -2 + 1.5j, 6 + 2j, -30 + 40j):
+        for w in (z, z.conjugate()):
+            got = G.continue_along(p, G.PathInC((0.5, w)), base).matrix
+            want = _frobenius_oracle(p, w)
+            for j in range(2):
+                err = np.max(np.abs(got[:, j] - want[:, j])) / np.max(np.abs(want[:, j]))
+                assert err <= 1e-11, (w, j, err)
+
+
+@pytest.mark.parametrize("p", ORACLE_PARAMS, ids=_param_id)
+def test_monodromy_matches_local_bases(p):
+    # around 0 and 1 the local bases only pick up exp(2 pi i e); the loop at
+    # infinity then follows from M_inf M_1 M_0 = 1
+    b0 = _frobenius_oracle(p, 0.5)
+    b1 = _basis_at_one_oracle(p)
+    d0 = np.diag([cmath.exp(2j * cmath.pi * float(1 - p.gamma)), 1.0])
+    d1 = np.diag([cmath.exp(2j * cmath.pi * float(p.gamma - p.alpha - p.beta)), 1.0])
+    m0 = b0 @ d0 @ np.linalg.inv(b0)
+    m1 = b1 @ d1 @ np.linalg.inv(b1)
+    for s, want in ((0, m0), (1, m1), ("inf", np.linalg.inv(m1 @ m0))):
+        got = G.monodromy_at(p, s)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), s
 
 
 def test_monodromy_alpha_zero_fixes_constants():
@@ -198,6 +269,14 @@ def test_vertex_angles_invariant_under_basis_change():
     moved = G.vertex_angles(P_STD, basis=mob)
     for a, b in zip(base, moved):
         assert abs(a - b) < 1e-6
+
+
+@pytest.mark.parametrize("klm", [(5, 5, 5), (4, 6, 8)])
+def test_vertex_angles_regressions(klm):
+    # both triples once came back wrong without an error being raised
+    p = G.params_from_differences(*(F(1, n) for n in klm))
+    for got, n in zip(G.vertex_angles(p), klm):
+        assert abs(got - math.pi / n) < 1e-8
 
 
 def test_vertex_angle_cusp():
