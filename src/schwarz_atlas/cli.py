@@ -148,12 +148,12 @@ def _cmd_gauss_monodromy(args):
         print("error: integer exponent difference (logarithmic case)", file=sys.stderr)
         return EXIT_USAGE, None
     mats = {s: gaussmod.monodromy_at(p, s) for s in (0, 1, "inf")}
-    relation = gaussmod.monodromy_relation_residual(mats[0], mats[1], mats["inf"])
+    relation = gaussmod.scaled_relation_residual(mats[0], mats[1], mats["inf"])
     spectra = {}
     mismatch = 0.0
     for s, M in mats.items():
         expected = gaussmod.expected_monodromy_spectrum(p, s)
-        mismatch = max(mismatch, gaussmod.spectrum_mismatch(M, expected))
+        mismatch = max(mismatch, gaussmod.scaled_spectrum_residual(M, expected))
         spectra[str(s)] = {
             "matrix": _matrix_out(M),
             "eigenvalues": [_complex_out(v) for v in np.linalg.eigvals(M)],
@@ -459,7 +459,8 @@ def build_parser():
     g.add_argument("--beta", type=parse_rational, required=True)
     g.add_argument("--gamma", type=parse_rational, required=True)
     g.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    g.add_argument("--tol", type=float, default=1e-7)
+    g.add_argument("--tol", type=float, default=1e-7,
+                   help="bound on ||M_inf M_1 M_0 - 1|| / (||M_inf|| ||M_1|| ||M_0||)")
     g.set_defaults(func=_cmd_gauss_monodromy)
     t = gauss_sub.add_parser("schwarz-triangle", help="render the image triangle")
     t.add_argument("--kappa", type=parse_rational, required=True)

@@ -37,6 +37,8 @@ __all__ = [
     "continue_along",
     "monodromy_at",
     "monodromy_relation_residual",
+    "scaled_relation_residual",
+    "scaled_spectrum_residual",
     "schwarz_map",
     "vertex_angles",
     "wronskian_check",
@@ -270,11 +272,16 @@ def wronskian_check(p, path, frame=None):
 
 
 # fixed loops based at 1/2 (rectangles; counterclockwise around 0 and around 1,
-# and a clockwise outer rectangle around both for the loop at infinity)
+# and clockwise around both for the loop at infinity).  The loop at infinity
+# is the outline of the other two: it keeps the same clearance from {0, 1}
+# and stays near them, because with a large exponent difference at infinity
+# the two solutions there part like |z|^(alpha - beta), and a wide loop loses
+# that ratio in digits (at alpha = 44/3, beta = -4/5 a loop out to |z| = 3.6
+# came back with relative error 4e-6, this one with 5e-12).
 LOOP_ZERO = (0.5, 0.5 + 0.4j, -0.5 + 0.4j, -0.5 - 0.4j, 0.5 - 0.4j, 0.5)
 LOOP_ONE = (0.5, 0.5 - 0.4j, 1.5 - 0.4j, 1.5 + 0.4j, 0.5 + 0.4j, 0.5)
 LOOP_INFINITY = (
-    0.5, 0.5 + 2.0j, 3.0 + 2.0j, 3.0 - 2.0j, -2.0 - 2.0j, -2.0 + 2.0j, 0.5 + 2.0j, 0.5,
+    0.5, 0.5 + 0.4j, 1.5 + 0.4j, 1.5 - 0.4j, -0.5 - 0.4j, -0.5 + 0.4j, 0.5 + 0.4j, 0.5,
 )
 _LOOPS = {0: LOOP_ZERO, 1: LOOP_ONE, "inf": LOOP_INFINITY}
 
@@ -296,6 +303,19 @@ def monodromy_relation_residual(m0, m1, minf):
     return float(np.max(np.abs(minf @ m1 @ m0 - np.eye(2))))
 
 
+def scaled_relation_residual(m0, m1, minf):
+    """||M_inf M_1 M_0 - 1|| / (||M_inf|| ||M_1|| ||M_0||) in the Frobenius
+    norm.  Rounding the loop matrices alone leaves an absolute residual of
+    about machine epsilon times that product, which reaches 1e-2 at
+    |alpha| near 15; scaled, the residual reads the same at any magnitude.
+    Every loop matrix has |det| = 1, so the scale is at least 1.  The
+    matrices are normalised before they are multiplied, so the product
+    cannot overflow."""
+    n = np.linalg.norm
+    scale = n(minf) * n(m1) * n(m0)
+    return float(n((minf / n(minf)) @ (m1 / n(m1)) @ (m0 / n(m0)) - np.eye(2) / scale))
+
+
 def expected_monodromy_spectrum(p, s):
     sch = riemann_scheme(p)
     pair = {0: sch.at_zero, 1: sch.at_one, "inf": sch.at_infinity}[
@@ -311,6 +331,21 @@ def spectrum_mismatch(matrix, expected):
     direct = max(abs(ev[0] - e0), abs(ev[1] - e1))
     crossed = max(abs(ev[0] - e1), abs(ev[1] - e0))
     return float(min(direct, crossed))
+
+
+def scaled_spectrum_residual(matrix, expected):
+    """||(M - e0)(M - e1)|| / ||M||^2 in the Frobenius norm, scaled as
+    torus.hecke_residual is.  It vanishes when M, not a scalar matrix, has
+    the characteristic polynomial (x - e0)(x - e1).  Unlike the eigenvalue
+    distance of spectrum_mismatch it does not grow with the condition of the
+    eigenvectors, which at large |alpha| puts the eigenvalues of the exactly
+    rounded loop matrices 1e-3 away from exp(2 pi i e)."""
+    M = np.asarray(matrix)
+    scale = np.linalg.norm(M)
+    A = M / scale
+    e0, e1 = expected
+    I = np.eye(2) / scale
+    return float(np.linalg.norm((A - e0 * I) @ (A - e1 * I)))
 
 
 # ---------------------------------------------------------------------------

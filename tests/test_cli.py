@@ -76,6 +76,18 @@ def test_gauss_monodromy_exit_codes():
     assert code == 1
 
 
+def test_gauss_monodromy_large_alpha_passes_on_scaled_residuals():
+    # the loop matrices reach norm 5e7 here: the absolute relation residual
+    # of even the exactly rounded matrices is about 1e-2, the scaled one
+    # stays near machine precision
+    code, out = run_cli(["gauss", "monodromy", "--alpha=44/3", "--beta=1/2",
+                         "--gamma=-1/7", "--format", "json"])
+    assert code == 0
+    residuals = json.loads(out)["residuals"]
+    assert residuals["relation_residual"] < 1e-10
+    assert residuals["spectrum_residual"] < 1e-8
+
+
 def test_gauss_monodromy_numeric_failure_exits_1(capsys):
     # |alpha| this large needs more series terms than a step allows: the run
     # must stop quickly with the numeric-failure code and say where and why

@@ -141,21 +141,29 @@ def _mp(x):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
-def _frobenius_oracle(p, z):
+def _frobenius_jets(p, z):
     """Jets (rows: value, derivative) of the Frobenius basis at 0,
     z^(1-gamma) 2F1(alpha-gamma+1, beta-gamma+1; 2-gamma; z) and
-    2F1(alpha, beta; gamma; z), on the principal branches."""
+    2F1(alpha, beta; gamma; z), on the principal branches, as an mpmath
+    matrix at the working precision."""
+    a, b, c = _mp(p.alpha), _mp(p.beta), _mp(p.gamma)
+    z = mpmath.mpc(z)
+    r = 1 - c
+    zr = mpmath.exp(r * mpmath.log(z))
+    g1 = mpmath.hyp2f1(a + r, b + r, 1 + r, z)
+    d1 = (a + r) * (b + r) / (1 + r) * mpmath.hyp2f1(a + r + 1, b + r + 1, 2 + r, z)
+    g2 = mpmath.hyp2f1(a, b, c, z)
+    d2 = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z)
+    return mpmath.matrix([[zr * g1, g2], [r * zr / z * g1 + zr * d1, d2]])
+
+
+def _complex(m):
+    return np.array(m.tolist(), dtype=np.complex128)
+
+
+def _frobenius_oracle(p, z):
     with mpmath.workdps(30):
-        a, b, c = _mp(p.alpha), _mp(p.beta), _mp(p.gamma)
-        z = mpmath.mpc(z)
-        r = 1 - c
-        zr = mpmath.exp(r * mpmath.log(z))
-        g1 = mpmath.hyp2f1(a + r, b + r, 1 + r, z)
-        d1 = (a + r) * (b + r) / (1 + r) * mpmath.hyp2f1(a + r + 1, b + r + 1, 2 + r, z)
-        g2 = mpmath.hyp2f1(a, b, c, z)
-        d2 = a * b / c * mpmath.hyp2f1(a + 1, b + 1, c + 1, z)
-        return np.array([[complex(zr * g1), complex(g2)],
-                         [complex(r * zr / z * g1 + zr * d1), complex(d2)]])
+        return _complex(_frobenius_jets(p, z))
 
 
 def _basis_at_one_oracle(p):
@@ -204,6 +212,36 @@ def test_monodromy_matches_local_bases(p):
     for s, want in ((0, m0), (1, m1), ("inf", np.linalg.inv(m1 @ m0))):
         got = G.monodromy_at(p, s)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), s
+
+
+def test_monodromy_at_large_alpha_matches_local_bases():
+    # alpha = 44/3: the loop matrices at 0 and infinity reach norm 1e3, so
+    # the closed forms are built at 30 digits and compared relatively.  A
+    # loop at infinity reaching out to |z| = 3.6 misses them by 4e-6.
+    p = G.GaussParams(F(44, 3), F(-4, 5), F(5, 8))
+    q = G.GaussParams(p.alpha, p.beta, p.alpha + p.beta - p.gamma + 1)
+    with mpmath.workdps(30):
+        b0 = _frobenius_jets(p, 0.5)
+        b1 = mpmath.diag([1, -1]) * _frobenius_jets(q, 0.5)
+        d0 = mpmath.diag([mpmath.expjpi(2 * _mp(1 - p.gamma)), 1])
+        d1 = mpmath.diag([mpmath.expjpi(2 * _mp(p.gamma - p.alpha - p.beta)), 1])
+        m0 = b0 * d0 * b0 ** -1
+        m1 = b1 * d1 * b1 ** -1
+        want = {0: _complex(m0), 1: _complex(m1), "inf": _complex((m1 * m0) ** -1)}
+    loops = {s: G.monodromy_at(p, s) for s in (0, 1, "inf")}
+    for s, M in loops.items():
+        assert np.linalg.norm(M - want[s]) <= 1e-9 * np.linalg.norm(want[s]), s
+        expected = G.expected_monodromy_spectrum(p, s)
+        assert G.scaled_spectrum_residual(M, expected) <= 1e-9, s
+    assert G.scaled_relation_residual(loops[0], loops[1], loops["inf"]) <= 1e-11
+
+
+def test_scaled_residuals_detect_wrong_data():
+    M = np.diag([1.0, -1.0]).astype(np.complex128)
+    assert G.scaled_spectrum_residual(M, [1.0, -1.0]) == 0.0
+    assert G.scaled_spectrum_residual(M, [1.0, 1j]) > 0.5
+    assert G.scaled_relation_residual(M, M, np.eye(2)) == 0.0
+    assert G.scaled_relation_residual(M, np.eye(2), np.eye(2)) > 0.5
 
 
 def test_monodromy_alpha_zero_fixes_constants():
