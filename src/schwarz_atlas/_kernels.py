@@ -1,43 +1,31 @@
 """Hot continuation kernels: transport of solution frames along segments.
 
-`gauss_segment` continues the 2x2 (value, derivative) frame of the
-hypergeometric equation by Taylor re-expansion at ordinary points.  At each
-point z0 the coefficients of a solution in x = z - z0 follow a three-term
-recurrence read off the polynomial coefficients of the equation; the step
-radius is half the distance to {0, 1}, so every series converges
-asymptotically like 2^-n, and each one is summed until its terms fall below
-`rtol` times its largest term.  `rtol` defaults to machine epsilon and no
-caller changes it, so there is no tolerance to tune.  This is the
-holonomic-function evaluation of Chudnovsky & Chudnovsky and van der Hoeven
-(1999), in plain floating point.
+Both kernels continue a frame by Taylor re-expansion at ordinary points: at
+each step point the frame is expanded in a power series whose coefficients
+follow a recurrence read off the equation, the step is half the distance to
+the nearest singularity, so every series converges asymptotically like 2^-n,
+and each one is summed until its terms fall below `rtol` times its largest
+term.  This is the holonomic-function evaluation of Chudnovsky & Chudnovsky
+and van der Hoeven (1999), in plain floating point.
 
-`torus_segment` integrates the rank-n torus frame dF/dt = B(t) F over t in
-[0, 1] with Dormand-Prince 5(4) steps and per-step relative tolerance `rtol`.
-Its right-hand side is written in numpy and compiled with numba when numba is
-importable; set SCHWARZ_ATLAS_NO_NUMBA=1 before import to run the same source
-uncompiled.
+`gauss_segment` continues the 2x2 (value, derivative) frame of the
+hypergeometric equation; the coefficients of a solution in x = z - z0 follow
+a three-term recurrence, the step radius is half the distance to {0, 1}, and
+`rtol` defaults to machine epsilon.
+
+`torus_segment` continues the rank-n torus jet frame dF/dt = B(t) F along a
+log-linear segment.  Each root coefficient -coth(L/2) has its Taylor
+coefficients from the Riccati recurrence of coth, vectorised over the
+positive roots; the frame coefficients follow from them by one convolution
+per term.  The step is half the distance in t to the nearest mirror crossing.
 """
 
 import cmath
-import os
 
 import numpy as np
 
-NUMBA_ENV_FLAG = "SCHWARZ_ATLAS_NO_NUMBA"
-
-
-def _numba_requested():
-    return os.environ.get(NUMBA_ENV_FLAG, "").strip().lower() not in {"1", "true", "yes"}
-
-
+# read by perfbench/run.py to label the backend; no kernel is compiled
 USING_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # numba is an optional extra
-        USING_NUMBA = False
 
 
 class NumericFailure(Exception):
@@ -50,7 +38,8 @@ _EPS = 2.0 ** -52
 # terms allowed in one step's series: a loop step takes at most about 50 at
 # |alpha|, |beta| <= 1 and about 2|alpha| + 70 when |alpha| is large
 _MAX_TERMS = 1000
-# a step point this close to 0 or 1 counts as reaching the singular point
+# a step point this close to 0 or 1, or a root character's log this close to
+# a mirror crossing 2 pi i l, counts as reaching the singular point
 _MIN_CLEARANCE = 1e-12
 
 
@@ -141,110 +130,93 @@ def _frame(f0, f1, g0, g1):
     return np.array([[f0, f1], [g0, g1]], dtype=np.complex128)
 
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-# 4th-order weights (with the FSAL 7th stage)
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    5179.0 / 57600.0, 7571.0 / 16695.0, 393.0 / 640.0, -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0,
-)
-
-_MIN_STEP = 1e-13
-_MAX_STEPS = 200000
+# terms allowed in one torus step's series: a step at half the distance to the
+# nearest mirror crossing converges like 2^-n, and takes at most about 40 terms
+# at the default tolerance from A2 to E8
+_TORUS_MAX_TERMS = 400
 
 
-def _torus_rhs_py(lz0, m, croots, coroots, k, svec, t, F):
-    """d/dt of the torus jet frame along a log-linear coordinate segment.
+def torus_segment(lz0, m, croots, coroots, k, svec, F0, rtol):
+    """Transport an (n+1)x(n+1) jet frame along one log-linear torus segment.
 
-    lz0 + t*m are the log-coordinates, croots/coroots the positive-root and
-    coroot coordinate rows (complex copies), svec the constant scalar block.
+    The log-coordinates are lz0 + t m for t in [0, 1]; croots and coroots are
+    the positive-root and coroot coordinate rows, svec the constant scalar
+    column.  Returns (frame, accumulated truncation estimate, ok flag).  ok=False
+    means the segment reaches within _MIN_CLEARANCE of a mirror, where the
+    system is singular; the frame is then the one at the last point reached.
+    Raises NumericFailure when a step's series has not fallen below
+    max(rtol, eps) times its largest term after _TORUS_MAX_TERMS terms, or the
+    frame stops being finite.
     """
-    n = m.shape[0]
-    lz = lz0 + t * m
-    tchar = np.exp(croots @ lz)
-    u = (1.0 + tchar) / (1.0 - tchar)
-    w = (0.5 * k) * (croots @ m) * u
-    B = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    B[0, 1:] = -m
-    B[1:, 0] = svec
-    B[1:, 1:] = croots.T @ (w.reshape(-1, 1) * coroots)
-    return B @ F
-
-
-if USING_NUMBA:
-    _torus_rhs = njit(cache=True)(_torus_rhs_py)
-else:
-    _torus_rhs = _torus_rhs_py
-
-
-def _torus_segment_py(lz0, m, croots, coroots, k, svec, F0, rtol):
-    """Transport an (n+1)x(n+1) frame along one log-linear torus segment.
-
-    Returns (frame, accumulated error estimate, ok flag).
-    """
-    F = F0.copy()
-    t = 0.0
-    h = 0.05
+    n1 = F0.shape[0]
+    nr = croots.shape[0]
+    J = _TORUS_MAX_TERMS
+    # L_p(t) = a_p + b_p t is the log of the root character along the segment
+    a = croots @ lz0
+    b = croots @ m
+    moving = b != 0
+    # dF/dt = B(t) F: row 0 of B is [0, -m], column 0 is [0; svec], and the
+    # lower block is sum_p u_p(t) K_p with the root coefficient
+    # u = (1 + e^L)/(1 - e^L) = -coth(L/2) and K_p = (k/2) b_p croots_p^T coroots_p
+    K = np.einsum("p,pi,pj->pij", (0.5 * k) * b, croots, coroots).reshape(nr, -1)
+    tol = max(rtol, _EPS)
+    # coefficient stacks, allocated once: u_j per root, the Taylor
+    # coefficients B_j of B side by side, and the frame coefficients F_j
+    # stacked in reverse order (F_j in block J - j), so that the convolution
+    # sum_i B_i F_{j-i} is one matrix product
+    U = np.empty((J + 1, nr), dtype=np.complex128)
+    Bh = np.zeros((n1, (J + 1) * n1), dtype=np.complex128)
+    Bv = Bh.reshape(n1, J + 1, n1)
+    Bv[0, 0, 1:] = -m
+    Bv[1:, 0, 0] = svec
+    Fr = np.empty(((J + 1) * n1, n1), dtype=np.complex128)
+    Fv = Fr.reshape(J + 1, n1, n1)
+    F = np.array(F0, dtype=np.complex128)
     errsum = 0.0
-    k1 = _torus_rhs(lz0, m, croots, coroots, k, svec, t, F)
-    steps = 0
+    t = 0.0
     while t < 1.0:
-        if h > 1.0 - t:
-            h = 1.0 - t
-        k2 = _torus_rhs(lz0, m, croots, coroots, k, svec, t + _C2 * h, F + h * (_A21 * k1))
-        k3 = _torus_rhs(lz0, m, croots, coroots, k, svec, t + _C3 * h,
-                        F + h * (_A31 * k1 + _A32 * k2))
-        k4 = _torus_rhs(lz0, m, croots, coroots, k, svec, t + _C4 * h,
-                        F + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = _torus_rhs(lz0, m, croots, coroots, k, svec, t + _C5 * h,
-                        F + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = _torus_rhs(lz0, m, croots, coroots, k, svec, t + h,
-                        F + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        F5 = F + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = _torus_rhs(lz0, m, croots, coroots, k, svec, t + h, F5)
-        F4 = F + h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        scale = 1.0
-        err = 0.0
-        nn = F.shape[0]
-        for i in range(nn):
-            for j in range(nn):
-                mag = abs(F[i, j])
-                if mag > scale:
-                    scale = mag
-                d = abs(F5[i, j] - F4[i, j])
-                if d > err:
-                    err = d
-        tol = rtol * scale
-        if err <= tol:
-            t += h
-            F = F5
-            k1 = k7
-            errsum += err
-        if err > 0.0:
-            fac = 0.9 * (tol / err) ** 0.2
-            if fac < 0.2:
-                fac = 0.2
-            elif fac > 5.0:
-                fac = 5.0
-            h *= fac
+        L = a + b * t
+        # distance from each L_p to the nearest mirror crossing 2 pi i l
+        gap = np.abs(L - 2j * np.pi * np.round(L.imag / (2.0 * np.pi)))
+        if gap.min() <= _MIN_CLEARANCE:
+            return F, errsum, False
+        radius = np.min(gap[moving] / np.abs(b[moving]), initial=np.inf)
+        h = min(0.5 * radius, 1.0 - t)
+        # Riccati recurrence in s = (t' - t)/h: du/ds = (b h/2)(u^2 - 1)
+        c = 0.5 * h * b
+        tchar = np.exp(L)
+        U[0] = (1.0 + tchar) / (1.0 - tchar)
+        Fv[J] = F
+        big = np.abs(F).max()
+        small = 0
+        for j in range(J):
+            Bv[1:, j, 1:] = (U[j] @ K).reshape(n1 - 1, n1 - 1)
+            uu = np.einsum("ip,ip->p", U[:j + 1], U[j::-1])
+            if j == 0:
+                uu -= 1.0
+            np.multiply(uu, c, out=U[j + 1])
+            U[j + 1] /= j + 1
+            term = Bh[:, :(j + 1) * n1] @ Fr[(J - j) * n1:]
+            term *= h / (j + 1)
+            Fv[J - j - 1] = term
+            size = np.abs(term).max()
+            if size > big:
+                big = size
+            if size <= tol * big:
+                small += 1
+                if small == 2:
+                    break
+            else:
+                small = 0
         else:
-            h *= 5.0
-        if h < _MIN_STEP:
-            return F, errsum, False
-        steps += 1
-        if steps > _MAX_STEPS:
-            return F, errsum, False
+            if np.isfinite(Fr).all():
+                raise NumericFailure(
+                    f"torus segment from {lz0} along {m}: series at t = {t} did not "
+                    f"converge within {J} terms")
+        F = Fv[J - j - 1:].sum(axis=0)
+        if not np.isfinite(F).all():
+            raise NumericFailure(
+                f"torus segment from {lz0} along {m}: frame is not finite at t = {t + h}")
+        errsum += tol * big
+        t = 1.0 if h == 1.0 - t else t + h
     return F, errsum, True
-
-
-if USING_NUMBA:
-    torus_segment = njit(cache=True)(_torus_segment_py)
-else:
-    torus_segment = _torus_segment_py

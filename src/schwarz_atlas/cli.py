@@ -291,7 +291,7 @@ def _cmd_torus_form(args):
     except torus.InvariantFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC, None
-    ball = torus.ball_check(system, k, count=args.samples, seed=args.seed)
+    ball = torus.ball_check(system, k, count=args.samples, seed=args.seed, form=form)
     payload = _report(
         module="torus",
         inputs={"type": str(system.rtype), "k": format_rational(k),
@@ -319,11 +319,7 @@ def _cmd_schwarz_enumerate(args):
         p_min=args.p_min, p_max=args.p_max, rank_max=args.rank_max,
         include_k_half=args.include_k_half)
     diff = schwarzcond.table_diff(result)
-    expected_extra = tuple(x for x in schwarzcond.DOCUMENTED_ANOMALIES["extra"]
-                           if args.p_min <= x[0] <= args.p_max)
-    expected_missing = tuple(x for x in schwarzcond.DOCUMENTED_ANOMALIES["missing"]
-                             if args.p_min <= x[0] <= args.p_max)
-    clean = diff["extra"] == expected_extra and diff["missing"] == expected_missing
+    clean = diff == schwarzcond.anomalies_in_range(args.p_min, args.p_max, args.rank_max)
     if args.fmt == "csv":
         lines = ["p,type"]
         for p, row in sorted(result.rows.items()):

@@ -5,8 +5,10 @@ monodromy, the invariant Hermitian form, and the negative-cone (ball) check.
 
 Coordinates are z_i = h^{-alpha_i}; the vector fields theta_i dual to the
 simple roots act as -z_i d/dz_i, so characters restrict to monomials and all
-structure constants are rational.  Scalar couplings are exact; the numerics
-run through the kernels in _kernels.
+structure constants are rational.  Scalar couplings are exact; continuation
+runs through _kernels.torus_segment, which re-expands the jet frame in Taylor
+series with steps of half the distance to the nearest mirror crossing.
+Continuation that breaks down raises _kernels.NumericFailure.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ __all__ = [
     "sample_points_near",
 ]
 
+# series truncation threshold of the continuation kernel, relative to each
+# step's largest term
 DEFAULT_RTOL = 1e-12
 MIRROR_DELTA = 0.02
 
@@ -341,7 +345,9 @@ def transport(system, k, path, frame=None, rtol=DEFAULT_RTOL, check_flatness=Tru
     """Continue a jet frame along the path by integrating dF = (sum A_i dlog z_i) F.
 
     The curvature is checked once at the start of the path as a sanity gate;
-    flat connections make the result homotopy invariant.
+    flat connections make the result homotopy invariant.  Raises
+    _kernels.NumericFailure when a segment reaches a mirror or its series
+    breaks down.
     """
     n = system.rank
     if frame is None:
@@ -370,7 +376,8 @@ def transport(system, k, path, frame=None, rtol=DEFAULT_RTOL, check_flatness=Tru
         )
         errsum += es
         if not ok:
-            raise ValueError("step size underflow during torus continuation")
+            raise _kernels.NumericFailure(
+                f"torus continuation from {a} to {b} reaches a mirror")
     return F, errsum
 
 
@@ -407,10 +414,19 @@ def mirror_loop_path(system, alpha, base_logs=None, radius=0.1, segments=24,
 def mirror_monodromy(system, k, alpha, base_logs=None, radius=0.1, segments=24,
                      rtol=DEFAULT_RTOL):
     """Monodromy of a small positively oriented loop around the mirror of alpha,
-    in the jet frame at the base point."""
-    path = mirror_loop_path(system, alpha, base_logs, radius, segments)
-    F, _ = transport(system, k, path, rtol=rtol)
-    return F
+    in the jet frame at the base point.
+
+    The loop is a stage out to the ring, the ring, and the stage back, so the
+    stage is transported once: with S its transport and T the ring's, the
+    loop is S^-1 T S.
+    """
+    pts = mirror_loop_path(system, alpha, base_logs, radius, segments).log_waypoints
+    S, _ = transport(system, k, TorusPath(pts[:2]), rtol=rtol)
+    T, _ = transport(system, k, TorusPath(pts[1:-1]), rtol=rtol, check_flatness=False)
+    try:
+        return np.linalg.solve(S, T @ S)
+    except np.linalg.LinAlgError as exc:
+        raise _kernels.NumericFailure(f"mirror-loop stage transport is singular: {exc}") from exc
 
 
 def toric_monodromy(system, k, j, base_logs=None, rtol=DEFAULT_RTOL):
@@ -566,17 +582,19 @@ class BallCheckReport:
 
 
 def ball_check(system, k, sample_logs=None, count=10, seed=0, base_logs=None,
-               rtol=DEFAULT_RTOL):
+               rtol=DEFAULT_RTOL, form=None):
     """Evaluation vectors at the samples must be negative for the invariant form.
 
     The solver's form H lives on solution coordinates; evaluation vectors
     (value rows of the transported jet frame) transform contragrediently, so
     they pair through the inverse form.  That pairing is normalized to make
-    the base evaluation vector negative.
+    the base evaluation vector negative.  Pass `form` when the invariant form
+    of the standard generators at this base point is already known.
     """
     if base_logs is None:
         base_logs = default_base_point(system)
-    form = invariant_form(standard_generators(system, k, base_logs, rtol=rtol))
+    if form is None:
+        form = invariant_form(standard_generators(system, k, base_logs, rtol=rtol))
     Hinv = np.linalg.inv(form.matrix)
 
     def pairing(v):

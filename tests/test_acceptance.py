@@ -2,8 +2,6 @@
 pass/fail line per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
-Wall-clock limits are asserted after a one-time kernel warmup fixture, so they
-measure the algorithms rather than JIT compilation.
 """
 
 import cmath
@@ -12,7 +10,6 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
-import pytest
 
 from schwarz_atlas import gauss, roots, schwarzcond, torus, triangle
 
@@ -21,16 +18,6 @@ def _verdict(num, ok, detail):
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line)
     assert ok, line
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # trigger kernel compilation once so the timed criteria measure the
-    # algorithms, not the JIT
-    p = gauss.GaussParams(F(1, 84), F(13, 84), F(1, 2))
-    gauss.monodromy_at(p, 0)
-    a1 = roots.build(roots.RootSystemType("A", 1))
-    torus.mirror_monodromy(a1, F(1, 4), np.array([1]))
 
 
 def test_criterion_1_solution_table():

@@ -6,11 +6,12 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from schwarz_atlas import cli
+from schwarz_atlas import cli, roots, torus
 
 
 def run_cli(argv):
@@ -148,6 +149,39 @@ def test_torus_form_json():
     payload = json.loads(out)
     assert payload["results"]["signature"] == [2, 1]
     assert payload["results"]["ball_all_negative"] is True
+
+
+def test_torus_form_builds_generators_once(monkeypatch):
+    calls = []
+    build = torus.standard_generators
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(torus, "standard_generators", counted)
+    code, out = run_cli(["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4",
+                         "--samples", "4", "--seed", "3", "--format", "json"])
+    assert code == 0
+    assert len(calls) == 1
+    a2 = roots.build(roots.RootSystemType("A", 2))
+    fresh = torus.ball_check(a2, Fraction(1, 4), count=4, seed=3)
+    assert json.loads(out)["results"]["ball_values"] == list(fresh.values)
+
+
+@pytest.mark.parametrize("rank_max, anomalies", [
+    (4, ([], [])),
+    (5, ([[3, "A5"]], [[6, "A5"]])),
+    (6, ([[3, "A5"]], [[6, "A5"]])),
+])
+def test_enumerate_below_rank_seven(rank_max, anomalies):
+    # table rows of rank above rank_max (A7, E7 at p = 3) are out of range
+    code, out = run_cli(["schwarz", "enumerate", "--p-max", "20",
+                         "--rank-max", str(rank_max), "--format", "json"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["table_diff"]["extra"], results["table_diff"]["missing"]) == anomalies
+    assert results["documented_anomalies_only"] is True
 
 
 def test_triangle_tessellate_files(tmp_path):

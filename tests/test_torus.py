@@ -205,6 +205,16 @@ def test_weak_coupling_limit():
     assert 8.0 < ratio < 12.0
 
 
+def test_stage_once_matches_full_loop_transport():
+    # mirror_monodromy transports the stage once; the full loop (stage, ring,
+    # stage reversed) must give the same matrix
+    k = F(1, 4)
+    alpha = roots.highest_root(D4)
+    full, _ = torus.transport(D4, k, torus.mirror_loop_path(D4, alpha))
+    staged = torus.mirror_monodromy(D4, k, alpha)
+    assert np.max(np.abs(staged - full)) / np.max(np.abs(full)) < 1e-10
+
+
 def test_conjugate_mirror_loops_have_equal_spectra():
     k = F(1, 4)
     spectra = []
