@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -544,9 +545,29 @@ def build_parser():
     return parser
 
 
+_PARSER = None
+# "-1/3" starts like an option, so argparse would not take it as the value of
+# the flag before it; "--k -1/3" is rewritten as "--k=-1/3"
+_NEGATIVE_RATIONAL = re.compile(r"-\d+(/\d+)?")
+_LONG_FLAG = re.compile(r"--\w[\w-]*")
+
+
+def _attach_negative_values(argv):
+    out = []
+    for arg in argv:
+        if out and _NEGATIVE_RATIONAL.fullmatch(arg) and _LONG_FLAG.fullmatch(out[-1]):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = _PARSER.parse_args(_attach_negative_values(argv))
     try:
         code, payload = args.func(args)
     except gaussmod.NumericFailure as exc:

@@ -2,16 +2,19 @@
 enumerator with its embedded reference table, and the (n+3)-point weight-vector
 comparator on the projective line.
 
-Everything here is exact rational arithmetic; no floats enter at any point.
-The enumerator implements the stated conditions literally, and the diff
-against the reference table deliberately surfaces the two boundary anomalies
-instead of patching either side.
+Everything here is exact; no floats enter at any point.  Each type's stratum
+conditions are one table of integer rows, value = (c1*k + c0)/div, built once
+per type: a verdict at k = a/b is an integer divisibility test, and the
+reports add the exact p/q values.  The enumerator implements the stated
+conditions literally, and the diff against the reference table deliberately
+surfaces the two boundary anomalies instead of patching either side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import (
     conditional_unit_fraction,
@@ -36,6 +39,7 @@ __all__ = [
     "mirror_identity_condition",
     "special_point_condition",
     "hyperbolic_range",
+    "passes",
     "check",
     "enumerate_solutions",
     "EnumerationResult",
@@ -83,48 +87,107 @@ def _as_type(R):
     return R.rtype
 
 
+@dataclass(frozen=True)
+class _Row:
+    """One stratum condition: value = (c1*k + c0)/div must be a unit fraction,
+    and holds vacuously where value <= 0 when `guarded` ('if > 0')."""
+
+    kind: str
+    c1: int
+    c0: int
+    div: int
+    guarded: bool
+    detail: str
+
+    def holds(self, a, b):
+        """The verdict at k = a/b with b > 0.  The value is N/(div*b) with
+        N = c1*a + c0*b, a unit fraction iff N > 0 and N divides div*b."""
+        num = self.c1 * a + self.c0 * b
+        if num <= 0:
+            return self.guarded
+        return self.div * b % num == 0
+
+    def condition(self, k):
+        a, b = k.numerator, k.denominator
+        num = self.c1 * a + self.c0 * b
+        return StratumCondition(
+            kind=self.kind, value=Fraction(num, self.div * b), satisfied=self.holds(a, b),
+            vacuous=self.guarded and num <= 0, detail=self.detail)
+
+
+_SPECIAL_ROWS = {
+    ("E", 7): (_Row("special_a7_in_e7", 8, -1, 2, True, "(8k-1)/2"),),
+    ("E", 8): (_Row("special_a8_in_e8", 9, -1, 1, True, "(9k-1)"),
+               _Row("special_d8_in_e8", 14, -1, 2, True, "(14k-1)/2")),
+}
+
+
+@dataclass(frozen=True)
+class _Table:
+    """Every stratum condition of one type, in the order a report lists them."""
+
+    m: Fraction              # the hyperbolic range is 0 < k < m
+    toric: tuple
+    mirror_identity: tuple
+    special: tuple
+
+    @cached_property
+    def rows(self):
+        return self.toric + self.mirror_identity + self.special
+
+    def in_range(self, a, b):
+        """0 < a/b < m for b > 0."""
+        return 0 < a and a * self.m.denominator < self.m.numerator * b
+
+    def passes(self, a, b):
+        """Every condition at k = a/b with b > 0, in integer arithmetic."""
+        return self.in_range(a, b) and all(row.holds(a, b) for row in self.rows)
+
+
+_TABLE_CACHE = {}
+
+
+def _table(rtype):
+    """The condition table of a type, built once from its root system."""
+    if rtype not in _TABLE_CACHE:
+        system = _system(rtype)
+        h = coxeter_number(system)
+        if rtype.family == "A":
+            n = rtype.rank
+            toric = (_Row("toric_a", n - 1, 0, 2, False, f"(n-1)k/2 with n={n}"),)
+        else:
+            toric = tuple(_Row("toric_de", d, 0, 1, False, f"d*k with d={d}")
+                          for d in dict.fromkeys(toric_distances(system)))
+        _TABLE_CACHE[rtype] = _Table(
+            m=hyperbolic_exponent(system),
+            toric=toric,
+            mirror_identity=(
+                _Row("mirror", -2, 1, 2, True, "(1-2k)/2"),
+                _Row("identity", h, -1, 2, True, f"(hk-1)/2 with h={h}"),
+            ),
+            special=_SPECIAL_ROWS.get((rtype.family, rtype.rank), ()),
+        )
+    return _TABLE_CACHE[rtype]
+
+
 def toric_condition(R, k):
     """Toric-stratum conditions: (n-1)k/2 for A_n, d*k per diagram distance d
-    for D_n / E_n (duplicate distances recorded once per distinct value)."""
-    rtype = _as_type(R)
+    for D_n / E_n (duplicate values recorded once)."""
     k = Fraction(k)
-    out = []
-    if rtype.family == "A":
-        val = (rtype.rank - 1) * k / 2
-        out.append(StratumCondition(
-            kind="toric_a", value=val, satisfied=is_unit_fraction(val),
-            detail=f"(n-1)k/2 with n={rtype.rank}"))
-        return out
-    seen = set()
-    for d in toric_distances(_system(rtype)):
-        val = d * k
-        if val in seen:
-            continue
-        seen.add(val)
-        out.append(StratumCondition(
-            kind="toric_de", value=val, satisfied=is_unit_fraction(val),
-            detail=f"d*k with d={d}"))
+    out, seen = [], set()
+    for row in _table(_as_type(R)).toric:
+        cond = row.condition(k)
+        if cond.value not in seen:
+            seen.add(cond.value)
+            out.append(cond)
     return out
 
 
 def mirror_identity_condition(R, k):
     """Mirror-stratum and identity-point conditions, both under the 'if > 0'
     guard: (1-2k)/2 and (hk-1)/2 with h the Coxeter number."""
-    rtype = _as_type(R)
     k = Fraction(k)
-    h = coxeter_number(_system(rtype))
-    mirror_val = (1 - 2 * k) / 2
-    ident_val = (h * k - 1) / 2
-    return [
-        StratumCondition(
-            kind="mirror", value=mirror_val,
-            satisfied=conditional_unit_fraction(mirror_val),
-            vacuous=mirror_val <= 0, detail="(1-2k)/2"),
-        StratumCondition(
-            kind="identity", value=ident_val,
-            satisfied=conditional_unit_fraction(ident_val),
-            vacuous=ident_val <= 0, detail=f"(hk-1)/2 with h={h}"),
-    ]
+    return [row.condition(k) for row in _table(_as_type(R)).mirror_identity]
 
 
 def special_point_condition(R, k):
@@ -133,33 +196,24 @@ def special_point_condition(R, k):
     E7 contributes (8k-1)/2; E8 contributes (9k-1) -- not halved -- and
     (14k-1)/2.  All are guarded by 'if > 0'; other types contribute nothing.
     """
-    rtype = _as_type(R)
     k = Fraction(k)
-    out = []
-    specs = []
-    if rtype.family == "E" and rtype.rank == 7:
-        specs = [("special_a7_in_e7", (8 * k - 1) / 2, "(8k-1)/2")]
-    elif rtype.family == "E" and rtype.rank == 8:
-        specs = [
-            ("special_a8_in_e8", 9 * k - 1, "(9k-1)"),
-            ("special_d8_in_e8", (14 * k - 1) / 2, "(14k-1)/2"),
-        ]
-    for kind, val, detail in specs:
-        out.append(StratumCondition(
-            kind=kind, value=val, satisfied=conditional_unit_fraction(val),
-            vacuous=val <= 0, detail=detail))
-    return out
+    return [row.condition(k) for row in _table(_as_type(R)).special]
 
 
 def hyperbolic_range(R, k):
     """0 < k < m, exact; k = m is flagged as the boundary case."""
-    rtype = _as_type(R)
+    table = _table(_as_type(R))
     k = Fraction(k)
-    m = hyperbolic_exponent(_system(rtype))
-    boundary = k == m
+    boundary = k == table.m
     return StratumCondition(
-        kind="hyperbolic_range", value=k, satisfied=Fraction(0) < k < m,
-        detail=f"0 < k < {format_rational(m)}" + (" (boundary k = m)" if boundary else ""))
+        kind="hyperbolic_range", value=k, satisfied=table.in_range(k.numerator, k.denominator),
+        detail=f"0 < k < {format_rational(table.m)}" + (" (boundary k = m)" if boundary else ""))
+
+
+def passes(R, k):
+    """check(R, k).passed, decided by integer tests on k = a/b alone."""
+    k = Fraction(k)
+    return _table(_as_type(R)).passes(k.numerator, k.denominator)
 
 
 @dataclass(frozen=True)
@@ -240,7 +294,6 @@ class EnumerationResult:
     p_max: int
     rank_max: int
     rows: dict                      # p -> tuple of type strings that pass
-    reports: tuple = field(repr=False)
     k_half: tuple = ()              # types passing at k = 1/2 (no finite p)
 
     def as_dict(self):
@@ -260,27 +313,19 @@ def enumerate_solutions(p_min=3, p_max=100, rank_max=13, include_k_half=False):
     with at least one passing type.  Monotone in p_max by construction."""
     if not (3 <= p_min <= p_max):
         raise ValueError(f"need 3 <= p_min <= p_max, got {p_min}, {p_max}")
-    types = _scan_types(rank_max)
+    tables = [(str(t), _table(t)) for t in _scan_types(rank_max)]
     rows = {}
-    reports = []
     for p in range(p_min, p_max + 1):
         k = k_from_p(p)
-        passing = []
-        for rtype in types:
-            rep = check(rtype, k)
-            reports.append(rep)
-            if rep.passed:
-                passing.append(str(rtype))
+        passing = tuple(name for name, table in tables
+                        if table.passes(k.numerator, k.denominator))
         if passing:
-            rows[p] = tuple(passing)
+            rows[p] = passing
     k_half = ()
     if include_k_half:
-        half = Fraction(1, 2)
-        k_half = tuple(str(t) for t in types if check(t, half).passed)
+        k_half = tuple(name for name, table in tables if table.passes(1, 2))
     return EnumerationResult(
-        p_min=p_min, p_max=p_max, rank_max=rank_max, rows=rows,
-        reports=tuple(reports), k_half=k_half,
-    )
+        p_min=p_min, p_max=p_max, rank_max=rank_max, rows=rows, k_half=k_half)
 
 
 def table_diff(result):
@@ -394,7 +439,7 @@ def dm_equivalence_scan(n_max=10, p_max=60):
     rows = []
     hidden = []
     for n in range(2, n_max + 1):
-        rtype = RootSystemType("A", n)
+        table = _table(RootSystemType("A", n))
         for p in range(3, p_max + 1):
             k = k_from_p(p)
             vec = dm_mu_vector(n, k)
@@ -405,17 +450,17 @@ def dm_equivalence_scan(n_max=10, p_max=60):
                 and (1 - mu0 - mun2) / 2 == ((n + 1) * k - 1) / 2
             )
             dm_ok, _ = dm_w_restricted(n, k)
-            an_report = check(rtype, k)
-            agree = None if vec.degenerate else (dm_ok == an_report.passed)
+            an_ok = table.passes(k.numerator, k.denominator)
+            agree = None if vec.degenerate else (dm_ok == an_ok)
             sym = hidden_symmetry(n, k)
-            if sym and not vec.degenerate and dm_ok and an_report.passed:
+            if sym and not vec.degenerate and dm_ok and an_ok:
                 hidden.append((p, n))
             rows.append({
                 "n": n, "p": p, "k": format_rational(k),
                 "identities_ok": identities_ok,
                 "degenerate": vec.degenerate,
                 "dm_verdict": dm_ok,
-                "an_verdict": an_report.passed,
+                "an_verdict": an_ok,
                 "agree": agree,
                 "mu_symmetric": sym,
             })

@@ -326,14 +326,10 @@ class TorusPath:
 
 def _check_clearance(system, path, samples_per_segment=9):
     croots = system.positive_roots.astype(np.float64)
-    worst = math.inf
-    pts = path.log_waypoints
-    for a, b in zip(pts, pts[1:]):
-        for s in range(samples_per_segment + 1):
-            t = s / samples_per_segment
-            lz = (1 - t) * a + t * b
-            tchar = np.exp(croots @ lz)
-            worst = min(worst, float(np.min(np.abs(tchar - 1.0))))
+    pts = np.asarray(path.log_waypoints, dtype=np.complex128)
+    t = np.arange(samples_per_segment + 1)[:, None, None] / samples_per_segment
+    lz = (1 - t) * pts[:-1] + t * pts[1:]          # (sample, segment, rank)
+    worst = float(np.min(np.abs(np.exp(lz @ croots.T) - 1.0))) if len(pts) > 1 else math.inf
     if worst < path.delta:
         raise MirrorSingularity(
             f"path approaches a mirror to within {worst:.3e} (< delta = {path.delta})"
@@ -344,8 +340,10 @@ def _check_clearance(system, path, samples_per_segment=9):
 def transport(system, k, path, frame=None, rtol=DEFAULT_RTOL, check_flatness=True):
     """Continue a jet frame along the path by integrating dF = (sum A_i dlog z_i) F.
 
-    The curvature is checked once at the start of the path as a sanity gate;
+    The path's clearance from the mirrors is checked by sampling first, and
+    the curvature is checked once at the start of the path as a sanity gate;
     flat connections make the result homotopy invariant.  Raises
+    MirrorSingularity for a path within `delta` of a mirror, and
     _kernels.NumericFailure when a segment reaches a mirror or its series
     breaks down.
     """
@@ -387,6 +385,17 @@ def _circle_log_waypoints(radius, segments):
             for s in range(segments + 1)]
 
 
+def _mirror_loop_points(system, alpha, base_logs, radius, segments):
+    """Log waypoints of the mirror loop: base, stage, the ring, base."""
+    if base_logs is None:
+        base_logs = default_base_point(system)
+    alpha = np.asarray(alpha, dtype=np.int64)
+    d = (system.cartan.astype(np.float64) @ alpha).astype(np.complex128) / 2.0
+    L0 = complex(alpha.astype(np.float64) @ base_logs)
+    ring = _circle_log_waypoints(radius, segments)
+    return (base_logs, *(base_logs + (s - L0) * d for s in ring), base_logs)
+
+
 def mirror_loop_path(system, alpha, base_logs=None, radius=0.1, segments=24,
                      delta=MIRROR_DELTA):
     """Loop in the torus whose alpha-character runs counterclockwise around 1.
@@ -395,18 +404,8 @@ def mirror_loop_path(system, alpha, base_logs=None, radius=0.1, segments=24,
     every other character moves by half-integer multiples of the same log
     increment; clearance from all other mirrors is verified by sampling.
     """
-    if base_logs is None:
-        base_logs = default_base_point(system)
-    alpha = np.asarray(alpha, dtype=np.int64)
-    d = (system.cartan.astype(np.float64) @ alpha).astype(np.complex128) / 2.0
-    L0 = complex(alpha.astype(np.float64) @ base_logs)
-    ring = _circle_log_waypoints(radius, segments)
-    stage = base_logs + (ring[0] - L0) * d
-    pts = [base_logs, stage]
-    for s in ring[1:]:
-        pts.append(base_logs + (s - L0) * d)
-    pts.append(base_logs)
-    path = TorusPath(log_waypoints=tuple(pts), delta=delta)
+    path = TorusPath(log_waypoints=_mirror_loop_points(system, alpha, base_logs, radius,
+                                                       segments), delta=delta)
     _check_clearance(system, path)
     return path
 
@@ -418,9 +417,11 @@ def mirror_monodromy(system, k, alpha, base_logs=None, radius=0.1, segments=24,
 
     The loop is a stage out to the ring, the ring, and the stage back, so the
     stage is transported once: with S its transport and T the ring's, the
-    loop is S^-1 T S.
+    loop is S^-1 T S.  Each transport checks the clearance of its part, and
+    the way back is the stage reversed, so every sample point of the loop is
+    checked once.
     """
-    pts = mirror_loop_path(system, alpha, base_logs, radius, segments).log_waypoints
+    pts = _mirror_loop_points(system, alpha, base_logs, radius, segments)
     S, _ = transport(system, k, TorusPath(pts[:2]), rtol=rtol)
     T, _ = transport(system, k, TorusPath(pts[1:-1]), rtol=rtol, check_flatness=False)
     try:

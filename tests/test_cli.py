@@ -247,3 +247,113 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "p =  10 : A2" in proc.stdout
+
+
+def _run_exit(argv):
+    """stdout and exit code of one in-process run, argparse exits included."""
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["schwarz", "check", "--type", "A", "--rank", "2"], ["--k", "-1/3"]),
+    (["gauss", "monodromy", "--beta", "1/3", "--gamma", "1/2"], ["--alpha", "-7/5"]),
+    (["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--samples", "1"],
+     ["--a-override", "-3"]),
+])
+def test_negative_rational_as_separate_argument(argv, flag):
+    # "--k -1/3" parses as "--k=-1/3"
+    code, out = _run_exit(argv + flag)
+    assert (code, out) == _run_exit(argv + ["=".join(flag)])
+    assert out and code in (0, 1)
+
+
+# `schwarz check` at k = 0 and k = -1/3, as first released: the toric values
+# d*k coincide at k = 0 and are recorded once, and every guarded value below
+# zero is vacuous
+CHECK_REFERENCE = {
+    ("D", "5", "--k=0"): ("0", 2, False, [
+        ("hyperbolic_range", "0", False, False, "0 < k < 1/3"),
+        ("toric_de", "0", False, False, "d*k with d=1"),
+        ("mirror", "1/2", True, False, "(1-2k)/2"),
+        ("identity", "-1/2", True, True, "(hk-1)/2 with h=8"),
+    ]),
+    ("E", "8", "--k=-1/3"): ("-1/3", None, False, [
+        ("hyperbolic_range", "-1/3", False, False, "0 < k < 1/5"),
+        ("toric_de", "-1/3", False, False, "d*k with d=1"),
+        ("toric_de", "-2/3", False, False, "d*k with d=2"),
+        ("toric_de", "-4/3", False, False, "d*k with d=4"),
+        ("mirror", "5/6", False, False, "(1-2k)/2"),
+        ("identity", "-11/2", True, True, "(hk-1)/2 with h=30"),
+        ("special_a8_in_e8", "-4", True, True, "(9k-1)"),
+        ("special_d8_in_e8", "-17/6", True, True, "(14k-1)/2"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_REFERENCE))
+def test_schwarz_check_reference_strings(case):
+    fam, rank, kflag = case
+    k, p, passed, conds = CHECK_REFERENCE[case]
+    code, out = run_cli(["schwarz", "check", "--type", fam, "--rank", rank, kflag])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"] == {"k": k, "p": p, "type": f"{fam}{rank}"}
+    res = payload["results"]
+    assert (res["k"], res["p"], res["passed"], res["type"]) == (k, p, passed, f"{fam}{rank}")
+    assert [(c["kind"], c["value"], c["satisfied"], c["vacuous"], c["detail"])
+            for c in res["conditions"]] == conds
+
+
+def test_one_parser_serves_many_runs(monkeypatch):
+    # several subcommands in one process, an argparse error (exit 2) among
+    # them, give the stdout and exit codes of fresh processes
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    runs = [
+        ["schwarz", "check", "--type", "E", "--rank", "6", "--p", "4"],
+        ["roots", "dump", "--type", "A", "--rank", "3", "--format", "text"],
+        ["schwarz", "check", "--type", "X", "--rank", "2", "--p", "4"],
+        ["schwarz", "enumerate", "--p-max", "12", "--format", "csv"],
+        ["schwarz", "dm", "--n", "3", "--p", "5", "--format", "text"],
+        ["gauss", "schwarz-triangle", "--kappa", "1/2", "--lambda", "1/3", "--mu", "1/7"],
+    ]
+    in_process = [_run_exit(argv) for argv in runs]
+    assert len(builds) == 1
+    fresh = []
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "schwarz_atlas.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [0, 0, 2, 0, 0, 0]
+
+
+# `roots dump`, `gauss monodromy`, `torus monodromy`, `schwarz enumerate` and
+# a hyperbolic `triangle tessellate` are validated in their own tests above
+@pytest.mark.parametrize("argv", [
+    ["gauss", "schwarz-triangle", "--kappa", "1/2", "--lambda", "1/3", "--mu", "1/7"],
+    ["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "5"],
+    ["torus", "flatness", "--type", "A", "--rank", "3", "--k", "1/6", "--samples", "2"],
+    ["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4", "--samples", "3"],
+    ["schwarz", "check", "--type", "E", "--rank", "7", "--p", "3"],
+    ["schwarz", "dm", "--n", "5", "--p", "4"],
+    ["schwarz", "dm", "--n", "5", "--p", "6"],
+    ["schwarz", "dm-scan", "--n-max", "4", "--p-max", "23"],
+])
+def test_every_json_report_matches_the_schema(argv):
+    code, out = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    jsonschema.validate(json.loads(out), cli.report_schema())

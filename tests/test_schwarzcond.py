@@ -7,8 +7,11 @@ being frozen here; everything is exact rational arithmetic.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarz_atlas import schwarzcond as sc
+from schwarz_atlas.exact import conditional_unit_fraction, is_unit_fraction
 from schwarz_atlas.roots import RootSystemType
 
 
@@ -66,6 +69,83 @@ def test_check_aggregates():
     assert not sc.check(T("D", 6), F(1, 4)).passed
     rep = sc.check(T("A", 2), F(2, 5))
     assert rep.p == 10 and rep.passed
+
+
+# --- the integer verdicts against a literal Fraction oracle ------------------
+
+def _coxeter(fam, n):
+    if fam == "A":
+        return n + 1
+    if fam == "D":
+        return 2 * n - 2
+    return {6: 12, 7: 18, 8: 30}[n]
+
+
+def _m(fam, n):
+    if fam == "A":
+        return F(2, n + 1)
+    if fam == "D":
+        return F(1, n - 2)
+    return F(1, n - 3)
+
+
+def oracle(fam, n, k):
+    """Every stratum condition at (type, k), evaluated literally: a list of
+    (kind, value, satisfied, vacuous) in report order, and the verdict."""
+    conds = [("hyperbolic_range", k, 0 < k < _m(fam, n), False)]
+    if fam == "A":
+        val = (n - 1) * k / 2
+        conds.append(("toric_a", val, is_unit_fraction(val), False))
+    else:
+        seen = set()
+        for d in (1, n - 3) if fam == "D" else (1, 2, n - 4):
+            if d * k not in seen:
+                seen.add(d * k)
+                conds.append(("toric_de", d * k, is_unit_fraction(d * k), False))
+    guarded = [("mirror", (1 - 2 * k) / 2), ("identity", (_coxeter(fam, n) * k - 1) / 2)]
+    if (fam, n) == ("E", 7):
+        guarded.append(("special_a7_in_e7", (8 * k - 1) / 2))
+    if (fam, n) == ("E", 8):
+        guarded += [("special_a8_in_e8", 9 * k - 1), ("special_d8_in_e8", (14 * k - 1) / 2)]
+    conds += [(kind, val, conditional_unit_fraction(val), val <= 0) for kind, val in guarded]
+    return conds, all(c[2] for c in conds)
+
+
+ORACLE_TYPES = sorted(
+    {("A", n) for n in range(1, 31)} | {("D", n) for n in range(4, 31)}
+    | {("E", 6), ("E", 7), ("E", 8)})
+
+
+@st.composite
+def type_and_k(draw):
+    fam, n = draw(st.sampled_from(ORACLE_TYPES))
+    m, h = _m(fam, n), _coxeter(fam, n)
+    k = draw(st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=400),
+        st.sampled_from([F(0), F(1, 2), m, F(1, h), -m, 2 * m]),
+        st.integers(3, 500).map(sc.k_from_p),
+        st.integers(1, 60).map(lambda q: F(1, q)),
+    ))
+    return fam, n, k
+
+
+@settings(max_examples=800, deadline=None)
+@given(type_and_k())
+def test_integer_verdicts_match_fraction_oracle(case):
+    fam, n, k = case
+    want, verdict = oracle(fam, n, k)
+    assert sc.passes(T(fam, n), k) is verdict
+    rep = sc.check(T(fam, n), k)
+    assert rep.passed is verdict
+    assert [(c.kind, c.value, c.satisfied, c.vacuous) for c in rep.conditions] == want
+
+
+def test_integer_verdicts_on_the_scanned_grid():
+    # every type and p the default enumeration scans, plus k = 1/2
+    for rtype in sc._scan_types(13):
+        fam, n = rtype.family, rtype.rank
+        for k in [sc.k_from_p(p) for p in range(3, 201)] + [F(1, 2)]:
+            assert sc.passes(rtype, k) is oracle(fam, n, k)[1]
 
 
 # --- enumeration and the reference table ------------------------------------

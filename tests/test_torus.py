@@ -215,6 +215,58 @@ def test_stage_once_matches_full_loop_transport():
     assert np.max(np.abs(staged - full)) / np.max(np.abs(full)) < 1e-10
 
 
+def _clearance_by_point(system, path, samples_per_segment=9):
+    # one sample point at a time, as the check was first written
+    croots = system.positive_roots.astype(np.float64)
+    worst = math.inf
+    pts = path.log_waypoints
+    for a, b in zip(pts, pts[1:]):
+        for s in range(samples_per_segment + 1):
+            t = s / samples_per_segment
+            tchar = np.exp(croots @ ((1 - t) * a + t * b))
+            worst = min(worst, float(np.min(np.abs(tchar - 1.0))))
+    return worst
+
+
+def test_clearance_matches_point_by_point_sampling():
+    rng = np.random.default_rng(5)
+    for system in (A2, D4):
+        base = torus.default_base_point(system)
+        for alpha in (np.eye(system.rank, dtype=np.int64)[0], roots.highest_root(system)):
+            path = torus.mirror_loop_path(system, alpha)
+            got = torus._check_clearance(system, path)
+            assert abs(got - _clearance_by_point(system, path)) <= 1e-14 * got
+        for _ in range(5):
+            steps = 0.3 * (rng.standard_normal((3, system.rank))
+                           + 1j * rng.standard_normal((3, system.rank)))
+            path = torus.TorusPath(tuple(base + np.cumsum(steps, axis=0)), delta=0.0)
+            got = torus._check_clearance(system, path)
+            assert abs(got - _clearance_by_point(system, path)) <= 1e-14 * got
+
+
+def test_mirror_loop_clearance_checked_once(monkeypatch):
+    checked = []
+    check = torus._check_clearance
+
+    def counted(system, path, *args):
+        checked.append(len(path.log_waypoints) - 1)
+        return check(system, path, *args)
+
+    monkeypatch.setattr(torus, "_check_clearance", counted)
+    torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]), segments=24)
+    # the stage and the 24 ring segments, each once; the way back is the
+    # stage reversed
+    assert sorted(checked) == [1, 24]
+
+
+def test_mirror_loop_within_delta_raises():
+    # a ring of radius 1e-3 keeps the alpha-character within 1e-3 of 1
+    with pytest.raises(torus.MirrorSingularity):
+        torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]), radius=1e-3)
+    with pytest.raises(torus.MirrorSingularity):
+        torus.mirror_loop_path(A2, np.array([1, 0]), radius=1e-3)
+
+
 def test_conjugate_mirror_loops_have_equal_spectra():
     k = F(1, 4)
     spectra = []
