@@ -178,6 +178,11 @@ def _cmd_gauss_monodromy(args):
 def _cmd_gauss_triangle(args):
     kappa, lam, mu = (Fraction(args.kappa), Fraction(args.lam), Fraction(args.mu))
     geometry = triangle.classify_angles(kappa, lam, mu)
+    for flag, angle in (("--kappa", kappa), ("--lambda", lam), ("--mu", mu)):
+        if angle < 0 or (angle == 0 and geometry is not triangle.Geometry.HYPERBOLIC):
+            raise ValueError(
+                f"{flag} must be positive, got {format_rational(angle)}"
+                + ("" if angle else " (a zero angle needs a hyperbolic triangle)"))
     tri = triangle.triangle_from_angles(
         float(kappa) * math.pi, float(lam) * math.pi, float(mu) * math.pi, geometry)
     tess = triangle.Tessellation(

@@ -5,18 +5,29 @@ and deterministic SVG export.
 
 A generalized circle is stored by the real coefficients of
 A|z|^2 + 2 Re(conj(B) z) + C = 0  (A, C real, B complex); A ~ 0 is a line.
-Spherical tessellations run on the unit sphere internally (reflections in
-great-circle planes) and are projected stereographically at the end; tiles
-reaching too close to the projection pole are reported in a secondary chart.
+
+Tessellations run in one linear model for all three geometries: R^3 with the
+form J = diag(1, 1, s), s = +1 (unit sphere), 0 (plane in homogeneous
+coordinates) or -1 (hyperboloid).  A chart point z lifts to
+X = (2x, 2y, 1 - s|z|^2) / (1 + s|z|^2) and projects back as
+z = (X1 + i X2) / (1 + X3), stereographically from the south pole on the
+sphere.  The side through the model points p, q is the plane l.X = 0 with
+l = p x q, and its reflection is I - 2 (J l) l^T / (l^T J l): orthogonal,
+affine or Lorentzian (Vinberg 1971).  A tile is the group element G that maps
+the base triangle onto it, and the tile across its side i is G R_i.  Chart
+triangles are built at the end; spherical tiles reaching too close to the
+projection pole are reported in a secondary chart.
 """
 
 from __future__ import annotations
 
-import math
 import cmath
+import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -90,29 +101,35 @@ class GeneralizedCircle:
 
     @classmethod
     def through(cls, z1, z2, z3):
-        """Circle or line through three points (exact determinant construction)."""
-        x1, y1 = z1.real, z1.imag
-        x2, y2 = z2.real, z2.imag
-        x3, y3 = z3.real, z3.imag
-        s1, s2, s3 = abs(z1) ** 2, abs(z2) ** 2, abs(z3) ** 2
-        a = x1 * (y2 - y3) - y1 * (x2 - x3) + (x2 * y3 - x3 * y2)
-        d = -(s1 * (y2 - y3) - y1 * (s2 - s3) + (s2 * y3 - s3 * y2))
-        e = s1 * (x2 - x3) - x1 * (s2 - s3) + (s2 * x3 - s3 * x2)
-        f = -(s1 * (x2 * y3 - x3 * y2) - x1 * (s2 * y3 - s3 * y2) + y1 * (s2 * x3 - s3 * x2))
-        scale = max(abs(a), abs(d) / 2, abs(e) / 2, abs(f), 1e-300)
-        return cls(a / scale, complex(d, e) / (2 * scale), f / scale)
+        """Circle or line through three points.
 
-    @property
+        The centre is solved relative to z1, so a small circle far from the
+        origin keeps its digits, and the constant term is
+        |z1|^2 + 2 Re(conj(z1) w) for the relative centre w, which stays
+        accurate as the circle grows into a line."""
+        w2, w3 = z2 - z1, z3 - z1
+        det = 2 * (w2.real * w3.imag - w2.imag * w3.real)
+        toward = -1j * (abs(w2) ** 2 * w3 - abs(w3) ** 2 * w2)   # det times the centre
+        if toward == 0:
+            raise ValueError("a circle needs three distinct points")
+        if det == 0:
+            return cls.from_line(toward, (toward.conjugate() * z1).real / abs(toward))
+        w = toward / det
+        b, c = -(z1 + w), abs(z1) ** 2 + 2 * (z1.conjugate() * w).real
+        scale = max(1.0, abs(b), abs(c))
+        return cls(1.0 / scale, b / scale, c / scale)
+
+    @cached_property
     def is_line(self):
         return abs(self.a) <= _LINE_EPS * max(abs(self.b), abs(self.c), 1.0)
 
-    @property
+    @cached_property
     def center(self):
         if self.is_line:
             raise ValueError("a line has no center")
         return -self.b / self.a
 
-    @property
+    @cached_property
     def radius(self):
         if self.is_line:
             raise ValueError("a line has no radius")
@@ -134,10 +151,13 @@ class GeneralizedCircle:
         return self.a * abs(z) ** 2 + 2 * (self.b.conjugate() * z).real + self.c
 
     def unit_circle_orthogonality_residual(self):
-        """|c|^2 = 1 + r^2 for circles; distance from the origin for lines."""
+        """| |c|^2 - r^2 - 1 | / (|c|^2 + r^2 + 1) for circles, so a correct
+        circle rounded to doubles reads about eps at any radius; distance from
+        the origin for lines."""
         if self.is_line:
             return abs(self.line_offset)
-        return abs(abs(self.center) ** 2 - self.radius**2 - 1.0)
+        c2, r2 = abs(self.center) ** 2, self.radius**2
+        return abs(c2 - r2 - 1.0) / (c2 + r2 + 1.0)
 
 
 def reflect_point(p, circ):
@@ -479,82 +499,130 @@ class Tessellation:
         return rep
 
 
-def _plane_tile_key(verts):
-    return tuple(sorted((round(v.real, 8), round(v.imag, 8)) for v in verts))
+_FORM_SIGN = {Geometry.SPHERICAL: 1.0, Geometry.EUCLIDEAN: 0.0, Geometry.HYPERBOLIC: -1.0}
 
 
-def _reflect_plane_tile(tri, i):
-    mirror = tri.sides[i]
-    verts = tuple(reflect_point(v, mirror) for v in tri.vertices)
-    sides = tuple(reflect_circle(s, mirror) for s in tri.sides)
-    mids = tuple(reflect_point(p, mirror) for p in tri.side_midpoints)
-    interior = reflect_point(tri.interior_point, mirror)
-    return ArcTriangle(
-        vertices=verts, sides=sides, angles=tri.angles,
-        side_midpoints=mids, interior_point=interior,
-    )
+def _lift(z, s=1.0):
+    """Finite chart point to model point (the unit sphere by default)."""
+    q = abs(z) ** 2
+    return np.array([2 * z.real, 2 * z.imag, 1.0 - s * q]) / (1.0 + s * q)
+
+
+def _project(v, secondary=False):
+    """Model point to chart point; the secondary chart of the sphere is z' = 1/z."""
+    x, y, h = (v[0], -v[1], -v[2]) if secondary else v
+    if 1.0 + h < 1e-12:
+        return complex(math.inf, math.inf)
+    return complex(x, y) / (1.0 + h)
+
+
+def _on_model(X, s):
+    """Rescale the columns of X (coordinates on axis -2) onto the model:
+    X3 = 1 in the plane, else |<X, X>| = 1 (the unit sphere, the hyperboloid)."""
+    x1, x2, x3 = X[..., 0, :], X[..., 1, :], X[..., 2, :]
+    if s == 0:
+        return X / x3[..., None, :]
+    return X / np.sqrt(np.abs(x1**2 + x2**2 + s * x3**2))[..., None, :]
+
+
+def _first_distinct(points):
+    """Index of the first point of each cluster of coincident rows, in order.
+
+    The grid is 2^-30 of the largest coordinate.  Each kept point claims the
+    eight cells its half-cell neighbourhood touches, so two copies closer than
+    half a cell always meet and points 1.5 cells apart never do, wherever the
+    grid lines fall."""
+    scaled = points / (np.abs(points).max() * 2.0**-30)
+    cells = np.floor(scaled).tolist()
+    lows, highs = np.floor(scaled - 0.5).tolist(), np.floor(scaled + 0.5).tolist()
+    claimed, keep = set(), []
+    for i, cell in enumerate(cells):
+        if tuple(cell) not in claimed:
+            keep.append(i)
+            claimed.update(itertools.product(*zip(lows[i], highs[i])))
+    return keep
+
+
+def _closure(R, ells, c0, max_tiles, max_word_length):
+    """Breadth-first closure of the group generated by the reflections R[i] in
+    the planes ells[i].X = 0.  Returns the tile matrices, their words (length
+    first, then a < b < c) and whether no budget stopped the sweep."""
+    mats, words, budget_hit = [np.eye(3)], [""], False
+    G, Y, level = np.eye(3)[None], c0[None], [""]
+    base_side = ells @ c0 > 0
+    while level:
+        # a reflection changes the word length by one: the child G R_i is one
+        # longer iff the base centre c0 lies on the tile's side of the tile's
+        # mirror i, i.e. iff Y = G^-1 c0 lies on the base side of mirror i
+        par, letter = np.nonzero((Y @ ells.T > 0) == base_side)
+        if not len(par):
+            break
+        if max_word_length is not None and len(level[0]) >= max_word_length:
+            budget_hit = True
+            break
+        children = G[par] @ R[letter]
+        # longer children are new elements; only siblings can coincide
+        keep = _first_distinct(children @ c0)
+        room = max(max_tiles - len(words), 0)
+        if len(keep) > room:
+            budget_hit, keep = True, keep[:room]
+        par, letter = par[keep], letter[keep]
+        G = children[keep]
+        Y = (R[letter] @ Y[par][:, :, None])[:, :, 0]
+        level = [level[p] + "abc"[i] for p, i in zip(par.tolist(), letter.tolist())]
+        mats.extend(G)
+        words.extend(level)
+    return np.array(mats), words, not budget_hit
 
 
 def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
     """Breadth-first closure of the (k, l, m) triangle under side reflections.
 
     Reflections are enumerated in word order (length first, then a < b < c for
-    the three sides), tiles are deduplicated by rounded vertex triples, and the
-    sweep stops at closure or at the first exhausted budget.  Spherical input
-    closes up with one tile per element of the full reflection group.
+    the three sides), and the sweep stops at closure or at the first exhausted
+    budget.  Each tile is a 3x3 matrix in the linear model of its geometry;
+    chart triangles are built only for the tiles kept.  Spherical input closes
+    up with one tile per element of the full reflection group.
     """
     geometry = classify(k, l, m)
-    if geometry is Geometry.SPHERICAL:
-        return _tessellate_sphere(k, l, m, max_tiles, max_word_length)
+    s = _FORM_SIGN[geometry]
     base = build_triangle(k, l, m)
-    tiles, words = [base], [""]
-    seen = {_plane_tile_key(base.vertices)}
-    queue = [(base, "")]
-    budget_hit = False
-    while queue:
-        nxt = []
-        for tri, word in queue:
-            for i, letter in enumerate("abc"):
-                child = _reflect_plane_tile(tri, i)
-                key = _plane_tile_key(child.vertices)
-                if key in seen:
-                    continue
-                if (max_word_length is not None and len(word) + 1 > max_word_length) \
-                        or len(tiles) >= max_tiles:
-                    budget_hit = True
-                    continue
-                seen.add(key)
-                tiles.append(child)
-                words.append(word + letter)
-                nxt.append((child, word + letter))
-        queue = nxt
-    depth = max(len(w) for w in words)
+    P = np.array([_lift(v, s) for v in base.vertices]).T     # columns p0, p1, p2
+    ells = np.cross(P[:, [1, 2, 0]].T, P[:, [2, 0, 1]].T)    # side i: p_{i+1} x p_{i+2}
+    jells = ells * np.array([1.0, 1.0, s])
+    R = np.eye(3) - 2 * jells[:, :, None] * ells[:, None, :] \
+        / (ells * jells).sum(axis=1)[:, None, None]
+    mids = _on_model(P[:, [1, 2, 0]] + P[:, [2, 0, 1]], s)   # side i's midpoint
+    c0 = _on_model(P.sum(axis=1, keepdims=True), s)[:, 0]
+    mats, words, closed = _closure(R, ells, c0, max_tiles, max_word_length)
+
+    pts = mats @ np.column_stack([P, mids, c0])   # per tile: vertices, midpoints, centre
+    if geometry is Geometry.SPHERICAL:
+        # the sides' normals are G l_i for orthogonal G
+        tiles = _sphere_tiles(_on_model(pts, s), _on_model(mats @ ells.T, s), base.angles)
+    else:
+        tiles = _plane_tiles((pts[:, 0] + 1j * pts[:, 1]) / (1.0 + pts[:, 2]), base.angles, geometry)
     return Tessellation(
-        tiles=tiles, words=words, geometry=geometry, depth=depth,
-        closure_reached=not budget_hit, base=base,
+        tiles=tiles, words=words, geometry=geometry, depth=len(words[-1]),
+        closure_reached=closed, base=tiles[0],
     )
 
 
-# --- spherical case: work on the unit sphere, project afterwards -----------
-
-def _lift(z):
-    """Inverse stereographic projection (north pole at infinity)."""
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        return np.array([0.0, 0.0, 1.0])
-    s = abs(z) ** 2
-    return np.array([2 * z.real, 2 * z.imag, s - 1.0]) / (1.0 + s)
-
-
-def _project(v):
-    if 1.0 - v[2] < 1e-12:
-        return complex(math.inf, math.inf)
-    return complex(v[0], v[1]) / (1.0 - v[2])
-
-
-def _project_secondary(v):
-    if 1.0 + v[2] < 1e-12:
-        return complex(math.inf, math.inf)
-    return complex(v[0], -v[1]) / (1.0 + v[2])
+def _plane_tiles(z, angles, geometry):
+    """Chart triangles from projected points.  A hyperbolic side is the circle
+    through its two vertices and its midpoint, never one orthogonal to the unit
+    circle by construction, so drift of G off O(2,1) shows in the residuals; a
+    Euclidean side is the line through its two vertices."""
+    tiles = []
+    for v0, v1, v2, m0, m1, m2, centre in z.tolist():
+        verts, mids = (v0, v1, v2), (m0, m1, m2)
+        sides = tuple(
+            _geodesic_side(a, b, geometry) if geometry is Geometry.EUCLIDEAN
+            else GeneralizedCircle.through(a, mid, b)
+            for a, mid, b in zip((v1, v2, v0), mids, (v2, v0, v1)))
+        tiles.append(ArcTriangle(vertices=verts, sides=sides, angles=angles,
+                                 side_midpoints=mids, interior_point=centre))
+    return tiles
 
 
 def _great_circle(normal, secondary=False):
@@ -562,92 +630,22 @@ def _great_circle(normal, secondary=False):
     if secondary:
         n2, n3 = -n2, -n3
     scale = max(abs(n1), abs(n2), abs(n3))
-    return GeneralizedCircle(n3 / scale, complex(n1, n2) / scale, -n3 / scale)
+    return GeneralizedCircle(-n3 / scale, complex(n1, n2) / scale, n3 / scale)
 
 
-def _sphere_key(verts):
-    return tuple(sorted(tuple(round(x, 8) for x in v) for v in verts))
-
-
-def _tessellate_sphere(k, l, m, max_tiles, max_word_length):
-    base = build_triangle(k, l, m)
-    verts = [_lift(v) for v in base.vertices]
-    normals = []
-    for i in range(3):
-        p, q = verts[(i + 1) % 3], verts[(i + 2) % 3]
-        n = np.cross(p, q)
-        norm = np.linalg.norm(n)
-        if norm < 1e-12:
-            raise ValueError("degenerate spherical side (antipodal vertices)")
-        normals.append(n / norm)
-    mids = []
-    for i in range(3):
-        p, q = verts[(i + 1) % 3], verts[(i + 2) % 3]
-        msum = p + q
-        mids.append(msum / np.linalg.norm(msum))
-    center = sum(verts)
-    center = center / np.linalg.norm(center)
-
-    base_tile = (tuple(verts), tuple(normals), tuple(mids), center)
-    tiles, words = [base_tile], [""]
-    seen = {_sphere_key(base_tile[0])}
-    queue = [(base_tile, "")]
-    budget_hit = False
-
-    def srefl(v, n):
-        # renormalize: reflections in almost-unit normals otherwise compound
-        # norm drift exponentially along long words
-        w = v - 2.0 * float(v @ n) * n
-        return w / np.linalg.norm(w)
-
-    while queue:
-        nxt = []
-        for tile, word in queue:
-            tverts, tnorms, tmids, tcenter = tile
-            for i, letter in enumerate("abc"):
-                n = tnorms[i]
-                cverts = tuple(srefl(v, n) for v in tverts)
-                key = _sphere_key(cverts)
-                if key in seen:
-                    continue
-                if (max_word_length is not None and len(word) + 1 > max_word_length) \
-                        or len(tiles) >= max_tiles:
-                    budget_hit = True
-                    continue
-                child = (
-                    cverts,
-                    tuple(srefl(x, n) for x in tnorms),
-                    tuple(srefl(x, n) for x in tmids),
-                    srefl(tcenter, n),
-                )
-                seen.add(key)
-                tiles.append(child)
-                words.append(word + letter)
-                nxt.append((child, word + letter))
-        queue = nxt
-
-    angles = (math.pi / k, math.pi / l, math.pi / m)
-    arc_tiles = []
-    for tverts, tnorms, tmids, tcenter in tiles:
-        primary_ok = all(1.0 - v[2] > 0.06 for v in list(tverts) + list(tmids))
-        if primary_ok:
-            proj, chart = _project, "primary"
-            secondary = False
-        else:
-            proj, chart = _project_secondary, "secondary"
-            secondary = True
-        pv = tuple(proj(v) for v in tverts)
-        ps = tuple(_great_circle(n, secondary) for n in tnorms)
-        pm = tuple(proj(v) for v in tmids)
-        arc_tiles.append(ArcTriangle(
-            vertices=pv, sides=ps, angles=angles,
-            side_midpoints=pm, interior_point=proj(tcenter), chart=chart,
+def _sphere_tiles(pts, normals, angles):
+    """Stereographic chart triangles; a tile reaching too close to the primary
+    pole goes to the secondary chart."""
+    tiles = []
+    for tile, tnorms in zip(pts.transpose(0, 2, 1), normals.transpose(0, 2, 1)):
+        secondary = not all(1.0 + v[2] > 0.06 for v in tile[:6])
+        pv = tuple(_project(v, secondary) for v in tile)
+        tiles.append(ArcTriangle(
+            vertices=pv[:3], sides=tuple(_great_circle(n, secondary) for n in tnorms),
+            angles=angles, side_midpoints=pv[3:6], interior_point=pv[6],
+            chart="secondary" if secondary else "primary",
         ))
-    depth = max(len(w) for w in words)
-    return Tessellation(
-        tiles=arc_tiles, words=words, geometry=Geometry.SPHERICAL, depth=depth,
-        closure_reached=not budget_hit, base=arc_tiles[0],
-    )
+    return tiles
 
 
 def orthogonal_circle(tess):
@@ -706,9 +704,9 @@ def _unproject(z, chart):
     """Chart coordinate back to the sphere; the secondary chart is z' = 1/z."""
     if chart == "secondary":
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return np.array([0.0, 0.0, -1.0])
-        if z == 0:
             return np.array([0.0, 0.0, 1.0])
+        if z == 0:
+            return np.array([0.0, 0.0, -1.0])
         z = 1.0 / z
     return _lift(z)
 

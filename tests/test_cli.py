@@ -210,6 +210,28 @@ def test_gauss_schwarz_triangle_svg(tmp_path):
     assert svg.read_text().count("<path") == 1
 
 
+@pytest.mark.parametrize("angles, flag, zero", [
+    (["--kappa", "1/2", "--lambda", "1/3", "--mu=-1/7"], "--mu", False),
+    (["--kappa", "1/2", "--lambda", "1/3", "--mu", "-1/7"], "--mu", False),
+    (["--kappa", "-1/3", "--lambda", "1/3", "--mu", "1/7"], "--kappa", False),
+    (["--kappa", "0", "--lambda", "1/2", "--mu", "1/2"], "--kappa", True),
+    (["--kappa", "1/2", "--lambda", "0", "--mu", "2/3"], "--lambda", True),
+])
+def test_gauss_schwarz_triangle_rejects_nonpositive_angles(angles, flag, zero, capsys):
+    code, out = run_cli(["gauss", "schwarz-triangle", *angles])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert f"{flag} must be positive" in err
+    assert ("hyperbolic" in err) == zero
+
+
+def test_gauss_schwarz_triangle_zero_angle_is_an_ideal_vertex():
+    code, out = run_cli(["gauss", "schwarz-triangle", "--kappa", "0", "--lambda", "1/3",
+                         "--mu", "1/2"])
+    assert code == 0
+    assert json.loads(out)["results"]["geometry"] == "hyperbolic"
+
+
 def test_schwarz_check_and_dm():
     code, out = run_cli(["schwarz", "check", "--type", "A", "--rank", "7",
                          "--p", "3", "--format", "json"])

@@ -1,10 +1,16 @@
 """Arc triangles, reflections and tessellation closure."""
 
+import contextlib
+import hashlib
+import io
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from schwarz_atlas import cli
 from schwarz_atlas import triangle as tri
 from schwarz_atlas.triangle import Geometry, GeneralizedCircle, reflect_point
 
@@ -155,3 +161,149 @@ def test_ideal_triangle():
         assert abs(abs(v) - 1.0) < 1e-14
     for s in t.sides:
         assert s.unit_circle_orthogonality_residual() < 1e-12
+
+
+def test_orthogonality_residual_is_relative():
+    # a correct orthogonal circle of radius R, rounded to doubles, carries an
+    # absolute error of about eps R^2 in |c|^2 - r^2 - 1
+    R = 1e6
+    center = math.sqrt(1.0 + R * R) * np.exp(0.3j)
+    exact = GeneralizedCircle.from_center_radius(center, R)
+    assert exact.unit_circle_orthogonality_residual() <= 1e-12
+    off = GeneralizedCircle.from_center_radius(center, R * (1 + 1e-6))
+    assert off.unit_circle_orthogonality_residual() > 1e-9
+
+
+def test_circle_through_three_points_keeps_small_circles():
+    # a circle of radius 1e-4 next to the unit circle, the size of a deep tile side
+    center, r = 0.9997 + 0.0002j, 1e-4
+    pts = [center + r * np.exp(1j * t) for t in (0.4, 1.9, 3.7)]
+    circ = GeneralizedCircle.through(*pts)
+    # the tangent directions, and so the measured angles, depend on the centre
+    assert abs(circ.center - center) < 1e-14
+    # the radius comes from |b|^2 - a c of the stored coefficients
+    assert abs(circ.radius - r) < 1e-11
+    line = GeneralizedCircle.through(0.2 + 0.1j, 0.6 + 0.3j, 1.0 + 0.5j)
+    assert line.is_line
+    assert abs(line.eval(-0.4 - 0.2j)) < 1e-15
+
+
+def _times(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def growth_series(k, l, m, n):
+    """Number of elements of each word length 0..n in the (k, l, m) triangle
+    group, for an infinite group.  Steinberg's formula gives
+    1/W(1/t) = 1 - 3/(1+t) + sum over the vertex orders q of 1/([2]_t [q]_t),
+    since every proper parabolic subgroup is finite; in u = 1/t that is
+    W(u) = D/N with D = (1+u)[k][l][m] and
+    N = D - 3u[k][l][m] + u^k [l][m] + u^l [k][m] + u^m [k][l]."""
+    def qint(q):
+        return [1] * q
+
+    def shift(p, s):
+        return [0] * s + p
+
+    def add(*ps):
+        out = [0] * max(map(len, ps))
+        for p in ps:
+            for i, a in enumerate(p):
+                out[i] += a
+        return out
+
+    kk, ll, mm = qint(k), qint(l), qint(m)
+    klm = _times(_times(kk, ll), mm)
+    D = _times([1, 1], klm)
+    N = add(D, [-3 * a for a in shift(klm, 1)], shift(_times(ll, mm), k),
+            shift(_times(kk, mm), l), shift(_times(kk, ll), m))
+    assert N[0] == 1
+    W = []
+    for i in range(n + 1):
+        di = D[i] if i < len(D) else 0
+        W.append(di - sum(N[j] * W[i - j] for j in range(1, min(i, len(N) - 1) + 1)))
+    return W
+
+
+def test_growth_series_small_cases():
+    # (2, 3, 7), length 2: the six words xy with x != y, less one for bc = cb
+    assert growth_series(2, 3, 7, 4) == [1, 3, 5, 7, 9]
+    # the Euclidean (3, 3, 3) group grows linearly: 3n tiles of length n >= 1
+    assert growth_series(3, 3, 3, 8) == [1, 3, 6, 9, 12, 15, 18, 21, 24]
+
+
+@pytest.mark.parametrize("klm,depth,total", [
+    ((2, 3, 7), 20, 1108), ((2, 3, 7), 13, 303), ((3, 3, 4), 9, 281),
+    ((2, 5, 5), 12, None), ((4, 4, 4), 13, 6718), ((2, 4, 4), 30, None),
+])
+def test_deep_tessellation_matches_growth_series(klm, depth, total):
+    tess = tri.tessellate(*klm, max_word_length=depth)
+    lengths = Counter(len(w) for w in tess.words)
+    want = growth_series(*klm, depth)
+    assert [lengths[n] for n in range(depth + 1)] == want
+    assert tess.tile_count == sum(want) == (total or sum(want))
+    assert tess.depth == depth and not tess.closure_reached
+    assert tess.max_angle_residual() < 1e-8
+    if tess.geometry is Geometry.HYPERBOLIC:
+        assert tess.max_orthogonality_residual() < 1e-9
+        assert all(abs(v) < 1.0 for t in tess.tiles for v in t.vertices)
+    argv = ["triangle", "tessellate", "--k", str(klm[0]), "--l", str(klm[1]),
+            "--m", str(klm[2]), "--depth", str(depth), "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("klm,depth", [((2, 3, 7), 12), ((2, 4, 4), 20)])
+def test_tiles_match_reflections_in_the_base_sides(klm, depth):
+    # the tile of the word w1...wn is the base triangle reflected in its sides
+    # wn first, then ..., w1 last; reflect_point never sees the matrices
+    tess = tri.tessellate(*klm, max_word_length=depth)
+    base = tri.build_triangle(*klm)
+    for i in random.Random(11).sample(range(tess.tile_count), 60):
+        verts = base.vertices
+        for letter in reversed(tess.words[i]):
+            mirror = base.sides["abc".index(letter)]
+            verts = tuple(reflect_point(v, mirror) for v in verts)
+        assert max(abs(a - b) for a, b in zip(verts, tess.tiles[i].vertices)) < 1e-9
+
+
+@pytest.mark.parametrize("klm,depth,count,digest", [
+    ((2, 3, 7), 10, 158, "a3bd7a673133be95c38b11c0af438213769d89d4c09dfbc22b05f11da77c13bf"),
+    ((2, 4, 4), 12, 209, "31425a160da9d5a756c0a718be2452158938c82ad6e40b06405e134283ca6e05"),
+    ((2, 3, 5), None, 120, "fd394fd0bb1ee498603411053de37b46f40a4abc8177b5cafe0c4d53ec86aec9"),
+])
+def test_word_lists_are_pinned(klm, depth, count, digest):
+    # sha256 of the space-joined words the earlier three-point plane and
+    # unit-vector sphere closures gave
+    tess = tri.tessellate(*klm, max_word_length=depth)
+    assert tess.tile_count == count
+    assert hashlib.sha256(" ".join(tess.words).encode()).hexdigest() == digest
+
+
+def test_budgets():
+    full = tri.tessellate(2, 3, 7, max_word_length=8)
+    capped = tri.tessellate(2, 3, 7, max_tiles=50)
+    assert capped.tile_count == 50 and not capped.closure_reached
+    assert capped.words == full.words[:50]
+    assert tri.tessellate(2, 3, 5, max_tiles=120).closure_reached
+    assert not tri.tessellate(2, 3, 5, max_tiles=119).closure_reached
+    assert tri.tessellate(2, 3, 5, max_word_length=15).closure_reached
+    assert not tri.tessellate(2, 3, 5, max_word_length=14).closure_reached
+    assert tri.tessellate(2, 3, 7, max_word_length=0).words == [""]
+
+
+def test_residuals_see_tile_matrices_off_the_group(monkeypatch):
+    # side circles are rebuilt from projected points, so tile matrices that
+    # have drifted off O(2,1) show in the orthogonality residual
+    closure = tri._closure
+
+    def drifted(*args):
+        mats, words, closed = closure(*args)
+        return np.diag([1 + 1e-6, 1.0, 1.0]) @ mats, words, closed
+
+    monkeypatch.setattr(tri, "_closure", drifted)
+    assert tri.tessellate(2, 3, 7, max_word_length=6).max_orthogonality_residual() > 1e-9
