@@ -3,7 +3,8 @@
 Subcommands map onto the library modules (roots, gauss, triangle, torus,
 schwarz); every run with the same flags produces byte-identical output, exact
 rationals are only ever accepted as "p/q" strings, and the exit code contract
-is: 0 success, 1 a numeric check failed its tolerance, 2 invalid usage.
+is: 0 success, 1 a numeric check failed its tolerance or the numerics broke
+down, 2 invalid usage.
 """
 
 from __future__ import annotations
@@ -235,7 +236,14 @@ def _cmd_triangle_tessellate(args):
     return (EXIT_OK if ok else EXIT_NUMERIC), payload
 
 
+def _require_samples(args):
+    # no samples would make every check below pass vacuously
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+
+
 def _cmd_torus_flatness(args):
+    _require_samples(args)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     a_override = Fraction(args.a_override) if args.a_override is not None else None
@@ -290,6 +298,7 @@ def _cmd_torus_monodromy(args):
 
 
 def _cmd_torus_form(args):
+    _require_samples(args)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     try:
@@ -575,7 +584,7 @@ def main(argv=None):
     args = _PARSER.parse_args(_attach_negative_values(argv))
     try:
         code, payload = args.func(args)
-    except gaussmod.NumericFailure as exc:
+    except (gaussmod.NumericFailure, torus.MirrorSingularity, np.linalg.LinAlgError) as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, ZeroDivisionError) as exc:

@@ -83,7 +83,8 @@ def cartan_matrix(rtype):
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Immutable root-system data; safe to share freely once built."""
+    """Immutable root-system data; safe to share freely once built: the
+    arrays are read-only."""
 
     rtype: RootSystemType
     cartan: np.ndarray          # n x n, also the Gram matrix of the simple roots
@@ -118,7 +119,20 @@ class RootSystem:
         return str(self.rtype)
 
 
+_SYSTEMS = {}
+
+
 def build(rtype):
+    """The root system of a type, built on the first call and shared after."""
+    if not isinstance(rtype, RootSystemType):
+        raise TypeError(f"expected RootSystemType, got {type(rtype).__name__}")
+    system = _SYSTEMS.get(rtype)
+    if system is None:
+        system = _SYSTEMS[rtype] = _enumerate(rtype)
+    return system
+
+
+def _enumerate(rtype):
     """Enumerate the positive roots by height.
 
     Every positive root of height h+1 is (positive root of height h) + (simple
@@ -126,8 +140,6 @@ def build(rtype):
     vectors of squared norm 2, so a breadth-first sweep with a norm test closes
     the set.
     """
-    if not isinstance(rtype, RootSystemType):
-        raise TypeError(f"expected RootSystemType, got {type(rtype).__name__}")
     n = rtype.rank
     cart = cartan_matrix(rtype)
     level = [tuple(row) for row in np.eye(n, dtype=np.int64)]
@@ -150,6 +162,8 @@ def build(rtype):
         level = nxt
     positive.sort(key=lambda c: (sum(c), c))
     pos = np.array(positive, dtype=np.int64)
+    cart.setflags(write=False)
+    pos.setflags(write=False)
     return RootSystem(rtype=rtype, cartan=cart, positive_roots=pos)
 
 

@@ -24,6 +24,7 @@ from .exact import (
     k_from_p,
 )
 from .roots import (
+    _SYSTEMS,
     RootSystemType,
     build,
     coxeter_number,
@@ -72,13 +73,11 @@ class StratumCondition:
         }
 
 
-_SYSTEM_CACHE = {}
-
-
-def _system(rtype):
-    if rtype not in _SYSTEM_CACHE:
-        _SYSTEM_CACHE[rtype] = build(rtype)
-    return _SYSTEM_CACHE[rtype]
+# perfbench/tracer.py wraps `_system` to count lookups in `_SYSTEM_CACHE`;
+# both names stand for roots.build and its one cache, which this module calls
+# directly.
+_SYSTEM_CACHE = _SYSTEMS
+_system = build
 
 
 def _as_type(R):
@@ -150,7 +149,7 @@ _TABLE_CACHE = {}
 def _table(rtype):
     """The condition table of a type, built once from its root system."""
     if rtype not in _TABLE_CACHE:
-        system = _system(rtype)
+        system = build(rtype)
         h = coxeter_number(system)
         if rtype.family == "A":
             n = rtype.rank

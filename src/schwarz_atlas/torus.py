@@ -184,16 +184,14 @@ class Connection:
     matrices: tuple  # n matrices, each (n+1) x (n+1)
 
 
-def _frame_matrices(coeffs):
+def _frame_stack(coeffs):
+    """The n connection matrices A_i stacked as one (n, n+1, n+1) array."""
     n = coeffs.scalar.shape[0]
-    mats = []
-    for i in range(n):
-        A = np.zeros((n + 1, n + 1), dtype=np.complex128)
-        A[0, i + 1] = 1.0
-        A[1:, 0] = -coeffs.scalar[i, :]
-        A[1:, 1:] = -coeffs.cvec[i, :, :]
-        mats.append(A)
-    return mats
+    A = np.zeros((n, n + 1, n + 1), dtype=np.complex128)
+    A[np.arange(n), 0, np.arange(1, n + 1)] = 1.0
+    A[:, 1:, 0] = -coeffs.scalar
+    A[:, 1:, 1:] = -coeffs.cvec
+    return A
 
 
 def connection(system, k, point, a_override=None):
@@ -201,34 +199,49 @@ def connection(system, k, point, a_override=None):
     if not isinstance(point, TorusPoint):
         point = torus_point(system, point)
     coeffs = assemble(system, k, point, a_override)
-    return Connection(base=point, matrices=tuple(_frame_matrices(coeffs)))
+    return Connection(base=point, matrices=tuple(_frame_stack(coeffs)))
 
 
 def _theta_frame_matrices(system, k, zvals):
-    """Analytic theta-derivatives of the connection matrices.
+    """Analytic theta-derivatives dA[m, i] = theta_m A_i of the connection
+    matrices, as one (n, n, n+1, n+1) array.
 
     theta_m acts on each character factor by t -> -c_m t and on u(t) by the
-    closed form u'(t) = 2/(1-t)^2.
+    closed form u'(t) = 2/(1-t)^2.  With w = -t u'(t), the derivative of the
+    coefficient block is
+    dG[m, i, j, l] = (k/2) sum_p c_pm c_pi w_p c_pj (Cc)_pl,
+    one GEMM over the positive roots.  It is a real one, of shape
+    (n^2, |Phi+|) @ (|Phi+|, 2 n^2): the real and imaginary parts of
+    w_p c_pj (Cc)_pl sit side by side in the right factor.
     """
     tchar = _char_values(system, zvals)
     croots = system.positive_roots.astype(np.float64)
     coroots = croots @ system.cartan.astype(np.float64)
-    du = 2.0 / (1.0 - tchar) ** 2
+    npos, n = croots.shape
+    weight = 0.5 * float(k) * (-tchar * 2.0 / (1.0 - tchar) ** 2)
+    left = (croots[:, :, None] * croots[:, None, :]).reshape(npos, n * n).T
+    right = (croots[:, :, None] * coroots[:, None, :]).reshape(npos, n * n)
+    dG = left @ np.concatenate([weight.real[:, None] * right,
+                                weight.imag[:, None] * right], axis=1)
+    dA = np.zeros((n, n, n + 1, n + 1), dtype=np.complex128)
+    dA[:, :, 1:, 1:] = -(dG[:, :n * n] + 1j * dG[:, n * n:]).reshape(n, n, n, n)
+    return dA
+
+
+def _fd_theta_frame_matrices(system, k, zvals, a_override, h):
+    """Central differences of the connection matrices in the log-coordinates,
+    laid out as _theta_frame_matrices lays out the analytic ones."""
+    logs = np.log(zvals)
     n = system.rank
-    # dG[m][i, j, l] = (k/2) sum_p c_i c_j (-c_m t) u'(t) (Cc)_l
-    weight = -tchar * du
-    dG = 0.5 * float(k) * np.einsum(
-        "pm,pi,pj,p,pl->mijl", croots, croots, croots, weight, coroots
-    )
-    out = []
+    dA = np.empty((n, n, n + 1, n + 1), dtype=np.complex128)
     for m in range(n):
-        per_i = []
-        for i in range(n):
-            D = np.zeros((n + 1, n + 1), dtype=np.complex128)
-            D[1:, 1:] = -dG[m, i, :, :]
-            per_i.append(D)
-        out.append(per_i)
-    return out
+        lp, lm = logs.copy(), logs.copy()
+        lp[m] += h
+        lm[m] -= h
+        Ap = _frame_stack(assemble(system, k, np.exp(lp), a_override))
+        Am = _frame_stack(assemble(system, k, np.exp(lm), a_override))
+        dA[m] = -(Ap - Am) / (2.0 * h)
+    return dA
 
 
 def flatness_residual(system, k, point, a_override=None, method="analytic", fd_step=1e-6):
@@ -237,35 +250,22 @@ def flatness_residual(system, k, point, a_override=None, method="analytic", fd_s
 
     Vanishes exactly when the scalar coupling takes its forced value; the
     default derivatives are analytic, method="fd" cross-checks them with
-    central differences in log-coordinates.
+    central differences in log-coordinates.  All n^2 products A_j A_i come
+    from one batched matmul, and the pairs i < j are reduced at once.
     """
     if not isinstance(point, TorusPoint):
         point = torus_point(system, point)
-    zvals = point.z
-    n = system.rank
-    A = _frame_matrices(assemble(system, k, point, a_override))
+    A = _frame_stack(assemble(system, k, point, a_override))
     if method == "analytic":
-        dA = _theta_frame_matrices(system, k, zvals)
-        theta_A = lambda m, i: dA[m][i]
+        dA = _theta_frame_matrices(system, k, point.z)
     elif method == "fd":
-        logs = np.log(zvals)
-
-        def theta_A(m, i):
-            h = fd_step
-            lp, lm = logs.copy(), logs.copy()
-            lp[m] += h
-            lm[m] -= h
-            Ap = _frame_matrices(assemble(system, k, np.exp(lp), a_override))[i]
-            Am = _frame_matrices(assemble(system, k, np.exp(lm), a_override))[i]
-            return -(Ap - Am) / (2.0 * h)
+        dA = _fd_theta_frame_matrices(system, k, point.z, a_override, fd_step)
     else:
         raise ValueError(f"unknown method {method!r}")
-    worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            R = theta_A(i, j) - theta_A(j, i) + A[j] @ A[i] - A[i] @ A[j]
-            worst = max(worst, float(np.max(np.abs(R))))
-    return worst
+    AA = np.matmul(A[None, :], A[:, None])    # AA[i, j] = A_j A_i
+    R = (dA - dA.swapaxes(0, 1) + AA) - AA.swapaxes(0, 1)
+    upper = np.triu_indices(system.rank, 1)
+    return float(np.max(np.abs(R[upper]), initial=0.0))
 
 
 def _reflection_matrix(system, i):
@@ -483,20 +483,19 @@ class InvariantForm:
 
 
 def _hermitian_basis(N):
-    basis = []
-    for i in range(N):
-        B = np.zeros((N, N), dtype=np.complex128)
-        B[i, i] = 1.0
-        basis.append(B)
+    """Real basis of the N x N Hermitian matrices as one (N^2, N, N) stack:
+    the diagonal units, then per pair i < j the symmetric real unit and the
+    antisymmetric imaginary one."""
+    basis = np.zeros((N * N, N, N), dtype=np.complex128)
+    idx = np.arange(N)
+    basis[idx, idx, idx] = 1.0
+    b = N
     for i in range(N):
         for j in range(i + 1, N):
-            B = np.zeros((N, N), dtype=np.complex128)
-            B[i, j] = B[j, i] = 1.0
-            basis.append(B)
-            B = np.zeros((N, N), dtype=np.complex128)
-            B[i, j] = 1j
-            B[j, i] = -1j
-            basis.append(B)
+            basis[b, i, j] = basis[b, j, i] = 1.0
+            basis[b + 1, i, j] = 1j
+            basis[b + 1, j, i] = -1j
+            b += 2
     return basis
 
 
@@ -506,7 +505,9 @@ def invariant_form(generators, rank_tol=1e-6, eig_tol=1e-8):
     Returns the best solution with its residual and signature; raises
     InvariantFormError when the solution space is numerically zero- or
     multi-dimensional (the latter signals reducibility or a coupling outside
-    the hyperbolic range).
+    the hyperbolic range).  Each generator maps the whole basis in one batched
+    matmul, and the thin SVD of the stacked system gives the singular values
+    and the null vector without the unused left factor.
     """
     gens = [np.asarray(M, dtype=np.complex128) for M in generators]
     if not gens:
@@ -515,13 +516,11 @@ def invariant_form(generators, rank_tol=1e-6, eig_tol=1e-8):
     basis = _hermitian_basis(N)
     rows = []
     for M in gens:
-        Mh = M.conj().T
-        cols = [(Mh @ B @ M - B).reshape(-1) for B in basis]
-        block = np.stack(cols, axis=1)
+        block = (np.matmul(np.matmul(M.conj().T, basis), M) - basis).reshape(N * N, -1).T
         rows.append(block.real)
         rows.append(block.imag)
     L = np.concatenate(rows, axis=0)
-    _, svals, vt = np.linalg.svd(L)
+    _, svals, vt = np.linalg.svd(L, full_matrices=False)
     smax = svals[0] if svals[0] > 0 else 1.0
     null_dim = int(np.sum(svals <= rank_tol * smax))
     if null_dim == 0:

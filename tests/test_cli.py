@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 import jsonschema
+import numpy as np
 import pytest
 
 from schwarz_atlas import cli, roots, torus
@@ -131,6 +133,35 @@ def test_torus_flatness_override_fails_numerically():
                        "--k", "1/6", "--samples", "2", "--a-override", "7",
                        "--format", "json"])
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--samples", "0"],
+    ["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--samples", "-3"],
+    ["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--samples=-3"],
+    ["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4", "--samples", "0"],
+    ["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4", "--samples", "-1"],
+])
+def test_torus_rejects_samples_below_one(argv, capsys):
+    # no samples would report a residual of 0 or an empty ball check as a pass
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "--samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["invariant_form", "sample_points_near"])
+@pytest.mark.parametrize("exc", [torus.MirrorSingularity("a sample lies on a mirror"),
+                                 np.linalg.LinAlgError("singular matrix")])
+def test_torus_numeric_failures_exit_1(target, exc, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(torus, target, fail)
+    subcommand = "form" if target == "invariant_form" else "flatness"
+    code, out = run_cli(["torus", subcommand, "--type", "A", "--rank", "2", "--k", "1/4",
+                         "--samples", "2"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: numeric failure: {exc}\n"
 
 
 def test_torus_monodromy_json():
@@ -261,12 +292,18 @@ def test_schema_self_describes():
     jsonschema.Draft7Validator.check_schema(schema)
 
 
+def _run_subprocess(argv):
+    """`python -m schwarz_atlas.cli` in a fresh process that imports the same
+    package as these tests, whether or not PYTHONPATH names it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "schwarz_atlas.cli", *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_console_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "schwarz_atlas.cli", "schwarz", "enumerate",
-         "--p-max", "10"],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = _run_subprocess(["schwarz", "enumerate", "--p-max", "10"])
     assert proc.returncode == 0
     assert "p =  10 : A2" in proc.stdout
 
@@ -356,8 +393,7 @@ def test_one_parser_serves_many_runs(monkeypatch):
     assert len(builds) == 1
     fresh = []
     for argv in runs:
-        proc = subprocess.run([sys.executable, "-m", "schwarz_atlas.cli", *argv],
-                              capture_output=True, text=True, timeout=120)
+        proc = _run_subprocess(argv)
         fresh.append((proc.returncode, proc.stdout))
     assert in_process == fresh
     assert [code for code, _ in fresh] == [0, 0, 2, 0, 0, 0]

@@ -152,3 +152,16 @@ def test_invalid_types_rejected():
     for fam, rank in [("A", 0), ("D", 3), ("E", 5), ("E", 9), ("B", 2), ("A", 31)]:
         with pytest.raises(ValueError):
             roots.RootSystemType(fam, rank)
+
+
+def test_build_is_shared_and_read_only():
+    rtype = roots.RootSystemType("E", 7)
+    system = roots.build(rtype)
+    assert roots.build(roots.RootSystemType("E", 7)) is system
+    for arr in (system.cartan, system.positive_roots):
+        before = arr.copy()
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5
+        with pytest.raises(ValueError):
+            arr += 1
+        assert np.array_equal(arr, before)

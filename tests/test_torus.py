@@ -128,8 +128,96 @@ def test_flatness_rank_one_trivial():
 
 
 def test_flatness_fd_cross_check():
-    z = np.exp(torus.default_base_point(A2))
-    assert torus.flatness_residual(A2, F(1, 4), z, method="fd") < 1e-9
+    for fam, rank in [("A", 2), ("D", 4), ("E", 6)]:
+        system = _sys(fam, rank)
+        z = np.exp(torus.default_base_point(system))
+        assert torus.flatness_residual(system, F(1, 4), z, method="fd") < 1e-9
+
+
+def _literal_theta_A(system, k, z, m, i):
+    """theta_m A_i summed root by root: A_i's coefficient block is
+    -(k/2) sum_p c_pi u_p c_p (Cc_p)^T with u = (1+t)/(1-t), t = h^(-alpha_p),
+    and theta_m t = -c_pm t, du/dt = 2/(1-t)^2."""
+    n = system.rank
+    D = np.zeros((n + 1, n + 1), dtype=complex)
+    for alpha in system.positive_roots:
+        c = alpha.astype(float)
+        t = torus.char_value(z, alpha)
+        theta_u = -c[m] * t * 2.0 / (1.0 - t) ** 2
+        coroot = (system.cartan @ alpha).astype(float)
+        D[1:, 1:] -= 0.5 * float(k) * c[i] * theta_u * np.outer(c, coroot)
+    return D
+
+
+def _literal_frame(system, k, z, a_override=None):
+    """A_i: row 0 picks theta_i f, column 0 carries the scalar couplings and
+    the lower block the coefficient vectors, all with a minus sign."""
+    coeffs = torus.assemble(system, k, z, a_override)
+    n = system.rank
+    mats = []
+    for i in range(n):
+        A = np.zeros((n + 1, n + 1), dtype=complex)
+        A[0, i + 1] = 1.0
+        for j in range(n):
+            A[j + 1, 0] = -coeffs.scalar[i, j]
+            for l in range(n):
+                A[j + 1, l + 1] = -coeffs.cvec[i, j, l]
+        mats.append(A)
+    return mats
+
+
+def _literal_curvature(system, k, z, a_override=None):
+    """The per-pair loop: the residual and the largest entry of the A_j A_i."""
+    A = _literal_frame(system, k, z, a_override)
+    worst = scale = 0.0
+    for i in range(system.rank):
+        for j in range(i + 1, system.rank):
+            R = (_literal_theta_A(system, k, z, i, j) - _literal_theta_A(system, k, z, j, i)
+                 + A[j] @ A[i] - A[i] @ A[j])
+            worst = max(worst, float(np.max(np.abs(R))))
+            scale = max(scale, float(np.max(np.abs(A[j] @ A[i]))))
+    return worst, scale
+
+
+ADE_UP_TO_8 = ([("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+               + [("E", 6), ("E", 7), ("E", 8)])
+
+
+@pytest.mark.parametrize("fam, rank", ADE_UP_TO_8)
+def test_flatness_matches_literal_pair_loop(fam, rank):
+    # agreement is judged relative to the larger of the residual and the size
+    # of the products it is a difference of, since at the forced coupling the
+    # residual itself is rounding
+    system = _sys(fam, rank)
+    k = roots.hyperbolic_exponent(system) / 2
+    a = roots.integrability_constant(system)
+    base = torus.default_base_point(system)
+    for lz in torus.sample_points_near(system, base, 2, seed=rank):
+        z = np.exp(lz)
+        for factor in (None, F(1, 2), F(3, 2)):
+            a_override = None if factor is None else a * factor
+            want, scale = _literal_curvature(system, k, z, a_override)
+            got = torus.flatness_residual(system, k, z, a_override)
+            assert abs(got - want) <= 1e-12 * max(want, scale)
+            if factor is None:
+                assert got < 1e-8
+            elif rank > 1:    # A1 has no pair of directions to curve
+                assert got > 1e-3
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 3), ("D", 5), ("E", 6)])
+def test_theta_derivatives_match_roots_sum_and_differences(fam, rank):
+    # the derivative terms cancel in the curvature, so check the tensor itself
+    system = _sys(fam, rank)
+    k = F(1, 7)
+    z = np.exp(torus.default_base_point(system) + 0.1j)
+    dA = torus._theta_frame_matrices(system, k, z)
+    literal = np.array([[_literal_theta_A(system, k, z, m, i) for i in range(rank)]
+                        for m in range(rank)])
+    scale = np.max(np.abs(literal))
+    assert np.max(np.abs(dA - literal)) <= 1e-13 * scale
+    fd = torus._fd_theta_frame_matrices(system, k, z, None, 1e-6)
+    assert np.max(np.abs(dA - fd)) <= 1e-7 * scale
 
 
 def test_w_invariance():
@@ -297,6 +385,47 @@ def test_invariant_form_identity_generators_rejected():
     with pytest.raises(torus.InvariantFormError) as info:
         torus.invariant_form([np.eye(3)])
     assert info.value.dimension == 9
+
+
+def _full_svd_form(gens, rank_tol=1e-6, eig_tol=1e-8):
+    """The invariant-form solve with a full SVD, one basis matrix at a time."""
+    N = gens[0].shape[0]
+    basis = []
+    for i in range(N):
+        B = np.zeros((N, N), dtype=complex)
+        B[i, i] = 1.0
+        basis.append(B)
+    for i in range(N):
+        for j in range(i + 1, N):
+            B = np.zeros((N, N), dtype=complex)
+            B[i, j] = B[j, i] = 1.0
+            basis.append(B)
+            B = np.zeros((N, N), dtype=complex)
+            B[i, j], B[j, i] = 1j, -1j
+            basis.append(B)
+    rows = []
+    for M in gens:
+        block = np.stack([(M.conj().T @ B @ M - B).reshape(-1) for B in basis], axis=1)
+        rows += [block.real, block.imag]
+    L = np.concatenate(rows, axis=0)
+    _, svals, vt = np.linalg.svd(L, full_matrices=True)
+    dim = int(np.sum(svals <= rank_tol * svals[0]))
+    H = sum(c * B for c, B in zip(vt[-1], basis))
+    H = (H + H.conj().T) / 2.0
+    eigs = np.linalg.eigvalsh(H / np.linalg.norm(H))
+    pos, neg = int(np.sum(eigs > eig_tol)), int(np.sum(eigs < -eig_tol))
+    return svals, dim, (max(pos, neg), min(pos, neg))
+
+
+@pytest.mark.parametrize("fam, rank, k", [("A", 2, F(1, 4)), ("D", 4, F(1, 4)),
+                                          ("E", 6, F(1, 6))])
+def test_invariant_form_matches_full_svd_solve(fam, rank, k):
+    gens = torus.standard_generators(_sys(fam, rank), k)
+    form = torus.invariant_form(gens)
+    svals, dim, signature = _full_svd_form(gens)
+    assert form.dimension == dim == 1
+    assert form.signature == signature == (rank, 1)
+    np.testing.assert_allclose(form.singular_values, svals, rtol=1e-12, atol=0)
 
 
 def test_form_residual_tracks_continuation_tolerance():
