@@ -236,14 +236,15 @@ def _cmd_triangle_tessellate(args):
     return (EXIT_OK if ok else EXIT_NUMERIC), payload
 
 
-def _require_samples(args):
-    # no samples would make every check below pass vacuously
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
+def _require_at_least(flag, value, least):
+    # an empty sample or scan would pass every check vacuously, and below
+    # n = 1 there is no weight vector
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
 def _cmd_torus_flatness(args):
-    _require_samples(args)
+    _require_at_least("--samples", args.samples, 1)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     a_override = Fraction(args.a_override) if args.a_override is not None else None
@@ -298,7 +299,7 @@ def _cmd_torus_monodromy(args):
 
 
 def _cmd_torus_form(args):
-    _require_samples(args)
+    _require_at_least("--samples", args.samples, 1)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     try:
@@ -386,6 +387,7 @@ def _cmd_schwarz_check(args):
 
 
 def _cmd_schwarz_dm(args):
+    _require_at_least("--n", args.n, 1)
     k = schwarzcond.k_from_p(args.p)
     vec = schwarzcond.dm_mu_vector(args.n, k)
     results = {"mu": vec.as_dict(), "k": format_rational(k)}
@@ -417,6 +419,9 @@ def _cmd_schwarz_dm(args):
 
 
 def _cmd_schwarz_dm_scan(args):
+    # the scan starts at n = 2 and p = 3
+    _require_at_least("--n-max", args.n_max, 2)
+    _require_at_least("--p-max", args.p_max, 3)
     scan = schwarzcond.dm_equivalence_scan(n_max=args.n_max, p_max=args.p_max)
     rows = scan["rows"]
     identities_ok = all(r["identities_ok"] for r in rows)

@@ -8,6 +8,13 @@ per type: a verdict at k = a/b is an integer divisibility test, and the
 reports add the exact p/q values.  The enumerator implements the stated
 conditions literally, and the diff against the reference table deliberately
 surfaces the two boundary anomalies instead of patching either side.
+
+The weight side is integer arithmetic too.  At k = a/b every weight of the
+n+3 point vector has the denominator 2b, so degeneracy, the three displayed
+identities and k = 2/(n+3) are comparisons of numerators, and the three pair
+conditions the subgroup S_{n+1} x S_2 sees are rows of the same kind, derived
+from the weights rather than copied from the A_n table.  The equivalence scan
+thus compares two independently built integer verdicts.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .exact import (
-    conditional_unit_fraction,
     format_rational,
     is_in_two_over_n,
     is_unit_fraction,
@@ -402,23 +408,38 @@ def dm_conditions(vec):
     return ok, reports
 
 
+def _pair_row(kind, u, v=None):
+    """The guarded pair condition of two weights, each given doubled as
+    (c1, c0) with 2*mu = c1*k + c0: 1 - mu_i - mu_j = (2 - u - v)/2 for weights
+    in different orbits, and (1 - mu_i - mu_j)/2 = (1 - u)/2 for two weights u
+    of one orbit, must be a unit fraction where positive."""
+    if v is None:
+        return _Row(kind, -u[0], 1 - u[1], 2, True, "(1 - mu_i - mu_j)/2")
+    return _Row(kind, -u[0] - v[0], 2 - u[1] - v[1], 2, True, "1 - mu_i - mu_j")
+
+
+def _dm_pair_rows(n):
+    """The end-middle, middle-middle and end-end rows of the n+3 point weights,
+    derived from the weights alone, not from the A_n stratum table: twice the
+    end weight 1 - (n+1)k/2 is -(n+1)k + 2, twice the middle weight k is 2k."""
+    end, middle = (-(n + 1), 2), (2, 0)
+    return (_pair_row("end_middle", end, middle),
+            _pair_row("middle_middle", middle),
+            _pair_row("end_end", end))
+
+
 def dm_w_restricted(n, k):
     """The three pair conditions seen by the subgroup S_{n+1} x S_2 of the
-    full symmetric group: consecutive-middle, end-middle and end-end pairs.
+    full symmetric group: end-middle, consecutive-middle and end-end pairs,
+    with values (n-1)k/2, (1-2k)/2 and ((n+1)k-1)/2.
 
     Index classes {1..n+1} and {0, n+2} are distinct orbits, so the end-middle
-    pair uses the 1/N branch even when the weight values coincide.
+    pair uses the 1/N branch even when the weight values coincide.  Each
+    verdict is the integer divisibility test of its row at k = a/b.
     """
     k = Fraction(k)
-    toric_val = (n - 1) * k / 2       # 1 - mu_0 - mu_1
-    mirror_val = (1 - 2 * k) / 2      # (1 - mu_1 - mu_{n+1})/2
-    ident_val = ((n + 1) * k - 1) / 2  # (1 - mu_0 - mu_{n+2})/2
-    conds = [
-        ("end_middle", toric_val,
-         is_unit_fraction(toric_val) if toric_val > 0 else True),
-        ("middle_middle", mirror_val, conditional_unit_fraction(mirror_val)),
-        ("end_end", ident_val, conditional_unit_fraction(ident_val)),
-    ]
+    conds = [(c.kind, c.value, c.satisfied)
+             for c in (row.condition(k) for row in _dm_pair_rows(n))]
     return all(c[2] for c in conds), conds
 
 
@@ -432,35 +453,45 @@ def dm_equivalence_scan(n_max=10, p_max=60):
     three displayed identities exactly, compare the subgroup-restricted weight
     verdict against the A_n stratum check on non-degenerate vectors, and flag
     the hidden-symmetry solutions.
+
+    Everything is integer arithmetic on k = a/b in lowest terms.  Every weight
+    has the denominator 2b, with numerator 2a in the middle and
+    2b - (n+1)a at the ends; the identities are equalities of numerators, the
+    weight verdict is the three rows of _dm_pair_rows and the A_n verdict the
+    stratum table's, each a divisibility test, and k = 2/(n+3) reads
+    a(n+3) = 2b.
     """
     if n_max > 10 or p_max > 60:
         raise ValueError("scan bounds exceed the supported (10, 60) range")
+    ks = []
+    for p in range(3, p_max + 1):
+        k = k_from_p(p)
+        ks.append((p, k.numerator, k.denominator, format_rational(k)))
     rows = []
     hidden = []
     for n in range(2, n_max + 1):
         table = _table(RootSystemType("A", n))
-        for p in range(3, p_max + 1):
-            k = k_from_p(p)
-            vec = dm_mu_vector(n, k)
-            mu0, mu1, mun1, mun2 = vec.mu[0], vec.mu[1], vec.mu[n + 1], vec.mu[n + 2]
+        pair_rows = _dm_pair_rows(n)
+        for p, a, b, k_text in ks:
+            end, middle = 2 * b - (n + 1) * a, 2 * a
             identities_ok = (
-                1 - mu0 - mu1 == (n - 1) * k / 2
-                and (1 - mu1 - mun1) / 2 == (1 - 2 * k) / 2
-                and (1 - mu0 - mun2) / 2 == ((n + 1) * k - 1) / 2
+                2 * b - end - middle == (n - 1) * a              # 1 - mu_0 - mu_1
+                and 2 * b - 2 * middle == 2 * (b - 2 * a)        # (1 - mu_1 - mu_{n+1})/2
+                and 2 * b - 2 * end == 2 * ((n + 1) * a - b)     # (1 - mu_0 - mu_{n+2})/2
             )
-            dm_ok, _ = dm_w_restricted(n, k)
-            an_ok = table.passes(k.numerator, k.denominator)
-            agree = None if vec.degenerate else (dm_ok == an_ok)
-            sym = hidden_symmetry(n, k)
-            if sym and not vec.degenerate and dm_ok and an_ok:
+            degenerate = not (0 < end < 2 * b and 0 < middle < 2 * b)
+            dm_ok = all(row.holds(a, b) for row in pair_rows)
+            an_ok = table.passes(a, b)
+            sym = a * (n + 3) == 2 * b
+            if sym and not degenerate and dm_ok and an_ok:
                 hidden.append((p, n))
             rows.append({
-                "n": n, "p": p, "k": format_rational(k),
+                "n": n, "p": p, "k": k_text,
                 "identities_ok": identities_ok,
-                "degenerate": vec.degenerate,
+                "degenerate": degenerate,
                 "dm_verdict": dm_ok,
                 "an_verdict": an_ok,
-                "agree": agree,
+                "agree": None if degenerate else (dm_ok == an_ok),
                 "mu_symmetric": sym,
             })
     return {"rows": rows, "hidden_symmetry_cases": tuple(hidden)}

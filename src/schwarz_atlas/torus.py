@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .roots import coxeter_number, hyperbolic_exponent, integrability_constant
+from .roots import integrability_constant
 
 __all__ = [
     "TorusPoint",
@@ -172,7 +172,6 @@ def assemble(system, k, point, a_override=None):
     coroots = croots @ system.cartan.astype(np.float64)
     u = (1.0 + tchar) / (1.0 - tchar)
     cvec = 0.5 * float(k) * np.einsum("pi,pj,p,pl->ijl", croots, croots, u, coroots)
-    n = system.rank
     cinv = np.linalg.inv(system.cartan.astype(np.float64))
     scalar = float(a) * float(k) ** 2 * cinv
     return SystemCoeffs(cvec=cvec, scalar=scalar, k=k, a=a)

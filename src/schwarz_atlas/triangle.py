@@ -711,9 +711,26 @@ def _unproject(z, chart):
     return _lift(z)
 
 
+def _slerp_rows(p0, p1, f):
+    """Unit vectors at the fractions f along the great arc from p0 to p1, one row
+    each.  Every row is bitwise the per-point slerp v / np.linalg.norm(v): the
+    batched matmul takes each squared norm from the same dot product."""
+    omega = math.acos(max(-1.0, min(1.0, float(p0 @ p1))))
+    if omega < 1e-12:
+        V = np.tile(p0, (len(f), 1))
+    else:
+        V = (np.sin((1 - f) * omega)[:, None] * p0
+             + np.sin(f * omega)[:, None] * p1) / math.sin(omega)
+    return V / np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0])
+
+
 def _sampled_sphere_path(tri, clip=8.0, samples=48):
     # tiles flagged "secondary" or touching the projection pole are drawn by
-    # sampling the sphere arcs in the primary chart and clipping
+    # sampling the sphere arcs in the primary chart and clipping; each side is
+    # slerped a -> mid -> b through its midpoint, one array per half-arc
+    s = np.arange(samples + 1) / samples
+    first = s <= 0.5
+    f0, f1 = 2 * s[first], 2 * s[~first] - 1
     pieces = []
     pen_down = False
     for i in range(3):
@@ -722,19 +739,9 @@ def _sampled_sphere_path(tri, clip=8.0, samples=48):
         a = _unproject(tri.vertices[i], tri.chart)
         b = _unproject(tri.vertices[j], tri.chart)
         mid = _unproject(tri.side_midpoints[opp], tri.chart)
-        for t in range(samples + 1):
-            s = t / samples
-            # slerp a -> mid -> b through the arc midpoint
-            if s <= 0.5:
-                p0, p1, f = a, mid, 2 * s
-            else:
-                p0, p1, f = mid, b, 2 * s - 1
-            omega = math.acos(max(-1.0, min(1.0, float(p0 @ p1))))
-            if omega < 1e-12:
-                v = p0
-            else:
-                v = (math.sin((1 - f) * omega) * p0 + math.sin(f * omega) * p1) / math.sin(omega)
-            z = _project(v / np.linalg.norm(v))
+        V = np.concatenate([_slerp_rows(a, mid, f0), _slerp_rows(mid, b, f1)])
+        for v in V.tolist():
+            z = _project(v)
             if math.isfinite(z.real) and abs(z) <= clip:
                 cmd = "L" if pen_down else "M"
                 pieces.append(f"{cmd} {_fmt(z.real)} {_fmt(z.imag)}")

@@ -285,6 +285,35 @@ def test_dm_scan_cli():
     assert res["hidden_symmetry_cases"] == [[10, 2], [6, 3], [4, 5]]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--n-max", "1"], "--n-max must be at least 2, got 1"),
+    (["--p-max", "2"], "--p-max must be at least 3, got 2"),
+    (["--n-max", "0", "--p-max", "-5"], "--n-max must be at least 2, got 0"),
+    (["--n-max", "4", "--p-max", "-5"], "--p-max must be at least 3, got -5"),
+])
+def test_dm_scan_rejects_empty_ranges(flags, message, capsys):
+    # an empty scan would report every identity and verdict as holding
+    code, out = run_cli(["schwarz", "dm-scan", *flags])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "-3"])
+def test_dm_rejects_n_below_one(n, capsys):
+    code, out = run_cli(["schwarz", "dm", "--n", n, "--p", "4"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
+
+
+def test_dm_smallest_ranges_run():
+    code, out = run_cli(["schwarz", "dm", "--n", "1", "--p", "4"])
+    assert code == 0
+    assert len(json.loads(out)["results"]["mu"]["mu"]) == 4
+    code, out = run_cli(["schwarz", "dm-scan", "--n-max", "2", "--p-max", "3"])
+    assert code == 0
+    assert json.loads(out)["results"]["row_count"] == 1
+
+
 def test_schema_self_describes():
     code, out = run_cli(["schema"])
     assert code == 0

@@ -264,3 +264,67 @@ def test_scan_examples():
     r = rows[(9, 3)]
     assert r["mu_symmetric"] and not r["an_verdict"]
     assert (3, 9) not in set(sc.dm_equivalence_scan()["hidden_symmetry_cases"])
+
+
+# --- the integer weight side against the literal Fraction scan ----------------
+
+def oracle_w_restricted(n, k):
+    """The three subgroup-restricted pair conditions in Fraction arithmetic."""
+    toric_val = (n - 1) * k / 2       # 1 - mu_0 - mu_1
+    mirror_val = (1 - 2 * k) / 2      # (1 - mu_1 - mu_{n+1})/2
+    ident_val = ((n + 1) * k - 1) / 2  # (1 - mu_0 - mu_{n+2})/2
+    conds = [
+        ("end_middle", toric_val, is_unit_fraction(toric_val) if toric_val > 0 else True),
+        ("middle_middle", mirror_val, conditional_unit_fraction(mirror_val)),
+        ("end_end", ident_val, conditional_unit_fraction(ident_val)),
+    ]
+    return all(c[2] for c in conds), conds
+
+
+def oracle_scan(n_max, p_max):
+    """The equivalence scan rebuilt literally: Fraction weight vectors, the
+    identities re-proved per (n, p) and the A_n verdict from `oracle`."""
+    rows, hidden = [], []
+    for n in range(2, n_max + 1):
+        for p in range(3, p_max + 1):
+            k = F(p - 2, 2 * p)
+            end = 1 - (n + 1) * k / 2
+            mu = (end,) + (k,) * (n + 1) + (end,)
+            degenerate = any(not (0 < m < 1) for m in mu)
+            identities_ok = (
+                1 - mu[0] - mu[1] == (n - 1) * k / 2
+                and (1 - mu[1] - mu[n + 1]) / 2 == (1 - 2 * k) / 2
+                and (1 - mu[0] - mu[n + 2]) / 2 == ((n + 1) * k - 1) / 2
+            )
+            dm_ok = oracle_w_restricted(n, k)[0]
+            an_ok = oracle("A", n, k)[1]
+            sym = k == F(2, n + 3)
+            if sym and not degenerate and dm_ok and an_ok:
+                hidden.append((p, n))
+            rows.append({
+                "n": n, "p": p, "k": f"{k.numerator}/{k.denominator}",
+                "identities_ok": identities_ok, "degenerate": degenerate,
+                "dm_verdict": dm_ok, "an_verdict": an_ok,
+                "agree": None if degenerate else dm_ok == an_ok,
+                "mu_symmetric": sym,
+            })
+    return {"rows": rows, "hidden_symmetry_cases": tuple(hidden)}
+
+
+@pytest.mark.parametrize("n_max, p_max", [(10, 60), (2, 3), (4, 23), (7, 41)])
+def test_integer_scan_matches_fraction_oracle_row_for_row(n_max, p_max):
+    assert sc.dm_equivalence_scan(n_max, p_max) == oracle_scan(n_max, p_max)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 60), st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=400),
+    st.integers(3, 500).map(sc.k_from_p),
+    st.integers(1, 60).map(lambda q: F(1, q)),
+    st.integers(1, 60).map(lambda q: F(2, q)),
+))
+def test_w_restricted_matches_fraction_oracle(n, k):
+    ok, conds = sc.dm_w_restricted(n, k)
+    want_ok, want = oracle_w_restricted(n, k)
+    assert ok is want_ok
+    assert conds == want

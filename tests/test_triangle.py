@@ -155,6 +155,50 @@ def test_spherical_svg_renders_all_tiles(tmp_path):
     assert data.count("<path") == tess.tile_count
 
 
+def oracle_sphere_path(t, clip=8.0, samples=48):
+    """The sampled spherical path drawn point by point: one slerp, one
+    np.linalg.norm and one projection per sample."""
+    pieces = []
+    pen_down = False
+    for i in range(3):
+        j = (i + 1) % 3
+        opp = (i + 2) % 3
+        a = tri._unproject(t.vertices[i], t.chart)
+        b = tri._unproject(t.vertices[j], t.chart)
+        mid = tri._unproject(t.side_midpoints[opp], t.chart)
+        for step in range(samples + 1):
+            s = step / samples
+            if s <= 0.5:
+                p0, p1, f = a, mid, 2 * s
+            else:
+                p0, p1, f = mid, b, 2 * s - 1
+            omega = math.acos(max(-1.0, min(1.0, float(p0 @ p1))))
+            if omega < 1e-12:
+                v = p0
+            else:
+                v = (math.sin((1 - f) * omega) * p0 + math.sin(f * omega) * p1) / math.sin(omega)
+            z = tri._project(v / np.linalg.norm(v))
+            if math.isfinite(z.real) and abs(z) <= clip:
+                pieces.append(f"{'L' if pen_down else 'M'} {tri._fmt(z.real)} {tri._fmt(z.imag)}")
+                pen_down = True
+            else:
+                pen_down = False
+    return " ".join(pieces) if pieces else "M 0 0"
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["svg", "bitwise"])
+@pytest.mark.parametrize("klm", [(2, 3, 3), (2, 3, 4), (2, 3, 5)])
+def test_sampled_sphere_path_matches_pointwise_oracle(klm, exact, monkeypatch):
+    if exact:
+        # every coordinate written in full, so that no bit of a point can move
+        monkeypatch.setattr(tri, "_fmt", float.hex)
+    tiles = tri.tessellate(*klm).tiles
+    secondary = [t for t in tiles if t.chart == "secondary"]
+    assert secondary
+    for t in tiles:
+        assert tri._sampled_sphere_path(t) == oracle_sphere_path(t)
+
+
 def test_ideal_triangle():
     t = tri.triangle_from_angles(0.0, 0.0, 0.0)
     for v in t.vertices:
