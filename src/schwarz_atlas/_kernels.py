@@ -13,11 +13,19 @@ hypergeometric equation; the coefficients of a solution in x = z - z0 follow
 a three-term recurrence, the step radius is half the distance to {0, 1}, and
 `rtol` defaults to machine epsilon.
 
-`torus_segment` continues the rank-n torus jet frame dF/dt = B(t) F along a
-log-linear segment.  Each root coefficient -coth(L/2) has its Taylor
-coefficients from the Riccati recurrence of coth, vectorised over the
-positive roots; the frame coefficients follow from them by one convolution
-per term.  The step is half the distance in t to the nearest mirror crossing.
+`torus_segment` continues the rank-n torus jet frame dF/dt = B(t) F along
+the log-linear segments of a path.  A step is half the distance in t to the
+nearest mirror crossing, which depends only on the path, and the system is
+linear, so the step grid of every segment is laid out first and each step's
+propagator (its series from the identity frame) is computed independently.
+Steps go in batches whose coefficient stacks fit a fixed byte budget
+(_TORUS_BATCH_BYTES: about 8 steps at E8, wider at lower rank), with room for
+_TORUS_START_TERMS terms at first and more, within the budget, when a series
+needs them.  Each term is one numpy call for the whole batch: the Riccati
+recurrence of coth for the Taylor coefficients of every root coefficient
+-coth(L/2), one real GEMM for the Taylor coefficients of B, and one batched
+matmul for the convolution that gives the frame's coefficients.  The
+propagators are then applied in path order.
 """
 
 import cmath
@@ -134,89 +142,162 @@ def _frame(f0, f1, g0, g1):
 # nearest mirror crossing converges like 2^-n, and takes at most about 40 terms
 # at the default tolerance from A2 to E8
 _TORUS_MAX_TERMS = 400
+# terms a batch's coefficient stacks make room for at first; a batch that needs
+# more starts again with twice the room and correspondingly fewer steps
+_TORUS_START_TERMS = 48
+# bytes of coefficient stacks in one batch: those of a single E8 step with room
+# for _TORUS_MAX_TERMS terms (401 blocks of 120 root coefficients and two 9x9
+# matrices), so about 8 steps per batch at E8 and more at lower rank
+_TORUS_BATCH_BYTES = 401 * (120 + 2 * 81) * 16
 
 
 def torus_segment(lz0, m, croots, coroots, k, svec, F0, rtol):
-    """Transport an (n+1)x(n+1) jet frame along one log-linear torus segment.
+    """Transport an (n+1)x(n+1) jet frame along consecutive log-linear torus
+    segments.
 
-    The log-coordinates are lz0 + t m for t in [0, 1]; croots and coroots are
-    the positive-root and coroot coordinate rows, svec the constant scalar
-    column.  Returns (frame, accumulated truncation estimate, ok flag).  ok=False
-    means the segment reaches within _MIN_CLEARANCE of a mirror, where the
-    system is singular; the frame is then the one at the last point reached.
-    Raises NumericFailure when a step's series has not fallen below
-    max(rtol, eps) times its largest term after _TORUS_MAX_TERMS terms, or the
-    frame stops being finite.
+    Segment s runs through the log-coordinates lz0[s] + t m[s], t in [0, 1];
+    lz0, m and the constant scalar columns svec are (segments, n) stacks, or
+    single rows for one segment.  croots and coroots are the real positive-root
+    and coroot coordinate rows.  Returns (frame, accumulated truncation
+    estimate, ok flag).  ok=False means the path reaches within _MIN_CLEARANCE
+    of a mirror, where the system is singular; the frame is then the one at
+    the last step point reached.  Raises NumericFailure when a step's series
+    has not fallen below max(rtol, eps) times its largest term after
+    _TORUS_MAX_TERMS terms, or the frame stops being finite.
     """
+    lz0, m, svec = (np.atleast_2d(np.asarray(v, dtype=np.complex128)) for v in (lz0, m, svec))
+    seg, ts, hs, moving, ok = _torus_grid(lz0, m, croots)
+    # dF/dt = B(t) F: row 0 of B is [0, -m], column 0 is [0; svec], and the
+    # lower block is sum_p b_p u_p(t) K0_p with L_p(t) = a_p + b_p t the log of
+    # the root character, the root coefficient u = (1 + e^L)/(1 - e^L) =
+    # -coth(L/2) and K0_p = (k/2) croots_p^T coroots_p.  A root whose character
+    # stays put on every segment (b_p = 0) adds nothing, so the series leave
+    # it out.
+    croots, coroots = croots[moving], coroots[moving]
     n1 = F0.shape[0]
     nr = croots.shape[0]
     J = _TORUS_MAX_TERMS
-    # L_p(t) = a_p + b_p t is the log of the root character along the segment
-    a = croots @ lz0
-    b = croots @ m
-    moving = b != 0
-    # dF/dt = B(t) F: row 0 of B is [0, -m], column 0 is [0; svec], and the
-    # lower block is sum_p u_p(t) K_p with the root coefficient
-    # u = (1 + e^L)/(1 - e^L) = -coth(L/2) and K_p = (k/2) b_p croots_p^T coroots_p
-    K = np.einsum("p,pi,pj->pij", (0.5 * k) * b, croots, coroots).reshape(nr, -1)
     tol = max(rtol, _EPS)
-    # coefficient stacks, allocated once: u_j per root, the Taylor
-    # coefficients B_j of B side by side, and the frame coefficients F_j
-    # stacked in reverse order (F_j in block J - j), so that the convolution
-    # sum_i B_i F_{j-i} is one matrix product
-    U = np.empty((J + 1, nr), dtype=np.complex128)
-    Bh = np.zeros((n1, (J + 1) * n1), dtype=np.complex128)
-    Bv = Bh.reshape(n1, J + 1, n1)
-    Bv[0, 0, 1:] = -m
-    Bv[1:, 0, 0] = svec
-    Fr = np.empty(((J + 1) * n1, n1), dtype=np.complex128)
-    Fv = Fr.reshape(J + 1, n1, n1)
+    K0 = (0.5 * k) * (croots[:, :, None] * coroots[:, None, :]).reshape(nr, -1)
     F = np.array(F0, dtype=np.complex128)
     errsum = 0.0
-    t = 0.0
-    while t < 1.0:
-        L = a + b * t
-        # distance from each L_p to the nearest mirror crossing 2 pi i l
-        gap = np.abs(L - 2j * np.pi * np.round(L.imag / (2.0 * np.pi)))
-        if gap.min() <= _MIN_CLEARANCE:
-            return F, errsum, False
-        radius = np.min(gap[moving] / np.abs(b[moving]), initial=np.inf)
-        h = min(0.5 * radius, 1.0 - t)
-        # Riccati recurrence in s = (t' - t)/h: du/ds = (b h/2)(u^2 - 1)
-        c = 0.5 * h * b
-        tchar = np.exp(L)
-        U[0] = (1.0 + tchar) / (1.0 - tchar)
-        Fv[J] = F
-        big = np.abs(F).max()
-        small = 0
-        for j in range(J):
-            Bv[1:, j, 1:] = (U[j] @ K).reshape(n1 - 1, n1 - 1)
-            uu = np.einsum("ip,ip->p", U[:j + 1], U[j::-1])
-            if j == 0:
-                uu -= 1.0
-            np.multiply(uu, c, out=U[j + 1])
-            U[j + 1] /= j + 1
-            term = Bh[:, :(j + 1) * n1] @ Fr[(J - j) * n1:]
-            term *= h / (j + 1)
-            Fv[J - j - 1] = term
-            size = np.abs(term).max()
-            if size > big:
-                big = size
-            if size <= tol * big:
-                small += 1
-                if small == 2:
-                    break
-            else:
-                small = 0
-        else:
-            if np.isfinite(Fr).all():
+    cap = min(_TORUS_START_TERMS, J) + 1
+    first = 0
+    while first < len(ts):
+        width = max(1, _TORUS_BATCH_BYTES // (16 * cap * (nr + 2 * n1 * n1)))
+        s = seg[first:first + width]
+        t, h = ts[first:first + width], hs[first:first + width]
+        b = m[s] @ croots.T
+        P, big, done = _torus_propagators(lz0[s] @ croots.T + b * t[:, None], b, m[s], svec[s],
+                                          h, K0, cap, tol)
+        if not done.all():
+            if cap <= J:
+                cap = min(2 * (cap - 1), J) + 1
+                continue
+            # an overflowed series never converges: report it as overflow below
+            if np.isfinite(P).all():
+                i = first + int(np.argmin(done))
                 raise NumericFailure(
-                    f"torus segment from {lz0} along {m}: series at t = {t} did not "
-                    f"converge within {J} terms")
-        F = Fv[J - j - 1:].sum(axis=0)
+                    f"torus segment from {lz0[seg[i]]} along {m[seg[i]]}: series at "
+                    f"t = {ts[i]} did not converge within {J} terms")
+        for D in P:
+            F = F + D @ F
         if not np.isfinite(F).all():
             raise NumericFailure(
-                f"torus segment from {lz0} along {m}: frame is not finite at t = {t + h}")
-        errsum += tol * big
-        t = 1.0 if h == 1.0 - t else t + h
-    return F, errsum, True
+                f"torus segment from {lz0[s[-1]]} along {m[s[-1]]}: frame is not finite "
+                f"at t = {t[-1] + h[-1]}")
+        errsum += tol * big.sum()
+        first += len(t)
+    return F, errsum, ok
+
+
+def _torus_propagators(L, b, m, svec, h, K0, cap, tol):
+    """Propagators of a batch of steps: each step's series of the frame that
+    starts as the identity, with the root characters' logs L and their rates
+    b at the step points, the segments' m and svec, and the step lengths h.
+
+    Every term is computed for the whole batch at once, from stacks with room
+    for cap - 1 terms.  Returns each step's propagator minus the identity,
+    each step's largest term, and whether each step's series has fallen below
+    tol times its largest term for two terms in a row.  The identity is left
+    out so that the frame F is carried as F + D F: F itself then takes no
+    rounding from the product, as it takes none when a step's series starts
+    from the frame.
+    """
+    w, nr = L.shape
+    n = m.shape[1]
+    n1 = n + 1
+    # with v = b u and s = (t' - t)/h the Riccati equation of the root
+    # coefficients reads dv/ds = (h/2)(v^2 - b^2).  The stacks hold v_j per
+    # root, the Taylor coefficients B_j of B side by side, and the frame
+    # coefficients F_j in reverse order (F_j in block cap - 1 - j), so that
+    # sum_i B_i F_{j-i} is one batched matmul
+    tchar = np.exp(L)
+    V = np.empty((cap, w, nr), dtype=np.complex128)
+    V[0] = b * (1.0 + tchar) / (1.0 - tchar)
+    # h/(j + 1) for every term j, shaped for v and for the frame terms
+    step = h / np.arange(1, cap)[:, None]
+    Bh = np.zeros((w, n1, cap * n1), dtype=np.complex128)
+    Bv = Bh.reshape(w, n1, cap, n1)
+    Bv[:, 0, 0, 1:] = -m
+    Bv[:, 1:, 0, 0] = svec
+    Fr = np.empty((w, cap * n1, n1), dtype=np.complex128)
+    Fv = Fr.reshape(w, cap, n1, n1)
+    Fv[:, cap - 1] = np.eye(n1)
+    big = np.ones(w)
+    small = done = np.zeros(w, dtype=bool)
+    for j in range(cap - 1):
+        # the lower block of B_j as one real GEMM for the whole batch
+        g = np.concatenate((V[j].real, V[j].imag)) @ K0
+        Bv.real[:, 1:, j, 1:] = g[:w].reshape(w, n, n)
+        Bv.imag[:, 1:, j, 1:] = g[w:].reshape(w, n, n)
+        # v_{j+1} = h/(j + 1) (sum_{i < j - i} v_i v_{j-i} + v_{j/2}^2/2 - b^2/2 at j = 0)
+        half = (j + 1) // 2
+        vv = np.einsum("iwp,iwp->wp", V[:half], V[j:j - half:-1])
+        if j % 2 == 0:
+            vv += 0.5 * (V[j // 2] ** 2 - b * b if j == 0 else V[j // 2] ** 2)
+        np.multiply(vv, step[j, :, None], out=V[j + 1])
+        term = np.matmul(Bh[:, :, :(j + 1) * n1], Fr[:, (cap - 1 - j) * n1:])
+        term *= step[j, :, None, None]
+        Fv[:, cap - 2 - j] = term
+        size = np.abs(term).max(axis=(1, 2))
+        np.maximum(big, size, out=big)
+        now = size <= tol * big
+        done = done | (now & small)
+        small = now
+        if done.all():
+            break
+    return Fv[:, cap - 2 - j:cap - 1].sum(axis=1), big, done
+
+
+def _torus_grid(lz0, m, croots):
+    """Steps of every segment, each half the distance in t to the nearest
+    mirror crossing L_p = 2 pi i l, or the rest of the segment.  Returns each
+    step's segment, start and length, which roots move on some segment, and
+    False when a step point comes within _MIN_CLEARANCE of a crossing; the
+    steps then end there."""
+    seg, ts, hs = [], [], []
+    any_moving = np.zeros(len(croots), dtype=bool)
+    ok = True
+    for s in range(len(m)):
+        # L_p(t) = a_p + b_p t is the log of the root character along the segment
+        a_s = croots @ lz0[s]
+        b_s = croots @ m[s]
+        moving = b_s != 0
+        any_moving |= moving
+        rate = np.abs(b_s[moving])
+        t = 0.0
+        while t < 1.0:
+            L = a_s + b_s * t
+            gap = np.abs(L - 2j * np.pi * np.round(L.imag / (2.0 * np.pi)))
+            if gap.min() <= _MIN_CLEARANCE:
+                ok = False
+                break
+            h = min(0.5 * np.min(gap[moving] / rate, initial=np.inf), 1.0 - t)
+            seg.append(s)
+            ts.append(t)
+            hs.append(h)
+            t = 1.0 if h == 1.0 - t else t + h
+        if not ok:
+            break
+    return np.array(seg, dtype=np.intp), np.array(ts), np.array(hs), any_moving, ok

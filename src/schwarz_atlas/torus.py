@@ -6,8 +6,11 @@ monodromy, the invariant Hermitian form, and the negative-cone (ball) check.
 Coordinates are z_i = h^{-alpha_i}; the vector fields theta_i dual to the
 simple roots act as -z_i d/dz_i, so characters restrict to monomials and all
 structure constants are rational.  Scalar couplings are exact; continuation
-runs through _kernels.torus_segment, which re-expands the jet frame in Taylor
-series with steps of half the distance to the nearest mirror crossing.
+runs through _kernels.torus_segment, once per path: it lays out the step grid
+of every segment of the path (steps of half the distance to the nearest mirror
+crossing), sums each step's propagator, the Taylor series of the frame that
+starts as the identity, in batches of steps whose coefficient stacks fit a
+fixed byte budget, and multiplies the propagators in path order.
 Continuation that breaks down raises _kernels.NumericFailure.
 """
 
@@ -95,9 +98,26 @@ def char_value(z, alpha):
     return out
 
 
+_FLOAT_ROWS = {}
+
+
+def _float_rows(system):
+    """Float positive-root rows, coroot rows and inverse Cartan matrix of a
+    root system, computed once per type."""
+    rows = _FLOAT_ROWS.get(system.rtype)
+    if rows is None:
+        croots = system.positive_roots.astype(np.float64)
+        cart = system.cartan.astype(np.float64)
+        rows = (croots, croots @ cart, np.linalg.inv(cart))
+        for arr in rows:
+            arr.setflags(write=False)
+        _FLOAT_ROWS[system.rtype] = rows
+    return rows
+
+
 def _char_values(system, zvals):
     logs = np.log(np.asarray(zvals, dtype=np.complex128))
-    return np.exp(system.positive_roots.astype(np.float64) @ logs)
+    return np.exp(_float_rows(system)[0] @ logs)
 
 
 def torus_point(system, zvals, delta=MIRROR_DELTA):
@@ -162,17 +182,19 @@ def _inverse_cartan(system):
 
 def assemble(system, k, point, a_override=None):
     """Coefficients of the full system at an off-mirror point."""
+    zvals = point.z if isinstance(point, TorusPoint) else np.asarray(point, dtype=complex)
+    return _assemble(system, k, _char_values(system, zvals), a_override)
+
+
+def _assemble(system, k, tchar, a_override):
+    """assemble from the point's root character values."""
     k = Fraction(k)
     a = integrability_constant(system) if a_override is None else Fraction(a_override)
-    zvals = point.z if isinstance(point, TorusPoint) else np.asarray(point, dtype=complex)
-    tchar = _char_values(system, zvals)
     if np.min(np.abs(tchar - 1.0)) < 1e-12:
         raise MirrorSingularity("a positive-root character equals 1 at this point")
-    croots = system.positive_roots.astype(np.float64)
-    coroots = croots @ system.cartan.astype(np.float64)
+    croots, coroots, cinv = _float_rows(system)
     u = (1.0 + tchar) / (1.0 - tchar)
     cvec = 0.5 * float(k) * np.einsum("pi,pj,p,pl->ijl", croots, croots, u, coroots)
-    cinv = np.linalg.inv(system.cartan.astype(np.float64))
     scalar = float(a) * float(k) ** 2 * cinv
     return SystemCoeffs(cvec=cvec, scalar=scalar, k=k, a=a)
 
@@ -201,9 +223,10 @@ def connection(system, k, point, a_override=None):
     return Connection(base=point, matrices=tuple(_frame_stack(coeffs)))
 
 
-def _theta_frame_matrices(system, k, zvals):
+def _theta_frame_matrices(system, k, tchar):
     """Analytic theta-derivatives dA[m, i] = theta_m A_i of the connection
-    matrices, as one (n, n, n+1, n+1) array.
+    matrices at the point with root character values tchar, as one
+    (n, n, n+1, n+1) array.
 
     theta_m acts on each character factor by t -> -c_m t and on u(t) by the
     closed form u'(t) = 2/(1-t)^2.  With w = -t u'(t), the derivative of the
@@ -213,9 +236,7 @@ def _theta_frame_matrices(system, k, zvals):
     (n^2, |Phi+|) @ (|Phi+|, 2 n^2): the real and imaginary parts of
     w_p c_pj (Cc)_pl sit side by side in the right factor.
     """
-    tchar = _char_values(system, zvals)
-    croots = system.positive_roots.astype(np.float64)
-    coroots = croots @ system.cartan.astype(np.float64)
+    croots, coroots, _ = _float_rows(system)
     npos, n = croots.shape
     weight = 0.5 * float(k) * (-tchar * 2.0 / (1.0 - tchar) ** 2)
     left = (croots[:, :, None] * croots[:, None, :]).reshape(npos, n * n).T
@@ -249,16 +270,19 @@ def flatness_residual(system, k, point, a_override=None, method="analytic", fd_s
 
     Vanishes exactly when the scalar coupling takes its forced value; the
     default derivatives are analytic, method="fd" cross-checks them with
-    central differences in log-coordinates.  All n^2 products A_j A_i come
-    from one batched matmul, and the pairs i < j are reduced at once.
+    central differences in log-coordinates.  The root character values are
+    computed once and serve both.  All n^2 products A_j A_i come from one
+    batched matmul, and the pairs i < j are reduced at once.
     """
-    if not isinstance(point, TorusPoint):
-        point = torus_point(system, point)
-    A = _frame_stack(assemble(system, k, point, a_override))
+    zvals = point.z if isinstance(point, TorusPoint) else np.asarray(point, dtype=np.complex128)
+    if np.any(zvals == 0):
+        raise ValueError("torus coordinates must be nonzero")
+    tchar = _char_values(system, zvals)
+    A = _frame_stack(_assemble(system, k, tchar, a_override))
     if method == "analytic":
-        dA = _theta_frame_matrices(system, k, point.z)
+        dA = _theta_frame_matrices(system, k, tchar)
     elif method == "fd":
-        dA = _fd_theta_frame_matrices(system, k, point.z, a_override, fd_step)
+        dA = _fd_theta_frame_matrices(system, k, zvals, a_override, fd_step)
     else:
         raise ValueError(f"unknown method {method!r}")
     AA = np.matmul(A[None, :], A[:, None])    # AA[i, j] = A_j A_i
@@ -336,15 +360,23 @@ def _check_clearance(system, path, samples_per_segment=9):
     return worst
 
 
+def _flatness_gate(system, k, logs):
+    res = flatness_residual(system, k, np.exp(logs))
+    if res > 1e-6:
+        raise _kernels.NumericFailure(f"connection is not flat at the start (residual {res:.2e})")
+
+
 def transport(system, k, path, frame=None, rtol=DEFAULT_RTOL, check_flatness=True):
     """Continue a jet frame along the path by integrating dF = (sum A_i dlog z_i) F.
 
     The path's clearance from the mirrors is checked by sampling first, and
     the curvature is checked once at the start of the path as a sanity gate;
-    flat connections make the result homotopy invariant.  Raises
-    MirrorSingularity for a path within `delta` of a mirror, and
-    _kernels.NumericFailure when a segment reaches a mirror or its series
-    breaks down.
+    flat connections make the result homotopy invariant.  All segments go to
+    one _kernels.torus_segment call, which lays out every segment's step grid,
+    computes the steps' propagators in batches and multiplies them in path
+    order.  Raises MirrorSingularity for a path within `delta` of a mirror,
+    and _kernels.NumericFailure when the connection is not flat at the start,
+    or a segment reaches a mirror or its series breaks down.
     """
     n = system.rank
     if frame is None:
@@ -354,27 +386,20 @@ def transport(system, k, path, frame=None, rtol=DEFAULT_RTOL, check_flatness=Tru
         raise ValueError(f"frame must be {(n + 1, n + 1)}, got {F.shape}")
     _check_clearance(system, path)
     if check_flatness:
-        res = flatness_residual(system, k, np.exp(path.log_waypoints[0]))
-        if res > 1e-6:
-            raise ValueError(f"connection is not flat at the start (residual {res:.2e})")
-    croots = system.positive_roots.astype(np.complex128)
-    coroots = croots @ system.cartan.astype(np.complex128)
-    cart = system.cartan.astype(np.float64)
+        _flatness_gate(system, k, path.log_waypoints[0])
+    pts = np.asarray(path.log_waypoints, dtype=np.complex128)
+    moves = np.diff(pts, axis=0)
+    kept = np.max(np.abs(moves), axis=1) >= 1e-15
+    if not kept.any():
+        return F, 0.0
+    croots, coroots, _ = _float_rows(system)
     afac = float(integrability_constant(system)) * float(k) ** 2
-    errsum = 0.0
-    for a, b in zip(path.log_waypoints, path.log_waypoints[1:]):
-        m = np.asarray(b, dtype=np.complex128) - np.asarray(a, dtype=np.complex128)
-        if np.max(np.abs(m)) < 1e-15:
-            continue
-        svec = afac * np.linalg.solve(cart, m)
-        F, es, ok = _kernels.torus_segment(
-            np.asarray(a, dtype=np.complex128), m, croots, coroots, float(k),
-            svec.astype(np.complex128), F, rtol,
-        )
-        errsum += es
-        if not ok:
-            raise _kernels.NumericFailure(
-                f"torus continuation from {a} to {b} reaches a mirror")
+    svec = afac * np.linalg.solve(system.cartan.astype(np.float64), moves[kept].T).T
+    F, errsum, ok = _kernels.torus_segment(pts[:-1][kept], moves[kept], croots, coroots,
+                                           float(k), svec, F, rtol)
+    if not ok:
+        raise _kernels.NumericFailure(
+            f"torus continuation from {pts[0]} to {pts[-1]} reaches a mirror")
     return F, errsum
 
 
@@ -410,7 +435,7 @@ def mirror_loop_path(system, alpha, base_logs=None, radius=0.1, segments=24,
 
 
 def mirror_monodromy(system, k, alpha, base_logs=None, radius=0.1, segments=24,
-                     rtol=DEFAULT_RTOL):
+                     rtol=DEFAULT_RTOL, check_flatness=True):
     """Monodromy of a small positively oriented loop around the mirror of alpha,
     in the jet frame at the base point.
 
@@ -418,10 +443,11 @@ def mirror_monodromy(system, k, alpha, base_logs=None, radius=0.1, segments=24,
     stage is transported once: with S its transport and T the ring's, the
     loop is S^-1 T S.  Each transport checks the clearance of its part, and
     the way back is the stage reversed, so every sample point of the loop is
-    checked once.
+    checked once.  The flatness gate runs at the base point unless
+    check_flatness is False.
     """
     pts = _mirror_loop_points(system, alpha, base_logs, radius, segments)
-    S, _ = transport(system, k, TorusPath(pts[:2]), rtol=rtol)
+    S, _ = transport(system, k, TorusPath(pts[:2]), rtol=rtol, check_flatness=check_flatness)
     T, _ = transport(system, k, TorusPath(pts[1:-1]), rtol=rtol, check_flatness=False)
     try:
         return np.linalg.solve(S, T @ S)
@@ -429,8 +455,9 @@ def mirror_monodromy(system, k, alpha, base_logs=None, radius=0.1, segments=24,
         raise _kernels.NumericFailure(f"mirror-loop stage transport is singular: {exc}") from exc
 
 
-def toric_monodromy(system, k, j, base_logs=None, rtol=DEFAULT_RTOL):
-    """Monodromy of the counterclockwise coordinate loop z_j -> e^{2 pi i t} z_j."""
+def toric_monodromy(system, k, j, base_logs=None, rtol=DEFAULT_RTOL, check_flatness=True):
+    """Monodromy of the counterclockwise coordinate loop z_j -> e^{2 pi i t} z_j;
+    the flatness gate runs at the base point unless check_flatness is False."""
     if base_logs is None:
         base_logs = default_base_point(system)
     n = system.rank
@@ -438,7 +465,7 @@ def toric_monodromy(system, k, j, base_logs=None, rtol=DEFAULT_RTOL):
     e[j] = 1.0
     pts = [base_logs + 2j * math.pi * (s / 3.0) * e for s in range(4)]
     path = TorusPath(log_waypoints=tuple(pts))
-    F, _ = transport(system, k, path, rtol=rtol)
+    F, _ = transport(system, k, path, rtol=rtol, check_flatness=check_flatness)
     return F
 
 
@@ -454,18 +481,21 @@ def hecke_residual(M, k):
 
 def standard_generators(system, k, base_logs=None, rtol=DEFAULT_RTOL):
     """Monodromy generators used for the invariant form: one mirror loop per
-    simple root, one around the highest-root mirror, and all coordinate loops."""
+    simple root, one around the highest-root mirror, and all coordinate loops.
+    Every loop starts at the base point, so the flatness gate runs there once."""
     if base_logs is None:
         base_logs = default_base_point(system)
+    _flatness_gate(system, k, base_logs)
     gens = []
     n = system.rank
     simples = list(np.eye(n, dtype=np.int64))
     high = system.positive_roots[-1]
     roots = simples + ([high] if not any(np.array_equal(high, s) for s in simples) else [])
     for alpha in roots:
-        gens.append(mirror_monodromy(system, k, alpha, base_logs, rtol=rtol))
+        gens.append(mirror_monodromy(system, k, alpha, base_logs, rtol=rtol,
+                                     check_flatness=False))
     for j in range(n):
-        gens.append(toric_monodromy(system, k, j, base_logs, rtol=rtol))
+        gens.append(toric_monodromy(system, k, j, base_logs, rtol=rtol, check_flatness=False))
     return gens
 
 
@@ -604,7 +634,7 @@ def ball_check(system, k, sample_logs=None, count=10, seed=0, base_logs=None,
     base_vec[0] = 1.0
     ref = pairing(base_vec)
     if abs(ref) < 1e-8:
-        raise ValueError("base evaluation vector is numerically isotropic")
+        raise _kernels.NumericFailure("base evaluation vector is numerically isotropic")
     sign = -1.0 if ref > 0 else 1.0
     if sample_logs is None:
         sample_logs = sample_points_near(system, base_logs, count, seed)

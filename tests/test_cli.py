@@ -149,19 +149,38 @@ def test_torus_rejects_samples_below_one(argv, capsys):
     assert "--samples must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("target", ["invariant_form", "sample_points_near"])
-@pytest.mark.parametrize("exc", [torus.MirrorSingularity("a sample lies on a mirror"),
-                                 np.linalg.LinAlgError("singular matrix")])
-def test_torus_numeric_failures_exit_1(target, exc, monkeypatch, capsys):
+def _raising(exc):
     def fail(*args, **kwargs):
         raise exc
+    return fail
 
-    monkeypatch.setattr(torus, target, fail)
-    subcommand = "form" if target == "invariant_form" else "flatness"
-    code, out = run_cli(["torus", subcommand, "--type", "A", "--rank", "2", "--k", "1/4",
-                         "--samples", "2"])
+
+# a form whose inverse pairs the base evaluation vector (1, 0, 0) to zero
+_ISOTROPIC_FORM = torus.InvariantForm(
+    matrix=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), residual=0.0,
+    signature=(2, 1), dimension=1, singular_values=np.ones(9))
+
+
+@pytest.mark.parametrize("target, replacement, subcommand, message", [
+    *(pytest.param(target, _raising(exc), subcommand, str(exc), id=f"exc{i}-{target}")
+      for target, subcommand in (("invariant_form", "form"), ("sample_points_near", "flatness"))
+      for i, exc in enumerate([torus.MirrorSingularity("a sample lies on a mirror"),
+                               np.linalg.LinAlgError("singular matrix")])),
+    pytest.param("flatness_residual", lambda *args, **kwargs: 1.0, "monodromy",
+                 "connection is not flat at the start (residual 1.00e+00)",
+                 id="not_flat-transport"),
+    pytest.param("invariant_form", lambda *args, **kwargs: _ISOTROPIC_FORM, "form",
+                 "base evaluation vector is numerically isotropic", id="isotropic-ball_check"),
+])
+def test_torus_numeric_failures_exit_1(target, replacement, subcommand, message, monkeypatch,
+                                       capsys):
+    monkeypatch.setattr(torus, target, replacement)
+    argv = ["torus", subcommand, "--type", "A", "--rank", "2", "--k", "1/4"]
+    if subcommand != "monodromy":
+        argv += ["--samples", "2"]
+    code, out = run_cli(argv)
     assert code == 1 and out == ""
-    assert capsys.readouterr().err == f"error: numeric failure: {exc}\n"
+    assert capsys.readouterr().err == f"error: numeric failure: {message}\n"
 
 
 def test_torus_monodromy_json():

@@ -1,6 +1,8 @@
 """Continuation kernels: the torus series kernel against an independent
-high-precision ODE solve, and the ways continuation can fail in both kernels."""
+high-precision ODE solve and against the step-by-step series it batches, its
+memory, and the ways continuation can fail in both kernels."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
@@ -11,18 +13,18 @@ from schwarz_atlas import _kernels, roots, torus
 from schwarz_atlas import gauss as G
 
 A2 = roots.build(roots.RootSystemType("A", 2))
+E8 = roots.build(roots.RootSystemType("E", 8))
 
 
 def _segment_args(system, k, a, b):
     """torus_segment arguments for the log-linear segment a -> b, as
     torus.transport builds them."""
     m = np.asarray(b, dtype=np.complex128) - np.asarray(a, dtype=np.complex128)
-    croots = system.positive_roots.astype(np.complex128)
+    croots = system.positive_roots.astype(np.float64)
     afac = float(roots.integrability_constant(system)) * float(k) ** 2
     svec = afac * np.linalg.solve(system.cartan.astype(np.float64), m)
     return (np.asarray(a, dtype=np.complex128), m, croots,
-            croots @ system.cartan.astype(np.complex128), float(k),
-            svec.astype(np.complex128))
+            croots @ system.cartan.astype(np.float64), float(k), svec)
 
 
 def _segment_oracle(system, k, a, b, dps):
@@ -83,6 +85,168 @@ def test_torus_segment_matches_high_precision_ode_solve(segment):
     assert ok
     want = _segment_oracle(A2, k, a, b, dps=20)
     assert np.max(np.abs(frame - want)) / np.max(np.abs(want)) < 1e-11
+
+
+def _sequential_segment(lz0, m, croots, coroots, k, svec, F0, rtol):
+    """One log-linear segment a step at a time, each step's series started
+    from the frame itself: the continuation as first written, before steps
+    were batched, kept literally as the oracle."""
+    n1 = F0.shape[0]
+    nr = croots.shape[0]
+    J = _kernels._TORUS_MAX_TERMS
+    a = croots @ lz0
+    b = croots @ m
+    moving = b != 0
+    K = np.einsum("p,pi,pj->pij", (0.5 * k) * b, croots, coroots).reshape(nr, -1)
+    tol = max(rtol, _kernels._EPS)
+    U = np.empty((J + 1, nr), dtype=np.complex128)
+    Bh = np.zeros((n1, (J + 1) * n1), dtype=np.complex128)
+    Bv = Bh.reshape(n1, J + 1, n1)
+    Bv[0, 0, 1:] = -m
+    Bv[1:, 0, 0] = svec
+    Fr = np.empty(((J + 1) * n1, n1), dtype=np.complex128)
+    Fv = Fr.reshape(J + 1, n1, n1)
+    F = np.array(F0, dtype=np.complex128)
+    t = 0.0
+    while t < 1.0:
+        L = a + b * t
+        gap = np.abs(L - 2j * np.pi * np.round(L.imag / (2.0 * np.pi)))
+        assert gap.min() > _kernels._MIN_CLEARANCE
+        radius = np.min(gap[moving] / np.abs(b[moving]), initial=np.inf)
+        h = min(0.5 * radius, 1.0 - t)
+        c = 0.5 * h * b
+        tchar = np.exp(L)
+        U[0] = (1.0 + tchar) / (1.0 - tchar)
+        Fv[J] = F
+        big = np.abs(F).max()
+        small = 0
+        for j in range(J):
+            Bv[1:, j, 1:] = (U[j] @ K).reshape(n1 - 1, n1 - 1)
+            uu = np.einsum("ip,ip->p", U[:j + 1], U[j::-1])
+            if j == 0:
+                uu -= 1.0
+            np.multiply(uu, c, out=U[j + 1])
+            U[j + 1] /= j + 1
+            term = Bh[:, :(j + 1) * n1] @ Fr[(J - j) * n1:]
+            term *= h / (j + 1)
+            Fv[J - j - 1] = term
+            size = np.abs(term).max()
+            big = max(big, size)
+            if size <= tol * big:
+                small += 1
+                if small == 2:
+                    break
+            else:
+                small = 0
+        else:
+            raise AssertionError("oracle series did not converge")
+        F = Fv[J - j - 1:].sum(axis=0)
+        t = 1.0 if h == 1.0 - t else t + h
+    return F
+
+
+def _sequential_transport(system, k, log_waypoints, rtol=torus.DEFAULT_RTOL):
+    F = np.eye(system.rank + 1, dtype=np.complex128)
+    for a, b in zip(log_waypoints, log_waypoints[1:]):
+        F = _sequential_segment(*_segment_args(system, k, a, b), F, rtol)
+    return F
+
+
+def _loop_parts(system):
+    """The stage and the ring of the highest-root mirror loop, and the first
+    coordinate loop, as log waypoints."""
+    pts = torus._mirror_loop_points(system, roots.highest_root(system), None, 0.1, 24)
+    base = torus.default_base_point(system)
+    e = np.zeros(system.rank)
+    e[0] = 1.0
+    coordinate = tuple(base + 2j * np.pi * (s / 3.0) * e for s in range(4))
+    return {"stage": pts[:2], "ring": pts[1:-1], "coordinate": coordinate}
+
+
+def _steps(system, log_waypoints):
+    pts = np.asarray(log_waypoints, dtype=np.complex128)
+    croots = system.positive_roots.astype(np.float64)
+    return len(_kernels._torus_grid(pts[:-1], np.diff(pts, axis=0), croots)[0])
+
+
+@pytest.mark.parametrize("part", ["stage", "ring", "coordinate"])
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 6), ("E", 8)])
+def test_transport_matches_sequential_series(fam, rank, part):
+    system = roots.build(roots.RootSystemType(fam, rank))
+    k = roots.hyperbolic_exponent(system) / 2
+    path = _loop_parts(system)[part]
+    if (fam, rank, part) == ("E", 8, "stage"):
+        # the longest segment the mirror loops have
+        assert _steps(system, path) == 306
+    got, _ = torus.transport(system, k, torus.TorusPath(path))
+    want = _sequential_transport(system, k, path)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _batch_sizes(monkeypatch):
+    sizes = []
+    propagators = _kernels._torus_propagators
+
+    def recorded(L, *args):
+        sizes.append(len(L))
+        return propagators(L, *args)
+
+    monkeypatch.setattr(_kernels, "_torus_propagators", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("system", [A2, E8], ids=["A2", "E8"])
+def test_batch_boundaries_match_sequential_series(system, monkeypatch):
+    # short segments in a generic direction are one step each, so a path of
+    # N of them is N steps; find the batch width, then run 1, width and
+    # width + 1 steps
+    k = roots.hyperbolic_exponent(system) / 2
+    base = torus.default_base_point(system)
+    move = 1e-3 * (1.0 + 0.5j) * np.linspace(1.0, 2.0, system.rank)
+
+    def path(steps):
+        return tuple(base + s * move for s in range(steps + 1))
+
+    sizes = _batch_sizes(monkeypatch)
+    torus.transport(system, k, torus.TorusPath(path(300)))
+    width = sizes[0]
+    assert 1 < width < 300
+    for steps, batches in ((1, [1]), (width, [width]), (width + 1, [width, 1])):
+        assert _steps(system, path(steps)) == steps
+        sizes.clear()
+        got, _ = torus.transport(system, k, torus.TorusPath(path(steps)))
+        assert sizes == batches
+        want = _sequential_transport(system, k, path(steps))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_series_longer_than_the_stacks_restart_with_more_room(monkeypatch):
+    # at eps a series needs more terms than the stacks first make room for:
+    # the batch starts again with twice the room and fewer steps
+    system = roots.build(roots.RootSystemType("D", 4))
+    k = roots.hyperbolic_exponent(system) / 2
+    path = _loop_parts(system)["stage"]
+    steps = _steps(system, path)
+    sizes = _batch_sizes(monkeypatch)
+    got, _ = torus.transport(system, k, torus.TorusPath(path), rtol=1e-17)
+    assert sizes[1] < sizes[0] and sum(sizes[1:]) == steps
+    want = _sequential_transport(system, k, path, rtol=1e-17)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_e8_highest_root_loop_stays_within_the_batch_memory_budget():
+    # a batch's coefficient stacks fit _TORUS_BATCH_BYTES, the stacks of one
+    # E8 step with room for _TORUS_MAX_TERMS terms
+    k = F(3, 50)
+    alpha = roots.highest_root(E8)
+    torus.mirror_monodromy(E8, k, alpha)
+    tracemalloc.start()
+    try:
+        torus.mirror_monodromy(E8, k, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.0e6
 
 
 def test_torus_segment_ending_on_a_mirror_reports_not_ok():

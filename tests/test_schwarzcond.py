@@ -116,17 +116,24 @@ ORACLE_TYPES = sorted(
     | {("E", 6), ("E", 7), ("E", 8)})
 
 
-@st.composite
-def type_and_k(draw):
-    fam, n = draw(st.sampled_from(ORACLE_TYPES))
+def _k_values(fam, n):
     m, h = _m(fam, n), _coxeter(fam, n)
-    k = draw(st.one_of(
+    return st.one_of(
         st.fractions(min_value=-3, max_value=3, max_denominator=400),
         st.sampled_from([F(0), F(1, 2), m, F(1, h), -m, 2 * m]),
         st.integers(3, 500).map(sc.k_from_p),
         st.integers(1, 60).map(lambda q: F(1, q)),
-    ))
-    return fam, n, k
+    )
+
+
+# one k strategy per type, built once rather than on every draw
+K_VALUES = {t: _k_values(*t) for t in ORACLE_TYPES}
+
+
+@st.composite
+def type_and_k(draw):
+    fam, n = draw(st.sampled_from(ORACLE_TYPES))
+    return fam, n, draw(K_VALUES[fam, n])
 
 
 @settings(max_examples=800, deadline=None)

@@ -211,7 +211,7 @@ def test_theta_derivatives_match_roots_sum_and_differences(fam, rank):
     system = _sys(fam, rank)
     k = F(1, 7)
     z = np.exp(torus.default_base_point(system) + 0.1j)
-    dA = torus._theta_frame_matrices(system, k, z)
+    dA = torus._theta_frame_matrices(system, k, torus._char_values(system, z))
     literal = np.array([[_literal_theta_A(system, k, z, m, i) for i in range(rank)]
                         for m in range(rank)])
     scale = np.max(np.abs(literal))
@@ -345,6 +345,25 @@ def test_mirror_loop_clearance_checked_once(monkeypatch):
     # the stage and the 24 ring segments, each once; the way back is the
     # stage reversed
     assert sorted(checked) == [1, 24]
+
+
+def test_generator_set_gates_flatness_once(monkeypatch):
+    # every loop of a generator set starts at the base point, so the set
+    # checks the curvature there once; direct calls keep their own gate
+    calls = []
+    residual = torus.flatness_residual
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(torus, "flatness_residual", counted)
+    torus.standard_generators(A2, F(1, 4))
+    assert len(calls) == 1
+    torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
+    torus.toric_monodromy(A2, F(1, 4), 0)
+    torus.transport(A2, F(1, 4), torus.mirror_loop_path(A2, np.array([0, 1])))
+    assert len(calls) == 4
 
 
 def test_mirror_loop_within_delta_raises():
