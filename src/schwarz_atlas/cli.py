@@ -147,8 +147,7 @@ def _cmd_roots_dump(args):
 def _cmd_gauss_monodromy(args):
     p = gaussmod.GaussParams(args.alpha, args.beta, args.gamma)
     if p.log_case:
-        print("error: integer exponent difference (logarithmic case)", file=sys.stderr)
-        return EXIT_USAGE, None
+        raise ValueError("integer exponent difference (logarithmic case)")
     mats = {s: gaussmod.monodromy_at(p, s) for s in (0, 1, "inf")}
     relation = gaussmod.scaled_relation_residual(mats[0], mats[1], mats["inf"])
     spectra = {}
@@ -248,8 +247,7 @@ def _cmd_torus_flatness(args):
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     a_override = Fraction(args.a_override) if args.a_override is not None else None
-    base = torus.default_base_point(system)
-    sample_logs = torus.sample_points_near(system, base, args.samples, seed=args.seed)
+    sample_logs = torus.sample_points_near(system, args.samples, seed=args.seed)
     worst = 0.0
     for lz in sample_logs:
         worst = max(worst, torus.flatness_residual(system, k, np.exp(lz), a_override))
@@ -275,8 +273,7 @@ def _cmd_torus_monodromy(args):
     else:
         idx = int(args.root)
         if not 1 <= idx <= n:
-            print(f"error: --root must be 1..{n} or 'highest'", file=sys.stderr)
-            return EXIT_USAGE, None
+            raise ValueError(f"--root must be 1..{n} or 'highest'")
         alpha = np.eye(n, dtype=np.int64)[idx - 1]
     M = torus.mirror_monodromy(system, k, alpha)
     residual = torus.hecke_residual(M, k)
@@ -371,8 +368,7 @@ def _cmd_schwarz_enumerate(args):
 
 def _cmd_schwarz_check(args):
     if args.k is None and args.p is None:
-        print("error: provide --p or --k", file=sys.stderr)
-        return EXIT_USAGE, None
+        raise ValueError("provide --p or --k")
     k = schwarzcond.k_from_p(args.p) if args.k is None else Fraction(args.k)
     report = schwarzcond.check(roots.RootSystemType(args.family, args.rank), k)
     payload = _report(

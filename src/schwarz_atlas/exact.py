@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "ExponentTriple",
     "ReductionWitness",
     "ReductionError",
@@ -26,8 +25,6 @@ __all__ = [
     "exponent_differences",
     "reduce_parameters",
 ]
-
-Rational = Fraction
 
 
 class ReductionError(ValueError):

@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 BASE_POINT = 0.5
+_SERIES_TOL = 1e-17       # a Frobenius term this small relative to the sum is negligible
+_SERIES_MAX_TERMS = 600   # Frobenius terms before the series counts as divergent
+_RING_RADIUS = 0.15       # radius of the circle around z in pullback_ode_residual
+_RING_SAMPLES = 32        # sample points on that circle
 
 
 class LogarithmicCaseError(ValueError):
@@ -125,7 +129,7 @@ def riemann_scheme(p):
 # ---------------------------------------------------------------------------
 # local solutions and continuation
 
-def _frobenius_value(p, rho, z, tol=1e-17, max_terms=600):
+def _frobenius_value(p, rho, z):
     """Evaluate z^rho * sum c_m z^m and its derivative, with the coefficient
     recursion read off the operator itself: c_{m+1} P(rho+m+1) = c_m Q(rho+m)
     for P(t) = t(t+gamma-1), Q(t) = (t+alpha)(t+beta)."""
@@ -136,7 +140,7 @@ def _frobenius_value(p, rho, z, tol=1e-17, max_terms=600):
     sd = rho * c
     zk = 1.0 + 0.0j
     small = 0
-    for m in range(max_terms):
+    for m in range(_SERIES_MAX_TERMS):
         denom = (rho + m + 1) * (rho + m + ga)
         if denom == 0:
             raise LogarithmicCaseError(
@@ -147,7 +151,7 @@ def _frobenius_value(p, rho, z, tol=1e-17, max_terms=600):
         term = c * zk
         s += term
         sd += (rho + m + 1) * term
-        if abs(term) <= tol * max(abs(s), 1.0):
+        if abs(term) <= _SERIES_TOL * max(abs(s), 1.0):
             small += 1
             if small >= 3:
                 break
@@ -286,14 +290,19 @@ LOOP_INFINITY = (
 _LOOPS = {0: LOOP_ZERO, 1: LOOP_ONE, "inf": LOOP_INFINITY}
 
 
+def _singular_point(s):
+    """The _LOOPS key of s; "inf", "infinity" and math.inf name infinity."""
+    key = "inf" if s in ("inf", "infinity", math.inf) else s
+    if key not in _LOOPS:
+        raise ValueError(f"singular point must be 0, 1 or 'inf', got {s!r}")
+    return key
+
+
 def monodromy_at(p, s):
     """Monodromy matrix of the loop around s in {0, 1, "inf"}, in the frame of
     initial jets at the base point 1/2.  Eigenvalues are exp(2 pi i e) for the
     two local exponents e at s."""
-    key = "inf" if s in ("inf", "infinity", math.inf) else s
-    if key not in _LOOPS:
-        raise ValueError(f"singular point must be 0, 1 or 'inf', got {s!r}")
-    F, _, _ = _transport(p, _LOOPS[key], np.eye(2, dtype=np.complex128))
+    F, _, _ = _transport(p, _LOOPS[_singular_point(s)], np.eye(2, dtype=np.complex128))
     return F
 
 
@@ -318,9 +327,7 @@ def scaled_relation_residual(m0, m1, minf):
 
 def expected_monodromy_spectrum(p, s):
     sch = riemann_scheme(p)
-    pair = {0: sch.at_zero, 1: sch.at_one, "inf": sch.at_infinity}[
-        "inf" if s in ("inf", "infinity", math.inf) else s
-    ]
+    pair = {0: sch.at_zero, 1: sch.at_one, "inf": sch.at_infinity}[_singular_point(s)]
     return [cmath.exp(2j * cmath.pi * float(e)) for e in pair]
 
 
@@ -351,15 +358,15 @@ def scaled_spectrum_residual(matrix, expected):
 # ---------------------------------------------------------------------------
 # Schwarz map and vertex angles
 
-def _plan_path(z0, z1, lift=0.6):
+def _plan_path(z0, z1):
     """Waypoints from z0 to z1 avoiding {0, 1}: direct when the straight
     segment has clearance, otherwise over a horizontal detour at height
-    `lift` on the side of the target."""
+    0.6 on the side of the target."""
     z0, z1 = complex(z0), complex(z1)
     if min(_segment_distance(z0, z1, 0.0), _segment_distance(z0, z1, 1.0)) > 0.12:
         return (z0, z1)
     side = 1.0 if (z1.imag > 0 or (z1.imag == 0 and z0.imag >= 0)) else -1.0
-    h = side * lift * 1j
+    h = side * 0.6j
     return (z0, z0 + h, z1 + h, z1)
 
 
@@ -534,7 +541,7 @@ def pullback_coefficients(pb, z):
     return k1 * u1 + 2 * k2 * u2, (k1 / 2 + k2) ** 2 - lam**2
 
 
-def pullback_ode_residual(pb, z, radius=0.15, nsamples=32):
+def pullback_ode_residual(pb, z):
     """Residual of f(w(z)) in the pulled-back operator, for both basis
     solutions f of the corresponding two-point-parameter equation.
 
@@ -544,7 +551,7 @@ def pullback_ode_residual(pb, z, radius=0.15, nsamples=32):
     """
     z = complex(z)
     clearance = min(abs(z), abs(z - 1), abs(z + 1))
-    if clearance < 2.5 * radius:
+    if clearance < 2.5 * _RING_RADIUS:
         raise ValueError(
             f"z = {z} too close to a singular point (clearance {clearance:.3f})"
         )
@@ -554,7 +561,8 @@ def pullback_ode_residual(pb, z, radius=0.15, nsamples=32):
     else:
         frame0 = local_basis_at_zero(p, BASE_POINT)
     w_center = pullback_map(z)
-    ring = [z + radius * cmath.exp(2j * cmath.pi * j / nsamples) for j in range(nsamples)]
+    ring = [z + _RING_RADIUS * cmath.exp(2j * cmath.pi * j / _RING_SAMPLES)
+            for j in range(_RING_SAMPLES)]
     ws = [pullback_map(q) for q in ring]
     spread = max(abs(w - w_center) for w in ws)
     for s in (0.0, 1.0):
@@ -562,14 +570,14 @@ def pullback_ode_residual(pb, z, radius=0.15, nsamples=32):
             raise ValueError("pullback image circle too close to a singular point")
     anchor_pts = _plan_path(frame0.base, w_center)
     F_anchor, _, _ = _transport(p, anchor_pts, frame0.matrix)
-    values = np.empty((nsamples, 2), dtype=np.complex128)
+    values = np.empty((_RING_SAMPLES, 2), dtype=np.complex128)
     for j, w in enumerate(ws):
         F, _, _ = _transport(p, (w_center, w), F_anchor)
         values[j] = F[0, :]
-    coeffs = np.fft.fft(values, axis=0) / nsamples
+    coeffs = np.fft.fft(values, axis=0) / _RING_SAMPLES
     g = coeffs[0]
-    gp = coeffs[1] / radius
-    gpp = 2.0 * coeffs[2] / radius**2
+    gp = coeffs[1] / _RING_RADIUS
+    gpp = 2.0 * coeffs[2] / _RING_RADIUS**2
     theta_g = z * gp
     theta2_g = z * (gp + z * gpp)
     c1, c0 = pullback_coefficients(pb, z)

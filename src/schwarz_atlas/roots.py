@@ -98,22 +98,11 @@ class RootSystem:
     def simple_roots(self):
         return np.eye(self.rank, dtype=np.int64)
 
-    @property
-    def gram(self):
-        return self.cartan
-
     def inner(self, x, y):
         """Bilinear form of two lattice vectors given in simple-root coordinates."""
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
         return int(x @ self.cartan @ y)
-
-    def is_root(self, v):
-        v = np.asarray(v, dtype=np.int64)
-        return self.inner(v, v) == 2 and (
-            any(np.array_equal(v, r) for r in self.positive_roots)
-            or any(np.array_equal(-v, r) for r in self.positive_roots)
-        )
 
     def __str__(self):
         return str(self.rtype)

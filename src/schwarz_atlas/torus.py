@@ -5,7 +5,9 @@ monodromy, the invariant Hermitian form, and the negative-cone (ball) check.
 
 Coordinates are z_i = h^{-alpha_i}; the vector fields theta_i dual to the
 simple roots act as -z_i d/dz_i, so characters restrict to monomials and all
-structure constants are rational.  Scalar couplings are exact; continuation
+structure constants are rational.  Points are plain arrays of nonzero
+coordinates z or, for paths, of their logarithms; every loop and sample path
+starts at default_base_point.  Scalar couplings are exact; continuation
 runs through _kernels.torus_segment, once per path: it lays out the step grid
 of every segment of the path (steps of half the distance to the nearest mirror
 crossing), sums each step's propagator, the Taylor series of the frame that
@@ -27,13 +29,10 @@ from . import _kernels
 from .roots import integrability_constant
 
 __all__ = [
-    "TorusPoint",
     "TorusPath",
     "SystemCoeffs",
-    "Connection",
     "MirrorSingularity",
     "InvariantFormError",
-    "torus_point",
     "default_base_point",
     "char_value",
     "assemble",
@@ -54,6 +53,12 @@ __all__ = [
 # step's largest term
 DEFAULT_RTOL = 1e-12
 MIRROR_DELTA = 0.02
+_FD_STEP = 1e-6           # central-difference step of flatness_residual(method="fd")
+_CLEARANCE_SAMPLES = 9    # sample points per path segment in _check_clearance
+_RING_SEGMENTS = 24       # segments of the ring of every mirror loop
+_SAMPLE_SPREAD = 0.35     # scale of the Gaussian log-offsets of sample_points_near
+_RANK_TOL = 1e-6          # invariant_form's null-space threshold, relative to svals[0]
+_EIG_TOL = 1e-8           # the smallest |eigenvalue| of the form that counts in its signature
 
 
 class MirrorSingularity(ValueError):
@@ -68,33 +73,21 @@ class InvariantFormError(ValueError):
         self.dimension = dimension
 
 
-@dataclass(frozen=True)
-class TorusPoint:
-    z: np.ndarray
-    off_mirror: bool
-    min_mirror_distance: float
-
-    @property
-    def rank(self):
-        return len(self.z)
-
-
 def char_value(z, alpha):
     """h^(-alpha) as a monomial in the coordinates: prod z_l^{c_l}.
 
     Works for any numeric coordinate type (floats, complex, Fractions), so
     exact inputs give exact values.
     """
-    zs = z.z if isinstance(z, TorusPoint) else z
     out = None
-    for zl, cl in zip(zs, alpha):
+    for zl, cl in zip(z, alpha):
         cl = int(cl)
         if cl == 0:
             continue
         factor = zl**cl
         out = factor if out is None else out * factor
     if out is None:
-        return type(zs[0])(1) if len(zs) else 1
+        return type(z[0])(1) if len(z) else 1
     return out
 
 
@@ -116,17 +109,10 @@ def _float_rows(system):
 
 
 def _char_values(system, zvals):
-    logs = np.log(np.asarray(zvals, dtype=np.complex128))
-    return np.exp(_float_rows(system)[0] @ logs)
-
-
-def torus_point(system, zvals, delta=MIRROR_DELTA):
-    """Wrap coordinates with the off-mirror flag for the given root system."""
     zvals = np.asarray(zvals, dtype=np.complex128)
     if np.any(zvals == 0):
         raise ValueError("torus coordinates must be nonzero")
-    dist = float(np.min(np.abs(_char_values(system, zvals) - 1.0)))
-    return TorusPoint(z=zvals, off_mirror=dist > delta, min_mirror_distance=dist)
+    return np.exp(_float_rows(system)[0] @ np.log(zvals))
 
 
 def default_base_point(system):
@@ -182,8 +168,7 @@ def _inverse_cartan(system):
 
 def assemble(system, k, point, a_override=None):
     """Coefficients of the full system at an off-mirror point."""
-    zvals = point.z if isinstance(point, TorusPoint) else np.asarray(point, dtype=complex)
-    return _assemble(system, k, _char_values(system, zvals), a_override)
+    return _assemble(system, k, _char_values(system, point), a_override)
 
 
 def _assemble(system, k, tchar, a_override):
@@ -199,12 +184,6 @@ def _assemble(system, k, tchar, a_override):
     return SystemCoeffs(cvec=cvec, scalar=scalar, k=k, a=a)
 
 
-@dataclass(frozen=True)
-class Connection:
-    base: TorusPoint
-    matrices: tuple  # n matrices, each (n+1) x (n+1)
-
-
 def _frame_stack(coeffs):
     """The n connection matrices A_i stacked as one (n, n+1, n+1) array."""
     n = coeffs.scalar.shape[0]
@@ -216,11 +195,9 @@ def _frame_stack(coeffs):
 
 
 def connection(system, k, point, a_override=None):
-    """First-order form theta_i F = A_i F on the jet frame (f, theta_1 f, ...)."""
-    if not isinstance(point, TorusPoint):
-        point = torus_point(system, point)
-    coeffs = assemble(system, k, point, a_override)
-    return Connection(base=point, matrices=tuple(_frame_stack(coeffs)))
+    """First-order form theta_i F = A_i F on the jet frame (f, theta_1 f, ...):
+    the n matrices A_i stacked as one (n, n+1, n+1) array."""
+    return _frame_stack(assemble(system, k, point, a_override))
 
 
 def _theta_frame_matrices(system, k, tchar):
@@ -264,7 +241,7 @@ def _fd_theta_frame_matrices(system, k, zvals, a_override, h):
     return dA
 
 
-def flatness_residual(system, k, point, a_override=None, method="analytic", fd_step=1e-6):
+def flatness_residual(system, k, point, a_override=None, method="analytic"):
     """Curvature of the frame connection: max over pairs (i, j) of
     || theta_i A_j - theta_j A_i + A_j A_i - A_i A_j ||_inf.
 
@@ -274,15 +251,13 @@ def flatness_residual(system, k, point, a_override=None, method="analytic", fd_s
     computed once and serve both.  All n^2 products A_j A_i come from one
     batched matmul, and the pairs i < j are reduced at once.
     """
-    zvals = point.z if isinstance(point, TorusPoint) else np.asarray(point, dtype=np.complex128)
-    if np.any(zvals == 0):
-        raise ValueError("torus coordinates must be nonzero")
+    zvals = np.asarray(point, dtype=np.complex128)
     tchar = _char_values(system, zvals)
     A = _frame_stack(_assemble(system, k, tchar, a_override))
     if method == "analytic":
         dA = _theta_frame_matrices(system, k, tchar)
     elif method == "fd":
-        dA = _fd_theta_frame_matrices(system, k, zvals, a_override, fd_step)
+        dA = _fd_theta_frame_matrices(system, k, zvals, a_override, _FD_STEP)
     else:
         raise ValueError(f"unknown method {method!r}")
     AA = np.matmul(A[None, :], A[:, None])    # AA[i, j] = A_j A_i
@@ -303,7 +278,7 @@ def _reflection_matrix(system, i):
 def reflected_point(system, point, i):
     """Monomial action of the simple reflection on torus coordinates:
     z'_j = z_j * z_i^(-C_ij)."""
-    zvals = point.z if isinstance(point, TorusPoint) else np.asarray(point, dtype=complex)
+    zvals = np.asarray(point, dtype=complex)
     out = zvals.copy()
     for j in range(system.rank):
         out[j] = zvals[j] * zvals[i] ** (-int(system.cartan[i, j]))
@@ -317,8 +292,6 @@ def w_invariance_residual(system, k, point, i):
     reflected point with the s_i-transport of the pair (xi_a, xi_b) vector at
     the original point; the scalar parts agree exactly by construction.
     """
-    if not isinstance(point, TorusPoint):
-        point = torus_point(system, point)
     zref = reflected_point(system, point, i)
     G_here = assemble(system, k, point).cvec
     G_there = assemble(system, k, zref).cvec
@@ -335,22 +308,19 @@ def w_invariance_residual(system, k, point, i):
 class TorusPath:
     """Piecewise log-linear path given by log-coordinate waypoints.
 
-    Log-coordinates fix the winding unambiguously; waypoints() recovers the
-    torus points.  Every sampled point along every segment must stay at least
+    Log-coordinates fix the winding unambiguously; the torus points are their
+    exponentials.  Every sampled point along every segment must stay at least
     `delta` away from every mirror (measured by |h^{-alpha} - 1|).
     """
 
     log_waypoints: tuple
     delta: float = MIRROR_DELTA
 
-    def waypoints(self, system):
-        return tuple(torus_point(system, np.exp(lz), self.delta) for lz in self.log_waypoints)
 
-
-def _check_clearance(system, path, samples_per_segment=9):
-    croots = system.positive_roots.astype(np.float64)
+def _check_clearance(system, path):
+    croots = _float_rows(system)[0]
     pts = np.asarray(path.log_waypoints, dtype=np.complex128)
-    t = np.arange(samples_per_segment + 1)[:, None, None] / samples_per_segment
+    t = np.arange(_CLEARANCE_SAMPLES + 1)[:, None, None] / _CLEARANCE_SAMPLES
     lz = (1 - t) * pts[:-1] + t * pts[1:]          # (sample, segment, rank)
     worst = float(np.min(np.abs(np.exp(lz @ croots.T) - 1.0))) if len(pts) > 1 else math.inf
     if worst < path.delta:
@@ -403,41 +373,34 @@ def transport(system, k, path, frame=None, rtol=DEFAULT_RTOL, check_flatness=Tru
     return F, errsum
 
 
-def _circle_log_waypoints(radius, segments):
-    """Log values of 1 + radius * e^{i phi} around the full circle."""
-    return [cmath.log(1.0 + radius * cmath.exp(2j * math.pi * s / segments))
-            for s in range(segments + 1)]
-
-
-def _mirror_loop_points(system, alpha, base_logs, radius, segments):
-    """Log waypoints of the mirror loop: base, stage, the ring, base."""
-    if base_logs is None:
-        base_logs = default_base_point(system)
+def _mirror_loop_points(system, alpha, radius):
+    """Log waypoints of the mirror loop: base, stage, the ring (the log values
+    of 1 + radius * e^{i phi} around the full circle), base."""
+    base_logs = default_base_point(system)
     alpha = np.asarray(alpha, dtype=np.int64)
     d = (system.cartan.astype(np.float64) @ alpha).astype(np.complex128) / 2.0
     L0 = complex(alpha.astype(np.float64) @ base_logs)
-    ring = _circle_log_waypoints(radius, segments)
+    ring = [cmath.log(1.0 + radius * cmath.exp(2j * math.pi * s / _RING_SEGMENTS))
+            for s in range(_RING_SEGMENTS + 1)]
     return (base_logs, *(base_logs + (s - L0) * d for s in ring), base_logs)
 
 
-def mirror_loop_path(system, alpha, base_logs=None, radius=0.1, segments=24,
-                     delta=MIRROR_DELTA):
-    """Loop in the torus whose alpha-character runs counterclockwise around 1.
+def mirror_loop_path(system, alpha, radius=0.1):
+    """Loop in the torus, based at default_base_point, whose alpha-character
+    runs counterclockwise around 1.
 
     The path moves only along the one-parameter direction dual to alpha, so
     every other character moves by half-integer multiples of the same log
     increment; clearance from all other mirrors is verified by sampling.
     """
-    path = TorusPath(log_waypoints=_mirror_loop_points(system, alpha, base_logs, radius,
-                                                       segments), delta=delta)
+    path = TorusPath(log_waypoints=_mirror_loop_points(system, alpha, radius))
     _check_clearance(system, path)
     return path
 
 
-def mirror_monodromy(system, k, alpha, base_logs=None, radius=0.1, segments=24,
-                     rtol=DEFAULT_RTOL, check_flatness=True):
+def mirror_monodromy(system, k, alpha, radius=0.1, rtol=DEFAULT_RTOL, check_flatness=True):
     """Monodromy of a small positively oriented loop around the mirror of alpha,
-    in the jet frame at the base point.
+    in the jet frame at default_base_point.
 
     The loop is a stage out to the ring, the ring, and the stage back, so the
     stage is transported once: with S its transport and T the ring's, the
@@ -446,7 +409,7 @@ def mirror_monodromy(system, k, alpha, base_logs=None, radius=0.1, segments=24,
     checked once.  The flatness gate runs at the base point unless
     check_flatness is False.
     """
-    pts = _mirror_loop_points(system, alpha, base_logs, radius, segments)
+    pts = _mirror_loop_points(system, alpha, radius)
     S, _ = transport(system, k, TorusPath(pts[:2]), rtol=rtol, check_flatness=check_flatness)
     T, _ = transport(system, k, TorusPath(pts[1:-1]), rtol=rtol, check_flatness=False)
     try:
@@ -455,11 +418,11 @@ def mirror_monodromy(system, k, alpha, base_logs=None, radius=0.1, segments=24,
         raise _kernels.NumericFailure(f"mirror-loop stage transport is singular: {exc}") from exc
 
 
-def toric_monodromy(system, k, j, base_logs=None, rtol=DEFAULT_RTOL, check_flatness=True):
-    """Monodromy of the counterclockwise coordinate loop z_j -> e^{2 pi i t} z_j;
-    the flatness gate runs at the base point unless check_flatness is False."""
-    if base_logs is None:
-        base_logs = default_base_point(system)
+def toric_monodromy(system, k, j, rtol=DEFAULT_RTOL, check_flatness=True):
+    """Monodromy of the counterclockwise coordinate loop z_j -> e^{2 pi i t} z_j
+    at default_base_point; the flatness gate runs there unless check_flatness
+    is False."""
+    base_logs = default_base_point(system)
     n = system.rank
     e = np.zeros(n, dtype=np.complex128)
     e[j] = 1.0
@@ -479,23 +442,21 @@ def hecke_residual(M, k):
     return float(num / np.linalg.norm(M) ** 2)
 
 
-def standard_generators(system, k, base_logs=None, rtol=DEFAULT_RTOL):
+def standard_generators(system, k, rtol=DEFAULT_RTOL):
     """Monodromy generators used for the invariant form: one mirror loop per
     simple root, one around the highest-root mirror, and all coordinate loops.
-    Every loop starts at the base point, so the flatness gate runs there once."""
-    if base_logs is None:
-        base_logs = default_base_point(system)
-    _flatness_gate(system, k, base_logs)
+    Every loop starts at default_base_point, so the flatness gate runs there
+    once."""
+    _flatness_gate(system, k, default_base_point(system))
     gens = []
     n = system.rank
     simples = list(np.eye(n, dtype=np.int64))
     high = system.positive_roots[-1]
     roots = simples + ([high] if not any(np.array_equal(high, s) for s in simples) else [])
     for alpha in roots:
-        gens.append(mirror_monodromy(system, k, alpha, base_logs, rtol=rtol,
-                                     check_flatness=False))
+        gens.append(mirror_monodromy(system, k, alpha, rtol=rtol, check_flatness=False))
     for j in range(n):
-        gens.append(toric_monodromy(system, k, j, base_logs, rtol=rtol, check_flatness=False))
+        gens.append(toric_monodromy(system, k, j, rtol=rtol, check_flatness=False))
     return gens
 
 
@@ -528,7 +489,7 @@ def _hermitian_basis(N):
     return basis
 
 
-def invariant_form(generators, rank_tol=1e-6, eig_tol=1e-8):
+def invariant_form(generators):
     """Least-squares solve of M* H M = H over Hermitian H for all generators.
 
     Returns the best solution with its residual and signature; raises
@@ -551,7 +512,7 @@ def invariant_form(generators, rank_tol=1e-6, eig_tol=1e-8):
     L = np.concatenate(rows, axis=0)
     _, svals, vt = np.linalg.svd(L, full_matrices=False)
     smax = svals[0] if svals[0] > 0 else 1.0
-    null_dim = int(np.sum(svals <= rank_tol * smax))
+    null_dim = int(np.sum(svals <= _RANK_TOL * smax))
     if null_dim == 0:
         raise InvariantFormError(
             f"no invariant Hermitian form (smallest singular value "
@@ -565,8 +526,8 @@ def invariant_form(generators, rank_tol=1e-6, eig_tol=1e-8):
     H = (H + H.conj().T) / 2.0
     H /= np.linalg.norm(H)
     eigs = np.linalg.eigvalsh(H)
-    pos = int(np.sum(eigs > eig_tol))
-    neg = int(np.sum(eigs < -eig_tol))
+    pos = int(np.sum(eigs > _EIG_TOL))
+    neg = int(np.sum(eigs < -_EIG_TOL))
     if neg > pos:
         H = -H
         pos, neg = neg, pos
@@ -580,8 +541,11 @@ def invariant_form(generators, rank_tol=1e-6, eig_tol=1e-8):
     )
 
 
-def sample_points_near(system, base_logs, count, seed=0, spread=0.35):
-    """Seeded off-mirror sample points as log-coordinate vectors near the base."""
+def sample_points_near(system, count, seed=0):
+    """Seeded log-coordinate vectors near default_base_point whose straight
+    path from the base, endpoint included, keeps MIRROR_DELTA from every
+    mirror."""
+    base_logs = default_base_point(system)
     rng = np.random.default_rng(seed)
     n = system.rank
     out = []
@@ -590,15 +554,13 @@ def sample_points_near(system, base_logs, count, seed=0, spread=0.35):
         attempts += 1
         if attempts > 100 * count:
             raise MirrorSingularity("could not find enough off-mirror samples")
-        d = spread * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        d = _SAMPLE_SPREAD * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         lz = base_logs + d
-        tchar = np.exp(system.positive_roots.astype(np.float64) @ lz)
-        if np.min(np.abs(tchar - 1.0)) > MIRROR_DELTA:
-            try:
-                _check_clearance(system, TorusPath((base_logs, lz)))
-            except MirrorSingularity:
-                continue
-            out.append(lz)
+        try:
+            _check_clearance(system, TorusPath((base_logs, lz)))
+        except MirrorSingularity:
+            continue
+        out.append(lz)
     return out
 
 
@@ -610,20 +572,19 @@ class BallCheckReport:
     form_residual: float
 
 
-def ball_check(system, k, sample_logs=None, count=10, seed=0, base_logs=None,
-               rtol=DEFAULT_RTOL, form=None):
+def ball_check(system, k, sample_logs=None, count=10, seed=0, rtol=DEFAULT_RTOL, form=None):
     """Evaluation vectors at the samples must be negative for the invariant form.
 
     The solver's form H lives on solution coordinates; evaluation vectors
     (value rows of the transported jet frame) transform contragrediently, so
     they pair through the inverse form.  That pairing is normalized to make
-    the base evaluation vector negative.  Pass `form` when the invariant form
-    of the standard generators at this base point is already known.
+    the base evaluation vector negative.  Samples are drawn near, and paths
+    start at, default_base_point.  Pass `form` when the invariant form of the
+    standard generators is already known.
     """
-    if base_logs is None:
-        base_logs = default_base_point(system)
+    base_logs = default_base_point(system)
     if form is None:
-        form = invariant_form(standard_generators(system, k, base_logs, rtol=rtol))
+        form = invariant_form(standard_generators(system, k, rtol=rtol))
     Hinv = np.linalg.inv(form.matrix)
 
     def pairing(v):
@@ -637,7 +598,7 @@ def ball_check(system, k, sample_logs=None, count=10, seed=0, base_logs=None,
         raise _kernels.NumericFailure("base evaluation vector is numerically isotropic")
     sign = -1.0 if ref > 0 else 1.0
     if sample_logs is None:
-        sample_logs = sample_points_near(system, base_logs, count, seed)
+        sample_logs = sample_points_near(system, count, seed)
     values = []
     for lz in sample_logs:
         path = TorusPath((base_logs, lz))

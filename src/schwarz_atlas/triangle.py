@@ -662,6 +662,9 @@ def orthogonal_circle(tess):
 
 _FILL = ("#dce6f2", "#f2e3dc")
 _STROKE = "#20242c"
+_STROKE_WIDTH = 0.004     # relative to the larger side of the view box
+_SPHERE_SAMPLES = 48      # sample points per side of a sampled sphere tile
+_SPHERE_CLIP = 8.0        # chart radius past which sampled points are dropped
 
 
 def _fmt(x):
@@ -724,11 +727,11 @@ def _slerp_rows(p0, p1, f):
     return V / np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0])
 
 
-def _sampled_sphere_path(tri, clip=8.0, samples=48):
+def _sampled_sphere_path(tri):
     # tiles flagged "secondary" or touching the projection pole are drawn by
     # sampling the sphere arcs in the primary chart and clipping; each side is
     # slerped a -> mid -> b through its midpoint, one array per half-arc
-    s = np.arange(samples + 1) / samples
+    s = np.arange(_SPHERE_SAMPLES + 1) / _SPHERE_SAMPLES
     first = s <= 0.5
     f0, f1 = 2 * s[first], 2 * s[~first] - 1
     pieces = []
@@ -742,7 +745,7 @@ def _sampled_sphere_path(tri, clip=8.0, samples=48):
         V = np.concatenate([_slerp_rows(a, mid, f0), _slerp_rows(mid, b, f1)])
         for v in V.tolist():
             z = _project(v)
-            if math.isfinite(z.real) and abs(z) <= clip:
+            if math.isfinite(z.real) and abs(z) <= _SPHERE_CLIP:
                 cmd = "L" if pen_down else "M"
                 pieces.append(f"{cmd} {_fmt(z.real)} {_fmt(z.imag)}")
                 pen_down = True
@@ -751,7 +754,7 @@ def _sampled_sphere_path(tri, clip=8.0, samples=48):
     return " ".join(pieces) if pieces else "M 0 0"
 
 
-def export_svg(tess, path, size=640, stroke_width=0.004):
+def export_svg(tess, path):
     """Write a deterministic SVG rendering: one path element per tile, arcs via
     the elliptical-arc command, the unit circle for hyperbolic geometry."""
     if not tess.tiles:
@@ -768,7 +771,7 @@ def export_svg(tess, path, size=640, stroke_width=0.004):
                (max(xs) - min(xs)) + 2 * pad, (max(ys) - min(ys)) + 2 * pad)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{_fmt(box[0])} {_fmt(box[1])} {_fmt(box[2])} {_fmt(box[3])}">',
         '<g transform="scale(1,-1)">',
     ]
@@ -786,12 +789,12 @@ def export_svg(tess, path, size=640, stroke_width=0.004):
             fill = _FILL[len(word) % 2]
         lines.append(
             f'<path d="{d}" fill="{fill}" stroke="{_STROKE}" '
-            f'stroke-width="{_fmt(stroke_width * max(box[2], box[3]))}"/>'
+            f'stroke-width="{_fmt(_STROKE_WIDTH * max(box[2], box[3]))}"/>'
         )
     if tess.geometry is Geometry.HYPERBOLIC:
         lines.append(
             f'<circle cx="0" cy="0" r="1" fill="none" stroke="{_STROKE}" '
-            f'stroke-width="{_fmt(1.5 * stroke_width * box[2])}"/>'
+            f'stroke-width="{_fmt(1.5 * _STROKE_WIDTH * box[2])}"/>'
         )
     lines.append("</g>")
     lines.append("</svg>")

@@ -149,6 +149,21 @@ def test_torus_rejects_samples_below_one(argv, capsys):
     assert "--samples must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gauss", "monodromy", "--alpha", "1/2", "--beta", "1/3", "--gamma", "1"],
+     "integer exponent difference (logarithmic case)"),
+    (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root", "3"],
+     "--root must be 1..2 or 'highest'"),
+    (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root", "0"],
+     "--root must be 1..2 or 'highest'"),
+    (["schwarz", "check", "--type", "A", "--rank", "2"], "provide --p or --k"),
+])
+def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def _raising(exc):
     def fail(*args, **kwargs):
         raise exc

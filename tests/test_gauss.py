@@ -137,6 +137,19 @@ def test_monodromy_eigenvalues_and_relation():
     assert G.monodromy_relation_residual(loops[0], loops[1], loops["inf"]) < 1e-9
 
 
+@pytest.mark.parametrize("name", ["infinity", math.inf])
+def test_loop_at_infinity_names(name):
+    p = P_STD
+    assert np.array_equal(G.monodromy_at(p, name), G.monodromy_at(p, "inf"))
+    assert G.expected_monodromy_spectrum(p, name) == G.expected_monodromy_spectrum(p, "inf")
+
+
+@pytest.mark.parametrize("fn", [G.monodromy_at, G.expected_monodromy_spectrum])
+def test_unknown_singular_point_raises_value_error(fn):
+    with pytest.raises(ValueError, match="singular point must be 0, 1 or 'inf', got 2"):
+        fn(P_STD, 2)
+
+
 def _mp(x):
     return mpmath.mpf(x.numerator) / x.denominator
 

@@ -155,7 +155,7 @@ def _sequential_transport(system, k, log_waypoints, rtol=torus.DEFAULT_RTOL):
 def _loop_parts(system):
     """The stage and the ring of the highest-root mirror loop, and the first
     coordinate loop, as log waypoints."""
-    pts = torus._mirror_loop_points(system, roots.highest_root(system), None, 0.1, 24)
+    pts = torus._mirror_loop_points(system, roots.highest_root(system), 0.1)
     base = torus.default_base_point(system)
     e = np.zeros(system.rank)
     e[0] = 1.0

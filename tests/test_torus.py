@@ -23,7 +23,7 @@ D4 = _sys("D", 4)
 # --- characters ---------------------------------------------------------------
 
 def test_char_value_definition_and_additivity():
-    z = torus.torus_point(A2, [2.0 + 0j, 3.0 + 0j])
+    z = np.array([2.0 + 0j, 3.0 + 0j])
     assert torus.char_value(z, [1, 0]) == 2.0
     assert torus.char_value(z, [1, 1]) == 6.0  # highest root: z1 z2
 
@@ -86,12 +86,12 @@ def test_assemble_symmetry_and_mirror_error():
 
 def test_connection_frame_layout():
     conn = torus.connection(A2, F(1, 4), np.array([2.0 + 1j, 3.0 - 1j]))
-    for i, A in enumerate(conn.matrices):
+    for i, A in enumerate(conn):
         row0 = np.zeros(3)
         row0[i + 1] = 1.0
         assert np.array_equal(A[0].real, row0) and not A[0].imag.any()
     # mixed-equation consistency: row j+1 of A_i equals row i+1 of A_j
-    A, B = conn.matrices
+    A, B = conn
     assert np.max(np.abs(A[2, :] - B[1, :])) < 1e-12
 
 
@@ -191,8 +191,7 @@ def test_flatness_matches_literal_pair_loop(fam, rank):
     system = _sys(fam, rank)
     k = roots.hyperbolic_exponent(system) / 2
     a = roots.integrability_constant(system)
-    base = torus.default_base_point(system)
-    for lz in torus.sample_points_near(system, base, 2, seed=rank):
+    for lz in torus.sample_points_near(system, 2, seed=rank):
         z = np.exp(lz)
         for factor in (None, F(1, 2), F(3, 2)):
             a_override = None if factor is None else a * factor
@@ -341,7 +340,7 @@ def test_mirror_loop_clearance_checked_once(monkeypatch):
         return check(system, path, *args)
 
     monkeypatch.setattr(torus, "_check_clearance", counted)
-    torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]), segments=24)
+    torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
     # the stage and the 24 ring segments, each once; the way back is the
     # stage reversed
     assert sorted(checked) == [1, 24]
@@ -465,3 +464,55 @@ def test_ball_check_a1_arc():
     arc = [np.array([complex(0.0, phi)]) for phi in (0.6, 1.4, 2.4, 3.6, 4.8, 5.7)]
     rep = torus.ball_check(A1, F(1, 2), sample_logs=arc)
     assert rep.all_negative
+
+
+# --- sample points -------------------------------------------------------------
+
+def _oracle_sample_points(system, base_logs, count, seed):
+    """The sampler as first written: a draw is kept when its endpoint passes
+    the point check and its straight path from the base passes the sampled
+    path check (10 points per segment), both against delta = 0.02."""
+    croots = system.positive_roots.astype(np.float64)
+    rng = np.random.default_rng(seed)
+    n = system.rank
+    out, point_rejects = [], 0
+    while len(out) < count:
+        d = 0.35 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        lz = base_logs + d
+        if not np.min(np.abs(np.exp(croots @ lz) - 1.0)) > 0.02:
+            point_rejects += 1
+            continue
+        pts = np.asarray((base_logs, lz), dtype=np.complex128)
+        t = np.arange(10)[:, None, None] / 9
+        path = (1 - t) * pts[:-1] + t * pts[1:]
+        if float(np.min(np.abs(np.exp(path @ croots.T) - 1.0))) < 0.02:
+            continue
+        out.append(lz)
+    return out, point_rejects
+
+
+# seeds below 1000 at which the oracle's point check rejects a draw (count 10);
+# seeds 0-49 have none
+POINT_REJECT_SEEDS = {
+    ("A", 2): (80, 292, 562, 704, 768, 930, 955),
+    ("D", 4): (75, 139, 180, 183, 267, 277, 501, 603, 644, 826),
+    ("E", 6): (145, 211, 434, 501, 529, 622, 733, 808, 822, 907),
+    ("E", 8): (86, 126, 203, 232, 423, 481, 495, 608, 613, 667),
+}
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 6), ("E", 8)])
+def test_sample_points_match_point_then_path_oracle(fam, rank):
+    # every torus flatness and torus form report depends on which draws the
+    # sampler keeps; it has no separate endpoint check, since the path check
+    # samples the endpoint itself
+    system = _sys(fam, rank)
+    base = torus.default_base_point(system)
+    special = POINT_REJECT_SEEDS[(fam, rank)]
+    point_rejects = 0
+    for seed in (*range(50 - len(special)), *special):
+        want, rejects = _oracle_sample_points(system, base, 10, seed)
+        point_rejects += rejects
+        assert np.array_equal(np.array(torus.sample_points_near(system, 10, seed=seed)),
+                              np.array(want))
+    assert point_rejects >= len(special)
