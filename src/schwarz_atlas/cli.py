@@ -185,11 +185,8 @@ def _cmd_gauss_triangle(args):
                 + ("" if angle else " (a zero angle needs a hyperbolic triangle)"))
     tri = triangle.triangle_from_angles(
         float(kappa) * math.pi, float(lam) * math.pi, float(mu) * math.pi, geometry)
-    tess = triangle.Tessellation(
-        tiles=[tri], words=[""], geometry=geometry, depth=0,
-        closure_reached=True, base=tri)
     if args.svg:
-        triangle.export_svg(tess, args.svg)
+        triangle.export_svg(triangle.Tessellation.from_triangle(tri, geometry), args.svg)
     residual = tri.max_angle_residual()
     payload = _report(
         module="gauss",
@@ -208,6 +205,9 @@ def _cmd_gauss_triangle(args):
 
 
 def _cmd_triangle_tessellate(args):
+    if args.depth is not None:
+        _require_at_least("--depth", args.depth, 0)
+    _require_at_least("--max-tiles", args.max_tiles, 1)
     tess = triangle.tessellate(args.k, args.l, args.m, max_word_length=args.depth,
                                max_tiles=args.max_tiles)
     rep = tess.report()
@@ -236,8 +236,8 @@ def _cmd_triangle_tessellate(args):
 
 
 def _require_at_least(flag, value, least):
-    # an empty sample or scan would pass every check vacuously, and below
-    # n = 1 there is no weight vector
+    # an empty sample, scan or tile budget would pass every check vacuously,
+    # below n = 1 there is no weight vector and below depth 0 no word
     if value < least:
         raise ValueError(f"{flag} must be at least {least}, got {value}")
 
@@ -590,6 +590,9 @@ def main(argv=None):
         return EXIT_NUMERIC
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:   # the --svg or --json file
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     if payload is not None:
         _emit(payload, getattr(args, "fmt", "json"), sys.stdout)

@@ -21,7 +21,7 @@ import numpy as np
 from . import _kernels
 from ._kernels import NumericFailure
 from .exact import ExponentTriple, exponent_differences
-from .triangle import GeneralizedCircle, angle_between_sides, circle_intersections
+from .triangle import GeneralizedCircle, circle_intersections
 
 __all__ = [
     "GaussParams",
@@ -470,7 +470,23 @@ def _vertex_angle(ca, cb, near_a, near_b):
         # tangent circles: cusp
         return 0.0
     vertex = min(pts, key=lambda q: abs(q - near_a) + abs(q - near_b))
-    return angle_between_sides(ca, near_a, cb, near_b, vertex)
+    return abs(cmath.phase(_tangent(ca, vertex, near_a).conjugate() * _tangent(cb, vertex, near_b)))
+
+
+def _tangent(circ, p, towards):
+    """Unit tangent of the circle at p, oriented so it points toward `towards`.
+
+    Scalar, unlike the tile angles of `triangle`: the fitted circles and the
+    sample points are numpy scalars, and their complex arithmetic rounds as
+    numpy's does, which the measured angles keep."""
+    if circ.is_line:
+        tau = 1j * circ.line_normal
+    else:
+        nu = p - circ.center
+        tau = 1j * nu / abs(nu)
+    if (tau.conjugate() * (towards - p)).real < 0:
+        tau = -tau
+    return tau
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ z = (X1 + i X2) / (1 + X3), stereographically from the south pole on the
 sphere.  The side through the model points p, q is the plane l.X = 0 with
 l = p x q, and its reflection is I - 2 (J l) l^T / (l^T J l): orthogonal,
 affine or Lorentzian (Vinberg 1971).  A tile is the group element G that maps
-the base triangle onto it, and the tile across its side i is G R_i.  Chart
-triangles are built at the end; spherical tiles reaching too close to the
-projection pole are reported in a secondary chart.
+the base triangle onto it, and the tile across its side i is G R_i.  The
+tiles' chart points and side circles are computed at the end, as arrays over
+all tiles; spherical tiles reaching too close to the projection pole are
+reported in a secondary chart.  The residuals and the SVG read the same
+arrays, and ArcTriangle objects are built only on request.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -107,17 +109,9 @@ class GeneralizedCircle:
         origin keeps its digits, and the constant term is
         |z1|^2 + 2 Re(conj(z1) w) for the relative centre w, which stays
         accurate as the circle grows into a line."""
-        w2, w3 = z2 - z1, z3 - z1
-        det = 2 * (w2.real * w3.imag - w2.imag * w3.real)
-        toward = -1j * (abs(w2) ** 2 * w3 - abs(w3) ** 2 * w2)   # det times the centre
-        if toward == 0:
-            raise ValueError("a circle needs three distinct points")
-        if det == 0:
-            return cls.from_line(toward, (toward.conjugate() * z1).real / abs(toward))
-        w = toward / det
-        b, c = -(z1 + w), abs(z1) ** 2 + 2 * (z1.conjugate() * w).real
-        scale = max(1.0, abs(b), abs(c))
-        return cls(1.0 / scale, b / scale, c / scale)
+        z = np.array([z1, z2, z3], complex)
+        a, br, bi, c = _through(*np.stack([z.real, z.imag], axis=1)).tolist()
+        return cls(a, complex(br, bi), c)
 
     @cached_property
     def is_line(self):
@@ -154,10 +148,8 @@ class GeneralizedCircle:
         """| |c|^2 - r^2 - 1 | / (|c|^2 + r^2 + 1) for circles, so a correct
         circle rounded to doubles reads about eps at any radius; distance from
         the origin for lines."""
-        if self.is_line:
-            return abs(self.line_offset)
-        c2, r2 = abs(self.center) ** 2, self.radius**2
-        return abs(c2 - r2 - 1.0) / (c2 + r2 + 1.0)
+        sides = np.array([self.a, self.b.real, self.b.imag, self.c], float)
+        return _orthogonality_residuals(sides).item()
 
 
 def reflect_point(p, circ):
@@ -242,29 +234,6 @@ def circle_intersections(c1, c2):
     return [foot + t, foot - t]
 
 
-def tangent_direction(circ, p, towards):
-    """Unit tangent of the circle at p, oriented so it points toward `towards`."""
-    if circ.is_line:
-        tau = 1j * circ.line_normal
-    else:
-        nu = p - circ.center
-        tau = 1j * nu / abs(nu)
-    if (tau.conjugate() * (towards - p)).real < 0:
-        tau = -tau
-    return tau
-
-
-def angle_between_sides(s1, m1, s2, m2, vertex):
-    """Interior angle between two sides meeting at `vertex`.
-
-    m1, m2 are points on the respective arcs used to orient the tangents away
-    from the vertex; tangent circles (cusps) give angle 0.
-    """
-    t1 = tangent_direction(s1, vertex, m1)
-    t2 = tangent_direction(s2, vertex, m2)
-    return abs(cmath.phase(t1.conjugate() * t2))
-
-
 # ---------------------------------------------------------------------------
 # triangles
 
@@ -278,22 +247,10 @@ class ArcTriangle:
     chart: str = "primary"     # spherical tiles far from the origin use "secondary"
 
     def measured_angles(self):
-        out = []
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            out.append(
-                angle_between_sides(
-                    self.sides[j], self.side_midpoints[j],
-                    self.sides[k], self.side_midpoints[k],
-                    self.vertices[i],
-                )
-            )
-        return tuple(out)
+        return tuple(_measured_angles(*_tile_arrays(self))[0].tolist())
 
     def max_angle_residual(self):
-        return max(
-            min(abs(a - b) for b in self.angles) for a in self.measured_angles()
-        )
+        return _angle_residuals(*_tile_arrays(self), self.angles)[0].item()
 
     def incidence_residual(self):
         worst = 0.0
@@ -465,26 +422,64 @@ def build_triangle(k, l, m):
 # ---------------------------------------------------------------------------
 # tessellation
 
-@dataclass
+@dataclass(eq=False)
 class Tessellation:
-    tiles: list
-    words: list
+    """The tiles as arrays, one row per tile in word order.
+
+    points[0] and points[1] hold the chart x and y of each tile's vertices
+    (columns 0-2), side midpoints (3-5) and interior point (6).  sides holds
+    (a, Re b, Im b, c) of side i, the side opposite vertex i, in column i.
+    secondary flags the spherical tiles drawn in the chart z' = 1/z."""
     geometry: Geometry
+    words: list
     depth: int
     closure_reached: bool
-    base: ArcTriangle = field(repr=False)
+    angles: tuple              # target interior angles at v0, v1, v2 (radians)
+    points: np.ndarray         # (2, tiles, 7)
+    sides: np.ndarray          # (4, tiles, 3)
+    secondary: np.ndarray      # (tiles,) bool
+
+    @classmethod
+    def from_triangle(cls, tri, geometry):
+        """The tessellation made of the one triangle tri."""
+        points, sides = _tile_arrays(tri)
+        return cls(geometry=geometry, words=[""], depth=0, closure_reached=True,
+                   angles=tri.angles, points=points, sides=sides,
+                   secondary=np.array([tri.chart == "secondary"]))
 
     @property
     def tile_count(self):
-        return len(self.tiles)
+        return len(self.words)
+
+    @cached_property
+    def tiles(self):
+        """The tiles as ArcTriangle objects, built on first use."""
+        return self._triangles(slice(None))
+
+    @property
+    def base(self):
+        return self._triangles(slice(0, 1))[0]
+
+    def _triangles(self, rows):
+        x, y = self.points[:, rows]
+        z = np.empty(x.shape, complex)
+        z.real, z.imag = x, y
+        sides = self.sides[:, rows].transpose(1, 2, 0).tolist()
+        return [
+            ArcTriangle(
+                vertices=tuple(v[:3]), angles=self.angles, side_midpoints=tuple(v[3:6]),
+                interior_point=v[6], chart="secondary" if secondary else "primary",
+                sides=tuple(GeneralizedCircle(a, complex(br, bi), c) for a, br, bi, c in coeffs))
+            for v, coeffs, secondary in zip(z.tolist(), sides, self.secondary[rows].tolist())
+        ]
 
     def max_angle_residual(self):
-        return max(t.max_angle_residual() for t in self.tiles)
+        return _angle_residuals(self.points, self.sides, self.angles).max().item()
 
     def max_orthogonality_residual(self):
         if self.geometry is not Geometry.HYPERBOLIC:
             raise ValueError("orthogonality residual is a hyperbolic-model quantity")
-        return max(s.unit_circle_orthogonality_residual() for t in self.tiles for s in t.sides)
+        return _orthogonality_residuals(self.sides).max().item()
 
     def report(self):
         rep = {
@@ -499,6 +494,15 @@ class Tessellation:
         return rep
 
 
+def _tile_arrays(tri):
+    """points and sides of one ArcTriangle, as a stack of one tile."""
+    z = (*tri.vertices, *tri.side_midpoints, tri.interior_point)
+    s = tri.sides
+    flat = np.array([*(p.real for p in z), *(p.imag for p in z), *(t.a for t in s),
+                     *(t.b.real for t in s), *(t.b.imag for t in s), *(t.c for t in s)], float)
+    return flat[:14].reshape(2, 1, 7), flat[14:].reshape(4, 1, 3)
+
+
 _FORM_SIGN = {Geometry.SPHERICAL: 1.0, Geometry.EUCLIDEAN: 0.0, Geometry.HYPERBOLIC: -1.0}
 
 
@@ -508,9 +512,9 @@ def _lift(z, s=1.0):
     return np.array([2 * z.real, 2 * z.imag, 1.0 - s * q]) / (1.0 + s * q)
 
 
-def _project(v, secondary=False):
-    """Model point to chart point; the secondary chart of the sphere is z' = 1/z."""
-    x, y, h = (v[0], -v[1], -v[2]) if secondary else v
+def _project(v):
+    """Model point to primary chart point; _sphere_chart does whole tiles."""
+    x, y, h = v
     if 1.0 + h < 1e-12:
         return complex(math.inf, math.inf)
     return complex(x, y) / (1.0 + h)
@@ -581,8 +585,9 @@ def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
     Reflections are enumerated in word order (length first, then a < b < c for
     the three sides), and the sweep stops at closure or at the first exhausted
     budget.  Each tile is a 3x3 matrix in the linear model of its geometry;
-    chart triangles are built only for the tiles kept.  Spherical input closes
-    up with one tile per element of the full reflection group.
+    the chart points and side circles of the tiles kept are computed at the
+    end, for all tiles at once.  Spherical input closes up with one tile per
+    element of the full reflection group.
     """
     geometry = classify(k, l, m)
     s = _FORM_SIGN[geometry]
@@ -598,54 +603,46 @@ def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
 
     pts = mats @ np.column_stack([P, mids, c0])   # per tile: vertices, midpoints, centre
     if geometry is Geometry.SPHERICAL:
+        points, secondary = _sphere_chart(_on_model(pts, s))
         # the sides' normals are G l_i for orthogonal G
-        tiles = _sphere_tiles(_on_model(pts, s), _on_model(mats @ ells.T, s), base.angles)
+        sides = _great_circles(_on_model(mats @ ells.T, s), secondary)
     else:
-        tiles = _plane_tiles((pts[:, 0] + 1j * pts[:, 1]) / (1.0 + pts[:, 2]), base.angles, geometry)
+        z = (pts[:, 0] + 1j * pts[:, 1]) / (1.0 + pts[:, 2])
+        points, secondary = np.stack([z.real, z.imag]), np.zeros(len(words), bool)
+        ends = points[..., _PLUS1], points[..., _PLUS2]
+        # a hyperbolic side is the circle through its two vertices and its
+        # midpoint, never one orthogonal to the unit circle by construction,
+        # so drift of G off O(2,1) shows in the residuals
+        if geometry is Geometry.EUCLIDEAN:
+            sides = _line_through(*ends)
+        else:
+            sides = _through(ends[0], points[..., 3:6], ends[1])
     return Tessellation(
-        tiles=tiles, words=words, geometry=geometry, depth=len(words[-1]),
-        closure_reached=closed, base=tiles[0],
+        geometry=geometry, words=words, depth=len(words[-1]), closure_reached=closed,
+        angles=base.angles, points=points, sides=sides, secondary=secondary,
     )
 
 
-def _plane_tiles(z, angles, geometry):
-    """Chart triangles from projected points.  A hyperbolic side is the circle
-    through its two vertices and its midpoint, never one orthogonal to the unit
-    circle by construction, so drift of G off O(2,1) shows in the residuals; a
-    Euclidean side is the line through its two vertices."""
-    tiles = []
-    for v0, v1, v2, m0, m1, m2, centre in z.tolist():
-        verts, mids = (v0, v1, v2), (m0, m1, m2)
-        sides = tuple(
-            _geodesic_side(a, b, geometry) if geometry is Geometry.EUCLIDEAN
-            else GeneralizedCircle.through(a, mid, b)
-            for a, mid, b in zip((v1, v2, v0), mids, (v2, v0, v1)))
-        tiles.append(ArcTriangle(vertices=verts, sides=sides, angles=angles,
-                                 side_midpoints=mids, interior_point=centre))
-    return tiles
+def _sphere_chart(pts):
+    """Stereographic chart points (2, tiles, 7) of the model points pts
+    (tiles, 3, 7), and which tiles go to the secondary chart z' = 1/z: those
+    reaching too close to the primary pole.  No point meets the pole of its
+    tile's chart, since a tile spans at most a quarter circle."""
+    X, Y, H = pts[:, 0], pts[:, 1], pts[:, 2]
+    secondary = ~np.all(1.0 + H[:, :6] > 0.06, axis=1)
+    flip = secondary[:, None]
+    Y, H = np.where(flip, -Y, Y), np.where(flip, -H, H)
+    return _div_real(np.stack([X, Y]), 1.0 + H), secondary
 
 
-def _great_circle(normal, secondary=False):
-    n1, n2, n3 = normal
-    if secondary:
-        n2, n3 = -n2, -n3
-    scale = max(abs(n1), abs(n2), abs(n3))
-    return GeneralizedCircle(-n3 / scale, complex(n1, n2) / scale, n3 / scale)
-
-
-def _sphere_tiles(pts, normals, angles):
-    """Stereographic chart triangles; a tile reaching too close to the primary
-    pole goes to the secondary chart."""
-    tiles = []
-    for tile, tnorms in zip(pts.transpose(0, 2, 1), normals.transpose(0, 2, 1)):
-        secondary = not all(1.0 + v[2] > 0.06 for v in tile[:6])
-        pv = tuple(_project(v, secondary) for v in tile)
-        tiles.append(ArcTriangle(
-            vertices=pv[:3], sides=tuple(_great_circle(n, secondary) for n in tnorms),
-            angles=angles, side_midpoints=pv[3:6], interior_point=pv[6],
-            chart="secondary" if secondary else "primary",
-        ))
-    return tiles
+def _great_circles(normals, secondary):
+    """Chart circles (a, Re b, Im b, c) of the great circles with unit normals
+    normals (tiles, 3 coordinates, 3 sides), each in its tile's chart."""
+    flip = secondary[:, None]
+    n1, n2, n3 = normals[:, 0], normals[:, 1], normals[:, 2]
+    n2, n3 = np.where(flip, -n2, n2), np.where(flip, -n3, n3)
+    scale = np.maximum(np.maximum(np.abs(n1), np.abs(n2)), np.abs(n3))
+    return np.stack([-n3 / scale, *_div_real(np.stack([n1, n2]), scale), n3 / scale])
 
 
 def orthogonal_circle(tess):
@@ -658,6 +655,153 @@ def orthogonal_circle(tess):
 
 
 # ---------------------------------------------------------------------------
+# sides, angles and residuals of many tiles at once
+#
+# A complex value is stacked as (re, im) on axis 0.  Every value is bitwise
+# the one Python's scalar complex arithmetic gives, so that reports and SVGs
+# keep their bytes: products are spelled out in real + - * / on float
+# arrays, abs is np.hypot, x ** 2 is libm pow (_square), a phase is
+# math.atan2 (_atan2) and a complex divided by a float is Python's Smith
+# division (_div_real).  numpy's complex arithmetic, its arctan2 and x * x
+# each round differently from these in some cases.  Chart points are finite,
+# so Python's min and max agree with numpy's.  A lane that another branch
+# answers gets the divisor 1.0, so that no division meets a zero that
+# Python's branch would not.
+
+_PLUS1, _PLUS2 = [1, 2, 0], [2, 0, 1]    # i + 1 and i + 2 (mod 3): side i runs from
+                                         # vertex i + 1 to vertex i + 2
+_TIMES_I = np.array([-1.0, 1.0])[:, None, None]   # i z = z[::-1] * _TIMES_I, up to
+                                                  # signs of zero, on (2, tiles, k)
+
+
+def _square(x):
+    """x ** 2 as Python computes it, libm pow(x, 2.0), which differs from
+    x * x in about one case in a thousand."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.pow, x.ravel().tolist(), itertools.repeat(2.0)),
+                       float, x.size).reshape(x.shape)
+
+
+def _atan2(y, x):
+    """math.atan2, which is cmath.phase(complex(x, y)), element by element
+    over arrays of one shape."""
+    return np.fromiter(map(math.atan2, y.ravel().tolist(), x.ravel().tolist()),
+                       float, y.size).reshape(y.shape)
+
+
+def _div_real(z, f):
+    """z / f as Python divides a complex by a float: Smith's algorithm with
+    the divisor (f, 0), signs of zero included.  Its denominator
+    f + 0 * ratio is f itself."""
+    cross = z[::-1] * (0.0 / f)         # (im ratio, re ratio)
+    cross[1] = -cross[1]
+    return (z + cross) / f
+
+
+def _times_i(z):
+    """1j * z, as Python multiplies: (0 re - 1 im, 0 im + 1 re)."""
+    return np.stack([0.0 * z[0] - 1.0 * z[1], 0.0 * z[1] + 1.0 * z[0]])
+
+
+def _line(n, offset):
+    """GeneralizedCircle.from_line: the lines Re(conj(u) z) = offset for the
+    normals n scaled to unit length u."""
+    u = _div_real(n, np.hypot(n[0], n[1]))
+    return np.stack(np.broadcast_arrays(0.0, *u, -2.0 * offset))
+
+
+def _line_through(p1, p2):
+    """The lines through two points each, as _geodesic_side builds a
+    Euclidean side: normal u = i (p2 - p1) / |p2 - p1|, offset Re(conj(u) p1)."""
+    chord = p2 - p1
+    u = _div_real(_times_i(chord), np.hypot(chord[0], chord[1]))
+    return _line(u, u[0] * p1[0] - (-u[1]) * p1[1])
+
+
+def _through(p1, p2, p3):
+    """GeneralizedCircle.through: (a, Re b, Im b, c) of the circle or line
+    through three points each."""
+    w2, w3 = p2 - p1, p3 - p1
+    det = 2.0 * (w2[0] * w3[1] - w2[1] * w3[0])
+    n2, n3 = _square(np.hypot(w2[0], w2[1])), _square(np.hypot(w3[0], w3[1]))
+    # toward = -1j * (|w2|^2 w3 - |w3|^2 w2) is det times the centre; the
+    # real factors multiply as (n, 0), and -1j is (-0.0, -1.0)
+    dr = (n2 * w3[0] - 0.0 * w3[1]) - (n3 * w2[0] - 0.0 * w2[1])
+    di = (n2 * w3[1] + 0.0 * w3[0]) - (n3 * w2[1] + 0.0 * w2[0])
+    toward = np.stack([(-0.0) * dr - (-1.0) * di, (-0.0) * di + (-1.0) * dr])
+    if np.any((toward[0] == 0) & (toward[1] == 0)):
+        raise ValueError("a circle needs three distinct points")
+    offset = (toward[0] * p1[0] - (-toward[1]) * p1[1]) / np.hypot(toward[0], toward[1])
+    straight = _line(toward, offset)
+    w = _div_real(toward, np.where(det == 0, 1.0, det))
+    b = -(p1 + w)
+    c = _square(np.hypot(p1[0], p1[1])) + 2.0 * (p1[0] * w[0] - (-p1[1]) * w[1])
+    scale = np.maximum(np.maximum(1.0, np.hypot(b[0], b[1])), np.abs(c))
+    return np.where(det == 0, straight, np.stack([1.0 / scale, *_div_real(b, scale), c / scale]))
+
+
+def _circle_parts(sides):
+    """is_line, |b| and the centre -b / a of each side (a, Re b, Im b, c); a
+    line's centre is a placeholder."""
+    a, b, c = sides[0], sides[1:3], sides[3]
+    babs = np.hypot(b[0], b[1])
+    is_line = np.abs(a) <= _LINE_EPS * np.maximum(np.maximum(babs, np.abs(c)), 1.0)
+    return is_line, babs, _div_real(-b, np.where(is_line, 1.0, a))
+
+
+def _radii(sides, babs, used):
+    """Radius of each side where used; a used side with a non-positive
+    squared radius raises."""
+    a, c = sides[0], sides[3]
+    r2 = (_square(babs) - a * c) / _square(np.where(used, a, 1.0))
+    if np.any(used & (r2 <= 0)):
+        raise ValueError("degenerate circle (non-positive squared radius)")
+    return np.sqrt(np.where(used, r2, 1.0))
+
+
+def _tangents(sides, p, toward):
+    """Unit tangent i n / |n| of each side at p, turned to point toward
+    toward, for n = b on a line and n = p - centre on a circle.  Plain
+    division stands in for Python's here: the two differ at most in the sign
+    of a zero component, which no measured angle sees."""
+    is_line, _, centre = _circle_parts(sides)
+    n = np.where(is_line, sides[1:3], p - centre)
+    u = n[::-1] * _TIMES_I / np.hypot(n[0], n[1])
+    along = u * (toward - p)
+    return np.where(along[0] + along[1] < 0, -u, u)
+
+
+def _measured_angles(points, sides):
+    """Interior angle at each vertex i of each tile, (tiles, 3): the angle
+    |phase(conj(t1) t2)| between the tangents t1 of side i + 1 and t2 of side
+    i + 2 there, each turned toward its side's midpoint."""
+    at = _PLUS1 + _PLUS2                        # the side of each tangent
+    p = points[..., [0, 1, 2, 0, 1, 2] + [3 + i for i in at]]
+    u = _tangents(sides[..., at], p[..., :6], p[..., 6:])
+    t1, t2 = u[..., :3], u[..., 3:]
+    dot = t1 * t2
+    return np.abs(_atan2(t1[0] * t2[1] - t1[1] * t2[0], dot[0] + dot[1]))
+
+
+def _angle_residuals(points, sides, angles):
+    """Per tile, the largest distance of a measured angle from the nearest
+    target angle."""
+    off = np.abs(_measured_angles(points, sides)[..., None] - np.asarray(angles))
+    return off.min(axis=2).max(axis=1)
+
+
+def _orthogonality_residuals(sides):
+    """| |c|^2 - r^2 - 1 | / (|c|^2 + r^2 + 1) of each circle, so a correct
+    circle rounded to doubles reads about eps at any radius; the distance
+    from the origin of each line."""
+    is_line, babs, centre = _circle_parts(sides)
+    r2 = _square(_radii(sides, babs, ~is_line))
+    c2 = _square(np.hypot(centre[0], centre[1]))
+    offset = -sides[3] / (2.0 * np.where(is_line, babs, 1.0))
+    return np.where(is_line, np.abs(offset), np.abs(c2 - r2 - 1.0) / (c2 + r2 + 1.0))
+
+
+# ---------------------------------------------------------------------------
 # SVG export
 
 _FILL = ("#dce6f2", "#f2e3dc")
@@ -665,42 +809,38 @@ _STROKE = "#20242c"
 _STROKE_WIDTH = 0.004     # relative to the larger side of the view box
 _SPHERE_SAMPLES = 48      # sample points per side of a sampled sphere tile
 _SPHERE_CLIP = 8.0        # chart radius past which sampled points are dropped
+_ARC_FLAGS = np.array(["0 0 ", "0 1 ", "1 0 ", "1 1 "], object)   # large-arc, sweep
 
 
 def _fmt(x):
     return f"{x:.9f}"
 
 
-def _arc_command(side, v_from, v_to, mid):
-    if side.is_line or not all(map(math.isfinite, (v_to.real, v_to.imag))):
-        return f"L {_fmt(v_to.real)} {_fmt(v_to.imag)}"
-    c, r = side.center, side.radius
-    th1 = cmath.phase(v_from - c)
-    th2 = cmath.phase(v_to - c)
-    thm = cmath.phase(mid - c)
-    ccw_to_mid = (thm - th1) % (2 * math.pi)
-    ccw_to_end = (th2 - th1) % (2 * math.pi)
-    sweep_ccw = ccw_to_mid <= ccw_to_end
-    delta = ccw_to_end if sweep_ccw else (2 * math.pi - ccw_to_end)
-    large = 1 if delta > math.pi else 0
-    sweep = 1 if sweep_ccw else 0
-    return (
-        f"A {_fmt(r)} {_fmt(r)} 0 {large} {sweep} "
-        f"{_fmt(v_to.real)} {_fmt(v_to.imag)}"
-    )
-
-
-def _tile_path(tri):
-    v = tri.vertices
-    mids = tri.side_midpoints
-    pieces = [f"M {_fmt(v[0].real)} {_fmt(v[0].imag)}"]
-    # the side joining v[i] and v[i+1] is the one opposite the third vertex
-    for i in range(3):
-        j = (i + 1) % 3
-        opp = (i + 2) % 3
-        pieces.append(_arc_command(tri.sides[opp], v[i], v[j], mids[opp]))
-    pieces.append("Z")
-    return " ".join(pieces)
+def _tile_paths(points, sides):
+    """Path data of each tile (points (2, tiles, 7), sides (4, tiles, 3)):
+    from vertex 0 along side 2 to vertex 1, side 0 to vertex 2 and side 1
+    back.  A circle side is an elliptical arc, a line a straight segment.
+    Every number goes through _fmt once."""
+    is_line, babs, centre = _circle_parts(sides)
+    arc = ~is_line
+    r = _radii(sides, babs, arc)[arc]
+    start, end, mid = ((points[..., cols][:, arc] - centre[:, arc])[::-1]
+                       for cols in (_PLUS1, _PLUS2, slice(3, 6)))
+    start = _atan2(*start)
+    to_end = np.remainder(_atan2(*end) - start, 2 * math.pi)
+    ccw = np.remainder(_atan2(*mid) - start, 2 * math.pi) <= to_end
+    large = np.where(ccw, to_end, 2 * math.pi - to_end) > math.pi
+    heads = np.full(arc.shape, "L ", object)
+    heads[arc] = [f"A {radius} {radius} 0 {flags}" for radius, flags in
+                  zip(map(_fmt, r.tolist()), _ARC_FLAGS[2 * large + ccw].tolist())]
+    heads = heads.ravel().tolist()
+    xs = list(map(_fmt, points[0, :, :3].ravel().tolist()))
+    ys = list(map(_fmt, points[1, :, :3].ravel().tolist()))
+    return [
+        f"M {xs[k]} {ys[k]} {heads[k + 2]}{xs[k + 1]} {ys[k + 1]} "
+        f"{heads[k]}{xs[k + 2]} {ys[k + 2]} {heads[k + 1]}{xs[k]} {ys[k]} Z"
+        for k in range(0, arc.size, 3)
+    ]
 
 
 def _unproject(z, chart):
@@ -727,7 +867,7 @@ def _slerp_rows(p0, p1, f):
     return V / np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0])
 
 
-def _sampled_sphere_path(tri):
+def _sampled_sphere_path(vertices, midpoints, chart):
     # tiles flagged "secondary" or touching the projection pole are drawn by
     # sampling the sphere arcs in the primary chart and clipping; each side is
     # slerped a -> mid -> b through its midpoint, one array per half-arc
@@ -739,9 +879,9 @@ def _sampled_sphere_path(tri):
     for i in range(3):
         j = (i + 1) % 3
         opp = (i + 2) % 3
-        a = _unproject(tri.vertices[i], tri.chart)
-        b = _unproject(tri.vertices[j], tri.chart)
-        mid = _unproject(tri.side_midpoints[opp], tri.chart)
+        a = _unproject(vertices[i], chart)
+        b = _unproject(vertices[j], chart)
+        mid = _unproject(midpoints[opp], chart)
         V = np.concatenate([_slerp_rows(a, mid, f0), _slerp_rows(mid, b, f1)])
         for v in V.tolist():
             z = _project(v)
@@ -757,40 +897,38 @@ def _sampled_sphere_path(tri):
 def export_svg(tess, path):
     """Write a deterministic SVG rendering: one path element per tile, arcs via
     the elliptical-arc command, the unit circle for hyperbolic geometry."""
-    if not tess.tiles:
+    if not tess.tile_count:
         raise ValueError("refusing to render an empty tessellation")
+    x, y = tess.points
     if tess.geometry is Geometry.HYPERBOLIC:
         box = (-1.05, -1.05, 2.1, 2.1)
     elif tess.geometry is Geometry.SPHERICAL:
         box = (-4.2, -4.2, 8.4, 8.4)
     else:
-        xs = [v.real for t in tess.tiles for v in t.vertices]
-        ys = [v.imag for t in tess.tiles for v in t.vertices]
+        xs, ys = x[:, :3].ravel().tolist(), y[:, :3].ravel().tolist()
         pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
         box = (min(xs) - pad, min(ys) - pad,
                (max(xs) - min(xs)) + 2 * pad, (max(ys) - min(ys)) + 2 * pad)
+    # spherical tiles in the secondary chart or reaching far out are sampled
+    sampled = np.zeros(tess.tile_count, bool)
+    if tess.geometry is Geometry.SPHERICAL:
+        sampled = tess.secondary | np.any(np.hypot(x[:, :3], y[:, :3]) > 4.0, axis=1)
+    drawn = iter(_tile_paths(tess.points[:, ~sampled], tess.sides[:, ~sampled]))
+    stroke = f'stroke="{_STROKE}" stroke-width="{_fmt(_STROKE_WIDTH * max(box[2], box[3]))}"'
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{_fmt(box[0])} {_fmt(box[1])} {_fmt(box[2])} {_fmt(box[3])}">',
         '<g transform="scale(1,-1)">',
     ]
-    for tri, word in zip(tess.tiles, tess.words):
-        spherical_fallback = (
-            tess.geometry is Geometry.SPHERICAL
-            and (tri.chart == "secondary"
-                 or any(not math.isfinite(v.real) or abs(v) > 4.0 for v in tri.vertices))
-        )
-        if spherical_fallback:
-            d = _sampled_sphere_path(tri)
-            fill = "none"
+    for t, (word, sample) in enumerate(zip(tess.words, sampled.tolist())):
+        if sample:
+            z = [complex(a, b) for a, b in zip(x[t, :6].tolist(), y[t, :6].tolist())]
+            chart = "secondary" if tess.secondary[t] else "primary"
+            d, fill = _sampled_sphere_path(z[:3], z[3:], chart), "none"
         else:
-            d = _tile_path(tri)
-            fill = _FILL[len(word) % 2]
-        lines.append(
-            f'<path d="{d}" fill="{fill}" stroke="{_STROKE}" '
-            f'stroke-width="{_fmt(_STROKE_WIDTH * max(box[2], box[3]))}"/>'
-        )
+            d, fill = next(drawn), _FILL[len(word) % 2]
+        lines.append(f'<path d="{d}" fill="{fill}" {stroke}/>')
     if tess.geometry is Geometry.HYPERBOLIC:
         lines.append(
             f'<circle cx="0" cy="0" r="1" fill="none" stroke="{_STROKE}" '

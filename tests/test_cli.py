@@ -275,6 +275,37 @@ def test_gauss_schwarz_triangle_svg(tmp_path):
     assert svg.read_text().count("<path") == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--depth", "-1"], "--depth must be at least 0, got -1"),
+    (["--max-tiles", "0"], "--max-tiles must be at least 1, got 0"),
+    (["--max-tiles", "-5"], "--max-tiles must be at least 1, got -5"),
+])
+def test_tessellate_rejects_negative_depth_and_empty_budget(flags, message, capsys):
+    # either would report the base tile alone as a tessellation
+    code, out = run_cli(["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "7", *flags])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_tessellate_smallest_budgets_run():
+    for flags in (["--depth", "0"], ["--max-tiles", "1"]):
+        code, out = run_cli(["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "7", *flags])
+        assert code == 0
+        assert json.loads(out)["results"]["tile_count"] == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "7", "--depth", "3"], "--svg"),
+    (["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "7", "--depth", "3"], "--json"),
+    (["gauss", "schwarz-triangle", "--kappa", "1/2", "--lambda", "1/3", "--mu", "1/7"], "--svg"),
+])
+def test_unwritable_output_exits_2_with_one_line(argv, flag, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    code, out = run_cli([*argv, flag, str(path)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
+
+
 @pytest.mark.parametrize("angles, flag, zero", [
     (["--kappa", "1/2", "--lambda", "1/3", "--mu=-1/7"], "--mu", False),
     (["--kappa", "1/2", "--lambda", "1/3", "--mu", "-1/7"], "--mu", False),

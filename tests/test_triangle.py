@@ -1,14 +1,18 @@
 """Arc triangles, reflections and tessellation closure."""
 
+import cmath
 import contextlib
 import hashlib
 import io
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarz_atlas import cli
 from schwarz_atlas import triangle as tri
@@ -143,8 +147,9 @@ def test_svg_deterministic_and_structured(tmp_path):
 
 
 def test_svg_rejects_empty(tmp_path):
-    tess = tri.Tessellation(tiles=[], words=[], geometry=Geometry.HYPERBOLIC,
-                            depth=0, closure_reached=False, base=None)
+    tess = tri.Tessellation(geometry=Geometry.HYPERBOLIC, words=[], depth=0,
+                            closure_reached=False, angles=(), points=np.empty((2, 0, 7)),
+                            sides=np.empty((4, 0, 3)), secondary=np.empty(0, bool))
     with pytest.raises(ValueError):
         tri.export_svg(tess, tmp_path / "x.svg")
 
@@ -196,7 +201,8 @@ def test_sampled_sphere_path_matches_pointwise_oracle(klm, exact, monkeypatch):
     secondary = [t for t in tiles if t.chart == "secondary"]
     assert secondary
     for t in tiles:
-        assert tri._sampled_sphere_path(t) == oracle_sphere_path(t)
+        drawn = tri._sampled_sphere_path(t.vertices, t.side_midpoints, t.chart)
+        assert drawn == oracle_sphere_path(t)
 
 
 def test_ideal_triangle():
@@ -351,3 +357,231 @@ def test_residuals_see_tile_matrices_off_the_group(monkeypatch):
 
     monkeypatch.setattr(tri, "_closure", drifted)
     assert tri.tessellate(2, 3, 7, max_word_length=6).max_orthogonality_residual() > 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the per-tile path, written out as the oracle of the tile arrays: side
+# circles, angles, residuals and SVG arcs one tile at a time in Python's
+# scalar complex arithmetic
+
+
+def oracle_through(z1, z2, z3):
+    """(a, b, c) of the circle or line through three points."""
+    w2, w3 = z2 - z1, z3 - z1
+    det = 2 * (w2.real * w3.imag - w2.imag * w3.real)
+    toward = -1j * (abs(w2) ** 2 * w3 - abs(w3) ** 2 * w2)
+    if det == 0:
+        return oracle_from_line(toward, (toward.conjugate() * z1).real / abs(toward))
+    w = toward / det
+    b, c = -(z1 + w), abs(z1) ** 2 + 2 * (z1.conjugate() * w).real
+    scale = max(1.0, abs(b), abs(c))
+    return 1.0 / scale, b / scale, c / scale
+
+
+def oracle_from_line(normal, offset):
+    return 0.0, normal / abs(normal), -2.0 * float(offset)
+
+
+def oracle_line(va, vb):
+    """The Euclidean side through two vertices."""
+    chord = vb - va
+    u = 1j * chord / abs(chord)
+    return oracle_from_line(u, (u.conjugate() * va).real)
+
+
+def oracle_is_line(side):
+    a, b, c = side
+    return abs(a) <= 1e-12 * max(abs(b), abs(c), 1.0)
+
+
+def oracle_radius(side):
+    a, b, c = side
+    return math.sqrt((abs(b) ** 2 - a * c) / a**2)
+
+
+def oracle_tangent(side, p, towards):
+    a, b, c = side
+    if oracle_is_line(side):
+        tau = 1j * (b / abs(b))
+    else:
+        nu = p - (-b / a)
+        tau = 1j * nu / abs(nu)
+    if (tau.conjugate() * (towards - p)).real < 0:
+        tau = -tau
+    return tau
+
+
+def oracle_angle_residual(t, sides):
+    measured = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        t1 = oracle_tangent(sides[j], t.vertices[i], t.side_midpoints[j])
+        t2 = oracle_tangent(sides[k], t.vertices[i], t.side_midpoints[k])
+        measured.append(abs(cmath.phase(t1.conjugate() * t2)))
+    return max(min(abs(a - b) for b in t.angles) for a in measured)
+
+
+def oracle_orthogonality(side):
+    a, b, c = side
+    if oracle_is_line(side):
+        return abs(-c / (2 * abs(b)))
+    c2, r2 = abs(-b / a) ** 2, oracle_radius(side) ** 2
+    return abs(c2 - r2 - 1.0) / (c2 + r2 + 1.0)
+
+
+def oracle_arc(side, v_from, v_to, mid):
+    fmt = tri._fmt
+    if oracle_is_line(side):
+        return f"L {fmt(v_to.real)} {fmt(v_to.imag)}"
+    c, r = -side[1] / side[0], oracle_radius(side)
+    th1, th2, thm = (cmath.phase(v - c) for v in (v_from, v_to, mid))
+    ccw_to_mid = (thm - th1) % (2 * math.pi)
+    ccw_to_end = (th2 - th1) % (2 * math.pi)
+    sweep_ccw = ccw_to_mid <= ccw_to_end
+    delta = ccw_to_end if sweep_ccw else (2 * math.pi - ccw_to_end)
+    large = 1 if delta > math.pi else 0
+    sweep = 1 if sweep_ccw else 0
+    return f"A {fmt(r)} {fmt(r)} 0 {large} {sweep} {fmt(v_to.real)} {fmt(v_to.imag)}"
+
+
+def oracle_tile_path(t, sides):
+    v, mids = t.vertices, t.side_midpoints
+    pieces = [f"M {tri._fmt(v[0].real)} {tri._fmt(v[0].imag)}"]
+    for i in range(3):
+        j, opp = (i + 1) % 3, (i + 2) % 3
+        pieces.append(oracle_arc(sides[opp], v[i], v[j], mids[opp]))
+    pieces.append("Z")
+    return " ".join(pieces)
+
+
+def check_against_oracle(tess, tmp_path):
+    """Every side, residual and SVG path of tess against the per-tile
+    oracle, each number compared by its float.hex."""
+    def hexes(side):
+        a, b, c = side
+        return float(a).hex(), b.real.hex(), b.imag.hex(), float(c).hex()
+
+    residuals, orthogonality, paths = [], [], []
+    for t in tess.tiles:
+        if tess.geometry is Geometry.SPHERICAL:
+            sides = [(s.a, s.b, s.c) for s in t.sides]     # great circles: pinned below
+        else:
+            ends = [(t.vertices[(i + 1) % 3], t.vertices[(i + 2) % 3]) for i in range(3)]
+            if tess.geometry is Geometry.EUCLIDEAN:
+                sides = [oracle_line(a, b) for a, b in ends]
+            else:
+                sides = [oracle_through(a, m, b) for (a, b), m in zip(ends, t.side_midpoints)]
+            assert [hexes(s) for s in sides] == [hexes((s.a, s.b, s.c)) for s in t.sides]
+        residuals.append(oracle_angle_residual(t, sides))
+        if tess.geometry is Geometry.HYPERBOLIC:
+            orthogonality.extend(oracle_orthogonality(s) for s in sides)
+        sampled = tess.geometry is Geometry.SPHERICAL and (
+            t.chart == "secondary" or any(abs(v) > 4.0 for v in t.vertices))
+        paths.append(oracle_sphere_path(t) if sampled else oracle_tile_path(t, sides))
+    per_tile = tri._angle_residuals(tess.points, tess.sides, tess.angles).tolist()
+    assert list(map(float.hex, per_tile)) == list(map(float.hex, residuals))
+    assert tess.max_angle_residual().hex() == max(residuals).hex()
+    for i in random.Random(5).sample(range(tess.tile_count), min(tess.tile_count, 20)):
+        assert tess.tiles[i].max_angle_residual().hex() == residuals[i].hex()
+    if orthogonality:
+        assert tess.max_orthogonality_residual().hex() == max(orthogonality).hex()
+    svg = tri.export_svg(tess, tmp_path / "t.svg")
+    assert [line.split('"')[1] for line in svg.splitlines() if line.startswith("<path")] == paths
+
+
+@pytest.mark.parametrize("klm,depth", [
+    ((2, 3, 3), None), ((2, 3, 4), None), ((2, 3, 5), None),
+    ((3, 3, 3), 4), ((2, 4, 4), 4), ((2, 3, 6), 4),
+    ((3, 3, 3), 12), ((2, 4, 4), 12), ((2, 3, 6), 12),
+    # the benchmark's hyperbolic triples at their deepest passing depth
+    ((2, 3, 7), 10), ((2, 4, 5), 10), ((2, 3, 8), 10), ((2, 5, 5), 8), ((3, 3, 4), 6),
+    ((2, 3, 7), 30), ((4, 4, 4), 13),
+])
+def test_tile_arrays_match_per_tile_oracle(klm, depth, monkeypatch, tmp_path):
+    monkeypatch.setattr(tri, "_fmt", float.hex)
+    check_against_oracle(tri.tessellate(*klm, max_word_length=depth), tmp_path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(klm=st.tuples(*[st.integers(2, 13)] * 3), depth=st.integers(0, 6))
+def test_tile_arrays_match_per_tile_oracle_at_any_orders(klm, depth, tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tri, "_fmt", float.hex)
+        check_against_oracle(tri.tessellate(*klm, max_word_length=depth),
+                             tmp_path_factory.mktemp("svg"))
+
+
+def tile_digest(tiles):
+    h = hashlib.sha256()
+    for t in tiles:
+        points = [*t.vertices, *t.side_midpoints, t.interior_point]
+        values = [x for z in points for x in (z.real, z.imag)]
+        values += [x for s in t.sides for x in (s.a, s.b.real, s.b.imag, s.c)]
+        h.update((" ".join(float.hex(float(v)) for v in values) + f" {t.chart}\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("klm,depth,count,digest", [
+    ((2, 3, 3), None, 24, "d87da98219c2d10dbf73c89bf6ffd65f2c3ef4bdddc650a0c8c031f6b3a12410"),
+    ((2, 3, 4), None, 48, "1d0bd94f85a4940bf0b6cce801a2e6cc6dd64c6a9d40c299a4a7d2bdd037550f"),
+    ((2, 3, 5), None, 120, "81bac6be89d4c93cff56a0749fbf1b1c1d986b98ab2eaa455520cccf2b70caf0"),
+    ((2, 2, 6), None, 24, "e447a5aff74a5fa626bf3a5bc228437703e9e95d0039ab3a4f0cf660af2a69dd"),
+    ((3, 3, 3), 12, 235, "3f9a64feb2d1d7d5ce853f3d43312f308bde9a8e575f66a373bac0fb2499a9e8"),
+    ((2, 4, 4), 12, 209, "db10da6739e1c23e3977da8b88810abf3e787f53b7d314eaa6f28f5aea2881b8"),
+    ((2, 3, 6), 12, 189, "5c6c7d262fc678e1533510a6500a677666b45bcea512741a782239a73b810235"),
+    ((3, 3, 4), 9, 281, "f96735ac716fc70a45633fb50e3b2192f188f275fe76ee0a991a824e49dd1abc"),
+    ((2, 3, 7), 30, 5951, "e6076b643e669d82d29ed976451ba182a9b30f24c6ae809f06a1a9bd8207fe6d"),
+    ((4, 4, 4), 13, 6718, "7419eaad2abe5e29297f4945517a08f6113111b93b2fd65c946f736c754c64b8"),
+])
+def test_tiles_are_pinned(klm, depth, count, digest):
+    # sha256 of every vertex, midpoint, interior point, side (a, b, c) and
+    # chart, in float.hex, as the per-tile construction built them
+    tess = tri.tessellate(*klm, max_word_length=depth)
+    assert tess.tile_count == count
+    assert tile_digest(tess.tiles) == digest
+    assert tess.base == tess.tiles[0]
+
+
+@pytest.mark.parametrize("angles", ["1/2 1/3 1/7", "0 1/3 1/2", "1/2 1/4 1/4",
+                                    "1/2 1/3 1/5", "1/3 1/2 1/7"])
+def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
+    # the gauss schwarz-triangle path: a single triangle as a one-tile tessellation
+    angles = [Fraction(a) for a in angles.split()]
+    geometry = tri.classify_angles(*angles)
+    t = tri.triangle_from_angles(*(float(a) * math.pi for a in angles), geometry)
+    tess = tri.Tessellation.from_triangle(t, geometry)
+    assert tess.base == t and tess.tiles == [t]
+    sides = [(s.a, s.b, s.c) for s in t.sides]
+    assert t.max_angle_residual().hex() == oracle_angle_residual(t, sides).hex()
+    assert tess.max_angle_residual() == t.max_angle_residual()
+    monkeypatch.setattr(tri, "_fmt", float.hex)
+    svg = tri.export_svg(tess, tmp_path / "t.svg")
+    assert svg.splitlines()[3].split('"')[1] == oracle_tile_path(t, sides)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "2", "--l", "3", "--m", "5"],
+    ["--k", "2", "--l", "4", "--m", "4", "--depth", "8"],
+    ["--k", "2", "--l", "3", "--m", "7", "--depth", "8"],
+])
+def test_cli_builds_no_per_tile_objects(argv, monkeypatch, tmp_path):
+    built = Counter()
+
+    def counted(cls):
+        init = cls.__init__
+
+        def spy(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", spy)
+
+    counted(tri.ArcTriangle)
+    counted(tri.GeneralizedCircle)
+    tri.build_triangle(*(int(v) for v in argv[1:6:2]))
+    base = Counter(built)
+    assert base == {"ArcTriangle": 1, "GeneralizedCircle": 3}
+    built.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["triangle", "tessellate", *argv, "--svg", str(tmp_path / "t.svg"),
+                         "--json", str(tmp_path / "t.json")]) == 0
+    assert built == base
