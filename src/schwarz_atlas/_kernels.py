@@ -4,14 +4,14 @@ Both kernels continue a frame by Taylor re-expansion at ordinary points: at
 each step point the frame is expanded in a power series whose coefficients
 follow a recurrence read off the equation, the step is half the distance to
 the nearest singularity, so every series converges asymptotically like 2^-n,
-and each one is summed until its terms fall below `rtol` times its largest
-term.  This is the holonomic-function evaluation of Chudnovsky & Chudnovsky
-and van der Hoeven (1999), in plain floating point.
+and each one is summed until its terms fall below a tolerance times its
+largest term.  This is the holonomic-function evaluation of Chudnovsky &
+Chudnovsky and van der Hoeven (1999), in plain floating point.
 
 `gauss_segment` continues the 2x2 (value, derivative) frame of the
 hypergeometric equation; the coefficients of a solution in x = z - z0 follow
 a three-term recurrence, the step radius is half the distance to {0, 1}, and
-`rtol` defaults to machine epsilon.
+the tolerance is machine epsilon.
 
 `torus_segment` continues the rank-n torus jet frame dF/dt = B(t) F along
 the log-linear segments of a path.  A step is half the distance in t to the
@@ -51,7 +51,7 @@ _MAX_TERMS = 1000
 _MIN_CLEARANCE = 1e-12
 
 
-def gauss_segment(alpha, beta, gamma, za, zb, F0, rtol=_EPS):
+def gauss_segment(alpha, beta, gamma, za, zb, F0):
     """Transport a 2x2 frame (row 0 values, row 1 derivatives) from za to zb
     along the straight segment.
 
@@ -59,7 +59,7 @@ def gauss_segment(alpha, beta, gamma, za, zb, F0, rtol=_EPS):
     estimate, ok flag).  ok=False means the segment reaches within
     _MIN_CLEARANCE of 0 or 1, where the equation is singular; the frame is
     then the one at the last point reached.  Raises NumericFailure when a
-    step's series has not fallen below `rtol` times its largest term after
+    step's series has not fallen below _EPS times its largest term after
     _MAX_TERMS terms, or the frame stops being finite.
     """
     za, zb = complex(za), complex(zb)
@@ -110,7 +110,7 @@ def gauss_segment(alpha, beta, gamma, za, zb, F0, rtol=_EPS):
             if t > big:
                 big = t
             # the derivative series carries the factor m, so test m * t
-            if m * t <= rtol * big:
+            if m * t <= _EPS * big:
                 small += 1
                 if small == 2:
                     break
@@ -126,7 +126,7 @@ def gauss_segment(alpha, beta, gamma, za, zb, F0, rtol=_EPS):
         if not all(map(cmath.isfinite, (f0, f1, g0, g1))):
             raise NumericFailure(
                 f"segment {za} -> {zb}: frame is not finite at z = {znext}")
-        errsum += rtol * big
+        errsum += _EPS * big
         det = abs(f0 * g1 - f1 * g0)
         if det < mindet:
             mindet = det

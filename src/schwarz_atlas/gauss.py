@@ -55,6 +55,7 @@ _SERIES_TOL = 1e-17       # a Frobenius term this small relative to the sum is n
 _SERIES_MAX_TERMS = 600   # Frobenius terms before the series counts as divergent
 _RING_RADIUS = 0.15       # radius of the circle around z in pullback_ode_residual
 _RING_SAMPLES = 32        # sample points on that circle
+_PATH_CLEARANCE = 1e-3    # least distance of a PathInC segment from 0 and 1
 
 
 class LogarithmicCaseError(ValueError):
@@ -201,16 +202,15 @@ def local_basis_at_zero(p, z):
 @dataclass(frozen=True)
 class PathInC:
     """Piecewise-linear path; every segment must clear the finite singular
-    points 0 and 1 by at least `delta`."""
+    points 0 and 1 by at least _PATH_CLEARANCE."""
 
     points: tuple
-    delta: float = 1e-3
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(complex(q) for q in self.points))
         for s in (0.0, 1.0):
             d = self.min_distance_to(s)
-            if d < self.delta:
+            if d < _PATH_CLEARANCE:
                 raise ValueError(
                     f"path passes within {d:.2e} of the singular point {s}"
                 )
@@ -237,29 +237,27 @@ def _segment_distance(a, b, q):
 def _transport(p, points, matrix):
     """Run the segment kernel along consecutive waypoints.
 
-    Returns (matrix, min |det| along the way, accumulated error estimate).
-    Raises NumericFailure, naming the segment, when the kernel cannot finish.
+    Returns (matrix, min |det| along the way).  Raises NumericFailure, naming
+    the segment, when the kernel cannot finish.
     """
     al, be, ga = p.floats()
     F = np.asarray(matrix, dtype=np.complex128).copy()
     mindet = abs(F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0])
-    errsum = 0.0
     for a, b in zip(points, points[1:]):
-        F, md, es, ok = _kernels.gauss_segment(al, be, ga, complex(a), complex(b), F)
+        F, md, _, ok = _kernels.gauss_segment(al, be, ga, complex(a), complex(b), F)
         mindet = min(mindet, md)
-        errsum += es
         if not ok:
             s = min((0.0, 1.0), key=lambda q: _segment_distance(a, b, q))
             raise NumericFailure(
                 f"segment {a} -> {b}: reaches the singular point {s:g}")
-    return F, mindet, errsum
+    return F, mindet
 
 
 def continue_along(p, path, frame):
     """Analytic continuation of a frame along the path (linear in the frame)."""
     if abs(complex(path.points[0]) - frame.base) > 1e-12:
         raise ValueError("frame is not based at the start of the path")
-    F, _, _ = _transport(p, path.points, frame.matrix)
+    F, _ = _transport(p, path.points, frame.matrix)
     return SolutionFrame(base=complex(path.points[-1]), matrix=F)
 
 
@@ -271,7 +269,7 @@ def wronskian_check(p, path, frame=None):
     det0 = abs(frame.wronskian)
     if det0 == 0.0:
         return False
-    _, mindet, _ = _transport(p, path.points, frame.matrix)
+    _, mindet = _transport(p, path.points, frame.matrix)
     return mindet > 1e-12 * det0
 
 
@@ -302,7 +300,7 @@ def monodromy_at(p, s):
     """Monodromy matrix of the loop around s in {0, 1, "inf"}, in the frame of
     initial jets at the base point 1/2.  Eigenvalues are exp(2 pi i e) for the
     two local exponents e at s."""
-    F, _, _ = _transport(p, _LOOPS[_singular_point(s)], np.eye(2, dtype=np.complex128))
+    F, _ = _transport(p, _LOOPS[_singular_point(s)], np.eye(2, dtype=np.complex128))
     return F
 
 
@@ -379,7 +377,7 @@ def schwarz_map(p, z, frame=None):
     if frame is None:
         frame = local_basis_at_zero(p, BASE_POINT)
     pts = _plan_path(frame.base, z)
-    F, _, _ = _transport(p, pts, frame.matrix)
+    F, _ = _transport(p, pts, frame.matrix)
     num, den = F[0, 0], F[0, 1]
     if abs(den) <= 1e-14 * max(1.0, abs(num)):
         return complex(math.inf, math.inf)
@@ -585,10 +583,10 @@ def pullback_ode_residual(pb, z):
         if abs(w_center - s) < 2.0 * spread:
             raise ValueError("pullback image circle too close to a singular point")
     anchor_pts = _plan_path(frame0.base, w_center)
-    F_anchor, _, _ = _transport(p, anchor_pts, frame0.matrix)
+    F_anchor, _ = _transport(p, anchor_pts, frame0.matrix)
     values = np.empty((_RING_SAMPLES, 2), dtype=np.complex128)
     for j, w in enumerate(ws):
-        F, _, _ = _transport(p, (w_center, w), F_anchor)
+        F, _ = _transport(p, (w_center, w), F_anchor)
         values[j] = F[0, :]
     coeffs = np.fft.fft(values, axis=0) / _RING_SAMPLES
     g = coeffs[0]

@@ -29,7 +29,6 @@ from . import _kernels
 from .roots import integrability_constant
 
 __all__ = [
-    "TorusPath",
     "SystemCoeffs",
     "MirrorSingularity",
     "InvariantFormError",
@@ -56,6 +55,7 @@ MIRROR_DELTA = 0.02
 _FD_STEP = 1e-6           # central-difference step of flatness_residual(method="fd")
 _CLEARANCE_SAMPLES = 9    # sample points per path segment in _check_clearance
 _RING_SEGMENTS = 24       # segments of the ring of every mirror loop
+_RING_RADIUS = 0.1        # |h^{-alpha} - 1| on the ring of every mirror loop
 _SAMPLE_SPREAD = 0.35     # scale of the Gaussian log-offsets of sample_points_near
 _RANK_TOL = 1e-6          # invariant_form's null-space threshold, relative to svals[0]
 _EIG_TOL = 1e-8           # the smallest |eigenvalue| of the form that counts in its signature
@@ -248,18 +248,25 @@ def flatness_residual(system, k, point, a_override=None, method="analytic"):
     Vanishes exactly when the scalar coupling takes its forced value; the
     default derivatives are analytic, method="fd" cross-checks them with
     central differences in log-coordinates.  The root character values are
-    computed once and serve both.  All n^2 products A_j A_i come from one
-    batched matmul, and the pairs i < j are reduced at once.
+    computed once and serve both.
     """
-    zvals = np.asarray(point, dtype=np.complex128)
-    tchar = _char_values(system, zvals)
-    A = _frame_stack(_assemble(system, k, tchar, a_override))
-    if method == "analytic":
-        dA = _theta_frame_matrices(system, k, tchar)
-    elif method == "fd":
-        dA = _fd_theta_frame_matrices(system, k, zvals, a_override, _FD_STEP)
-    else:
+    if method not in ("analytic", "fd"):
         raise ValueError(f"unknown method {method!r}")
+    zvals = np.asarray(point, dtype=np.complex128)
+    return _curvature(system, k, _char_values(system, zvals), a_override,
+                      zvals if method == "fd" else None)
+
+
+def _curvature(system, k, tchar, a_override, fd_point):
+    """flatness_residual at the point with root character values tchar, with
+    analytic derivatives when fd_point is None, else central differences
+    around the coordinates fd_point.  All n^2 products A_j A_i come from one
+    batched matmul, and the pairs i < j are reduced at once."""
+    A = _frame_stack(_assemble(system, k, tchar, a_override))
+    if fd_point is None:
+        dA = _theta_frame_matrices(system, k, tchar)
+    else:
+        dA = _fd_theta_frame_matrices(system, k, fd_point, a_override, _FD_STEP)
     AA = np.matmul(A[None, :], A[:, None])    # AA[i, j] = A_j A_i
     R = (dA - dA.swapaxes(0, 1) + AA) - AA.swapaxes(0, 1)
     upper = np.triu_indices(system.rank, 1)
@@ -303,104 +310,89 @@ def w_invariance_residual(system, k, point, i):
 
 # ---------------------------------------------------------------------------
 # continuation
-
-@dataclass(frozen=True)
-class TorusPath:
-    """Piecewise log-linear path given by log-coordinate waypoints.
-
-    Log-coordinates fix the winding unambiguously; the torus points are their
-    exponentials.  Every sampled point along every segment must stay at least
-    `delta` away from every mirror (measured by |h^{-alpha} - 1|).
-    """
-
-    log_waypoints: tuple
-    delta: float = MIRROR_DELTA
-
+#
+# A path is a (points, n) complex array of log-coordinates: piecewise
+# log-linear through its rows.  Log-coordinates fix the winding unambiguously;
+# the torus points are their exponentials.
 
 def _check_clearance(system, path):
+    """Smallest |h^{-alpha} - 1| over sample points of every segment of the
+    path; raises MirrorSingularity below MIRROR_DELTA."""
     croots = _float_rows(system)[0]
-    pts = np.asarray(path.log_waypoints, dtype=np.complex128)
+    pts = np.asarray(path, dtype=np.complex128)
     t = np.arange(_CLEARANCE_SAMPLES + 1)[:, None, None] / _CLEARANCE_SAMPLES
     lz = (1 - t) * pts[:-1] + t * pts[1:]          # (sample, segment, rank)
     worst = float(np.min(np.abs(np.exp(lz @ croots.T) - 1.0))) if len(pts) > 1 else math.inf
-    if worst < path.delta:
+    if worst < MIRROR_DELTA:
         raise MirrorSingularity(
-            f"path approaches a mirror to within {worst:.3e} (< delta = {path.delta})"
+            f"path approaches a mirror to within {worst:.3e} (< delta = {MIRROR_DELTA})"
         )
     return worst
 
 
 def _flatness_gate(system, k, logs):
-    res = flatness_residual(system, k, np.exp(logs))
+    res = _curvature(system, k, np.exp(_float_rows(system)[0] @ logs), None, None)
     if res > 1e-6:
         raise _kernels.NumericFailure(f"connection is not flat at the start (residual {res:.2e})")
 
 
-def transport(system, k, path, frame=None, rtol=DEFAULT_RTOL, check_flatness=True):
-    """Continue a jet frame along the path by integrating dF = (sum A_i dlog z_i) F.
+def transport(system, k, path, check_flatness=True):
+    """The jet frame that starts as the identity, continued along the path by
+    integrating dF = (sum A_i dlog z_i) F; path is a (points, n) array of
+    log-coordinates.
 
     The path's clearance from the mirrors is checked by sampling first, and
     the curvature is checked once at the start of the path as a sanity gate;
     flat connections make the result homotopy invariant.  All segments go to
     one _kernels.torus_segment call, which lays out every segment's step grid,
     computes the steps' propagators in batches and multiplies them in path
-    order.  Raises MirrorSingularity for a path within `delta` of a mirror,
-    and _kernels.NumericFailure when the connection is not flat at the start,
-    or a segment reaches a mirror or its series breaks down.
+    order, each series summed to DEFAULT_RTOL.  Raises MirrorSingularity for
+    a path within MIRROR_DELTA of a mirror, and _kernels.NumericFailure when
+    the connection is not flat at the start, or a segment reaches a mirror or
+    its series breaks down.
     """
-    n = system.rank
-    if frame is None:
-        frame = np.eye(n + 1, dtype=np.complex128)
-    F = np.asarray(frame, dtype=np.complex128).copy()
-    if F.shape != (n + 1, n + 1):
-        raise ValueError(f"frame must be {(n + 1, n + 1)}, got {F.shape}")
-    _check_clearance(system, path)
+    pts = np.asarray(path, dtype=np.complex128)
+    _check_clearance(system, pts)
     if check_flatness:
-        _flatness_gate(system, k, path.log_waypoints[0])
-    pts = np.asarray(path.log_waypoints, dtype=np.complex128)
+        _flatness_gate(system, k, pts[0])
+    F = np.eye(system.rank + 1, dtype=np.complex128)
     moves = np.diff(pts, axis=0)
     kept = np.max(np.abs(moves), axis=1) >= 1e-15
     if not kept.any():
-        return F, 0.0
+        return F
     croots, coroots, _ = _float_rows(system)
     afac = float(integrability_constant(system)) * float(k) ** 2
     svec = afac * np.linalg.solve(system.cartan.astype(np.float64), moves[kept].T).T
-    F, errsum, ok = _kernels.torus_segment(pts[:-1][kept], moves[kept], croots, coroots,
-                                           float(k), svec, F, rtol)
+    F, _, ok = _kernels.torus_segment(pts[:-1][kept], moves[kept], croots, coroots,
+                                      float(k), svec, F, DEFAULT_RTOL)
     if not ok:
         raise _kernels.NumericFailure(
             f"torus continuation from {pts[0]} to {pts[-1]} reaches a mirror")
-    return F, errsum
+    return F
 
 
-def _mirror_loop_points(system, alpha, radius):
-    """Log waypoints of the mirror loop: base, stage, the ring (the log values
-    of 1 + radius * e^{i phi} around the full circle), base."""
+def _mirror_loop_points(system, alpha):
+    """Log-coordinates of the loop around the mirror of alpha: base, stage,
+    the ring (the log values of 1 + _RING_RADIUS e^{i phi} around the full
+    circle), base.
+
+    The loop moves only along the one-parameter direction dual to alpha, so
+    every other character moves by half-integer multiples of the same log
+    increment.
+    """
     base_logs = default_base_point(system)
     alpha = np.asarray(alpha, dtype=np.int64)
     d = (system.cartan.astype(np.float64) @ alpha).astype(np.complex128) / 2.0
     L0 = complex(alpha.astype(np.float64) @ base_logs)
-    ring = [cmath.log(1.0 + radius * cmath.exp(2j * math.pi * s / _RING_SEGMENTS))
+    ring = [cmath.log(1.0 + _RING_RADIUS * cmath.exp(2j * math.pi * s / _RING_SEGMENTS))
             for s in range(_RING_SEGMENTS + 1)]
-    return (base_logs, *(base_logs + (s - L0) * d for s in ring), base_logs)
+    return np.array([base_logs, *(base_logs + (s - L0) * d for s in ring), base_logs])
 
 
-def mirror_loop_path(system, alpha, radius=0.1):
-    """Loop in the torus, based at default_base_point, whose alpha-character
-    runs counterclockwise around 1.
-
-    The path moves only along the one-parameter direction dual to alpha, so
-    every other character moves by half-integer multiples of the same log
-    increment; clearance from all other mirrors is verified by sampling.
-    """
-    path = TorusPath(log_waypoints=_mirror_loop_points(system, alpha, radius))
-    _check_clearance(system, path)
-    return path
-
-
-def mirror_monodromy(system, k, alpha, radius=0.1, rtol=DEFAULT_RTOL, check_flatness=True):
+def mirror_monodromy(system, k, alpha, check_flatness=True):
     """Monodromy of a small positively oriented loop around the mirror of alpha,
-    in the jet frame at default_base_point.
+    in the jet frame at default_base_point: the loop's alpha-character runs
+    counterclockwise around 1 on a ring of radius _RING_RADIUS.
 
     The loop is a stage out to the ring, the ring, and the stage back, so the
     stage is transported once: with S its transport and T the ring's, the
@@ -409,27 +401,24 @@ def mirror_monodromy(system, k, alpha, radius=0.1, rtol=DEFAULT_RTOL, check_flat
     checked once.  The flatness gate runs at the base point unless
     check_flatness is False.
     """
-    pts = _mirror_loop_points(system, alpha, radius)
-    S, _ = transport(system, k, TorusPath(pts[:2]), rtol=rtol, check_flatness=check_flatness)
-    T, _ = transport(system, k, TorusPath(pts[1:-1]), rtol=rtol, check_flatness=False)
+    pts = _mirror_loop_points(system, alpha)
+    S = transport(system, k, pts[:2], check_flatness=check_flatness)
+    T = transport(system, k, pts[1:-1], check_flatness=False)
     try:
         return np.linalg.solve(S, T @ S)
     except np.linalg.LinAlgError as exc:
         raise _kernels.NumericFailure(f"mirror-loop stage transport is singular: {exc}") from exc
 
 
-def toric_monodromy(system, k, j, rtol=DEFAULT_RTOL, check_flatness=True):
+def toric_monodromy(system, k, j, check_flatness=True):
     """Monodromy of the counterclockwise coordinate loop z_j -> e^{2 pi i t} z_j
     at default_base_point; the flatness gate runs there unless check_flatness
     is False."""
     base_logs = default_base_point(system)
-    n = system.rank
-    e = np.zeros(n, dtype=np.complex128)
+    e = np.zeros(system.rank, dtype=np.complex128)
     e[j] = 1.0
-    pts = [base_logs + 2j * math.pi * (s / 3.0) * e for s in range(4)]
-    path = TorusPath(log_waypoints=tuple(pts))
-    F, _ = transport(system, k, path, rtol=rtol, check_flatness=check_flatness)
-    return F
+    pts = np.array([base_logs + 2j * math.pi * (s / 3.0) * e for s in range(4)])
+    return transport(system, k, pts, check_flatness=check_flatness)
 
 
 def hecke_residual(M, k):
@@ -442,7 +431,7 @@ def hecke_residual(M, k):
     return float(num / np.linalg.norm(M) ** 2)
 
 
-def standard_generators(system, k, rtol=DEFAULT_RTOL):
+def standard_generators(system, k):
     """Monodromy generators used for the invariant form: one mirror loop per
     simple root, one around the highest-root mirror, and all coordinate loops.
     Every loop starts at default_base_point, so the flatness gate runs there
@@ -454,9 +443,9 @@ def standard_generators(system, k, rtol=DEFAULT_RTOL):
     high = system.positive_roots[-1]
     roots = simples + ([high] if not any(np.array_equal(high, s) for s in simples) else [])
     for alpha in roots:
-        gens.append(mirror_monodromy(system, k, alpha, rtol=rtol, check_flatness=False))
+        gens.append(mirror_monodromy(system, k, alpha, check_flatness=False))
     for j in range(n):
-        gens.append(toric_monodromy(system, k, j, rtol=rtol, check_flatness=False))
+        gens.append(toric_monodromy(system, k, j, check_flatness=False))
     return gens
 
 
@@ -557,7 +546,7 @@ def sample_points_near(system, count, seed=0):
         d = _SAMPLE_SPREAD * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         lz = base_logs + d
         try:
-            _check_clearance(system, TorusPath((base_logs, lz)))
+            _check_clearance(system, (base_logs, lz))
         except MirrorSingularity:
             continue
         out.append(lz)
@@ -568,11 +557,9 @@ def sample_points_near(system, count, seed=0):
 class BallCheckReport:
     values: tuple
     all_negative: bool
-    signature: tuple
-    form_residual: float
 
 
-def ball_check(system, k, sample_logs=None, count=10, seed=0, rtol=DEFAULT_RTOL, form=None):
+def ball_check(system, k, sample_logs=None, count=10, seed=0, form=None):
     """Evaluation vectors at the samples must be negative for the invariant form.
 
     The solver's form H lives on solution coordinates; evaluation vectors
@@ -584,7 +571,7 @@ def ball_check(system, k, sample_logs=None, count=10, seed=0, rtol=DEFAULT_RTOL,
     """
     base_logs = default_base_point(system)
     if form is None:
-        form = invariant_form(standard_generators(system, k, rtol=rtol))
+        form = invariant_form(standard_generators(system, k))
     Hinv = np.linalg.inv(form.matrix)
 
     def pairing(v):
@@ -601,12 +588,6 @@ def ball_check(system, k, sample_logs=None, count=10, seed=0, rtol=DEFAULT_RTOL,
         sample_logs = sample_points_near(system, count, seed)
     values = []
     for lz in sample_logs:
-        path = TorusPath((base_logs, lz))
-        F, _ = transport(system, k, path, rtol=rtol, check_flatness=False)
+        F = transport(system, k, (base_logs, lz), check_flatness=False)
         values.append(sign * pairing(F[0, :]))
-    return BallCheckReport(
-        values=tuple(values),
-        all_negative=all(v < 0 for v in values),
-        signature=form.signature,
-        form_residual=form.residual,
-    )
+    return BallCheckReport(values=tuple(values), all_negative=all(v < 0 for v in values))

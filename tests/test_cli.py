@@ -181,7 +181,7 @@ _ISOTROPIC_FORM = torus.InvariantForm(
       for target, subcommand in (("invariant_form", "form"), ("sample_points_near", "flatness"))
       for i, exc in enumerate([torus.MirrorSingularity("a sample lies on a mirror"),
                                np.linalg.LinAlgError("singular matrix")])),
-    pytest.param("flatness_residual", lambda *args, **kwargs: 1.0, "monodromy",
+    pytest.param("_curvature", lambda *args, **kwargs: 1.0, "monodromy",
                  "connection is not flat at the start (residual 1.00e+00)",
                  id="not_flat-transport"),
     pytest.param("invariant_form", lambda *args, **kwargs: _ISOTROPIC_FORM, "form",
@@ -199,12 +199,22 @@ def test_torus_numeric_failures_exit_1(target, replacement, subcommand, message,
 
 
 def test_torus_monodromy_json():
-    code, out = run_cli(["torus", "monodromy", "--type", "A", "--rank", "2",
-                         "--k", "1/4", "--root", "1", "--format", "json"])
-    assert code == 0
-    payload = json.loads(out)
-    jsonschema.validate(payload, cli.report_schema())
-    assert payload["residuals"]["hecke_residual"] < 1e-6
+    for root in ("1", "highest"):
+        code, out = run_cli(["torus", "monodromy", "--type", "A", "--rank", "2",
+                             "--k", "1/4", "--root", root, "--format", "json"])
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, cli.report_schema())
+        assert payload["residuals"]["hecke_residual"] < 1e-6
+
+
+def test_torus_form_without_one_invariant_form_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(torus, "invariant_form",
+                        _raising(torus.InvariantFormError("no invariant Hermitian form", 0)))
+    code, out = run_cli(["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4",
+                         "--samples", "2"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: no invariant Hermitian form\n"
 
 
 def test_torus_form_json():

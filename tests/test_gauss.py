@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from schwarz_atlas import gauss as G
+from schwarz_atlas.triangle import GeneralizedCircle
 
 P_STD = G.GaussParams(F(1, 84), F(13, 84), F(1, 2))  # differences (1/2, 1/3, 1/7)
 
@@ -337,6 +338,12 @@ def test_vertex_angle_cusp():
     assert angles[0] < 1e-4
     d = p.differences()
     assert abs(angles[1] - abs(float(d.lam)) * math.pi) < 1e-4
+
+
+def test_vertex_angle_of_circles_that_do_not_meet_is_zero():
+    ca = GeneralizedCircle.from_center_radius(0.0, 1.0)
+    cb = GeneralizedCircle.from_center_radius(3.0, 1.0)
+    assert G._vertex_angle(ca, cb, 1.0, 2.0) == 0.0
 
 
 def test_pullback_map_values():

@@ -75,7 +75,7 @@ def test_torus_segment_matches_high_precision_ode_solve(segment):
     base = torus.default_base_point(A2)
     if segment == "ring":
         # one segment of the ring around the mirror of the first simple root
-        pts = torus.mirror_loop_path(A2, np.array([1, 0])).log_waypoints
+        pts = torus._mirror_loop_points(A2, np.array([1, 0]))
         a, b = pts[2], pts[3]
     else:
         # the first third of the coordinate loop z_1 -> e^{2 pi i t} z_1
@@ -145,17 +145,17 @@ def _sequential_segment(lz0, m, croots, coroots, k, svec, F0, rtol):
     return F
 
 
-def _sequential_transport(system, k, log_waypoints, rtol=torus.DEFAULT_RTOL):
+def _sequential_transport(system, k, path, rtol=torus.DEFAULT_RTOL):
     F = np.eye(system.rank + 1, dtype=np.complex128)
-    for a, b in zip(log_waypoints, log_waypoints[1:]):
+    for a, b in zip(path, path[1:]):
         F = _sequential_segment(*_segment_args(system, k, a, b), F, rtol)
     return F
 
 
 def _loop_parts(system):
     """The stage and the ring of the highest-root mirror loop, and the first
-    coordinate loop, as log waypoints."""
-    pts = torus._mirror_loop_points(system, roots.highest_root(system), 0.1)
+    coordinate loop, as log-coordinate paths."""
+    pts = torus._mirror_loop_points(system, roots.highest_root(system))
     base = torus.default_base_point(system)
     e = np.zeros(system.rank)
     e[0] = 1.0
@@ -163,8 +163,8 @@ def _loop_parts(system):
     return {"stage": pts[:2], "ring": pts[1:-1], "coordinate": coordinate}
 
 
-def _steps(system, log_waypoints):
-    pts = np.asarray(log_waypoints, dtype=np.complex128)
+def _steps(system, path):
+    pts = np.asarray(path, dtype=np.complex128)
     croots = system.positive_roots.astype(np.float64)
     return len(_kernels._torus_grid(pts[:-1], np.diff(pts, axis=0), croots)[0])
 
@@ -178,7 +178,7 @@ def test_transport_matches_sequential_series(fam, rank, part):
     if (fam, rank, part) == ("E", 8, "stage"):
         # the longest segment the mirror loops have
         assert _steps(system, path) == 306
-    got, _ = torus.transport(system, k, torus.TorusPath(path))
+    got = torus.transport(system, k, path)
     want = _sequential_transport(system, k, path)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -208,13 +208,13 @@ def test_batch_boundaries_match_sequential_series(system, monkeypatch):
         return tuple(base + s * move for s in range(steps + 1))
 
     sizes = _batch_sizes(monkeypatch)
-    torus.transport(system, k, torus.TorusPath(path(300)))
+    torus.transport(system, k, path(300))
     width = sizes[0]
     assert 1 < width < 300
     for steps, batches in ((1, [1]), (width, [width]), (width + 1, [width, 1])):
         assert _steps(system, path(steps)) == steps
         sizes.clear()
-        got, _ = torus.transport(system, k, torus.TorusPath(path(steps)))
+        got = torus.transport(system, k, path(steps))
         assert sizes == batches
         want = _sequential_transport(system, k, path(steps))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -228,7 +228,8 @@ def test_series_longer_than_the_stacks_restart_with_more_room(monkeypatch):
     path = _loop_parts(system)["stage"]
     steps = _steps(system, path)
     sizes = _batch_sizes(monkeypatch)
-    got, _ = torus.transport(system, k, torus.TorusPath(path), rtol=1e-17)
+    monkeypatch.setattr(torus, "DEFAULT_RTOL", 1e-17)
+    got = torus.transport(system, k, path)
     assert sizes[1] < sizes[0] and sum(sizes[1:]) == steps
     want = _sequential_transport(system, k, path, rtol=1e-17)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -278,32 +279,33 @@ def test_torus_segment_raises_on_overflow():
                                1e-12)
 
 
-def test_torus_transport_onto_a_mirror_raises_numeric_failure():
+def test_torus_transport_onto_a_mirror_raises_numeric_failure(monkeypatch):
     base = torus.default_base_point(A2)
     end = base.copy()
     end[0] = 2j * np.pi
     # delta = 0 switches off the sampled clearance guard, so the kernel meets
     # the mirror itself
-    path = torus.TorusPath((base, end), delta=0.0)
+    monkeypatch.setattr(torus, "MIRROR_DELTA", 0.0)
     with pytest.raises(_kernels.NumericFailure, match="reaches a mirror") as info:
-        torus.transport(A2, F(1, 4), path)
+        torus.transport(A2, F(1, 4), np.array([base, end]))
     assert not isinstance(info.value, ValueError)
 
 
 def test_mirror_monodromy_singular_stage_raises_numeric_failure(monkeypatch):
-    def singular(system, k, path, frame=None, rtol=None, check_flatness=True):
-        return np.zeros((3, 3), dtype=np.complex128), 0.0
+    def singular(system, k, path, check_flatness=True):
+        return np.zeros((3, 3), dtype=np.complex128)
 
     monkeypatch.setattr(torus, "transport", singular)
     with pytest.raises(_kernels.NumericFailure, match="singular"):
         torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
 
 
-def test_kernel_reports_underflow_near_singularity():
+def test_kernel_reports_underflow_near_singularity(monkeypatch):
     # a segment ending exactly on the singular point 1 cannot finish
+    monkeypatch.setattr(_kernels, "_EPS", 1e-12)
     F0 = np.eye(2, dtype=np.complex128)
     _, _, _, ok = _kernels.gauss_segment(
-        0.25 + 0j, 0.5 + 0j, 0.75 + 0j, complex(0.5), complex(1.0), F0, 1e-12)
+        0.25 + 0j, 0.5 + 0j, 0.75 + 0j, complex(0.5), complex(1.0), F0)
     assert not ok
 
 

@@ -58,6 +58,23 @@ def test_a1_reduces_to_rank_one_operator():
     assert co.exact_scalar(A1, 0, 0) == F(1, 4) ** 2 / 4
 
 
+@pytest.mark.parametrize("fam, rank", [
+    *(("A", n) for n in range(2, 9)), *(("D", n) for n in range(4, 9)),
+    *(("E", n) for n in range(6, 9))])
+def test_exact_inverse_cartan_at_every_rank(fam, rank):
+    system = _sys(fam, rank)
+    cinv = torus._inverse_cartan(system)
+    cart = [[F(int(v)) for v in row] for row in system.cartan]
+    for i in range(rank):
+        for j in range(rank):
+            assert sum(cart[i][l] * cinv[l][j] for l in range(rank)) == int(i == j)
+    # the float scalar block inverts the Cartan matrix in floats: equal to
+    # the exact one to rounding (at most about 7 eps relative, at E8)
+    co = torus.assemble(system, F(1, 7), np.exp(torus.default_base_point(system)))
+    exact = [[float(co.exact_scalar(system, i, j)) for j in range(rank)] for i in range(rank)]
+    np.testing.assert_allclose(co.scalar, exact, rtol=16 * np.finfo(float).eps, atol=0)
+
+
 def test_assemble_two_summation_orders_agree():
     # independent re-summation: evaluate each positive root's contribution
     # with plain Python complex arithmetic, in reversed order
@@ -232,32 +249,31 @@ def test_w_invariance():
 
 def test_transport_constant_path_is_identity():
     base = torus.default_base_point(A2)
-    Fend, _ = torus.transport(A2, F(1, 4), torus.TorusPath((base, base)))
+    Fend = torus.transport(A2, F(1, 4), np.array([base, base]))
     assert np.max(np.abs(Fend - np.eye(3))) < 1e-12
 
 
 def test_transport_reverse_inverts():
     base = torus.default_base_point(A2)
-    path = torus.TorusPath((base, base + np.array([0.4 + 0.3j, -0.2 + 0.5j])))
-    fwd, _ = torus.transport(A2, F(1, 4), path)
-    back, _ = torus.transport(
-        A2, F(1, 4), torus.TorusPath(tuple(reversed(path.log_waypoints))), frame=fwd)
+    path = np.array([base, base + np.array([0.4 + 0.3j, -0.2 + 0.5j])])
+    fwd = torus.transport(A2, F(1, 4), path)
+    back = torus.transport(A2, F(1, 4), path[::-1]) @ fwd
     assert np.max(np.abs(back - np.eye(3))) < 1e-8
 
 
 def test_transport_homotopy_invariance():
     base = torus.default_base_point(A2)
     target = base + np.array([0.5 + 0.2j, 0.3 - 0.1j])
-    direct, _ = torus.transport(A2, F(1, 4), torus.TorusPath((base, target)))
+    direct = torus.transport(A2, F(1, 4), np.array([base, target]))
     mid = base + np.array([0.1 + 0.4j, 0.4 + 0.2j])
-    detour, _ = torus.transport(A2, F(1, 4), torus.TorusPath((base, mid, target)))
+    detour = torus.transport(A2, F(1, 4), np.array([base, mid, target]))
     assert np.max(np.abs(direct - detour)) < 1e-7
 
 
 def test_transport_clearance_guard():
     lz = np.array([0.005 + 0.0j, 0.7 + 0.9j])
     with pytest.raises(torus.MirrorSingularity):
-        torus.transport(A2, F(1, 4), torus.TorusPath((lz, lz + 0.01)))
+        torus.transport(A2, F(1, 4), np.array([lz, lz + 0.01]))
 
 
 # --- mirror monodromy ---------------------------------------------------------
@@ -297,7 +313,7 @@ def test_stage_once_matches_full_loop_transport():
     # stage reversed) must give the same matrix
     k = F(1, 4)
     alpha = roots.highest_root(D4)
-    full, _ = torus.transport(D4, k, torus.mirror_loop_path(D4, alpha))
+    full = torus.transport(D4, k, torus._mirror_loop_points(D4, alpha))
     staged = torus.mirror_monodromy(D4, k, alpha)
     assert np.max(np.abs(staged - full)) / np.max(np.abs(full)) < 1e-10
 
@@ -306,8 +322,7 @@ def _clearance_by_point(system, path, samples_per_segment=9):
     # one sample point at a time, as the check was first written
     croots = system.positive_roots.astype(np.float64)
     worst = math.inf
-    pts = path.log_waypoints
-    for a, b in zip(pts, pts[1:]):
+    for a, b in zip(path, path[1:]):
         for s in range(samples_per_segment + 1):
             t = s / samples_per_segment
             tchar = np.exp(croots @ ((1 - t) * a + t * b))
@@ -315,19 +330,21 @@ def _clearance_by_point(system, path, samples_per_segment=9):
     return worst
 
 
-def test_clearance_matches_point_by_point_sampling():
+def test_clearance_matches_point_by_point_sampling(monkeypatch):
     rng = np.random.default_rng(5)
     for system in (A2, D4):
         base = torus.default_base_point(system)
         for alpha in (np.eye(system.rank, dtype=np.int64)[0], roots.highest_root(system)):
-            path = torus.mirror_loop_path(system, alpha)
+            path = torus._mirror_loop_points(system, alpha)
             got = torus._check_clearance(system, path)
             assert abs(got - _clearance_by_point(system, path)) <= 1e-14 * got
         for _ in range(5):
             steps = 0.3 * (rng.standard_normal((3, system.rank))
                            + 1j * rng.standard_normal((3, system.rank)))
-            path = torus.TorusPath(tuple(base + np.cumsum(steps, axis=0)), delta=0.0)
-            got = torus._check_clearance(system, path)
+            path = base + np.cumsum(steps, axis=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(torus, "MIRROR_DELTA", 0.0)
+                got = torus._check_clearance(system, path)
             assert abs(got - _clearance_by_point(system, path)) <= 1e-14 * got
 
 
@@ -336,7 +353,7 @@ def test_mirror_loop_clearance_checked_once(monkeypatch):
     check = torus._check_clearance
 
     def counted(system, path, *args):
-        checked.append(len(path.log_waypoints) - 1)
+        checked.append(len(path) - 1)
         return check(system, path, *args)
 
     monkeypatch.setattr(torus, "_check_clearance", counted)
@@ -350,27 +367,28 @@ def test_generator_set_gates_flatness_once(monkeypatch):
     # every loop of a generator set starts at the base point, so the set
     # checks the curvature there once; direct calls keep their own gate
     calls = []
-    residual = torus.flatness_residual
+    curvature = torus._curvature
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return residual(*args, **kwargs)
+        return curvature(*args, **kwargs)
 
-    monkeypatch.setattr(torus, "flatness_residual", counted)
+    monkeypatch.setattr(torus, "_curvature", counted)
     torus.standard_generators(A2, F(1, 4))
     assert len(calls) == 1
     torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
     torus.toric_monodromy(A2, F(1, 4), 0)
-    torus.transport(A2, F(1, 4), torus.mirror_loop_path(A2, np.array([0, 1])))
+    torus.transport(A2, F(1, 4), torus._mirror_loop_points(A2, np.array([0, 1])))
     assert len(calls) == 4
 
 
-def test_mirror_loop_within_delta_raises():
+def test_mirror_loop_within_delta_raises(monkeypatch):
     # a ring of radius 1e-3 keeps the alpha-character within 1e-3 of 1
+    monkeypatch.setattr(torus, "_RING_RADIUS", 1e-3)
     with pytest.raises(torus.MirrorSingularity):
-        torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]), radius=1e-3)
+        torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
     with pytest.raises(torus.MirrorSingularity):
-        torus.mirror_loop_path(A2, np.array([1, 0]), radius=1e-3)
+        torus._check_clearance(A2, torus._mirror_loop_points(A2, np.array([1, 0])))
 
 
 def test_conjugate_mirror_loops_have_equal_spectra():
@@ -446,18 +464,21 @@ def test_invariant_form_matches_full_svd_solve(fam, rank, k):
     np.testing.assert_allclose(form.singular_values, svals, rtol=1e-12, atol=0)
 
 
-def test_form_residual_tracks_continuation_tolerance():
-    loose = torus.invariant_form(torus.standard_generators(A2, F(1, 4), rtol=1e-5))
-    tight = torus.invariant_form(torus.standard_generators(A2, F(1, 4), rtol=1e-11))
+def test_form_residual_tracks_continuation_tolerance(monkeypatch):
+    monkeypatch.setattr(torus, "DEFAULT_RTOL", 1e-5)
+    loose = torus.invariant_form(torus.standard_generators(A2, F(1, 4)))
+    monkeypatch.setattr(torus, "DEFAULT_RTOL", 1e-11)
+    tight = torus.invariant_form(torus.standard_generators(A2, F(1, 4)))
     assert tight.residual < loose.residual
     assert loose.residual < 1e-3
 
 
 def test_ball_check_a2():
     for k in (F(1, 6), F(1, 4), F(2, 5)):
-        rep = torus.ball_check(A2, k)
+        form = torus.invariant_form(torus.standard_generators(A2, k))
+        rep = torus.ball_check(A2, k, form=form)
         assert rep.all_negative
-        assert rep.signature == (2, 1)
+        assert form.signature == (2, 1)
 
 
 def test_ball_check_a1_arc():

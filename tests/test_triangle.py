@@ -80,6 +80,18 @@ def test_reflect_circle_involution():
     assert abs(twice.radius - target.radius) < 1e-10
 
 
+def test_circle_intersections_without_two_points():
+    circle = GeneralizedCircle.from_center_radius
+    line = GeneralizedCircle.from_line
+    # parallel lines, a line that misses a circle, concentric and disjoint circles
+    assert tri.circle_intersections(line(1.0, 0.0), line(1.0, 2.0)) == []
+    assert tri.circle_intersections(circle(0.0, 1.0), line(1.0, 2.0)) == []
+    assert tri.circle_intersections(circle(0.5j, 1.0), circle(0.5j, 2.0)) == []
+    assert tri.circle_intersections(circle(0.0, 1.0), circle(3.0, 1.0)) == []
+    # circles that touch meet in exactly one point
+    assert tri.circle_intersections(circle(0.0, 1.0), circle(2.0, 1.0)) == [1.0]
+
+
 @pytest.mark.parametrize("klm,count", [
     ((2, 3, 3), 24), ((2, 3, 4), 48), ((2, 3, 5), 120),
     ((2, 2, 2), 8), ((2, 2, 6), 24),
