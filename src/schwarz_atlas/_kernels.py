@@ -55,8 +55,8 @@ def gauss_segment(alpha, beta, gamma, za, zb, F0):
     """Transport a 2x2 frame (row 0 values, row 1 derivatives) from za to zb
     along the straight segment.
 
-    Returns (frame, min |det| over the step points, accumulated truncation
-    estimate, ok flag).  ok=False means the segment reaches within
+    Returns (frame, accumulated truncation estimate, ok flag), the shape of
+    torus_segment's result.  ok=False means the segment reaches within
     _MIN_CLEARANCE of 0 or 1, where the equation is singular; the frame is
     then the one at the last point reached.  Raises NumericFailure when a
     step's series has not fallen below _EPS times its largest term after
@@ -65,7 +65,6 @@ def gauss_segment(alpha, beta, gamma, za, zb, F0):
     za, zb = complex(za), complex(zb)
     f0, f1 = complex(F0[0, 0]), complex(F0[0, 1])
     g0, g1 = complex(F0[1, 0]), complex(F0[1, 1])
-    mindet = abs(f0 * g1 - f1 * g0)
     errsum = 0.0
     s = alpha + beta + 1.0
     c = -alpha * beta
@@ -73,7 +72,7 @@ def gauss_segment(alpha, beta, gamma, za, zb, F0):
     while z != zb:
         dist = min(abs(z), abs(z - 1.0))
         if dist <= _MIN_CLEARANCE:
-            return _frame(f0, f1, g0, g1), mindet, errsum, False
+            return _frame(f0, f1, g0, g1), errsum, False
         rest = zb - z
         if abs(rest) <= 0.5 * dist:
             h, znext = rest, zb
@@ -127,11 +126,8 @@ def gauss_segment(alpha, beta, gamma, za, zb, F0):
             raise NumericFailure(
                 f"segment {za} -> {zb}: frame is not finite at z = {znext}")
         errsum += _EPS * big
-        det = abs(f0 * g1 - f1 * g0)
-        if det < mindet:
-            mindet = det
         z = znext
-    return _frame(f0, f1, g0, g1), mindet, errsum, True
+    return _frame(f0, f1, g0, g1), errsum, True
 
 
 def _frame(f0, f1, g0, g1):

@@ -78,8 +78,7 @@ def report_schema():
 
 def _emit(payload, fmt, stream):
     if fmt == "json":
-        json.dump(payload, stream, sort_keys=True, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         _emit_text(payload, stream)
 
@@ -215,8 +214,7 @@ def _cmd_triangle_tessellate(args):
         triangle.export_svg(tess, args.svg)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(rep, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            _emit(rep, "json", fh)
     payload = _report(
         module="triangle",
         inputs={"k": args.k, "l": args.l, "m": args.m, "depth": args.depth},
@@ -328,6 +326,7 @@ def _cmd_torus_form(args):
 
 
 def _cmd_schwarz_enumerate(args):
+    _require_at_least("--rank-max", args.rank_max, 2)
     result = schwarzcond.enumerate_solutions(
         p_min=args.p_min, p_max=args.p_max, rank_max=args.rank_max,
         include_k_half=args.include_k_half)
@@ -369,6 +368,8 @@ def _cmd_schwarz_enumerate(args):
 def _cmd_schwarz_check(args):
     if args.k is None and args.p is None:
         raise ValueError("provide --p or --k")
+    if args.k is not None and args.p is not None:
+        raise ValueError("provide --p or --k, not both")
     k = schwarzcond.k_from_p(args.p) if args.k is None else Fraction(args.k)
     report = schwarzcond.check(roots.RootSystemType(args.family, args.rank), k)
     payload = _report(

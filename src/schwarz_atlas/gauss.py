@@ -28,8 +28,6 @@ __all__ = [
     "RiemannScheme3",
     "PullbackParams",
     "RiemannScheme4",
-    "SolutionFrame",
-    "PathInC",
     "LogarithmicCaseError",
     "NumericFailure",
     "riemann_scheme",
@@ -41,7 +39,6 @@ __all__ = [
     "scaled_spectrum_residual",
     "schwarz_map",
     "vertex_angles",
-    "wronskian_check",
     "pullback_map",
     "pullback_ode_residual",
     "dictionary",
@@ -55,7 +52,7 @@ _SERIES_TOL = 1e-17       # a Frobenius term this small relative to the sum is n
 _SERIES_MAX_TERMS = 600   # Frobenius terms before the series counts as divergent
 _RING_RADIUS = 0.15       # radius of the circle around z in pullback_ode_residual
 _RING_SAMPLES = 32        # sample points on that circle
-_PATH_CLEARANCE = 1e-3    # least distance of a PathInC segment from 0 and 1
+_PATH_CLEARANCE = 1e-3    # least distance of a continue_along segment from 0 and 1
 
 
 class LogarithmicCaseError(ValueError):
@@ -164,28 +161,12 @@ def _frobenius_value(p, rho, z):
     return zr * s, zr / z * sd
 
 
-@dataclass(frozen=True)
-class SolutionFrame:
-    """2x2 fundamental matrix: column j holds (f_j, f_j') at the base point."""
-
-    base: complex
-    matrix: np.ndarray
-
-    @property
-    def wronskian(self):
-        m = self.matrix
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def identity_frame(z):
-    return SolutionFrame(base=complex(z), matrix=np.eye(2, dtype=np.complex128))
-
-
 def local_basis_at_zero(p, z):
     """The Frobenius basis at 0 evaluated at z: exponents 1-gamma and 0.
 
-    Requires |z| < 1 (series circle), z off the cut (-1, 0], and a non-integer
-    exponent difference at 0.
+    Returns the 2x2 frame: column j holds (f_j, f_j') at z, so row 0 holds
+    the values and row 1 the derivatives.  Requires |z| < 1 (series circle),
+    z off the cut (-1, 0], and a non-integer exponent difference at 0.
     """
     if p.log_case:
         raise LogarithmicCaseError(f"logarithmic parameter set {p}")
@@ -196,32 +177,16 @@ def local_basis_at_zero(p, z):
         raise ValueError("z on the branch cut (-1, 0]")
     f1, d1 = _frobenius_value(p, 1 - p.gamma, z)
     f2, d2 = _frobenius_value(p, Fraction(0), z)
-    return SolutionFrame(base=z, matrix=np.array([[f1, f2], [d1, d2]]))
+    return np.array([[f1, f2], [d1, d2]])
 
 
-@dataclass(frozen=True)
-class PathInC:
-    """Piecewise-linear path; every segment must clear the finite singular
-    points 0 and 1 by at least _PATH_CLEARANCE."""
-
-    points: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(complex(q) for q in self.points))
-        for s in (0.0, 1.0):
-            d = self.min_distance_to(s)
-            if d < _PATH_CLEARANCE:
-                raise ValueError(
-                    f"path passes within {d:.2e} of the singular point {s}"
-                )
-
-    def min_distance_to(self, s):
-        best = math.inf
-        for a, b in zip(self.points, self.points[1:]):
-            best = min(best, _segment_distance(a, b, complex(s)))
-        if not self.points[1:]:
-            best = abs(self.points[0] - complex(s))
-        return best
+def _frame_at_base(p):
+    """The local basis at 0 evaluated at BASE_POINT, or the identity jet frame
+    there when an exponent difference is an integer: the measurements that
+    start from it never need the local series."""
+    if p.log_case:
+        return np.eye(2, dtype=np.complex128)
+    return local_basis_at_zero(p, BASE_POINT)
 
 
 def _segment_distance(a, b, q):
@@ -234,43 +199,34 @@ def _segment_distance(a, b, q):
     return abs(q - (a + t * d))
 
 
-def _transport(p, points, matrix):
-    """Run the segment kernel along consecutive waypoints.
-
-    Returns (matrix, min |det| along the way).  Raises NumericFailure, naming
-    the segment, when the kernel cannot finish.
+def _transport(p, points, F):
+    """Run the segment kernel along consecutive waypoints and return the
+    continued frame.  Raises NumericFailure, naming the segment, when the
+    kernel cannot finish.
     """
     al, be, ga = p.floats()
-    F = np.asarray(matrix, dtype=np.complex128).copy()
-    mindet = abs(F[0, 0] * F[1, 1] - F[0, 1] * F[1, 0])
+    F = np.array(F, dtype=np.complex128)
     for a, b in zip(points, points[1:]):
-        F, md, _, ok = _kernels.gauss_segment(al, be, ga, complex(a), complex(b), F)
-        mindet = min(mindet, md)
+        F, _, ok = _kernels.gauss_segment(al, be, ga, complex(a), complex(b), F)
         if not ok:
             s = min((0.0, 1.0), key=lambda q: _segment_distance(a, b, q))
             raise NumericFailure(
                 f"segment {a} -> {b}: reaches the singular point {s:g}")
-    return F, mindet
+    return F
 
 
-def continue_along(p, path, frame):
-    """Analytic continuation of a frame along the path (linear in the frame)."""
-    if abs(complex(path.points[0]) - frame.base) > 1e-12:
-        raise ValueError("frame is not based at the start of the path")
-    F, _ = _transport(p, path.points, frame.matrix)
-    return SolutionFrame(base=complex(path.points[-1]), matrix=F)
-
-
-def wronskian_check(p, path, frame=None):
-    """True iff |det| of the transported frame never drops below 1e-12 times
-    its initial value along the path."""
-    if frame is None:
-        frame = identity_frame(path.points[0])
-    det0 = abs(frame.wronskian)
-    if det0 == 0.0:
-        return False
-    _, mindet = _transport(p, path.points, frame.matrix)
-    return mindet > 1e-12 * det0
+def continue_along(p, points, F):
+    """Analytic continuation of the frame F, given at points[0], along the
+    piecewise-linear path through the waypoints (linear in F).  Every segment
+    must clear the finite singular points 0 and 1 by at least
+    _PATH_CLEARANCE; a one-point path must itself keep that distance."""
+    points = [complex(q) for q in points]
+    for s in (0.0, 1.0):
+        d = min((_segment_distance(a, b, complex(s)) for a, b in zip(points, points[1:])),
+                default=abs(points[0] - complex(s)))
+        if d < _PATH_CLEARANCE:
+            raise ValueError(f"path passes within {d:.2e} of the singular point {s}")
+    return _transport(p, points, F)
 
 
 # fixed loops based at 1/2 (rectangles; counterclockwise around 0 and around 1,
@@ -300,8 +256,7 @@ def monodromy_at(p, s):
     """Monodromy matrix of the loop around s in {0, 1, "inf"}, in the frame of
     initial jets at the base point 1/2.  Eigenvalues are exp(2 pi i e) for the
     two local exponents e at s."""
-    F, _ = _transport(p, _LOOPS[_singular_point(s)], np.eye(2, dtype=np.complex128))
-    return F
+    return _transport(p, _LOOPS[_singular_point(s)], np.eye(2, dtype=np.complex128))
 
 
 def monodromy_relation_residual(m0, m1, minf):
@@ -368,16 +323,16 @@ def _plan_path(z0, z1):
     return (z0, z0 + h, z1 + h, z1)
 
 
-def schwarz_map(p, z, frame=None):
-    """Ratio of the two Frobenius solutions at 0, continued to z.
+def schwarz_map(p, z, F=None):
+    """Ratio of the two solutions of the frame F at BASE_POINT (by default
+    the Frobenius basis at 0), continued to z.
 
     A zero of the denominator solution is a pole of the map and comes back as
     complex infinity.
     """
-    if frame is None:
-        frame = local_basis_at_zero(p, BASE_POINT)
-    pts = _plan_path(frame.base, z)
-    F, _ = _transport(p, pts, frame.matrix)
+    if F is None:
+        F = local_basis_at_zero(p, BASE_POINT)
+    F = _transport(p, _plan_path(BASE_POINT, z), F)
     num, den = F[0, 0], F[0, 1]
     if abs(den) <= 1e-14 * max(1.0, abs(num)):
         return complex(math.inf, math.inf)
@@ -410,29 +365,26 @@ def _fit_circle(points):
     return circ, float(svals[-1]) / scale
 
 
-def vertex_angles(p, basis=None):
+def vertex_angles(p):
     """Interior angles of the conformal image triangle at the images of 0, 1
     and infinity, measured from the fitted boundary-arc circles.
 
-    Works for any invertible solution basis (angles are invariant under a
-    change of basis); parameter sets with integer differences are handled with
-    the identity frame, since the measurement never needs local series.
+    The angles do not depend on the solution basis, so a chart whose boundary
+    samples reach the chart infinity is retried in the next basis of
+    _MOBIUS_RETRIES; parameter sets with integer differences start from the
+    identity frame, since the measurement never needs local series.
     """
-    if p.log_case:
-        frame = identity_frame(BASE_POINT)
-    else:
-        frame = local_basis_at_zero(p, BASE_POINT)
+    F0 = _frame_at_base(p)
     sides_params = (_SIDE_01, _SIDE_1INF, _SIDE_INF0)
     last_error = None
     for mob in _MOBIUS_RETRIES:
-        matrix = frame.matrix @ (mob if basis is None else np.asarray(basis, dtype=complex))
-        fr = SolutionFrame(base=frame.base, matrix=matrix)
+        F = F0 @ mob
         try:
             samples = []
             for params in sides_params:
                 pts = []
                 for t in params:
-                    w = schwarz_map(p, t, frame=fr)
+                    w = schwarz_map(p, t, F)
                     if not (math.isfinite(w.real) and math.isfinite(w.imag)) or abs(w) > 1e4:
                         raise ValueError("boundary sample at or near the chart infinity")
                     pts.append(w)
@@ -456,8 +408,6 @@ def vertex_angles(p, basis=None):
                 )
             return tuple(angles)
         except ValueError as exc:
-            if basis is not None:
-                raise
             last_error = exc
     raise ValueError(f"vertex measurement failed for every chart ({last_error})")
 
@@ -570,10 +520,7 @@ def pullback_ode_residual(pb, z):
             f"z = {z} too close to a singular point (clearance {clearance:.3f})"
         )
     p = dictionary(pb)
-    if p.log_case:
-        frame0 = identity_frame(BASE_POINT)
-    else:
-        frame0 = local_basis_at_zero(p, BASE_POINT)
+    F0 = _frame_at_base(p)
     w_center = pullback_map(z)
     ring = [z + _RING_RADIUS * cmath.exp(2j * cmath.pi * j / _RING_SAMPLES)
             for j in range(_RING_SAMPLES)]
@@ -582,12 +529,10 @@ def pullback_ode_residual(pb, z):
     for s in (0.0, 1.0):
         if abs(w_center - s) < 2.0 * spread:
             raise ValueError("pullback image circle too close to a singular point")
-    anchor_pts = _plan_path(frame0.base, w_center)
-    F_anchor, _ = _transport(p, anchor_pts, frame0.matrix)
+    F_anchor = _transport(p, _plan_path(BASE_POINT, w_center), F0)
     values = np.empty((_RING_SAMPLES, 2), dtype=np.complex128)
     for j, w in enumerate(ws):
-        F, _ = _transport(p, (w_center, w), F_anchor)
-        values[j] = F[0, :]
+        values[j] = _transport(p, (w_center, w), F_anchor)[0, :]
     coeffs = np.fft.fft(values, axis=0) / _RING_SAMPLES
     g = coeffs[0]
     gp = coeffs[1] / _RING_RADIUS

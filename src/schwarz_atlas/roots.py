@@ -126,31 +126,22 @@ def _enumerate(rtype):
 
     Every positive root of height h+1 is (positive root of height h) + (simple
     root), and in the simply laced case the roots are exactly the lattice
-    vectors of squared norm 2, so a breadth-first sweep with a norm test closes
-    the set.
+    vectors of squared norm 2.  Since |r + alpha_i|^2 = 4 + 2 (C r)_i for a
+    root r, r + alpha_i is a root iff (C r)_i = -1: each level is one integer
+    matrix product away from the last.  Each level is sorted, so the roots
+    come out by height, then lexicographically.
     """
     n = rtype.rank
     cart = cartan_matrix(rtype)
-    level = [tuple(row) for row in np.eye(n, dtype=np.int64)]
-    seen = set(level)
-    positive = list(level)
-    while level:
-        nxt = []
-        for root in level:
-            base = np.array(root, dtype=np.int64)
-            for i in range(n):
-                cand = base.copy()
-                cand[i] += 1
-                key = tuple(cand)
-                if key in seen:
-                    continue
-                if cand @ cart @ cand == 2:
-                    seen.add(key)
-                    nxt.append(key)
-        positive.extend(nxt)
-        level = nxt
-    positive.sort(key=lambda c: (sum(c), c))
-    pos = np.array(positive, dtype=np.int64)
+    level = np.eye(n, dtype=np.int64)[::-1]
+    levels = [level]
+    while len(level):
+        roots, nodes = np.nonzero(level @ cart == -1)
+        nxt = level[roots]
+        nxt[np.arange(len(roots)), nodes] += 1
+        level = np.array(sorted(set(map(tuple, nxt.tolist()))), dtype=np.int64).reshape(-1, n)
+        levels.append(level)
+    pos = np.concatenate(levels)
     cart.setflags(write=False)
     pos.setflags(write=False)
     return RootSystem(rtype=rtype, cartan=cart, positive_roots=pos)

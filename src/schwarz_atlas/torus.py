@@ -194,10 +194,10 @@ def _frame_stack(coeffs):
     return A
 
 
-def connection(system, k, point, a_override=None):
+def connection(system, k, point):
     """First-order form theta_i F = A_i F on the jet frame (f, theta_1 f, ...):
     the n matrices A_i stacked as one (n, n+1, n+1) array."""
-    return _frame_stack(assemble(system, k, point, a_override))
+    return _frame_stack(assemble(system, k, point))
 
 
 def _theta_frame_matrices(system, k, tchar):

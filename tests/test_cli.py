@@ -157,6 +157,11 @@ def test_torus_rejects_samples_below_one(argv, capsys):
     (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root", "0"],
      "--root must be 1..2 or 'highest'"),
     (["schwarz", "check", "--type", "A", "--rank", "2"], "provide --p or --k"),
+    (["schwarz", "check", "--type", "A", "--rank", "3", "--p", "3", "--k", "1/4"],
+     "provide --p or --k, not both"),
+    # the scan covers no type of rank below 2, so it would check nothing
+    (["schwarz", "enumerate", "--rank-max", "1"], "--rank-max must be at least 2, got 1"),
+    (["schwarz", "enumerate", "--rank-max", "0"], "--rank-max must be at least 2, got 0"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     code, out = run_cli(argv)
@@ -248,6 +253,7 @@ def test_torus_form_builds_generators_once(monkeypatch):
     (4, ([], [])),
     (5, ([[3, "A5"]], [[6, "A5"]])),
     (6, ([[3, "A5"]], [[6, "A5"]])),
+    (2, ([], [])),
 ])
 def test_enumerate_below_rank_seven(rank_max, anomalies):
     # table rows of rank above rank_max (A7, E7 at p = 3) are out of range

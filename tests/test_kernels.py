@@ -304,7 +304,7 @@ def test_kernel_reports_underflow_near_singularity(monkeypatch):
     # a segment ending exactly on the singular point 1 cannot finish
     monkeypatch.setattr(_kernels, "_EPS", 1e-12)
     F0 = np.eye(2, dtype=np.complex128)
-    _, _, _, ok = _kernels.gauss_segment(
+    _, _, ok = _kernels.gauss_segment(
         0.25 + 0j, 0.5 + 0j, 0.75 + 0j, complex(0.5), complex(1.0), F0)
     assert not ok
 

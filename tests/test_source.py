@@ -110,3 +110,38 @@ def test_dead_private_name_finder():
 def test_every_private_name_is_used():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert set(dead_private_names(sources)) == TRACER_ALIASES
+
+
+def unbound_exports(source):
+    """Entries of __all__ that the module does not bind at module level: by a
+    def, a class, an assignment or an import."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        bound.update(_bound_at_module_level(node))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            exported = [elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)]
+    return [name for name in exported if name not in bound]
+
+
+def test_unbound_export_finder():
+    source = (
+        "from .kernels import NumericFailure\n"
+        "import numpy as np\n"
+        "__all__ = ['f', 'Frame', 'NumericFailure', 'np', 'LIMIT', 'gone', 'Gone']\n"
+        "LIMIT: int = 3\n"
+        "class Frame:\n"
+        "    gone = 1\n"
+        "def f():\n"
+        "    Gone = 2\n"
+        "    return Gone\n"
+    )
+    assert unbound_exports(source) == ["gone", "Gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
