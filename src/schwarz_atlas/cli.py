@@ -182,19 +182,19 @@ def _cmd_gauss_triangle(args):
             raise ValueError(
                 f"{flag} must be positive, got {format_rational(angle)}"
                 + ("" if angle else " (a zero angle needs a hyperbolic triangle)"))
-    tri = triangle.triangle_from_angles(
+    tess = triangle.triangle_from_angles(
         float(kappa) * math.pi, float(lam) * math.pi, float(mu) * math.pi, geometry)
     if args.svg:
-        triangle.export_svg(triangle.Tessellation.from_triangle(tri, geometry), args.svg)
-    residual = tri.max_angle_residual()
+        triangle.export_svg(tess, args.svg)
+    residual = tess.max_angle_residual()
     payload = _report(
         module="gauss",
         inputs={"kappa": format_rational(kappa), "lambda": format_rational(lam),
                 "mu": format_rational(mu)},
         results={
             "geometry": geometry.value,
-            "vertices": [_complex_out(v) for v in tri.vertices],
-            "angles": [float(a) for a in tri.angles],
+            "vertices": [list(v) for v in zip(*tess.points[:, 0, :3].tolist())],
+            "angles": [float(a) for a in tess.angles],
             "svg": args.svg or "",
         },
         residuals={"angle_residual": residual},
@@ -238,6 +238,13 @@ def _require_at_least(flag, value, least):
     # below n = 1 there is no weight vector and below depth 0 no word
     if value < least:
         raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
+def _require_at_most(flag, value, most):
+    # the largest A_n and D_n that roots builds, and the ranks and orders
+    # that dm_equivalence_scan covers
+    if value > most:
+        raise ValueError(f"{flag} must be at most {most}, got {value}")
 
 
 def _cmd_torus_flatness(args):
@@ -327,6 +334,7 @@ def _cmd_torus_form(args):
 
 def _cmd_schwarz_enumerate(args):
     _require_at_least("--rank-max", args.rank_max, 2)
+    _require_at_most("--rank-max", args.rank_max, 30)
     result = schwarzcond.enumerate_solutions(
         p_min=args.p_min, p_max=args.p_max, rank_max=args.rank_max,
         include_k_half=args.include_k_half)
@@ -419,6 +427,8 @@ def _cmd_schwarz_dm_scan(args):
     # the scan starts at n = 2 and p = 3
     _require_at_least("--n-max", args.n_max, 2)
     _require_at_least("--p-max", args.p_max, 3)
+    _require_at_most("--n-max", args.n_max, 10)
+    _require_at_most("--p-max", args.p_max, 60)
     scan = schwarzcond.dm_equivalence_scan(n_max=args.n_max, p_max=args.p_max)
     rows = scan["rows"]
     identities_ok = all(r["identities_ok"] for r in rows)

@@ -18,7 +18,8 @@ the base triangle onto it, and the tile across its side i is G R_i.  The
 tiles' chart points and side circles are computed at the end, as arrays over
 all tiles; spherical tiles reaching too close to the projection pole are
 reported in a secondary chart.  The residuals and the SVG read the same
-arrays, and ArcTriangle objects are built only on request.
+arrays.  A single triangle is a one-tile Tessellation whose rows come from
+the scalar construction with GeneralizedCircle sides.
 """
 
 from __future__ import annotations
@@ -36,16 +37,13 @@ import numpy as np
 __all__ = [
     "Geometry",
     "GeneralizedCircle",
-    "ArcTriangle",
     "Tessellation",
     "classify",
     "classify_angles",
     "build_triangle",
     "triangle_from_angles",
     "reflect_point",
-    "reflect_circle",
     "tessellate",
-    "orthogonal_circle",
     "export_svg",
 ]
 
@@ -101,18 +99,6 @@ class GeneralizedCircle:
             raise ValueError("line normal must be nonzero")
         return cls(0.0, normal / mod, -2.0 * float(offset))
 
-    @classmethod
-    def through(cls, z1, z2, z3):
-        """Circle or line through three points.
-
-        The centre is solved relative to z1, so a small circle far from the
-        origin keeps its digits, and the constant term is
-        |z1|^2 + 2 Re(conj(z1) w) for the relative centre w, which stays
-        accurate as the circle grows into a line."""
-        z = np.array([z1, z2, z3], complex)
-        a, br, bi, c = _through(*np.stack([z.real, z.imag], axis=1)).tolist()
-        return cls(a, complex(br, bi), c)
-
     @cached_property
     def is_line(self):
         return abs(self.a) <= _LINE_EPS * max(abs(self.b), abs(self.c), 1.0)
@@ -144,13 +130,6 @@ class GeneralizedCircle:
         """Sign of this is the side of the circle z lies on; zero on the circle."""
         return self.a * abs(z) ** 2 + 2 * (self.b.conjugate() * z).real + self.c
 
-    def unit_circle_orthogonality_residual(self):
-        """| |c|^2 - r^2 - 1 | / (|c|^2 + r^2 + 1) for circles, so a correct
-        circle rounded to doubles reads about eps at any radius; distance from
-        the origin for lines."""
-        sides = np.array([self.a, self.b.real, self.b.imag, self.c], float)
-        return _orthogonality_residuals(sides).item()
-
 
 def reflect_point(p, circ):
     """Inversion in a circle / mirror reflection in a line; an involution."""
@@ -162,36 +141,6 @@ def reflect_point(p, circ):
     if w == 0:
         raise ValueError("cannot invert the center of the circle")
     return c + circ.radius**2 / w.conjugate()
-
-
-def _spread_points(circ):
-    if circ.is_line:
-        u, d = circ.line_normal, circ.line_offset
-        base = d * u
-        t = 1j * u
-        return (base - t, base, base + t)
-    c, r = circ.center, circ.radius
-    return tuple(c + r * cmath.exp(1j * th) for th in (0.5, 2.6, 4.7))
-
-
-def reflect_circle(circ, mirror):
-    """Image of a generalized circle under reflection in another one.
-
-    Uses three sample points and an exact three-point reconstruction, which
-    covers every circle/line case uniformly; sample points are displaced when
-    one coincides with the inversion center.
-    """
-    pts = list(_spread_points(circ))
-    if not mirror.is_line:
-        c0 = mirror.center
-        for i, p in enumerate(pts):
-            if abs(p - c0) < 1e-13:
-                if circ.is_line:
-                    pts[i] = p + 0.37j * circ.line_normal * 0.5
-                else:
-                    pts[i] = circ.center + circ.radius * cmath.exp(1j * (0.5 + 0.9 * (i + 1)))
-    images = [reflect_point(p, mirror) for p in pts]
-    return GeneralizedCircle.through(*images)
 
 
 def circle_intersections(c1, c2):
@@ -237,39 +186,6 @@ def circle_intersections(c1, c2):
 # ---------------------------------------------------------------------------
 # triangles
 
-@dataclass(frozen=True)
-class ArcTriangle:
-    vertices: tuple            # (v0, v1, v2) complex
-    sides: tuple               # (s0, s1, s2); side i joins the two vertices != i
-    angles: tuple              # target interior angles at v0, v1, v2 (radians)
-    side_midpoints: tuple      # a point on each arc, used for orientation and SVG
-    interior_point: complex
-    chart: str = "primary"     # spherical tiles far from the origin use "secondary"
-
-    def measured_angles(self):
-        return tuple(_measured_angles(*_tile_arrays(self))[0].tolist())
-
-    def max_angle_residual(self):
-        return _angle_residuals(*_tile_arrays(self), self.angles)[0].item()
-
-    def incidence_residual(self):
-        worst = 0.0
-        for i in range(3):
-            for j in range(3):
-                if j == i:
-                    continue
-                worst = max(worst, abs(self.sides[j].eval(self.vertices[i])))
-        return worst
-
-    def contains(self, p, margin=0.0):
-        for s in self.sides:
-            ref = s.eval(self.interior_point)
-            val = s.eval(p)
-            if val * (1 if ref > 0 else -1) < margin:
-                return False
-        return True
-
-
 def _geodesic_side(va, vb, geometry):
     """Side circle through two vertices: orthogonal to the unit circle in the
     hyperbolic model, antipodally symmetric in the spherical chart, straight in
@@ -305,20 +221,15 @@ def _arc_midpoint(side, va, vb):
     return c + r * cmath.exp(1j * (th1 + delta / 2))
 
 
-def triangle_from_angles(a0, a1, a2, geometry=None):
-    """Construct a circular-arc triangle with the given interior angles.
+def triangle_from_angles(a0, a1, a2, geometry):
+    """The one-tile Tessellation of a circular-arc triangle with the given
+    interior angles, in the model of geometry (the exact classification of
+    the angles).
 
     The first vertex sits at 0 with its first side along the positive real
     axis.  Angles are radians; in the hyperbolic case a zero angle produces an
     ideal vertex on the unit circle.
     """
-    if geometry is None:
-        total = a0 + a1 + a2
-        geometry = (
-            Geometry.SPHERICAL if total > math.pi + 1e-12
-            else Geometry.EUCLIDEAN if abs(total - math.pi) <= 1e-12
-            else Geometry.HYPERBOLIC
-        )
     if geometry is not Geometry.HYPERBOLIC and min(a0, a1, a2) <= 0:
         raise ValueError("zero angles are only meaningful in the hyperbolic case")
 
@@ -371,13 +282,8 @@ def triangle_from_angles(a0, a1, a2, geometry=None):
     verts = tuple(verts3[inv[i]] for i in range(3))
     sides = tuple(sides3[inv[i]] for i in range(3))
     mids = tuple(mids3[inv[i]] for i in range(3))
-    angles = (a0, a1, a2)
-
     interior = _find_interior_point(verts, sides)
-    return ArcTriangle(
-        vertices=verts, sides=sides, angles=angles,
-        side_midpoints=mids, interior_point=interior,
-    )
+    return _one_tile(geometry, (a0, a1, a2), verts, sides, mids, interior)
 
 
 def _ideal_triangle():
@@ -390,10 +296,19 @@ def _ideal_triangle():
     )
     mids = tuple(_arc_midpoint(sides[i], verts[(i + 1) % 3], verts[(i + 2) % 3])
                  for i in range(3))
-    return ArcTriangle(
-        vertices=verts, sides=sides, angles=(0.0, 0.0, 0.0),
-        side_midpoints=mids, interior_point=complex(0.0),
-    )
+    return _one_tile(Geometry.HYPERBOLIC, (0.0, 0.0, 0.0), verts, sides, mids, complex(0.0))
+
+
+def _one_tile(geometry, angles, verts, sides, mids, interior):
+    """The Tessellation of one triangle: its vertices, side midpoints and
+    interior point (complex) and its sides (GeneralizedCircle)."""
+    z = (*verts, *mids, interior)
+    flat = np.array([*(p.real for p in z), *(p.imag for p in z), *(t.a for t in sides),
+                     *(t.b.real for t in sides), *(t.b.imag for t in sides),
+                     *(t.c for t in sides)], float)
+    return Tessellation(geometry=geometry, words=[""], depth=0, closure_reached=True,
+                        angles=angles, points=flat[:14].reshape(2, 1, 7),
+                        sides=flat[14:].reshape(4, 1, 3), secondary=np.zeros(1, bool))
 
 
 def _find_interior_point(verts, sides):
@@ -414,7 +329,8 @@ def _find_interior_point(verts, sides):
 
 
 def build_triangle(k, l, m):
-    """Fundamental (k, l, m) triangle with interior angles pi/k, pi/l, pi/m."""
+    """Fundamental (k, l, m) triangle with interior angles pi/k, pi/l, pi/m,
+    as a one-tile Tessellation."""
     geometry = classify(k, l, m)
     return triangle_from_angles(math.pi / k, math.pi / l, math.pi / m, geometry)
 
@@ -439,39 +355,9 @@ class Tessellation:
     sides: np.ndarray          # (4, tiles, 3)
     secondary: np.ndarray      # (tiles,) bool
 
-    @classmethod
-    def from_triangle(cls, tri, geometry):
-        """The tessellation made of the one triangle tri."""
-        points, sides = _tile_arrays(tri)
-        return cls(geometry=geometry, words=[""], depth=0, closure_reached=True,
-                   angles=tri.angles, points=points, sides=sides,
-                   secondary=np.array([tri.chart == "secondary"]))
-
     @property
     def tile_count(self):
         return len(self.words)
-
-    @cached_property
-    def tiles(self):
-        """The tiles as ArcTriangle objects, built on first use."""
-        return self._triangles(slice(None))
-
-    @property
-    def base(self):
-        return self._triangles(slice(0, 1))[0]
-
-    def _triangles(self, rows):
-        x, y = self.points[:, rows]
-        z = np.empty(x.shape, complex)
-        z.real, z.imag = x, y
-        sides = self.sides[:, rows].transpose(1, 2, 0).tolist()
-        return [
-            ArcTriangle(
-                vertices=tuple(v[:3]), angles=self.angles, side_midpoints=tuple(v[3:6]),
-                interior_point=v[6], chart="secondary" if secondary else "primary",
-                sides=tuple(GeneralizedCircle(a, complex(br, bi), c) for a, br, bi, c in coeffs))
-            for v, coeffs, secondary in zip(z.tolist(), sides, self.secondary[rows].tolist())
-        ]
 
     def max_angle_residual(self):
         return _angle_residuals(self.points, self.sides, self.angles).max().item()
@@ -492,15 +378,6 @@ class Tessellation:
         if self.geometry is Geometry.HYPERBOLIC:
             rep["max_orthogonality_residual"] = self.max_orthogonality_residual()
         return rep
-
-
-def _tile_arrays(tri):
-    """points and sides of one ArcTriangle, as a stack of one tile."""
-    z = (*tri.vertices, *tri.side_midpoints, tri.interior_point)
-    s = tri.sides
-    flat = np.array([*(p.real for p in z), *(p.imag for p in z), *(t.a for t in s),
-                     *(t.b.real for t in s), *(t.b.imag for t in s), *(t.c for t in s)], float)
-    return flat[:14].reshape(2, 1, 7), flat[14:].reshape(4, 1, 3)
 
 
 _FORM_SIGN = {Geometry.SPHERICAL: 1.0, Geometry.EUCLIDEAN: 0.0, Geometry.HYPERBOLIC: -1.0}
@@ -592,7 +469,8 @@ def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
     geometry = classify(k, l, m)
     s = _FORM_SIGN[geometry]
     base = build_triangle(k, l, m)
-    P = np.array([_lift(v, s) for v in base.vertices]).T     # columns p0, p1, p2
+    vertices = zip(*base.points[:, 0, :3].tolist())
+    P = np.array([_lift(complex(x, y), s) for x, y in vertices]).T   # columns p0, p1, p2
     ells = np.cross(P[:, [1, 2, 0]].T, P[:, [2, 0, 1]].T)    # side i: p_{i+1} x p_{i+2}
     jells = ells * np.array([1.0, 1.0, s])
     R = np.eye(3) - 2 * jells[:, :, None] * ells[:, None, :] \
@@ -643,15 +521,6 @@ def _great_circles(normals, secondary):
     n2, n3 = np.where(flip, -n2, n2), np.where(flip, -n3, n3)
     scale = np.maximum(np.maximum(np.abs(n1), np.abs(n2)), np.abs(n3))
     return np.stack([-n3 / scale, *_div_real(np.stack([n1, n2]), scale), n3 / scale])
-
-
-def orthogonal_circle(tess):
-    """The unit circle of the disc model, with the worst orthogonality residual
-    of any tile side against it."""
-    if tess.geometry is not Geometry.HYPERBOLIC:
-        raise ValueError("the orthogonal circle exists for hyperbolic tessellations only")
-    residual = tess.max_orthogonality_residual()
-    return GeneralizedCircle.from_center_radius(0.0, 1.0), residual
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +588,12 @@ def _line_through(p1, p2):
 
 
 def _through(p1, p2, p3):
-    """GeneralizedCircle.through: (a, Re b, Im b, c) of the circle or line
-    through three points each."""
+    """(a, Re b, Im b, c) of the circle or line through three points each.
+
+    The centre is solved relative to p1, so a small circle far from the
+    origin keeps its digits, and the constant term is
+    |p1|^2 + 2 Re(conj(p1) w) for the relative centre w, which stays
+    accurate as the circle grows into a line."""
     w2, w3 = p2 - p1, p3 - p1
     det = 2.0 * (w2[0] * w3[1] - w2[1] * w3[0])
     n2, n3 = _square(np.hypot(w2[0], w2[1])), _square(np.hypot(w3[0], w3[1]))

@@ -155,7 +155,7 @@ def test_criterion_8_tessellation_closure():
         tess = triangle.tessellate(*klm)
         counts[klm] = (tess.tile_count, want, tess.closure_reached)
     hyp = triangle.tessellate(2, 3, 7, max_word_length=6)
-    inside = all(abs(v) < 1.0 for t in hyp.tiles for v in t.vertices)
+    inside = bool(np.all(np.hypot(*hyp.points[..., :3]) < 1.0))
     ortho = hyp.max_orthogonality_residual()
     ok = (all(got == want and closed for got, want, closed in counts.values())
           and inside and ortho < 1e-9)

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, determinism, report schema."""
 
+import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -162,6 +164,9 @@ def test_torus_rejects_samples_below_one(argv, capsys):
     # the scan covers no type of rank below 2, so it would check nothing
     (["schwarz", "enumerate", "--rank-max", "1"], "--rank-max must be at least 2, got 1"),
     (["schwarz", "enumerate", "--rank-max", "0"], "--rank-max must be at least 2, got 0"),
+    # the largest root systems roots builds are A30 and D30
+    (["schwarz", "enumerate", "--rank-max", "31"], "--rank-max must be at most 30, got 31"),
+    (["schwarz", "enumerate", "--rank-max", "40"], "--rank-max must be at most 30, got 40"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     code, out = run_cli(argv)
@@ -344,6 +349,26 @@ def test_gauss_schwarz_triangle_zero_angle_is_an_ideal_vertex():
     assert json.loads(out)["results"]["geometry"] == "hyperbolic"
 
 
+def test_schwarz_triangle_reports_are_pinned(tmp_path, capsys):
+    # every angle triple from {0, 1/2, 1/3, 1/5, 1/7}: all three geometries,
+    # one to three zero angles and the zero-angle usage errors.  sha256 of
+    # (argv, exit code, stdout, stderr) and the SVG bytes, as first pinned
+    svg = tmp_path / "t.svg"
+    digest = hashlib.sha256()
+    for angles in itertools.product(["0", "1/2", "1/3", "1/5", "1/7"], repeat=3):
+        flags = [x for pair in zip(["--kappa", "--lambda", "--mu"], angles) for x in pair]
+        argv = ["gauss", "schwarz-triangle", *flags, "--svg", str(svg), "--format", "json"]
+        svg.unlink(missing_ok=True)
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        record = ([a.replace(str(svg), "{svg}") for a in argv], code,
+                  out.replace(str(svg), "{svg}"), err)
+        digest.update(repr(record).encode())
+        digest.update(svg.read_bytes() if svg.exists() else b"no svg")
+    assert digest.hexdigest() == (
+        "483624f8c37ec9a856da2cd718bf5d6ea49a7725fa4caf59d64b7f0706d4d041")
+
+
 def test_schwarz_check_and_dm():
     code, out = run_cli(["schwarz", "check", "--type", "A", "--rank", "7",
                          "--p", "3", "--format", "json"])
@@ -371,6 +396,10 @@ def test_dm_scan_cli():
     (["--p-max", "2"], "--p-max must be at least 3, got 2"),
     (["--n-max", "0", "--p-max", "-5"], "--n-max must be at least 2, got 0"),
     (["--n-max", "4", "--p-max", "-5"], "--p-max must be at least 3, got -5"),
+    # past the ranks and orders the scan covers
+    (["--n-max", "11"], "--n-max must be at most 10, got 11"),
+    (["--p-max", "61"], "--p-max must be at most 60, got 61"),
+    (["--n-max", "11", "--p-max", "61"], "--n-max must be at most 10, got 11"),
 ])
 def test_dm_scan_rejects_empty_ranges(flags, message, capsys):
     # an empty scan would report every identity and verdict as holding

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -145,3 +146,60 @@ def test_unbound_export_finder():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_public_names(package, others):
+    """(module, name) for every public module-level name bound in one of the
+    package sources that no source loads, package or other: not as a name,
+    an attribute nor an import.  A load inside the name's own definition and
+    its entry in __all__ do not count."""
+    trees = {module: ast.parse(source) for module, source in {**package, **others}.items()}
+
+    def loads(tree):
+        found = Counter()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found[node.id] += 1
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found[node.attr] += 1
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+        return found
+
+    loaded = sum((loads(tree) for tree in trees.values()), Counter())
+    return sorted(
+        (module, name) for module in package for node in trees[module].body
+        for name in _bound_at_module_level(node)
+        if not name.startswith("_") and loaded[name] == loads(node)[name])
+
+
+def test_unused_public_name_finder():
+    package = {
+        "a": (
+            "__all__ = ['used', 'listed', 'LIMIT']\n"
+            "LIMIT = 3\n"
+            "ORPHAN: int = 4\n"
+            "def used():\n"
+            "    return LIMIT\n"
+            "def listed():\n"
+            "    return 0\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "class Shape:\n"
+            "    pass\n"
+            "def _private():\n"
+            "    return 1\n"
+        ),
+        "b": "from .a import Shape\n",
+    }
+    others = {"test_a": "from pkg import a\n\ndef test_used():\n    assert a.used() == 3\n"}
+    assert unused_public_names(package, others) == [
+        ("a", "ORPHAN"), ("a", "listed"), ("a", "recursive")]
+
+
+def test_every_public_name_is_used():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    others = {str(path): path.read_text(encoding="utf-8")
+              for folder in ("tests", "perfbench") for path in sorted((root / folder).glob("*.py"))}
+    assert unused_public_names(package, others) == []

@@ -19,6 +19,32 @@ from schwarz_atlas import triangle as tri
 from schwarz_atlas.triangle import Geometry, GeneralizedCircle, reflect_point
 
 
+def chart_points(tess):
+    """The chart points of every tile as complex numbers, (tiles, 7):
+    vertices, side midpoints and interior point."""
+    z = np.empty(tess.points.shape[1:], complex)
+    z.real, z.imag = tess.points
+    return z
+
+
+def tile_circles(tess, tile):
+    """The three sides of one tile as GeneralizedCircle objects."""
+    return [GeneralizedCircle(a, complex(br, bi), c)
+            for a, br, bi, c in tess.sides[:, tile].T.tolist()]
+
+
+def side_values(sides, z):
+    """a |z|^2 + 2 Re(conj(b) z) + c of each side (4, tiles, 3) at the chart
+    points z (k,): (tiles, 3, k), whose sign is the side of the circle."""
+    a, br, bi, c = sides[..., None]
+    return a * np.abs(z) ** 2 + 2 * (br * z.real + bi * z.imag) + c
+
+
+def circle_array(*circles):
+    """(a, Re b, Im b, c) of each GeneralizedCircle, (4, circles)."""
+    return np.array([[t.a, t.b.real, t.b.imag, t.c] for t in circles]).T
+
+
 def test_classify_exact():
     assert tri.classify(2, 3, 5) is Geometry.SPHERICAL
     assert tri.classify(2, 3, 6) is Geometry.EUCLIDEAN
@@ -34,26 +60,29 @@ def test_classify_exact():
 
 def test_build_hyperbolic_triangle():
     t = tri.build_triangle(2, 3, 7)
-    measured = t.measured_angles()
+    assert (t.words, t.depth, t.closure_reached) == ([""], 0, True)
+    measured = tri._measured_angles(t.points, t.sides)[0]
     for got, want in zip(measured, (math.pi / 2, math.pi / 3, math.pi / 7)):
         assert abs(got - want) < 1e-10
-    assert t.incidence_residual() < 1e-10
+    # side j passes through the two vertices other than vertex j
+    at_vertices = side_values(t.sides[:, 0], chart_points(t)[0, :3])
+    assert np.abs(at_vertices[~np.eye(3, dtype=bool)]).max() < 1e-10
     # geodesic sides: |center|^2 = 1 + r^2 or diameters through the origin
-    for s in t.sides:
-        assert s.unit_circle_orthogonality_residual() < 1e-10
+    assert tri._orthogonality_residuals(t.sides).max() < 1e-10
 
 
 def test_build_euclidean_triangle():
     t = tri.build_triangle(2, 4, 4)
     assert t.max_angle_residual() < 1e-10
-    assert all(s.is_line for s in t.sides)
+    assert tri._circle_parts(t.sides)[0].all()
 
 
 def test_build_spherical_octant():
     t = tri.build_triangle(2, 2, 2)
-    assert t.vertices[0] == 0
-    assert abs(t.vertices[1] - 1) < 1e-14
-    assert abs(t.vertices[2] - 1j) < 1e-14
+    vertices = chart_points(t)[0, :3]
+    assert vertices[0] == 0
+    assert abs(vertices[1] - 1) < 1e-14
+    assert abs(vertices[2] - 1j) < 1e-14
     assert t.max_angle_residual() < 1e-12
 
 
@@ -69,15 +98,6 @@ def test_reflect_point_cases():
     # points on the circle are fixed
     on = np.exp(0.77j)
     assert abs(reflect_point(on, unit) - on) < 1e-15
-
-
-def test_reflect_circle_involution():
-    mirror = GeneralizedCircle.from_center_radius(0.3 + 0.2j, 0.8)
-    target = GeneralizedCircle.from_center_radius(-0.4 + 0.9j, 0.5)
-    once = tri.reflect_circle(target, mirror)
-    twice = tri.reflect_circle(once, mirror)
-    assert abs(twice.center - target.center) < 1e-10
-    assert abs(twice.radius - target.radius) < 1e-10
 
 
 def test_circle_intersections_without_two_points():
@@ -106,30 +126,28 @@ def test_spherical_closure_counts(klm, count):
 def test_hyperbolic_tiles_stay_in_disc():
     tess = tri.tessellate(2, 3, 7, max_word_length=6)
     assert not tess.closure_reached
-    for t in tess.tiles:
-        for v in t.vertices:
-            assert abs(v) < 1.0
+    assert np.all(np.abs(chart_points(tess)[:, :3]) < 1.0)
     assert tess.max_angle_residual() < 1e-8
 
 
 def test_orthogonal_circle_residuals():
     for klm in [(2, 3, 7), (3, 3, 4)]:
         tess = tri.tessellate(*klm, max_word_length=5)
-        circle, residual = tri.orthogonal_circle(tess)
-        assert abs(circle.radius - 1.0) < 1e-15
-        assert residual < 1e-9
+        assert tess.max_orthogonality_residual() < 1e-9
     with pytest.raises(ValueError):
-        tri.orthogonal_circle(tri.tessellate(2, 3, 3))
+        tri.tessellate(2, 3, 3).max_orthogonality_residual()
 
 
 def test_tile_interiors_disjoint():
     tess = tri.tessellate(2, 3, 7, max_word_length=6)
-    centers = [t.interior_point for t in tess.tiles]
-    for i, t in enumerate(tess.tiles):
-        for j, c in enumerate(centers):
-            if i == j:
-                continue
-            assert not t.contains(c, margin=1e-9), (i, j)
+    centers = chart_points(tess)[:, 6]
+    # values (tiles, 3 sides, centres), signed so that a tile's own centre is
+    # inside: a tile contains a centre iff all three read at least the margin
+    values = side_values(tess.sides, centers)
+    inward = np.where(np.diagonal(values, axis1=0, axis2=2).T > 0, 1.0, -1.0)
+    contains = np.all(values * inward[:, :, None] >= 1e-9, axis=1)
+    np.fill_diagonal(contains, False)
+    assert not contains.any(), np.argwhere(contains)
 
 
 def test_word_ordering():
@@ -141,10 +159,9 @@ def test_word_ordering():
 
 def test_angles_preserved_along_words():
     tess = tri.tessellate(2, 3, 7, max_word_length=5)
-    want = {math.pi / 2, math.pi / 3, math.pi / 7}
-    for t in tess.tiles:
-        for a in t.measured_angles():
-            assert min(abs(a - w) for w in want) < 1e-8
+    want = np.array([math.pi / 2, math.pi / 3, math.pi / 7])
+    measured = tri._measured_angles(tess.points, tess.sides)
+    assert np.abs(measured[..., None] - want).min(axis=-1).max() < 1e-8
 
 
 def test_svg_deterministic_and_structured(tmp_path):
@@ -172,7 +189,7 @@ def test_spherical_svg_renders_all_tiles(tmp_path):
     assert data.count("<path") == tess.tile_count
 
 
-def oracle_sphere_path(t, clip=8.0, samples=48):
+def oracle_sphere_path(vertices, midpoints, chart, clip=8.0, samples=48):
     """The sampled spherical path drawn point by point: one slerp, one
     np.linalg.norm and one projection per sample."""
     pieces = []
@@ -180,9 +197,9 @@ def oracle_sphere_path(t, clip=8.0, samples=48):
     for i in range(3):
         j = (i + 1) % 3
         opp = (i + 2) % 3
-        a = tri._unproject(t.vertices[i], t.chart)
-        b = tri._unproject(t.vertices[j], t.chart)
-        mid = tri._unproject(t.side_midpoints[opp], t.chart)
+        a = tri._unproject(vertices[i], chart)
+        b = tri._unproject(vertices[j], chart)
+        mid = tri._unproject(midpoints[opp], chart)
         for step in range(samples + 1):
             s = step / samples
             if s <= 0.5:
@@ -209,20 +226,18 @@ def test_sampled_sphere_path_matches_pointwise_oracle(klm, exact, monkeypatch):
     if exact:
         # every coordinate written in full, so that no bit of a point can move
         monkeypatch.setattr(tri, "_fmt", float.hex)
-    tiles = tri.tessellate(*klm).tiles
-    secondary = [t for t in tiles if t.chart == "secondary"]
-    assert secondary
-    for t in tiles:
-        drawn = tri._sampled_sphere_path(t.vertices, t.side_midpoints, t.chart)
-        assert drawn == oracle_sphere_path(t)
+    tess = tri.tessellate(*klm)
+    assert tess.secondary.any()
+    for z, secondary in zip(chart_points(tess).tolist(), tess.secondary.tolist()):
+        chart = "secondary" if secondary else "primary"
+        drawn = tri._sampled_sphere_path(z[:3], z[3:6], chart)
+        assert drawn == oracle_sphere_path(z[:3], z[3:6], chart)
 
 
 def test_ideal_triangle():
-    t = tri.triangle_from_angles(0.0, 0.0, 0.0)
-    for v in t.vertices:
-        assert abs(abs(v) - 1.0) < 1e-14
-    for s in t.sides:
-        assert s.unit_circle_orthogonality_residual() < 1e-12
+    t = tri.triangle_from_angles(0.0, 0.0, 0.0, Geometry.HYPERBOLIC)
+    assert np.abs(np.abs(chart_points(t)[0, :3]) - 1.0).max() < 1e-14
+    assert tri._orthogonality_residuals(t.sides).max() < 1e-12
 
 
 def test_orthogonality_residual_is_relative():
@@ -231,23 +246,30 @@ def test_orthogonality_residual_is_relative():
     R = 1e6
     center = math.sqrt(1.0 + R * R) * np.exp(0.3j)
     exact = GeneralizedCircle.from_center_radius(center, R)
-    assert exact.unit_circle_orthogonality_residual() <= 1e-12
     off = GeneralizedCircle.from_center_radius(center, R * (1 + 1e-6))
-    assert off.unit_circle_orthogonality_residual() > 1e-9
+    residuals = tri._orthogonality_residuals(circle_array(exact, off))
+    assert residuals[0] <= 1e-12
+    assert residuals[1] > 1e-9
+
+
+def circle_through(*points):
+    """(a, Re b, Im b, c) of the circle through three points, by _through."""
+    z = np.array(points, complex)
+    return tri._through(*np.stack([z.real, z.imag], axis=1))
 
 
 def test_circle_through_three_points_keeps_small_circles():
     # a circle of radius 1e-4 next to the unit circle, the size of a deep tile side
     center, r = 0.9997 + 0.0002j, 1e-4
-    pts = [center + r * np.exp(1j * t) for t in (0.4, 1.9, 3.7)]
-    circ = GeneralizedCircle.through(*pts)
+    circ = circle_through(*(center + r * np.exp(1j * t) for t in (0.4, 1.9, 3.7)))
+    is_line, babs, centre = tri._circle_parts(circ)
     # the tangent directions, and so the measured angles, depend on the centre
-    assert abs(circ.center - center) < 1e-14
+    assert not is_line and abs(complex(*centre) - center) < 1e-14
     # the radius comes from |b|^2 - a c of the stored coefficients
-    assert abs(circ.radius - r) < 1e-11
-    line = GeneralizedCircle.through(0.2 + 0.1j, 0.6 + 0.3j, 1.0 + 0.5j)
-    assert line.is_line
-    assert abs(line.eval(-0.4 - 0.2j)) < 1e-15
+    assert abs(tri._radii(circ, babs, ~is_line) - r) < 1e-11
+    line = circle_through(0.2 + 0.1j, 0.6 + 0.3j, 1.0 + 0.5j)
+    assert tri._circle_parts(line)[0]
+    assert abs(side_values(line, np.array(-0.4 - 0.2j))) < 1e-15
 
 
 def _times(p, q):
@@ -312,7 +334,7 @@ def test_deep_tessellation_matches_growth_series(klm, depth, total):
     assert tess.max_angle_residual() < 1e-8
     if tess.geometry is Geometry.HYPERBOLIC:
         assert tess.max_orthogonality_residual() < 1e-9
-        assert all(abs(v) < 1.0 for t in tess.tiles for v in t.vertices)
+        assert np.all(np.abs(chart_points(tess)[:, :3]) < 1.0)
     argv = ["triangle", "tessellate", "--k", str(klm[0]), "--l", str(klm[1]),
             "--m", str(klm[2]), "--depth", str(depth), "--format", "json"]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -325,12 +347,14 @@ def test_tiles_match_reflections_in_the_base_sides(klm, depth):
     # wn first, then ..., w1 last; reflect_point never sees the matrices
     tess = tri.tessellate(*klm, max_word_length=depth)
     base = tri.build_triangle(*klm)
+    mirrors = tile_circles(base, 0)
+    tiles = chart_points(tess)[:, :3].tolist()
     for i in random.Random(11).sample(range(tess.tile_count), 60):
-        verts = base.vertices
+        verts = chart_points(base)[0, :3].tolist()
         for letter in reversed(tess.words[i]):
-            mirror = base.sides["abc".index(letter)]
-            verts = tuple(reflect_point(v, mirror) for v in verts)
-        assert max(abs(a - b) for a, b in zip(verts, tess.tiles[i].vertices)) < 1e-9
+            mirror = mirrors["abc".index(letter)]
+            verts = [reflect_point(v, mirror) for v in verts]
+        assert max(abs(a - b) for a, b in zip(verts, tiles[i])) < 1e-9
 
 
 @pytest.mark.parametrize("klm,depth,count,digest", [
@@ -423,14 +447,14 @@ def oracle_tangent(side, p, towards):
     return tau
 
 
-def oracle_angle_residual(t, sides):
+def oracle_angle_residual(vertices, midpoints, angles, sides):
     measured = []
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        t1 = oracle_tangent(sides[j], t.vertices[i], t.side_midpoints[j])
-        t2 = oracle_tangent(sides[k], t.vertices[i], t.side_midpoints[k])
+        t1 = oracle_tangent(sides[j], vertices[i], midpoints[j])
+        t2 = oracle_tangent(sides[k], vertices[i], midpoints[k])
         measured.append(abs(cmath.phase(t1.conjugate() * t2)))
-    return max(min(abs(a - b) for b in t.angles) for a in measured)
+    return max(min(abs(a - b) for b in angles) for a in measured)
 
 
 def oracle_orthogonality(side):
@@ -456,8 +480,7 @@ def oracle_arc(side, v_from, v_to, mid):
     return f"A {fmt(r)} {fmt(r)} 0 {large} {sweep} {fmt(v_to.real)} {fmt(v_to.imag)}"
 
 
-def oracle_tile_path(t, sides):
-    v, mids = t.vertices, t.side_midpoints
+def oracle_tile_path(v, mids, sides):
     pieces = [f"M {tri._fmt(v[0].real)} {tri._fmt(v[0].imag)}"]
     for i in range(3):
         j, opp = (i + 1) % 3, (i + 2) % 3
@@ -474,27 +497,35 @@ def check_against_oracle(tess, tmp_path):
         return float(a).hex(), b.real.hex(), b.imag.hex(), float(c).hex()
 
     residuals, orthogonality, paths = [], [], []
-    for t in tess.tiles:
+    tiles = zip(chart_points(tess).tolist(), tess.sides.transpose(1, 2, 0).tolist(),
+                tess.secondary.tolist())
+    for z, coeffs, secondary in tiles:
+        vertices, mids = z[:3], z[3:6]
+        built = [(a, complex(br, bi), c) for a, br, bi, c in coeffs]
         if tess.geometry is Geometry.SPHERICAL:
-            sides = [(s.a, s.b, s.c) for s in t.sides]     # great circles: pinned below
+            sides = built                                  # great circles: pinned below
         else:
-            ends = [(t.vertices[(i + 1) % 3], t.vertices[(i + 2) % 3]) for i in range(3)]
+            ends = [(vertices[(i + 1) % 3], vertices[(i + 2) % 3]) for i in range(3)]
             if tess.geometry is Geometry.EUCLIDEAN:
                 sides = [oracle_line(a, b) for a, b in ends]
             else:
-                sides = [oracle_through(a, m, b) for (a, b), m in zip(ends, t.side_midpoints)]
-            assert [hexes(s) for s in sides] == [hexes((s.a, s.b, s.c)) for s in t.sides]
-        residuals.append(oracle_angle_residual(t, sides))
+                sides = [oracle_through(a, m, b) for (a, b), m in zip(ends, mids)]
+            assert [hexes(s) for s in sides] == [hexes(s) for s in built]
+        residuals.append(oracle_angle_residual(vertices, mids, tess.angles, sides))
         if tess.geometry is Geometry.HYPERBOLIC:
             orthogonality.extend(oracle_orthogonality(s) for s in sides)
+        chart = "secondary" if secondary else "primary"
         sampled = tess.geometry is Geometry.SPHERICAL and (
-            t.chart == "secondary" or any(abs(v) > 4.0 for v in t.vertices))
-        paths.append(oracle_sphere_path(t) if sampled else oracle_tile_path(t, sides))
+            secondary or any(abs(v) > 4.0 for v in vertices))
+        paths.append(oracle_sphere_path(vertices, mids, chart) if sampled
+                     else oracle_tile_path(vertices, mids, sides))
     per_tile = tri._angle_residuals(tess.points, tess.sides, tess.angles).tolist()
     assert list(map(float.hex, per_tile)) == list(map(float.hex, residuals))
     assert tess.max_angle_residual().hex() == max(residuals).hex()
+    # one tile alone, as a stack of one, reads the same bits as in the stack
     for i in random.Random(5).sample(range(tess.tile_count), min(tess.tile_count, 20)):
-        assert tess.tiles[i].max_angle_residual().hex() == residuals[i].hex()
+        alone = tri._angle_residuals(tess.points[:, [i]], tess.sides[:, [i]], tess.angles)
+        assert alone.item().hex() == residuals[i].hex()
     if orthogonality:
         assert tess.max_orthogonality_residual().hex() == max(orthogonality).hex()
     svg = tri.export_svg(tess, tmp_path / "t.svg")
@@ -523,13 +554,15 @@ def test_tile_arrays_match_per_tile_oracle_at_any_orders(klm, depth, tmp_path_fa
                              tmp_path_factory.mktemp("svg"))
 
 
-def tile_digest(tiles):
+def tile_digest(tess):
+    """Per tile: each chart point's (x, y), then each side's (a, Re b, Im b,
+    c), in float.hex, then the chart."""
     h = hashlib.sha256()
-    for t in tiles:
-        points = [*t.vertices, *t.side_midpoints, t.interior_point]
-        values = [x for z in points for x in (z.real, z.imag)]
-        values += [x for s in t.sides for x in (s.a, s.b.real, s.b.imag, s.c)]
-        h.update((" ".join(float.hex(float(v)) for v in values) + f" {t.chart}\n").encode())
+    points = tess.points.transpose(1, 2, 0).reshape(tess.tile_count, 14).tolist()
+    sides = tess.sides.transpose(1, 2, 0).reshape(tess.tile_count, 12).tolist()
+    for p, s, secondary in zip(points, sides, tess.secondary.tolist()):
+        chart = "secondary" if secondary else "primary"
+        h.update((" ".join(map(float.hex, p + s)) + f" {chart}\n").encode())
     return h.hexdigest()
 
 
@@ -550,25 +583,26 @@ def test_tiles_are_pinned(klm, depth, count, digest):
     # chart, in float.hex, as the per-tile construction built them
     tess = tri.tessellate(*klm, max_word_length=depth)
     assert tess.tile_count == count
-    assert tile_digest(tess.tiles) == digest
-    assert tess.base == tess.tiles[0]
+    assert tile_digest(tess) == digest
 
 
 @pytest.mark.parametrize("angles", ["1/2 1/3 1/7", "0 1/3 1/2", "1/2 1/4 1/4",
-                                    "1/2 1/3 1/5", "1/3 1/2 1/7"])
+                                    "1/2 1/3 1/5", "1/3 1/2 1/7", "0 0 0"])
 def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
     # the gauss schwarz-triangle path: a single triangle as a one-tile tessellation
     angles = [Fraction(a) for a in angles.split()]
     geometry = tri.classify_angles(*angles)
-    t = tri.triangle_from_angles(*(float(a) * math.pi for a in angles), geometry)
-    tess = tri.Tessellation.from_triangle(t, geometry)
-    assert tess.base == t and tess.tiles == [t]
-    sides = [(s.a, s.b, s.c) for s in t.sides]
-    assert t.max_angle_residual().hex() == oracle_angle_residual(t, sides).hex()
-    assert tess.max_angle_residual() == t.max_angle_residual()
+    tess = tri.triangle_from_angles(*(float(a) * math.pi for a in angles), geometry)
+    assert (tess.geometry, tess.words, tess.depth, tess.closure_reached) == (
+        geometry, [""], 0, True)
+    assert not tess.secondary.any()
+    z = chart_points(tess)[0].tolist()
+    sides = [(s.a, s.b, s.c) for s in tile_circles(tess, 0)]
+    residual = oracle_angle_residual(z[:3], z[3:6], tess.angles, sides)
+    assert tess.max_angle_residual().hex() == residual.hex()
     monkeypatch.setattr(tri, "_fmt", float.hex)
     svg = tri.export_svg(tess, tmp_path / "t.svg")
-    assert svg.splitlines()[3].split('"')[1] == oracle_tile_path(t, sides)
+    assert svg.splitlines()[3].split('"')[1] == oracle_tile_path(z[:3], z[3:6], sides)
 
 
 @pytest.mark.parametrize("argv", [
@@ -587,11 +621,10 @@ def test_cli_builds_no_per_tile_objects(argv, monkeypatch, tmp_path):
             init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", spy)
 
-    counted(tri.ArcTriangle)
     counted(tri.GeneralizedCircle)
     tri.build_triangle(*(int(v) for v in argv[1:6:2]))
     base = Counter(built)
-    assert base == {"ArcTriangle": 1, "GeneralizedCircle": 3}
+    assert base == {"GeneralizedCircle": 3}
     built.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["triangle", "tessellate", *argv, "--svg", str(tmp_path / "t.svg"),
