@@ -116,6 +116,18 @@ def _scalar_str(val):
     return str(val)
 
 
+def _tolerance(text):
+    """argparse type of the --tol flags: a positive finite float, since NaN
+    fails every residual and an infinite bound passes every one."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def _rtype_from(args):
     return roots.RootSystemType(args.family, args.rank)
 
@@ -482,7 +494,7 @@ def build_parser():
     g.add_argument("--beta", type=parse_rational, required=True)
     g.add_argument("--gamma", type=parse_rational, required=True)
     g.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    g.add_argument("--tol", type=float, default=1e-7,
+    g.add_argument("--tol", type=_tolerance, default=1e-7,
                    help="bound on ||M_inf M_1 M_0 - 1|| / (||M_inf|| ||M_1|| ||M_0||)")
     g.set_defaults(func=_cmd_gauss_monodromy)
     t = gauss_sub.add_parser("schwarz-triangle", help="render the image triangle")
@@ -515,7 +527,7 @@ def build_parser():
     f.add_argument("--samples", type=int, default=5)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--a-override", dest="a_override", type=parse_rational, default=None)
-    f.add_argument("--tol", type=float, default=1e-8)
+    f.add_argument("--tol", type=_tolerance, default=1e-8)
     f.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
     f.add_argument("--json", dest="fmt", action="store_const", const="json")
     f.set_defaults(func=_cmd_torus_flatness)
@@ -524,7 +536,7 @@ def build_parser():
     m.add_argument("--k", type=parse_rational, required=True)
     m.add_argument("--root", default="1",
                    help="simple-root index (1-based) or 'highest'")
-    m.add_argument("--tol", type=float, default=1e-6)
+    m.add_argument("--tol", type=_tolerance, default=1e-6)
     m.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
     m.add_argument("--json", dest="fmt", action="store_const", const="json")
     m.set_defaults(func=_cmd_torus_monodromy)
@@ -533,7 +545,7 @@ def build_parser():
     fo.add_argument("--k", type=parse_rational, required=True)
     fo.add_argument("--samples", type=int, default=10)
     fo.add_argument("--seed", type=int, default=0)
-    fo.add_argument("--tol", type=float, default=1e-6)
+    fo.add_argument("--tol", type=_tolerance, default=1e-6)
     fo.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
     fo.add_argument("--json", dest="fmt", action="store_const", const="json")
     fo.set_defaults(func=_cmd_torus_form)

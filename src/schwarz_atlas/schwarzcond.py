@@ -241,7 +241,7 @@ class SchwarzReport:
 
 def check(R, k):
     """All stratum conditions for (R, k); records the reflection order p when
-    (1-2k)/2 is exactly 1/p."""
+    (1-2k)/2 is exactly 1/p with p >= 3, the orders k_from_p accepts."""
     rtype = _as_type(R)
     k = Fraction(k)
     conds = (
@@ -251,7 +251,8 @@ def check(R, k):
         + special_point_condition(rtype, k)
     )
     mirror_val = (1 - 2 * k) / 2
-    p = mirror_val.denominator if mirror_val > 0 and mirror_val.numerator == 1 else None
+    unit = mirror_val.numerator == 1 and mirror_val.denominator >= 3
+    p = mirror_val.denominator if unit else None
     return SchwarzReport(
         rtype=rtype, k=k, p=p, conditions=tuple(conds),
         passed=all(c.satisfied for c in conds),

@@ -174,6 +174,30 @@ def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+TOL_COMMANDS = {
+    "gauss monodromy": ["gauss", "monodromy", "--alpha", "1/84", "--beta", "13/84",
+                        "--gamma", "1/2"],
+    "torus flatness": ["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6"],
+    "torus monodromy": ["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4"],
+    "torus form": ["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOL_COMMANDS))
+@pytest.mark.parametrize("tol", ["nan", "NaN", "inf", "-inf", "1e999", "0", "-0", "-1",
+                                 "-1e-3", "abc"])
+def test_tol_must_be_positive_finite(command, tol, capsys):
+    # NaN fails every residual and an infinite bound passes every one, so
+    # neither may reach a check
+    code, out = _run_exit([*TOL_COMMANDS[command], f"--tol={tol}"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --tol: must be a positive finite number, got {tol!r}\n")
+    # as a separate argument, argparse takes "-inf" and "-1e-3" for flags
+    # and "-1" for a value; each exits 2 as well
+    assert _run_exit([*TOL_COMMANDS[command], "--tol", tol]) == (2, "")
+
+
 def _raising(exc):
     def fail(*args, **kwargs):
         raise exc
@@ -471,11 +495,11 @@ def test_negative_rational_as_separate_argument(argv, flag):
     assert out and code in (0, 1)
 
 
-# `schwarz check` at k = 0 and k = -1/3, as first released: the toric values
-# d*k coincide at k = 0 and are recorded once, and every guarded value below
-# zero is vacuous
+# `schwarz check` at k = 0 and k = -1/3, as first released but for p: the
+# toric values d*k coincide at k = 0 and are recorded once, every guarded
+# value below zero is vacuous, and neither k has a reflection order p >= 3
 CHECK_REFERENCE = {
-    ("D", "5", "--k=0"): ("0", 2, False, [
+    ("D", "5", "--k=0"): ("0", None, False, [
         ("hyperbolic_range", "0", False, False, "0 < k < 1/3"),
         ("toric_de", "0", False, False, "d*k with d=1"),
         ("mirror", "1/2", True, False, "(1-2k)/2"),

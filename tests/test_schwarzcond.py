@@ -71,6 +71,17 @@ def test_check_aggregates():
     assert rep.p == 10 and rep.passed
 
 
+@pytest.mark.parametrize("k, p", [
+    (F(1, 6), 3), (F(1, 4), 4), (F(49, 100), 100),
+    # (1 - 2k)/2 is 1/2, 1, 0 and 3/10: no reflection order p >= 3
+    (F(0), None), (F(-1, 2), None), (F(1, 2), None), (F(1, 5), None),
+])
+def test_check_records_only_orders_k_from_p_accepts(k, p):
+    assert sc.check(T("D", 5), k).p == p
+    if p is not None:
+        assert sc.k_from_p(p) == k
+
+
 # --- the integer verdicts against a literal Fraction oracle ------------------
 
 def _coxeter(fam, n):

@@ -3,6 +3,7 @@ invariant form and the negative-cone check."""
 
 import cmath
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +19,7 @@ def _sys(fam, rank):
 A1 = _sys("A", 1)
 A2 = _sys("A", 2)
 D4 = _sys("D", 4)
+E8 = _sys("E", 8)
 
 
 # --- characters ---------------------------------------------------------------
@@ -330,13 +332,21 @@ def _clearance_by_point(system, path, samples_per_segment=9):
     return worst
 
 
+def _check_after_complex_matmul(system, path):
+    # the state the workload leaves: mirror_monodromy checks the ring right
+    # after the stage transport's complex frame product
+    frame = np.full((9, 9), 0.1 + 0.2j)
+    frame @ frame
+    return torus._check_clearance(system, path)
+
+
 def test_clearance_matches_point_by_point_sampling(monkeypatch):
     rng = np.random.default_rng(5)
     for system in (A2, D4):
         base = torus.default_base_point(system)
         for alpha in (np.eye(system.rank, dtype=np.int64)[0], roots.highest_root(system)):
             path = torus._mirror_loop_points(system, alpha)
-            got = torus._check_clearance(system, path)
+            got = _check_after_complex_matmul(system, path)
             assert abs(got - _clearance_by_point(system, path)) <= 1e-14 * got
         for _ in range(5):
             steps = 0.3 * (rng.standard_normal((3, system.rank))
@@ -344,8 +354,52 @@ def test_clearance_matches_point_by_point_sampling(monkeypatch):
             path = base + np.cumsum(steps, axis=0)
             with monkeypatch.context() as patch:
                 patch.setattr(torus, "MIRROR_DELTA", 0.0)
-                got = torus._check_clearance(system, path)
+                got = _check_after_complex_matmul(system, path)
             assert abs(got - _clearance_by_point(system, path)) <= 1e-14 * got
+
+
+def test_clearance_matches_point_by_point_sampling_at_e8():
+    # the rings mirror_monodromy checks, and the coordinate loop of
+    # toric_monodromy
+    base = torus.default_base_point(E8)
+    simple_ring = torus._mirror_loop_points(E8, np.eye(8, dtype=np.int64)[0])[1:-1]
+    toric_loop = base + 2j * math.pi * np.arange(4)[:, None] / 3.0 * np.eye(8)[0]
+    for path in (simple_ring, toric_loop):
+        got = _check_after_complex_matmul(E8, path)
+        assert abs(got - _clearance_by_point(E8, path)) <= 1e-14 * got
+    # The highest-root ring samples logs up to |L| = 59, where one rounding
+    # of L moves |e^L - 1| by up to (1 + clearance) * ulp(L), 7.9e-14 of the
+    # clearance.  Against a 30-digit value, the complex product, the real
+    # matmul and the point oracle all err there by 1.3e-14 to 2.3e-14.
+    high_ring = torus._mirror_loop_points(E8, roots.highest_root(E8))[1:-1]
+    got = _check_after_complex_matmul(E8, high_ring)
+    lmax = np.max(np.abs(high_ring @ E8.positive_roots.T.astype(np.float64)))
+    assert abs(got - _clearance_by_point(E8, high_ring)) <= (1 + got) * np.spacing(lmax)
+
+
+def _best_of_7(run, before):
+    times = []
+    for _ in range(7):
+        before()
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_clearance_check_does_not_stall_after_complex_matmul():
+    # On OpenBLAS with AVX-512, a complex np.exp right after any complex
+    # matmul ran 10-15x slower, until a real GEMM or an elementwise op ran.
+    # Fed the complex product lz @ croots.T, the E8 ring check took 12x a
+    # clean exp of its (10, 24, 120) logs; from a real matmul it takes about
+    # 1.1-1.2x.  Without the stall both forms pass.
+    ring = torus._mirror_loop_points(E8, roots.highest_root(E8))[1:-1]
+    frame = np.full((9, 9), 0.1 + 0.2j)
+    rng = np.random.default_rng(0)
+    logs = rng.standard_normal((10, 24, 120)) + 10j * rng.standard_normal((10, 24, 120))
+    check = _best_of_7(lambda: torus._check_clearance(E8, ring), lambda: frame @ frame)
+    clean = _best_of_7(lambda: np.exp(logs), lambda: np.abs(logs))
+    assert check <= 4 * clean
 
 
 def test_mirror_loop_clearance_checked_once(monkeypatch):
