@@ -345,6 +345,8 @@ def _cmd_torus_form(args):
 
 
 def _cmd_schwarz_enumerate(args):
+    _require_at_least("--p-min", args.p_min, 3)
+    _require_at_least("--p-max", args.p_max, args.p_min)
     _require_at_least("--rank-max", args.rank_max, 2)
     _require_at_most("--rank-max", args.rank_max, 30)
     result = schwarzcond.enumerate_solutions(
@@ -391,12 +393,12 @@ def _cmd_schwarz_check(args):
     if args.k is not None and args.p is not None:
         raise ValueError("provide --p or --k, not both")
     k = schwarzcond.k_from_p(args.p) if args.k is None else Fraction(args.k)
-    report = schwarzcond.check(roots.RootSystemType(args.family, args.rank), k)
+    results = schwarzcond.check(roots.RootSystemType(args.family, args.rank), k)
     payload = _report(
         module="schwarz",
         inputs={"type": f"{args.family}{args.rank}", "k": format_rational(k),
-                "p": report.p},
-        results=report.as_dict(),
+                "p": results["p"]},
+        results=results,
         residuals={},
         checks=["every stratum condition evaluated in exact arithmetic"],
     )
@@ -421,8 +423,7 @@ def _cmd_schwarz_dm(args):
     wr_ok, wr = schwarzcond.dm_w_restricted(args.n, k)
     results["w_restricted"] = {
         "verdict": wr_ok,
-        "conditions": [{"kind": kind, "value": format_rational(v), "satisfied": s}
-                       for kind, v, s in wr],
+        "conditions": [{key: c[key] for key in ("kind", "value", "satisfied")} for c in wr],
     }
     results["hidden_symmetry"] = schwarzcond.hidden_symmetry(args.n, k)
     payload = _report(
@@ -584,16 +585,18 @@ def build_parser():
 
 
 _PARSER = None
-# "-1/3" starts like an option, so argparse would not take it as the value of
-# the flag before it; "--k -1/3" is rewritten as "--k=-1/3"
-_NEGATIVE_RATIONAL = re.compile(r"-\d+(/\d+)?")
+# "-1/3", "-1e-3" and "-inf" start like an option, so argparse would not take
+# them as the value of the flag before it; "--k -1/3" is rewritten as
+# "--k=-1/3", and the flag's own type then accepts or names the value
+_NEGATIVE_NUMBER = re.compile(
+    r"-(\d+/\d+|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)", re.IGNORECASE)
 _LONG_FLAG = re.compile(r"--\w[\w-]*")
 
 
 def _attach_negative_values(argv):
     out = []
     for arg in argv:
-        if out and _NEGATIVE_RATIONAL.fullmatch(arg) and _LONG_FLAG.fullmatch(out[-1]):
+        if out and _NEGATIVE_NUMBER.fullmatch(arg) and _LONG_FLAG.fullmatch(out[-1]):
             out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)

@@ -19,7 +19,6 @@ from .exact import format_rational
 __all__ = [
     "RootSystemType",
     "RootSystem",
-    "DerivedConstants",
     "build",
     "coxeter_number",
     "integrability_constant",
@@ -28,7 +27,6 @@ __all__ = [
     "reflect",
     "coroot_coordinates",
     "highest_root",
-    "derived_constants",
 ]
 
 _RANK_CAP = 30
@@ -213,36 +211,17 @@ def highest_root(system):
     return system.positive_roots[-1].copy()
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    coxeter_h: int
-    coupling_a: Fraction
-    hyperbolic_m: Fraction
-    toric_d: tuple
-
-
-def derived_constants(system):
-    fam = system.rtype.family
-    return DerivedConstants(
-        coxeter_h=coxeter_number(system),
-        coupling_a=integrability_constant(system),
-        hyperbolic_m=hyperbolic_exponent(system),
-        toric_d=toric_distances(system) if fam in ("D", "E") else (),
-    )
-
-
 def dump(system):
     """JSON-ready description of the system (used by the CLI)."""
-    consts = derived_constants(system)
     return {
         "family": system.rtype.family,
         "rank": system.rank,
         "simple_roots": system.simple_roots.tolist(),
         "positive_roots": system.positive_roots.tolist(),
         "gram": system.cartan.tolist(),
-        "coxeter_number": consts.coxeter_h,
-        "integrability_constant": format_rational(consts.coupling_a),
-        "hyperbolic_exponent": format_rational(consts.hyperbolic_m),
-        "toric_distances": list(consts.toric_d),
+        "coxeter_number": coxeter_number(system),
+        "integrability_constant": format_rational(integrability_constant(system)),
+        "hyperbolic_exponent": format_rational(hyperbolic_exponent(system)),
+        "toric_distances": list(toric_distances(system)) if system.rtype.family != "A" else [],
         "positive_root_count": len(system.positive_roots),
     }

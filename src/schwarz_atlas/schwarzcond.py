@@ -4,10 +4,11 @@ comparator on the projective line.
 
 Everything here is exact; no floats enter at any point.  Each type's stratum
 conditions are one table of integer rows, value = (c1*k + c0)/div, built once
-per type: a verdict at k = a/b is an integer divisibility test, and the
-reports add the exact p/q values.  The enumerator implements the stated
-conditions literally, and the diff against the reference table deliberately
-surfaces the two boundary anomalies instead of patching either side.
+per type: a verdict at k = a/b is an integer divisibility test, and `check`
+is one pass over the rows that returns the report entries themselves, with
+the exact p/q values.  The enumerator implements the stated conditions
+literally, and the diff against the reference table deliberately surfaces
+the two boundary anomalies instead of patching either side.
 
 The weight side is integer arithmetic too.  At k = a/b every weight of the
 n+3 point vector has the denominator 2b, so degeneracy, the three displayed
@@ -21,14 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .exact import (
-    format_rational,
-    is_in_two_over_n,
-    is_unit_fraction,
-    k_from_p,
-)
+from .exact import format_rational, is_in_two_over_n, is_unit_fraction, k_from_p
 from .roots import (
     _SYSTEMS,
     RootSystemType,
@@ -39,13 +34,7 @@ from .roots import (
 )
 
 __all__ = [
-    "StratumCondition",
-    "SchwarzReport",
     "DMVector",
-    "toric_condition",
-    "mirror_identity_condition",
-    "special_point_condition",
-    "hyperbolic_range",
     "passes",
     "check",
     "enumerate_solutions",
@@ -61,35 +50,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StratumCondition:
-    kind: str
-    value: Fraction
-    satisfied: bool
-    vacuous: bool = False
-    detail: str = ""
-
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "value": format_rational(self.value),
-            "satisfied": self.satisfied,
-            "vacuous": self.vacuous,
-            "detail": self.detail,
-        }
-
-
 # perfbench/tracer.py wraps `_system` to count lookups in `_SYSTEM_CACHE`;
 # both names stand for roots.build and its one cache, which this module calls
 # directly.
 _SYSTEM_CACHE = _SYSTEMS
 _system = build
-
-
-def _as_type(R):
-    if isinstance(R, RootSystemType):
-        return R
-    return R.rtype
 
 
 @dataclass(frozen=True)
@@ -113,13 +78,15 @@ class _Row:
         return self.div * b % num == 0
 
     def condition(self, k):
+        """The report entry at the Fraction k."""
         a, b = k.numerator, k.denominator
         num = self.c1 * a + self.c0 * b
-        return StratumCondition(
-            kind=self.kind, value=Fraction(num, self.div * b), satisfied=self.holds(a, b),
-            vacuous=self.guarded and num <= 0, detail=self.detail)
+        return {"kind": self.kind, "value": format_rational(Fraction(num, self.div * b)),
+                "satisfied": self.holds(a, b), "vacuous": self.guarded and num <= 0,
+                "detail": self.detail}
 
 
+# the special boundary points of E7 and E8; E8's (9k-1) is not halved
 _SPECIAL_ROWS = {
     ("E", 7): (_Row("special_a7_in_e7", 8, -1, 2, True, "(8k-1)/2"),),
     ("E", 8): (_Row("special_a8_in_e8", 9, -1, 1, True, "(9k-1)"),
@@ -132,13 +99,7 @@ class _Table:
     """Every stratum condition of one type, in the order a report lists them."""
 
     m: Fraction              # the hyperbolic range is 0 < k < m
-    toric: tuple
-    mirror_identity: tuple
-    special: tuple
-
-    @cached_property
-    def rows(self):
-        return self.toric + self.mirror_identity + self.special
+    rows: tuple              # toric, mirror, identity, special
 
     def in_range(self, a, b):
         """0 < a/b < m for b > 0."""
@@ -165,98 +126,48 @@ def _table(rtype):
                           for d in dict.fromkeys(toric_distances(system)))
         _TABLE_CACHE[rtype] = _Table(
             m=hyperbolic_exponent(system),
-            toric=toric,
-            mirror_identity=(
+            rows=toric + (
                 _Row("mirror", -2, 1, 2, True, "(1-2k)/2"),
                 _Row("identity", h, -1, 2, True, f"(hk-1)/2 with h={h}"),
-            ),
-            special=_SPECIAL_ROWS.get((rtype.family, rtype.rank), ()),
+            ) + _SPECIAL_ROWS.get((rtype.family, rtype.rank), ()),
         )
     return _TABLE_CACHE[rtype]
 
 
-def toric_condition(R, k):
-    """Toric-stratum conditions: (n-1)k/2 for A_n, d*k per diagram distance d
-    for D_n / E_n (duplicate values recorded once)."""
+def passes(rtype, k):
+    """check(rtype, k)["passed"], decided by integer tests on k = a/b alone."""
     k = Fraction(k)
-    out, seen = [], set()
-    for row in _table(_as_type(R)).toric:
+    return _table(rtype).passes(k.numerator, k.denominator)
+
+
+def check(rtype, k):
+    """The `schwarz check` results of (rtype, k): the hyperbolic range
+    0 < k < m (k = m flagged as the boundary), then every row of the type's
+    table as a report entry, with an entry that repeats the one before it
+    listed once (the toric values d*k at k = 0).  Records the reflection
+    order p when (1-2k)/2 is exactly 1/p with p >= 3, the orders k_from_p
+    accepts."""
+    table = _table(rtype)
+    k = Fraction(k)
+    conditions = [{
+        "kind": "hyperbolic_range", "value": format_rational(k),
+        "satisfied": table.in_range(k.numerator, k.denominator), "vacuous": False,
+        "detail": f"0 < k < {format_rational(table.m)}"
+                  + (" (boundary k = m)" if k == table.m else ""),
+    }]
+    for row in table.rows:
         cond = row.condition(k)
-        if cond.value not in seen:
-            seen.add(cond.value)
-            out.append(cond)
-    return out
-
-
-def mirror_identity_condition(R, k):
-    """Mirror-stratum and identity-point conditions, both under the 'if > 0'
-    guard: (1-2k)/2 and (hk-1)/2 with h the Coxeter number."""
-    k = Fraction(k)
-    return [row.condition(k) for row in _table(_as_type(R)).mirror_identity]
-
-
-def special_point_condition(R, k):
-    """Extra conditions at the special boundary points of E7 and E8.
-
-    E7 contributes (8k-1)/2; E8 contributes (9k-1) -- not halved -- and
-    (14k-1)/2.  All are guarded by 'if > 0'; other types contribute nothing.
-    """
-    k = Fraction(k)
-    return [row.condition(k) for row in _table(_as_type(R)).special]
-
-
-def hyperbolic_range(R, k):
-    """0 < k < m, exact; k = m is flagged as the boundary case."""
-    table = _table(_as_type(R))
-    k = Fraction(k)
-    boundary = k == table.m
-    return StratumCondition(
-        kind="hyperbolic_range", value=k, satisfied=table.in_range(k.numerator, k.denominator),
-        detail=f"0 < k < {format_rational(table.m)}" + (" (boundary k = m)" if boundary else ""))
-
-
-def passes(R, k):
-    """check(R, k).passed, decided by integer tests on k = a/b alone."""
-    k = Fraction(k)
-    return _table(_as_type(R)).passes(k.numerator, k.denominator)
-
-
-@dataclass(frozen=True)
-class SchwarzReport:
-    rtype: RootSystemType
-    k: Fraction
-    p: int | None
-    conditions: tuple
-    passed: bool
-
-    def as_dict(self):
-        return {
-            "type": str(self.rtype),
-            "k": format_rational(self.k),
-            "p": self.p,
-            "conditions": [c.as_dict() for c in self.conditions],
-            "passed": self.passed,
-        }
-
-
-def check(R, k):
-    """All stratum conditions for (R, k); records the reflection order p when
-    (1-2k)/2 is exactly 1/p with p >= 3, the orders k_from_p accepts."""
-    rtype = _as_type(R)
-    k = Fraction(k)
-    conds = (
-        [hyperbolic_range(rtype, k)]
-        + toric_condition(rtype, k)
-        + mirror_identity_condition(rtype, k)
-        + special_point_condition(rtype, k)
-    )
-    mirror_val = (1 - 2 * k) / 2
-    unit = mirror_val.numerator == 1 and mirror_val.denominator >= 3
-    p = mirror_val.denominator if unit else None
-    return SchwarzReport(
-        rtype=rtype, k=k, p=p, conditions=tuple(conds),
-        passed=all(c.satisfied for c in conds),
-    )
+        last = conditions[-1]
+        if (cond["kind"], cond["value"]) != (last["kind"], last["value"]):
+            conditions.append(cond)
+    mirror = (1 - 2 * k) / 2
+    return {
+        "type": str(rtype),
+        "k": format_rational(k),
+        "p": mirror.denominator if mirror.numerator == 1 and mirror.denominator >= 3 else None,
+        "conditions": conditions,
+        "passed": all(c["satisfied"] for c in conditions),
+    }
 
 
 # reference solution table: reflection order p -> types of rank >= 2
@@ -360,10 +271,6 @@ class DMVector:
     mu: tuple
     degenerate: bool
 
-    @property
-    def total(self):
-        return sum(self.mu)
-
     def as_dict(self):
         return {
             "mu": [format_rational(m) for m in self.mu],
@@ -435,13 +342,13 @@ def dm_w_restricted(n, k):
     with values (n-1)k/2, (1-2k)/2 and ((n+1)k-1)/2.
 
     Index classes {1..n+1} and {0, n+2} are distinct orbits, so the end-middle
-    pair uses the 1/N branch even when the weight values coincide.  Each
-    verdict is the integer divisibility test of its row at k = a/b.
+    pair uses the 1/N branch even when the weight values coincide.  Returns
+    the verdict and the rows' report entries, whose verdicts are integer
+    divisibility tests at k = a/b.
     """
     k = Fraction(k)
-    conds = [(c.kind, c.value, c.satisfied)
-             for c in (row.condition(k) for row in _dm_pair_rows(n))]
-    return all(c[2] for c in conds), conds
+    conds = [row.condition(k) for row in _dm_pair_rows(n)]
+    return all(c["satisfied"] for c in conds), conds
 
 
 def hidden_symmetry(n, k):

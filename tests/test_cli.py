@@ -167,6 +167,12 @@ def test_torus_rejects_samples_below_one(argv, capsys):
     # the largest root systems roots builds are A30 and D30
     (["schwarz", "enumerate", "--rank-max", "31"], "--rank-max must be at most 30, got 31"),
     (["schwarz", "enumerate", "--rank-max", "40"], "--rank-max must be at most 30, got 40"),
+    # an empty range of reflection orders would scan nothing
+    (["schwarz", "enumerate", "--p-min", "2"], "--p-min must be at least 3, got 2"),
+    (["schwarz", "enumerate", "--p-min", "-1"], "--p-min must be at least 3, got -1"),
+    (["schwarz", "enumerate", "--p-max", "2"], "--p-max must be at least 3, got 2"),
+    (["schwarz", "enumerate", "--p-min", "5", "--p-max", "4"],
+     "--p-max must be at least 5, got 4"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     code, out = run_cli(argv)
@@ -191,11 +197,12 @@ def test_tol_must_be_positive_finite(command, tol, capsys):
     # neither may reach a check
     code, out = _run_exit([*TOL_COMMANDS[command], f"--tol={tol}"])
     assert code == 2 and out == ""
-    assert capsys.readouterr().err.endswith(
-        f"error: argument --tol: must be a positive finite number, got {tol!r}\n")
-    # as a separate argument, argparse takes "-inf" and "-1e-3" for flags
-    # and "-1" for a value; each exits 2 as well
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --tol: must be a positive finite number, got {tol!r}\n")
+    # as a separate argument "-inf" and "-1e-3" are rejoined to the flag, as
+    # "-1" is, so each names its value the same way
     assert _run_exit([*TOL_COMMANDS[command], "--tol", tol]) == (2, "")
+    assert capsys.readouterr().err == err
 
 
 def _raising(exc):
@@ -496,14 +503,21 @@ def test_negative_rational_as_separate_argument(argv, flag):
 
 
 # `schwarz check` at k = 0 and k = -1/3, as first released but for p: the
-# toric values d*k coincide at k = 0 and are recorded once, every guarded
-# value below zero is vacuous, and neither k has a reflection order p >= 3
+# toric values d*k coincide at k = 0 and are recorded once (d = 1, 2 on D5
+# and E6), every guarded value below zero is vacuous, and neither k has a
+# reflection order p >= 3
 CHECK_REFERENCE = {
     ("D", "5", "--k=0"): ("0", None, False, [
         ("hyperbolic_range", "0", False, False, "0 < k < 1/3"),
         ("toric_de", "0", False, False, "d*k with d=1"),
         ("mirror", "1/2", True, False, "(1-2k)/2"),
         ("identity", "-1/2", True, True, "(hk-1)/2 with h=8"),
+    ]),
+    ("E", "6", "--k=0"): ("0", None, False, [
+        ("hyperbolic_range", "0", False, False, "0 < k < 1/3"),
+        ("toric_de", "0", False, False, "d*k with d=1"),
+        ("mirror", "1/2", True, False, "(1-2k)/2"),
+        ("identity", "-1/2", True, True, "(hk-1)/2 with h=12"),
     ]),
     ("E", "8", "--k=-1/3"): ("-1/3", None, False, [
         ("hyperbolic_range", "-1/3", False, False, "0 < k < 1/5"),
@@ -578,3 +592,40 @@ def test_every_json_report_matches_the_schema(argv):
     code, out = run_cli(argv + ["--format", "json"])
     assert code == 0
     jsonschema.validate(json.loads(out), cli.report_schema())
+
+
+def _hyperbolic_m(family, rank):
+    return {"A": f"2/{rank + 1}", "D": f"1/{rank - 2}", "E": f"1/{rank - 3}"}[family]
+
+
+EXACT_LAYER_GRID = [
+    *(["roots", "dump", "--type", f, "--rank", str(n), "--format", fmt]
+      for f, n in [("A", 1), ("A", 4), ("D", 4), ("D", 7), ("E", 6), ("E", 7), ("E", 8)]
+      for fmt in ("json", "text")),
+    # by --p, and by --k at 0, below 0, at 1/2, at 1 and at the boundary k = m
+    *(["schwarz", "check", "--type", f, "--rank", str(n), *kflag]
+      for f, n in [("A", 2), ("A", 5), ("A", 7), ("D", 4), ("D", 5), ("D", 6),
+                   ("E", 6), ("E", 7), ("E", 8)]
+      for kflag in (["--p", "3"], ["--p", "4"], ["--p", "6"], ["--p", "10"], ["--k=0"],
+                    ["--k", "-1/3"], ["--k=1/2"], ["--k=1"], [f"--k={_hyperbolic_m(f, n)}"])),
+    ["schwarz", "check", "--type", "E", "--rank", "8", "--p", "3", "--format", "text"],
+    # degenerate weights from n = 3 at p = 10 and from n = 5 at p = 6 on
+    *(["schwarz", "dm", "--n", str(n), "--p", str(p)]
+      for n in (1, 2, 3, 5, 9, 12) for p in (3, 4, 6, 10)),
+    ["schwarz", "dm", "--n", "5", "--p", "4", "--format", "text"],
+    *(["schwarz", "enumerate", "--p-max", p_max, "--rank-max", rank_max, "--format", fmt, *half]
+      for p_max, rank_max in (("12", "6"), ("30", "13"))
+      for fmt in ("csv", "text", "json") for half in ([], ["--include-k-half"])),
+    ["schwarz", "dm-scan", "--n-max", "4", "--p-max", "23"],
+]
+
+
+def test_exact_layer_reports_are_pinned(capsys):
+    # `roots dump` and every `schwarz` subcommand over the grid above: sha256
+    # of (argv, exit code, stdout, stderr), as first pinned
+    digest = hashlib.sha256()
+    for argv in EXACT_LAYER_GRID:
+        code, out = _run_exit(argv)
+        digest.update(repr((argv, code, out, capsys.readouterr().err)).encode())
+    assert digest.hexdigest() == (
+        "f28708825fd8ede45f176942bc564aae93f13c1095f187cfbae1087f0794158d")
