@@ -1,4 +1,4 @@
-"""Hot continuation kernels: transport of solution frames along segments.
+"""Hot continuation kernels: transport of solution frames along paths.
 
 Both kernels continue a frame by Taylor re-expansion at ordinary points: at
 each step point the frame is expanded in a power series whose coefficients
@@ -6,26 +6,30 @@ follow a recurrence read off the equation, the step is half the distance to
 the nearest singularity, so every series converges asymptotically like 2^-n,
 and each one is summed until its terms fall below a tolerance times its
 largest term.  This is the holonomic-function evaluation of Chudnovsky &
-Chudnovsky and van der Hoeven (1999), in plain floating point.
+Chudnovsky and van der Hoeven (1999), in plain floating point.  The steps
+depend only on the path and the equations are linear, so both kernels lay
+out the step grid of the whole call first, then sum every step's propagator
+(its series from the identity frame) in batches of steps, one numpy call per
+term for the whole batch, and then apply the propagators in path order.
 
 `gauss_segment` continues the 2x2 (value, derivative) frame of the
-hypergeometric equation; the coefficients of a solution in x = z - z0 follow
-a three-term recurrence, the step radius is half the distance to {0, 1}, and
-the tolerance is machine epsilon.
+hypergeometric equation along many paths in one call: the three loops of a
+monodromy measurement, or every boundary sample of a conformal chart.  The
+coefficients of a solution in x = z - z0 follow a three-term recurrence, the
+step radius is half the distance to {0, 1}, and the tolerance is machine
+epsilon.  Batches hold up to _GAUSS_BATCH_STEPS steps and _GAUSS_BLOCK
+terms of each.
 
 `torus_segment` continues the rank-n torus jet frame dF/dt = B(t) F along
 the log-linear segments of a path.  A step is half the distance in t to the
-nearest mirror crossing, which depends only on the path, and the system is
-linear, so the step grid of every segment is laid out first and each step's
-propagator (its series from the identity frame) is computed independently.
-Steps go in batches whose coefficient stacks fit a fixed byte budget
-(_TORUS_BATCH_BYTES: about 8 steps at E8, wider at lower rank), with room for
-_TORUS_START_TERMS terms at first and more, within the budget, when a series
-needs them.  Each term is one numpy call for the whole batch: the Riccati
-recurrence of coth for the Taylor coefficients of every root coefficient
--coth(L/2), one real GEMM for the Taylor coefficients of B, and one batched
-matmul for the convolution that gives the frame's coefficients.  The
-propagators are then applied in path order.
+nearest mirror crossing.  Steps go in batches whose coefficient stacks fit a
+fixed byte budget (_TORUS_BATCH_BYTES: about 8 steps at E8, wider at lower
+rank), with room for _TORUS_START_TERMS terms at first and more, within the
+budget, when a series needs them.  Each term is one numpy call for the whole
+batch: the Riccati recurrence of coth for the Taylor coefficients of every
+root coefficient -coth(L/2), one real GEMM for the Taylor coefficients of B,
+and one batched matmul for the convolution that gives the frame's
+coefficients.
 """
 
 import cmath
@@ -49,89 +53,179 @@ _MAX_TERMS = 1000
 # a step point this close to 0 or 1, or a root character's log this close to
 # a mirror crossing 2 pi i l, counts as reaching the singular point
 _MIN_CLEARANCE = 1e-12
+# terms of each Gauss step's series held at once, a power of two
+_GAUSS_BLOCK = 16
+# Gauss steps summed together: the three loops take 63, and vertex_angles'
+# 251 then go in two batches of about 0.4 MB
+_GAUSS_BATCH_STEPS = 128
 
 
-def gauss_segment(alpha, beta, gamma, za, zb, F0):
-    """Transport a 2x2 frame (row 0 values, row 1 derivatives) from za to zb
-    along the straight segment.
+def gauss_segment(alpha, beta, gamma, paths, F0):
+    """Transport the 2x2 frame F0 (row 0 values, row 1 derivatives), given at
+    the first waypoint of each path, along each piecewise-linear path.
 
-    Returns (frame, accumulated truncation estimate, ok flag), the shape of
-    torus_segment's result.  ok=False means the segment reaches within
-    _MIN_CLEARANCE of 0 or 1, where the equation is singular; the frame is
-    then the one at the last point reached.  Raises NumericFailure when a
-    step's series has not fallen below _EPS times its largest term after
-    _MAX_TERMS terms, or the frame stops being finite.
+    Returns (frames, accumulated truncation estimate, ok flag): frames[i] is
+    F0 continued along paths[i].  ok=False means a step point comes within
+    _MIN_CLEARANCE of 0 or 1, where the equation is singular; nothing is
+    transported then and frames is None.  Raises NumericFailure, naming the
+    segment, when a step's series has not fallen below _EPS times its
+    largest term after _MAX_TERMS terms, or a frame stops being finite.
     """
-    za, zb = complex(za), complex(zb)
-    f0, f1 = complex(F0[0, 0]), complex(F0[0, 1])
-    g0, g1 = complex(F0[1, 0]), complex(F0[1, 1])
-    errsum = 0.0
+    grid = _gauss_grid(paths)
+    if grid is None:
+        return None, 0.0, False
+    z, h, segment, ends = grid
+    S = _GAUSS_BATCH_STEPS
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, big, done = (np.concatenate(part) for part in zip(*(
+            _gauss_propagators(alpha, beta, gamma, z[i:i + S], h[i:i + S])
+            for i in range(0, max(len(z), 1), S))))
+    # an overflowed series never converges: report it as overflow below
+    unconverged = set(np.flatnonzero(~done & np.isfinite(P).all(axis=1)).tolist())
+    rows = P.tolist()
+    (a0, a1), (b0, b1) = np.asarray(F0, dtype=np.complex128).tolist()
+    frames = np.empty((len(ends), 2, 2), dtype=np.complex128)
+    first = 0
+    for k, last in enumerate(ends):
+        f0, f1, g0, g1 = a0, a1, b0, b1
+        for i in range(first, last):
+            za, zb = segment[i]
+            if i in unconverged:
+                raise NumericFailure(f"segment {za} -> {zb}: series at z = {z[i]} did not "
+                                     f"converge within {_MAX_TERMS} terms")
+            p00, p01, p10, p11 = rows[i]
+            f0, f1, g0, g1 = (p00 * f0 + p01 * g0, p00 * f1 + p01 * g1,
+                              p10 * f0 + p11 * g0, p10 * f1 + p11 * g1)
+            if not all(map(cmath.isfinite, (f0, f1, g0, g1))):
+                raise NumericFailure(
+                    f"segment {za} -> {zb}: frame is not finite at z = {z[i] + h[i]}")
+        frames[k] = ((f0, f1), (g0, g1))
+        first = last
+    return frames, _EPS * float(big.sum()), True
+
+
+def _gauss_grid(paths):
+    """Steps along every segment of every path, each half the distance to
+    {0, 1} or the rest of the segment: each step's point, length and segment
+    (za, zb), and where each path's steps end.  None when a step point comes
+    within _MIN_CLEARANCE of 0 or 1."""
+    zs, hs, segment, ends = [], [], [], []
+    for path in paths:
+        for za, zb in zip(path, path[1:]):
+            seg = za, zb = complex(za), complex(zb)
+            z = za
+            while z != zb:
+                dist = min(abs(z), abs(z - 1.0))
+                if dist <= _MIN_CLEARANCE:
+                    return None
+                rest = zb - z
+                if abs(rest) <= 0.5 * dist:
+                    h, znext = rest, zb
+                else:
+                    h = rest * (0.5 * dist / abs(rest))
+                    znext = z + h
+                zs.append(z)
+                hs.append(h)
+                segment.append(seg)
+                z = znext
+        ends.append(len(zs))
+    return np.array(zs, dtype=np.complex128), np.array(hs, dtype=np.complex128), segment, ends
+
+
+def _gauss_propagators(alpha, beta, gamma, z, h):
+    """Propagators of the steps at the points z with lengths h: each step's
+    series of the frame that starts as the identity, for all steps at once.
+
+    z(1-z) f'' + (gamma - s z) f' + c f = 0 expanded at a step point has the
+    coefficients a0 + a1 x - x^2 and b0 - s x, so the scaled terms
+    d_n = c_n h^n obey d_{n+2} = -(p_n d_{n+1} + q_n d_n); the two columns
+    start from (d_0, d_1) = (1, 0) and (0, 1).  Each term is one numpy
+    expression over both columns of every step.  Terms are held
+    _GAUSS_BLOCK at a time and each block is added into the sums of d_n and
+    n d_n up to the step's own last term: the second in a row with
+    n |d_n| <= _EPS times its largest term so far.  Later terms are zero and
+    a block is summed in one order for every step, so a step's propagator
+    does not depend on the other steps.
+
+    Returns the propagators as rows (p00, p01, p10, p11), each step's
+    largest term, and whether each step's series stopped.
+    """
+    w = len(z)
+    B = _GAUSS_BLOCK
     s = alpha + beta + 1.0
     c = -alpha * beta
-    z = za
-    while z != zb:
-        dist = min(abs(z), abs(z - 1.0))
-        if dist <= _MIN_CLEARANCE:
-            return _frame(f0, f1, g0, g1), errsum, False
-        rest = zb - z
-        if abs(rest) <= 0.5 * dist:
-            h, znext = rest, zb
-        else:
-            h = rest * (0.5 * dist / abs(rest))
-            znext = z + h
-        # z(1-z) f'' + (gamma - s z) f' + c f = 0 expanded at z: the
-        # coefficients are a0 + a1 x + a2 x^2 with a2 = -1, and b0 + b1 x with
-        # b1 = -s.  Scaled terms d_n = c_n h^n obey
-        # d_{n+2} = -(p_n d_{n+1} + q_n d_n) with p_n, q_n below.
-        a0 = z * (1.0 - z)
-        a1 = 1.0 - 2.0 * z
-        b0 = gamma - s * z
-        u = h / a0
-        v = h * u
-        # both columns at once: (x0, x1) and (y0, y1) are consecutive terms
-        x0, x1 = f0, h * g0
-        y0, y1 = f1, h * g1
-        val_x, der_x = x0 + x1, x1
-        val_y, der_y = y0 + y1, y1
-        big = max(abs(x0), abs(x1), abs(y0), abs(y1))
-        small = 0
-        for n in range(_MAX_TERMS):
-            m = n + 2
-            p = (a1 * n + b0) * u / m
-            q = (c - n * (n - 1) - s * n) * v / (m * (n + 1))
-            x0, x1 = x1, -(p * x1 + q * x0)
-            y0, y1 = y1, -(p * y1 + q * y0)
-            val_x += x1
-            der_x += m * x1
-            val_y += y1
-            der_y += m * y1
-            t = max(abs(x1), abs(y1))
-            if t > big:
-                big = t
-            # the derivative series carries the factor m, so test m * t
-            if m * t <= _EPS * big:
-                small += 1
-                if small == 2:
-                    break
-            else:
-                small = 0
-        else:
-            # an overflowed series never converges: report it as overflow below
-            if all(map(cmath.isfinite, (val_x, der_x, val_y, der_y))):
-                raise NumericFailure(
-                    f"segment {za} -> {zb}: series at z = {z} did not converge "
-                    f"within {_MAX_TERMS} terms")
-        f0, f1, g0, g1 = val_x, val_y, der_x / h, der_y / h
-        if not all(map(cmath.isfinite, (f0, f1, g0, g1))):
-            raise NumericFailure(
-                f"segment {za} -> {zb}: frame is not finite at z = {znext}")
-        errsum += _EPS * big
-        z = znext
-    return _frame(f0, f1, g0, g1), errsum, True
+    # with m = n + 2, -p_n = pa + pd/m and -q_n = qc_n v.  A float n keeps
+    # the kernel to float and complex loops: each numpy loop a process first
+    # uses maps more of numpy's code into its resident memory
+    n = np.arange(_MAX_TERMS + B, dtype=np.float64)
+    m = n + 2.0
+    inv_m = (1.0 / m)[:, None]
+    qc = (-(c - n * (n - 1.0) - s * n) / (m * (n + 1.0)))[:, None]
+    m = m[:, None]
+    # the two columns side by side: entries i and w + i belong to step i
+    zz, hh = np.tile(z, 2), np.tile(h, 2)
+    u = hh / (zz * (1.0 - zz))
+    pa = (2.0 * zz - 1.0) * u
+    pd = (s * zz - gamma) * u - 2.0 * pa
+    v = hh * u
+    # T[0] and T[1] carry the last two terms of the block before
+    T = np.zeros((B + 2, 2 * w), dtype=np.complex128)
+    T[0, :w] = T[1, w:] = 1.0
+    rows = list(T)
+    terms = T[2:]
+    P = np.empty((B, 2 * w), dtype=np.complex128)
+    Q = np.empty_like(P)
+    p, q = list(P), list(Q)
+    tmp = np.empty(2 * w, dtype=np.complex128)
+    val = T[0] + T[1]
+    der = T[1].copy()
+    big = np.ones(w)
+    # small[0] carries whether each step's last term so far was small
+    small = np.zeros((B + 1, w), dtype=bool)
+    drop = np.empty((B, w), dtype=bool)
+    done = np.zeros(w, dtype=bool)
+    first = 0
+    while first < _MAX_TERMS and (~done).any():
+        nb = min(B, _MAX_TERMS - first)
+        block = slice(first, first + B)
+        np.multiply(inv_m[block], pd, out=P)
+        P += pa
+        np.multiply(qc[block], v, out=Q)
+        for j in range(nb):
+            np.multiply(p[j], rows[j + 1], out=rows[j + 2])
+            np.multiply(q[j], rows[j], out=tmp)
+            np.add(rows[j + 2], tmp, out=rows[j + 2])
+        size = np.abs(terms[:nb])
+        size = np.maximum(size[:, :w], size[:, w:])
+        run = np.maximum.accumulate(size, axis=0)
+        np.maximum(run, big, out=run)
+        # _EPS is a power of two: this is m |d| <= _EPS times the largest
+        small[1:nb + 1] = m[first:first + nb] / _EPS * size <= run
+        stop = np.logical_or.accumulate(small[1:nb + 1] & small[:nb], axis=0)
+        # summed: a step's terms up to its last, none once it is done, none
+        # past nb
+        drop[:] = True
+        drop[0] = done
+        np.logical_or(stop[:-1], done, out=drop[1:nb])
+        np.copyto(terms, 0.0, where=np.concatenate((drop, drop), axis=1))
+        val += _pairwise_rows(terms)
+        der += _pairwise_rows(np.multiply(m[block], terms, out=P))
+        # run grows down the rows, so this is its value at each step's last term
+        np.maximum(big, np.where(drop[:nb], 0.0, run).max(axis=0), out=big)
+        done |= stop[-1]
+        small[0] = small[nb]
+        T[:2] = T[nb:nb + 2]
+        first += nb
+    vx, vy, dx, dy = val[:w], val[w:], der[:w], der[w:]
+    return np.stack((vx, h * vy, dx / h, dy), axis=1), big, done
 
 
-def _frame(f0, f1, g0, g1):
-    return np.array([[f0, f1], [g0, g1]], dtype=np.complex128)
+def _pairwise_rows(a):
+    """Sum of the rows of a, a power of two of them, as a tree of row
+    additions: the same order for every column, whatever their number."""
+    while len(a) > 1:
+        a = a[:len(a) // 2] + a[len(a) // 2:]
+    return a[0]
 
 
 # terms allowed in one torus step's series: a step at half the distance to the

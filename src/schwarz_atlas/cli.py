@@ -159,7 +159,7 @@ def _cmd_gauss_monodromy(args):
     p = gaussmod.GaussParams(args.alpha, args.beta, args.gamma)
     if p.log_case:
         raise ValueError("integer exponent difference (logarithmic case)")
-    mats = {s: gaussmod.monodromy_at(p, s) for s in (0, 1, "inf")}
+    mats = gaussmod.monodromy_matrices(p)
     relation = gaussmod.scaled_relation_residual(mats[0], mats[1], mats["inf"])
     spectra = {}
     mismatch = 0.0
@@ -253,8 +253,9 @@ def _require_at_least(flag, value, least):
 
 
 def _require_at_most(flag, value, most):
-    # the largest A_n and D_n that roots builds, and the ranks and orders
-    # that dm_equivalence_scan covers
+    # the largest A_n and D_n that roots builds, the ranks and orders that
+    # dm_equivalence_scan covers, and a bound on the orders enumerate scans
+    # (about 50 us each at rank 13, so a mistyped bound would run for minutes)
     if value > most:
         raise ValueError(f"{flag} must be at most {most}, got {value}")
 
@@ -347,6 +348,7 @@ def _cmd_torus_form(args):
 def _cmd_schwarz_enumerate(args):
     _require_at_least("--p-min", args.p_min, 3)
     _require_at_least("--p-max", args.p_max, args.p_min)
+    _require_at_most("--p-max", args.p_max, 1000)
     _require_at_least("--rank-max", args.rank_max, 2)
     _require_at_most("--rank-max", args.rank_max, 30)
     result = schwarzcond.enumerate_solutions(

@@ -4,9 +4,12 @@ monodromy, conformal triangle (Schwarz) maps with measured vertex angles, and
 the degree-2 pullback to the four-point equation on {1, -1, 0, inf}.
 
 Parameters are exact rationals.  Continuation runs through
-_kernels.gauss_segment, which re-expands the solutions in Taylor series at
-ordinary points and sums each series to machine precision; a numeric
-breakdown raises NumericFailure.
+_kernels.gauss_segment, which lays out the steps of many paths, sums each
+step's Taylor propagator to machine precision and multiplies the
+propagators in path order; a numeric breakdown raises NumericFailure.  Each
+measurement is one kernel call: the three loops of monodromy_matrices, the
+boundary samples of each vertex_angles chart, and the ring of
+pullback_ode_residual.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "local_basis_at_zero",
     "continue_along",
     "monodromy_at",
+    "monodromy_matrices",
     "monodromy_relation_residual",
     "scaled_relation_residual",
     "scaled_spectrum_residual",
@@ -199,20 +203,19 @@ def _segment_distance(a, b, q):
     return abs(q - (a + t * d))
 
 
-def _transport(p, points, F):
-    """Run the segment kernel along consecutive waypoints and return the
-    continued frame.  Raises NumericFailure, naming the segment, when the
-    kernel cannot finish.
+def _transport(p, paths, F):
+    """Continue the frame F, given at the first waypoint of each path, along
+    every path in one kernel call, and return the continued frames.  Raises
+    NumericFailure, naming the segment, when the kernel cannot finish.
     """
-    al, be, ga = p.floats()
-    F = np.array(F, dtype=np.complex128)
-    for a, b in zip(points, points[1:]):
-        F, _, ok = _kernels.gauss_segment(al, be, ga, complex(a), complex(b), F)
-        if not ok:
-            s = min((0.0, 1.0), key=lambda q: _segment_distance(a, b, q))
-            raise NumericFailure(
-                f"segment {a} -> {b}: reaches the singular point {s:g}")
-    return F
+    frames, _, ok = _kernels.gauss_segment(*p.floats(), paths, np.asarray(F, dtype=np.complex128))
+    if not ok:
+        # the step points lie on the segments, so the segment nearest a
+        # singular point is one that reaches it
+        a, b, s = min(((a, b, s) for path in paths for a, b in zip(path, path[1:])
+                       for s in (0.0, 1.0)), key=lambda r: _segment_distance(*r))
+        raise NumericFailure(f"segment {a} -> {b}: reaches the singular point {s:g}")
+    return frames
 
 
 def continue_along(p, points, F):
@@ -226,7 +229,7 @@ def continue_along(p, points, F):
                 default=abs(points[0] - complex(s)))
         if d < _PATH_CLEARANCE:
             raise ValueError(f"path passes within {d:.2e} of the singular point {s}")
-    return _transport(p, points, F)
+    return _transport(p, [points], F)[0]
 
 
 # fixed loops based at 1/2 (rectangles; counterclockwise around 0 and around 1,
@@ -256,7 +259,13 @@ def monodromy_at(p, s):
     """Monodromy matrix of the loop around s in {0, 1, "inf"}, in the frame of
     initial jets at the base point 1/2.  Eigenvalues are exp(2 pi i e) for the
     two local exponents e at s."""
-    return _transport(p, _LOOPS[_singular_point(s)], np.eye(2, dtype=np.complex128))
+    return _transport(p, [_LOOPS[_singular_point(s)]], np.eye(2, dtype=np.complex128))[0]
+
+
+def monodromy_matrices(p):
+    """The loop matrices of monodromy_at at 0, 1 and "inf", keyed so, from
+    one kernel call."""
+    return dict(zip(_LOOPS, _transport(p, list(_LOOPS.values()), np.eye(2, dtype=np.complex128))))
 
 
 def monodromy_relation_residual(m0, m1, minf):
@@ -332,7 +341,12 @@ def schwarz_map(p, z, F=None):
     """
     if F is None:
         F = local_basis_at_zero(p, BASE_POINT)
-    F = _transport(p, _plan_path(BASE_POINT, z), F)
+    return _chart_value(_transport(p, [_plan_path(BASE_POINT, z)], F)[0])
+
+
+def _chart_value(F):
+    """Ratio of the two solutions of the frame F; a zero of the denominator
+    is a pole and comes back as complex infinity."""
     num, den = F[0, 0], F[0, 1]
     if abs(den) <= 1e-14 * max(1.0, abs(num)):
         return complex(math.inf, math.inf)
@@ -375,20 +389,17 @@ def vertex_angles(p):
     identity frame, since the measurement never needs local series.
     """
     F0 = _frame_at_base(p)
-    sides_params = (_SIDE_01, _SIDE_1INF, _SIDE_INF0)
+    sides = (_SIDE_01, _SIDE_1INF, _SIDE_INF0)
+    paths = [_plan_path(BASE_POINT, t) for side in sides for t in side]
     last_error = None
     for mob in _MOBIUS_RETRIES:
-        F = F0 @ mob
         try:
-            samples = []
-            for params in sides_params:
-                pts = []
-                for t in params:
-                    w = schwarz_map(p, t, F)
-                    if not (math.isfinite(w.real) and math.isfinite(w.imag)) or abs(w) > 1e4:
-                        raise ValueError("boundary sample at or near the chart infinity")
-                    pts.append(w)
-                samples.append(pts)
+            values = [_chart_value(F) for F in _transport(p, paths, F0 @ mob)]
+            if not all(math.isfinite(w.real) and math.isfinite(w.imag) and abs(w) <= 1e4
+                       for w in values):
+                raise ValueError("boundary sample at or near the chart infinity")
+            it = iter(values)
+            samples = [[next(it) for _ in side] for side in sides]
             circles = []
             for pts in samples:
                 circ, res = _fit_circle(pts)
@@ -529,10 +540,8 @@ def pullback_ode_residual(pb, z):
     for s in (0.0, 1.0):
         if abs(w_center - s) < 2.0 * spread:
             raise ValueError("pullback image circle too close to a singular point")
-    F_anchor = _transport(p, _plan_path(BASE_POINT, w_center), F0)
-    values = np.empty((_RING_SAMPLES, 2), dtype=np.complex128)
-    for j, w in enumerate(ws):
-        values[j] = _transport(p, (w_center, w), F_anchor)[0, :]
+    F_anchor = _transport(p, [_plan_path(BASE_POINT, w_center)], F0)[0]
+    values = _transport(p, [(w_center, w) for w in ws], F_anchor)[:, 0, :]
     coeffs = np.fft.fft(values, axis=0) / _RING_SAMPLES
     g = coeffs[0]
     gp = coeffs[1] / _RING_RADIUS

@@ -173,6 +173,10 @@ def test_torus_rejects_samples_below_one(argv, capsys):
     (["schwarz", "enumerate", "--p-max", "2"], "--p-max must be at least 3, got 2"),
     (["schwarz", "enumerate", "--p-min", "5", "--p-max", "4"],
      "--p-max must be at least 5, got 4"),
+    # each order costs about 50 us, so a mistyped bound would run for minutes
+    (["schwarz", "enumerate", "--p-max", "1001"], "--p-max must be at most 1000, got 1001"),
+    (["schwarz", "enumerate", "--p-max", "10000000"],
+     "--p-max must be at most 1000, got 10000000"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     code, out = run_cli(argv)

@@ -13,6 +13,8 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarz_atlas import gauss as G
 from schwarz_atlas.triangle import GeneralizedCircle
@@ -250,6 +252,37 @@ def test_monodromy_at_large_alpha_matches_local_bases():
         expected = G.expected_monodromy_spectrum(p, s)
         assert G.scaled_spectrum_residual(M, expected) <= 1e-9, s
     assert G.scaled_relation_residual(loops[0], loops[1], loops["inf"]) <= 1e-11
+
+
+def _irreducible(p):
+    """Non-logarithmic with irreducible monodromy: none of gamma,
+    gamma - alpha - beta, beta - alpha, alpha, beta, gamma - alpha and
+    gamma - beta is an integer."""
+    a, b, c = p.alpha, p.beta, p.gamma
+    return all(x.denominator != 1 for x in (c, c - a - b, b - a, a, b, c - a, c - b))
+
+
+SMALL_RATIONALS = st.builds(F, st.integers(-10, 10), st.integers(2, 12)).filter(
+    lambda x: abs(x) <= 1)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.builds(G.GaussParams, SMALL_RATIONALS, SMALL_RATIONALS, SMALL_RATIONALS)
+       .filter(_irreducible))
+def test_monodromy_relation_and_spectra_hold_for_random_parameters(p):
+    loops = G.monodromy_matrices(p)
+    assert G.scaled_relation_residual(loops[0], loops[1], loops["inf"]) <= 1e-13
+    for s, M in loops.items():
+        assert G.scaled_spectrum_residual(M, G.expected_monodromy_spectrum(p, s)) <= 1e-13, s
+
+
+@pytest.mark.parametrize("p", ORACLE_PARAMS, ids=_param_id)
+def test_monodromy_matrices_equal_monodromy_at(p):
+    # one kernel call for the three loops changes no bit of any of them
+    loops = G.monodromy_matrices(p)
+    assert list(loops) == [0, 1, "inf"]
+    for s, M in loops.items():
+        assert np.array_equal(M, G.monodromy_at(p, s)), s
 
 
 def test_scaled_residuals_detect_wrong_data():

@@ -1,6 +1,8 @@
 """Continuation kernels: the torus series kernel against an independent
-high-precision ODE solve and against the step-by-step series it batches, its
-memory, and the ways continuation can fail in both kernels."""
+high-precision ODE solve and against the step-by-step series it batches, the
+Gauss kernel's propagators against its scalar series and its batches against
+each path alone, the memory of both, and the ways continuation can fail in
+both kernels."""
 
 import tracemalloc
 from fractions import Fraction as F
@@ -11,6 +13,7 @@ import pytest
 
 from schwarz_atlas import _kernels, roots, torus
 from schwarz_atlas import gauss as G
+from test_gauss import ORACLE_PARAMS, _param_id
 
 A2 = roots.build(roots.RootSystemType("A", 2))
 E8 = roots.build(roots.RootSystemType("E", 8))
@@ -305,7 +308,7 @@ def test_kernel_reports_underflow_near_singularity(monkeypatch):
     monkeypatch.setattr(_kernels, "_EPS", 1e-12)
     F0 = np.eye(2, dtype=np.complex128)
     _, _, ok = _kernels.gauss_segment(
-        0.25 + 0j, 0.5 + 0j, 0.75 + 0j, complex(0.5), complex(1.0), F0)
+        0.25 + 0j, 0.5 + 0j, 0.75 + 0j, [(complex(0.5), complex(1.0))], F0)
     assert not ok
 
 
@@ -313,17 +316,135 @@ def test_kernel_raises_numeric_failure_when_series_cannot_converge():
     F0 = np.eye(2, dtype=np.complex128)
     with pytest.raises(_kernels.NumericFailure, match="did not converge") as info:
         _kernels.gauss_segment(
-            2000 / 3 + 0j, 1 / 7 + 0j, 0.5 + 0j, complex(0.5), complex(0.5 + 0.4j), F0)
+            2000 / 3 + 0j, 1 / 7 + 0j, 0.5 + 0j, [(complex(0.5), complex(0.5 + 0.4j))], F0)
     assert not isinstance(info.value, ValueError)
 
 
 def test_transport_names_the_singular_point_reached():
     p = G.GaussParams(F(1, 84), F(13, 84), F(1, 2))
     with pytest.raises(G.NumericFailure, match="singular point 1"):
-        G._transport(p, (0.5, 1.0), np.eye(2, dtype=np.complex128))
+        G._transport(p, [(0.5, 1.0)], np.eye(2, dtype=np.complex128))
 
 
 def test_transport_raises_numeric_failure_on_overflow():
     p = G.GaussParams(F(400), F(1, 7), F(1, 2))
     with pytest.raises(G.NumericFailure, match="not finite"):
         G.monodromy_at(p, 0)
+
+
+def _sequential_step(alpha, beta, gamma, z, h, F):
+    """One Gauss step from z to z + h, its series started from the frame F
+    and summed term by term in scalar arithmetic: the kernel as first
+    written, before steps were batched, kept literally as the oracle."""
+    (f0, f1), (g0, g1) = np.asarray(F, dtype=np.complex128).tolist()
+    s = alpha + beta + 1.0
+    c = -alpha * beta
+    a0 = z * (1.0 - z)
+    a1 = 1.0 - 2.0 * z
+    b0 = gamma - s * z
+    u = h / a0
+    v = h * u
+    x0, x1 = f0, h * g0
+    y0, y1 = f1, h * g1
+    val_x, der_x = x0 + x1, x1
+    val_y, der_y = y0 + y1, y1
+    big = max(abs(x0), abs(x1), abs(y0), abs(y1))
+    small = 0
+    for n in range(_kernels._MAX_TERMS):
+        m = n + 2
+        p = (a1 * n + b0) * u / m
+        q = (c - n * (n - 1) - s * n) * v / (m * (n + 1))
+        x0, x1 = x1, -(p * x1 + q * x0)
+        y0, y1 = y1, -(p * y1 + q * y0)
+        val_x += x1
+        der_x += m * x1
+        val_y += y1
+        der_y += m * y1
+        t = max(abs(x1), abs(y1))
+        big = max(big, t)
+        if m * t <= _kernels._EPS * big:
+            small += 1
+            if small == 2:
+                break
+        else:
+            small = 0
+    else:
+        raise AssertionError("oracle series did not converge")
+    return np.array([[val_x, val_y], [der_x / h, der_y / h]])
+
+
+GAUSS_LOOPS = list(G._LOOPS.values())
+# the boundary samples of one vertex_angles chart, z = 1/2 among them
+VERTEX_PATHS = [G._plan_path(G.BASE_POINT, t)
+                for side in (G._SIDE_01, G._SIDE_1INF, G._SIDE_INF0) for t in side]
+
+
+@pytest.mark.parametrize("p", ORACLE_PARAMS, ids=_param_id)
+def test_gauss_propagators_match_sequential_series(p):
+    al, be, ga = p.floats()
+    z, h, _, _ = _kernels._gauss_grid(GAUSS_LOOPS + VERTEX_PATHS)
+    P, _, done = _kernels._gauss_propagators(al, be, ga, z, h)
+    assert done.all()
+    for i, D in enumerate(P.reshape(-1, 2, 2)):
+        want = _sequential_step(al, be, ga, z[i], h[i], np.eye(2))
+        assert np.max(np.abs(D - want)) <= 1e-13 * np.max(np.abs(want)), i
+
+
+# ORACLE_PARAMS, the Schwarz triangles (1/k, 1/l, 1/m) with k in {2, 3},
+# l in 3..7 and m in {l, 13}, the (1/5, 1/5, 1/5) triangle, and large alpha
+BATCH_PARAMS = ORACLE_PARAMS + tuple(
+    G.params_from_differences(F(1, k), F(1, l), F(1, m))
+    for k in (2, 3) for l in range(3, 8) for m in (l, 13)
+) + (G.params_from_differences(F(1, 5), F(1, 5), F(1, 5)),
+     G.GaussParams(F(44, 3), F(-4, 5), F(5, 8)), G.GaussParams(F(1, 2), F(-41, 3), F(3, 10)))
+
+
+@pytest.mark.parametrize("p", BATCH_PARAMS, ids=_param_id)
+def test_gauss_batch_equals_each_path_alone(p):
+    # a step's propagator does not depend on the other steps in the call,
+    # and the product runs path by path, so batching changes no bit
+    al, be, ga = p.floats()
+    for paths, F0 in ((GAUSS_LOOPS, np.eye(2, dtype=np.complex128)),
+                      (VERTEX_PATHS, G._frame_at_base(p))):
+        frames, _, ok = _kernels.gauss_segment(al, be, ga, paths, F0)
+        assert ok and frames.shape == (len(paths), 2, 2)
+        for path, got in zip(paths, frames):
+            alone, _, ok = _kernels.gauss_segment(al, be, ga, [path], F0)
+            assert ok and np.array_equal(alone[0], got), path
+
+
+def test_gauss_zero_length_path_returns_the_frame():
+    F0 = G._frame_at_base(G.params_from_differences(F(1, 2), F(1, 3), F(1, 7)))
+    path = G._plan_path(G.BASE_POINT, G.BASE_POINT)
+    assert path[0] == path[-1]
+    frames, errsum, ok = _kernels.gauss_segment(0.25 + 0j, 0.5 + 0j, 0.75 + 0j, [path], F0)
+    assert ok and errsum == 0.0
+    assert np.array_equal(frames[0], F0)
+
+
+def test_one_kernel_call_per_measurement(monkeypatch):
+    calls = []
+    segment = _kernels.gauss_segment
+
+    def recorded(alpha, beta, gamma, paths, F0):
+        calls.append(len(paths))
+        return segment(alpha, beta, gamma, paths, F0)
+
+    monkeypatch.setattr(_kernels, "gauss_segment", recorded)
+    G.monodromy_matrices(G.GaussParams(F(2, 5), F(-3, 7), F(5, 6)))
+    assert calls == [3]
+    calls.clear()
+    G.vertex_angles(G.params_from_differences(F(1, 2), F(1, 3), F(1, 7)))
+    assert calls == [len(VERTEX_PATHS)]
+
+
+def test_vertex_angles_stays_within_a_megabyte():
+    p = G.params_from_differences(F(1, 2), F(1, 3), F(1, 7))
+    G.vertex_angles(p)
+    tracemalloc.start()
+    try:
+        G.vertex_angles(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6

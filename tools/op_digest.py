@@ -6,9 +6,11 @@ Builds the seeded batch of WORKLOAD (gauss-loops, torus-ade or
 exact-geometry) with perfbench/workloads.build at the design length, runs
 each op through perfbench/worker.run_op, and prints the op count and one
 sha256 of (argv, call, exit code, stdout, stderr) and the name and bytes of
-each file the op wrote.  The temporary directory the ops write into is
+each file the op wrote.  Under that line it prints the same count and
+sha256 for the ops of each kind, so a change that moves some outputs can
+name the kinds it moved.  The temporary directory the ops write into is
 written as {tmp}, so two checkouts that give the same answers print the same
-line.  It uses the package and the benchmark of the checkout it sits in.
+lines.  It uses the package and the benchmark of the checkout it sits in.
 """
 
 import hashlib
@@ -25,26 +27,33 @@ import workloads  # noqa: E402
 
 
 def op_digest(workload, seed):
-    """(op count, hex digest) of one batch."""
+    """(op count, hex digest) of one batch, and the same per op kind."""
     ops = workloads.build(workload, seed, workloads.DESIGN_SECONDS)
     digest = hashlib.sha256()
+    kinds = {}
     with tempfile.TemporaryDirectory() as tmp:
         for op in ops:
+            kind = kinds.setdefault(op["kind"], [0, hashlib.sha256()])
+            kind[0] += 1
             res = worker.run_op(op, tmp)
             record = (op["argv"], op["call"], res["code"],
                       res["stdout"].replace(tmp, "{tmp}"), res["stderr"].replace(tmp, "{tmp}"))
-            digest.update(repr(record).encode())
+            chunks = [repr(record).encode()]
             for name in sorted(os.listdir(tmp)):
                 path = os.path.join(tmp, name)
-                digest.update(name.encode())
                 with open(path, "rb") as fh:
-                    digest.update(fh.read())
+                    chunks += [name.encode(), fh.read()]
                 os.remove(path)
-    return len(ops), digest.hexdigest()
+            for chunk in chunks:
+                digest.update(chunk)
+                kind[1].update(chunk)
+    return len(ops), digest.hexdigest(), {k: (n, h.hexdigest()) for k, (n, h) in kinds.items()}
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 3:
         sys.exit("usage: python3 tools/op_digest.py WORKLOAD SEED")
-    count, hexdigest = op_digest(sys.argv[1], int(sys.argv[2]))
+    count, hexdigest, kinds = op_digest(sys.argv[1], int(sys.argv[2]))
     print(f"{sys.argv[1]} seed {sys.argv[2]}: {count} ops, sha256 {hexdigest}")
+    for kind, (n, kind_digest) in sorted(kinds.items()):
+        print(f"  {kind}: {n} ops, sha256 {kind_digest}")
