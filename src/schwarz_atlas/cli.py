@@ -194,6 +194,14 @@ def _cmd_gauss_triangle(args):
             raise ValueError(
                 f"{flag} must be positive, got {format_rational(angle)}"
                 + ("" if angle else " (a zero angle needs a hyperbolic triangle)"))
+    # a spherical triangle needs 1 + x > y + z for each angle x (in units of
+    # pi), which also keeps every angle below 1; the arc construction and its
+    # angle residual assume both
+    if geometry is triangle.Geometry.SPHERICAL and 1 + 2 * min(kappa, lam, mu) <= kappa + lam + mu:
+        raise ValueError(
+            f"the angles {format_rational(kappa)}, {format_rational(lam)}, {format_rational(mu)}"
+            " (times pi) make no spherical triangle: each angle plus 1 must exceed the sum"
+            " of the other two")
     tess = triangle.triangle_from_angles(
         float(kappa) * math.pi, float(lam) * math.pi, float(mu) * math.pi, geometry)
     if args.svg:

@@ -4,18 +4,22 @@ and reduction of hypergeometric exponent differences.
 Everything in this module is exact; no floats enter or leave.  Rationals are
 ``fractions.Fraction`` throughout (arbitrary-precision, always in lowest terms
 with positive denominator), serialized as "p/q" strings.
+
+The reduction is in closed form: the projective monodromy of the Gauss
+equation sees its exponent differences only up to sign changes and integer
+shifts with an even sum, the shifts that integer moves of (alpha, beta,
+gamma) make (Schwarz 1873; Vidunas, Funkcial. Ekvac. 52, 2009).
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "ExponentTriple",
     "ReductionWitness",
-    "ReductionError",
     "parse_rational",
     "format_rational",
     "is_unit_fraction",
@@ -25,10 +29,6 @@ __all__ = [
     "exponent_differences",
     "reduce_parameters",
 ]
-
-
-class ReductionError(ValueError):
-    """No reduced representative found within the search bound."""
 
 
 def parse_rational(text):
@@ -125,30 +125,27 @@ def exponent_differences(alpha, beta, gamma):
     return ExponentTriple(1 - gamma, gamma - (alpha + beta), beta - alpha)
 
 
-def reduce_parameters(alpha, beta, gamma, bound=4):
-    """Find a reduced representative of the exponent-difference triple.
+def reduce_parameters(alpha, beta, gamma):
+    """The canonical reduced member of the exponent-difference class.
 
-    Bounded exhaustive search over integer shifts in [-bound, bound] (applied
-    difference-wise) and all eight sign patterns; shifts are tried in order of
-    increasing total size so an already-reduced input comes back unchanged with
-    the identity witness.  Raises ReductionError when the bound is too small.
+    Each raw difference is shifted into [-1/2, 1/2) and then signed, so that
+    it lies in [0, 1/2].  When those shifts add up to an odd number, the
+    largest entry x (the first on ties, so a 1/2 when there is one) becomes
+    1 - x, one more shift away: 1/2 stays 1/2, and any other x keeps the
+    triple reduced because the others are at most x.  Every member of a class
+    reduces to the same triple, and the witness's shifts add up to an even
+    number.  A reduced input with no two entries adding up to 1 comes back
+    unchanged, with the identity witness.  On that boundary it may come back
+    as another reduced member of its class: (1/10, 1/10, 9/10) comes back as
+    (9/10, 1/10, 1/10).
     """
     raw = exponent_differences(alpha, beta, gamma).as_tuple()
-    shift_range = range(-bound, bound + 1)
-    shifts_ordered = sorted(
-        itertools.product(shift_range, repeat=3),
-        key=lambda s: (sum(abs(v) for v in s), s),
-    )
-    sign_patterns = [
-        (1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
-        (1, -1, -1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
-    ]
-    for shifts in shifts_ordered:
-        for signs in sign_patterns:
-            cand = ExponentTriple(*(e * (d + s) for e, d, s in zip(signs, raw, shifts)))
-            if cand.is_reduced():
-                return cand, ReductionWitness(signs=signs, shifts=shifts)
-    raise ReductionError(
-        f"no reduced representative of {tuple(map(format_rational, raw))} "
-        f"within shift bound {bound}"
-    )
+    shifts = [-math.floor(d + Fraction(1, 2)) for d in raw]
+    signs = [1 if d + s >= 0 else -1 for d, s in zip(raw, shifts)]
+    entries = [e * (d + s) for e, d, s in zip(signs, raw, shifts)]
+    if sum(shifts) % 2:
+        i = entries.index(max(entries))
+        entries[i] = 1 - entries[i]
+        shifts[i] -= signs[i]
+        signs[i] = -signs[i]
+    return ExponentTriple(*entries), ReductionWitness(signs=tuple(signs), shifts=tuple(shifts))

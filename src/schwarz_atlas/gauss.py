@@ -36,7 +36,6 @@ __all__ = [
     "riemann_scheme",
     "local_basis_at_zero",
     "continue_along",
-    "monodromy_at",
     "monodromy_matrices",
     "monodromy_relation_residual",
     "scaled_relation_residual",
@@ -255,22 +254,16 @@ def _singular_point(s):
     return key
 
 
-def monodromy_at(p, s):
-    """Monodromy matrix of the loop around s in {0, 1, "inf"}, in the frame of
-    initial jets at the base point 1/2.  Eigenvalues are exp(2 pi i e) for the
-    two local exponents e at s."""
-    return _transport(p, [_LOOPS[_singular_point(s)]], np.eye(2, dtype=np.complex128))[0]
-
-
 def monodromy_matrices(p):
-    """The loop matrices of monodromy_at at 0, 1 and "inf", keyed so, from
-    one kernel call."""
+    """The loop matrices around 0, 1 and "inf", keyed so, from one kernel
+    call, in the frame of initial jets at the base point 1/2.  The
+    eigenvalues at s are exp(2 pi i e) for the two local exponents e at s."""
     return dict(zip(_LOOPS, _transport(p, list(_LOOPS.values()), np.eye(2, dtype=np.complex128))))
 
 
 def monodromy_relation_residual(m0, m1, minf):
     """Max-norm distance of M_inf M_1 M_0 from the identity, for the loop
-    matrices returned by monodromy_at at 0, 1 and "inf"."""
+    matrices of monodromy_matrices."""
     return float(np.max(np.abs(minf @ m1 @ m0 - np.eye(2))))
 
 
@@ -332,15 +325,14 @@ def _plan_path(z0, z1):
     return (z0, z0 + h, z1 + h, z1)
 
 
-def schwarz_map(p, z, F=None):
-    """Ratio of the two solutions of the frame F at BASE_POINT (by default
-    the Frobenius basis at 0), continued to z.
+def schwarz_map(p, z):
+    """Ratio of the two solutions of the Frobenius basis at 0, taken at
+    BASE_POINT and continued to z.
 
     A zero of the denominator solution is a pole of the map and comes back as
     complex infinity.
     """
-    if F is None:
-        F = local_basis_at_zero(p, BASE_POINT)
+    F = local_basis_at_zero(p, BASE_POINT)
     return _chart_value(_transport(p, [_plan_path(BASE_POINT, z)], F)[0])
 
 

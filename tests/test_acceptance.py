@@ -107,7 +107,7 @@ def test_criterion_6_monodromy_relation_and_spectra():
         if p.log_case:
             continue
         count += 1
-        loops = {s: gauss.monodromy_at(p, s) for s in (0, 1, "inf")}
+        loops = gauss.monodromy_matrices(p)
         worst_rel = max(worst_rel, gauss.monodromy_relation_residual(
             loops[0], loops[1], loops["inf"]))
         for s, M in loops.items():

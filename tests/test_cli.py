@@ -151,6 +151,9 @@ def test_torus_rejects_samples_below_one(argv, capsys):
     assert "--samples must be at least 1" in capsys.readouterr().err
 
 
+NO_SPHERICAL = "each angle plus 1 must exceed the sum of the other two"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["gauss", "monodromy", "--alpha", "1/2", "--beta", "1/3", "--gamma", "1"],
      "integer exponent difference (logarithmic case)"),
@@ -177,6 +180,20 @@ def test_torus_rejects_samples_below_one(argv, capsys):
     (["schwarz", "enumerate", "--p-max", "1001"], "--p-max must be at most 1000, got 1001"),
     (["schwarz", "enumerate", "--p-max", "10000000"],
      "--p-max must be at most 1000, got 10000000"),
+    # a spherical triangle needs 1 + x > y + z for each angle x; the arc
+    # construction cannot draw these, so they are usage errors, not numeric ones
+    (["gauss", "schwarz-triangle", "--kappa", "3", "--lambda", "1/3", "--mu", "1/7"],
+     "the angles 3, 1/3, 1/7 (times pi) make no spherical triangle: " + NO_SPHERICAL),
+    (["gauss", "schwarz-triangle", "--kappa", "1", "--lambda", "1/3", "--mu", "1/7"],
+     "the angles 1, 1/3, 1/7 (times pi) make no spherical triangle: " + NO_SPHERICAL),
+    (["gauss", "schwarz-triangle", "--kappa", "1/2", "--lambda", "1/20", "--mu", "9/10"],
+     "the angles 1/2, 1/20, 9/10 (times pi) make no spherical triangle: " + NO_SPHERICAL),
+    (["gauss", "schwarz-triangle", "--kappa", "1", "--lambda", "1", "--mu", "1"],
+     "the angles 1, 1, 1 (times pi) make no spherical triangle: " + NO_SPHERICAL),
+    (["gauss", "schwarz-triangle", "--kappa", "1/2", "--lambda", "1/3", "--mu", "5/4"],
+     "the angles 1/2, 1/3, 5/4 (times pi) make no spherical triangle: " + NO_SPHERICAL),
+    (["gauss", "schwarz-triangle", "--kappa", "1/8", "--lambda", "1/2", "--mu", "3/2"],
+     "the angles 1/8, 1/2, 3/2 (times pi) make no spherical triangle: " + NO_SPHERICAL),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     code, out = run_cli(argv)

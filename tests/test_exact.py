@@ -1,12 +1,15 @@
 """Exact-arithmetic layer: predicates and exponent-difference reduction."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarz_atlas.exact import (
     ExponentTriple,
-    ReductionError,
+    ReductionWitness,
     conditional_unit_fraction,
     exponent_differences,
     format_rational,
@@ -101,33 +104,60 @@ def test_reduce_zero_case():
     assert triple.as_tuple() == (F(0), F(0), F(0))
 
 
+def _from_differences(kappa, lam, mu):
+    """(alpha, beta, gamma) whose raw differences are (kappa, lam, mu)."""
+    gamma = 1 - kappa
+    beta = (gamma - lam + mu) / 2
+    return gamma - lam - beta, beta, gamma
+
+
+def _rebuilt(raw, witness):
+    return tuple(e * (d + s) for e, d, s in zip(witness.signs, raw, witness.shifts))
+
+
+def test_reduce_keeps_the_parity_of_the_shifts():
+    # one odd shift of 5/3 gives the icosahedral (2/3, 1/5, 1/5), a finite
+    # group; the monodromy of (5/3, 1/5, 1/5) is that of (1/3, 1/5, 1/5)
+    triple, witness = reduce_parameters(*_from_differences(F(5, 3), F(1, 5), F(1, 5)))
+    assert triple.as_tuple() == (F(1, 3), F(1, 5), F(1, 5))
+    assert sum(witness.shifts) % 2 == 0
+    assert _rebuilt((F(5, 3), F(1, 5), F(1, 5)), witness) == triple.as_tuple()
+
+
+def test_reduce_moves_a_reduced_triple_on_the_boundary():
+    # (1/10, 1/10, 9/10) is reduced, but its canonical member is the one
+    # with the 9/10 first
+    triple, witness = reduce_parameters(*_from_differences(F(1, 10), F(1, 10), F(9, 10)))
+    assert triple.as_tuple() == (F(9, 10), F(1, 10), F(1, 10))
+    assert witness == ReductionWitness(signs=(-1, 1, -1), shifts=(-1, 0, -1))
+
+
 def _search_oracle(alpha, beta, gamma, bound=3):
-    """Independent exhaustive search: all shifts in [-bound, bound], all sign
-    patterns, collect every reduced candidate."""
+    """Independent exhaustive search: all shifts in [-bound, bound] whose
+    sum is even, all sign patterns; collect every reduced candidate."""
     raw = exponent_differences(alpha, beta, gamma).as_tuple()
     found = []
-    for s1 in range(-bound, bound + 1):
-        for s2 in range(-bound, bound + 1):
-            for s3 in range(-bound, bound + 1):
-                for e1 in (1, -1):
-                    for e2 in (1, -1):
-                        for e3 in (1, -1):
-                            cand = ExponentTriple(
-                                e1 * (raw[0] + s1), e2 * (raw[1] + s2), e3 * (raw[2] + s3))
-                            if cand.is_reduced():
-                                found.append(cand.as_tuple())
+    for shifts in itertools.product(range(-bound, bound + 1), repeat=3):
+        if sum(shifts) % 2:
+            continue
+        for signs in itertools.product((1, -1), repeat=3):
+            cand = ExponentTriple(*(e * (d + s) for e, d, s in zip(signs, raw, shifts)))
+            if cand.is_reduced():
+                found.append(cand.as_tuple())
     return found
 
 
 def test_reduce_matches_search_oracle():
-    alpha, beta, gamma = F(-1, 2), F(1, 3), F(6, 7)
-    triple, witness = reduce_parameters(alpha, beta, gamma)
-    assert triple.is_reduced()
-    assert triple.as_tuple() in _search_oracle(alpha, beta, gamma)
-    # the witness reproduces the output from the raw differences
-    raw = exponent_differences(alpha, beta, gamma).as_tuple()
-    rebuilt = tuple(e * (d + s) for e, d, s in zip(witness.signs, raw, witness.shifts))
-    assert rebuilt == triple.as_tuple()
+    for alpha, beta, gamma in ((F(-1, 2), F(1, 3), F(6, 7)),
+                               _from_differences(F(5, 3), F(1, 5), F(1, 5)),
+                               _from_differences(F(-7, 4), F(9, 5), F(1, 2))):
+        triple, witness = reduce_parameters(alpha, beta, gamma)
+        assert triple.is_reduced()
+        assert triple.as_tuple() in _search_oracle(alpha, beta, gamma)
+        # the witness reproduces the output from the raw differences
+        raw = exponent_differences(alpha, beta, gamma).as_tuple()
+        assert _rebuilt(raw, witness) == triple.as_tuple()
+        assert sum(witness.shifts) % 2 == 0
 
 
 def test_reduce_always_succeeds_on_moderate_inputs():
@@ -135,12 +165,28 @@ def test_reduce_always_succeeds_on_moderate_inputs():
     for alpha in vals[::3]:
         for beta in vals[::4]:
             for gamma in vals[::5]:
-                triple, _ = reduce_parameters(alpha, beta, gamma)
+                triple, witness = reduce_parameters(alpha, beta, gamma)
                 k, l, m = triple.as_tuple()
                 assert k >= 0 and l >= 0 and m >= 0
                 assert k + l <= 1 and k + m <= 1 and l + m <= 1
+                assert sum(witness.shifts) % 2 == 0
+                raw = exponent_differences(alpha, beta, gamma).as_tuple()
+                assert _rebuilt(raw, witness) == triple.as_tuple()
 
 
-def test_reduce_failure_reported():
-    with pytest.raises(ReductionError):
-        reduce_parameters(F(100), F(0), F(0), bound=2)
+DIFFERENCES = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.tuples(DIFFERENCES, DIFFERENCES, DIFFERENCES),
+       st.tuples(*[st.sampled_from((1, -1))] * 3),
+       st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-3, 3)))
+def test_reduce_is_canonical_on_each_class(raw, signs, shifts):
+    # sign flips and integer shifts with an even sum keep the class
+    shifts = (shifts[0], shifts[1], 2 * shifts[2] - shifts[0] - shifts[1])
+    moved = tuple(e * d + s for e, d, s in zip(signs, raw, shifts))
+    triple, witness = reduce_parameters(*_from_differences(*raw))
+    assert reduce_parameters(*_from_differences(*moved))[0] == triple
+    assert triple.is_reduced()
+    assert sum(witness.shifts) % 2 == 0
+    assert _rebuilt(raw, witness) == triple.as_tuple()

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schwarz_atlas import gauss as G
+from schwarz_atlas.exact import reduce_parameters
 from schwarz_atlas.triangle import GeneralizedCircle
 
 P_STD = G.GaussParams(F(1, 84), F(13, 84), F(1, 2))  # differences (1/2, 1/3, 1/7)
@@ -133,9 +134,9 @@ def test_continuation_linear_in_frame():
 
 def test_monodromy_eigenvalues_and_relation():
     p = P_STD
-    m0 = G.monodromy_at(p, 0)
-    assert G.spectrum_mismatch(m0, [1.0, -1.0]) < 1e-9  # gamma = 1/2
-    loops = {s: G.monodromy_at(p, s) for s in (0, 1, "inf")}
+    loops = G.monodromy_matrices(p)
+    assert list(loops) == [0, 1, "inf"]
+    assert G.spectrum_mismatch(loops[0], [1.0, -1.0]) < 1e-9  # gamma = 1/2
     for s, M in loops.items():
         expected = G.expected_monodromy_spectrum(p, s)
         assert G.spectrum_mismatch(M, expected) < 1e-9
@@ -145,11 +146,10 @@ def test_monodromy_eigenvalues_and_relation():
 @pytest.mark.parametrize("name", ["infinity", math.inf])
 def test_loop_at_infinity_names(name):
     p = P_STD
-    assert np.array_equal(G.monodromy_at(p, name), G.monodromy_at(p, "inf"))
     assert G.expected_monodromy_spectrum(p, name) == G.expected_monodromy_spectrum(p, "inf")
 
 
-@pytest.mark.parametrize("fn", [G.monodromy_at, G.expected_monodromy_spectrum])
+@pytest.mark.parametrize("fn", [G.expected_monodromy_spectrum])
 def test_unknown_singular_point_raises_value_error(fn):
     with pytest.raises(ValueError, match="singular point must be 0, 1 or 'inf', got 2"):
         fn(P_STD, 2)
@@ -227,8 +227,9 @@ def test_monodromy_matches_local_bases(p):
     d1 = np.diag([cmath.exp(2j * cmath.pi * float(p.gamma - p.alpha - p.beta)), 1.0])
     m0 = b0 @ d0 @ np.linalg.inv(b0)
     m1 = b1 @ d1 @ np.linalg.inv(b1)
+    loops = G.monodromy_matrices(p)
     for s, want in ((0, m0), (1, m1), ("inf", np.linalg.inv(m1 @ m0))):
-        got = G.monodromy_at(p, s)
+        got = loops[s]
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)), s
 
 
@@ -246,7 +247,7 @@ def test_monodromy_at_large_alpha_matches_local_bases():
         m0 = b0 * d0 * b0 ** -1
         m1 = b1 * d1 * b1 ** -1
         want = {0: _complex(m0), 1: _complex(m1), "inf": _complex((m1 * m0) ** -1)}
-    loops = {s: G.monodromy_at(p, s) for s in (0, 1, "inf")}
+    loops = G.monodromy_matrices(p)
     for s, M in loops.items():
         assert np.linalg.norm(M - want[s]) <= 1e-9 * np.linalg.norm(want[s]), s
         expected = G.expected_monodromy_spectrum(p, s)
@@ -276,13 +277,29 @@ def test_monodromy_relation_and_spectra_hold_for_random_parameters(p):
         assert G.scaled_spectrum_residual(M, G.expected_monodromy_spectrum(p, s)) <= 1e-13, s
 
 
-@pytest.mark.parametrize("p", ORACLE_PARAMS, ids=_param_id)
-def test_monodromy_matrices_equal_monodromy_at(p):
-    # one kernel call for the three loops changes no bit of any of them
+def _sl2_invariants(p):
+    """xyz and x^2 + y^2 + z^2 - xyz - 2 for x = tr N0, y = tr N1 and
+    z = tr N1 N0, where N is a loop matrix scaled into SL2.  Neither depends
+    on the sign of either square root, so both are invariants of the
+    projective monodromy."""
     loops = G.monodromy_matrices(p)
-    assert list(loops) == [0, 1, "inf"]
-    for s, M in loops.items():
-        assert np.array_equal(M, G.monodromy_at(p, s)), s
+    n0, n1 = (M / np.sqrt(np.linalg.det(M)) for M in (loops[0], loops[1]))
+    x, y, z = np.trace(n0), np.trace(n1), np.trace(n1 @ n0)
+    return x * y * z, x * x + y * y + z * z - x * y * z - 2
+
+
+NON_INTEGER_DIFFERENCES = st.builds(F, st.integers(-40, 40), st.integers(2, 10)).filter(
+    lambda d: d.denominator != 1 and abs(d) <= 4)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.tuples(NON_INTEGER_DIFFERENCES, NON_INTEGER_DIFFERENCES, NON_INTEGER_DIFFERENCES))
+def test_reduced_differences_keep_the_projective_monodromy(raw):
+    p = G.params_from_differences(*raw)
+    reduced, _ = reduce_parameters(p.alpha, p.beta, p.gamma)
+    for got, want in zip(_sl2_invariants(G.params_from_differences(*reduced.as_tuple())),
+                         _sl2_invariants(p)):
+        assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (raw, reduced)
 
 
 def test_scaled_residuals_detect_wrong_data():
@@ -298,15 +315,14 @@ def test_monodromy_alpha_zero_fixes_constants():
     # basis vector of the identity jet frame at 1/2
     p = G.GaussParams(F(0), F(2, 7), F(3, 5))
     e0 = np.array([1.0, 0.0])
-    for s in (0, 1, "inf"):
-        M = G.monodromy_at(p, s)
+    for M in G.monodromy_matrices(p).values():
         assert np.max(np.abs(M @ e0 - e0)) < 1e-10
 
 
 def test_wronskian_along_loop_scaled_by_det_monodromy():
     # |det M_0| = |exp(2 pi i (1 - gamma))| = 1 for real parameters
     p = P_STD
-    m0 = G.monodromy_at(p, 0)
+    m0 = G.monodromy_matrices(p)[0]
     assert abs(abs(np.linalg.det(m0)) - 1.0) < 1e-10
 
 

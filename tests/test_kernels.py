@@ -329,7 +329,7 @@ def test_transport_names_the_singular_point_reached():
 def test_transport_raises_numeric_failure_on_overflow():
     p = G.GaussParams(F(400), F(1, 7), F(1, 2))
     with pytest.raises(G.NumericFailure, match="not finite"):
-        G.monodromy_at(p, 0)
+        G.monodromy_matrices(p)
 
 
 def _sequential_step(alpha, beta, gamma, z, h, F):

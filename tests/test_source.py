@@ -203,3 +203,86 @@ def test_every_public_name_is_used():
     others = {str(path): path.read_text(encoding="utf-8")
               for folder in ("tests", "perfbench") for path in sorted((root / folder).glob("*.py"))}
     assert unused_public_names(package, others) == []
+
+
+def _defaulted_parameters(node, offset):
+    """(name, position) of each defaulted parameter of a def; `offset` is 1
+    for a method called through an instance, whose self the call omits."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    found = [(a.arg, i - offset) for i, a in enumerate(positional)
+             if i >= len(positional) - len(args.defaults)]
+    return found + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None]
+
+
+def unset_defaults(package, others):
+    """(module, function, parameter) for every defaulted parameter of a
+    public function, or public method of a public class, in the package
+    sources that no call in any source passes, by keyword or by position.
+    Calls are matched by the called name alone, and a call with *args or
+    **kwargs passes every parameter."""
+    defaulted = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defaulted += [(module, node.name, p) for p in _defaulted_parameters(node, 0)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                     for d in fn.decorator_list)
+                        defaulted += [(module, fn.name, p)
+                                      for p in _defaulted_parameters(fn, 0 if static else 1)]
+    passed = set()
+    for source in (*package.values(), *others.values()):
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                passed.add((name, "*"))
+            passed |= {(name, k.arg) for k in node.keywords}
+            passed |= {(name, i) for i in range(len(node.args))}
+    return sorted((module, fn, param) for module, fn, (param, position) in defaulted
+                  if not {(fn, "*"), (fn, param), (fn, position)} & passed)
+
+
+def test_unset_default_finder():
+    package = {
+        "a": (
+            "def f(x, tol=1e-9, *, seed=0, verbose=False):\n"
+            "    return x\n"
+            "def g(x, scale=1.0):\n"
+            "    return x\n"
+            "def h(x, limit=3):\n"
+            "    return x\n"
+            "def _private(x, knob=1):\n"
+            "    return x\n"
+            "class Shape:\n"
+            "    def area(self, units='m'):\n"
+            "        return 0\n"
+            "    def scale(self, by=2):\n"
+            "        return self\n"
+        ),
+    }
+    others = {"test_a": (
+        "from pkg.a import f, g, h, Shape\n"
+        "f(1, 1e-6)\n"
+        "f(1, seed=3)\n"
+        "h(*[1, 2])\n"
+        "Shape().scale(3)\n"
+        "Shape().area()\n"
+    )}
+    assert unset_defaults(package, others) == [
+        ("a", "area", "units"), ("a", "f", "verbose"), ("a", "g", "scale")]
+
+
+def test_every_default_is_set_somewhere():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    others = {str(path): path.read_text(encoding="utf-8")
+              for folder in ("tests", "perfbench", "tools")
+              for path in sorted((root / folder).glob("*.py"))}
+    assert unset_defaults(package, others) == []
