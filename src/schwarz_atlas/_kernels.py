@@ -64,20 +64,20 @@ def gauss_segment(alpha, beta, gamma, paths, F0):
     """Transport the 2x2 frame F0 (row 0 values, row 1 derivatives), given at
     the first waypoint of each path, along each piecewise-linear path.
 
-    Returns (frames, accumulated truncation estimate, ok flag): frames[i] is
-    F0 continued along paths[i].  ok=False means a step point comes within
-    _MIN_CLEARANCE of 0 or 1, where the equation is singular; nothing is
-    transported then and frames is None.  Raises NumericFailure, naming the
-    segment, when a step's series has not fallen below _EPS times its
-    largest term after _MAX_TERMS terms, or a frame stops being finite.
+    Returns (frames, ok): frames[i] is F0 continued along paths[i].
+    ok=False means a step point comes within _MIN_CLEARANCE of 0 or 1, where
+    the equation is singular; nothing is transported then and frames is
+    None.  Raises NumericFailure, naming the segment, when a step's series
+    has not fallen below _EPS times its largest term after _MAX_TERMS terms,
+    or a frame stops being finite.
     """
     grid = _gauss_grid(paths)
     if grid is None:
-        return None, 0.0, False
+        return None, False
     z, h, segment, ends = grid
     S = _GAUSS_BATCH_STEPS
     with np.errstate(over="ignore", invalid="ignore"):
-        P, big, done = (np.concatenate(part) for part in zip(*(
+        P, done = (np.concatenate(part) for part in zip(*(
             _gauss_propagators(alpha, beta, gamma, z[i:i + S], h[i:i + S])
             for i in range(0, max(len(z), 1), S))))
     # an overflowed series never converges: report it as overflow below
@@ -101,7 +101,7 @@ def gauss_segment(alpha, beta, gamma, paths, F0):
                     f"segment {za} -> {zb}: frame is not finite at z = {z[i] + h[i]}")
         frames[k] = ((f0, f1), (g0, g1))
         first = last
-    return frames, _EPS * float(big.sum()), True
+    return frames, True
 
 
 def _gauss_grid(paths):
@@ -147,8 +147,8 @@ def _gauss_propagators(alpha, beta, gamma, z, h):
     a block is summed in one order for every step, so a step's propagator
     does not depend on the other steps.
 
-    Returns the propagators as rows (p00, p01, p10, p11), each step's
-    largest term, and whether each step's series stopped.
+    Returns the propagators as rows (p00, p01, p10, p11) and whether each
+    step's series stopped.
     """
     w = len(z)
     B = _GAUSS_BLOCK
@@ -217,7 +217,7 @@ def _gauss_propagators(alpha, beta, gamma, z, h):
         T[:2] = T[nb:nb + 2]
         first += nb
     vx, vy, dx, dy = val[:w], val[w:], der[:w], der[w:]
-    return np.stack((vx, h * vy, dx / h, dy), axis=1), big, done
+    return np.stack((vx, h * vy, dx / h, dy), axis=1), done
 
 
 def _pairwise_rows(a):
@@ -241,19 +241,19 @@ _TORUS_START_TERMS = 48
 _TORUS_BATCH_BYTES = 401 * (120 + 2 * 81) * 16
 
 
-def torus_segment(lz0, m, croots, coroots, k, svec, F0, rtol):
-    """Transport an (n+1)x(n+1) jet frame along consecutive log-linear torus
-    segments.
+def torus_segment(lz0, m, croots, coroots, k, svec, rtol):
+    """Transport the (n+1)x(n+1) jet frame that starts as the identity along
+    consecutive log-linear torus segments.
 
     Segment s runs through the log-coordinates lz0[s] + t m[s], t in [0, 1];
     lz0, m and the constant scalar columns svec are (segments, n) stacks, or
     single rows for one segment.  croots and coroots are the real positive-root
-    and coroot coordinate rows.  Returns (frame, accumulated truncation
-    estimate, ok flag).  ok=False means the path reaches within _MIN_CLEARANCE
-    of a mirror, where the system is singular; the frame is then the one at
-    the last step point reached.  Raises NumericFailure when a step's series
-    has not fallen below max(rtol, eps) times its largest term after
-    _TORUS_MAX_TERMS terms, or the frame stops being finite.
+    and coroot coordinate rows.  Returns (frame, ok).  ok=False means the path
+    reaches within _MIN_CLEARANCE of a mirror, where the system is singular;
+    the frame is then the one at the last step point reached.  Raises
+    NumericFailure when a step's series has not fallen below max(rtol, eps)
+    times its largest term after _TORUS_MAX_TERMS terms, or the frame stops
+    being finite.
     """
     lz0, m, svec = (np.atleast_2d(np.asarray(v, dtype=np.complex128)) for v in (lz0, m, svec))
     seg, ts, hs, moving, ok = _torus_grid(lz0, m, croots)
@@ -264,13 +264,12 @@ def torus_segment(lz0, m, croots, coroots, k, svec, F0, rtol):
     # stays put on every segment (b_p = 0) adds nothing, so the series leave
     # it out.
     croots, coroots = croots[moving], coroots[moving]
-    n1 = F0.shape[0]
+    n1 = croots.shape[1] + 1
     nr = croots.shape[0]
     J = _TORUS_MAX_TERMS
     tol = max(rtol, _EPS)
     K0 = (0.5 * k) * (croots[:, :, None] * coroots[:, None, :]).reshape(nr, -1)
-    F = np.array(F0, dtype=np.complex128)
-    errsum = 0.0
+    F = np.eye(n1, dtype=np.complex128)
     cap = min(_TORUS_START_TERMS, J) + 1
     first = 0
     while first < len(ts):
@@ -278,8 +277,8 @@ def torus_segment(lz0, m, croots, coroots, k, svec, F0, rtol):
         s = seg[first:first + width]
         t, h = ts[first:first + width], hs[first:first + width]
         b = m[s] @ croots.T
-        P, big, done = _torus_propagators(lz0[s] @ croots.T + b * t[:, None], b, m[s], svec[s],
-                                          h, K0, cap, tol)
+        P, done = _torus_propagators(lz0[s] @ croots.T + b * t[:, None], b, m[s], svec[s],
+                                     h, K0, cap, tol)
         if not done.all():
             if cap <= J:
                 cap = min(2 * (cap - 1), J) + 1
@@ -296,9 +295,8 @@ def torus_segment(lz0, m, croots, coroots, k, svec, F0, rtol):
             raise NumericFailure(
                 f"torus segment from {lz0[s[-1]]} along {m[s[-1]]}: frame is not finite "
                 f"at t = {t[-1] + h[-1]}")
-        errsum += tol * big.sum()
         first += len(t)
-    return F, errsum, ok
+    return F, ok
 
 
 def _torus_propagators(L, b, m, svec, h, K0, cap, tol):
@@ -307,12 +305,11 @@ def _torus_propagators(L, b, m, svec, h, K0, cap, tol):
     b at the step points, the segments' m and svec, and the step lengths h.
 
     Every term is computed for the whole batch at once, from stacks with room
-    for cap - 1 terms.  Returns each step's propagator minus the identity,
-    each step's largest term, and whether each step's series has fallen below
-    tol times its largest term for two terms in a row.  The identity is left
-    out so that the frame F is carried as F + D F: F itself then takes no
-    rounding from the product, as it takes none when a step's series starts
-    from the frame.
+    for cap - 1 terms.  Returns each step's propagator minus the identity and
+    whether each step's series has fallen below tol times its largest term
+    for two terms in a row.  The identity is left out so that the frame F is
+    carried as F + D F: F itself then takes no rounding from the product, as
+    it takes none when a step's series starts from the frame.
     """
     w, nr = L.shape
     n = m.shape[1]
@@ -357,7 +354,7 @@ def _torus_propagators(L, b, m, svec, h, K0, cap, tol):
         small = now
         if done.all():
             break
-    return Fv[:, cap - 2 - j:cap - 1].sum(axis=1), big, done
+    return Fv[:, cap - 2 - j:cap - 1].sum(axis=1), done
 
 
 def _torus_grid(lz0, m, croots):

@@ -270,6 +270,7 @@ def _require_at_most(flag, value, most):
 
 def _cmd_torus_flatness(args):
     _require_at_least("--samples", args.samples, 1)
+    _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     a_override = Fraction(args.a_override) if args.a_override is not None else None
@@ -297,7 +298,10 @@ def _cmd_torus_monodromy(args):
     if args.root == "highest":
         alpha = roots.highest_root(system)
     else:
-        idx = int(args.root)
+        try:
+            idx = int(args.root)
+        except ValueError:
+            raise ValueError(f"--root must be 1..{n} or 'highest', got {args.root!r}") from None
         if not 1 <= idx <= n:
             raise ValueError(f"--root must be 1..{n} or 'highest'")
         alpha = np.eye(n, dtype=np.int64)[idx - 1]
@@ -323,6 +327,7 @@ def _cmd_torus_monodromy(args):
 
 def _cmd_torus_form(args):
     _require_at_least("--samples", args.samples, 1)
+    _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     try:
@@ -330,7 +335,9 @@ def _cmd_torus_form(args):
     except torus.InvariantFormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC, None
-    ball = torus.ball_check(system, k, count=args.samples, seed=args.seed, form=form)
+    ball = torus.ball_check(system, k, form,
+                            torus.sample_points_near(system, args.samples, seed=args.seed))
+    negative = all(v < 0 for v in ball)
     payload = _report(
         module="torus",
         inputs={"type": str(system.rtype), "k": format_rational(k),
@@ -338,9 +345,10 @@ def _cmd_torus_form(args):
         results={
             "hermitian_form": _matrix_out(form.matrix),
             "signature": list(form.signature),
-            "solution_space_dimension": form.dimension,
-            "ball_values": list(ball.values),
-            "ball_all_negative": ball.all_negative,
+            # invariant_form raises unless its solution space is a line
+            "solution_space_dimension": 1,
+            "ball_values": list(ball),
+            "ball_all_negative": negative,
         },
         residuals={"form_residual": form.residual},
         checks=[
@@ -349,7 +357,7 @@ def _cmd_torus_form(args):
         ],
     )
     ok = (form.residual <= args.tol and form.signature == (system.rank, 1)
-          and ball.all_negative)
+          and negative)
     return (EXIT_OK if ok else EXIT_NUMERIC), payload
 
 

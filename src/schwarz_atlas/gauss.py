@@ -207,7 +207,7 @@ def _transport(p, paths, F):
     every path in one kernel call, and return the continued frames.  Raises
     NumericFailure, naming the segment, when the kernel cannot finish.
     """
-    frames, _, ok = _kernels.gauss_segment(*p.floats(), paths, np.asarray(F, dtype=np.complex128))
+    frames, ok = _kernels.gauss_segment(*p.floats(), paths, np.asarray(F, dtype=np.complex128))
     if not ok:
         # the step points lie on the segments, so the segment nearest a
         # singular point is one that reaches it

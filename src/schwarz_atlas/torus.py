@@ -52,7 +52,6 @@ __all__ = [
 # step's largest term
 DEFAULT_RTOL = 1e-12
 MIRROR_DELTA = 0.02
-_FD_STEP = 1e-6           # central-difference step of flatness_residual(method="fd")
 _CLEARANCE_SAMPLES = 9    # sample points per path segment in _check_clearance
 _RING_SEGMENTS = 24       # segments of the ring of every mirror loop
 _RING_RADIUS = 0.1        # |h^{-alpha} - 1| on the ring of every mirror loop
@@ -166,9 +165,9 @@ def _inverse_cartan(system):
     return [row[n:] for row in aug]
 
 
-def assemble(system, k, point, a_override=None):
+def assemble(system, k, point):
     """Coefficients of the full system at an off-mirror point."""
-    return _assemble(system, k, _char_values(system, point), a_override)
+    return _assemble(system, k, _char_values(system, point), None)
 
 
 def _assemble(system, k, tchar, a_override):
@@ -225,48 +224,23 @@ def _theta_frame_matrices(system, k, tchar):
     return dA
 
 
-def _fd_theta_frame_matrices(system, k, zvals, a_override, h):
-    """Central differences of the connection matrices in the log-coordinates,
-    laid out as _theta_frame_matrices lays out the analytic ones."""
-    logs = np.log(zvals)
-    n = system.rank
-    dA = np.empty((n, n, n + 1, n + 1), dtype=np.complex128)
-    for m in range(n):
-        lp, lm = logs.copy(), logs.copy()
-        lp[m] += h
-        lm[m] -= h
-        Ap = _frame_stack(assemble(system, k, np.exp(lp), a_override))
-        Am = _frame_stack(assemble(system, k, np.exp(lm), a_override))
-        dA[m] = -(Ap - Am) / (2.0 * h)
-    return dA
-
-
-def flatness_residual(system, k, point, a_override=None, method="analytic"):
+def flatness_residual(system, k, point, a_override=None):
     """Curvature of the frame connection: max over pairs (i, j) of
     || theta_i A_j - theta_j A_i + A_j A_i - A_i A_j ||_inf.
 
-    Vanishes exactly when the scalar coupling takes its forced value; the
-    default derivatives are analytic, method="fd" cross-checks them with
-    central differences in log-coordinates.  The root character values are
-    computed once and serve both.
+    Vanishes exactly when the scalar coupling takes its forced value, which
+    a_override replaces.  The derivatives are analytic, and the root
+    character values are computed once for them and the matrices.
     """
-    if method not in ("analytic", "fd"):
-        raise ValueError(f"unknown method {method!r}")
-    zvals = np.asarray(point, dtype=np.complex128)
-    return _curvature(system, k, _char_values(system, zvals), a_override,
-                      zvals if method == "fd" else None)
+    return _curvature(system, k, _char_values(system, point), a_override)
 
 
-def _curvature(system, k, tchar, a_override, fd_point):
-    """flatness_residual at the point with root character values tchar, with
-    analytic derivatives when fd_point is None, else central differences
-    around the coordinates fd_point.  All n^2 products A_j A_i come from one
-    batched matmul, and the pairs i < j are reduced at once."""
+def _curvature(system, k, tchar, a_override):
+    """flatness_residual at the point with root character values tchar.  All
+    n^2 products A_j A_i come from one batched matmul, and the pairs i < j
+    are reduced at once."""
     A = _frame_stack(_assemble(system, k, tchar, a_override))
-    if fd_point is None:
-        dA = _theta_frame_matrices(system, k, tchar)
-    else:
-        dA = _fd_theta_frame_matrices(system, k, fd_point, a_override, _FD_STEP)
+    dA = _theta_frame_matrices(system, k, tchar)
     AA = np.matmul(A[None, :], A[:, None])    # AA[i, j] = A_j A_i
     R = (dA - dA.swapaxes(0, 1) + AA) - AA.swapaxes(0, 1)
     upper = np.triu_indices(system.rank, 1)
@@ -334,41 +308,41 @@ def _check_clearance(system, path):
     return worst
 
 
-def _flatness_gate(system, k, logs):
-    res = _curvature(system, k, np.exp(_float_rows(system)[0] @ logs), None, None)
+def _flatness_gate(system, k):
+    """Sanity gate of a monodromy measurement: raises _kernels.NumericFailure
+    unless the connection is flat at default_base_point, where every loop
+    starts; flatness makes the loops' monodromy homotopy invariant."""
+    tchar = np.exp(_float_rows(system)[0] @ default_base_point(system))
+    res = _curvature(system, k, tchar, None)
     if res > 1e-6:
         raise _kernels.NumericFailure(f"connection is not flat at the start (residual {res:.2e})")
 
 
-def transport(system, k, path, check_flatness=True):
+def transport(system, k, path):
     """The jet frame that starts as the identity, continued along the path by
     integrating dF = (sum A_i dlog z_i) F; path is a (points, n) array of
     log-coordinates.
 
-    The path's clearance from the mirrors is checked by sampling first, and
-    the curvature is checked once at the start of the path as a sanity gate;
-    flat connections make the result homotopy invariant.  All segments go to
-    one _kernels.torus_segment call, which lays out every segment's step grid,
-    computes the steps' propagators in batches and multiplies them in path
-    order, each series summed to DEFAULT_RTOL.  Raises MirrorSingularity for
-    a path within MIRROR_DELTA of a mirror, and _kernels.NumericFailure when
-    the connection is not flat at the start, or a segment reaches a mirror or
-    its series breaks down.
+    The path's clearance from the mirrors is checked by sampling first.  All
+    segments go to one _kernels.torus_segment call, which lays out every
+    segment's step grid, computes the steps' propagators in batches and
+    multiplies them in path order, each series summed to DEFAULT_RTOL.
+    Raises MirrorSingularity for a path within MIRROR_DELTA of a mirror, and
+    _kernels.NumericFailure when a segment reaches a mirror or its series
+    breaks down.  The curvature is not checked here: mirror_monodromy,
+    toric_monodromy and standard_generators check it once at the base point.
     """
     pts = np.asarray(path, dtype=np.complex128)
     _check_clearance(system, pts)
-    if check_flatness:
-        _flatness_gate(system, k, pts[0])
-    F = np.eye(system.rank + 1, dtype=np.complex128)
     moves = np.diff(pts, axis=0)
     kept = np.max(np.abs(moves), axis=1) >= 1e-15
     if not kept.any():
-        return F
+        return np.eye(system.rank + 1, dtype=np.complex128)
     croots, coroots, _ = _float_rows(system)
     afac = float(integrability_constant(system)) * float(k) ** 2
     svec = afac * np.linalg.solve(system.cartan.astype(np.float64), moves[kept].T).T
-    F, _, ok = _kernels.torus_segment(pts[:-1][kept], moves[kept], croots, coroots,
-                                      float(k), svec, F, DEFAULT_RTOL)
+    F, ok = _kernels.torus_segment(pts[:-1][kept], moves[kept], croots, coroots,
+                                   float(k), svec, DEFAULT_RTOL)
     if not ok:
         raise _kernels.NumericFailure(
             f"torus continuation from {pts[0]} to {pts[-1]} reaches a mirror")
@@ -393,36 +367,47 @@ def _mirror_loop_points(system, alpha):
     return np.array([base_logs, *(base_logs + (s - L0) * d for s in ring), base_logs])
 
 
-def mirror_monodromy(system, k, alpha, check_flatness=True):
+def mirror_monodromy(system, k, alpha):
     """Monodromy of a small positively oriented loop around the mirror of alpha,
     in the jet frame at default_base_point: the loop's alpha-character runs
-    counterclockwise around 1 on a ring of radius _RING_RADIUS.
+    counterclockwise around 1 on a ring of radius _RING_RADIUS.  The flatness
+    gate runs at the base point first."""
+    _flatness_gate(system, k)
+    return _mirror_loop(system, k, alpha)
+
+
+def _mirror_loop(system, k, alpha):
+    """mirror_monodromy without the flatness gate.
 
     The loop is a stage out to the ring, the ring, and the stage back, so the
     stage is transported once: with S its transport and T the ring's, the
     loop is S^-1 T S.  Each transport checks the clearance of its part, and
     the way back is the stage reversed, so every sample point of the loop is
-    checked once.  The flatness gate runs at the base point unless
-    check_flatness is False.
+    checked once.
     """
     pts = _mirror_loop_points(system, alpha)
-    S = transport(system, k, pts[:2], check_flatness=check_flatness)
-    T = transport(system, k, pts[1:-1], check_flatness=False)
+    S = transport(system, k, pts[:2])
+    T = transport(system, k, pts[1:-1])
     try:
         return np.linalg.solve(S, T @ S)
     except np.linalg.LinAlgError as exc:
         raise _kernels.NumericFailure(f"mirror-loop stage transport is singular: {exc}") from exc
 
 
-def toric_monodromy(system, k, j, check_flatness=True):
+def toric_monodromy(system, k, j):
     """Monodromy of the counterclockwise coordinate loop z_j -> e^{2 pi i t} z_j
-    at default_base_point; the flatness gate runs there unless check_flatness
-    is False."""
+    at default_base_point.  The flatness gate runs at the base point first."""
+    _flatness_gate(system, k)
+    return _toric_loop(system, k, j)
+
+
+def _toric_loop(system, k, j):
+    """toric_monodromy without the flatness gate."""
     base_logs = default_base_point(system)
     e = np.zeros(system.rank, dtype=np.complex128)
     e[j] = 1.0
     pts = np.array([base_logs + 2j * math.pi * (s / 3.0) * e for s in range(4)])
-    return transport(system, k, pts, check_flatness=check_flatness)
+    return transport(system, k, pts)
 
 
 def hecke_residual(M, k):
@@ -440,16 +425,16 @@ def standard_generators(system, k):
     simple root, one around the highest-root mirror, and all coordinate loops.
     Every loop starts at default_base_point, so the flatness gate runs there
     once."""
-    _flatness_gate(system, k, default_base_point(system))
+    _flatness_gate(system, k)
     gens = []
     n = system.rank
     simples = list(np.eye(n, dtype=np.int64))
     high = system.positive_roots[-1]
     roots = simples + ([high] if not any(np.array_equal(high, s) for s in simples) else [])
     for alpha in roots:
-        gens.append(mirror_monodromy(system, k, alpha, check_flatness=False))
+        gens.append(_mirror_loop(system, k, alpha))
     for j in range(n):
-        gens.append(toric_monodromy(system, k, j, check_flatness=False))
+        gens.append(_toric_loop(system, k, j))
     return gens
 
 
@@ -461,7 +446,6 @@ class InvariantForm:
     matrix: np.ndarray
     residual: float
     signature: tuple
-    dimension: int
     singular_values: np.ndarray
 
 
@@ -529,8 +513,7 @@ def invariant_form(generators):
         float(np.linalg.norm(M.conj().T @ H @ M - H)) for M in gens
     )
     return InvariantForm(
-        matrix=H, residual=residual, signature=(pos, neg),
-        dimension=null_dim, singular_values=svals,
+        matrix=H, residual=residual, signature=(pos, neg), singular_values=svals,
     )
 
 
@@ -557,25 +540,17 @@ def sample_points_near(system, count, seed=0):
     return out
 
 
-@dataclass(frozen=True)
-class BallCheckReport:
-    values: tuple
-    all_negative: bool
-
-
-def ball_check(system, k, sample_logs=None, count=10, seed=0, form=None):
-    """Evaluation vectors at the samples must be negative for the invariant form.
+def ball_check(system, k, form, sample_logs):
+    """The ball values of the invariant form at the sample log-coordinates:
+    each is negative when the sample's evaluation vector lies in the negative
+    cone.
 
     The solver's form H lives on solution coordinates; evaluation vectors
     (value rows of the transported jet frame) transform contragrediently, so
     they pair through the inverse form.  That pairing is normalized to make
-    the base evaluation vector negative.  Samples are drawn near, and paths
-    start at, default_base_point.  Pass `form` when the invariant form of the
-    standard generators is already known.
+    the base evaluation vector negative.  Paths start at default_base_point.
     """
     base_logs = default_base_point(system)
-    if form is None:
-        form = invariant_form(standard_generators(system, k))
     Hinv = np.linalg.inv(form.matrix)
 
     def pairing(v):
@@ -588,10 +563,5 @@ def ball_check(system, k, sample_logs=None, count=10, seed=0, form=None):
     if abs(ref) < 1e-8:
         raise _kernels.NumericFailure("base evaluation vector is numerically isotropic")
     sign = -1.0 if ref > 0 else 1.0
-    if sample_logs is None:
-        sample_logs = sample_points_near(system, count, seed)
-    values = []
-    for lz in sample_logs:
-        F = transport(system, k, (base_logs, lz), check_flatness=False)
-        values.append(sign * pairing(F[0, :]))
-    return BallCheckReport(values=tuple(values), all_negative=all(v < 0 for v in values))
+    return tuple(sign * pairing(transport(system, k, (base_logs, lz))[0, :])
+                 for lz in sample_logs)

@@ -73,12 +73,12 @@ def test_criterion_4_lorentz_form_and_ball():
     detail = []
     for k in (F(1, 6), F(1, 4), F(2, 5)):
         form = torus.invariant_form(torus.standard_generators(a2, k))
-        ball = torus.ball_check(a2, k, count=10, seed=0)
-        good = (form.dimension == 1 and form.signature == (2, 1)
-                and form.residual < 1e-6 and ball.all_negative)
+        ball = torus.ball_check(a2, k, form, torus.sample_points_near(a2, 10, seed=0))
+        negative = all(v < 0 for v in ball)
+        good = form.signature == (2, 1) and form.residual < 1e-6 and negative
         ok = ok and good
         detail.append(f"k={k}: sig{form.signature} res {form.residual:.1e} "
-                      f"ball {ball.all_negative}")
+                      f"ball {negative}")
     _verdict(4, ok, "; ".join(detail))
 
 

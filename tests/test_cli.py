@@ -194,6 +194,16 @@ NO_SPHERICAL = "each angle plus 1 must exceed the sum of the other two"
      "the angles 1/2, 1/3, 5/4 (times pi) make no spherical triangle: " + NO_SPHERICAL),
     (["gauss", "schwarz-triangle", "--kappa", "1/8", "--lambda", "1/2", "--mu", "3/2"],
      "the angles 1/8, 1/2, 3/2 (times pi) make no spherical triangle: " + NO_SPHERICAL),
+    # a --root that is not an integer is named, not parsed by int()
+    (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root", "x"],
+     "--root must be 1..2 or 'highest', got 'x'"),
+    (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root", "1.0"],
+     "--root must be 1..2 or 'highest', got '1.0'"),
+    # numpy's generator takes no negative seed
+    (["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--seed", "-1"],
+     "--seed must be at least 0, got -1"),
+    (["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4", "--seed", "-1"],
+     "--seed must be at least 0, got -1"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     code, out = run_cli(argv)
@@ -235,7 +245,7 @@ def _raising(exc):
 # a form whose inverse pairs the base evaluation vector (1, 0, 0) to zero
 _ISOTROPIC_FORM = torus.InvariantForm(
     matrix=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), residual=0.0,
-    signature=(2, 1), dimension=1, singular_values=np.ones(9))
+    signature=(2, 1), singular_values=np.ones(9))
 
 
 @pytest.mark.parametrize("target, replacement, subcommand, message", [
@@ -302,8 +312,31 @@ def test_torus_form_builds_generators_once(monkeypatch):
     assert code == 0
     assert len(calls) == 1
     a2 = roots.build(roots.RootSystemType("A", 2))
-    fresh = torus.ball_check(a2, Fraction(1, 4), count=4, seed=3)
-    assert json.loads(out)["results"]["ball_values"] == list(fresh.values)
+    form = torus.invariant_form(torus.standard_generators(a2, Fraction(1, 4)))
+    fresh = torus.ball_check(a2, Fraction(1, 4), form, torus.sample_points_near(a2, 4, seed=3))
+    assert json.loads(out)["results"]["ball_values"] == list(fresh)
+
+
+@pytest.mark.parametrize("argv, gates", [
+    (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4"], 1),
+    (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root", "highest"], 1),
+    (["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4", "--samples", "2"], 1),
+    (["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/4", "--samples", "2"], 0),
+])
+def test_each_torus_measurement_gates_flatness_once(argv, gates, monkeypatch):
+    # every loop starts at the base point: one gate per measurement, none
+    # for the ball check's sample paths or the flatness report itself
+    calls = []
+    gate = torus._flatness_gate
+
+    def counted(*args):
+        calls.append(args)
+        return gate(*args)
+
+    monkeypatch.setattr(torus, "_flatness_gate", counted)
+    code, _ = run_cli(argv)
+    assert code == 0
+    assert len(calls) == gates
 
 
 @pytest.mark.parametrize("rank_max, anomalies", [

@@ -83,9 +83,10 @@ def test_torus_segment_matches_high_precision_ode_solve(segment):
     else:
         # the first third of the coordinate loop z_1 -> e^{2 pi i t} z_1
         a, b = base, base + np.array([2j * np.pi / 3, 0])
-    frame, _, ok = _kernels.torus_segment(
-        *_segment_args(A2, k, a, b), np.eye(3, dtype=np.complex128), torus.DEFAULT_RTOL)
-    assert ok
+    frame, ok = _kernels.torus_segment(*_segment_args(A2, k, a, b), torus.DEFAULT_RTOL)
+    # the ok flag is the kernel's last value, which perfbench/tracer.py reads to
+    # count failed calls (kernels.*.failed): True on a pass, False on a failure
+    assert ok is True
     want = _segment_oracle(A2, k, a, b, dps=20)
     assert np.max(np.abs(frame - want)) / np.max(np.abs(want)) < 1e-11
 
@@ -258,9 +259,9 @@ def test_torus_segment_ending_on_a_mirror_reports_not_ok():
     # move the first simple-root log-coordinate onto its mirror L = 2 pi i
     end = base.copy()
     end[0] = 2j * np.pi
-    frame, _, ok = _kernels.torus_segment(
-        *_segment_args(A2, F(1, 4), base, end), np.eye(3, dtype=np.complex128), 1e-12)
-    assert not ok
+    frame, ok = _kernels.torus_segment(*_segment_args(A2, F(1, 4), base, end), 1e-12)
+    # read by perfbench/tracer.py, as above
+    assert ok is False
     assert np.all(np.isfinite(frame))
 
 
@@ -268,8 +269,7 @@ def test_torus_segment_raises_when_series_budget_is_exhausted(monkeypatch):
     monkeypatch.setattr(_kernels, "_TORUS_MAX_TERMS", 3)
     base = torus.default_base_point(A2)
     with pytest.raises(_kernels.NumericFailure, match="did not converge") as info:
-        _kernels.torus_segment(*_segment_args(A2, F(1, 4), base, base + 0.3),
-                               np.eye(3, dtype=np.complex128), 1e-12)
+        _kernels.torus_segment(*_segment_args(A2, F(1, 4), base, base + 0.3), 1e-12)
     assert not isinstance(info.value, ValueError)
 
 
@@ -278,8 +278,7 @@ def test_torus_segment_raises_on_overflow():
     args = _segment_args(A2, F(1, 4), base, base + 0.3)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(_kernels.NumericFailure, match="not finite"):
-        _kernels.torus_segment(*args[:4], 1e300, args[5], np.eye(3, dtype=np.complex128),
-                               1e-12)
+        _kernels.torus_segment(*args[:4], 1e300, args[5], 1e-12)
 
 
 def test_torus_transport_onto_a_mirror_raises_numeric_failure(monkeypatch):
@@ -295,7 +294,7 @@ def test_torus_transport_onto_a_mirror_raises_numeric_failure(monkeypatch):
 
 
 def test_mirror_monodromy_singular_stage_raises_numeric_failure(monkeypatch):
-    def singular(system, k, path, check_flatness=True):
+    def singular(system, k, path):
         return np.zeros((3, 3), dtype=np.complex128)
 
     monkeypatch.setattr(torus, "transport", singular)
@@ -307,9 +306,10 @@ def test_kernel_reports_underflow_near_singularity(monkeypatch):
     # a segment ending exactly on the singular point 1 cannot finish
     monkeypatch.setattr(_kernels, "_EPS", 1e-12)
     F0 = np.eye(2, dtype=np.complex128)
-    _, _, ok = _kernels.gauss_segment(
+    frames, ok = _kernels.gauss_segment(
         0.25 + 0j, 0.5 + 0j, 0.75 + 0j, [(complex(0.5), complex(1.0))], F0)
-    assert not ok
+    # read by perfbench/tracer.py, as above
+    assert ok is False and frames is None
 
 
 def test_kernel_raises_numeric_failure_when_series_cannot_converge():
@@ -383,7 +383,7 @@ VERTEX_PATHS = [G._plan_path(G.BASE_POINT, t)
 def test_gauss_propagators_match_sequential_series(p):
     al, be, ga = p.floats()
     z, h, _, _ = _kernels._gauss_grid(GAUSS_LOOPS + VERTEX_PATHS)
-    P, _, done = _kernels._gauss_propagators(al, be, ga, z, h)
+    P, done = _kernels._gauss_propagators(al, be, ga, z, h)
     assert done.all()
     for i, D in enumerate(P.reshape(-1, 2, 2)):
         want = _sequential_step(al, be, ga, z[i], h[i], np.eye(2))
@@ -406,10 +406,11 @@ def test_gauss_batch_equals_each_path_alone(p):
     al, be, ga = p.floats()
     for paths, F0 in ((GAUSS_LOOPS, np.eye(2, dtype=np.complex128)),
                       (VERTEX_PATHS, G._frame_at_base(p))):
-        frames, _, ok = _kernels.gauss_segment(al, be, ga, paths, F0)
-        assert ok and frames.shape == (len(paths), 2, 2)
+        frames, ok = _kernels.gauss_segment(al, be, ga, paths, F0)
+        # read by perfbench/tracer.py, as above
+        assert ok is True and frames.shape == (len(paths), 2, 2)
         for path, got in zip(paths, frames):
-            alone, _, ok = _kernels.gauss_segment(al, be, ga, [path], F0)
+            alone, ok = _kernels.gauss_segment(al, be, ga, [path], F0)
             assert ok and np.array_equal(alone[0], got), path
 
 
@@ -417,8 +418,9 @@ def test_gauss_zero_length_path_returns_the_frame():
     F0 = G._frame_at_base(G.params_from_differences(F(1, 2), F(1, 3), F(1, 7)))
     path = G._plan_path(G.BASE_POINT, G.BASE_POINT)
     assert path[0] == path[-1]
-    frames, errsum, ok = _kernels.gauss_segment(0.25 + 0j, 0.5 + 0j, 0.75 + 0j, [path], F0)
-    assert ok and errsum == 0.0
+    frames, ok = _kernels.gauss_segment(0.25 + 0j, 0.5 + 0j, 0.75 + 0j, [path], F0)
+    # vertex_angles plans this path to z = 1/2; read by perfbench/tracer.py
+    assert ok is True
     assert np.array_equal(frames[0], F0)
 
 

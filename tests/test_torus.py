@@ -146,11 +146,28 @@ def test_flatness_rank_one_trivial():
     assert torus.flatness_residual(A1, F(1, 4), np.array([2.0 + 1j])) == 0.0
 
 
+def _fd_theta_A(system, k, z, h=1e-6):
+    """Central differences of torus.connection in the log-coordinates:
+    theta_m = -z_m d/dz_m, so theta_m A_i is -(A_i(z e^{h e_m}) -
+    A_i(z e^{-h e_m}))/(2h), laid out as _theta_frame_matrices lays out the
+    analytic derivatives."""
+    return np.array([
+        -(torus.connection(system, k, z * np.exp(h * e))
+          - torus.connection(system, k, z * np.exp(-h * e))) / (2.0 * h)
+        for e in np.eye(system.rank)])
+
+
 def test_flatness_fd_cross_check():
+    # the curvature with the derivatives taken by central differences
     for fam, rank in [("A", 2), ("D", 4), ("E", 6)]:
         system = _sys(fam, rank)
+        k = F(1, 4)
         z = np.exp(torus.default_base_point(system))
-        assert torus.flatness_residual(system, F(1, 4), z, method="fd") < 1e-9
+        A = torus.connection(system, k, z)
+        dA = _fd_theta_A(system, k, z)
+        worst = max(float(np.max(np.abs(dA[i, j] - dA[j, i] + A[j] @ A[i] - A[i] @ A[j])))
+                    for i in range(rank) for j in range(i + 1, rank))
+        assert worst < 1e-9
 
 
 def _literal_theta_A(system, k, z, m, i):
@@ -171,7 +188,7 @@ def _literal_theta_A(system, k, z, m, i):
 def _literal_frame(system, k, z, a_override=None):
     """A_i: row 0 picks theta_i f, column 0 carries the scalar couplings and
     the lower block the coefficient vectors, all with a minus sign."""
-    coeffs = torus.assemble(system, k, z, a_override)
+    coeffs = torus._assemble(system, k, torus._char_values(system, z), a_override)
     n = system.rank
     mats = []
     for i in range(n):
@@ -234,8 +251,7 @@ def test_theta_derivatives_match_roots_sum_and_differences(fam, rank):
                         for m in range(rank)])
     scale = np.max(np.abs(literal))
     assert np.max(np.abs(dA - literal)) <= 1e-13 * scale
-    fd = torus._fd_theta_frame_matrices(system, k, z, None, 1e-6)
-    assert np.max(np.abs(dA - fd)) <= 1e-7 * scale
+    assert np.max(np.abs(dA - _fd_theta_A(system, k, z))) <= 1e-7 * scale
 
 
 def test_w_invariance():
@@ -419,7 +435,8 @@ def test_mirror_loop_clearance_checked_once(monkeypatch):
 
 def test_generator_set_gates_flatness_once(monkeypatch):
     # every loop of a generator set starts at the base point, so the set
-    # checks the curvature there once; direct calls keep their own gate
+    # checks the curvature there once; each monodromy measurement checks it
+    # once, and transport alone not at all
     calls = []
     curvature = torus._curvature
 
@@ -433,7 +450,7 @@ def test_generator_set_gates_flatness_once(monkeypatch):
     torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
     torus.toric_monodromy(A2, F(1, 4), 0)
     torus.transport(A2, F(1, 4), torus._mirror_loop_points(A2, np.array([0, 1])))
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_mirror_loop_within_delta_raises(monkeypatch):
@@ -460,7 +477,6 @@ def test_conjugate_mirror_loops_have_equal_spectra():
 def test_invariant_form_a2():
     for k in (F(1, 6), F(1, 4), F(2, 5)):
         form = torus.invariant_form(torus.standard_generators(A2, k))
-        assert form.dimension == 1
         assert form.signature == (2, 1)
         assert form.residual < 1e-6
 
@@ -513,7 +529,7 @@ def test_invariant_form_matches_full_svd_solve(fam, rank, k):
     gens = torus.standard_generators(_sys(fam, rank), k)
     form = torus.invariant_form(gens)
     svals, dim, signature = _full_svd_form(gens)
-    assert form.dimension == dim == 1
+    assert dim == 1
     assert form.signature == signature == (rank, 1)
     np.testing.assert_allclose(form.singular_values, svals, rtol=1e-12, atol=0)
 
@@ -528,17 +544,18 @@ def test_form_residual_tracks_continuation_tolerance(monkeypatch):
 
 
 def test_ball_check_a2():
+    samples = torus.sample_points_near(A2, 10, seed=0)
     for k in (F(1, 6), F(1, 4), F(2, 5)):
         form = torus.invariant_form(torus.standard_generators(A2, k))
-        rep = torus.ball_check(A2, k, form=form)
-        assert rep.all_negative
+        values = torus.ball_check(A2, k, form, samples)
+        assert len(values) == 10 and all(v < 0 for v in values)
         assert form.signature == (2, 1)
 
 
 def test_ball_check_a1_arc():
     arc = [np.array([complex(0.0, phi)]) for phi in (0.6, 1.4, 2.4, 3.6, 4.8, 5.7)]
-    rep = torus.ball_check(A1, F(1, 2), sample_logs=arc)
-    assert rep.all_negative
+    form = torus.invariant_form(torus.standard_generators(A1, F(1, 2)))
+    assert all(v < 0 for v in torus.ball_check(A1, F(1, 2), form, arc))
 
 
 # --- sample points -------------------------------------------------------------
