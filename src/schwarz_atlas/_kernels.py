@@ -272,30 +272,32 @@ def torus_segment(lz0, m, croots, coroots, k, svec, rtol):
     F = np.eye(n1, dtype=np.complex128)
     cap = min(_TORUS_START_TERMS, J) + 1
     first = 0
-    while first < len(ts):
-        width = max(1, _TORUS_BATCH_BYTES // (16 * cap * (nr + 2 * n1 * n1)))
-        s = seg[first:first + width]
-        t, h = ts[first:first + width], hs[first:first + width]
-        b = m[s] @ croots.T
-        P, done = _torus_propagators(lz0[s] @ croots.T + b * t[:, None], b, m[s], svec[s],
-                                     h, K0, cap, tol)
-        if not done.all():
-            if cap <= J:
-                cap = min(2 * (cap - 1), J) + 1
-                continue
-            # an overflowed series never converges: report it as overflow below
-            if np.isfinite(P).all():
-                i = first + int(np.argmin(done))
+    # an overflowing series or frame is caught by the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while first < len(ts):
+            width = max(1, _TORUS_BATCH_BYTES // (16 * cap * (nr + 2 * n1 * n1)))
+            s = seg[first:first + width]
+            t, h = ts[first:first + width], hs[first:first + width]
+            b = m[s] @ croots.T
+            P, done = _torus_propagators(lz0[s] @ croots.T + b * t[:, None], b, m[s], svec[s],
+                                         h, K0, cap, tol)
+            if not done.all():
+                if cap <= J:
+                    cap = min(2 * (cap - 1), J) + 1
+                    continue
+                # an overflowed series never converges: report it as overflow below
+                if np.isfinite(P).all():
+                    i = first + int(np.argmin(done))
+                    raise NumericFailure(
+                        f"torus segment from {lz0[seg[i]]} along {m[seg[i]]}: series at "
+                        f"t = {ts[i]} did not converge within {J} terms")
+            for D in P:
+                F = F + D @ F
+            if not np.isfinite(F).all():
                 raise NumericFailure(
-                    f"torus segment from {lz0[seg[i]]} along {m[seg[i]]}: series at "
-                    f"t = {ts[i]} did not converge within {J} terms")
-        for D in P:
-            F = F + D @ F
-        if not np.isfinite(F).all():
-            raise NumericFailure(
-                f"torus segment from {lz0[s[-1]]} along {m[s[-1]]}: frame is not finite "
-                f"at t = {t[-1] + h[-1]}")
-        first += len(t)
+                    f"torus segment from {lz0[s[-1]]} along {m[s[-1]]}: frame is not finite "
+                    f"at t = {t[-1] + h[-1]}")
+            first += len(t)
     return F, ok
 
 

@@ -301,9 +301,9 @@ def _cmd_torus_monodromy(args):
         try:
             idx = int(args.root)
         except ValueError:
-            raise ValueError(f"--root must be 1..{n} or 'highest', got {args.root!r}") from None
+            idx = 0    # out of range, so named below like any other
         if not 1 <= idx <= n:
-            raise ValueError(f"--root must be 1..{n} or 'highest'")
+            raise ValueError(f"--root must be 1..{n} or 'highest', got {args.root!r}")
         alpha = np.eye(n, dtype=np.int64)[idx - 1]
     M = torus.mirror_monodromy(system, k, alpha)
     residual = torus.hecke_residual(M, k)

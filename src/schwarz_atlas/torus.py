@@ -1,19 +1,21 @@
 """The rank-n hypergeometric system on the toric mirror-arrangement complement:
 coefficient assembly, the first-order frame connection and its curvature,
 multidimensional continuation along log-linear paths, mirror and coordinate
-monodromy, the invariant Hermitian form, and the negative-cone (ball) check.
+monodromy, the invariant Hermitian form, and the negative-cone (ball) check,
+whose values are the unsigned pairings under the inverse form.
 
 Coordinates are z_i = h^{-alpha_i}; the vector fields theta_i dual to the
 simple roots act as -z_i d/dz_i, so characters restrict to monomials and all
 structure constants are rational.  Points are plain arrays of nonzero
-coordinates z or, for paths, of their logarithms; every loop and sample path
-starts at default_base_point.  Scalar couplings are exact; continuation
-runs through _kernels.torus_segment, once per path: it lays out the step grid
-of every segment of the path (steps of half the distance to the nearest mirror
+coordinates z or, for paths, of their logarithms; every sample path starts at
+default_base_point, and every loop is a curve that _loop reaches from it by a
+straight stage.  Scalar couplings are exact; continuation runs through
+_kernels.torus_segment, once per path: it lays out the step grid of every
+segment of the path (steps of half the distance to the nearest mirror
 crossing), sums each step's propagator, the Taylor series of the frame that
 starts as the identity, in batches of steps whose coefficient stacks fit a
-fixed byte budget, and multiplies the propagators in path order.
-Continuation that breaks down raises _kernels.NumericFailure.
+fixed byte budget, and multiplies the propagators in path order.  Continuation
+that breaks down raises _kernels.NumericFailure.
 """
 
 from __future__ import annotations
@@ -349,14 +351,35 @@ def transport(system, k, path):
     return F
 
 
-def _mirror_loop_points(system, alpha):
-    """Log-coordinates of the loop around the mirror of alpha: base, stage,
-    the ring (the log values of 1 + _RING_RADIUS e^{i phi} around the full
-    circle), base.
+def _loop(system, k, curve):
+    """Monodromy, without the flatness gate, of the loop that goes straight
+    from default_base_point to curve[0], runs along curve (log-coordinates of a
+    curve closed on the torus) and comes back the way it went.
 
-    The loop moves only along the one-parameter direction dual to alpha, so
-    every other character moves by half-integer multiples of the same log
-    increment.
+    The stage out is transported once: with S its transport and T the curve's,
+    the loop is S^-1 T S, or T alone when the curve starts at the base.  Each
+    transport checks the clearance of its part, and the way back is the stage
+    reversed, so every sample point of the loop is checked once.
+    """
+    base_logs = default_base_point(system)
+    curve = np.asarray(curve, dtype=np.complex128)
+    if np.array_equal(curve[0], base_logs):
+        return transport(system, k, curve)
+    S = transport(system, k, (base_logs, curve[0]))
+    T = transport(system, k, curve)
+    try:
+        return np.linalg.solve(S, T @ S)
+    except np.linalg.LinAlgError as exc:
+        raise _kernels.NumericFailure(f"loop stage transport is singular: {exc}") from exc
+
+
+def _mirror_ring(system, alpha):
+    """Log-coordinates of the ring around the mirror of alpha: the alpha-character
+    runs through 1 + _RING_RADIUS e^{i phi} around the full circle.
+
+    The ring lies on the one-parameter line through the base point in the
+    direction dual to alpha, so every other character moves by half-integer
+    multiples of the same log increment.
     """
     base_logs = default_base_point(system)
     alpha = np.asarray(alpha, dtype=np.int64)
@@ -364,7 +387,16 @@ def _mirror_loop_points(system, alpha):
     L0 = complex(alpha.astype(np.float64) @ base_logs)
     ring = [cmath.log(1.0 + _RING_RADIUS * cmath.exp(2j * math.pi * s / _RING_SEGMENTS))
             for s in range(_RING_SEGMENTS + 1)]
-    return np.array([base_logs, *(base_logs + (s - L0) * d for s in ring), base_logs])
+    return np.array([base_logs + (s - L0) * d for s in ring])
+
+
+def _coordinate_circle(system, j):
+    """Log-coordinates of the counterclockwise coordinate loop
+    z_j -> e^{2 pi i t} z_j from default_base_point, in three segments."""
+    e = np.zeros(system.rank, dtype=np.complex128)
+    e[j] = 1.0
+    return np.array([default_base_point(system) + 2j * math.pi * (s / 3.0) * e
+                     for s in range(4)])
 
 
 def mirror_monodromy(system, k, alpha):
@@ -373,41 +405,14 @@ def mirror_monodromy(system, k, alpha):
     counterclockwise around 1 on a ring of radius _RING_RADIUS.  The flatness
     gate runs at the base point first."""
     _flatness_gate(system, k)
-    return _mirror_loop(system, k, alpha)
-
-
-def _mirror_loop(system, k, alpha):
-    """mirror_monodromy without the flatness gate.
-
-    The loop is a stage out to the ring, the ring, and the stage back, so the
-    stage is transported once: with S its transport and T the ring's, the
-    loop is S^-1 T S.  Each transport checks the clearance of its part, and
-    the way back is the stage reversed, so every sample point of the loop is
-    checked once.
-    """
-    pts = _mirror_loop_points(system, alpha)
-    S = transport(system, k, pts[:2])
-    T = transport(system, k, pts[1:-1])
-    try:
-        return np.linalg.solve(S, T @ S)
-    except np.linalg.LinAlgError as exc:
-        raise _kernels.NumericFailure(f"mirror-loop stage transport is singular: {exc}") from exc
+    return _loop(system, k, _mirror_ring(system, alpha))
 
 
 def toric_monodromy(system, k, j):
     """Monodromy of the counterclockwise coordinate loop z_j -> e^{2 pi i t} z_j
     at default_base_point.  The flatness gate runs at the base point first."""
     _flatness_gate(system, k)
-    return _toric_loop(system, k, j)
-
-
-def _toric_loop(system, k, j):
-    """toric_monodromy without the flatness gate."""
-    base_logs = default_base_point(system)
-    e = np.zeros(system.rank, dtype=np.complex128)
-    e[j] = 1.0
-    pts = np.array([base_logs + 2j * math.pi * (s / 3.0) * e for s in range(4)])
-    return transport(system, k, pts)
+    return _loop(system, k, _coordinate_circle(system, j))
 
 
 def hecke_residual(M, k):
@@ -426,16 +431,13 @@ def standard_generators(system, k):
     Every loop starts at default_base_point, so the flatness gate runs there
     once."""
     _flatness_gate(system, k)
-    gens = []
     n = system.rank
     simples = list(np.eye(n, dtype=np.int64))
     high = system.positive_roots[-1]
     roots = simples + ([high] if not any(np.array_equal(high, s) for s in simples) else [])
-    for alpha in roots:
-        gens.append(_mirror_loop(system, k, alpha))
-    for j in range(n):
-        gens.append(_toric_loop(system, k, j))
-    return gens
+    curves = [_mirror_ring(system, alpha) for alpha in roots]
+    curves += [_coordinate_circle(system, j) for j in range(n)]
+    return [_loop(system, k, curve) for curve in curves]
 
 
 # ---------------------------------------------------------------------------
@@ -547,21 +549,16 @@ def ball_check(system, k, form, sample_logs):
 
     The solver's form H lives on solution coordinates; evaluation vectors
     (value rows of the transported jet frame) transform contragrediently, so
-    they pair through the inverse form.  That pairing is normalized to make
-    the base evaluation vector negative.  Paths start at default_base_point.
+    they pair through the inverse form.  invariant_form already fixes the sign
+    of H by its signature (n, 1), so the pairings are returned as computed,
+    unsigned; a base evaluation vector outside the negative cone gives
+    positive values.  Paths start at default_base_point.
     """
     base_logs = default_base_point(system)
     Hinv = np.linalg.inv(form.matrix)
 
-    def pairing(v):
-        return float((v @ Hinv @ v.conj()).real)
-
-    n = system.rank
-    base_vec = np.zeros(n + 1, dtype=np.complex128)
-    base_vec[0] = 1.0
-    ref = pairing(base_vec)
-    if abs(ref) < 1e-8:
+    # the base evaluation vector is (1, 0, ..., 0): it pairs to Hinv[0, 0]
+    if abs(Hinv[0, 0].real) < 1e-8:
         raise _kernels.NumericFailure("base evaluation vector is numerically isotropic")
-    sign = -1.0 if ref > 0 else 1.0
-    return tuple(sign * pairing(transport(system, k, (base_logs, lz))[0, :])
-                 for lz in sample_logs)
+    values = (transport(system, k, (base_logs, lz))[0, :] for lz in sample_logs)
+    return tuple(float((v @ Hinv @ v.conj()).real) for v in values)

@@ -158,9 +158,9 @@ NO_SPHERICAL = "each angle plus 1 must exceed the sum of the other two"
     (["gauss", "monodromy", "--alpha", "1/2", "--beta", "1/3", "--gamma", "1"],
      "integer exponent difference (logarithmic case)"),
     (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root", "3"],
-     "--root must be 1..2 or 'highest'"),
+     "--root must be 1..2 or 'highest', got '3'"),
     (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root", "0"],
-     "--root must be 1..2 or 'highest'"),
+     "--root must be 1..2 or 'highest', got '0'"),
     (["schwarz", "check", "--type", "A", "--rank", "2"], "provide --p or --k"),
     (["schwarz", "check", "--type", "A", "--rank", "3", "--p", "3", "--k", "1/4"],
      "provide --p or --k, not both"),
@@ -296,6 +296,20 @@ def test_torus_form_json():
     payload = json.loads(out)
     assert payload["results"]["signature"] == [2, 1]
     assert payload["results"]["ball_all_negative"] is True
+
+
+@pytest.mark.parametrize("fam, rank, k", [
+    ("A", 3, "3/5"), ("A", 3, "11/20"), ("A", 3, "7/10"), ("D", 4, "11/20")])
+def test_torus_form_outside_the_ball_exits_1(fam, rank, k):
+    # past the hyperbolic exponent m = 1/2 the form keeps signature (n, 1), but
+    # the evaluation vectors near the base pair positively: the ball check fails
+    code, out = run_cli(["torus", "form", "--type", fam, "--rank", str(rank), "--k", k,
+                         "--format", "json"])
+    results = json.loads(out)["results"]
+    assert code == 1
+    assert results["signature"] == [rank, 1]
+    assert results["ball_all_negative"] is False
+    assert all(v > 0 for v in results["ball_values"])
 
 
 def test_torus_form_builds_generators_once(monkeypatch):
@@ -530,6 +544,17 @@ def test_console_entry_point_subprocess():
     proc = _run_subprocess(["schwarz", "enumerate", "--p-max", "10"])
     assert proc.returncode == 0
     assert "p =  10 : A2" in proc.stdout
+
+
+def test_torus_overflow_prints_one_error_line_subprocess():
+    # at k = 1000 the frame overflows: numpy's warnings stay off stderr, which
+    # holds the one error line of every numeric failure
+    proc = _run_subprocess(["torus", "monodromy", "--type", "A", "--rank", "2",
+                            "--k", "1000"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numeric failure: ")
+    assert lines[0].endswith("frame is not finite at t = 1.0")
 
 
 def _run_exit(argv):

@@ -78,8 +78,8 @@ def test_torus_segment_matches_high_precision_ode_solve(segment):
     base = torus.default_base_point(A2)
     if segment == "ring":
         # one segment of the ring around the mirror of the first simple root
-        pts = torus._mirror_loop_points(A2, np.array([1, 0]))
-        a, b = pts[2], pts[3]
+        ring = torus._mirror_ring(A2, np.array([1, 0]))
+        a, b = ring[1], ring[2]
     else:
         # the first third of the coordinate loop z_1 -> e^{2 pi i t} z_1
         a, b = base, base + np.array([2j * np.pi / 3, 0])
@@ -159,12 +159,9 @@ def _sequential_transport(system, k, path, rtol=torus.DEFAULT_RTOL):
 def _loop_parts(system):
     """The stage and the ring of the highest-root mirror loop, and the first
     coordinate loop, as log-coordinate paths."""
-    pts = torus._mirror_loop_points(system, roots.highest_root(system))
-    base = torus.default_base_point(system)
-    e = np.zeros(system.rank)
-    e[0] = 1.0
-    coordinate = tuple(base + 2j * np.pi * (s / 3.0) * e for s in range(4))
-    return {"stage": pts[:2], "ring": pts[1:-1], "coordinate": coordinate}
+    ring = torus._mirror_ring(system, roots.highest_root(system))
+    stage = np.array([torus.default_base_point(system), ring[0]])
+    return {"stage": stage, "ring": ring, "coordinate": torus._coordinate_circle(system, 0)}
 
 
 def _steps(system, path):

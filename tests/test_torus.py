@@ -326,14 +326,69 @@ def test_weak_coupling_limit():
     assert 8.0 < ratio < 12.0
 
 
+def _full_mirror_loop(system, alpha):
+    """The mirror loop as one path: the stage out, the ring, the stage back."""
+    base = torus.default_base_point(system)
+    return np.array([base, *torus._mirror_ring(system, alpha), base])
+
+
 def test_stage_once_matches_full_loop_transport():
     # mirror_monodromy transports the stage once; the full loop (stage, ring,
     # stage reversed) must give the same matrix
     k = F(1, 4)
     alpha = roots.highest_root(D4)
-    full = torus.transport(D4, k, torus._mirror_loop_points(D4, alpha))
+    full = torus.transport(D4, k, _full_mirror_loop(D4, alpha))
     staged = torus.mirror_monodromy(D4, k, alpha)
     assert np.max(np.abs(staged - full)) / np.max(np.abs(full)) < 1e-10
+
+
+def _oracle_mirror_loop_points(system, alpha):
+    """The mirror loop's log-coordinates as first written: base, stage, the
+    ring, base."""
+    base_logs = torus.default_base_point(system)
+    alpha = np.asarray(alpha, dtype=np.int64)
+    d = (system.cartan.astype(np.float64) @ alpha).astype(np.complex128) / 2.0
+    L0 = complex(alpha.astype(np.float64) @ base_logs)
+    ring = [cmath.log(1.0 + torus._RING_RADIUS
+                      * cmath.exp(2j * math.pi * s / torus._RING_SEGMENTS))
+            for s in range(torus._RING_SEGMENTS + 1)]
+    return np.array([base_logs, *(base_logs + (s - L0) * d for s in ring), base_logs])
+
+
+def _oracle_mirror_loop(system, k, alpha):
+    pts = _oracle_mirror_loop_points(system, alpha)
+    S = torus.transport(system, k, pts[:2])
+    T = torus.transport(system, k, pts[1:-1])
+    return np.linalg.solve(S, T @ S)
+
+
+def _oracle_toric_loop_points(system, j):
+    """The coordinate loop's log-coordinates as first written."""
+    base_logs = torus.default_base_point(system)
+    e = np.zeros(system.rank, dtype=np.complex128)
+    e[j] = 1.0
+    return np.array([base_logs + 2j * math.pi * (s / 3.0) * e for s in range(4)])
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 6)])
+def test_loop_primitive_matches_hand_built_loops(fam, rank):
+    # the mirror ring and the coordinate circle, each run through _loop, give
+    # the bits of the loops built by hand: S^-1 T S from the base and stage
+    # rows, and the coordinate path transported alone
+    system = _sys(fam, rank)
+    k = roots.hyperbolic_exponent(system) / 2
+    simples = list(np.eye(rank, dtype=np.int64))
+    high = roots.highest_root(system)
+    mirrors = [_oracle_mirror_loop(system, k, alpha) for alpha in simples + [high]]
+    torics = [torus.transport(system, k, _oracle_toric_loop_points(system, j))
+              for j in range(rank)]
+    assert np.array_equal(torus.mirror_monodromy(system, k, simples[0]), mirrors[0])
+    assert np.array_equal(torus.mirror_monodromy(system, k, high), mirrors[-1])
+    for j in range(rank):
+        assert np.array_equal(torus.toric_monodromy(system, k, j), torics[j])
+    gens = torus.standard_generators(system, k)
+    assert len(gens) == len(mirrors) + len(torics)
+    assert all(np.array_equal(G, M) for G, M in zip(gens, mirrors + torics))
 
 
 def _clearance_by_point(system, path, samples_per_segment=9):
@@ -361,7 +416,7 @@ def test_clearance_matches_point_by_point_sampling(monkeypatch):
     for system in (A2, D4):
         base = torus.default_base_point(system)
         for alpha in (np.eye(system.rank, dtype=np.int64)[0], roots.highest_root(system)):
-            path = torus._mirror_loop_points(system, alpha)
+            path = _full_mirror_loop(system, alpha)
             got = _check_after_complex_matmul(system, path)
             assert abs(got - _clearance_by_point(system, path)) <= 1e-14 * got
         for _ in range(5):
@@ -377,9 +432,8 @@ def test_clearance_matches_point_by_point_sampling(monkeypatch):
 def test_clearance_matches_point_by_point_sampling_at_e8():
     # the rings mirror_monodromy checks, and the coordinate loop of
     # toric_monodromy
-    base = torus.default_base_point(E8)
-    simple_ring = torus._mirror_loop_points(E8, np.eye(8, dtype=np.int64)[0])[1:-1]
-    toric_loop = base + 2j * math.pi * np.arange(4)[:, None] / 3.0 * np.eye(8)[0]
+    simple_ring = torus._mirror_ring(E8, np.eye(8, dtype=np.int64)[0])
+    toric_loop = torus._coordinate_circle(E8, 0)
     for path in (simple_ring, toric_loop):
         got = _check_after_complex_matmul(E8, path)
         assert abs(got - _clearance_by_point(E8, path)) <= 1e-14 * got
@@ -387,7 +441,7 @@ def test_clearance_matches_point_by_point_sampling_at_e8():
     # of L moves |e^L - 1| by up to (1 + clearance) * ulp(L), 7.9e-14 of the
     # clearance.  Against a 30-digit value, the complex product, the real
     # matmul and the point oracle all err there by 1.3e-14 to 2.3e-14.
-    high_ring = torus._mirror_loop_points(E8, roots.highest_root(E8))[1:-1]
+    high_ring = torus._mirror_ring(E8, roots.highest_root(E8))
     got = _check_after_complex_matmul(E8, high_ring)
     lmax = np.max(np.abs(high_ring @ E8.positive_roots.T.astype(np.float64)))
     assert abs(got - _clearance_by_point(E8, high_ring)) <= (1 + got) * np.spacing(lmax)
@@ -409,7 +463,7 @@ def test_clearance_check_does_not_stall_after_complex_matmul():
     # Fed the complex product lz @ croots.T, the E8 ring check took 12x a
     # clean exp of its (10, 24, 120) logs; from a real matmul it takes about
     # 1.1-1.2x.  Without the stall both forms pass.
-    ring = torus._mirror_loop_points(E8, roots.highest_root(E8))[1:-1]
+    ring = torus._mirror_ring(E8, roots.highest_root(E8))
     frame = np.full((9, 9), 0.1 + 0.2j)
     rng = np.random.default_rng(0)
     logs = rng.standard_normal((10, 24, 120)) + 10j * rng.standard_normal((10, 24, 120))
@@ -449,7 +503,7 @@ def test_generator_set_gates_flatness_once(monkeypatch):
     assert len(calls) == 1
     torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
     torus.toric_monodromy(A2, F(1, 4), 0)
-    torus.transport(A2, F(1, 4), torus._mirror_loop_points(A2, np.array([0, 1])))
+    torus.transport(A2, F(1, 4), _full_mirror_loop(A2, np.array([0, 1])))
     assert len(calls) == 3
 
 
@@ -459,7 +513,7 @@ def test_mirror_loop_within_delta_raises(monkeypatch):
     with pytest.raises(torus.MirrorSingularity):
         torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
     with pytest.raises(torus.MirrorSingularity):
-        torus._check_clearance(A2, torus._mirror_loop_points(A2, np.array([1, 0])))
+        torus._check_clearance(A2, _full_mirror_loop(A2, np.array([1, 0])))
 
 
 def test_conjugate_mirror_loops_have_equal_spectra():
