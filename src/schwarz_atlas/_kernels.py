@@ -30,6 +30,9 @@ batch: the Riccati recurrence of coth for the Taylor coefficients of every
 root coefficient -coth(L/2), one real GEMM for the Taylor coefficients of B,
 and one batched matmul for the convolution that gives the frame's
 coefficients.
+
+Every breakdown raises NumericFailure where it is found, naming the segment.
+Both kernels return (result, True): perfbench/tracer.py reads r[-1].
 """
 
 import cmath
@@ -41,9 +44,10 @@ USING_NUMBA = False
 
 
 class NumericFailure(Exception):
-    """Continuation broke down numerically: a series that does not converge,
-    a frame that is no longer finite, or a path that reaches a singular point.
-    Deliberately not a ValueError: the input was valid, the numerics failed."""
+    """Numerics broke down: a series that does not converge, a frame that is
+    no longer finite, a path that reaches a singular point, or (its torus
+    subclasses) a mirror point or no single invariant form.  Deliberately
+    not a ValueError: the input was valid, the numerics failed (exit 1)."""
 
 
 _EPS = 2.0 ** -52
@@ -64,17 +68,14 @@ def gauss_segment(alpha, beta, gamma, paths, F0):
     """Transport the 2x2 frame F0 (row 0 values, row 1 derivatives), given at
     the first waypoint of each path, along each piecewise-linear path.
 
-    Returns (frames, ok): frames[i] is F0 continued along paths[i].
-    ok=False means a step point comes within _MIN_CLEARANCE of 0 or 1, where
-    the equation is singular; nothing is transported then and frames is
-    None.  Raises NumericFailure, naming the segment, when a step's series
-    has not fallen below _EPS times its largest term after _MAX_TERMS terms,
-    or a frame stops being finite.
+    Returns (frames, True): frames[i] is F0 continued along paths[i].
+    Raises NumericFailure, naming the segment, when a step point comes within
+    _MIN_CLEARANCE of 0 or 1, where the equation is singular (nothing is
+    transported then), when a step's series has not fallen below _EPS times
+    its largest term after _MAX_TERMS terms, or when a frame stops being
+    finite.
     """
-    grid = _gauss_grid(paths)
-    if grid is None:
-        return None, False
-    z, h, segment, ends = grid
+    z, h, segment, ends = _gauss_grid(paths)
     S = _GAUSS_BATCH_STEPS
     with np.errstate(over="ignore", invalid="ignore"):
         P, done = (np.concatenate(part) for part in zip(*(
@@ -107,8 +108,8 @@ def gauss_segment(alpha, beta, gamma, paths, F0):
 def _gauss_grid(paths):
     """Steps along every segment of every path, each half the distance to
     {0, 1} or the rest of the segment: each step's point, length and segment
-    (za, zb), and where each path's steps end.  None when a step point comes
-    within _MIN_CLEARANCE of 0 or 1."""
+    (za, zb), and where each path's steps end.  Raises NumericFailure when a
+    step point comes within _MIN_CLEARANCE of 0 or 1."""
     zs, hs, segment, ends = [], [], [], []
     for path in paths:
         for za, zb in zip(path, path[1:]):
@@ -117,7 +118,8 @@ def _gauss_grid(paths):
             while z != zb:
                 dist = min(abs(z), abs(z - 1.0))
                 if dist <= _MIN_CLEARANCE:
-                    return None
+                    raise NumericFailure(f"segment {za} -> {zb}: reaches the singular point "
+                                         f"{round(z.real):d} at z = {z}")
                 rest = zb - z
                 if abs(rest) <= 0.5 * dist:
                     h, znext = rest, zb
@@ -228,9 +230,12 @@ def _pairwise_rows(a):
     return a[0]
 
 
+# a torus step's series is summed until its terms fall below this times its
+# largest term (or _EPS, if that is larger)
+_TORUS_RTOL = 1e-12
 # terms allowed in one torus step's series: a step at half the distance to the
 # nearest mirror crossing converges like 2^-n, and takes at most about 40 terms
-# at the default tolerance from A2 to E8
+# at _TORUS_RTOL from A2 to E8
 _TORUS_MAX_TERMS = 400
 # terms a batch's coefficient stacks make room for at first; a batch that needs
 # more starts again with twice the room and correspondingly fewer steps
@@ -241,22 +246,22 @@ _TORUS_START_TERMS = 48
 _TORUS_BATCH_BYTES = 401 * (120 + 2 * 81) * 16
 
 
-def torus_segment(lz0, m, croots, coroots, k, svec, rtol):
+def torus_segment(lz0, m, croots, coroots, k, svec):
     """Transport the (n+1)x(n+1) jet frame that starts as the identity along
     consecutive log-linear torus segments.
 
     Segment s runs through the log-coordinates lz0[s] + t m[s], t in [0, 1];
     lz0, m and the constant scalar columns svec are (segments, n) stacks, or
     single rows for one segment.  croots and coroots are the real positive-root
-    and coroot coordinate rows.  Returns (frame, ok).  ok=False means the path
-    reaches within _MIN_CLEARANCE of a mirror, where the system is singular;
-    the frame is then the one at the last step point reached.  Raises
-    NumericFailure when a step's series has not fallen below max(rtol, eps)
-    times its largest term after _TORUS_MAX_TERMS terms, or the frame stops
-    being finite.
+    and coroot coordinate rows.  Returns (frame, True).  Raises
+    NumericFailure, naming the segment, when a step point comes within
+    _MIN_CLEARANCE of a mirror, where the system is singular (nothing is
+    transported then), when a step's series has not fallen below
+    max(_TORUS_RTOL, _EPS) times its largest term after _TORUS_MAX_TERMS
+    terms, or when the frame stops being finite.
     """
     lz0, m, svec = (np.atleast_2d(np.asarray(v, dtype=np.complex128)) for v in (lz0, m, svec))
-    seg, ts, hs, moving, ok = _torus_grid(lz0, m, croots)
+    seg, ts, hs, moving = _torus_grid(lz0, m, croots)
     # dF/dt = B(t) F: row 0 of B is [0, -m], column 0 is [0; svec], and the
     # lower block is sum_p b_p u_p(t) K0_p with L_p(t) = a_p + b_p t the log of
     # the root character, the root coefficient u = (1 + e^L)/(1 - e^L) =
@@ -267,7 +272,7 @@ def torus_segment(lz0, m, croots, coroots, k, svec, rtol):
     n1 = croots.shape[1] + 1
     nr = croots.shape[0]
     J = _TORUS_MAX_TERMS
-    tol = max(rtol, _EPS)
+    tol = max(_TORUS_RTOL, _EPS)
     K0 = (0.5 * k) * (croots[:, :, None] * coroots[:, None, :]).reshape(nr, -1)
     F = np.eye(n1, dtype=np.complex128)
     cap = min(_TORUS_START_TERMS, J) + 1
@@ -289,16 +294,16 @@ def torus_segment(lz0, m, croots, coroots, k, svec, rtol):
                 if np.isfinite(P).all():
                     i = first + int(np.argmin(done))
                     raise NumericFailure(
-                        f"torus segment from {lz0[seg[i]]} along {m[seg[i]]}: series at "
-                        f"t = {ts[i]} did not converge within {J} terms")
+                        f"torus segment from {lz0[seg[i]].tolist()} along {m[seg[i]].tolist()}: "
+                        f"series at t = {ts[i]} did not converge within {J} terms")
             for D in P:
                 F = F + D @ F
             if not np.isfinite(F).all():
                 raise NumericFailure(
-                    f"torus segment from {lz0[s[-1]]} along {m[s[-1]]}: frame is not finite "
-                    f"at t = {t[-1] + h[-1]}")
+                    f"torus segment from {lz0[s[-1]].tolist()} along {m[s[-1]].tolist()}: "
+                    f"frame is not finite at t = {t[-1] + h[-1]}")
             first += len(t)
-    return F, ok
+    return F, True
 
 
 def _torus_propagators(L, b, m, svec, h, K0, cap, tol):
@@ -362,12 +367,11 @@ def _torus_propagators(L, b, m, svec, h, K0, cap, tol):
 def _torus_grid(lz0, m, croots):
     """Steps of every segment, each half the distance in t to the nearest
     mirror crossing L_p = 2 pi i l, or the rest of the segment.  Returns each
-    step's segment, start and length, which roots move on some segment, and
-    False when a step point comes within _MIN_CLEARANCE of a crossing; the
-    steps then end there."""
+    step's segment, start and length, and which roots move on some segment.
+    Raises NumericFailure when a step point comes within _MIN_CLEARANCE of a
+    crossing."""
     seg, ts, hs = [], [], []
     any_moving = np.zeros(len(croots), dtype=bool)
-    ok = True
     for s in range(len(m)):
         # L_p(t) = a_p + b_p t is the log of the root character along the segment
         a_s = croots @ lz0[s]
@@ -380,13 +384,11 @@ def _torus_grid(lz0, m, croots):
             L = a_s + b_s * t
             gap = np.abs(L - 2j * np.pi * np.round(L.imag / (2.0 * np.pi)))
             if gap.min() <= _MIN_CLEARANCE:
-                ok = False
-                break
+                raise NumericFailure(f"torus segment from {lz0[s].tolist()} along "
+                                     f"{m[s].tolist()}: reaches a mirror at t = {t}")
             h = min(0.5 * np.min(gap[moving] / rate, initial=np.inf), 1.0 - t)
             seg.append(s)
             ts.append(t)
             hs.append(h)
             t = 1.0 if h == 1.0 - t else t + h
-        if not ok:
-            break
-    return np.array(seg, dtype=np.intp), np.array(ts), np.array(hs), any_moving, ok
+    return np.array(seg, dtype=np.intp), np.array(ts), np.array(hs), any_moving

@@ -330,11 +330,7 @@ def _cmd_torus_form(args):
     _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
-    try:
-        form = torus.invariant_form(torus.standard_generators(system, k))
-    except torus.InvariantFormError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC, None
+    form = torus.invariant_form(torus.standard_generators(system, k))
     ball = torus.ball_check(system, k, form,
                             torus.sample_points_near(system, args.samples, seed=args.seed))
     negative = all(v < 0 for v in ball)
@@ -629,7 +625,7 @@ def main(argv=None):
     args = _PARSER.parse_args(_attach_negative_values(argv))
     try:
         code, payload = args.func(args)
-    except (gaussmod.NumericFailure, torus.MirrorSingularity, np.linalg.LinAlgError) as exc:
+    except (gaussmod.NumericFailure, np.linalg.LinAlgError) as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, ZeroDivisionError) as exc:

@@ -6,10 +6,11 @@ the degree-2 pullback to the four-point equation on {1, -1, 0, inf}.
 Parameters are exact rationals.  Continuation runs through
 _kernels.gauss_segment, which lays out the steps of many paths, sums each
 step's Taylor propagator to machine precision and multiplies the
-propagators in path order; a numeric breakdown raises NumericFailure.  Each
-measurement is one kernel call: the three loops of monodromy_matrices, the
-boundary samples of each vertex_angles chart, and the ring of
-pullback_ode_residual.
+propagators in path order; the kernel raises NumericFailure, naming the
+segment, where continuation breaks down, a step that reaches 0 or 1
+included.  Each measurement is one kernel call: the three loops of
+monodromy_matrices, the boundary samples of each vertex_angles chart, and
+the ring of pullback_ode_residual.
 """
 
 from __future__ import annotations
@@ -204,17 +205,10 @@ def _segment_distance(a, b, q):
 
 def _transport(p, paths, F):
     """Continue the frame F, given at the first waypoint of each path, along
-    every path in one kernel call, and return the continued frames.  Raises
-    NumericFailure, naming the segment, when the kernel cannot finish.
+    every path in one kernel call, and return the continued frames.  The
+    kernel raises NumericFailure, naming the segment, when it cannot finish.
     """
-    frames, ok = _kernels.gauss_segment(*p.floats(), paths, np.asarray(F, dtype=np.complex128))
-    if not ok:
-        # the step points lie on the segments, so the segment nearest a
-        # singular point is one that reaches it
-        a, b, s = min(((a, b, s) for path in paths for a, b in zip(path, path[1:])
-                       for s in (0.0, 1.0)), key=lambda r: _segment_distance(*r))
-        raise NumericFailure(f"segment {a} -> {b}: reaches the singular point {s:g}")
-    return frames
+    return _kernels.gauss_segment(*p.floats(), paths, np.asarray(F, dtype=np.complex128))[0]
 
 
 def continue_along(p, points, F):

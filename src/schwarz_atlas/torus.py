@@ -14,8 +14,9 @@ _kernels.torus_segment, once per path: it lays out the step grid of every
 segment of the path (steps of half the distance to the nearest mirror
 crossing), sums each step's propagator, the Taylor series of the frame that
 starts as the identity, in batches of steps whose coefficient stacks fit a
-fixed byte budget, and multiplies the propagators in path order.  Continuation
-that breaks down raises _kernels.NumericFailure.
+fixed byte budget, and multiplies the propagators in path order.  Every
+numeric breakdown, MirrorSingularity and InvariantFormError included, raises
+a _kernels.NumericFailure where it is found.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ __all__ = [
     "sample_points_near",
 ]
 
-# series truncation threshold of the continuation kernel, relative to each
-# step's largest term
-DEFAULT_RTOL = 1e-12
 MIRROR_DELTA = 0.02
 _CLEARANCE_SAMPLES = 9    # sample points per path segment in _check_clearance
 _RING_SEGMENTS = 24       # segments of the ring of every mirror loop
@@ -60,13 +58,14 @@ _RING_RADIUS = 0.1        # |h^{-alpha} - 1| on the ring of every mirror loop
 _SAMPLE_SPREAD = 0.35     # scale of the Gaussian log-offsets of sample_points_near
 _RANK_TOL = 1e-6          # invariant_form's null-space threshold, relative to svals[0]
 _EIG_TOL = 1e-8           # the smallest |eigenvalue| of the form that counts in its signature
+_FLAT_TOL = 1e-13         # the flatness gate's curvature bound, relative to max(1, max|A|^2)
 
 
-class MirrorSingularity(ValueError):
+class MirrorSingularity(_kernels.NumericFailure):
     """A character hit 1: the requested point lies on a mirror."""
 
 
-class InvariantFormError(ValueError):
+class InvariantFormError(_kernels.NumericFailure):
     """The space of invariant Hermitian forms is not one-dimensional."""
 
     def __init__(self, message, dimension):
@@ -234,19 +233,20 @@ def flatness_residual(system, k, point, a_override=None):
     a_override replaces.  The derivatives are analytic, and the root
     character values are computed once for them and the matrices.
     """
-    return _curvature(system, k, _char_values(system, point), a_override)
+    return _curvature(system, k, _char_values(system, point), a_override)[0]
 
 
 def _curvature(system, k, tchar, a_override):
-    """flatness_residual at the point with root character values tchar.  All
-    n^2 products A_j A_i come from one batched matmul, and the pairs i < j
-    are reduced at once."""
+    """flatness_residual at the point with root character values tchar, and
+    the largest |entry| of the connection matrices it is made of.  All n^2
+    products A_j A_i come from one batched matmul, and the pairs i < j are
+    reduced at once."""
     A = _frame_stack(_assemble(system, k, tchar, a_override))
     dA = _theta_frame_matrices(system, k, tchar)
     AA = np.matmul(A[None, :], A[:, None])    # AA[i, j] = A_j A_i
     R = (dA - dA.swapaxes(0, 1) + AA) - AA.swapaxes(0, 1)
     upper = np.triu_indices(system.rank, 1)
-    return float(np.max(np.abs(R[upper]), initial=0.0))
+    return float(np.max(np.abs(R[upper]), initial=0.0)), float(np.max(np.abs(A)))
 
 
 def _reflection_matrix(system, i):
@@ -313,10 +313,11 @@ def _check_clearance(system, path):
 def _flatness_gate(system, k):
     """Sanity gate of a monodromy measurement: raises _kernels.NumericFailure
     unless the connection is flat at default_base_point, where every loop
-    starts; flatness makes the loops' monodromy homotopy invariant."""
+    starts; flatness makes the loops' monodromy homotopy invariant.  The
+    bound scales with the products A_j A_i the curvature is a difference of."""
     tchar = np.exp(_float_rows(system)[0] @ default_base_point(system))
-    res = _curvature(system, k, tchar, None)
-    if res > 1e-6:
+    res, amax = _curvature(system, k, tchar, None)
+    if res > _FLAT_TOL * max(1.0, amax * amax):
         raise _kernels.NumericFailure(f"connection is not flat at the start (residual {res:.2e})")
 
 
@@ -328,9 +329,10 @@ def transport(system, k, path):
     The path's clearance from the mirrors is checked by sampling first.  All
     segments go to one _kernels.torus_segment call, which lays out every
     segment's step grid, computes the steps' propagators in batches and
-    multiplies them in path order, each series summed to DEFAULT_RTOL.
-    Raises MirrorSingularity for a path within MIRROR_DELTA of a mirror, and
-    _kernels.NumericFailure when a segment reaches a mirror or its series
+    multiplies them in path order, each series summed to
+    _kernels._TORUS_RTOL.  Raises MirrorSingularity for a path within
+    MIRROR_DELTA of a mirror, and the kernel raises _kernels.NumericFailure,
+    naming the segment, when one reaches a mirror or its series or frame
     breaks down.  The curvature is not checked here: mirror_monodromy,
     toric_monodromy and standard_generators check it once at the base point.
     """
@@ -343,12 +345,8 @@ def transport(system, k, path):
     croots, coroots, _ = _float_rows(system)
     afac = float(integrability_constant(system)) * float(k) ** 2
     svec = afac * np.linalg.solve(system.cartan.astype(np.float64), moves[kept].T).T
-    F, ok = _kernels.torus_segment(pts[:-1][kept], moves[kept], croots, coroots,
-                                   float(k), svec, DEFAULT_RTOL)
-    if not ok:
-        raise _kernels.NumericFailure(
-            f"torus continuation from {pts[0]} to {pts[-1]} reaches a mirror")
-    return F
+    return _kernels.torus_segment(pts[:-1][kept], moves[kept], croots, coroots,
+                                  float(k), svec)[0]
 
 
 def _loop(system, k, curve):
@@ -367,8 +365,13 @@ def _loop(system, k, curve):
         return transport(system, k, curve)
     S = transport(system, k, (base_logs, curve[0]))
     T = transport(system, k, curve)
+    # finite frames whose product overflows are caught here
+    with np.errstate(over="ignore", invalid="ignore"):
+        TS = T @ S
+    if not np.isfinite(TS).all():
+        raise _kernels.NumericFailure("loop monodromy is not finite: the transports overflow")
     try:
-        return np.linalg.solve(S, T @ S)
+        return np.linalg.solve(S, TS)
     except np.linalg.LinAlgError as exc:
         raise _kernels.NumericFailure(f"loop stage transport is singular: {exc}") from exc
 

@@ -253,7 +253,7 @@ _ISOTROPIC_FORM = torus.InvariantForm(
       for target, subcommand in (("invariant_form", "form"), ("sample_points_near", "flatness"))
       for i, exc in enumerate([torus.MirrorSingularity("a sample lies on a mirror"),
                                np.linalg.LinAlgError("singular matrix")])),
-    pytest.param("_curvature", lambda *args, **kwargs: 1.0, "monodromy",
+    pytest.param("_curvature", lambda *args, **kwargs: (1.0, 1.0), "monodromy",
                  "connection is not flat at the start (residual 1.00e+00)",
                  id="not_flat-transport"),
     pytest.param("invariant_form", lambda *args, **kwargs: _ISOTROPIC_FORM, "form",
@@ -286,7 +286,24 @@ def test_torus_form_without_one_invariant_form_exits_1(monkeypatch, capsys):
     code, out = run_cli(["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4",
                          "--samples", "2"])
     assert code == 1 and out == ""
-    assert capsys.readouterr().err == "error: no invariant Hermitian form\n"
+    assert capsys.readouterr().err == "error: numeric failure: no invariant Hermitian form\n"
+
+
+def test_torus_form_without_enough_samples_exits_1(monkeypatch, capsys):
+    # the generators' paths keep the usual clearance; only the sampler asks
+    # for more than any draw has
+    sample = torus.sample_points_near
+
+    def far_from_every_draw(*args, **kwargs):
+        monkeypatch.setattr(torus, "MIRROR_DELTA", 50.0)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(torus, "sample_points_near", far_from_every_draw)
+    code, out = run_cli(["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4",
+                         "--samples", "2"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "error: numeric failure: could not find enough off-mirror samples\n")
 
 
 def test_torus_form_json():
@@ -555,6 +572,17 @@ def test_torus_overflow_prints_one_error_line_subprocess():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: numeric failure: ")
     assert lines[0].endswith("frame is not finite at t = 1.0")
+
+
+@pytest.mark.parametrize("argv", [["monodromy", "--k", "100"], ["form", "--k", "1000"]])
+def test_e8_overflow_prints_one_error_line_subprocess(argv):
+    # the flatness gate passes the flat E8 connection at these k; the loop
+    # transports then overflow, and that is the one error line
+    proc = _run_subprocess(["torus", argv[0], "--type", "E", "--rank", "8", *argv[1:]])
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: numeric failure: ")
+    assert "flat" not in lines[0]
 
 
 def _run_exit(argv):

@@ -2,8 +2,12 @@
 high-precision ODE solve and against the step-by-step series it batches, the
 Gauss kernel's propagators against its scalar series and its batches against
 each path alone, the memory of both, and the ways continuation can fail in
-both kernels."""
+both kernels, as raised and as the benchmark's tracer counts them."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
@@ -83,9 +87,7 @@ def test_torus_segment_matches_high_precision_ode_solve(segment):
     else:
         # the first third of the coordinate loop z_1 -> e^{2 pi i t} z_1
         a, b = base, base + np.array([2j * np.pi / 3, 0])
-    frame, ok = _kernels.torus_segment(*_segment_args(A2, k, a, b), torus.DEFAULT_RTOL)
-    # the ok flag is the kernel's last value, which perfbench/tracer.py reads to
-    # count failed calls (kernels.*.failed): True on a pass, False on a failure
+    frame, ok = _kernels.torus_segment(*_segment_args(A2, k, a, b))
     assert ok is True
     want = _segment_oracle(A2, k, a, b, dps=20)
     assert np.max(np.abs(frame - want)) / np.max(np.abs(want)) < 1e-11
@@ -149,7 +151,7 @@ def _sequential_segment(lz0, m, croots, coroots, k, svec, F0, rtol):
     return F
 
 
-def _sequential_transport(system, k, path, rtol=torus.DEFAULT_RTOL):
+def _sequential_transport(system, k, path, rtol=_kernels._TORUS_RTOL):
     F = np.eye(system.rank + 1, dtype=np.complex128)
     for a, b in zip(path, path[1:]):
         F = _sequential_segment(*_segment_args(system, k, a, b), F, rtol)
@@ -229,7 +231,7 @@ def test_series_longer_than_the_stacks_restart_with_more_room(monkeypatch):
     path = _loop_parts(system)["stage"]
     steps = _steps(system, path)
     sizes = _batch_sizes(monkeypatch)
-    monkeypatch.setattr(torus, "DEFAULT_RTOL", 1e-17)
+    monkeypatch.setattr(_kernels, "_TORUS_RTOL", 1e-17)
     got = torus.transport(system, k, path)
     assert sizes[1] < sizes[0] and sum(sizes[1:]) == steps
     want = _sequential_transport(system, k, path, rtol=1e-17)
@@ -251,22 +253,22 @@ def test_e8_highest_root_loop_stays_within_the_batch_memory_budget():
     assert peak <= 2.0e6
 
 
-def test_torus_segment_ending_on_a_mirror_reports_not_ok():
+def test_torus_segment_ending_on_a_mirror_raises():
     base = torus.default_base_point(A2)
     # move the first simple-root log-coordinate onto its mirror L = 2 pi i
     end = base.copy()
     end[0] = 2j * np.pi
-    frame, ok = _kernels.torus_segment(*_segment_args(A2, F(1, 4), base, end), 1e-12)
-    # read by perfbench/tracer.py, as above
-    assert ok is False
-    assert np.all(np.isfinite(frame))
+    with pytest.raises(_kernels.NumericFailure,
+                       match=r"^torus segment from \[\(0\.18\+0\.3j\), .*\]: reaches a mirror "
+                             r"at t = 0\.99999999999"):
+        _kernels.torus_segment(*_segment_args(A2, F(1, 4), base, end))
 
 
 def test_torus_segment_raises_when_series_budget_is_exhausted(monkeypatch):
     monkeypatch.setattr(_kernels, "_TORUS_MAX_TERMS", 3)
     base = torus.default_base_point(A2)
     with pytest.raises(_kernels.NumericFailure, match="did not converge") as info:
-        _kernels.torus_segment(*_segment_args(A2, F(1, 4), base, base + 0.3), 1e-12)
+        _kernels.torus_segment(*_segment_args(A2, F(1, 4), base, base + 0.3))
     assert not isinstance(info.value, ValueError)
 
 
@@ -275,7 +277,7 @@ def test_torus_segment_raises_on_overflow():
     args = _segment_args(A2, F(1, 4), base, base + 0.3)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(_kernels.NumericFailure, match="not finite"):
-        _kernels.torus_segment(*args[:4], 1e300, args[5], 1e-12)
+        _kernels.torus_segment(*args[:4], 1e300, args[5])
 
 
 def test_torus_transport_onto_a_mirror_raises_numeric_failure(monkeypatch):
@@ -299,14 +301,13 @@ def test_mirror_monodromy_singular_stage_raises_numeric_failure(monkeypatch):
         torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
 
 
-def test_kernel_reports_underflow_near_singularity(monkeypatch):
+def test_kernel_raises_at_the_singular_point():
     # a segment ending exactly on the singular point 1 cannot finish
-    monkeypatch.setattr(_kernels, "_EPS", 1e-12)
     F0 = np.eye(2, dtype=np.complex128)
-    frames, ok = _kernels.gauss_segment(
-        0.25 + 0j, 0.5 + 0j, 0.75 + 0j, [(complex(0.5), complex(1.0))], F0)
-    # read by perfbench/tracer.py, as above
-    assert ok is False and frames is None
+    with pytest.raises(_kernels.NumericFailure,
+                       match=r"^segment \(0\.5\+0j\) -> \(1\+0j\): reaches the singular "
+                             r"point 1 at z = "):
+        _kernels.gauss_segment(0.25 + 0j, 0.5 + 0j, 0.75 + 0j, [(complex(0.5), complex(1.0))], F0)
 
 
 def test_kernel_raises_numeric_failure_when_series_cannot_converge():
@@ -404,7 +405,6 @@ def test_gauss_batch_equals_each_path_alone(p):
     for paths, F0 in ((GAUSS_LOOPS, np.eye(2, dtype=np.complex128)),
                       (VERTEX_PATHS, G._frame_at_base(p))):
         frames, ok = _kernels.gauss_segment(al, be, ga, paths, F0)
-        # read by perfbench/tracer.py, as above
         assert ok is True and frames.shape == (len(paths), 2, 2)
         for path, got in zip(paths, frames):
             alone, ok = _kernels.gauss_segment(al, be, ga, [path], F0)
@@ -416,7 +416,7 @@ def test_gauss_zero_length_path_returns_the_frame():
     path = G._plan_path(G.BASE_POINT, G.BASE_POINT)
     assert path[0] == path[-1]
     frames, ok = _kernels.gauss_segment(0.25 + 0j, 0.5 + 0j, 0.75 + 0j, [path], F0)
-    # vertex_angles plans this path to z = 1/2; read by perfbench/tracer.py
+    # vertex_angles plans this path to z = 1/2
     assert ok is True
     assert np.array_equal(frames[0], F0)
 
@@ -447,3 +447,50 @@ def test_vertex_angles_stays_within_a_megabyte():
     finally:
         tracemalloc.stop()
     assert peak <= 1.0e6
+
+
+# one passing and one failing call through each kernel, with the benchmark's
+# tracer installed; it prints each kernel's calls and failed calls
+_TRACED_CALLS = """
+import json, sys
+import numpy as np
+from fractions import Fraction as F
+from schwarz_atlas import cli, gauss, roots, torus
+import tracer
+
+t = tracer.Tracer()
+t.install()
+p = gauss.GaussParams(F(1, 84), F(13, 84), F(1, 2))
+I2 = np.eye(2, dtype=np.complex128)
+gauss._transport(p, [(0.5, 0.25)], I2)
+try:
+    gauss._transport(p, [(0.5, 1.0)], I2)
+except gauss.NumericFailure:
+    pass
+A2 = roots.build(roots.RootSystemType("A", 2))
+base = torus.default_base_point(A2)
+torus.transport(A2, F(1, 4), np.array([base, base + 0.3]))
+end = base.copy()
+end[0] = 2j * np.pi
+torus.MIRROR_DELTA = 0.0
+try:
+    torus.transport(A2, F(1, 4), np.array([base, end]))
+except gauss.NumericFailure:
+    pass
+spans = t.aggregate()[0]
+print(json.dumps({name: [spans[name]["calls"], spans[name]["failed"]]
+                  for name in ("_kernels.gauss_segment", "_kernels.torus_segment")}))
+"""
+
+
+def test_tracer_counts_each_kernel_failure_once():
+    # perfbench/tracer.py counts a kernel call as failed when it raises or
+    # when its last value is false (kernels.*.failed); install() rebinds every
+    # public function of the package, so it runs in a fresh process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(_kernels.__file__)))
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    proc = subprocess.run([sys.executable, "-c", _TRACED_CALLS], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join((src, bench))})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"_kernels.gauss_segment": [2, 1],
+                                       "_kernels.torus_segment": [2, 1]}

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from schwarz_atlas import roots, torus
+from schwarz_atlas import _kernels, roots, torus
 
 
 def _sys(fam, rank):
@@ -140,6 +140,29 @@ def test_flatness_sensitive_to_coupling():
         z = np.exp(torus.default_base_point(system))
         a = roots.integrability_constant(system)
         assert torus.flatness_residual(system, F(3, 10), z, a_override=a + F(1, 10)) > 1e-3
+
+
+# the types over which the flatness gate's bound was measured
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 6), ("E", 7), ("E", 8),
+                                       ("A", 12), ("D", 12), ("A", 30), ("D", 30)])
+def test_flatness_gate_passes_the_forced_coupling(fam, rank):
+    # the gate is scaled by max(1, max|A|^2): an absolute 1e-6 failed the flat
+    # connection of every type here but A2 at k = 1000, and E8 and D30 at 100
+    system = _sys(fam, rank)
+    m = roots.hyperbolic_exponent(system)
+    for k in (3 * m / 20, 16 * m / 20, F(1, 2), F(10), F(100), F(1000)):
+        torus._flatness_gate(system, k)
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 8), ("D", 30)])
+def test_flatness_gate_catches_a_coupling_off_by_a_tenth(fam, rank, monkeypatch):
+    system = _sys(fam, rank)
+    m = roots.hyperbolic_exponent(system)
+    forced = roots.integrability_constant(system)
+    monkeypatch.setattr(torus, "integrability_constant", lambda system: forced + F(1, 10))
+    for k in (3 * m / 20, F(1000)):
+        with pytest.raises(_kernels.NumericFailure, match="not flat at the start"):
+            torus._flatness_gate(system, k)
 
 
 def test_flatness_rank_one_trivial():
@@ -547,6 +570,15 @@ def test_invariant_form_identity_generators_rejected():
     assert info.value.dimension == 9
 
 
+def test_invariant_form_without_a_solution_is_a_numeric_failure():
+    # 2 I maps every H to 4 H, so no Hermitian form is invariant
+    with pytest.raises(torus.InvariantFormError) as info:
+        torus.invariant_form([2 * np.eye(3)])
+    assert info.value.dimension == 0
+    assert isinstance(info.value, _kernels.NumericFailure)
+    assert not isinstance(info.value, ValueError)
+
+
 def _full_svd_form(gens, rank_tol=1e-6, eig_tol=1e-8):
     """The invariant-form solve with a full SVD, one basis matrix at a time."""
     N = gens[0].shape[0]
@@ -589,9 +621,9 @@ def test_invariant_form_matches_full_svd_solve(fam, rank, k):
 
 
 def test_form_residual_tracks_continuation_tolerance(monkeypatch):
-    monkeypatch.setattr(torus, "DEFAULT_RTOL", 1e-5)
+    monkeypatch.setattr(_kernels, "_TORUS_RTOL", 1e-5)
     loose = torus.invariant_form(torus.standard_generators(A2, F(1, 4)))
-    monkeypatch.setattr(torus, "DEFAULT_RTOL", 1e-11)
+    monkeypatch.setattr(_kernels, "_TORUS_RTOL", 1e-11)
     tight = torus.invariant_form(torus.standard_generators(A2, F(1, 4)))
     assert tight.residual < loose.residual
     assert loose.residual < 1e-3
@@ -662,3 +694,14 @@ def test_sample_points_match_point_then_path_oracle(fam, rank):
         assert np.array_equal(np.array(torus.sample_points_near(system, 10, seed=seed)),
                               np.array(want))
     assert point_rejects >= len(special)
+
+
+def test_sample_points_give_up_when_every_draw_is_near_a_mirror(monkeypatch):
+    # every sample path has a character within 50 of 1, so every draw is
+    # rejected until the budget of 100 draws per sample runs out
+    monkeypatch.setattr(torus, "MIRROR_DELTA", 50.0)
+    with pytest.raises(torus.MirrorSingularity,
+                       match="^could not find enough off-mirror samples$") as info:
+        torus.sample_points_near(A2, 2, seed=0)
+    assert isinstance(info.value, _kernels.NumericFailure)
+    assert not isinstance(info.value, ValueError)
