@@ -373,6 +373,8 @@ def _cmd_schwarz_enumerate(args):
         for p, row in sorted(result.rows.items()):
             for t in row:
                 lines.append(f"{p},{t}")
+        # k = 1/2 is p = infinity under k_from_p
+        lines += [f"inf,{t}" for t in result.k_half]
         print("\n".join(lines))
         return EXIT_OK if clean else EXIT_NUMERIC, None
     if args.fmt == "text":

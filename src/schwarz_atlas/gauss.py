@@ -8,9 +8,10 @@ _kernels.gauss_segment, which lays out the steps of many paths, sums each
 step's Taylor propagator to machine precision and multiplies the
 propagators in path order; the kernel raises NumericFailure, naming the
 segment, where continuation breaks down, a step that reaches 0 or 1
-included.  Each measurement is one kernel call: the three loops of
-monodromy_matrices, the boundary samples of each vertex_angles chart, and
-the ring of pullback_ode_residual.
+included.  So do a local series that does not converge and a vertex
+measurement that fails in every chart.  Each measurement is one kernel
+call: the three loops of monodromy_matrices, the boundary samples of each
+vertex_angles chart, and the ring of pullback_ode_residual.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def _frobenius_value(p, rho, z):
         else:
             small = 0
     else:
-        raise ValueError(f"series for |z| = {abs(z):.3f} did not converge")
+        raise NumericFailure(f"series for |z| = {abs(z):.3f} did not converge")
     zr = cmath.exp(rho * cmath.log(z)) if rho != 0 else 1.0 + 0.0j
     return zr * s, zr / z * sd
 
@@ -171,6 +172,8 @@ def local_basis_at_zero(p, z):
     Returns the 2x2 frame: column j holds (f_j, f_j') at z, so row 0 holds
     the values and row 1 the derivatives.  Requires |z| < 1 (series circle),
     z off the cut (-1, 0], and a non-integer exponent difference at 0.
+    Raises NumericFailure when a series does not converge within its term
+    budget.
     """
     if p.log_case:
         raise LogarithmicCaseError(f"logarithmic parameter set {p}")
@@ -373,6 +376,7 @@ def vertex_angles(p):
     samples reach the chart infinity is retried in the next basis of
     _MOBIUS_RETRIES; parameter sets with integer differences start from the
     identity frame, since the measurement never needs local series.
+    Raises NumericFailure when no chart gives the three circles.
     """
     F0 = _frame_at_base(p)
     sides = (_SIDE_01, _SIDE_1INF, _SIDE_INF0)
@@ -406,7 +410,7 @@ def vertex_angles(p):
             return tuple(angles)
         except ValueError as exc:
             last_error = exc
-    raise ValueError(f"vertex measurement failed for every chart ({last_error})")
+    raise NumericFailure(f"vertex measurement failed for every chart ({last_error})")
 
 
 def _vertex_angle(ca, cb, near_a, near_b):

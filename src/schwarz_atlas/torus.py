@@ -1,8 +1,9 @@
 """The rank-n hypergeometric system on the toric mirror-arrangement complement:
-coefficient assembly, the first-order frame connection and its curvature,
-multidimensional continuation along log-linear paths, mirror and coordinate
-monodromy, the invariant Hermitian form, and the negative-cone (ball) check,
-whose values are the unsigned pairings under the inverse form.
+the first-order frame connection at a point, one (n, n+1, n+1) array built by
+_connection, its exact scalar block and its curvature, multidimensional
+continuation along log-linear paths, mirror and coordinate monodromy, the
+invariant Hermitian form, and the negative-cone (ball) check, whose values are
+the unsigned pairings under the inverse form.
 
 Coordinates are z_i = h^{-alpha_i}; the vector fields theta_i dual to the
 simple roots act as -z_i d/dz_i, so characters restrict to monomials and all
@@ -32,13 +33,12 @@ from . import _kernels
 from .roots import integrability_constant
 
 __all__ = [
-    "SystemCoeffs",
     "MirrorSingularity",
     "InvariantFormError",
     "default_base_point",
     "char_value",
-    "assemble",
     "connection",
+    "exact_scalar",
     "flatness_residual",
     "w_invariance_residual",
     "transport",
@@ -131,23 +131,7 @@ def default_base_point(system):
 
 
 # ---------------------------------------------------------------------------
-# coefficient assembly
-
-@dataclass(frozen=True)
-class SystemCoeffs:
-    """First-order data of the n(n+1)/2 equations in the coweight basis:
-    cvec[i, j] is the theta-coefficient vector of equation (i, j) and
-    scalar[i, j] the constant term a k^2 (xi_i, xi_j)."""
-
-    cvec: np.ndarray    # (n, n, n) complex, symmetric in the first two slots
-    scalar: np.ndarray  # (n, n) float
-    k: Fraction
-    a: Fraction
-
-    def exact_scalar(self, system, i, j):
-        cinv = _inverse_cartan(system)
-        return self.a * self.k**2 * cinv[i][j]
-
+# the connection
 
 def _inverse_cartan(system):
     n = system.rank
@@ -166,38 +150,37 @@ def _inverse_cartan(system):
     return [row[n:] for row in aug]
 
 
-def assemble(system, k, point):
-    """Coefficients of the full system at an off-mirror point."""
-    return _assemble(system, k, _char_values(system, point), None)
+def exact_scalar(system, k):
+    """The scalar block of the connection in exact arithmetic: the rows of
+    a k^2 C^-1 as Fractions, at the forced coupling a.  Row i, negated, is
+    column 0 of connection's A_i below row 0."""
+    c = integrability_constant(system) * Fraction(k) ** 2
+    return [[c * v for v in row] for row in _inverse_cartan(system)]
 
 
-def _assemble(system, k, tchar, a_override):
-    """assemble from the point's root character values."""
-    k = Fraction(k)
-    a = integrability_constant(system) if a_override is None else Fraction(a_override)
+def _connection(system, k, tchar, a):
+    """The n matrices A_i of theta_i F = A_i F at the point with root
+    character values tchar and scalar coupling a, stacked as one
+    (n, n+1, n+1) array: row 0 of A_i is e_{i+1}, column 0 below it is
+    -a k^2 C^-1 and the lower block is minus the coefficient vectors
+    (k/2) sum_p c_pi c_pj u_p (Cc)_pl with u = (1+t)/(1-t)."""
     if np.min(np.abs(tchar - 1.0)) < 1e-12:
         raise MirrorSingularity("a positive-root character equals 1 at this point")
     croots, coroots, cinv = _float_rows(system)
+    n = system.rank
     u = (1.0 + tchar) / (1.0 - tchar)
-    cvec = 0.5 * float(k) * np.einsum("pi,pj,p,pl->ijl", croots, croots, u, coroots)
-    scalar = float(a) * float(k) ** 2 * cinv
-    return SystemCoeffs(cvec=cvec, scalar=scalar, k=k, a=a)
-
-
-def _frame_stack(coeffs):
-    """The n connection matrices A_i stacked as one (n, n+1, n+1) array."""
-    n = coeffs.scalar.shape[0]
     A = np.zeros((n, n + 1, n + 1), dtype=np.complex128)
     A[np.arange(n), 0, np.arange(1, n + 1)] = 1.0
-    A[:, 1:, 0] = -coeffs.scalar
-    A[:, 1:, 1:] = -coeffs.cvec
+    A[:, 1:, 0] = -(float(a) * float(k) ** 2 * cinv)
+    A[:, 1:, 1:] = -(0.5 * float(k) * np.einsum("pi,pj,p,pl->ijl", croots, croots, u, coroots))
     return A
 
 
 def connection(system, k, point):
-    """First-order form theta_i F = A_i F on the jet frame (f, theta_1 f, ...):
-    the n matrices A_i stacked as one (n, n+1, n+1) array."""
-    return _frame_stack(assemble(system, k, point))
+    """First-order form theta_i F = A_i F on the jet frame (f, theta_1 f, ...)
+    at an off-mirror point and the forced coupling: the n matrices A_i
+    stacked as one (n, n+1, n+1) array."""
+    return _connection(system, k, _char_values(system, point), integrability_constant(system))
 
 
 def _theta_frame_matrices(system, k, tchar):
@@ -233,15 +216,16 @@ def flatness_residual(system, k, point, a_override=None):
     a_override replaces.  The derivatives are analytic, and the root
     character values are computed once for them and the matrices.
     """
-    return _curvature(system, k, _char_values(system, point), a_override)[0]
+    a = integrability_constant(system) if a_override is None else a_override
+    return _curvature(system, k, _char_values(system, point), a)[0]
 
 
-def _curvature(system, k, tchar, a_override):
-    """flatness_residual at the point with root character values tchar, and
-    the largest |entry| of the connection matrices it is made of.  All n^2
-    products A_j A_i come from one batched matmul, and the pairs i < j are
-    reduced at once."""
-    A = _frame_stack(_assemble(system, k, tchar, a_override))
+def _curvature(system, k, tchar, a):
+    """The curvature at the point with root character values tchar and
+    scalar coupling a, and the largest |entry| of the connection matrices it
+    is made of.  All n^2 products A_j A_i come from one batched matmul, and
+    the pairs i < j are reduced at once."""
+    A = _connection(system, k, tchar, a)
     dA = _theta_frame_matrices(system, k, tchar)
     AA = np.matmul(A[None, :], A[:, None])    # AA[i, j] = A_j A_i
     R = (dA - dA.swapaxes(0, 1) + AA) - AA.swapaxes(0, 1)
@@ -276,8 +260,8 @@ def w_invariance_residual(system, k, point, i):
     the original point; the scalar parts agree exactly by construction.
     """
     zref = reflected_point(system, point, i)
-    G_here = assemble(system, k, point).cvec
-    G_there = assemble(system, k, zref).cvec
+    G_here = -connection(system, k, point)[:, 1:, 1:]
+    G_there = -connection(system, k, zref)[:, 1:, 1:]
     S = _reflection_matrix(system, i)
     lhs = np.einsum("pa,qb,pql->abl", S, S, G_there)
     rhs = np.einsum("lm,abm->abl", S, G_here)
@@ -316,7 +300,7 @@ def _flatness_gate(system, k):
     starts; flatness makes the loops' monodromy homotopy invariant.  The
     bound scales with the products A_j A_i the curvature is a difference of."""
     tchar = np.exp(_float_rows(system)[0] @ default_base_point(system))
-    res, amax = _curvature(system, k, tchar, None)
+    res, amax = _curvature(system, k, tchar, integrability_constant(system))
     if res > _FLAT_TOL * max(1.0, amax * amax):
         raise _kernels.NumericFailure(f"connection is not flat at the start (residual {res:.2e})")
 
@@ -355,15 +339,13 @@ def _loop(system, k, curve):
     curve closed on the torus) and comes back the way it went.
 
     The stage out is transported once: with S its transport and T the curve's,
-    the loop is S^-1 T S, or T alone when the curve starts at the base.  Each
-    transport checks the clearance of its part, and the way back is the stage
-    reversed, so every sample point of the loop is checked once.
+    the loop is S^-1 T S.  Each transport checks the clearance of its part,
+    and the way back is the stage reversed, so every sample point of the loop
+    is checked once.  A curve that starts at the base has a stage of no
+    length: its transport is the identity, so T S and the solve give T's bits.
     """
-    base_logs = default_base_point(system)
     curve = np.asarray(curve, dtype=np.complex128)
-    if np.array_equal(curve[0], base_logs):
-        return transport(system, k, curve)
-    S = transport(system, k, (base_logs, curve[0]))
+    S = transport(system, k, (default_base_point(system), curve[0]))
     T = transport(system, k, curve)
     # finite frames whose product overflows are caught here
     with np.errstate(over="ignore", invalid="ignore"):

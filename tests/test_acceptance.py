@@ -141,9 +141,9 @@ def test_criterion_7_pullback():
     spec_ok = True
     for z in (1.7 + 0.4j, -2.2 + 1.1j, 0.3 + 1.9j):
         c1, c0 = gauss.pullback_coefficients(gauss.PullbackParams(k, F(0), F(0)), z)
-        co = torus.assemble(a1, k, np.array([1.0 / z]))
-        spec_ok = spec_ok and abs(c1 - co.cvec[0, 0, 0]) < 1e-12
-        spec_ok = spec_ok and co.exact_scalar(a1, 0, 0) == k**2 / 4
+        conn = torus.connection(a1, k, np.array([1.0 / z]))
+        spec_ok = spec_ok and abs(c1 + conn[0, 1, 1]) < 1e-12
+        spec_ok = spec_ok and torus.exact_scalar(a1, k) == [[k**2 / 4]]
     ok = worst < 1e-8 and round_trips and spec_ok
     _verdict(7, ok, f"grid residual {worst:.2e}, round trips {round_trips}, "
                     f"rank-one match {spec_ok}")

@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -40,6 +42,10 @@ def test_enumerate_csv():
     rows = out.strip().splitlines()
     assert rows[0] == "p,type"
     assert "3,A2" in rows and "10,A2" in rows
+    # k = 1/2 is p = infinity under k_from_p: its types follow the finite rows
+    code, out = run_cli(["schwarz", "enumerate", "--p-max", "10", "--format", "csv",
+                         "--include-k-half"])
+    assert code == 0 and out.strip().splitlines()[-2:] == ["10,A2", "inf,A2"]
 
 
 def test_enumerate_json_and_schema():
@@ -729,10 +735,35 @@ EXACT_LAYER_GRID = [
 
 def test_exact_layer_reports_are_pinned(capsys):
     # `roots dump` and every `schwarz` subcommand over the grid above: sha256
-    # of (argv, exit code, stdout, stderr), as first pinned
+    # of (argv, exit code, stdout, stderr); re-pinned once, when the CSV of
+    # `schwarz enumerate --include-k-half` gained its `inf` rows
     digest = hashlib.sha256()
     for argv in EXACT_LAYER_GRID:
         code, out = _run_exit(argv)
         digest.update(repr((argv, code, out, capsys.readouterr().err)).encode())
     assert digest.hexdigest() == (
-        "f28708825fd8ede45f176942bc564aae93f13c1095f187cfbae1087f0794158d")
+        "19a9693da69adcf0c96832a07b18b6877fc278350aa14a653ef7b42d64d7a864")
+
+
+def _readme_commands():
+    """The lines of the sh block under README's `## Command line`, each as
+    (argv after `schwarz-atlas`, the exit code the line states)."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        assert words[0] == "schwarz-atlas", line
+        commands.append((words[1:], 1 if "# exits 1" in line else 0))
+    return commands
+
+
+def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
+    # each example of the README runs as written, with the exit code it states
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 13
+    for argv, want in commands:
+        code, _ = _run_exit(argv)
+        assert code == want, (argv, capsys.readouterr().err)

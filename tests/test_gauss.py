@@ -90,6 +90,14 @@ def test_local_basis_domain_errors():
         G.local_basis_at_zero(G.GaussParams(F(1, 2), F(1, 2), F(1)), 0.3)
 
 
+def test_local_series_that_does_not_converge_is_a_numeric_failure():
+    # |alpha|, |beta| near 150 need more terms at |z| = 1/2 than the budget
+    p = G.GaussParams(150 + F(1, 3), 150 + F(1, 5), F(1, 2))
+    with pytest.raises(G.NumericFailure, match="did not converge") as info:
+        G.local_basis_at_zero(p, 0.5)
+    assert not isinstance(info.value, ValueError)
+
+
 def test_path_clearance_enforced():
     fr = np.eye(2, dtype=complex)
     with pytest.raises(ValueError, match="singular point 0.0"):
@@ -373,6 +381,14 @@ def test_vertex_angles_regressions(klm):
     p = G.params_from_differences(*(F(1, n) for n in klm))
     for got, n in zip(G.vertex_angles(p), klm):
         assert abs(got - math.pi / n) < 1e-8
+
+
+def test_vertex_measurement_failing_in_every_chart_is_a_numeric_failure():
+    # no chart of these differences gives boundary images that fit circles
+    p = G.params_from_differences(F(39, 5), F(5, 13), F(27))
+    with pytest.raises(G.NumericFailure, match="failed for every chart") as info:
+        G.vertex_angles(p)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_vertex_angle_cusp():

@@ -54,10 +54,10 @@ def test_e8_highest_root_monomial():
 
 def test_a1_reduces_to_rank_one_operator():
     z1 = 2.0 + 0.5j
-    co = torus.assemble(A1, F(1, 4), np.array([z1]))
+    conn = torus.connection(A1, F(1, 4), np.array([z1]))
     u = (1 + z1) / (1 - z1)
-    assert abs(co.cvec[0, 0, 0] - 0.25 * u) < 1e-15
-    assert co.exact_scalar(A1, 0, 0) == F(1, 4) ** 2 / 4
+    assert abs(-conn[0, 1, 1] - 0.25 * u) < 1e-15
+    assert torus.exact_scalar(A1, F(1, 4)) == [[F(1, 4) ** 2 / 4]]
 
 
 @pytest.mark.parametrize("fam, rank", [
@@ -72,9 +72,9 @@ def test_exact_inverse_cartan_at_every_rank(fam, rank):
             assert sum(cart[i][l] * cinv[l][j] for l in range(rank)) == int(i == j)
     # the float scalar block inverts the Cartan matrix in floats: equal to
     # the exact one to rounding (at most about 7 eps relative, at E8)
-    co = torus.assemble(system, F(1, 7), np.exp(torus.default_base_point(system)))
-    exact = [[float(co.exact_scalar(system, i, j)) for j in range(rank)] for i in range(rank)]
-    np.testing.assert_allclose(co.scalar, exact, rtol=16 * np.finfo(float).eps, atol=0)
+    conn = torus.connection(system, F(1, 7), np.exp(torus.default_base_point(system)))
+    exact = [[float(v) for v in row] for row in torus.exact_scalar(system, F(1, 7))]
+    np.testing.assert_allclose(-conn[:, 1:, 0], exact, rtol=16 * np.finfo(float).eps, atol=0)
 
 
 def test_assemble_two_summation_orders_agree():
@@ -82,7 +82,7 @@ def test_assemble_two_summation_orders_agree():
     # with plain Python complex arithmetic, in reversed order
     k = F(1, 4)
     zvals = [2.0 + 0j, 3.0 + 0j]
-    co = torus.assemble(A2, k, np.array(zvals))
+    conn = torus.connection(A2, k, np.array(zvals))
     n = 2
     acc = np.zeros((n, n, n), dtype=complex)
     for alpha in reversed(A2.positive_roots):
@@ -93,14 +93,14 @@ def test_assemble_two_summation_orders_agree():
             for j in range(n):
                 for l in range(n):
                     acc[i, j, l] += 0.5 * float(k) * alpha[i] * alpha[j] * u * cc[l]
-    assert np.max(np.abs(acc - co.cvec)) < 1e-14
+    assert np.max(np.abs(acc + conn[:, 1:, 1:])) < 1e-14
 
 
 def test_assemble_symmetry_and_mirror_error():
-    co = torus.assemble(A2, F(1, 6), np.array([2.0 + 1j, 0.5 - 0.3j]))
-    assert np.max(np.abs(co.cvec - np.swapaxes(co.cvec, 0, 1))) == 0
+    block = torus.connection(A2, F(1, 6), np.array([2.0 + 1j, 0.5 - 0.3j]))[:, 1:, 1:]
+    assert np.max(np.abs(block - np.swapaxes(block, 0, 1))) == 0
     with pytest.raises(torus.MirrorSingularity):
-        torus.assemble(A2, F(1, 6), np.array([1.0 + 0j, 2.0 + 0j]))
+        torus.connection(A2, F(1, 6), np.array([1.0 + 0j, 2.0 + 0j]))
 
 
 def test_connection_frame_layout():
@@ -209,19 +209,27 @@ def _literal_theta_A(system, k, z, m, i):
 
 
 def _literal_frame(system, k, z, a_override=None):
-    """A_i: row 0 picks theta_i f, column 0 carries the scalar couplings and
-    the lower block the coefficient vectors, all with a minus sign."""
-    coeffs = torus._assemble(system, k, torus._char_values(system, z), a_override)
+    """A_i built root by root: row 0 picks theta_i f, column 0 carries the
+    exact scalar couplings a k^2 C^-1 (scaled to a_override) and the lower
+    block the coefficient vectors (k/2) sum_p c_pi u_p c_p (Cc_p)^T with
+    u = (1+t)/(1-t), t = h^(-alpha_p), all with a minus sign."""
     n = system.rank
+    scalar = torus.exact_scalar(system, k)
+    if a_override is not None:
+        ratio = F(a_override) / roots.integrability_constant(system)
+        scalar = [[v * ratio for v in row] for row in scalar]
     mats = []
     for i in range(n):
         A = np.zeros((n + 1, n + 1), dtype=complex)
         A[0, i + 1] = 1.0
-        for j in range(n):
-            A[j + 1, 0] = -coeffs.scalar[i, j]
-            for l in range(n):
-                A[j + 1, l + 1] = -coeffs.cvec[i, j, l]
+        A[1:, 0] = [-float(v) for v in scalar[i]]
         mats.append(A)
+    for alpha in system.positive_roots:
+        t = torus.char_value(z, alpha)
+        u = (1 + t) / (1 - t)
+        cc = roots.coroot_coordinates(alpha, system)
+        for i in range(n):
+            mats[i][1:, 1:] -= 0.5 * float(k) * int(alpha[i]) * u * np.outer(alpha, cc)
     return mats
 
 
