@@ -7,17 +7,19 @@ the unsigned pairings under the inverse form.
 
 Coordinates are z_i = h^{-alpha_i}; the vector fields theta_i dual to the
 simple roots act as -z_i d/dz_i, so characters restrict to monomials and all
-structure constants are rational.  Points are plain arrays of nonzero
-coordinates z or, for paths, of their logarithms; every sample path starts at
-default_base_point, and every loop is a curve that _loop reaches from it by a
-straight stage.  Scalar couplings are exact; continuation runs through
-_kernels.torus_segment, once per path: it lays out the step grid of every
-segment of the path (steps of half the distance to the nearest mirror
-crossing), sums each step's propagator, the Taylor series of the frame that
-starts as the identity, in batches of steps whose coefficient stacks fit a
-fixed byte budget, and multiplies the propagators in path order.  Every
-numeric breakdown, MirrorSingularity and InvariantFormError included, raises
-a _kernels.NumericFailure where it is found.
+structure constants are rational.  Every float entry point takes a point as a
+plain array of log-coordinates l_i = log z_i, and a path as an array of them;
+the Weyl group acts on them linearly, the simple reflection s_i by
+_reflection_matrix.  Only char_value, the exact monomial, takes coordinates z.
+Every sample path starts at default_base_point, and every loop is a curve that
+_loop reaches from it by a straight stage.  Scalar couplings are exact;
+continuation runs through _kernels.torus_segment, once per path: it lays out
+the step grid of every segment of the path (steps of half the distance to the
+nearest mirror crossing), sums each step's propagator, the Taylor series of
+the frame that starts as the identity, in batches of steps whose coefficient
+stacks fit a fixed byte budget, and multiplies the propagators in path order.
+Every numeric breakdown, MirrorSingularity and InvariantFormError included,
+raises a _kernels.NumericFailure where it is found.
 """
 
 from __future__ import annotations
@@ -108,11 +110,9 @@ def _float_rows(system):
     return rows
 
 
-def _char_values(system, zvals):
-    zvals = np.asarray(zvals, dtype=np.complex128)
-    if np.any(zvals == 0):
-        raise ValueError("torus coordinates must be nonzero")
-    return np.exp(_float_rows(system)[0] @ np.log(zvals))
+def _char_values(system, logs):
+    """The positive-root characters h^(-alpha) at the log-coordinates logs."""
+    return np.exp(_float_rows(system)[0] @ logs)
 
 
 def default_base_point(system):
@@ -176,11 +176,11 @@ def _connection(system, k, tchar, a):
     return A
 
 
-def connection(system, k, point):
+def connection(system, k, logs):
     """First-order form theta_i F = A_i F on the jet frame (f, theta_1 f, ...)
-    at an off-mirror point and the forced coupling: the n matrices A_i
-    stacked as one (n, n+1, n+1) array."""
-    return _connection(system, k, _char_values(system, point), integrability_constant(system))
+    at the off-mirror point with log-coordinates logs and the forced coupling:
+    the n matrices A_i stacked as one (n, n+1, n+1) array."""
+    return _connection(system, k, _char_values(system, logs), integrability_constant(system))
 
 
 def _theta_frame_matrices(system, k, tchar):
@@ -208,7 +208,7 @@ def _theta_frame_matrices(system, k, tchar):
     return dA
 
 
-def flatness_residual(system, k, point, a_override=None):
+def flatness_residual(system, k, logs, a_override=None):
     """Curvature of the frame connection: max over pairs (i, j) of
     || theta_i A_j - theta_j A_i + A_j A_i - A_i A_j ||_inf.
 
@@ -217,7 +217,7 @@ def flatness_residual(system, k, point, a_override=None):
     character values are computed once for them and the matrices.
     """
     a = integrability_constant(system) if a_override is None else a_override
-    return _curvature(system, k, _char_values(system, point), a)[0]
+    return _curvature(system, k, _char_values(system, logs), a)[0]
 
 
 def _curvature(system, k, tchar, a):
@@ -234,35 +234,25 @@ def _curvature(system, k, tchar, a):
 
 
 def _reflection_matrix(system, i):
-    """Simple reflection on the coweight basis: e_a -> e_a (a != i),
-    e_i -> e_i - (Cartan column i)."""
+    """The simple reflection s_i: e_a -> e_a (a != i), e_i -> e_i - (Cartan
+    column i).  It acts on the coefficient basis and, as logs -> S @ logs, on
+    log-coordinates: l_j -> l_j - C_ij l_i, which is z_j -> z_j z_i^(-C_ij)."""
     n = system.rank
     S = np.eye(n)
     S[:, i] = S[:, i] - system.cartan[:, i].astype(np.float64)
     return S
 
 
-def reflected_point(system, point, i):
-    """Monomial action of the simple reflection on torus coordinates:
-    z'_j = z_j * z_i^(-C_ij)."""
-    zvals = np.asarray(point, dtype=complex)
-    out = zvals.copy()
-    for j in range(system.rank):
-        out[j] = zvals[j] * zvals[i] ** (-int(system.cartan[i, j]))
-    return out
-
-
-def w_invariance_residual(system, k, point, i):
+def w_invariance_residual(system, k, logs, i):
     """Covariance of the coefficients under the simple reflection s_i.
 
     Compares the coefficient vector of the pair (s_i xi_a, s_i xi_b) at the
     reflected point with the s_i-transport of the pair (xi_a, xi_b) vector at
     the original point; the scalar parts agree exactly by construction.
     """
-    zref = reflected_point(system, point, i)
-    G_here = -connection(system, k, point)[:, 1:, 1:]
-    G_there = -connection(system, k, zref)[:, 1:, 1:]
     S = _reflection_matrix(system, i)
+    G_here = -connection(system, k, logs)[:, 1:, 1:]
+    G_there = -connection(system, k, S @ logs)[:, 1:, 1:]
     lhs = np.einsum("pa,qb,pql->abl", S, S, G_there)
     rhs = np.einsum("lm,abm->abl", S, G_here)
     return float(np.max(np.abs(lhs - rhs)))
@@ -299,7 +289,7 @@ def _flatness_gate(system, k):
     unless the connection is flat at default_base_point, where every loop
     starts; flatness makes the loops' monodromy homotopy invariant.  The
     bound scales with the products A_j A_i the curvature is a difference of."""
-    tchar = np.exp(_float_rows(system)[0] @ default_base_point(system))
+    tchar = _char_values(system, default_base_point(system))
     res, amax = _curvature(system, k, tchar, integrability_constant(system))
     if res > _FLAT_TOL * max(1.0, amax * amax):
         raise _kernels.NumericFailure(f"connection is not flat at the start (residual {res:.2e})")
@@ -485,9 +475,12 @@ def invariant_form(generators):
         raise InvariantFormError(
             f"invariant-form space has dimension {null_dim}; "
             "the representation looks reducible", null_dim)
+    # _hermitian_basis order: the diagonal, then Re and Im of H[i, j] per i < j
     coeff = vt[-1]
-    H = sum(c * B for c, B in zip(coeff, basis))
-    H = (H + H.conj().T) / 2.0
+    upper = np.triu_indices(N, 1)
+    H = np.diag(coeff[:N]).astype(np.complex128)
+    H[upper] = coeff[N::2] + 1j * coeff[N + 1::2]
+    H[upper[::-1]] = H[upper].conj()
     H /= np.linalg.norm(H)
     eigs = np.linalg.eigvalsh(H)
     pos = int(np.sum(eigs > _EIG_TOL))

@@ -8,6 +8,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schwarz_atlas import _kernels, roots, torus
 
@@ -53,9 +55,10 @@ def test_e8_highest_root_monomial():
 # --- assembly -----------------------------------------------------------------
 
 def test_a1_reduces_to_rank_one_operator():
-    z1 = 2.0 + 0.5j
-    conn = torus.connection(A1, F(1, 4), np.array([z1]))
-    u = (1 + z1) / (1 - z1)
+    l1 = cmath.log(2.0 + 0.5j)
+    conn = torus.connection(A1, F(1, 4), np.array([l1]))
+    t = cmath.exp(l1)    # the character of the one positive root
+    u = (1 + t) / (1 - t)
     assert abs(-conn[0, 1, 1] - 0.25 * u) < 1e-15
     assert torus.exact_scalar(A1, F(1, 4)) == [[F(1, 4) ** 2 / 4]]
 
@@ -72,7 +75,7 @@ def test_exact_inverse_cartan_at_every_rank(fam, rank):
             assert sum(cart[i][l] * cinv[l][j] for l in range(rank)) == int(i == j)
     # the float scalar block inverts the Cartan matrix in floats: equal to
     # the exact one to rounding (at most about 7 eps relative, at E8)
-    conn = torus.connection(system, F(1, 7), np.exp(torus.default_base_point(system)))
+    conn = torus.connection(system, F(1, 7), torus.default_base_point(system))
     exact = [[float(v) for v in row] for row in torus.exact_scalar(system, F(1, 7))]
     np.testing.assert_allclose(-conn[:, 1:, 0], exact, rtol=16 * np.finfo(float).eps, atol=0)
 
@@ -82,7 +85,7 @@ def test_assemble_two_summation_orders_agree():
     # with plain Python complex arithmetic, in reversed order
     k = F(1, 4)
     zvals = [2.0 + 0j, 3.0 + 0j]
-    conn = torus.connection(A2, k, np.array(zvals))
+    conn = torus.connection(A2, k, np.log(zvals))
     n = 2
     acc = np.zeros((n, n, n), dtype=complex)
     for alpha in reversed(A2.positive_roots):
@@ -97,14 +100,14 @@ def test_assemble_two_summation_orders_agree():
 
 
 def test_assemble_symmetry_and_mirror_error():
-    block = torus.connection(A2, F(1, 6), np.array([2.0 + 1j, 0.5 - 0.3j]))[:, 1:, 1:]
+    block = torus.connection(A2, F(1, 6), np.log([2.0 + 1j, 0.5 - 0.3j]))[:, 1:, 1:]
     assert np.max(np.abs(block - np.swapaxes(block, 0, 1))) == 0
-    with pytest.raises(torus.MirrorSingularity):
-        torus.connection(A2, F(1, 6), np.array([1.0 + 0j, 2.0 + 0j]))
+    with pytest.raises(torus.MirrorSingularity):    # z_1 = e^0 = 1 is on the mirror of alpha_1
+        torus.connection(A2, F(1, 6), np.log([1.0 + 0j, 2.0 + 0j]))
 
 
 def test_connection_frame_layout():
-    conn = torus.connection(A2, F(1, 4), np.array([2.0 + 1j, 3.0 - 1j]))
+    conn = torus.connection(A2, F(1, 4), np.log([2.0 + 1j, 3.0 - 1j]))
     for i, A in enumerate(conn):
         row0 = np.zeros(3)
         row0[i + 1] = 1.0
@@ -130,16 +133,16 @@ def test_flatness_at_forced_coupling():
             if not 0 < float(k) < m:
                 k = F(1, 24)
             lz = base + 0.2 * (rng.standard_normal(rank) + 1j * rng.standard_normal(rank))
-            for point in (np.exp(base), np.exp(lz)):
-                assert torus.flatness_residual(system, k, point) < 1e-8
+            for logs in (base, lz):
+                assert torus.flatness_residual(system, k, logs) < 1e-8
 
 
 def test_flatness_sensitive_to_coupling():
     for fam, rank in [("D", 4), ("E", 6)]:
         system = _sys(fam, rank)
-        z = np.exp(torus.default_base_point(system))
+        logs = torus.default_base_point(system)
         a = roots.integrability_constant(system)
-        assert torus.flatness_residual(system, F(3, 10), z, a_override=a + F(1, 10)) > 1e-3
+        assert torus.flatness_residual(system, F(3, 10), logs, a_override=a + F(1, 10)) > 1e-3
 
 
 # the types over which the flatness gate's bound was measured
@@ -166,17 +169,17 @@ def test_flatness_gate_catches_a_coupling_off_by_a_tenth(fam, rank, monkeypatch)
 
 
 def test_flatness_rank_one_trivial():
-    assert torus.flatness_residual(A1, F(1, 4), np.array([2.0 + 1j])) == 0.0
+    assert torus.flatness_residual(A1, F(1, 4), np.log([2.0 + 1j])) == 0.0
 
 
-def _fd_theta_A(system, k, z, h=1e-6):
+def _fd_theta_A(system, k, logs, h=1e-6):
     """Central differences of torus.connection in the log-coordinates:
-    theta_m = -z_m d/dz_m, so theta_m A_i is -(A_i(z e^{h e_m}) -
-    A_i(z e^{-h e_m}))/(2h), laid out as _theta_frame_matrices lays out the
+    theta_m = -z_m d/dz_m = -d/dl_m, so theta_m A_i is -(A_i(l + h e_m) -
+    A_i(l - h e_m))/(2h), laid out as _theta_frame_matrices lays out the
     analytic derivatives."""
     return np.array([
-        -(torus.connection(system, k, z * np.exp(h * e))
-          - torus.connection(system, k, z * np.exp(-h * e))) / (2.0 * h)
+        -(torus.connection(system, k, logs + h * e)
+          - torus.connection(system, k, logs - h * e)) / (2.0 * h)
         for e in np.eye(system.rank)])
 
 
@@ -185,9 +188,9 @@ def test_flatness_fd_cross_check():
     for fam, rank in [("A", 2), ("D", 4), ("E", 6)]:
         system = _sys(fam, rank)
         k = F(1, 4)
-        z = np.exp(torus.default_base_point(system))
-        A = torus.connection(system, k, z)
-        dA = _fd_theta_A(system, k, z)
+        logs = torus.default_base_point(system)
+        A = torus.connection(system, k, logs)
+        dA = _fd_theta_A(system, k, logs)
         worst = max(float(np.max(np.abs(dA[i, j] - dA[j, i] + A[j] @ A[i] - A[i] @ A[j])))
                     for i in range(rank) for j in range(i + 1, rank))
         assert worst < 1e-9
@@ -263,7 +266,7 @@ def test_flatness_matches_literal_pair_loop(fam, rank):
         for factor in (None, F(1, 2), F(3, 2)):
             a_override = None if factor is None else a * factor
             want, scale = _literal_curvature(system, k, z, a_override)
-            got = torus.flatness_residual(system, k, z, a_override)
+            got = torus.flatness_residual(system, k, lz, a_override)
             assert abs(got - want) <= 1e-12 * max(want, scale)
             if factor is None:
                 assert got < 1e-8
@@ -271,27 +274,57 @@ def test_flatness_matches_literal_pair_loop(fam, rank):
                 assert got > 1e-3
 
 
+@pytest.mark.parametrize("fam, rank", ADE_UP_TO_8)
+def test_connection_matches_literal_frame_entry_by_entry(fam, rank):
+    # the curvature's largest entry hardly moves with the point, so the
+    # connection itself is compared with the frame built root by root from z;
+    # against the frame at another point it must differ, so the test sees
+    # the point
+    system = _sys(fam, rank)
+    k = roots.hyperbolic_exponent(system) / 2
+    for lz in torus.sample_points_near(system, 2, seed=rank):
+        got = torus.connection(system, k, lz)
+        scale = np.max(np.abs(got))
+        assert np.max(np.abs(got - _literal_frame(system, k, np.exp(lz)))) <= 1e-13 * scale
+        assert np.max(np.abs(got - _literal_frame(system, k, np.exp(lz + 0.3)))) > 1e-3 * scale
+
+
 @pytest.mark.parametrize("fam, rank", [("A", 3), ("D", 5), ("E", 6)])
 def test_theta_derivatives_match_roots_sum_and_differences(fam, rank):
     # the derivative terms cancel in the curvature, so check the tensor itself
     system = _sys(fam, rank)
     k = F(1, 7)
-    z = np.exp(torus.default_base_point(system) + 0.1j)
-    dA = torus._theta_frame_matrices(system, k, torus._char_values(system, z))
+    lz = torus.default_base_point(system) + 0.1j
+    z = np.exp(lz)
+    dA = torus._theta_frame_matrices(system, k, torus._char_values(system, lz))
     literal = np.array([[_literal_theta_A(system, k, z, m, i) for i in range(rank)]
                         for m in range(rank)])
     scale = np.max(np.abs(literal))
     assert np.max(np.abs(dA - literal)) <= 1e-13 * scale
-    assert np.max(np.abs(dA - _fd_theta_A(system, k, z))) <= 1e-7 * scale
+    assert np.max(np.abs(dA - _fd_theta_A(system, k, lz))) <= 1e-7 * scale
 
 
 def test_w_invariance():
-    z = np.array([2.0 + 0j, 3.0 + 0j])
+    logs = np.log([2.0 + 0j, 3.0 + 0j])
     for i in range(2):
-        assert torus.w_invariance_residual(A2, F(1, 4), z, i) < 1e-12
-    zD = np.exp(torus.default_base_point(D4))
+        assert torus.w_invariance_residual(A2, F(1, 4), logs, i) < 1e-12
+    logs = torus.default_base_point(D4)
     for i in range(4):
-        assert torus.w_invariance_residual(D4, F(1, 6), zD, i) < 1e-10
+        assert torus.w_invariance_residual(D4, F(1, 6), logs, i) < 1e-10
+
+
+@pytest.mark.parametrize("fam, rank", [*(("A", n) for n in range(1, 31)),
+                                       *(("D", n) for n in range(4, 31)),
+                                       ("E", 6), ("E", 7), ("E", 8)])
+def test_reflection_matrix_reflects_the_roots(fam, rank):
+    # alpha . (S l) = (alpha S) . l: the characters at the reflected point
+    # are those of the reflected roots, so the log-coordinate action of
+    # _reflection_matrix must be s_i on the root coefficients, exactly
+    system = _sys(fam, rank)
+    for i, simple in enumerate(np.eye(rank, dtype=np.int64)):
+        moved = system.positive_roots @ torus._reflection_matrix(system, i)
+        for alpha, got in zip(system.positive_roots, moved):
+            assert np.array_equal(got, roots.reflect(alpha, simple, system))
 
 
 # --- continuation ----------------------------------------------------------------
@@ -344,6 +377,28 @@ def test_hecke_relation_various():
         dist_q2 = np.abs(ev - q2)
         assert np.sort(dist_q2)[0] < 1e-6
         assert np.sum(np.abs(ev - 1) < 1e-6) == system.rank
+
+
+@st.composite
+def _mirror_draws(draw):
+    """A type from A2 to E8, a simple root or (index rank) the highest root,
+    and k = p/q with q <= 60 and |k| <= 1."""
+    fam, rank = draw(st.sampled_from(ADE_UP_TO_8[1:]))
+    index = draw(st.integers(0, rank))
+    k = draw(st.fractions(-1, 1, max_denominator=60))
+    return fam, rank, index, k
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_mirror_draws())
+def test_hecke_relation_holds_for_couplings_up_to_one(draw):
+    """The Hecke relation of the mirror monodromy for |k| <= 1.  Beyond that
+    range the relation loses digits: D5 at k = -21/4 (root 4) reads 3.5e-3 and
+    at k = 7/3 (highest root) 2.6e-6, so this draw stops at |k| = 1."""
+    fam, rank, index, k = draw
+    system = _sys(fam, rank)
+    alpha = roots.highest_root(system) if index == rank else np.eye(rank, dtype=np.int64)[index]
+    assert torus.hecke_residual(torus.mirror_monodromy(system, k, alpha), k) <= 1e-10
 
 
 def test_weak_coupling_limit():
