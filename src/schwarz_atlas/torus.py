@@ -18,6 +18,10 @@ the step grid of every segment of the path (steps of half the distance to the
 nearest mirror crossing), sums each step's propagator, the Taylor series of
 the frame that starts as the identity, in batches of steps whose coefficient
 stacks fit a fixed byte budget, and multiplies the propagators in path order.
+That grid is the one mirror guard of a path: it raises when a step point comes
+within _kernels._MIN_CLEARANCE of a mirror.  The sampled clearance,
+_clearance, is read only by sample_points_near, which keeps a draw whose path
+from the base keeps MIRROR_DELTA from every mirror.
 Every numeric breakdown, MirrorSingularity and InvariantFormError included,
 raises a _kernels.NumericFailure where it is found.
 """
@@ -54,7 +58,7 @@ __all__ = [
 ]
 
 MIRROR_DELTA = 0.02
-_CLEARANCE_SAMPLES = 9    # sample points per path segment in _check_clearance
+_CLEARANCE_SAMPLES = 9    # intervals per path segment sampled by _clearance
 _RING_SEGMENTS = 24       # segments of the ring of every mirror loop
 _RING_RADIUS = 0.1        # |h^{-alpha} - 1| on the ring of every mirror loop
 _SAMPLE_SPREAD = 0.35     # scale of the Gaussian log-offsets of sample_points_near
@@ -265,9 +269,9 @@ def w_invariance_residual(system, k, logs, i):
 # log-linear through its rows.  Log-coordinates fix the winding unambiguously;
 # the torus points are their exponentials.
 
-def _check_clearance(system, path):
-    """Smallest |h^{-alpha} - 1| over sample points of every segment of the
-    path; raises MirrorSingularity below MIRROR_DELTA."""
+def _clearance(system, path):
+    """Smallest |h^{-alpha} - 1| over _CLEARANCE_SAMPLES + 1 sample points of
+    every segment of the path."""
     croots = _float_rows(system)[0]
     pts = np.asarray(path, dtype=np.complex128)
     t = np.arange(_CLEARANCE_SAMPLES + 1)[:, None, None] / _CLEARANCE_SAMPLES
@@ -276,12 +280,7 @@ def _check_clearance(system, path):
     # matmul, np.exp ran 10-15x slower on OpenBLAS/AVX-512 (E8 ring check: 14 -> 1.3 ms).
     pairs = lz.view(np.float64).reshape(*lz.shape, 2)   # (sample, segment, rank, 2)
     logs = (croots @ pairs).view(np.complex128)[..., 0]   # (sample, segment, root)
-    worst = float(np.min(np.abs(np.exp(logs) - 1.0))) if len(pts) > 1 else math.inf
-    if worst < MIRROR_DELTA:
-        raise MirrorSingularity(
-            f"path approaches a mirror to within {worst:.3e} (< delta = {MIRROR_DELTA})"
-        )
-    return worst
+    return float(np.min(np.abs(np.exp(logs) - 1.0)))
 
 
 def _flatness_gate(system, k):
@@ -300,18 +299,21 @@ def transport(system, k, path):
     integrating dF = (sum A_i dlog z_i) F; path is a (points, n) array of
     log-coordinates.
 
-    The path's clearance from the mirrors is checked by sampling first.  All
-    segments go to one _kernels.torus_segment call, which lays out every
-    segment's step grid, computes the steps' propagators in batches and
-    multiplies them in path order, each series summed to
-    _kernels._TORUS_RTOL.  Raises MirrorSingularity for a path within
-    MIRROR_DELTA of a mirror, and the kernel raises _kernels.NumericFailure,
-    naming the segment, when one reaches a mirror or its series or frame
-    breaks down.  The curvature is not checked here: mirror_monodromy,
+    All segments go to one _kernels.torus_segment call, which lays out every
+    segment's step grid, each step half the distance to the nearest mirror
+    crossing, computes the steps' propagators in batches and multiplies them
+    in path order, each series summed to _kernels._TORUS_RTOL.  Nothing is
+    sampled first: the kernel's grid is the one mirror guard, and it raises
+    _kernels.NumericFailure, naming the segment, when a step point comes
+    within _kernels._MIN_CLEARANCE of a mirror or a series or the frame
+    breaks down.  That guard is not an accuracy bound: past k = 1/2 a path
+    that runs close to a mirror loses digits the kernel does not report (the
+    A2 simple-root ring of radius 1e-3 against radius 0.1: 8.7e-12 relative
+    at k = 3/4, 5.9e-7 at k = 2), and the Hecke residual does not see the
+    loss.  The curvature is not checked here: mirror_monodromy,
     toric_monodromy and standard_generators check it once at the base point.
     """
     pts = np.asarray(path, dtype=np.complex128)
-    _check_clearance(system, pts)
     moves = np.diff(pts, axis=0)
     kept = np.max(np.abs(moves), axis=1) >= 1e-15
     if not kept.any():
@@ -329,9 +331,7 @@ def _loop(system, k, curve):
     curve closed on the torus) and comes back the way it went.
 
     The stage out is transported once: with S its transport and T the curve's,
-    the loop is S^-1 T S.  Each transport checks the clearance of its part,
-    and the way back is the stage reversed, so every sample point of the loop
-    is checked once.  A curve that starts at the base has a stage of no
+    the loop is S^-1 T S.  A curve that starts at the base has a stage of no
     length: its transport is the identity, so T S and the solve give T's bits.
     """
     curve = np.asarray(curve, dtype=np.complex128)
@@ -500,7 +500,7 @@ def invariant_form(generators):
 def sample_points_near(system, count, seed=0):
     """Seeded log-coordinate vectors near default_base_point whose straight
     path from the base, endpoint included, keeps MIRROR_DELTA from every
-    mirror."""
+    mirror at the sample points of _clearance."""
     base_logs = default_base_point(system)
     rng = np.random.default_rng(seed)
     n = system.rank
@@ -512,11 +512,8 @@ def sample_points_near(system, count, seed=0):
             raise MirrorSingularity("could not find enough off-mirror samples")
         d = _SAMPLE_SPREAD * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         lz = base_logs + d
-        try:
-            _check_clearance(system, (base_logs, lz))
-        except MirrorSingularity:
-            continue
-        out.append(lz)
+        if _clearance(system, (base_logs, lz)) >= MIRROR_DELTA:
+            out.append(lz)
     return out
 
 

@@ -296,15 +296,8 @@ def test_torus_form_without_one_invariant_form_exits_1(monkeypatch, capsys):
 
 
 def test_torus_form_without_enough_samples_exits_1(monkeypatch, capsys):
-    # the generators' paths keep the usual clearance; only the sampler asks
-    # for more than any draw has
-    sample = torus.sample_points_near
-
-    def far_from_every_draw(*args, **kwargs):
-        monkeypatch.setattr(torus, "MIRROR_DELTA", 50.0)
-        return sample(*args, **kwargs)
-
-    monkeypatch.setattr(torus, "sample_points_near", far_from_every_draw)
+    # only the sampler reads MIRROR_DELTA; it asks for more than any draw has
+    monkeypatch.setattr(torus, "MIRROR_DELTA", 50.0)
     code, out = run_cli(["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4",
                          "--samples", "2"])
     assert code == 1 and out == ""

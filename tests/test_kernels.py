@@ -280,13 +280,11 @@ def test_torus_segment_raises_on_overflow():
         _kernels.torus_segment(*args[:4], 1e300, args[5])
 
 
-def test_torus_transport_onto_a_mirror_raises_numeric_failure(monkeypatch):
+def test_torus_transport_onto_a_mirror_raises_numeric_failure():
+    # the kernel's grid is the one mirror guard of a transport
     base = torus.default_base_point(A2)
     end = base.copy()
     end[0] = 2j * np.pi
-    # delta = 0 switches off the sampled clearance guard, so the kernel meets
-    # the mirror itself
-    monkeypatch.setattr(torus, "MIRROR_DELTA", 0.0)
     with pytest.raises(_kernels.NumericFailure, match="reaches a mirror") as info:
         torus.transport(A2, F(1, 4), np.array([base, end]))
     assert not isinstance(info.value, ValueError)
@@ -472,7 +470,6 @@ base = torus.default_base_point(A2)
 torus.transport(A2, F(1, 4), np.array([base, base + 0.3]))
 end = base.copy()
 end[0] = 2j * np.pi
-torus.MIRROR_DELTA = 0.0
 try:
     torus.transport(A2, F(1, 4), np.array([base, end]))
 except gauss.NumericFailure:

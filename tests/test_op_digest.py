@@ -3,7 +3,10 @@ comparison between two checkouts is made with it."""
 
 import importlib.util
 import pathlib
+import subprocess
 import sys
+
+import pytest
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "op_digest.py"
 
@@ -49,3 +52,33 @@ def test_op_digest_is_repeatable_and_names_the_kind_that_moved(monkeypatch):
     assert moved_total != total
     assert moved_kinds["roots dump"] != kinds["roots dump"]
     assert moved_kinds["triangle tessellate"] == kinds["triangle tessellate"]
+
+
+def test_op_digest_prints_one_block_per_seed_in_order(monkeypatch, capsys):
+    tool = _load_tool(monkeypatch)
+    monkeypatch.setattr(tool.workloads, "build",
+                        lambda workload, seed, seconds: _ops(tool, 4 + seed))
+    blocks = []
+    for seed in ("1", "0"):
+        tool.main(["torus-ade", seed])
+        blocks.append(capsys.readouterr().out)
+    assert blocks[0] != blocks[1].replace("seed 0", "seed 1")
+    tool.main(["torus-ade", "1", "0"])
+    assert capsys.readouterr().out == blocks[0] + blocks[1]
+
+
+@pytest.mark.parametrize("argv", [["torus-ade"], ["torus-ade", "101", "x"],
+                                  ["no-such-workload", "101"]])
+def test_op_digest_rejects_bad_arguments_with_the_usage_line(monkeypatch, argv):
+    tool = _load_tool(monkeypatch)
+    with pytest.raises(SystemExit) as info:
+        tool.main(argv)
+    assert info.value.code == tool.USAGE
+
+
+def test_op_digest_bad_seed_exits_without_a_traceback(monkeypatch):
+    tool = _load_tool(monkeypatch)
+    proc = subprocess.run([sys.executable, str(TOOL), "torus-ade", "1.5"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert proc.stderr == tool.USAGE + "\n"

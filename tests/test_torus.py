@@ -352,10 +352,16 @@ def test_transport_homotopy_invariance():
     assert np.max(np.abs(direct - detour)) < 1e-7
 
 
-def test_transport_clearance_guard():
+def test_transport_passes_close_to_a_mirror():
+    # the straight path passes 0.005 from the alpha_1 mirror, inside the
+    # sampler's MIRROR_DELTA: the kernel's grid is the one guard, so it is
+    # transported and matches a detour on the same side of the mirror
     lz = np.array([0.005 + 0.0j, 0.7 + 0.9j])
-    with pytest.raises(torus.MirrorSingularity):
-        torus.transport(A2, F(1, 4), np.array([lz, lz + 0.01]))
+    detour = np.array([lz, lz + np.array([0.01 + 0.004j, 0.004j]), lz + 0.01])
+    for k in (F(1, 4), F(-1, 3), F(3, 4)):
+        straight = torus.transport(A2, k, np.array([lz, lz + 0.01]))
+        around = torus.transport(A2, k, detour)
+        assert np.linalg.norm(straight - around) <= 1e-11 * np.linalg.norm(around)
 
 
 # --- mirror monodromy ---------------------------------------------------------
@@ -490,14 +496,14 @@ def _clearance_by_point(system, path, samples_per_segment=9):
 
 
 def _check_after_complex_matmul(system, path):
-    # the state the workload leaves: mirror_monodromy checks the ring right
-    # after the stage transport's complex frame product
+    # the state the workload leaves: the sampler measures each draw's path
+    # after the form's complex frame products
     frame = np.full((9, 9), 0.1 + 0.2j)
     frame @ frame
-    return torus._check_clearance(system, path)
+    return torus._clearance(system, path)
 
 
-def test_clearance_matches_point_by_point_sampling(monkeypatch):
+def test_clearance_matches_point_by_point_sampling():
     rng = np.random.default_rng(5)
     for system in (A2, D4):
         base = torus.default_base_point(system)
@@ -509,15 +515,12 @@ def test_clearance_matches_point_by_point_sampling(monkeypatch):
             steps = 0.3 * (rng.standard_normal((3, system.rank))
                            + 1j * rng.standard_normal((3, system.rank)))
             path = base + np.cumsum(steps, axis=0)
-            with monkeypatch.context() as patch:
-                patch.setattr(torus, "MIRROR_DELTA", 0.0)
-                got = _check_after_complex_matmul(system, path)
+            got = _check_after_complex_matmul(system, path)
             assert abs(got - _clearance_by_point(system, path)) <= 1e-14 * got
 
 
 def test_clearance_matches_point_by_point_sampling_at_e8():
-    # the rings mirror_monodromy checks, and the coordinate loop of
-    # toric_monodromy
+    # the rings of mirror_monodromy and the coordinate loop of toric_monodromy
     simple_ring = torus._mirror_ring(E8, np.eye(8, dtype=np.int64)[0])
     toric_loop = torus._coordinate_circle(E8, 0)
     for path in (simple_ring, toric_loop):
@@ -553,24 +556,38 @@ def test_clearance_check_does_not_stall_after_complex_matmul():
     frame = np.full((9, 9), 0.1 + 0.2j)
     rng = np.random.default_rng(0)
     logs = rng.standard_normal((10, 24, 120)) + 10j * rng.standard_normal((10, 24, 120))
-    check = _best_of_7(lambda: torus._check_clearance(E8, ring), lambda: frame @ frame)
+    check = _best_of_7(lambda: torus._clearance(E8, ring), lambda: frame @ frame)
     clean = _best_of_7(lambda: np.exp(logs), lambda: np.abs(logs))
     assert check <= 4 * clean
 
 
-def test_mirror_loop_clearance_checked_once(monkeypatch):
-    checked = []
-    check = torus._check_clearance
+def test_clearance_is_measured_only_by_the_sampler(monkeypatch):
+    # the kernel's grid guards every transport; the sampled clearance decides
+    # only which draws the sampler keeps, once per draw
+    k = F(1, 4)
+    form = torus.invariant_form(torus.standard_generators(A2, k))
+    samples = torus.sample_points_near(A2, 2, seed=0)
+    measured = []
+    clearance = torus._clearance
 
-    def counted(system, path, *args):
-        checked.append(len(path) - 1)
-        return check(system, path, *args)
+    def counted(system, path):
+        measured.append((path[1], clearance(system, path)))
+        return measured[-1][1]
 
-    monkeypatch.setattr(torus, "_check_clearance", counted)
-    torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
-    # the stage and the 24 ring segments, each once; the way back is the
-    # stage reversed
-    assert sorted(checked) == [1, 24]
+    monkeypatch.setattr(torus, "_clearance", counted)
+    torus.mirror_monodromy(A2, k, np.array([1, 0]))
+    torus.toric_monodromy(A2, k, 0)
+    torus.standard_generators(A2, k)
+    torus.ball_check(A2, k, form, samples)
+    assert measured == []
+    # seed 80 has a rejected draw: each draw is measured once, and the kept
+    # ones are the draws that clear MIRROR_DELTA, in order
+    seed = POINT_REJECT_SEEDS[("A", 2)][0]
+    kept = torus.sample_points_near(A2, 10, seed=seed)
+    assert len(measured) > 10
+    assert len({lz.tobytes() for lz, _ in measured}) == len(measured)
+    assert np.array_equal(np.array(kept),
+                          np.array([lz for lz, c in measured if c >= torus.MIRROR_DELTA]))
 
 
 def test_generator_set_gates_flatness_once(monkeypatch):
@@ -593,13 +610,37 @@ def test_generator_set_gates_flatness_once(monkeypatch):
     assert len(calls) == 3
 
 
-def test_mirror_loop_within_delta_raises(monkeypatch):
-    # a ring of radius 1e-3 keeps the alpha-character within 1e-3 of 1
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 6)])
+def test_simple_root_loop_on_a_small_ring_matches_the_usual_ring(monkeypatch, fam, rank):
+    # rings of radius 1e-3 and 1e-5 lie well inside MIRROR_DELTA; the kernel's
+    # steps shrink down to them, and the loop agrees to 1e-11 relative
+    system = _sys(fam, rank)
+    alpha = np.eye(rank, dtype=np.int64)[0]
+    for k in (F(1, 4), F(-1, 3)):
+        usual = torus.mirror_monodromy(system, k, alpha)
+        for radius in (1e-3, 1e-5):
+            with monkeypatch.context() as patch:
+                patch.setattr(torus, "_RING_RADIUS", radius)
+                small = torus.mirror_monodromy(system, k, alpha)
+            assert np.linalg.norm(small - usual) <= 1e-11 * np.linalg.norm(usual)
+
+
+@pytest.mark.parametrize("fam, rank", [("D", 4), ("E", 6)])
+def test_highest_root_loop_on_a_small_ring_is_conjugate_to_the_usual_ring(monkeypatch, fam, rank):
+    # the straight stage to a smaller highest-root ring is not homotopic to
+    # the stage to the 0.1-ring: a mirror lies between them, and the two loops
+    # differ entry by entry by 0.8 (D4) and 1.4 (E6) relative.  They are
+    # conjugate: the same spectrum, and M - 1 of rank one
+    system = _sys(fam, rank)
+    alpha = roots.highest_root(system)
+    k = F(1, 6)
+    usual = torus.mirror_monodromy(system, k, alpha)
     monkeypatch.setattr(torus, "_RING_RADIUS", 1e-3)
-    with pytest.raises(torus.MirrorSingularity):
-        torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
-    with pytest.raises(torus.MirrorSingularity):
-        torus._check_clearance(A2, _full_mirror_loop(A2, np.array([1, 0])))
+    small = torus.mirror_monodromy(system, k, alpha)
+    assert np.max(np.abs(np.sort_complex(np.linalg.eigvals(small))
+                         - np.sort_complex(np.linalg.eigvals(usual)))) <= 1e-10
+    svals = np.linalg.svd(small - np.eye(rank + 1), compute_uv=False)
+    assert svals[1] <= 1e-10 * svals[0]
 
 
 def test_conjugate_mirror_loops_have_equal_spectra():

@@ -1,16 +1,18 @@
 """One sha256 over every output of a benchmark batch.
 
-    python3 tools/op_digest.py WORKLOAD SEED
+    python3 tools/op_digest.py WORKLOAD SEED [SEED ...]
 
-Builds the seeded batch of WORKLOAD (gauss-loops, torus-ade or
-exact-geometry) with perfbench/workloads.build at the design length, runs
-each op through perfbench/worker.run_op, and prints the op count and one
-sha256 of (argv, call, exit code, stdout, stderr) and the name and bytes of
-each file the op wrote.  Under that line it prints the same count and
-sha256 for the ops of each kind, so a change that moves some outputs can
-name the kinds it moved.  The temporary directory the ops write into is
-written as {tmp}, so two checkouts that give the same answers print the same
-lines.  It uses the package and the benchmark of the checkout it sits in.
+For each SEED in turn, builds the seeded batch of WORKLOAD (gauss-loops,
+torus-ade or exact-geometry) with perfbench/workloads.build at the design
+length, runs each op through perfbench/worker.run_op, and prints the op
+count and one sha256 of (argv, call, exit code, stdout, stderr) and the name
+and bytes of each file the op wrote.  Under that line it prints the same
+count and sha256 for the ops of each kind, so a change that moves some
+outputs can name the kinds it moved.  The temporary directory the ops write
+into is written as {tmp}, so two checkouts that give the same answers print
+the same lines.  It uses the package and the benchmark of the checkout it
+sits in.  An unknown workload or a seed that is not an integer exits with
+the usage line.
 """
 
 import hashlib
@@ -50,10 +52,23 @@ def op_digest(workload, seed):
     return len(ops), digest.hexdigest(), {k: (n, h.hexdigest()) for k, (n, h) in kinds.items()}
 
 
+USAGE = "usage: python3 tools/op_digest.py WORKLOAD SEED [SEED ...]"
+
+
+def main(argv):
+    """Print the digest lines of each seed's batch, in the order given."""
+    if len(argv) < 2 or argv[0] not in workloads.WORKLOADS:
+        sys.exit(USAGE)
+    try:
+        seeds = [int(seed) for seed in argv[1:]]
+    except ValueError:
+        sys.exit(USAGE)
+    for arg, seed in zip(argv[1:], seeds):
+        count, hexdigest, kinds = op_digest(argv[0], seed)
+        print(f"{argv[0]} seed {arg}: {count} ops, sha256 {hexdigest}")
+        for kind, (n, kind_digest) in sorted(kinds.items()):
+            print(f"  {kind}: {n} ops, sha256 {kind_digest}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit("usage: python3 tools/op_digest.py WORKLOAD SEED")
-    count, hexdigest, kinds = op_digest(sys.argv[1], int(sys.argv[2]))
-    print(f"{sys.argv[1]} seed {sys.argv[2]}: {count} ops, sha256 {hexdigest}")
-    for kind, (n, kind_digest) in sorted(kinds.items()):
-        print(f"  {kind}: {n} ops, sha256 {kind_digest}")
+    main(sys.argv[1:])
