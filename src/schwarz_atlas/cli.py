@@ -261,7 +261,9 @@ def _require_at_least(flag, value, least):
 
 
 def _require_at_most(flag, value, most):
-    # the largest A_n and D_n that roots builds, the ranks and orders that
+    # the largest A_n and D_n that roots builds (past n = 10 every weight
+    # vector is degenerate for every p >= 3, since k = (p-2)/(2p) >= 1/6, so a
+    # larger --n only writes a longer weight list), the ranks and orders that
     # dm_equivalence_scan covers, and a bound on the orders enumerate scans
     # (about 50 us each at rank 13, so a mistyped bound would run for minutes)
     if value > most:
@@ -424,29 +426,11 @@ def _cmd_schwarz_check(args):
 
 def _cmd_schwarz_dm(args):
     _require_at_least("--n", args.n, 1)
-    k = schwarzcond.k_from_p(args.p)
-    vec = schwarzcond.dm_mu_vector(args.n, k)
-    results = {"mu": vec.as_dict(), "k": format_rational(k)}
-    if vec.degenerate:
-        results["verdict"] = None
-        results["note"] = "degenerate weight vector (entry at 0 or 1)"
-    else:
-        ok, pair_reports = schwarzcond.dm_conditions(vec)
-        results["verdict"] = ok
-        results["pairs"] = [
-            {"pair": list(pair), "value": str(val), "satisfied": good}
-            for pair, val, good in pair_reports
-        ]
-    wr_ok, wr = schwarzcond.dm_w_restricted(args.n, k)
-    results["w_restricted"] = {
-        "verdict": wr_ok,
-        "conditions": [{key: c[key] for key in ("kind", "value", "satisfied")} for c in wr],
-    }
-    results["hidden_symmetry"] = schwarzcond.hidden_symmetry(args.n, k)
+    _require_at_most("--n", args.n, 30)
     payload = _report(
         module="schwarz",
         inputs={"n": args.n, "p": args.p},
-        results=results,
+        results=schwarzcond.dm(args.n, schwarzcond.k_from_p(args.p)),
         residuals={},
         checks=["pair conditions on the weight vector evaluated exactly"],
     )

@@ -14,8 +14,10 @@ The weight side is integer arithmetic too.  At k = a/b every weight of the
 n+3 point vector has the denominator 2b, so degeneracy, the three displayed
 identities and k = 2/(n+3) are comparisons of numerators, and the three pair
 conditions the subgroup S_{n+1} x S_2 sees are rows of the same kind, derived
-from the weights rather than copied from the A_n table.  The equivalence scan
-thus compares two independently built integer verdicts.
+from the weights rather than copied from the A_n table.  `dm` is one integer
+pass over the two weight numerators that returns the `schwarz dm` results,
+every pair verdict a divisibility test, and the equivalence scan compares two
+independently built integer verdicts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import format_rational, is_in_two_over_n, is_unit_fraction, k_from_p
+from .exact import format_rational, k_from_p
 from .roots import (
     _SYSTEMS,
     RootSystemType,
@@ -34,7 +36,6 @@ from .roots import (
 )
 
 __all__ = [
-    "DMVector",
     "passes",
     "check",
     "enumerate_solutions",
@@ -42,11 +43,8 @@ __all__ = [
     "KNOWN_TABLE",
     "table_diff",
     "anomalies_in_range",
-    "dm_mu_vector",
-    "dm_conditions",
-    "dm_w_restricted",
+    "dm",
     "dm_equivalence_scan",
-    "hidden_symmetry",
 ]
 
 
@@ -266,54 +264,13 @@ def table_diff(result):
 # ---------------------------------------------------------------------------
 # weight vectors on the projective line (n+3 points)
 
-@dataclass(frozen=True)
-class DMVector:
-    mu: tuple
-    degenerate: bool
-
-    def as_dict(self):
-        return {
-            "mu": [format_rational(m) for m in self.mu],
-            "degenerate": self.degenerate,
-        }
-
-
-def dm_mu_vector(n, k):
-    """Weights mu_1 = ... = mu_{n+1} = k, mu_0 = mu_{n+2} = 1 - (n+1)k/2.
-
-    The total is identically 2; entries outside the open interval (0, 1) set
-    the degenerate flag instead of failing silently.
-    """
-    k = Fraction(k)
-    end = 1 - (n + 1) * k / 2
-    mu = (end,) + (k,) * (n + 1) + (end,)
-    degenerate = any(not (0 < m < 1) for m in mu)
-    return DMVector(mu=mu, degenerate=degenerate)
-
-
-def dm_conditions(vec):
-    """Pair conditions: mu_i + mu_j < 1 implies 1 - mu_i - mu_j is in 1/N for
-    distinct weights and in 2/N for equal weights.
-
-    Degenerate vectors are rejected: the hypotheses require all weights in
-    (0, 1).  Returns (verdict, per-pair reports).
-    """
-    if vec.degenerate:
-        raise ValueError("degenerate weight vector: entries must lie in (0, 1)")
-    mu = vec.mu
-    reports = []
-    ok = True
-    for i in range(len(mu)):
-        for j in range(i + 1, len(mu)):
-            s = mu[i] + mu[j]
-            if s >= 1:
-                reports.append(((i, j), "vacuous", True))
-                continue
-            val = 1 - s
-            good = is_in_two_over_n(val) if mu[i] == mu[j] else is_unit_fraction(val)
-            reports.append(((i, j), format_rational(val), good))
-            ok = ok and good
-    return ok, reports
+def _weights(n, a, b):
+    """The weight numerators over 2b at k = a/b (b > 0): the end weight
+    1 - (n+1)k/2 of points 0 and n+2 and the middle weight k of points
+    1..n+1; whether one lies outside (0, 1); and whether they are equal,
+    which is k = 2/(n+3), a(n+3) = 2b."""
+    end, middle = 2 * b - (n + 1) * a, 2 * a
+    return end, middle, not (0 < end < 2 * b and 0 < middle < 2 * b), end == middle
 
 
 def _pair_row(kind, u, v=None):
@@ -336,24 +293,51 @@ def _dm_pair_rows(n):
             _pair_row("end_end", end))
 
 
-def dm_w_restricted(n, k):
-    """The three pair conditions seen by the subgroup S_{n+1} x S_2 of the
-    full symmetric group: end-middle, consecutive-middle and end-end pairs,
-    with values (n-1)k/2, (1-2k)/2 and ((n+1)k-1)/2.
+def dm(n, k):
+    """The `schwarz dm` results of (n, k): the n+3 weights
+    mu_0 = mu_{n+2} = 1 - (n+1)k/2 and mu_1 = ... = mu_{n+1} = k, whose total
+    is identically 2, with the degenerate flag set when one lies outside
+    (0, 1); for a non-degenerate vector, every pair i < j and the verdict
+    over them; the three pair conditions that the subgroup S_{n+1} x S_2 sees;
+    and whether k = 2/(n+3), where all weights are equal.
 
-    Index classes {1..n+1} and {0, n+2} are distinct orbits, so the end-middle
-    pair uses the 1/N branch even when the weight values coincide.  Returns
-    the verdict and the rows' report entries, whose verdicts are integer
-    divisibility tests at k = a/b.
+    One integer pass over the two weight numerators at k = a/b.  A pair with
+    num = 2b - w_i - w_j <= 0 holds vacuously (mu_i + mu_j >= 1); otherwise
+    1 - mu_i - mu_j = num/(2b) must be 1/N, num | 2b, or 2/N where the two
+    weights are equal, num | 4b.  Each pair class is decided once.  The
+    subgroup rows keep the index classes {0, n+2} and {1..n+1} apart, so
+    their end-middle row takes the 1/N branch even when the weights agree.
     """
     k = Fraction(k)
+    a, b = k.numerator, k.denominator
+    end, middle, degenerate, symmetric = _weights(n, a, b)
+    end_text, k_text = format_rational(Fraction(end, 2 * b)), format_rational(k)
+    results = {
+        "mu": {"mu": [end_text] + [k_text] * (n + 1) + [end_text], "degenerate": degenerate},
+        "k": k_text,
+    }
+    if degenerate:
+        results["verdict"] = None
+        results["note"] = "degenerate weight vector (entry at 0 or 1)"
+    else:
+        classes = {}
+        for u, v in ((end, middle), (middle, middle), (end, end)):
+            num = 2 * b - u - v
+            classes[u, v] = classes[v, u] = (
+                {"value": "vacuous", "satisfied": True} if num <= 0
+                else {"value": format_rational(Fraction(num, 2 * b)),
+                      "satisfied": (4 if u == v else 2) * b % num == 0})
+        weights = (end,) + (middle,) * (n + 1) + (end,)
+        results["verdict"] = all(c["satisfied"] for c in classes.values())
+        results["pairs"] = [{"pair": [i, j], **classes[weights[i], weights[j]]}
+                            for i in range(n + 3) for j in range(i + 1, n + 3)]
     conds = [row.condition(k) for row in _dm_pair_rows(n)]
-    return all(c["satisfied"] for c in conds), conds
-
-
-def hidden_symmetry(n, k):
-    """True when the end weights equal the middle weights: k = 2/(n+3)."""
-    return Fraction(k) == Fraction(2, n + 3)
+    results["w_restricted"] = {
+        "verdict": all(c["satisfied"] for c in conds),
+        "conditions": [{key: c[key] for key in ("kind", "value", "satisfied")} for c in conds],
+    }
+    results["hidden_symmetry"] = symmetric
+    return results
 
 
 def dm_equivalence_scan(n_max=10, p_max=60):
@@ -381,16 +365,14 @@ def dm_equivalence_scan(n_max=10, p_max=60):
         table = _table(RootSystemType("A", n))
         pair_rows = _dm_pair_rows(n)
         for p, a, b, k_text in ks:
-            end, middle = 2 * b - (n + 1) * a, 2 * a
+            end, middle, degenerate, sym = _weights(n, a, b)
             identities_ok = (
                 2 * b - end - middle == (n - 1) * a              # 1 - mu_0 - mu_1
                 and 2 * b - 2 * middle == 2 * (b - 2 * a)        # (1 - mu_1 - mu_{n+1})/2
                 and 2 * b - 2 * end == 2 * ((n + 1) * a - b)     # (1 - mu_0 - mu_{n+2})/2
             )
-            degenerate = not (0 < end < 2 * b and 0 < middle < 2 * b)
             dm_ok = all(row.holds(a, b) for row in pair_rows)
             an_ok = table.passes(a, b)
-            sym = a * (n + 3) == 2 * b
             if sym and not degenerate and dm_ok and an_ok:
                 hidden.append((p, n))
             rows.append({

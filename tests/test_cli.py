@@ -530,6 +530,17 @@ def test_dm_rejects_n_below_one(n, capsys):
     assert capsys.readouterr().err == f"error: --n must be at least 1, got {n}\n"
 
 
+def test_dm_rejects_n_above_thirty(capsys):
+    # A30 is the largest A_n that roots builds, and past n = 10 every vector
+    # is degenerate for every p >= 3
+    code, out = run_cli(["schwarz", "dm", "--n", "31", "--p", "4"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: --n must be at most 30, got 31\n"
+    code, out = run_cli(["schwarz", "dm", "--n", "30", "--p", "4"])
+    assert code == 0
+    assert json.loads(out)["results"]["verdict"] is None
+
+
 def test_dm_smallest_ranges_run():
     code, out = run_cli(["schwarz", "dm", "--n", "1", "--p", "4"])
     assert code == 0

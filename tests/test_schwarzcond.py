@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schwarz_atlas import schwarzcond as sc
-from schwarz_atlas.exact import conditional_unit_fraction, format_rational, is_unit_fraction
+from schwarz_atlas.exact import (
+    conditional_unit_fraction,
+    format_rational,
+    is_in_two_over_n,
+    is_unit_fraction,
+)
 from schwarz_atlas.roots import RootSystemType
 
 
@@ -236,47 +241,48 @@ def test_k_half_flag():
 
 # --- weight vectors ----------------------------------------------------------
 
+def weights(res):
+    """The weight vector of a dm report as Fractions."""
+    return [F(m) for m in res["mu"]["mu"]]
+
+
 def test_mu_vector_examples():
-    v = sc.dm_mu_vector(2, F(2, 5))
-    assert v.mu == (F(2, 5),) * 5 and sum(v.mu) == 2 and not v.degenerate
-    v = sc.dm_mu_vector(3, F(1, 3))
-    assert v.mu[0] == v.mu[-1] == F(1, 3)
-    v = sc.dm_mu_vector(5, F(1, 3))
-    assert v.degenerate and v.mu[0] == 0
+    res = sc.dm(2, F(2, 5))
+    assert weights(res) == [F(2, 5)] * 5 and sum(weights(res)) == 2
+    assert not res["mu"]["degenerate"]
+    mu = weights(sc.dm(3, F(1, 3)))
+    assert mu[0] == mu[-1] == F(1, 3)
+    res = sc.dm(5, F(1, 3))
+    assert res["mu"]["degenerate"] and weights(res)[0] == 0
+    assert res["verdict"] is None and "pairs" not in res
 
 
 def test_dm_conditions_all_two_fifths():
-    ok, reports = sc.dm_conditions(sc.dm_mu_vector(2, F(2, 5)))
-    assert ok
+    res = sc.dm(2, F(2, 5))
+    assert res["verdict"] is True
     # every non-vacuous pair value is 1/5 = 2/10
-    vals = {r[1] for r in reports if r[1] != "vacuous"}
+    vals = {r["value"] for r in res["pairs"] if r["value"] != "vacuous"}
     assert vals == {"1/5"}
 
 
 def test_dm_conditions_vacuous_pairs():
     # weights (1/2, 1/6 x6, 1/2): the end pairs with the middles sum to 2/3,
     # the end-end pair sums to 1 and is vacuous
-    v = sc.DMVector(mu=(F(1, 2),) + (F(1, 6),) * 6 + (F(1, 2),), degenerate=False)
-    assert sum(v.mu) == 2
-    ok, reports = sc.dm_conditions(v)
-    lookup = {pair: val for pair, val, _ in reports}
+    res = sc.dm(5, F(1, 6))
+    assert weights(res) == [F(1, 2)] + [F(1, 6)] * 6 + [F(1, 2)]
+    lookup = {tuple(r["pair"]): r["value"] for r in res["pairs"]}
     assert lookup[(0, 7)] == "vacuous"
-    assert ok
-
-
-def test_dm_conditions_reject_degenerate():
-    with pytest.raises(ValueError):
-        sc.dm_conditions(sc.dm_mu_vector(5, F(1, 3)))
+    assert res["verdict"] is True
 
 
 def test_three_identities_hold_symbolically():
     for n in range(2, 11):
         for p in (3, 4, 7, 10, 23, 60):
             k = sc.k_from_p(p)
-            v = sc.dm_mu_vector(n, k)
-            assert 1 - v.mu[0] - v.mu[1] == (n - 1) * k / 2
-            assert (1 - v.mu[1] - v.mu[n + 1]) / 2 == (1 - 2 * k) / 2
-            assert (1 - v.mu[0] - v.mu[n + 2]) / 2 == ((n + 1) * k - 1) / 2
+            mu = weights(sc.dm(n, k))
+            assert 1 - mu[0] - mu[1] == (n - 1) * k / 2
+            assert (1 - mu[1] - mu[n + 1]) / 2 == (1 - 2 * k) / 2
+            assert (1 - mu[0] - mu[n + 2]) / 2 == ((n + 1) * k - 1) / 2
 
 
 def test_equivalence_scan():
@@ -353,16 +359,70 @@ def test_integer_scan_matches_fraction_oracle_row_for_row(n_max, p_max):
     assert sc.dm_equivalence_scan(n_max, p_max) == oracle_scan(n_max, p_max)
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.integers(1, 60), st.one_of(
+def oracle_dm(n, k):
+    """The `schwarz dm` results read literally in Fraction arithmetic: the
+    weight vector, every pair sum against the `exact` predicates, and
+    k == 2/(n+3)."""
+    end = 1 - (n + 1) * k / 2
+    mu = (end,) + (k,) * (n + 1) + (end,)
+    degenerate = any(not (0 < m < 1) for m in mu)
+    res = {"mu": {"mu": [format_rational(m) for m in mu], "degenerate": degenerate},
+           "k": format_rational(k)}
+    if degenerate:
+        res["verdict"] = None
+        res["note"] = "degenerate weight vector (entry at 0 or 1)"
+    else:
+        pairs = []
+        for i in range(len(mu)):
+            for j in range(i + 1, len(mu)):
+                if mu[i] + mu[j] >= 1:
+                    pairs.append({"pair": [i, j], "value": "vacuous", "satisfied": True})
+                    continue
+                val = 1 - mu[i] - mu[j]
+                good = is_in_two_over_n(val) if mu[i] == mu[j] else is_unit_fraction(val)
+                pairs.append({"pair": [i, j], "value": format_rational(val), "satisfied": good})
+        res["verdict"] = all(r["satisfied"] for r in pairs)
+        res["pairs"] = pairs
+    ok, conds = oracle_w_restricted(n, k)
+    res["w_restricted"] = {"verdict": ok, "conditions": [
+        {"kind": kind, "value": format_rational(val), "satisfied": good}
+        for kind, val, good in conds]}
+    res["hidden_symmetry"] = k == F(2, n + 3)
+    return res
+
+
+def same_report(got, want):
+    # equal with the keys in the same order, which `--format text` prints
+    assert list(got) == list(want)
+    assert got == want
+
+
+def test_dm_matches_fraction_oracle():
+    for n in range(1, 31):
+        for p in range(3, 121):
+            k = sc.k_from_p(p)
+            same_report(sc.dm(n, k), oracle_dm(n, k))
+
+
+K_DRAWS = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=400),
     st.integers(3, 500).map(sc.k_from_p),
     st.integers(1, 60).map(lambda q: F(1, q)),
     st.integers(1, 60).map(lambda q: F(2, q)),
-))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), K_DRAWS)
+def test_dm_matches_fraction_oracle_on_drawn_k(n, k):
+    same_report(sc.dm(n, k), oracle_dm(n, k))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 60), K_DRAWS)
 def test_w_restricted_matches_fraction_oracle(n, k):
-    ok, conds = sc.dm_w_restricted(n, k)
+    got = sc.dm(n, k)["w_restricted"]
     want_ok, want = oracle_w_restricted(n, k)
-    assert ok is want_ok
-    assert [(c["kind"], c["value"], c["satisfied"]) for c in conds] == [
+    assert got["verdict"] is want_ok
+    assert [(c["kind"], c["value"], c["satisfied"]) for c in got["conditions"]] == [
         (kind, format_rational(val), good) for kind, val, good in want]

@@ -288,3 +288,45 @@ def test_every_default_is_set_somewhere():
               for folder in ("perfbench", "tools")
               for path in sorted((root / folder).glob("*.py"))}
     assert unset_defaults(package, others) == []
+
+
+# the modules whose docstrings state that no float enters
+EXACT_MODULES = ("exact.py", "schwarzcond.py")
+
+
+def float_uses(source):
+    """(line, what) for every float or complex literal, every `float` or
+    `complex` name and every numpy import in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.append((node.lineno, node.module))
+    return sorted(found)
+
+
+def test_float_use_finder():
+    source = (
+        "import math\n"
+        "import numpy as np\n"
+        "from numpy.linalg import svd\n"
+        "from fractions import Fraction\n"
+        "TOL = 1e-9\n"
+        "def f(x):\n"
+        "    '''a docstring that says 0.5 is not a float'''\n"
+        "    return float(x) + 2j + math.floor(Fraction(x)) + isinstance(x, complex)\n"
+    )
+    assert float_uses(source) == [
+        (2, "numpy"), (3, "numpy.linalg"), (5, "1e-09"), (8, "2j"), (8, "complex"), (8, "float")]
+
+
+@pytest.mark.parametrize("name", EXACT_MODULES)
+def test_exact_modules_use_no_floats(name):
+    path = pathlib.Path(schwarz_atlas.__file__).parent / name
+    assert float_uses(path.read_text(encoding="utf-8")) == []
