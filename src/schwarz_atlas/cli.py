@@ -264,23 +264,24 @@ def _require_at_most(flag, value, most):
     # the largest A_n and D_n that roots builds (past n = 10 every weight
     # vector is degenerate for every p >= 3, since k = (p-2)/(2p) >= 1/6, so a
     # larger --n only writes a longer weight list), the ranks and orders that
-    # dm_equivalence_scan covers, and a bound on the orders enumerate scans
+    # dm_equivalence_scan covers, and bounds on the orders enumerate scans
     # (about 50 us each at rank 13, so a mistyped bound would run for minutes)
+    # and on the torus samples (each one a transport or a curvature, so
+    # --samples 10000000 at E8 would run for hours)
     if value > most:
         raise ValueError(f"{flag} must be at most {most}, got {value}")
 
 
 def _cmd_torus_flatness(args):
     _require_at_least("--samples", args.samples, 1)
+    _require_at_most("--samples", args.samples, 1000)
     _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     a_override = Fraction(args.a_override) if args.a_override is not None else None
-    sample_logs = torus.sample_points_near(system, args.samples, seed=args.seed)
-    worst = 0.0
-    for lz in sample_logs:
-        # the exp/log round trip keeps the residuals this report has always printed
-        worst = max(worst, torus.flatness_residual(system, k, np.log(np.exp(lz)), a_override))
+    stack = torus.sample_points_near(system, args.samples, seed=args.seed)
+    # the exp/log round trip keeps the residuals this report has always printed
+    worst = torus.flatness_residual(system, k, np.log(np.exp(stack)), a_override)
     payload = _report(
         module="torus",
         inputs={"type": str(system.rtype), "k": format_rational(k),
@@ -330,6 +331,7 @@ def _cmd_torus_monodromy(args):
 
 def _cmd_torus_form(args):
     _require_at_least("--samples", args.samples, 1)
+    _require_at_most("--samples", args.samples, 1000)
     _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)

@@ -21,7 +21,14 @@ stacks fit a fixed byte budget, and multiplies the propagators in path order.
 That grid is the one mirror guard of a path: it raises when a step point comes
 within _kernels._MIN_CLEARANCE of a mirror.  The sampled clearance,
 _clearance, is read only by sample_points_near, which keeps a draw whose path
-from the base keeps MIRROR_DELTA from every mirror.
+from the base keeps MIRROR_DELTA from every mirror; it draws and measures its
+candidates in blocks.
+The characters, the connection, its theta-derivatives and the curvature all
+take a stack of points, one row each: flatness_residual measures all its
+points in one _curvature pass per chunk (chunks bounded by the kernel's byte
+budget), and every point's residual keeps the bits it has alone.  So the
+characters are one matrix-vector product per row, and the connection's
+4-operand einsum runs once per point.
 Every numeric breakdown, MirrorSingularity and InvariantFormError included,
 raises a _kernels.NumericFailure where it is found.
 """
@@ -115,8 +122,16 @@ def _float_rows(system):
 
 
 def _char_values(system, logs):
-    """The positive-root characters h^(-alpha) at the log-coordinates logs."""
-    return np.exp(_float_rows(system)[0] @ logs)
+    """The positive-root characters h^(-alpha) at each row of the (points, n)
+    log-coordinates logs, as a (points, |Phi+|) array.  Each row is its own
+    matrix-vector product: one GEMM over all rows rounds differently."""
+    return np.exp(np.matmul(_float_rows(system)[0], logs[..., None])[..., 0])
+
+
+def _rows_per_chunk(row_bytes):
+    """Rows of row_bytes each that fit the byte budget of one stacked pass,
+    at least one: the budget of the kernel's coefficient stacks."""
+    return max(1, _kernels._TORUS_BATCH_BYTES // row_bytes)
 
 
 def default_base_point(system):
@@ -163,20 +178,25 @@ def exact_scalar(system, k):
 
 
 def _connection(system, k, tchar, a):
-    """The n matrices A_i of theta_i F = A_i F at the point with root
-    character values tchar and scalar coupling a, stacked as one
-    (n, n+1, n+1) array: row 0 of A_i is e_{i+1}, column 0 below it is
+    """The n matrices A_i of theta_i F = A_i F at each point of a stack, given
+    by its rows of root character values tchar, at scalar coupling a, as one
+    (points, n, n+1, n+1) array: row 0 of A_i is e_{i+1}, column 0 below it is
     -a k^2 C^-1 and the lower block is minus the coefficient vectors
-    (k/2) sum_p c_pi c_pj u_p (Cc)_pl with u = (1+t)/(1-t)."""
+    (k/2) sum_p c_pi c_pj u_p (Cc)_pl with u = (1+t)/(1-t).  The einsum runs
+    once per point, as for a single point, so its loop order and its bits do
+    not depend on the stack; the batched "pi,pj,sp,pl->sijl" form gave the
+    same bits but was slower at D8 (five points: 2.0 ms against 1.6 ms)."""
     if np.min(np.abs(tchar - 1.0)) < 1e-12:
         raise MirrorSingularity("a positive-root character equals 1 at this point")
     croots, coroots, cinv = _float_rows(system)
     n = system.rank
     u = (1.0 + tchar) / (1.0 - tchar)
-    A = np.zeros((n, n + 1, n + 1), dtype=np.complex128)
-    A[np.arange(n), 0, np.arange(1, n + 1)] = 1.0
-    A[:, 1:, 0] = -(float(a) * float(k) ** 2 * cinv)
-    A[:, 1:, 1:] = -(0.5 * float(k) * np.einsum("pi,pj,p,pl->ijl", croots, croots, u, coroots))
+    A = np.zeros((len(u), n, n + 1, n + 1), dtype=np.complex128)
+    A[:, np.arange(n), 0, np.arange(1, n + 1)] = 1.0
+    A[:, :, 1:, 0] = -(float(a) * float(k) ** 2 * cinv)
+    for Ap, up in zip(A, u):
+        Ap[:, 1:, 1:] = -(0.5 * float(k) * np.einsum("pi,pj,p,pl->ijl",
+                                                     croots, croots, up, coroots))
     return A
 
 
@@ -184,57 +204,70 @@ def connection(system, k, logs):
     """First-order form theta_i F = A_i F on the jet frame (f, theta_1 f, ...)
     at the off-mirror point with log-coordinates logs and the forced coupling:
     the n matrices A_i stacked as one (n, n+1, n+1) array."""
-    return _connection(system, k, _char_values(system, logs), integrability_constant(system))
+    tchar = _char_values(system, np.asarray(logs)[None])
+    return _connection(system, k, tchar, integrability_constant(system))[0]
 
 
 def _theta_frame_matrices(system, k, tchar):
-    """Analytic theta-derivatives dA[m, i] = theta_m A_i of the connection
-    matrices at the point with root character values tchar, as one
-    (n, n, n+1, n+1) array.
+    """Analytic theta-derivatives dA[s, m, i] = theta_m A_i of the connection
+    matrices at each point s of a stack, given by its rows of root character
+    values tchar, as one (points, n, n, n+1, n+1) array.
 
     theta_m acts on each character factor by t -> -c_m t and on u(t) by the
     closed form u'(t) = 2/(1-t)^2.  With w = -t u'(t), the derivative of the
     coefficient block is
     dG[m, i, j, l] = (k/2) sum_p c_pm c_pi w_p c_pj (Cc)_pl,
-    one GEMM over the positive roots.  It is a real one, of shape
+    one GEMM over the positive roots per point.  It is a real one, of shape
     (n^2, |Phi+|) @ (|Phi+|, 2 n^2): the real and imaginary parts of
-    w_p c_pj (Cc)_pl sit side by side in the right factor.
+    w_p c_pj (Cc)_pl sit side by side in the right factor, and the left
+    factor broadcasts over the points.
     """
     croots, coroots, _ = _float_rows(system)
     npos, n = croots.shape
     weight = 0.5 * float(k) * (-tchar * 2.0 / (1.0 - tchar) ** 2)
     left = (croots[:, :, None] * croots[:, None, :]).reshape(npos, n * n).T
     right = (croots[:, :, None] * coroots[:, None, :]).reshape(npos, n * n)
-    dG = left @ np.concatenate([weight.real[:, None] * right,
-                                weight.imag[:, None] * right], axis=1)
-    dA = np.zeros((n, n, n + 1, n + 1), dtype=np.complex128)
-    dA[:, :, 1:, 1:] = -(dG[:, :n * n] + 1j * dG[:, n * n:]).reshape(n, n, n, n)
+    dG = left @ np.concatenate([weight.real[:, :, None] * right,
+                                weight.imag[:, :, None] * right], axis=2)
+    dA = np.zeros((len(weight), n, n, n + 1, n + 1), dtype=np.complex128)
+    dA[..., 1:, 1:] = -(dG[..., :n * n] + 1j * dG[..., n * n:]).reshape(-1, n, n, n, n)
     return dA
 
 
 def flatness_residual(system, k, logs, a_override=None):
-    """Curvature of the frame connection: max over pairs (i, j) of
+    """Curvature of the frame connection, largest over the rows of the
+    (points, n) log-coordinates logs (one point is a one-row array): max over
+    points and pairs (i, j) of
     || theta_i A_j - theta_j A_i + A_j A_i - A_i A_j ||_inf.
 
     Vanishes exactly when the scalar coupling takes its forced value, which
     a_override replaces.  The derivatives are analytic, and the root
-    character values are computed once for them and the matrices.
+    character values are computed once for them and the matrices.  The
+    points go to _curvature in chunks whose (points, n, n, n+1, n+1) stacks
+    fit _rows_per_chunk's budget (one point a chunk from D16 on); each
+    point's residual has the bits it has alone.
     """
     a = integrability_constant(system) if a_override is None else a_override
-    return _curvature(system, k, _char_values(system, logs), a)[0]
+    logs = np.atleast_2d(logs)
+    n = system.rank
+    step = _rows_per_chunk(16 * n * n * (n + 1) ** 2)
+    return max(float(np.max(_curvature(system, k, _char_values(system, logs[s:s + step]), a)[0]))
+               for s in range(0, len(logs), step))
 
 
 def _curvature(system, k, tchar, a):
-    """The curvature at the point with root character values tchar and
-    scalar coupling a, and the largest |entry| of the connection matrices it
-    is made of.  All n^2 products A_j A_i come from one batched matmul, and
-    the pairs i < j are reduced at once."""
+    """The curvature at each point of a stack, given by its rows of root
+    character values tchar, at scalar coupling a, and the largest |entry| of
+    the connection matrices it is made of, as two (points,) arrays.  All
+    n^2 products A_j A_i of every point come from one batched matmul, and the
+    pairs i < j are reduced at once."""
     A = _connection(system, k, tchar, a)
     dA = _theta_frame_matrices(system, k, tchar)
-    AA = np.matmul(A[None, :], A[:, None])    # AA[i, j] = A_j A_i
-    R = (dA - dA.swapaxes(0, 1) + AA) - AA.swapaxes(0, 1)
+    AA = np.matmul(A[:, None], A[:, :, None])    # AA[s, i, j] = A_j A_i at point s
+    R = (dA - dA.swapaxes(1, 2) + AA) - AA.swapaxes(1, 2)
     upper = np.triu_indices(system.rank, 1)
-    return float(np.max(np.abs(R[upper]), initial=0.0)), float(np.max(np.abs(A)))
+    return (np.max(np.abs(R[:, upper[0], upper[1]]), axis=(1, 2, 3), initial=0.0),
+            np.max(np.abs(A), axis=(1, 2, 3)))
 
 
 def _reflection_matrix(system, i):
@@ -255,8 +288,8 @@ def w_invariance_residual(system, k, logs, i):
     the original point; the scalar parts agree exactly by construction.
     """
     S = _reflection_matrix(system, i)
-    G_here = -connection(system, k, logs)[:, 1:, 1:]
-    G_there = -connection(system, k, S @ logs)[:, 1:, 1:]
+    tchar = _char_values(system, np.array([logs, S @ logs]))
+    G_here, G_there = -_connection(system, k, tchar, integrability_constant(system))[:, :, 1:, 1:]
     lhs = np.einsum("pa,qb,pql->abl", S, S, G_there)
     rhs = np.einsum("lm,abm->abl", S, G_here)
     return float(np.max(np.abs(lhs - rhs)))
@@ -269,18 +302,19 @@ def w_invariance_residual(system, k, logs, i):
 # log-linear through its rows.  Log-coordinates fix the winding unambiguously;
 # the torus points are their exponentials.
 
-def _clearance(system, path):
+def _clearance(system, paths):
     """Smallest |h^{-alpha} - 1| over _CLEARANCE_SAMPLES + 1 sample points of
-    every segment of the path."""
+    every segment of each path of a (..., points, n) stack: an array of the
+    stack's leading shape, a float for one path."""
     croots = _float_rows(system)[0]
-    pts = np.asarray(path, dtype=np.complex128)
+    pts = np.asarray(paths, dtype=np.complex128)[..., None, :, :]
     t = np.arange(_CLEARANCE_SAMPLES + 1)[:, None, None] / _CLEARANCE_SAMPLES
-    lz = (1 - t) * pts[:-1] + t * pts[1:]          # (sample, segment, rank)
+    lz = (1 - t) * pts[..., :-1, :] + t * pts[..., 1:, :]    # (..., sample, segment, rank)
     # A real matmul on the (re, im) pairs, not the complex lz @ croots.T: after a complex
     # matmul, np.exp ran 10-15x slower on OpenBLAS/AVX-512 (E8 ring check: 14 -> 1.3 ms).
-    pairs = lz.view(np.float64).reshape(*lz.shape, 2)   # (sample, segment, rank, 2)
-    logs = (croots @ pairs).view(np.complex128)[..., 0]   # (sample, segment, root)
-    return float(np.min(np.abs(np.exp(logs) - 1.0)))
+    pairs = lz.view(np.float64).reshape(*lz.shape, 2)   # (..., sample, segment, rank, 2)
+    logs = (croots @ pairs).view(np.complex128)[..., 0]   # (..., sample, segment, root)
+    return np.min(np.abs(np.exp(logs) - 1.0), axis=(-3, -2, -1))
 
 
 def _flatness_gate(system, k):
@@ -288,8 +322,8 @@ def _flatness_gate(system, k):
     unless the connection is flat at default_base_point, where every loop
     starts; flatness makes the loops' monodromy homotopy invariant.  The
     bound scales with the products A_j A_i the curvature is a difference of."""
-    tchar = _char_values(system, default_base_point(system))
-    res, amax = _curvature(system, k, tchar, integrability_constant(system))
+    tchar = _char_values(system, default_base_point(system)[None])
+    res, amax = (float(v[0]) for v in _curvature(system, k, tchar, integrability_constant(system)))
     if res > _FLAT_TOL * max(1.0, amax * amax):
         raise _kernels.NumericFailure(f"connection is not flat at the start (residual {res:.2e})")
 
@@ -498,23 +532,31 @@ def invariant_form(generators):
 
 
 def sample_points_near(system, count, seed=0):
-    """Seeded log-coordinate vectors near default_base_point whose straight
-    path from the base, endpoint included, keeps MIRROR_DELTA from every
-    mirror at the sample points of _clearance."""
+    """count seeded log-coordinate vectors near default_base_point, as a
+    (count, n) array, whose straight path from the base, endpoint included,
+    keeps MIRROR_DELTA from every mirror at the sample points of _clearance.
+
+    Draws come in blocks of at most the samples still missing, no larger
+    than _rows_per_chunk's budget allows, each draw one (re, im) pair of
+    normal rows in stream order; one _clearance call measures a block's
+    paths, and the draws that clear are kept in order.  After 100 draws per
+    sample it gives up."""
     base_logs = default_base_point(system)
     rng = np.random.default_rng(seed)
     n = system.rank
+    most = _rows_per_chunk(16 * (_CLEARANCE_SAMPLES + 1) * len(system.positive_roots))
     out = []
     attempts = 0
     while len(out) < count:
-        attempts += 1
-        if attempts > 100 * count:
+        m = min(count - len(out), most, 100 * count - attempts)
+        if m == 0:
             raise MirrorSingularity("could not find enough off-mirror samples")
-        d = _SAMPLE_SPREAD * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        lz = base_logs + d
-        if _clearance(system, (base_logs, lz)) >= MIRROR_DELTA:
-            out.append(lz)
-    return out
+        attempts += m
+        draws = rng.standard_normal((m, 2, n))
+        lz = base_logs + _SAMPLE_SPREAD * (draws[:, 0] + 1j * draws[:, 1])
+        paths = np.stack(np.broadcast_arrays(base_logs, lz), axis=1)
+        out.extend(lz[_clearance(system, paths) >= MIRROR_DELTA])
+    return np.array(out)
 
 
 def ball_check(system, k, form, sample_logs):

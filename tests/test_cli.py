@@ -157,6 +157,26 @@ def test_torus_rejects_samples_below_one(argv, capsys):
     assert "--samples must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["flatness", "form"])
+@pytest.mark.parametrize("samples", [1001, 10000000])
+def test_torus_rejects_samples_above_one_thousand(subcommand, samples, capsys):
+    # each sample is a curvature or a transport, so --samples 10000000 at E8
+    # would run for hours
+    code, out = run_cli(["torus", subcommand, "--type", "E", "--rank", "8", "--k", "1/10",
+                         "--samples", str(samples)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: --samples must be at most 1000, got {samples}\n"
+
+
+def test_torus_flatness_runs_one_thousand_samples():
+    code, out = run_cli(["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6",
+                         "--samples", "1000", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["inputs"]["samples"] == 1000
+    assert payload["residuals"]["flatness_residual"] < 1e-8
+
+
 NO_SPHERICAL = "each angle plus 1 must exceed the sum of the other two"
 
 
@@ -259,7 +279,7 @@ _ISOTROPIC_FORM = torus.InvariantForm(
       for target, subcommand in (("invariant_form", "form"), ("sample_points_near", "flatness"))
       for i, exc in enumerate([torus.MirrorSingularity("a sample lies on a mirror"),
                                np.linalg.LinAlgError("singular matrix")])),
-    pytest.param("_curvature", lambda *args, **kwargs: (1.0, 1.0), "monodromy",
+    pytest.param("_curvature", lambda *args, **kwargs: (np.ones(1), np.ones(1)), "monodromy",
                  "connection is not flat at the start (residual 1.00e+00)",
                  id="not_flat-transport"),
     pytest.param("invariant_form", lambda *args, **kwargs: _ISOTROPIC_FORM, "form",

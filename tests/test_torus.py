@@ -274,6 +274,25 @@ def test_flatness_matches_literal_pair_loop(fam, rank):
                 assert got > 1e-3
 
 
+@pytest.mark.parametrize("fam, rank", [t for t in ADE_UP_TO_8 if t[1] > 1] + [("D", 16)])
+def test_stacked_flatness_matches_one_point_residuals(fam, rank):
+    # a stack's residual is the largest of its points' residuals, bit for
+    # bit; past rank 5 a second stack crosses a chunk seam, and at D16 a
+    # chunk holds one point
+    system = _sys(fam, rank)
+    chunk = torus._rows_per_chunk(16 * rank * rank * (rank + 1) ** 2)
+    a = roots.integrability_constant(system)
+    for count in (5, chunk + 1) if chunk < 100 else (5,):
+        stack = torus.sample_points_near(system, count, seed=rank)
+        for k in (F(1, 10), F(3, 7), F(-5, 3)):
+            for a_override in (None, a * F(3, 2)):
+                got = torus.flatness_residual(system, k, stack, a_override)
+                want = max(torus.flatness_residual(system, k, stack[s:s + 1], a_override)
+                           for s in range(count))
+                assert got == want
+    assert chunk == 1 if rank == 16 else chunk > 1
+
+
 @pytest.mark.parametrize("fam, rank", ADE_UP_TO_8)
 def test_connection_matches_literal_frame_entry_by_entry(fam, rank):
     # the curvature's largest entry hardly moves with the point, so the
@@ -296,7 +315,7 @@ def test_theta_derivatives_match_roots_sum_and_differences(fam, rank):
     k = F(1, 7)
     lz = torus.default_base_point(system) + 0.1j
     z = np.exp(lz)
-    dA = torus._theta_frame_matrices(system, k, torus._char_values(system, lz))
+    dA, = torus._theta_frame_matrices(system, k, torus._char_values(system, lz[None]))
     literal = np.array([[_literal_theta_A(system, k, z, m, i) for i in range(rank)]
                         for m in range(rank)])
     scale = np.max(np.abs(literal))
@@ -570,9 +589,10 @@ def test_clearance_is_measured_only_by_the_sampler(monkeypatch):
     measured = []
     clearance = torus._clearance
 
-    def counted(system, path):
-        measured.append((path[1], clearance(system, path)))
-        return measured[-1][1]
+    def counted(system, paths):
+        got = clearance(system, paths)
+        measured.extend(zip(paths[:, 1], got))
+        return got
 
     monkeypatch.setattr(torus, "_clearance", counted)
     torus.mirror_monodromy(A2, k, np.array([1, 0]))
@@ -608,6 +628,8 @@ def test_generator_set_gates_flatness_once(monkeypatch):
     torus.toric_monodromy(A2, F(1, 4), 0)
     torus.transport(A2, F(1, 4), _full_mirror_loop(A2, np.array([0, 1])))
     assert len(calls) == 3
+    # the gate measures the one base point as a one-row stack
+    assert all(tchar.shape == (1, len(A2.positive_roots)) for _, _, tchar, _ in calls)
 
 
 @pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 6)])
@@ -798,6 +820,25 @@ def test_sample_points_match_point_then_path_oracle(fam, rank):
         assert np.array_equal(np.array(torus.sample_points_near(system, 10, seed=seed)),
                               np.array(want))
     assert point_rejects >= len(special)
+
+
+def test_sample_points_match_the_oracle_across_draw_blocks(monkeypatch):
+    # at E8 one block holds 94 draws, so 200 samples take at least three
+    # _clearance calls, none of more than a block
+    sizes = []
+    clearance = torus._clearance
+
+    def counted(system, paths):
+        sizes.append(len(paths))
+        return clearance(system, paths)
+
+    monkeypatch.setattr(torus, "_clearance", counted)
+    most = torus._rows_per_chunk(16 * (torus._CLEARANCE_SAMPLES + 1) * len(E8.positive_roots))
+    for seed in POINT_REJECT_SEEDS[("E", 8)][:2]:
+        want, _ = _oracle_sample_points(E8, torus.default_base_point(E8), 200, seed)
+        sizes.clear()
+        assert np.array_equal(torus.sample_points_near(E8, 200, seed=seed), np.array(want))
+        assert len(sizes) >= 3 and max(sizes) == most
 
 
 def test_sample_points_give_up_when_every_draw_is_near_a_mirror(monkeypatch):
