@@ -753,20 +753,28 @@ EXACT_LAYER_GRID = [
     *(["schwarz", "enumerate", "--p-max", p_max, "--rank-max", rank_max, "--format", fmt, *half]
       for p_max, rank_max in (("12", "6"), ("30", "13"))
       for fmt in ("csv", "text", "json") for half in ([], ["--include-k-half"])),
+    # no row at all, and a range whose only table diff is the (6, A5) anomaly
+    *(["schwarz", "enumerate", *bounds, "--format", fmt]
+      for bounds in (["--p-min", "7", "--p-max", "9"],
+                     ["--p-min", "4", "--p-max", "12", "--rank-max", "5"])
+      for fmt in ("csv", "text", "json")),
     ["schwarz", "dm-scan", "--n-max", "4", "--p-max", "23"],
+    ["schwarz", "dm-scan", "--n-max", "2", "--p-max", "3"],
+    ["schwarz", "dm-scan", "--format", "text"],
 ]
 
 
 def test_exact_layer_reports_are_pinned(capsys):
     # `roots dump` and every `schwarz` subcommand over the grid above: sha256
-    # of (argv, exit code, stdout, stderr); re-pinned once, when the CSV of
-    # `schwarz enumerate --include-k-half` gained its `inf` rows
+    # of (argv, exit code, stdout, stderr); re-pinned when the CSV of
+    # `schwarz enumerate --include-k-half` gained its `inf` rows, and when the
+    # grid gained the empty and one-anomaly enumerations and two dm-scans
     digest = hashlib.sha256()
     for argv in EXACT_LAYER_GRID:
         code, out = _run_exit(argv)
         digest.update(repr((argv, code, out, capsys.readouterr().err)).encode())
     assert digest.hexdigest() == (
-        "19a9693da69adcf0c96832a07b18b6877fc278350aa14a653ef7b42d64d7a864")
+        "0b160343903e0082122fab464e0ec2736962345262affd06d706e0659d441dce")
 
 
 def _readme_commands():
