@@ -94,10 +94,14 @@ def _emit_text(payload, stream, indent=0):
             else:
                 stream.write(f"{pad}{key}: {_scalar_str(val)}\n")
     elif isinstance(payload, list):
+        # a list of scalars is one "- [a, b]" line; a list of lists is a bare
+        # "-" line with its items one level deeper
         for item in payload:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, dict):
                 _emit_text(item, stream, indent)
-                stream.write("\n" if indent == 0 else "")
+            elif isinstance(item, list) and not _is_scalar_list(item):
+                stream.write(f"{pad}-\n")
+                _emit_text(item, stream, indent + 1)
             else:
                 stream.write(f"{pad}- {_scalar_str(item)}\n")
     else:
@@ -368,44 +372,37 @@ def _cmd_schwarz_enumerate(args):
     _require_at_most("--p-max", args.p_max, 1000)
     _require_at_least("--rank-max", args.rank_max, 2)
     _require_at_most("--rank-max", args.rank_max, 30)
-    result = schwarzcond.enumerate_solutions(
-        p_min=args.p_min, p_max=args.p_max, rank_max=args.rank_max,
-        include_k_half=args.include_k_half)
-    diff = schwarzcond.table_diff(result)
-    clean = diff == schwarzcond.anomalies_in_range(args.p_min, args.p_max, args.rank_max)
+    results = schwarzcond.enumerate_solutions(
+        args.p_min, args.p_max, args.rank_max, args.include_k_half)
+    code = EXIT_OK if results["documented_anomalies_only"] else EXIT_NUMERIC
+    k_half = results.get("k_half", [])
     if args.fmt == "csv":
         lines = ["p,type"]
-        for p, row in sorted(result.rows.items()):
-            for t in row:
-                lines.append(f"{p},{t}")
+        for p, row in results["rows"].items():
+            lines += [f"{p},{t}" for t in row]
         # k = 1/2 is p = infinity under k_from_p
-        lines += [f"inf,{t}" for t in result.k_half]
+        lines += [f"inf,{t}" for t in k_half]
         print("\n".join(lines))
-        return EXIT_OK if clean else EXIT_NUMERIC, None
+        return code, None
     if args.fmt == "text":
-        for p, row in sorted(result.rows.items()):
+        for p, row in results["rows"].items():
             print(f"p = {p:>3} : " + " ".join(row))
-        if result.k_half:
-            print("k = 1/2 : " + " ".join(result.k_half))
-        if not clean:
-            print(f"table diff beyond the documented anomalies: {diff}")
-        return EXIT_OK if clean else EXIT_NUMERIC, None
+        if k_half:
+            print("k = 1/2 : " + " ".join(k_half))
+        if code != EXIT_OK:
+            print(f"table diff beyond the documented anomalies: {results['table_diff']}")
+        return code, None
     payload = _report(
         module="schwarz",
         inputs={"p_min": args.p_min, "p_max": args.p_max, "rank_max": args.rank_max},
-        results={
-            **result.as_dict(),
-            "table_diff": {"extra": [list(x) for x in diff["extra"]],
-                           "missing": [list(x) for x in diff["missing"]]},
-            "documented_anomalies_only": clean,
-        },
+        results=results,
         residuals={},
         checks=[
             "exact stratum conditions reproduce the reference solution table",
             "the two boundary anomalies are reported, not patched",
         ],
     )
-    return (EXIT_OK if clean else EXIT_NUMERIC), payload
+    return code, payload
 
 
 def _cmd_schwarz_check(args):
@@ -445,28 +442,19 @@ def _cmd_schwarz_dm_scan(args):
     _require_at_least("--p-max", args.p_max, 3)
     _require_at_most("--n-max", args.n_max, 10)
     _require_at_most("--p-max", args.p_max, 60)
-    scan = schwarzcond.dm_equivalence_scan(n_max=args.n_max, p_max=args.p_max)
-    rows = scan["rows"]
-    identities_ok = all(r["identities_ok"] for r in rows)
-    agree_ok = all(r["agree"] is not False for r in rows)
-    degenerate = [[r["p"], r["n"]] for r in rows if r["degenerate"]]
+    results = schwarzcond.dm_equivalence_scan(args.n_max, args.p_max)
     payload = _report(
         module="schwarz",
         inputs={"n_max": args.n_max, "p_max": args.p_max},
-        results={
-            "identities_hold": identities_ok,
-            "verdicts_agree": agree_ok,
-            "hidden_symmetry_cases": [list(x) for x in scan["hidden_symmetry_cases"]],
-            "degenerate_cases": degenerate,
-            "row_count": len(rows),
-        },
+        results=results,
         residuals={},
         checks=[
             "the three displayed weight identities hold exactly for every (n, p)",
             "subgroup-restricted weight verdicts match the A-type stratum check",
         ],
     )
-    return (EXIT_OK if identities_ok and agree_ok else EXIT_NUMERIC), payload
+    ok = results["identities_hold"] and results["verdicts_agree"]
+    return (EXIT_OK if ok else EXIT_NUMERIC), payload
 
 
 def _cmd_schema(args):

@@ -6,18 +6,22 @@ Everything here is exact; no floats enter at any point.  Each type's stratum
 conditions are one table of integer rows, value = (c1*k + c0)/div, built once
 per type: a verdict at k = a/b is an integer divisibility test, and `check`
 is one pass over the rows that returns the report entries themselves, with
-the exact p/q values.  The enumerator implements the stated conditions
-literally, and the diff against the reference table deliberately surfaces
-the two boundary anomalies instead of patching either side.
+the exact p/q values.  `enumerate_solutions` is one pass over the orders in
+range that returns the `schwarz enumerate` results: it implements the stated
+conditions literally and diffs each order against the reference table as it
+goes, so the two boundary anomalies are surfaced instead of patched on
+either side.
 
 The weight side is integer arithmetic too.  At k = a/b every weight of the
-n+3 point vector has the denominator 2b, so degeneracy, the three displayed
-identities and k = 2/(n+3) are comparisons of numerators, and the three pair
-conditions the subgroup S_{n+1} x S_2 sees are rows of the same kind, derived
-from the weights rather than copied from the A_n table.  `dm` is one integer
-pass over the two weight numerators that returns the `schwarz dm` results,
-every pair verdict a divisibility test, and the equivalence scan compares two
-independently built integer verdicts.
+n+3 point vector has the denominator 2b, so degeneracy and k = 2/(n+3) are
+comparisons of numerators, and the three pair conditions the subgroup
+S_{n+1} x S_2 sees are rows of the same kind, derived from the weights rather
+than copied from the A_n table.  `dm` is one integer pass over the two weight
+numerators that returns the `schwarz dm` results, every pair verdict a
+divisibility test.  `dm_equivalence_scan` is one pass that returns the
+`schwarz dm-scan` results: the three displayed identities hold when those
+derived rows are the A_n table's toric, mirror and identity rows as linear
+forms, and the scan compares two independently built integer verdicts.
 """
 
 from __future__ import annotations
@@ -39,10 +43,7 @@ __all__ = [
     "passes",
     "check",
     "enumerate_solutions",
-    "EnumerationResult",
     "KNOWN_TABLE",
-    "table_diff",
-    "anomalies_in_range",
     "dm",
     "dm_equivalence_scan",
 ]
@@ -189,13 +190,6 @@ def _type_rank(name):
     return int(name[1:])
 
 
-def anomalies_in_range(p_min, p_max, rank_max):
-    """The documented anomalies an enumeration over this range must report."""
-    return {kind: tuple(x for x in cases
-                        if p_min <= x[0] <= p_max and _type_rank(x[1]) <= rank_max)
-            for kind, cases in DOCUMENTED_ANOMALIES.items()}
-
-
 def _scan_types(rank_max):
     out = [RootSystemType("A", n) for n in range(2, rank_max + 1)]
     out += [RootSystemType("D", n) for n in range(4, rank_max + 1)]
@@ -203,62 +197,38 @@ def _scan_types(rank_max):
     return out
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    p_min: int
-    p_max: int
-    rank_max: int
-    rows: dict                      # p -> tuple of type strings that pass
-    k_half: tuple = ()              # types passing at k = 1/2 (no finite p)
+def enumerate_solutions(p_min, p_max, rank_max, include_k_half):
+    """The `schwarz enumerate` results: for every p in range, the types of
+    rank <= rank_max that pass every condition, as rows in ascending p that
+    list at least one type (monotone in p_max by construction), and the types
+    passing at k = 1/2 when asked for and any pass.
 
-    def as_dict(self):
-        d = {
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-            "rank_max": self.rank_max,
-            "rows": {str(p): list(v) for p, v in sorted(self.rows.items())},
-        }
-        if self.k_half:
-            d["k_half"] = list(self.k_half)
-        return d
-
-
-def enumerate_solutions(p_min=3, p_max=100, rank_max=13, include_k_half=False):
-    """Evaluate the conditions for every type and p in range; emits the rows
-    with at least one passing type.  Monotone in p_max by construction."""
+    The same pass diffs each p against the reference table entries of rank
+    <= rank_max: extra are enumerated but not in the table, missing are in
+    the table but not enumerated, and the run is clean when the diff is
+    exactly the documented anomalies in the scanned range.
+    """
     if not (3 <= p_min <= p_max):
         raise ValueError(f"need 3 <= p_min <= p_max, got {p_min}, {p_max}")
     tables = [(str(t), _table(t)) for t in _scan_types(rank_max)]
-    rows = {}
+    rows, diff = {}, {"extra": [], "missing": []}
     for p in range(p_min, p_max + 1):
         k = k_from_p(p)
-        passing = tuple(name for name, table in tables
-                        if table.passes(k.numerator, k.denominator))
-        if passing:
-            rows[p] = passing
-    k_half = ()
-    if include_k_half:
-        k_half = tuple(name for name, table in tables if table.passes(1, 2))
-    return EnumerationResult(
-        p_min=p_min, p_max=p_max, rank_max=rank_max, rows=rows, k_half=k_half)
-
-
-def table_diff(result):
-    """Symmetric difference of the enumeration against the reference table.
-
-    extra: enumerated but not in the table; missing: in the table but not
-    enumerated.  Only table entries in the scanned p and rank range count.
-    The expected output is exactly the documented anomalies in that range.
-    """
-    extra, missing = [], []
-    for p in sorted(set(result.rows) | set(KNOWN_TABLE)):
-        if not (result.p_min <= p <= result.p_max):
-            continue
-        got = set(result.rows.get(p, ()))
-        want = {t for t in KNOWN_TABLE.get(p, ()) if _type_rank(t) <= result.rank_max}
-        extra.extend((p, t) for t in sorted(got - want))
-        missing.extend((p, t) for t in sorted(want - got))
-    return {"extra": tuple(extra), "missing": tuple(missing)}
+        got = [name for name, table in tables if table.passes(k.numerator, k.denominator)]
+        if got:
+            rows[str(p)] = got
+        want = {t for t in KNOWN_TABLE.get(p, ()) if _type_rank(t) <= rank_max}
+        diff["extra"] += [[p, t] for t in sorted(set(got) - want)]
+        diff["missing"] += [[p, t] for t in sorted(want - set(got))]
+    results = {"p_min": p_min, "p_max": p_max, "rank_max": rank_max, "rows": rows}
+    k_half = [name for name, table in tables if include_k_half and table.passes(1, 2)]
+    if k_half:
+        results["k_half"] = k_half
+    results["table_diff"] = diff
+    results["documented_anomalies_only"] = diff == {
+        kind: [[p, t] for p, t in cases if p_min <= p <= p_max and _type_rank(t) <= rank_max]
+        for kind, cases in DOCUMENTED_ANOMALIES.items()}
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -340,48 +310,46 @@ def dm(n, k):
     return results
 
 
-def dm_equivalence_scan(n_max=10, p_max=60):
-    """For every rank n <= n_max and reflection order p <= p_max: check the
-    three displayed identities exactly, compare the subgroup-restricted weight
-    verdict against the A_n stratum check on non-degenerate vectors, and flag
-    the hidden-symmetry solutions.
+def dm_equivalence_scan(n_max, p_max):
+    """The `schwarz dm-scan` results over every rank 2 <= n <= n_max and
+    reflection order 3 <= p <= p_max: whether the three displayed identities
+    hold, whether the subgroup-restricted weight verdict agrees with the A_n
+    stratum check on every non-degenerate vector, the hidden-symmetry
+    solutions and the degenerate vectors as [p, n], and the number of (n, p)
+    scanned.
 
-    Everything is integer arithmetic on k = a/b in lowest terms.  Every weight
-    has the denominator 2b, with numerator 2a in the middle and
-    2b - (n+1)a at the ends; the identities are equalities of numerators, the
-    weight verdict is the three rows of _dm_pair_rows and the A_n verdict the
-    stratum table's, each a divisibility test, and k = 2/(n+3) reads
-    a(n+3) = 2b.
+    The identities are checked once per n, as linear forms: the three pair
+    rows that _dm_pair_rows derives from the weights must be the A_n table's
+    toric, mirror and identity rows (c1, c0, div), and the table's identity
+    row takes h from the built root system.  Everything else is integer
+    arithmetic on k = a/b in lowest terms: every weight has the denominator
+    2b, with numerator 2a in the middle and 2b - (n+1)a at the ends, each
+    verdict is a divisibility test, and k = 2/(n+3) reads a(n+3) = 2b.
     """
     if n_max > 10 or p_max > 60:
         raise ValueError("scan bounds exceed the supported (10, 60) range")
-    ks = []
-    for p in range(3, p_max + 1):
-        k = k_from_p(p)
-        ks.append((p, k.numerator, k.denominator, format_rational(k)))
-    rows = []
-    hidden = []
-    for n in range(2, n_max + 1):
+    ns, ks = range(2, n_max + 1), [(p, k_from_p(p)) for p in range(3, p_max + 1)]
+    identities, agree, hidden, degenerate_cases = True, True, [], []
+    for n in ns:
         table = _table(RootSystemType("A", n))
         pair_rows = _dm_pair_rows(n)
-        for p, a, b, k_text in ks:
-            end, middle, degenerate, sym = _weights(n, a, b)
-            identities_ok = (
-                2 * b - end - middle == (n - 1) * a              # 1 - mu_0 - mu_1
-                and 2 * b - 2 * middle == 2 * (b - 2 * a)        # (1 - mu_1 - mu_{n+1})/2
-                and 2 * b - 2 * end == 2 * ((n + 1) * a - b)     # (1 - mu_0 - mu_{n+2})/2
-            )
+        identities = identities and ([(r.c1, r.c0, r.div) for r in pair_rows]
+                                     == [(r.c1, r.c0, r.div) for r in table.rows])
+        for p, k in ks:
+            a, b = k.numerator, k.denominator
+            _, _, degenerate, symmetric = _weights(n, a, b)
+            if degenerate:
+                degenerate_cases.append([p, n])
+                continue
             dm_ok = all(row.holds(a, b) for row in pair_rows)
             an_ok = table.passes(a, b)
-            if sym and not degenerate and dm_ok and an_ok:
-                hidden.append((p, n))
-            rows.append({
-                "n": n, "p": p, "k": k_text,
-                "identities_ok": identities_ok,
-                "degenerate": degenerate,
-                "dm_verdict": dm_ok,
-                "an_verdict": an_ok,
-                "agree": None if degenerate else (dm_ok == an_ok),
-                "mu_symmetric": sym,
-            })
-    return {"rows": rows, "hidden_symmetry_cases": tuple(hidden)}
+            agree = agree and dm_ok == an_ok
+            if symmetric and dm_ok and an_ok:
+                hidden.append([p, n])
+    return {
+        "identities_hold": identities,
+        "verdicts_agree": agree,
+        "hidden_symmetry_cases": hidden,
+        "degenerate_cases": degenerate_cases,
+        "row_count": len(ns) * len(ks),
+    }

@@ -22,13 +22,14 @@ def _verdict(num, ok, detail):
 
 def test_criterion_1_solution_table():
     t0 = time.monotonic()
-    result = schwarzcond.enumerate_solutions(p_min=3, p_max=100, rank_max=13)
-    diff = schwarzcond.table_diff(result)
+    results = schwarzcond.enumerate_solutions(p_min=3, p_max=100, rank_max=13,
+                                              include_k_half=False)
+    diff = results["table_diff"]
     elapsed = time.monotonic() - t0
     ok = (
-        diff["extra"] == ((3, "A5"),)
-        and diff["missing"] == ((6, "A5"),)
-        and set(result.rows) == {3, 4, 6, 10}
+        diff["extra"] == [[3, "A5"]]
+        and diff["missing"] == [[6, "A5"]]
+        and {int(p) for p in results["rows"]} == {3, 4, 6, 10}
         and elapsed < 1.0
     )
     _verdict(1, ok, f"table diff {diff}, {elapsed:.2f}s")
@@ -165,12 +166,12 @@ def test_criterion_8_tessellation_closure():
 
 def test_criterion_9_weight_equivalence():
     t0 = time.monotonic()
-    scan = schwarzcond.dm_equivalence_scan(n_max=10, p_max=60)
-    rows = scan["rows"]
-    identities = all(r["identities_ok"] for r in rows)
-    agreement = all(r["agree"] is not False for r in rows)
-    hidden = set(scan["hidden_symmetry_cases"]) == {(4, 5), (6, 3), (10, 2)}
+    results = schwarzcond.dm_equivalence_scan(n_max=10, p_max=60)
+    identities = results["identities_hold"]
+    agreement = results["verdicts_agree"]
+    cases = {tuple(case) for case in results["hidden_symmetry_cases"]}
+    hidden = cases == {(4, 5), (6, 3), (10, 2)}
     elapsed = time.monotonic() - t0
     ok = identities and agreement and hidden and elapsed < 5.0
     _verdict(9, ok, f"identities {identities}, agreement {agreement}, "
-                    f"hidden {sorted(scan['hidden_symmetry_cases'])}, {elapsed:.2f}s")
+                    f"hidden {sorted(cases)}, {elapsed:.2f}s")

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, report schema."""
 
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -17,7 +18,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from schwarz_atlas import cli, roots, torus
+from schwarz_atlas import cli, roots, schwarzcond, torus
 
 
 def run_cli(argv):
@@ -72,6 +73,68 @@ def test_roots_dump_json():
     assert res["positive_root_count"] == 63
     assert res["coxeter_number"] == 18
     assert res["toric_distances"] == [1, 2, 3]
+
+
+A2_DUMP_TEXT = """\
+schema_version: 1.0
+module: roots
+inputs:
+  type: A2
+results:
+  family: A
+  rank: 2
+  simple_roots:
+    - [1, 0]
+    - [0, 1]
+  positive_roots:
+    - [0, 1]
+    - [1, 0]
+    - [1, 1]
+  gram:
+    - [2, -1]
+    - [-1, 2]
+  coxeter_number: 3
+  integrability_constant: 3/4
+  hyperbolic_exponent: 2/3
+  toric_distances: []
+  positive_root_count: 3
+residuals: {}
+checks: [every root has squared norm 2 in the Cartan pairing, positive root count equals \
+rank * coxeter_number / 2]
+"""
+
+
+def test_roots_dump_text_keeps_each_root_on_one_line():
+    code, out = run_cli(["roots", "dump", "--type", "A", "--rank", "2", "--format", "text"])
+    assert code == 0 and out == A2_DUMP_TEXT
+
+
+def test_matrix_report_text_keeps_rows_and_entries():
+    # a 2x2 complex matrix: a "-" line per row, one [re, im] line per entry
+    payload = cli._report(
+        module="torus", inputs={}, residuals={"hecke_residual": 0.5}, checks=[],
+        results={"matrix": cli._matrix_out(np.array([[1, 2j], [-0.5, 0]])),
+                 "eigenvalues": [cli._complex_out(1), cli._complex_out(0.5j)]})
+    buf = io.StringIO()
+    cli._emit(payload, "text", buf)
+    assert buf.getvalue() == (
+        "schema_version: 1.0\n"
+        "module: torus\n"
+        "inputs: {}\n"
+        "results:\n"
+        "  matrix:\n"
+        "    -\n"
+        "      - [1.0, 0.0]\n"
+        "      - [0.0, 2.0]\n"
+        "    -\n"
+        "      - [-0.5, 0.0]\n"
+        "      - [0.0, 0.0]\n"
+        "  eigenvalues:\n"
+        "    - [1.0, 0.0]\n"
+        "    - [0.0, 0.5]\n"
+        "residuals:\n"
+        "  hecke_residual: 0.5\n"
+        "checks: []\n")
 
 
 def test_gauss_monodromy_exit_codes():
@@ -526,6 +589,46 @@ def test_dm_scan_cli():
     assert res["hidden_symmetry_cases"] == [[10, 2], [6, 3], [4, 5]]
 
 
+def _end_end_row_off_by_one(monkeypatch):
+    rows = schwarzcond._dm_pair_rows
+    monkeypatch.setattr(schwarzcond, "_dm_pair_rows", lambda n: rows(n)[:2] + (
+        dataclasses.replace(rows(n)[2], c0=rows(n)[2].c0 + 1),))
+
+
+def _coxeter_number_off_by_one(monkeypatch):
+    a4 = roots.RootSystemType("A", 4)
+    table = schwarzcond._table(a4)
+    identity = table.rows[2]
+    monkeypatch.setitem(schwarzcond._TABLE_CACHE, a4, dataclasses.replace(
+        table, rows=table.rows[:2] + (dataclasses.replace(identity, c1=identity.c1 + 1),)))
+
+
+@pytest.mark.parametrize("corrupt", [_end_end_row_off_by_one, _coxeter_number_off_by_one])
+def test_dm_scan_exits_1_when_an_identity_fails(corrupt, monkeypatch):
+    # the weight-derived pair rows and the A_n table come from independent
+    # sources, so a change to either side breaks the identities
+    corrupt(monkeypatch)
+    code, out = run_cli(["schwarz", "dm-scan", "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["results"]["identities_hold"] is False
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_enumerate_exits_1_on_a_table_diff_beyond_the_anomalies(fmt, monkeypatch):
+    # the reference table without A3 at p = 4, which the conditions pass
+    monkeypatch.setitem(schwarzcond.KNOWN_TABLE, 4, ("A2", "A5", "D4", "D5", "E6"))
+    code, out = run_cli(["schwarz", "enumerate", "--format", fmt])
+    assert code == 1
+    if fmt == "json":
+        results = json.loads(out)["results"]
+        assert results["documented_anomalies_only"] is False
+        assert results["table_diff"]["extra"] == [[3, "A5"], [4, "A3"]]
+    elif fmt == "text":
+        assert "table diff beyond the documented anomalies: " in out.splitlines()[-1]
+    else:
+        assert "4,A3" in out.splitlines()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--n-max", "1"], "--n-max must be at least 2, got 1"),
     (["--p-max", "2"], "--p-max must be at least 3, got 2"),
@@ -767,14 +870,16 @@ EXACT_LAYER_GRID = [
 def test_exact_layer_reports_are_pinned(capsys):
     # `roots dump` and every `schwarz` subcommand over the grid above: sha256
     # of (argv, exit code, stdout, stderr); re-pinned when the CSV of
-    # `schwarz enumerate --include-k-half` gained its `inf` rows, and when the
-    # grid gained the empty and one-anomaly enumerations and two dm-scans
+    # `schwarz enumerate --include-k-half` gained its `inf` rows, when the
+    # grid gained the empty and one-anomaly enumerations and two dm-scans,
+    # and when `--format text` kept nested lists (the `roots dump` text
+    # entries and the default `dm-scan` text)
     digest = hashlib.sha256()
     for argv in EXACT_LAYER_GRID:
         code, out = _run_exit(argv)
         digest.update(repr((argv, code, out, capsys.readouterr().err)).encode())
     assert digest.hexdigest() == (
-        "0b160343903e0082122fab464e0ec2736962345262affd06d706e0659d441dce")
+        "f2a1cb7aaf1085f9bc67915c80041285a383f972ab96c491383b871199a785e3")
 
 
 def _readme_commands():

@@ -193,26 +193,36 @@ def test_integer_verdicts_on_the_scanned_grid():
 # --- enumeration and the reference table ------------------------------------
 
 def test_enumeration_reproduces_reference_rows():
-    res = sc.enumerate_solutions(p_min=3, p_max=100, rank_max=13)
-    assert set(res.rows) == {3, 4, 6, 10}
-    assert res.rows[4] == ("A2", "A3", "A5", "D4", "D5", "E6")
-    assert res.rows[10] == ("A2",)
-    assert res.rows[6] == ("A2", "A3", "A4", "D4")       # A5 fails the literal conditions
-    assert "A5" in res.rows[3]                            # and passes them at p = 3
+    res = sc.enumerate_solutions(3, 100, 13, False)
+    assert list(res["rows"]) == ["3", "4", "6", "10"]
+    assert res["rows"]["4"] == ["A2", "A3", "A5", "D4", "D5", "E6"]
+    assert res["rows"]["10"] == ["A2"]
+    assert res["rows"]["6"] == ["A2", "A3", "A4", "D4"]    # A5 fails the literal conditions
+    assert "A5" in res["rows"]["3"]                         # and passes them at p = 3
 
 
 def test_table_diff_is_exactly_the_two_anomalies():
-    res = sc.enumerate_solutions(p_min=3, p_max=100, rank_max=13)
-    diff = sc.table_diff(res)
-    assert diff["extra"] == ((3, "A5"),)
-    assert diff["missing"] == ((6, "A5"),)
+    res = sc.enumerate_solutions(3, 100, 13, False)
+    assert res["table_diff"] == {"extra": [[3, "A5"]], "missing": [[6, "A5"]]}
+    assert res["documented_anomalies_only"] is True
+
+
+@pytest.mark.parametrize("p_min, p_max, extra, missing", [
+    (3, 5, [[3, "A5"]], []),
+    (4, 12, [], [[6, "A5"]]),
+])
+def test_table_diff_counts_only_the_scanned_range(p_min, p_max, extra, missing):
+    # an anomaly outside the p range is neither reported nor expected
+    res = sc.enumerate_solutions(p_min, p_max, 13, False)
+    assert res["table_diff"] == {"extra": extra, "missing": missing}
+    assert res["documented_anomalies_only"] is True
 
 
 def test_enumeration_monotone_in_p_max():
-    small = sc.enumerate_solutions(p_max=20)
-    large = sc.enumerate_solutions(p_max=60)
-    for p, row in small.rows.items():
-        assert large.rows[p] == row
+    small = sc.enumerate_solutions(3, 20, 13, False)["rows"]
+    large = sc.enumerate_solutions(3, 60, 13, False)["rows"]
+    for p, row in small.items():
+        assert large[p] == row
 
 
 def test_a_family_rows_brute_force_to_200():
@@ -235,8 +245,8 @@ def test_a2_toric_divisibility():
 
 
 def test_k_half_flag():
-    res = sc.enumerate_solutions(p_max=10, include_k_half=True)
-    assert res.k_half == ("A2",)
+    assert sc.enumerate_solutions(3, 10, 13, True)["k_half"] == ["A2"]
+    assert "k_half" not in sc.enumerate_solutions(3, 10, 13, False)
 
 
 # --- weight vectors ----------------------------------------------------------
@@ -286,27 +296,25 @@ def test_three_identities_hold_symbolically():
 
 
 def test_equivalence_scan():
-    scan = sc.dm_equivalence_scan(n_max=10, p_max=60)
-    rows = scan["rows"]
-    assert all(r["identities_ok"] for r in rows)
-    assert all(r["agree"] is not False for r in rows)
-    assert set(scan["hidden_symmetry_cases"]) == {(4, 5), (6, 3), (10, 2)}
+    res = sc.dm_equivalence_scan(10, 60)
+    assert res["identities_hold"] is True and res["verdicts_agree"] is True
+    assert res["hidden_symmetry_cases"] == [[10, 2], [6, 3], [4, 5]]
+    assert res["row_count"] == 9 * 58
     # degeneracy is exactly the complement of 0 < k < 2/(n+1)
-    for r in rows:
-        k = sc.k_from_p(r["p"])
-        assert r["degenerate"] == (not (0 < k < F(2, r["n"] + 1)))
+    assert res["degenerate_cases"] == [
+        [p, n] for n in range(2, 11) for p in range(3, 61)
+        if not 0 < sc.k_from_p(p) < F(2, n + 1)]
 
 
 def test_scan_examples():
-    rows = {(r["n"], r["p"]): r for r in sc.dm_equivalence_scan()["rows"]}
-    r = rows[(2, 10)]
-    assert r["dm_verdict"] and r["an_verdict"] and r["agree"]
-    r = rows[(6, 3)]
-    assert not r["dm_verdict"] and not r["an_verdict"] and r["agree"]
+    # the two verdicts the scan compares, one (n, p) at a time
+    k = sc.k_from_p(10)
+    assert sc.dm(2, k)["w_restricted"]["verdict"] and sc.passes(T("A", 2), k)
+    k = sc.k_from_p(3)
+    assert not sc.dm(6, k)["w_restricted"]["verdict"] and not sc.passes(T("A", 6), k)
     # the symmetric-but-failing case is flagged symmetric yet not a solution
-    r = rows[(9, 3)]
-    assert r["mu_symmetric"] and not r["an_verdict"]
-    assert (3, 9) not in set(sc.dm_equivalence_scan()["hidden_symmetry_cases"])
+    assert sc.dm(9, k)["hidden_symmetry"] and not sc.passes(T("A", 9), k)
+    assert [3, 9] not in sc.dm_equivalence_scan(10, 60)["hidden_symmetry_cases"]
 
 
 # --- the integer weight side against the literal Fraction scan ----------------
@@ -326,37 +334,36 @@ def oracle_w_restricted(n, k):
 
 def oracle_scan(n_max, p_max):
     """The equivalence scan rebuilt literally: Fraction weight vectors, the
-    identities re-proved per (n, p) and the A_n verdict from `oracle`."""
-    rows, hidden = [], []
+    displayed identities read per (n, p) against the values `check` reports
+    for A_n, and the A_n verdict from `oracle`."""
+    identities, agree, hidden, degenerate_cases = True, True, [], []
     for n in range(2, n_max + 1):
         for p in range(3, p_max + 1):
             k = F(p - 2, 2 * p)
             end = 1 - (n + 1) * k / 2
             mu = (end,) + (k,) * (n + 1) + (end,)
-            degenerate = any(not (0 < m < 1) for m in mu)
-            identities_ok = (
-                1 - mu[0] - mu[1] == (n - 1) * k / 2
-                and (1 - mu[1] - mu[n + 1]) / 2 == (1 - 2 * k) / 2
-                and (1 - mu[0] - mu[n + 2]) / 2 == ((n + 1) * k - 1) / 2
+            shown = {c["kind"]: F(c["value"]) for c in sc.check(T("A", n), k)["conditions"]}
+            identities = identities and (
+                1 - mu[0] - mu[1] == shown["toric_a"]
+                and (1 - mu[1] - mu[n + 1]) / 2 == shown["mirror"]
+                and (1 - mu[0] - mu[n + 2]) / 2 == shown["identity"]
             )
+            if any(not (0 < m < 1) for m in mu):
+                degenerate_cases.append([p, n])
+                continue
             dm_ok = oracle_w_restricted(n, k)[0]
             an_ok = oracle("A", n, k)[1]
-            sym = k == F(2, n + 3)
-            if sym and not degenerate and dm_ok and an_ok:
-                hidden.append((p, n))
-            rows.append({
-                "n": n, "p": p, "k": f"{k.numerator}/{k.denominator}",
-                "identities_ok": identities_ok, "degenerate": degenerate,
-                "dm_verdict": dm_ok, "an_verdict": an_ok,
-                "agree": None if degenerate else dm_ok == an_ok,
-                "mu_symmetric": sym,
-            })
-    return {"rows": rows, "hidden_symmetry_cases": tuple(hidden)}
+            agree = agree and dm_ok == an_ok
+            if k == F(2, n + 3) and dm_ok and an_ok:
+                hidden.append([p, n])
+    return {"identities_hold": identities, "verdicts_agree": agree,
+            "hidden_symmetry_cases": hidden, "degenerate_cases": degenerate_cases,
+            "row_count": (n_max - 1) * (p_max - 2)}
 
 
 @pytest.mark.parametrize("n_max, p_max", [(10, 60), (2, 3), (4, 23), (7, 41)])
 def test_integer_scan_matches_fraction_oracle_row_for_row(n_max, p_max):
-    assert sc.dm_equivalence_scan(n_max, p_max) == oracle_scan(n_max, p_max)
+    same_report(sc.dm_equivalence_scan(n_max, p_max), oracle_scan(n_max, p_max))
 
 
 def oracle_dm(n, k):

@@ -330,3 +330,101 @@ def test_float_use_finder():
 def test_exact_modules_use_no_floats(name):
     path = pathlib.Path(schwarz_atlas.__file__).parent / name
     assert float_uses(path.read_text(encoding="utf-8")) == []
+
+
+# methods that change a dict or list in place
+MUTATORS = {"update", "pop", "popitem", "setdefault", "clear",
+            "append", "extend", "insert", "remove", "sort", "reverse"}
+
+
+def _root_name(node):
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _is_schwarzcond_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and _root_name(node.func) == "schwarzcond")
+
+
+def assembled_schwarz_results(source):
+    """(handler, line) for every `_report` call in a `_cmd_schwarz_*` handler
+    whose `results` is neither a `schwarzcond` call nor a name bound once, to
+    a `schwarzcond` call, and never changed in place; a handler without a
+    `_report` call is listed with line None."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_schwarz_")):
+            continue
+        stores, from_schwarzcond, changed, reports = Counter(), set(), set(), []
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                stores[node.id] += 1
+            elif isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
+                    node.ctx, (ast.Store, ast.Del)):
+                changed.add(_root_name(node))
+            elif isinstance(node, ast.Assign) and _is_schwarzcond_call(node.value):
+                from_schwarzcond |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS:
+                changed.add(_root_name(node.func.value))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_report":
+                reports.append(node)
+        for call in reports:
+            given = {k.arg: k.value for k in call.keywords}
+            results = given.get("results", call.args[2] if len(call.args) > 2 else None)
+            if not (_is_schwarzcond_call(results) or (
+                    isinstance(results, ast.Name) and results.id in from_schwarzcond
+                    and stores[results.id] == 1 and results.id not in changed)):
+                found.append((fn.name, call.lineno))
+        if not reports:
+            found.append((fn.name, None))
+    return found
+
+
+def test_assembled_schwarz_results_finder():
+    source = (
+        "def _cmd_schwarz_direct(args):\n"
+        "    return _report(module='schwarz', results=schwarzcond.check(args.t, args.k))\n"
+        "def _cmd_schwarz_named(args):\n"
+        "    results = schwarzcond.dm(args.n, args.k)\n"
+        "    code = 0 if results['verdict'] else 1\n"
+        "    return code, _report(module='schwarz', results=results)\n"
+        "def _cmd_schwarz_literal(args):\n"
+        "    scan = schwarzcond.dm_equivalence_scan(args.n, args.p)\n"
+        "    return _report(module='schwarz', results={'rows': len(scan)})\n"
+        "def _cmd_schwarz_grown(args):\n"
+        "    results = schwarzcond.check(args.t, args.k)\n"
+        "    results['clean'] = True\n"
+        "    return _report(module='schwarz', results=results)\n"
+        "def _cmd_schwarz_updated(args):\n"
+        "    results = schwarzcond.check(args.t, args.k)\n"
+        "    results['conditions'].append(None)\n"
+        "    return _report(module='schwarz', results=results)\n"
+        "def _cmd_schwarz_rebound(args):\n"
+        "    results = schwarzcond.check(args.t, args.k)\n"
+        "    results = dict(results)\n"
+        "    return _report('schwarz', {}, results)\n"
+        "def _cmd_schwarz_other(args):\n"
+        "    results = roots.dump(args.t)\n"
+        "    return _report(module='schwarz', results=results)\n"
+        "def _cmd_schwarz_silent(args):\n"
+        "    return 0, None\n"
+        "def _cmd_roots_dump(args):\n"
+        "    return _report(module='roots', results={})\n"
+    )
+    assert assembled_schwarz_results(source) == [
+        ("_cmd_schwarz_literal", 9), ("_cmd_schwarz_grown", 13), ("_cmd_schwarz_updated", 17),
+        ("_cmd_schwarz_rebound", 21), ("_cmd_schwarz_other", 24), ("_cmd_schwarz_silent", None)]
+
+
+def test_schwarz_handlers_report_schwarzcond_results_unchanged():
+    # the exact layer builds each `schwarz` report's results in one pass; the
+    # CLI only wraps them
+    path = pathlib.Path(schwarz_atlas.__file__).parent / "cli.py"
+    source = path.read_text(encoding="utf-8")
+    handlers = [fn.name for fn in ast.parse(source).body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_schwarz_")]
+    assert len(handlers) == 4
+    assert assembled_schwarz_results(source) == []
