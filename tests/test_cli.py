@@ -603,14 +603,26 @@ def _coxeter_number_off_by_one(monkeypatch):
         table, rows=table.rows[:2] + (dataclasses.replace(identity, c1=identity.c1 + 1),)))
 
 
-@pytest.mark.parametrize("corrupt", [_end_end_row_off_by_one, _coxeter_number_off_by_one])
-def test_dm_scan_exits_1_when_an_identity_fails(corrupt, monkeypatch):
+def _hyperbolic_range_too_short(monkeypatch):
+    a2 = roots.RootSystemType("A", 2)
+    monkeypatch.setitem(schwarzcond._TABLE_CACHE, a2,
+                        dataclasses.replace(schwarzcond._table(a2), m=Fraction(1, 10)))
+
+
+@pytest.mark.parametrize("corrupt, failed, held", [
+    (_end_end_row_off_by_one, "identities_hold", None),
+    (_coxeter_number_off_by_one, "identities_hold", None),
+    (_hyperbolic_range_too_short, "verdicts_agree", "identities_hold"),
+])
+def test_dm_scan_exits_1_when_a_check_fails(corrupt, failed, held, monkeypatch):
     # the weight-derived pair rows and the A_n table come from independent
-    # sources, so a change to either side breaks the identities
+    # sources, so a change to either side breaks the identities; a range the
+    # identities do not compare breaks only the agreement of the verdicts
     corrupt(monkeypatch)
     code, out = run_cli(["schwarz", "dm-scan", "--format", "json"])
-    assert code == 1
-    assert json.loads(out)["results"]["identities_hold"] is False
+    results = json.loads(out)["results"]
+    assert code == 1 and results[failed] is False
+    assert held is None or results[held] is True
 
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
