@@ -94,12 +94,10 @@ def _emit_text(payload, stream, indent=0):
             else:
                 stream.write(f"{pad}{key}: {_scalar_str(val)}\n")
     elif isinstance(payload, list):
-        # a list of scalars is one "- [a, b]" line; a list of lists is a bare
-        # "-" line with its items one level deeper
+        # a list of scalars is one "- [a, b]" line; a dict or a list of lists
+        # is a bare "-" line with its entries one level deeper
         for item in payload:
-            if isinstance(item, dict):
-                _emit_text(item, stream, indent)
-            elif isinstance(item, list) and not _is_scalar_list(item):
+            if isinstance(item, dict) or (isinstance(item, list) and not _is_scalar_list(item)):
                 stream.write(f"{pad}-\n")
                 _emit_text(item, stream, indent + 1)
             else:
@@ -339,7 +337,7 @@ def _cmd_torus_form(args):
     _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
-    form = torus.invariant_form(torus.standard_generators(system, k))
+    form = torus.invariant_form(*torus.hecke_generators(system, k))
     ball = torus.ball_check(system, k, form,
                             torus.sample_points_near(system, args.samples, seed=args.seed))
     negative = all(v < 0 for v in ball)
@@ -390,7 +388,14 @@ def _cmd_schwarz_enumerate(args):
         if k_half:
             print("k = 1/2 : " + " ".join(k_half))
         if code != EXIT_OK:
-            print(f"table diff beyond the documented anomalies: {results['table_diff']}")
+            print("table diff beyond the documented anomalies:")
+            for kind, cases in results["table_diff"].items():
+                by_p = {}
+                for p, t in cases:
+                    by_p.setdefault(p, []).append(t)
+                print(f"{kind}:" + ("" if by_p else " none"))
+                for p, row in by_p.items():
+                    print(f"  p = {p:>3} : " + " ".join(row))
         return code, None
     payload = _report(
         module="schwarz",

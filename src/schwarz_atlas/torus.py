@@ -2,8 +2,9 @@
 the first-order frame connection at a point, one (n, n+1, n+1) array built by
 _connection, its exact scalar block and its curvature, multidimensional
 continuation along log-linear paths, mirror and coordinate monodromy, the
-invariant Hermitian form, and the negative-cone (ball) check, whose values are
-the unsigned pairings under the inverse form.
+Hecke generators of the orbifold group, the invariant Hermitian form, and the
+negative-cone (ball) check, whose values are the unsigned pairings under the
+inverse form.
 
 Coordinates are z_i = h^{-alpha_i}; the vector fields theta_i dual to the
 simple roots act as -z_i d/dz_i, so characters restrict to monomials and all
@@ -11,8 +12,13 @@ structure constants are rational.  Every float entry point takes a point as a
 plain array of log-coordinates l_i = log z_i, and a path as an array of them;
 the Weyl group acts on them linearly, the simple reflection s_i by
 _reflection_matrix.  Only char_value, the exact monomial, takes coordinates z.
-Every sample path starts at default_base_point, and every loop is a curve that
-_loop reaches from it by a straight stage.  Scalar couplings are exact;
+Every sample path starts at default_base_point.  Every loop is a curve that
+_loop reaches by a straight stage from the base point it is given:
+mirror_monodromy and toric_monodromy give default_base_point.  The invariant
+form is solved at the real base point b of _hecke_base_point from
+hecke_generators, the n half-turns T_i and the n coordinate loops there, and
+moved to default_base_point by one more transport, along the straight path
+from it to b.  Scalar couplings are exact;
 continuation runs through _kernels.torus_segment, once per path: it lays out
 the step grid of every segment of the path (steps of half the distance to the
 nearest mirror crossing), sums each step's propagator, the Taylor series of
@@ -58,7 +64,7 @@ __all__ = [
     "mirror_monodromy",
     "toric_monodromy",
     "hecke_residual",
-    "standard_generators",
+    "hecke_generators",
     "invariant_form",
     "ball_check",
     "sample_points_near",
@@ -68,6 +74,7 @@ MIRROR_DELTA = 0.02
 _CLEARANCE_SAMPLES = 9    # intervals per path segment sampled by _clearance
 _RING_SEGMENTS = 24       # segments of the ring of every mirror loop
 _RING_RADIUS = 0.1        # |h^{-alpha} - 1| on the ring of every mirror loop
+_HALF_TURN_SEGMENTS = _RING_SEGMENTS // 2    # segments of every half-turn of hecke_generators
 _SAMPLE_SPREAD = 0.35     # scale of the Gaussian log-offsets of sample_points_near
 _RANK_TOL = 1e-6          # invariant_form's null-space threshold, relative to svals[0]
 _EIG_TOL = 1e-8           # the smallest |eigenvalue| of the form that counts in its signature
@@ -319,9 +326,10 @@ def _clearance(system, paths):
 
 def _flatness_gate(system, k):
     """Sanity gate of a monodromy measurement: raises _kernels.NumericFailure
-    unless the connection is flat at default_base_point, where every loop
-    starts; flatness makes the loops' monodromy homotopy invariant.  The
-    bound scales with the products A_j A_i the curvature is a difference of."""
+    unless the connection is flat at default_base_point, where every
+    measurement starts; flatness makes the loops' monodromy homotopy
+    invariant.  The bound scales with the products A_j A_i the curvature is
+    a difference of."""
     tchar = _char_values(system, default_base_point(system)[None])
     res, amax = (float(v[0]) for v in _curvature(system, k, tchar, integrability_constant(system)))
     if res > _FLAT_TOL * max(1.0, amax * amax):
@@ -345,7 +353,7 @@ def transport(system, k, path):
     A2 simple-root ring of radius 1e-3 against radius 0.1: 8.7e-12 relative
     at k = 3/4, 5.9e-7 at k = 2), and the Hecke residual does not see the
     loss.  The curvature is not checked here: mirror_monodromy,
-    toric_monodromy and standard_generators check it once at the base point.
+    toric_monodromy and hecke_generators check it once at default_base_point.
     """
     pts = np.asarray(path, dtype=np.complex128)
     moves = np.diff(pts, axis=0)
@@ -359,17 +367,17 @@ def transport(system, k, path):
                                   float(k), svec)[0]
 
 
-def _loop(system, k, curve):
+def _loop(system, k, curve, base):
     """Monodromy, without the flatness gate, of the loop that goes straight
-    from default_base_point to curve[0], runs along curve (log-coordinates of a
-    curve closed on the torus) and comes back the way it went.
+    from the log-coordinates base to curve[0], runs along curve (log-coordinates
+    of a curve closed on the torus) and comes back the way it went.
 
     The stage out is transported once: with S its transport and T the curve's,
     the loop is S^-1 T S.  A curve that starts at the base has a stage of no
     length: its transport is the identity, so T S and the solve give T's bits.
     """
     curve = np.asarray(curve, dtype=np.complex128)
-    S = transport(system, k, (default_base_point(system), curve[0]))
+    S = transport(system, k, (base, curve[0]))
     T = transport(system, k, curve)
     # finite frames whose product overflows are caught here
     with np.errstate(over="ignore", invalid="ignore"):
@@ -382,30 +390,28 @@ def _loop(system, k, curve):
         raise _kernels.NumericFailure(f"loop stage transport is singular: {exc}") from exc
 
 
-def _mirror_ring(system, alpha):
+def _mirror_ring(system, alpha, base):
     """Log-coordinates of the ring around the mirror of alpha: the alpha-character
     runs through 1 + _RING_RADIUS e^{i phi} around the full circle.
 
-    The ring lies on the one-parameter line through the base point in the
-    direction dual to alpha, so every other character moves by half-integer
-    multiples of the same log increment.
+    The ring lies on the one-parameter line through the log-coordinates base
+    in the direction dual to alpha, so every other character moves by
+    half-integer multiples of the same log increment.
     """
-    base_logs = default_base_point(system)
     alpha = np.asarray(alpha, dtype=np.int64)
     d = (system.cartan.astype(np.float64) @ alpha).astype(np.complex128) / 2.0
-    L0 = complex(alpha.astype(np.float64) @ base_logs)
+    L0 = complex(alpha.astype(np.float64) @ base)
     ring = [cmath.log(1.0 + _RING_RADIUS * cmath.exp(2j * math.pi * s / _RING_SEGMENTS))
             for s in range(_RING_SEGMENTS + 1)]
-    return np.array([base_logs + (s - L0) * d for s in ring])
+    return np.array([base + (s - L0) * d for s in ring])
 
 
-def _coordinate_circle(system, j):
+def _coordinate_circle(system, j, base):
     """Log-coordinates of the counterclockwise coordinate loop
-    z_j -> e^{2 pi i t} z_j from default_base_point, in three segments."""
+    z_j -> e^{2 pi i t} z_j from the log-coordinates base, in three segments."""
     e = np.zeros(system.rank, dtype=np.complex128)
     e[j] = 1.0
-    return np.array([default_base_point(system) + 2j * math.pi * (s / 3.0) * e
-                     for s in range(4)])
+    return np.array([base + 2j * math.pi * (s / 3.0) * e for s in range(4)])
 
 
 def mirror_monodromy(system, k, alpha):
@@ -414,14 +420,16 @@ def mirror_monodromy(system, k, alpha):
     counterclockwise around 1 on a ring of radius _RING_RADIUS.  The flatness
     gate runs at the base point first."""
     _flatness_gate(system, k)
-    return _loop(system, k, _mirror_ring(system, alpha))
+    base = default_base_point(system)
+    return _loop(system, k, _mirror_ring(system, alpha, base), base)
 
 
 def toric_monodromy(system, k, j):
     """Monodromy of the counterclockwise coordinate loop z_j -> e^{2 pi i t} z_j
     at default_base_point.  The flatness gate runs at the base point first."""
     _flatness_gate(system, k)
-    return _loop(system, k, _coordinate_circle(system, j))
+    base = default_base_point(system)
+    return _loop(system, k, _coordinate_circle(system, j, base), base)
 
 
 def hecke_residual(M, k):
@@ -434,19 +442,49 @@ def hecke_residual(M, k):
     return float(num / np.linalg.norm(M) ** 2)
 
 
-def standard_generators(system, k):
-    """Monodromy generators used for the invariant form: one mirror loop per
-    simple root, one around the highest-root mirror, and all coordinate loops.
-    Every loop starts at default_base_point, so the flatness gate runs there
-    once."""
+def _hecke_base_point(system):
+    """The real base point of hecke_generators, l_j = 0.35 + 0.05 j: every
+    positive-root log is real and positive there, so the point lies in the
+    dominant chamber, off every mirror."""
+    return 0.35 + 0.05 * np.arange(system.rank, dtype=np.complex128)
+
+
+def _half_turn(system, i, base):
+    """Log-coordinates of the half-turn from the real point base to s_i base:
+    base + (L0 e^{i pi t} - L0) C e_i / 2 for t in [0, 1], with L0 = base_i,
+    in _HALF_TURN_SEGMENTS segments.  The alpha_i-log runs half around 0,
+    from L0 to -L0, and every other root log moves by a half-integer multiple
+    of the same increment."""
+    d = system.cartan[:, i].astype(np.complex128) / 2.0
+    L0 = base[i]
+    return np.array([base + (L0 * cmath.exp(1j * math.pi * s / _HALF_TURN_SEGMENTS) - L0) * d
+                     for s in range(_HALF_TURN_SEGMENTS + 1)])
+
+
+def hecke_generators(system, k):
+    """The generators the invariant form is solved from, and the move to their
+    base point: (generators, P).
+
+    The generators sit at the real base point b of _hecke_base_point: first
+    the n half-turns T_i = diag(1, A_i^T) transport(half-turn i), which
+    continue the jet frame from b to s_i b and pull it back by the simple
+    reflection A_i = _reflection_matrix(system, i), so T_i generates the
+    orbifold group and satisfies (T_i - 1)(T_i + q) = 0 with
+    q = exp(-2 pi i k); then the n coordinate loops z_j -> e^{2 pi i t} z_j
+    at b.  P is the transport along the straight path from
+    default_base_point to b, where every positive-root log has positive real
+    part, so the path meets no mirror.  The flatness gate runs at
+    default_base_point once.
+    """
     _flatness_gate(system, k)
-    n = system.rank
-    simples = list(np.eye(n, dtype=np.int64))
-    high = system.positive_roots[-1]
-    roots = simples + ([high] if not any(np.array_equal(high, s) for s in simples) else [])
-    curves = [_mirror_ring(system, alpha) for alpha in roots]
-    curves += [_coordinate_circle(system, j) for j in range(n)]
-    return [_loop(system, k, curve) for curve in curves]
+    b = _hecke_base_point(system)
+    halves = []
+    for i in range(system.rank):
+        reflect = np.eye(system.rank + 1)
+        reflect[1:, 1:] = _reflection_matrix(system, i).T
+        halves.append(reflect @ transport(system, k, _half_turn(system, i, b)))
+    loops = [_loop(system, k, _coordinate_circle(system, j, b), b) for j in range(system.rank)]
+    return halves + loops, transport(system, k, (default_base_point(system), b))
 
 
 # ---------------------------------------------------------------------------
@@ -477,15 +515,21 @@ def _hermitian_basis(N):
     return basis
 
 
-def invariant_form(generators):
-    """Least-squares solve of M* H M = H over Hermitian H for all generators.
+def invariant_form(generators, move):
+    """Least-squares solve of M* H_b M = H_b over Hermitian H_b for all
+    generators, loops at one base point b, and the solution moved by the
+    transport move from default_base_point to b: H = move* H_b move.
 
-    Returns the best solution with its residual and signature; raises
-    InvariantFormError when the solution space is numerically zero- or
-    multi-dimensional (the latter signals reducibility or a coupling outside
-    the hyperbolic range).  Each generator maps the whole basis in one batched
-    matmul, and the thin SVD of the stacked system gives the singular values
-    and the null vector without the unused left factor.
+    Each generator's block of the stacked system is divided by ||M||_F^2,
+    so that no generator outweighs the others; one thin SVD of the
+    equilibrated system, without the unused left factor, gives both the
+    count of null vectors (singular values at most _RANK_TOL of the largest)
+    and the null vector.  Raises InvariantFormError when the solution space
+    is numerically zero- or multi-dimensional (the latter signals
+    reducibility or a coupling outside the hyperbolic range).  H is
+    normalised to unit Frobenius norm and signed so that the positive
+    eigenvalues are the majority; the residual is the largest
+    ||M* H_b M - H_b|| over the generators, with H_b of unit norm.
     """
     gens = [np.asarray(M, dtype=np.complex128) for M in generators]
     if not gens:
@@ -495,6 +539,7 @@ def invariant_form(generators):
     rows = []
     for M in gens:
         block = (np.matmul(np.matmul(M.conj().T, basis), M) - basis).reshape(N * N, -1).T
+        block /= np.linalg.norm(M) ** 2
         rows.append(block.real)
         rows.append(block.imag)
     L = np.concatenate(rows, axis=0)
@@ -512,20 +557,22 @@ def invariant_form(generators):
     # _hermitian_basis order: the diagonal, then Re and Im of H[i, j] per i < j
     coeff = vt[-1]
     upper = np.triu_indices(N, 1)
-    H = np.diag(coeff[:N]).astype(np.complex128)
-    H[upper] = coeff[N::2] + 1j * coeff[N + 1::2]
-    H[upper[::-1]] = H[upper].conj()
-    H /= np.linalg.norm(H)
+    Hb = np.diag(coeff[:N]).astype(np.complex128)
+    Hb[upper] = coeff[N::2] + 1j * coeff[N + 1::2]
+    Hb[upper[::-1]] = Hb[upper].conj()
+    Hb /= np.linalg.norm(Hb)
+    residual = max(
+        float(np.linalg.norm(M.conj().T @ Hb @ M - Hb)) for M in gens
+    )
+    move = np.asarray(move, dtype=np.complex128)
+    H = move.conj().T @ Hb @ move
+    H = (H + H.conj().T) / (2.0 * np.linalg.norm(H))
     eigs = np.linalg.eigvalsh(H)
     pos = int(np.sum(eigs > _EIG_TOL))
     neg = int(np.sum(eigs < -_EIG_TOL))
     if neg > pos:
         H = -H
         pos, neg = neg, pos
-        eigs = -eigs
-    residual = max(
-        float(np.linalg.norm(M.conj().T @ H @ M - H)) for M in gens
-    )
     return InvariantForm(
         matrix=H, residual=residual, signature=(pos, neg), singular_values=svals,
     )

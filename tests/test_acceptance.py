@@ -10,6 +10,7 @@ import time
 from fractions import Fraction as F
 
 import numpy as np
+import pytest
 
 from schwarz_atlas import gauss, roots, schwarzcond, torus, triangle
 
@@ -73,7 +74,7 @@ def test_criterion_4_lorentz_form_and_ball():
     ok = True
     detail = []
     for k in (F(1, 6), F(1, 4), F(2, 5)):
-        form = torus.invariant_form(torus.standard_generators(a2, k))
+        form = torus.invariant_form(*torus.hecke_generators(a2, k))
         ball = torus.ball_check(a2, k, form, torus.sample_points_near(a2, 10, seed=0))
         negative = all(v < 0 for v in ball)
         good = form.signature == (2, 1) and form.residual < 1e-6 and negative
@@ -81,6 +82,48 @@ def test_criterion_4_lorentz_form_and_ball():
         detail.append(f"k={k}: sig{form.signature} res {form.residual:.1e} "
                       f"ball {negative}")
     _verdict(4, ok, "; ".join(detail))
+
+
+def test_ball_quotient_at_every_enumerated_row():
+    # every row of `schwarz enumerate --rank-max 8` (21 rows at p = 3, 4, 6
+    # and 10) gives a one-dimensional form space, signature (n, 1), a
+    # negative base pairing and negative ball values.  The two documented
+    # anomalies sit beside their exact verdicts: A5 at p = 3, enumerated but
+    # not in the reference table, reads a ball quotient too; A5 at p = 6, in
+    # the table but at k = m, has a form space of dimension 2.
+    t0 = time.monotonic()
+    results = schwarzcond.enumerate_solutions(p_min=3, p_max=100, rank_max=8,
+                                              include_k_half=False)
+    assert results["table_diff"] == {"extra": [[3, "A5"]], "missing": [[6, "A5"]]}
+    failed, pairings, gaps, count = [], [], [], 0
+    for p, row in results["rows"].items():
+        k = schwarzcond.k_from_p(int(p))
+        for name in row:
+            count += 1
+            system = roots.build(roots.RootSystemType(name[0], int(name[1:])))
+            form = torus.invariant_form(*torus.hecke_generators(system, k))
+            pairing = float(np.linalg.inv(form.matrix)[0, 0].real)
+            ball = torus.ball_check(system, k, form, torus.sample_points_near(system, 10, seed=0))
+            pairings.append(pairing)
+            gaps.append(form.singular_values[-2] / form.singular_values[0])
+            if not (form.signature == (system.rank, 1) and pairing < 0
+                    and all(v < 0 for v in ball)):
+                failed.append((p, name, form.signature, pairing, max(ball)))
+    a5 = roots.build(roots.RootSystemType("A", 5))
+    assert "A5" in results["rows"]["3"]
+    assert schwarzcond.check(a5.rtype, schwarzcond.k_from_p(3))["passed"] is True
+    exact = schwarzcond.check(a5.rtype, schwarzcond.k_from_p(6))
+    assert exact["passed"] is False
+    assert exact["conditions"][0]["detail"].endswith("(boundary k = m)")
+    with pytest.raises(torus.InvariantFormError) as info:
+        torus.invariant_form(*torus.hecke_generators(a5, schwarzcond.k_from_p(6)))
+    assert info.value.dimension == 2
+    elapsed = time.monotonic() - t0
+    ok = count == 21 and not failed
+    print(f"ball quotients: {count - len(failed)}/{count} rows, base pairings "
+          f"{max(pairings):.3g} to {min(pairings):.3g}, next singular value "
+          f"at least {min(gaps):.1e}, {elapsed:.1f}s")
+    assert ok, failed
 
 
 def test_criterion_5_triangle_angles():

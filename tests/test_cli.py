@@ -137,6 +137,21 @@ def test_matrix_report_text_keeps_rows_and_entries():
         "checks: []\n")
 
 
+def test_list_of_dicts_text_marks_each_dict():
+    # each dict of a list is a "-" line with its keys one level deeper
+    buf = io.StringIO()
+    cli._emit_text({"conditions": [{"kind": "mirror", "satisfied": True},
+                                   {"kind": "toric", "satisfied": False}]}, buf)
+    assert buf.getvalue() == (
+        "conditions:\n"
+        "  -\n"
+        "    kind: mirror\n"
+        "    satisfied: True\n"
+        "  -\n"
+        "    kind: toric\n"
+        "    satisfied: False\n")
+
+
 def test_gauss_monodromy_exit_codes():
     code, out = run_cli(["gauss", "monodromy", "--alpha", "1/84", "--beta", "13/84",
                          "--gamma", "1/2", "--format", "json"])
@@ -411,21 +426,51 @@ def test_torus_form_outside_the_ball_exits_1(fam, rank, k):
     assert all(v > 0 for v in results["ball_values"])
 
 
+@pytest.mark.parametrize("k", ["1/100", "1/10", "19/100"])
+def test_torus_form_e8_passes(k):
+    # the hyperbolic range of E8 is (0, 1/5); the equilibrated solve counts
+    # one null vector across it
+    code, out = run_cli(["torus", "form", "--type", "E", "--rank", "8", "--k", k,
+                         "--format", "json"])
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert results["signature"] == [8, 1]
+    assert results["ball_all_negative"] is True
+
+
+@pytest.mark.parametrize("fam, rank, k, signature", [
+    ("A", 2, "3/4", [3, 0]), ("A", 4, "11/25", [3, 2])])
+def test_torus_form_without_lorentz_signature_exits_1(fam, rank, k, signature):
+    code, out = run_cli(["torus", "form", "--type", fam, "--rank", str(rank), "--k", k,
+                         "--format", "json"])
+    assert code == 1
+    assert json.loads(out)["results"]["signature"] == signature
+
+
+def test_torus_form_with_two_invariant_forms_exits_1(capsys):
+    # A5 at k = m = 1/3, the boundary of the hyperbolic range
+    code, out = run_cli(["torus", "form", "--type", "A", "--rank", "5", "--k", "1/3"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "error: numeric failure: invariant-form space has dimension 2; "
+        "the representation looks reducible\n")
+
+
 def test_torus_form_builds_generators_once(monkeypatch):
     calls = []
-    build = torus.standard_generators
+    build = torus.hecke_generators
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(torus, "standard_generators", counted)
+    monkeypatch.setattr(torus, "hecke_generators", counted)
     code, out = run_cli(["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4",
                          "--samples", "4", "--seed", "3", "--format", "json"])
     assert code == 0
     assert len(calls) == 1
     a2 = roots.build(roots.RootSystemType("A", 2))
-    form = torus.invariant_form(torus.standard_generators(a2, Fraction(1, 4)))
+    form = torus.invariant_form(*torus.hecke_generators(a2, Fraction(1, 4)))
     fresh = torus.ball_check(a2, Fraction(1, 4), form, torus.sample_points_near(a2, 4, seed=3))
     assert json.loads(out)["results"]["ball_values"] == list(fresh)
 
@@ -636,7 +681,9 @@ def test_enumerate_exits_1_on_a_table_diff_beyond_the_anomalies(fmt, monkeypatch
         assert results["documented_anomalies_only"] is False
         assert results["table_diff"]["extra"] == [[3, "A5"], [4, "A3"]]
     elif fmt == "text":
-        assert "table diff beyond the documented anomalies: " in out.splitlines()[-1]
+        assert out.splitlines()[-6:] == [
+            "table diff beyond the documented anomalies:",
+            "extra:", "  p =   3 : A5", "  p =   4 : A3", "missing:", "  p =   6 : A5"]
     else:
         assert "4,A3" in out.splitlines()
 
@@ -884,14 +931,15 @@ def test_exact_layer_reports_are_pinned(capsys):
     # of (argv, exit code, stdout, stderr); re-pinned when the CSV of
     # `schwarz enumerate --include-k-half` gained its `inf` rows, when the
     # grid gained the empty and one-anomaly enumerations and two dm-scans,
-    # and when `--format text` kept nested lists (the `roots dump` text
-    # entries and the default `dm-scan` text)
+    # when `--format text` kept nested lists (the `roots dump` text entries
+    # and the default `dm-scan` text), and when it marked each dict of a list
+    # with a "-" line (the `schwarz check` and `schwarz dm` text entries)
     digest = hashlib.sha256()
     for argv in EXACT_LAYER_GRID:
         code, out = _run_exit(argv)
         digest.update(repr((argv, code, out, capsys.readouterr().err)).encode())
     assert digest.hexdigest() == (
-        "f2a1cb7aaf1085f9bc67915c80041285a383f972ab96c491383b871199a785e3")
+        "d73e01e8705f5aa3459c398c6150926439ae8fc10bba80858cb1bb1c3e81bf45")
 
 
 def _readme_commands():

@@ -82,7 +82,7 @@ def test_torus_segment_matches_high_precision_ode_solve(segment):
     base = torus.default_base_point(A2)
     if segment == "ring":
         # one segment of the ring around the mirror of the first simple root
-        ring = torus._mirror_ring(A2, np.array([1, 0]))
+        ring = torus._mirror_ring(A2, np.array([1, 0]), base)
         a, b = ring[1], ring[2]
     else:
         # the first third of the coordinate loop z_1 -> e^{2 pi i t} z_1
@@ -161,9 +161,10 @@ def _sequential_transport(system, k, path, rtol=_kernels._TORUS_RTOL):
 def _loop_parts(system):
     """The stage and the ring of the highest-root mirror loop, and the first
     coordinate loop, as log-coordinate paths."""
-    ring = torus._mirror_ring(system, roots.highest_root(system))
-    stage = np.array([torus.default_base_point(system), ring[0]])
-    return {"stage": stage, "ring": ring, "coordinate": torus._coordinate_circle(system, 0)}
+    base = torus.default_base_point(system)
+    ring = torus._mirror_ring(system, roots.highest_root(system), base)
+    stage = np.array([base, ring[0]])
+    return {"stage": stage, "ring": ring, "coordinate": torus._coordinate_circle(system, 0, base)}
 
 
 def _steps(system, path):

@@ -440,7 +440,7 @@ def test_weak_coupling_limit():
 def _full_mirror_loop(system, alpha):
     """The mirror loop as one path: the stage out, the ring, the stage back."""
     base = torus.default_base_point(system)
-    return np.array([base, *torus._mirror_ring(system, alpha), base])
+    return np.array([base, *torus._mirror_ring(system, alpha, base), base])
 
 
 def test_stage_once_matches_full_loop_transport():
@@ -481,6 +481,20 @@ def _oracle_toric_loop_points(system, j):
     return np.array([base_logs + 2j * math.pi * (s / 3.0) * e for s in range(4)])
 
 
+def _staged_generators(system, k):
+    """The generator set the form was first solved from, kept as an oracle:
+    one mirror loop per simple root, one around the highest-root mirror
+    (unless it is simple), and every coordinate loop, each staged from
+    default_base_point."""
+    base = torus.default_base_point(system)
+    simples = list(np.eye(system.rank, dtype=np.int64))
+    high = roots.highest_root(system)
+    alphas = simples + ([high] if system.rank > 1 else [])
+    curves = [torus._mirror_ring(system, alpha, base) for alpha in alphas]
+    curves += [torus._coordinate_circle(system, j, base) for j in range(system.rank)]
+    return [torus._loop(system, k, curve, base) for curve in curves]
+
+
 @pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 6)])
 def test_loop_primitive_matches_hand_built_loops(fam, rank):
     # the mirror ring and the coordinate circle, each run through _loop, give
@@ -497,9 +511,26 @@ def test_loop_primitive_matches_hand_built_loops(fam, rank):
     assert np.array_equal(torus.mirror_monodromy(system, k, high), mirrors[-1])
     for j in range(rank):
         assert np.array_equal(torus.toric_monodromy(system, k, j), torics[j])
-    gens = torus.standard_generators(system, k)
-    assert len(gens) == len(mirrors) + len(torics)
-    assert all(np.array_equal(G, M) for G, M in zip(gens, mirrors + torics))
+    staged = _staged_generators(system, k)
+    assert len(staged) == len(mirrors) + len(torics)
+    assert all(np.array_equal(G, M) for G, M in zip(staged, mirrors + torics))
+    # the Hecke set: each half-turn's transport pulled back by diag(1, A_i^T),
+    # each coordinate circle at b transported alone, and the straight move
+    b = 0.35 + 0.05 * np.arange(rank)
+    halves = []
+    for i in range(rank):
+        d = system.cartan[:, i].astype(float) / 2.0
+        path = np.array([b + (b[i] * cmath.exp(1j * math.pi * s / 12) - b[i]) * d
+                         for s in range(13)])
+        reflect = np.eye(rank + 1)
+        reflect[1:, 1:] = torus._reflection_matrix(system, i).T
+        halves.append(reflect @ torus.transport(system, k, path))
+    circles = [torus.transport(system, k, np.array(
+        [b + 2j * math.pi * (s / 3.0) * np.eye(rank)[j] for s in range(4)])) for j in range(rank)]
+    gens, move = torus.hecke_generators(system, k)
+    assert len(gens) == 2 * rank
+    assert all(np.array_equal(G, M) for G, M in zip(gens, halves + circles))
+    assert np.array_equal(move, torus.transport(system, k, (torus.default_base_point(system), b)))
 
 
 def _clearance_by_point(system, path, samples_per_segment=9):
@@ -540,8 +571,9 @@ def test_clearance_matches_point_by_point_sampling():
 
 def test_clearance_matches_point_by_point_sampling_at_e8():
     # the rings of mirror_monodromy and the coordinate loop of toric_monodromy
-    simple_ring = torus._mirror_ring(E8, np.eye(8, dtype=np.int64)[0])
-    toric_loop = torus._coordinate_circle(E8, 0)
+    base = torus.default_base_point(E8)
+    simple_ring = torus._mirror_ring(E8, np.eye(8, dtype=np.int64)[0], base)
+    toric_loop = torus._coordinate_circle(E8, 0, base)
     for path in (simple_ring, toric_loop):
         got = _check_after_complex_matmul(E8, path)
         assert abs(got - _clearance_by_point(E8, path)) <= 1e-14 * got
@@ -549,7 +581,7 @@ def test_clearance_matches_point_by_point_sampling_at_e8():
     # of L moves |e^L - 1| by up to (1 + clearance) * ulp(L), 7.9e-14 of the
     # clearance.  Against a 30-digit value, the complex product, the real
     # matmul and the point oracle all err there by 1.3e-14 to 2.3e-14.
-    high_ring = torus._mirror_ring(E8, roots.highest_root(E8))
+    high_ring = torus._mirror_ring(E8, roots.highest_root(E8), base)
     got = _check_after_complex_matmul(E8, high_ring)
     lmax = np.max(np.abs(high_ring @ E8.positive_roots.T.astype(np.float64)))
     assert abs(got - _clearance_by_point(E8, high_ring)) <= (1 + got) * np.spacing(lmax)
@@ -571,7 +603,7 @@ def test_clearance_check_does_not_stall_after_complex_matmul():
     # Fed the complex product lz @ croots.T, the E8 ring check took 12x a
     # clean exp of its (10, 24, 120) logs; from a real matmul it takes about
     # 1.1-1.2x.  Without the stall both forms pass.
-    ring = torus._mirror_ring(E8, roots.highest_root(E8))
+    ring = torus._mirror_ring(E8, roots.highest_root(E8), torus.default_base_point(E8))
     frame = np.full((9, 9), 0.1 + 0.2j)
     rng = np.random.default_rng(0)
     logs = rng.standard_normal((10, 24, 120)) + 10j * rng.standard_normal((10, 24, 120))
@@ -584,7 +616,7 @@ def test_clearance_is_measured_only_by_the_sampler(monkeypatch):
     # the kernel's grid guards every transport; the sampled clearance decides
     # only which draws the sampler keeps, once per draw
     k = F(1, 4)
-    form = torus.invariant_form(torus.standard_generators(A2, k))
+    form = torus.invariant_form(*torus.hecke_generators(A2, k))
     samples = torus.sample_points_near(A2, 2, seed=0)
     measured = []
     clearance = torus._clearance
@@ -597,7 +629,7 @@ def test_clearance_is_measured_only_by_the_sampler(monkeypatch):
     monkeypatch.setattr(torus, "_clearance", counted)
     torus.mirror_monodromy(A2, k, np.array([1, 0]))
     torus.toric_monodromy(A2, k, 0)
-    torus.standard_generators(A2, k)
+    torus.hecke_generators(A2, k)
     torus.ball_check(A2, k, form, samples)
     assert measured == []
     # seed 80 has a rejected draw: each draw is measured once, and the kept
@@ -611,9 +643,9 @@ def test_clearance_is_measured_only_by_the_sampler(monkeypatch):
 
 
 def test_generator_set_gates_flatness_once(monkeypatch):
-    # every loop of a generator set starts at the base point, so the set
-    # checks the curvature there once; each monodromy measurement checks it
-    # once, and transport alone not at all
+    # the generator set checks the curvature at default_base_point once, where
+    # its move starts; each monodromy measurement checks it once, and
+    # transport alone not at all
     calls = []
     curvature = torus._curvature
 
@@ -622,7 +654,7 @@ def test_generator_set_gates_flatness_once(monkeypatch):
         return curvature(*args, **kwargs)
 
     monkeypatch.setattr(torus, "_curvature", counted)
-    torus.standard_generators(A2, F(1, 4))
+    torus.hecke_generators(A2, F(1, 4))
     assert len(calls) == 1
     torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
     torus.toric_monodromy(A2, F(1, 4), 0)
@@ -679,34 +711,36 @@ def test_conjugate_mirror_loops_have_equal_spectra():
 
 def test_invariant_form_a2():
     for k in (F(1, 6), F(1, 4), F(2, 5)):
-        form = torus.invariant_form(torus.standard_generators(A2, k))
+        form = torus.invariant_form(*torus.hecke_generators(A2, k))
         assert form.signature == (2, 1)
         assert form.residual < 1e-6
 
 
 def test_invariant_form_a1_half():
-    form = torus.invariant_form(torus.standard_generators(A1, F(1, 2)))
+    form = torus.invariant_form(*torus.hecke_generators(A1, F(1, 2)))
     assert form.signature == (1, 1)
     assert form.residual < 1e-6
 
 
 def test_invariant_form_identity_generators_rejected():
     with pytest.raises(torus.InvariantFormError) as info:
-        torus.invariant_form([np.eye(3)])
+        torus.invariant_form([np.eye(3)], np.eye(3))
     assert info.value.dimension == 9
 
 
 def test_invariant_form_without_a_solution_is_a_numeric_failure():
     # 2 I maps every H to 4 H, so no Hermitian form is invariant
     with pytest.raises(torus.InvariantFormError) as info:
-        torus.invariant_form([2 * np.eye(3)])
+        torus.invariant_form([2 * np.eye(3)], np.eye(3))
     assert info.value.dimension == 0
     assert isinstance(info.value, _kernels.NumericFailure)
     assert not isinstance(info.value, ValueError)
 
 
 def _full_svd_form(gens, rank_tol=1e-6, eig_tol=1e-8):
-    """The invariant-form solve with a full SVD, one basis matrix at a time."""
+    """The invariant-form solve with a full SVD, one basis matrix at a time,
+    each generator's block divided by ||M||_F^2; the signature is that of
+    the unmoved form, which the move keeps."""
     N = gens[0].shape[0]
     basis = []
     for i in range(N):
@@ -724,6 +758,7 @@ def _full_svd_form(gens, rank_tol=1e-6, eig_tol=1e-8):
     rows = []
     for M in gens:
         block = np.stack([(M.conj().T @ B @ M - B).reshape(-1) for B in basis], axis=1)
+        block = block / np.linalg.norm(M) ** 2
         rows += [block.real, block.imag]
     L = np.concatenate(rows, axis=0)
     _, svals, vt = np.linalg.svd(L, full_matrices=True)
@@ -738,19 +773,75 @@ def _full_svd_form(gens, rank_tol=1e-6, eig_tol=1e-8):
 @pytest.mark.parametrize("fam, rank, k", [("A", 2, F(1, 4)), ("D", 4, F(1, 4)),
                                           ("E", 6, F(1, 6))])
 def test_invariant_form_matches_full_svd_solve(fam, rank, k):
-    gens = torus.standard_generators(_sys(fam, rank), k)
-    form = torus.invariant_form(gens)
+    gens, move = torus.hecke_generators(_sys(fam, rank), k)
+    form = torus.invariant_form(gens, move)
     svals, dim, signature = _full_svd_form(gens)
     assert dim == 1
     assert form.signature == signature == (rank, 1)
     np.testing.assert_allclose(form.singular_values, svals, rtol=1e-12, atol=0)
 
 
+# a table k of each type (k_from_p(4) or k_from_p(3), where the type has no
+# table row), and one seeded k off the table: m j / 23 for a drawn j
+HECKE_TYPES = {("A", 1): F(1, 4), ("A", 2): F(1, 4), ("A", 3): F(1, 3), ("D", 4): F(1, 6),
+               ("E", 6): F(1, 4), ("E", 7): F(1, 6), ("E", 8): F(1, 6)}
+
+
+def _off_table_k(system, seed):
+    j = int(np.random.default_rng(seed).integers(1, 23))
+    return roots.hyperbolic_exponent(system) * F(j, 23)
+
+
+@pytest.mark.parametrize("fam, rank", list(HECKE_TYPES))
+@pytest.mark.parametrize("table", [True, False])
+def test_half_turns_satisfy_the_hecke_relations(fam, rank, table):
+    # the quadratic relation with q = exp(-2 pi i k), the braid relation for
+    # adjacent nodes and commutation otherwise, and T_i^2 the mirror loop of
+    # radius 0.1 at the same base point
+    system = _sys(fam, rank)
+    k = HECKE_TYPES[(fam, rank)] if table else _off_table_k(system, 1000 + rank)
+    gens, _ = torus.hecke_generators(system, k)
+    T = gens[:rank]
+    one = np.eye(rank + 1)
+    q = cmath.exp(-2j * math.pi * float(k))
+    b = torus._hecke_base_point(system)
+    for i, Ti in enumerate(T):
+        quad = np.linalg.norm((Ti - one) @ (Ti + q * one)) / np.linalg.norm(Ti) ** 2
+        assert quad <= 1e-11, (i, quad)
+        ring = torus._mirror_ring(system, np.eye(rank, dtype=np.int64)[i], b)
+        loop = torus._loop(system, k, ring, b)
+        assert np.linalg.norm(Ti @ Ti - loop) <= 1e-10 * np.linalg.norm(loop)
+        for j in range(i + 1, rank):
+            Tj = T[j]
+            if system.cartan[i, j]:
+                left, right = Ti @ Tj @ Ti, Tj @ Ti @ Tj
+            else:
+                left, right = Ti @ Tj, Tj @ Ti
+            assert np.linalg.norm(left - right) <= 1e-11 * np.linalg.norm(left), (i, j)
+
+
+@pytest.mark.parametrize("fam, rank, k", [("A", 1, F(1, 2)), ("A", 2, F(1, 4)),
+                                          ("D", 4, F(1, 6)), ("E", 6, F(1, 4)),
+                                          ("E", 7, F(1, 6))])
+def test_moved_form_matches_the_staged_oracle(fam, rank, k):
+    # the form from the Hecke set, moved to default_base_point, against the
+    # form of the mirror loops staged from there; both have unit norm
+    system = _sys(fam, rank)
+    form = torus.invariant_form(*torus.hecke_generators(system, k))
+    oracle = torus.invariant_form(_staged_generators(system, k), np.eye(rank + 1))
+    assert form.signature == oracle.signature == (rank, 1)
+    assert np.linalg.norm(form.matrix - oracle.matrix) <= 1e-10
+    samples = torus.sample_points_near(system, 5, seed=3)
+    got = np.array(torus.ball_check(system, k, form, samples))
+    want = np.array(torus.ball_check(system, k, oracle, samples))
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
 def test_form_residual_tracks_continuation_tolerance(monkeypatch):
     monkeypatch.setattr(_kernels, "_TORUS_RTOL", 1e-5)
-    loose = torus.invariant_form(torus.standard_generators(A2, F(1, 4)))
+    loose = torus.invariant_form(*torus.hecke_generators(A2, F(1, 4)))
     monkeypatch.setattr(_kernels, "_TORUS_RTOL", 1e-11)
-    tight = torus.invariant_form(torus.standard_generators(A2, F(1, 4)))
+    tight = torus.invariant_form(*torus.hecke_generators(A2, F(1, 4)))
     assert tight.residual < loose.residual
     assert loose.residual < 1e-3
 
@@ -758,7 +849,7 @@ def test_form_residual_tracks_continuation_tolerance(monkeypatch):
 def test_ball_check_a2():
     samples = torus.sample_points_near(A2, 10, seed=0)
     for k in (F(1, 6), F(1, 4), F(2, 5)):
-        form = torus.invariant_form(torus.standard_generators(A2, k))
+        form = torus.invariant_form(*torus.hecke_generators(A2, k))
         values = torus.ball_check(A2, k, form, samples)
         assert len(values) == 10 and all(v < 0 for v in values)
         assert form.signature == (2, 1)
@@ -766,7 +857,7 @@ def test_ball_check_a2():
 
 def test_ball_check_a1_arc():
     arc = [np.array([complex(0.0, phi)]) for phi in (0.6, 1.4, 2.4, 3.6, 4.8, 5.7)]
-    form = torus.invariant_form(torus.standard_generators(A1, F(1, 2)))
+    form = torus.invariant_form(*torus.hecke_generators(A1, F(1, 2)))
     assert all(v < 0 for v in torus.ball_check(A1, F(1, 2), form, arc))
 
 
