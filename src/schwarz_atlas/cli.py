@@ -281,7 +281,8 @@ def _cmd_torus_flatness(args):
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     a_override = Fraction(args.a_override) if args.a_override is not None else None
-    stack = torus.sample_points_near(system, args.samples, seed=args.seed)
+    stack = torus.sample_points_near(system, torus.default_base_point(system), args.samples,
+                                     seed=args.seed)
     # the exp/log round trip keeps the residuals this report has always printed
     worst = torus.flatness_residual(system, k, np.log(np.exp(stack)), a_override)
     payload = _report(
@@ -337,9 +338,10 @@ def _cmd_torus_form(args):
     _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
-    form = torus.invariant_form(*torus.hecke_generators(system, k))
-    ball = torus.ball_check(system, k, form,
-                            torus.sample_points_near(system, args.samples, seed=args.seed))
+    form = torus.invariant_form(torus.hecke_generators(system, k))
+    samples = torus.sample_points_near(system, torus.hecke_base_point(system), args.samples,
+                                       seed=args.seed)
+    ball = torus.ball_check(system, k, form, samples)
     negative = all(v < 0 for v in ball)
     payload = _report(
         module="torus",

@@ -12,13 +12,16 @@ structure constants are rational.  Every float entry point takes a point as a
 plain array of log-coordinates l_i = log z_i, and a path as an array of them;
 the Weyl group acts on them linearly, the simple reflection s_i by
 _reflection_matrix.  Only char_value, the exact monomial, takes coordinates z.
-Every sample path starts at default_base_point.  Every loop is a curve that
-_loop reaches by a straight stage from the base point it is given:
-mirror_monodromy and toric_monodromy give default_base_point.  The invariant
-form is solved at the real base point b of _hecke_base_point from
-hecke_generators, the n half-turns T_i and the n coordinate loops there, and
-moved to default_base_point by one more transport, along the straight path
-from it to b.  Scalar couplings are exact;
+Every loop and every form starts at one base point, the real point b of
+hecke_base_point in the dominant chamber.  The half-turn T_i continues the
+frame from b to s_i b and pulls it back by s_i; hecke_generators gives the n
+half-turns and the n coordinate loops at b, and invariant_form solves the form
+H_b from them.  The mirror loop of a positive root alpha is T_alpha^2 with
+T_alpha = T_w T_j T_w^-1, where w(alpha_j) = alpha comes from descending alpha
+to a simple root: matrix algebra on the half-turns that w and j use, with no
+transport of its own.  ball_check's paths and torus form's samples start at
+b; only the torus flatness report samples around default_base_point.  Scalar
+couplings are exact;
 continuation runs through _kernels.torus_segment, once per path: it lays out
 the step grid of every segment of the path (steps of half the distance to the
 nearest mirror crossing), sums each step's propagator, the Taylor series of
@@ -42,6 +45,7 @@ raises a _kernels.NumericFailure where it is found.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +59,7 @@ __all__ = [
     "MirrorSingularity",
     "InvariantFormError",
     "default_base_point",
+    "hecke_base_point",
     "char_value",
     "connection",
     "exact_scalar",
@@ -72,9 +77,6 @@ __all__ = [
 
 MIRROR_DELTA = 0.02
 _CLEARANCE_SAMPLES = 9    # intervals per path segment sampled by _clearance
-_RING_SEGMENTS = 24       # segments of the ring of every mirror loop
-_RING_RADIUS = 0.1        # |h^{-alpha} - 1| on the ring of every mirror loop
-_HALF_TURN_SEGMENTS = _RING_SEGMENTS // 2    # segments of every half-turn of hecke_generators
 _SAMPLE_SPREAD = 0.35     # scale of the Gaussian log-offsets of sample_points_near
 _RANK_TOL = 1e-6          # invariant_form's null-space threshold, relative to svals[0]
 _EIG_TOL = 1e-8           # the smallest |eigenvalue| of the form that counts in its signature
@@ -142,18 +144,25 @@ def _rows_per_chunk(row_bytes):
 
 
 def default_base_point(system):
-    """Deterministic generic base point.
+    """Deterministic generic point, the centre of the torus flatness report's
+    samples.
 
     The log-coordinates all have positive real part, so |h^{-alpha}| > 1 for
-    every positive root: the point is structurally off-mirror and coordinate
-    loops around it never meet a mirror.  The spacings keep every simple-root
-    and highest-root mirror loop clear of all other mirrors at desk ranks.
+    every positive root: the point is structurally off-mirror, and it is not
+    real, so its samples are generic complex points.
     """
     n = system.rank
     logs = np.array(
         [complex(0.18 + 0.16 * j, 0.3 + 1.1 * j) for j in range(n)]
     )
     return logs
+
+
+def hecke_base_point(system):
+    """The base point b of every loop and form, l_j = 0.35 + 0.05 j: every
+    positive-root log is real and positive there, so the point lies in the
+    dominant chamber, off every mirror."""
+    return 0.35 + 0.05 * np.arange(system.rank, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +335,11 @@ def _clearance(system, paths):
 
 def _flatness_gate(system, k):
     """Sanity gate of a monodromy measurement: raises _kernels.NumericFailure
-    unless the connection is flat at default_base_point, where every
-    measurement starts; flatness makes the loops' monodromy homotopy
+    unless the connection is flat at the base point b of hecke_base_point,
+    where every loop starts; flatness makes the loops' monodromy homotopy
     invariant.  The bound scales with the products A_j A_i the curvature is
     a difference of."""
-    tchar = _char_values(system, default_base_point(system)[None])
+    tchar = _char_values(system, hecke_base_point(system)[None])
     res, amax = (float(v[0]) for v in _curvature(system, k, tchar, integrability_constant(system)))
     if res > _FLAT_TOL * max(1.0, amax * amax):
         raise _kernels.NumericFailure(f"connection is not flat at the start (residual {res:.2e})")
@@ -353,7 +362,7 @@ def transport(system, k, path):
     A2 simple-root ring of radius 1e-3 against radius 0.1: 8.7e-12 relative
     at k = 3/4, 5.9e-7 at k = 2), and the Hecke residual does not see the
     loss.  The curvature is not checked here: mirror_monodromy,
-    toric_monodromy and hecke_generators check it once at default_base_point.
+    toric_monodromy and hecke_generators check it once at hecke_base_point.
     """
     pts = np.asarray(path, dtype=np.complex128)
     moves = np.diff(pts, axis=0)
@@ -367,45 +376,6 @@ def transport(system, k, path):
                                   float(k), svec)[0]
 
 
-def _loop(system, k, curve, base):
-    """Monodromy, without the flatness gate, of the loop that goes straight
-    from the log-coordinates base to curve[0], runs along curve (log-coordinates
-    of a curve closed on the torus) and comes back the way it went.
-
-    The stage out is transported once: with S its transport and T the curve's,
-    the loop is S^-1 T S.  A curve that starts at the base has a stage of no
-    length: its transport is the identity, so T S and the solve give T's bits.
-    """
-    curve = np.asarray(curve, dtype=np.complex128)
-    S = transport(system, k, (base, curve[0]))
-    T = transport(system, k, curve)
-    # finite frames whose product overflows are caught here
-    with np.errstate(over="ignore", invalid="ignore"):
-        TS = T @ S
-    if not np.isfinite(TS).all():
-        raise _kernels.NumericFailure("loop monodromy is not finite: the transports overflow")
-    try:
-        return np.linalg.solve(S, TS)
-    except np.linalg.LinAlgError as exc:
-        raise _kernels.NumericFailure(f"loop stage transport is singular: {exc}") from exc
-
-
-def _mirror_ring(system, alpha, base):
-    """Log-coordinates of the ring around the mirror of alpha: the alpha-character
-    runs through 1 + _RING_RADIUS e^{i phi} around the full circle.
-
-    The ring lies on the one-parameter line through the log-coordinates base
-    in the direction dual to alpha, so every other character moves by
-    half-integer multiples of the same log increment.
-    """
-    alpha = np.asarray(alpha, dtype=np.int64)
-    d = (system.cartan.astype(np.float64) @ alpha).astype(np.complex128) / 2.0
-    L0 = complex(alpha.astype(np.float64) @ base)
-    ring = [cmath.log(1.0 + _RING_RADIUS * cmath.exp(2j * math.pi * s / _RING_SEGMENTS))
-            for s in range(_RING_SEGMENTS + 1)]
-    return np.array([base + (s - L0) * d for s in ring])
-
-
 def _coordinate_circle(system, j, base):
     """Log-coordinates of the counterclockwise coordinate loop
     z_j -> e^{2 pi i t} z_j from the log-coordinates base, in three segments."""
@@ -414,77 +384,109 @@ def _coordinate_circle(system, j, base):
     return np.array([base + 2j * math.pi * (s / 3.0) * e for s in range(4)])
 
 
+def _half_turn(system, i, base):
+    """Log-coordinates of the half-turn from the real point base to s_i base:
+    base + (L0 e^{i pi t} - L0) C e_i / 2 for t in [0, 1], with L0 = base_i,
+    in 12 segments.  The alpha_i-log runs half around 0, from L0 to -L0, and
+    every other root log moves by a half-integer multiple of the same
+    increment."""
+    d = system.cartan[:, i].astype(np.complex128) / 2.0
+    L0 = base[i]
+    return np.array([base + (L0 * cmath.exp(1j * math.pi * s / 12) - L0) * d
+                     for s in range(13)])
+
+
+def _half_turn_generator(system, k, i, base):
+    """T_i = diag(1, A_i^T) transport(half-turn i): the frame continued from
+    base to s_i base and pulled back by the simple reflection
+    A_i = _reflection_matrix(system, i)."""
+    reflect = np.eye(system.rank + 1)
+    reflect[1:, 1:] = _reflection_matrix(system, i).T
+    return reflect @ transport(system, k, _half_turn(system, i, base))
+
+
+def _descent(system, alpha):
+    """(w, j) with w(alpha_j) = alpha for the positive root alpha: alpha
+    descends to the simple root alpha_j by s_i for the lowest i with
+    (C beta)_i > 0, and each such i is appended to the word w."""
+    beta = np.array(alpha, dtype=np.int64)
+    word = []
+    while beta.sum() > 1:
+        pairing = system.cartan @ beta
+        i = int(np.flatnonzero(pairing > 0)[0])
+        beta[i] -= pairing[i]
+        word.append(i)
+    return word, int(np.flatnonzero(beta)[0])
+
+
+def _require_finite(M):
+    """Raise _kernels.NumericFailure unless the Frobenius norm of the product
+    M is finite, which hecke_residual and invariant_form divide by: finite
+    frames whose products overflow are caught here."""
+    if not np.isfinite(np.linalg.norm(M)):
+        raise _kernels.NumericFailure("loop monodromy is not finite: the transports overflow")
+
+
 def mirror_monodromy(system, k, alpha):
-    """Monodromy of a small positively oriented loop around the mirror of alpha,
-    in the jet frame at default_base_point: the loop's alpha-character runs
-    counterclockwise around 1 on a ring of radius _RING_RADIUS.  The flatness
-    gate runs at the base point first."""
+    """Monodromy of a small positively oriented loop around the mirror of the
+    positive root alpha, in the jet frame at the base point b of
+    hecke_base_point: T_alpha^2 with T_alpha = T_w T_j T_w^-1, (w, j) from
+    _descent and T_w the product of the half-turns of w in word order.  Only
+    the half-turns that w and j use are transported.  The flatness gate runs
+    at b first; T_w, T_alpha and the square must have finite norms."""
     _flatness_gate(system, k)
-    base = default_base_point(system)
-    return _loop(system, k, _mirror_ring(system, alpha, base), base)
+    word, j = _descent(system, alpha)
+    b = hecke_base_point(system)
+    T = {i: _half_turn_generator(system, k, i, b) for i in sorted({*word, j})}
+    Ta = T[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if word:
+            Tw = functools.reduce(np.matmul, [T[i] for i in word])
+            _require_finite(Tw)
+            try:
+                Tw_inv = np.linalg.inv(Tw)
+            except np.linalg.LinAlgError as exc:
+                raise _kernels.NumericFailure(f"half-turn word T_w is singular: {exc}") from exc
+            Ta = Tw @ Ta @ Tw_inv
+            _require_finite(Ta)
+        M = Ta @ Ta
+        _require_finite(M)
+    return M
 
 
 def toric_monodromy(system, k, j):
     """Monodromy of the counterclockwise coordinate loop z_j -> e^{2 pi i t} z_j
-    at default_base_point.  The flatness gate runs at the base point first."""
+    at the base point b of hecke_base_point.  The flatness gate runs at b
+    first."""
     _flatness_gate(system, k)
-    base = default_base_point(system)
-    return _loop(system, k, _coordinate_circle(system, j, base), base)
+    return transport(system, k, _coordinate_circle(system, j, hecke_base_point(system)))
 
 
 def hecke_residual(M, k):
     """|| (M - 1)(M - q^2) || / ||M||^2 with q = exp(-2 pi i k); the plain loop
-    in the complement is the square of the orbifold generator, hence q^2."""
-    N = M.shape[0]
+    in the complement is the square of the orbifold generator, hence q^2.
+    M is divided by its norm before the product, as in
+    gauss.scaled_spectrum_residual, so the residual is finite wherever
+    ||M|| is."""
+    scale = np.linalg.norm(M)
+    A = M / scale
     q2 = cmath.exp(-4j * math.pi * float(k))
-    I = np.eye(N)
-    num = np.linalg.norm((M - I) @ (M - q2 * I))
-    return float(num / np.linalg.norm(M) ** 2)
-
-
-def _hecke_base_point(system):
-    """The real base point of hecke_generators, l_j = 0.35 + 0.05 j: every
-    positive-root log is real and positive there, so the point lies in the
-    dominant chamber, off every mirror."""
-    return 0.35 + 0.05 * np.arange(system.rank, dtype=np.complex128)
-
-
-def _half_turn(system, i, base):
-    """Log-coordinates of the half-turn from the real point base to s_i base:
-    base + (L0 e^{i pi t} - L0) C e_i / 2 for t in [0, 1], with L0 = base_i,
-    in _HALF_TURN_SEGMENTS segments.  The alpha_i-log runs half around 0,
-    from L0 to -L0, and every other root log moves by a half-integer multiple
-    of the same increment."""
-    d = system.cartan[:, i].astype(np.complex128) / 2.0
-    L0 = base[i]
-    return np.array([base + (L0 * cmath.exp(1j * math.pi * s / _HALF_TURN_SEGMENTS) - L0) * d
-                     for s in range(_HALF_TURN_SEGMENTS + 1)])
+    I = np.eye(M.shape[0]) / scale
+    return float(np.linalg.norm((A - I) @ (A - q2 * I)))
 
 
 def hecke_generators(system, k):
-    """The generators the invariant form is solved from, and the move to their
-    base point: (generators, P).
-
-    The generators sit at the real base point b of _hecke_base_point: first
-    the n half-turns T_i = diag(1, A_i^T) transport(half-turn i), which
-    continue the jet frame from b to s_i b and pull it back by the simple
-    reflection A_i = _reflection_matrix(system, i), so T_i generates the
-    orbifold group and satisfies (T_i - 1)(T_i + q) = 0 with
-    q = exp(-2 pi i k); then the n coordinate loops z_j -> e^{2 pi i t} z_j
-    at b.  P is the transport along the straight path from
-    default_base_point to b, where every positive-root log has positive real
-    part, so the path meets no mirror.  The flatness gate runs at
-    default_base_point once.
+    """The 2n generators the invariant form is solved from, at the base point
+    b of hecke_base_point: first the n half-turns T_i of
+    _half_turn_generator, which generate the orbifold group and satisfy
+    (T_i - 1)(T_i + q) = 0 with q = exp(-2 pi i k), then the n coordinate
+    loops z_j -> e^{2 pi i t} z_j at b.  The flatness gate runs at b once.
     """
     _flatness_gate(system, k)
-    b = _hecke_base_point(system)
-    halves = []
-    for i in range(system.rank):
-        reflect = np.eye(system.rank + 1)
-        reflect[1:, 1:] = _reflection_matrix(system, i).T
-        halves.append(reflect @ transport(system, k, _half_turn(system, i, b)))
-    loops = [_loop(system, k, _coordinate_circle(system, j, b), b) for j in range(system.rank)]
-    return halves + loops, transport(system, k, (default_base_point(system), b))
+    b = hecke_base_point(system)
+    halves = [_half_turn_generator(system, k, i, b) for i in range(system.rank)]
+    return halves + [transport(system, k, _coordinate_circle(system, j, b))
+                     for j in range(system.rank)]
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +517,9 @@ def _hermitian_basis(N):
     return basis
 
 
-def invariant_form(generators, move):
-    """Least-squares solve of M* H_b M = H_b over Hermitian H_b for all
-    generators, loops at one base point b, and the solution moved by the
-    transport move from default_base_point to b: H = move* H_b move.
+def invariant_form(generators):
+    """Least-squares solve of M* H M = H over Hermitian H for all generators,
+    loops at one base point.
 
     Each generator's block of the stacked system is divided by ||M||_F^2,
     so that no generator outweighs the others; one thin SVD of the
@@ -529,7 +530,7 @@ def invariant_form(generators, move):
     reducibility or a coupling outside the hyperbolic range).  H is
     normalised to unit Frobenius norm and signed so that the positive
     eigenvalues are the majority; the residual is the largest
-    ||M* H_b M - H_b|| over the generators, with H_b of unit norm.
+    ||M* H M - H|| over the generators.
     """
     gens = [np.asarray(M, dtype=np.complex128) for M in generators]
     if not gens:
@@ -557,16 +558,13 @@ def invariant_form(generators, move):
     # _hermitian_basis order: the diagonal, then Re and Im of H[i, j] per i < j
     coeff = vt[-1]
     upper = np.triu_indices(N, 1)
-    Hb = np.diag(coeff[:N]).astype(np.complex128)
-    Hb[upper] = coeff[N::2] + 1j * coeff[N + 1::2]
-    Hb[upper[::-1]] = Hb[upper].conj()
-    Hb /= np.linalg.norm(Hb)
+    H = np.diag(coeff[:N]).astype(np.complex128)
+    H[upper] = coeff[N::2] + 1j * coeff[N + 1::2]
+    H[upper[::-1]] = H[upper].conj()
+    H /= np.linalg.norm(H)
     residual = max(
-        float(np.linalg.norm(M.conj().T @ Hb @ M - Hb)) for M in gens
+        float(np.linalg.norm(M.conj().T @ H @ M - H)) for M in gens
     )
-    move = np.asarray(move, dtype=np.complex128)
-    H = move.conj().T @ Hb @ move
-    H = (H + H.conj().T) / (2.0 * np.linalg.norm(H))
     eigs = np.linalg.eigvalsh(H)
     pos = int(np.sum(eigs > _EIG_TOL))
     neg = int(np.sum(eigs < -_EIG_TOL))
@@ -578,17 +576,18 @@ def invariant_form(generators, move):
     )
 
 
-def sample_points_near(system, count, seed=0):
-    """count seeded log-coordinate vectors near default_base_point, as a
-    (count, n) array, whose straight path from the base, endpoint included,
+def sample_points_near(system, base, count, seed=0):
+    """count seeded log-coordinate vectors near the log-coordinates base, as
+    a (count, n) array, whose straight path from the base, endpoint included,
     keeps MIRROR_DELTA from every mirror at the sample points of _clearance.
+    The torus flatness report samples around default_base_point, torus form
+    around hecke_base_point.
 
     Draws come in blocks of at most the samples still missing, no larger
     than _rows_per_chunk's budget allows, each draw one (re, im) pair of
     normal rows in stream order; one _clearance call measures a block's
     paths, and the draws that clear are kept in order.  After 100 draws per
     sample it gives up."""
-    base_logs = default_base_point(system)
     rng = np.random.default_rng(seed)
     n = system.rank
     most = _rows_per_chunk(16 * (_CLEARANCE_SAMPLES + 1) * len(system.positive_roots))
@@ -600,8 +599,8 @@ def sample_points_near(system, count, seed=0):
             raise MirrorSingularity("could not find enough off-mirror samples")
         attempts += m
         draws = rng.standard_normal((m, 2, n))
-        lz = base_logs + _SAMPLE_SPREAD * (draws[:, 0] + 1j * draws[:, 1])
-        paths = np.stack(np.broadcast_arrays(base_logs, lz), axis=1)
+        lz = base + _SAMPLE_SPREAD * (draws[:, 0] + 1j * draws[:, 1])
+        paths = np.stack(np.broadcast_arrays(base, lz), axis=1)
         out.extend(lz[_clearance(system, paths) >= MIRROR_DELTA])
     return np.array(out)
 
@@ -616,13 +615,14 @@ def ball_check(system, k, form, sample_logs):
     they pair through the inverse form.  invariant_form already fixes the sign
     of H by its signature (n, 1), so the pairings are returned as computed,
     unsigned; a base evaluation vector outside the negative cone gives
-    positive values.  Paths start at default_base_point.
+    positive values.  Paths start at hecke_base_point, where the form is
+    solved.
     """
-    base_logs = default_base_point(system)
+    b = hecke_base_point(system)
     Hinv = np.linalg.inv(form.matrix)
 
     # the base evaluation vector is (1, 0, ..., 0): it pairs to Hinv[0, 0]
     if abs(Hinv[0, 0].real) < 1e-8:
         raise _kernels.NumericFailure("base evaluation vector is numerically isotropic")
-    values = (transport(system, k, (base_logs, lz))[0, :] for lz in sample_logs)
+    values = (transport(system, k, (b, lz))[0, :] for lz in sample_logs)
     return tuple(float((v @ Hinv @ v.conj()).real) for v in values)

@@ -43,7 +43,8 @@ def test_criterion_2_integrability_constants():
     for fam, rank in [("A", 2), ("A", 3), ("D", 4), ("D", 5), ("E", 6)]:
         system = roots.build(roots.RootSystemType(fam, rank))
         for k in (F(1, 6), F(1, 4)):
-            samples = torus.sample_points_near(system, 5, seed=42)
+            samples = torus.sample_points_near(system, torus.default_base_point(system), 5,
+                                               seed=42)
             a_bad = roots.integrability_constant(system) + F(1, 10)
             for lz in samples:
                 worst_flat = max(worst_flat, torus.flatness_residual(system, k, lz))
@@ -74,8 +75,9 @@ def test_criterion_4_lorentz_form_and_ball():
     ok = True
     detail = []
     for k in (F(1, 6), F(1, 4), F(2, 5)):
-        form = torus.invariant_form(*torus.hecke_generators(a2, k))
-        ball = torus.ball_check(a2, k, form, torus.sample_points_near(a2, 10, seed=0))
+        form = torus.invariant_form(torus.hecke_generators(a2, k))
+        samples = torus.sample_points_near(a2, torus.hecke_base_point(a2), 10, seed=0)
+        ball = torus.ball_check(a2, k, form, samples)
         negative = all(v < 0 for v in ball)
         good = form.signature == (2, 1) and form.residual < 1e-6 and negative
         ok = ok and good
@@ -101,9 +103,10 @@ def test_ball_quotient_at_every_enumerated_row():
         for name in row:
             count += 1
             system = roots.build(roots.RootSystemType(name[0], int(name[1:])))
-            form = torus.invariant_form(*torus.hecke_generators(system, k))
+            form = torus.invariant_form(torus.hecke_generators(system, k))
             pairing = float(np.linalg.inv(form.matrix)[0, 0].real)
-            ball = torus.ball_check(system, k, form, torus.sample_points_near(system, 10, seed=0))
+            samples = torus.sample_points_near(system, torus.hecke_base_point(system), 10, seed=0)
+            ball = torus.ball_check(system, k, form, samples)
             pairings.append(pairing)
             gaps.append(form.singular_values[-2] / form.singular_values[0])
             if not (form.signature == (system.rank, 1) and pairing < 0
@@ -116,7 +119,7 @@ def test_ball_quotient_at_every_enumerated_row():
     assert exact["passed"] is False
     assert exact["conditions"][0]["detail"].endswith("(boundary k = m)")
     with pytest.raises(torus.InvariantFormError) as info:
-        torus.invariant_form(*torus.hecke_generators(a5, schwarzcond.k_from_p(6)))
+        torus.invariant_form(torus.hecke_generators(a5, schwarzcond.k_from_p(6)))
     assert info.value.dimension == 2
     elapsed = time.monotonic() - t0
     ok = count == 21 and not failed

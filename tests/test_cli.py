@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -384,6 +385,19 @@ def test_torus_monodromy_json():
         assert payload["residuals"]["hecke_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("k, root", [*(("-21/4", str(i)) for i in range(1, 6)),
+                                     ("-21/4", "highest"), ("7/3", "highest")])
+def test_torus_monodromy_d5_past_k_one_passes(k, root):
+    # every loop starts at b: D5 at k = -21/4 reads at most 4.1e-11 and at
+    # k = 7/3 the highest root 1.6e-14.  Staged from default_base_point,
+    # whose stages reached cond(S) = 4.0e17 here, roots 3-5 at -21/4 read
+    # 1.7e-4 to 3.5e-3 and the highest root at 7/3 2.6e-6, and all exited 1
+    code, out = run_cli(["torus", "monodromy", "--type", "D", "--rank", "5", f"--k={k}",
+                         "--root", root, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["residuals"]["hecke_residual"] <= 1e-9
+
+
 def test_torus_form_without_one_invariant_form_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(torus, "invariant_form",
                         _raising(torus.InvariantFormError("no invariant Hermitian form", 0)))
@@ -470,8 +484,9 @@ def test_torus_form_builds_generators_once(monkeypatch):
     assert code == 0
     assert len(calls) == 1
     a2 = roots.build(roots.RootSystemType("A", 2))
-    form = torus.invariant_form(*torus.hecke_generators(a2, Fraction(1, 4)))
-    fresh = torus.ball_check(a2, Fraction(1, 4), form, torus.sample_points_near(a2, 4, seed=3))
+    form = torus.invariant_form(torus.hecke_generators(a2, Fraction(1, 4)))
+    samples = torus.sample_points_near(a2, torus.hecke_base_point(a2), 4, seed=3)
+    fresh = torus.ball_check(a2, Fraction(1, 4), form, samples)
     assert json.loads(out)["results"]["ball_values"] == list(fresh)
 
 
@@ -755,15 +770,32 @@ def test_console_entry_point_subprocess():
     assert "p =  10 : A2" in proc.stdout
 
 
-def test_torus_overflow_prints_one_error_line_subprocess():
-    # at k = 1000 the frame overflows: numpy's warnings stay off stderr, which
-    # holds the one error line of every numeric failure
-    proc = _run_subprocess(["torus", "monodromy", "--type", "A", "--rank", "2",
-                            "--k", "1000"])
+def test_torus_monodromy_with_a_large_frame_reports_a_finite_residual(capsys):
+    # at k = 70 the A2 loop has entries near 2e103: ||M|| is finite, and the
+    # Hecke residual divides M by it before the product, so the report holds
+    # a finite residual (about 0.2) and exits 1, with nothing on stderr
+    code, out = run_cli(["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "70",
+                         "--format", "json"])
+    residual = json.loads(out)["residuals"]["hecke_residual"]
+    assert code == 1 and math.isfinite(residual) and residual > 1e-6
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("k, ending", [
+    pytest.param("100", "loop monodromy is not finite: the transports overflow", id="100"),
+    pytest.param("300", "frame is not finite at t = 1.0", id="300"),
+    pytest.param("1000", "did not converge within 400 terms", id="1000"),
+])
+def test_torus_overflow_prints_one_error_line_subprocess(k, ending):
+    # as k grows the A2 half-turn's frame grows until the loop's square
+    # overflows (k = 100), the frame overflows in the kernel (300) or a step
+    # needs more series terms than it may take (1000): numpy's warnings stay
+    # off stderr, which holds the one error line of every numeric failure
+    proc = _run_subprocess(["torus", "monodromy", "--type", "A", "--rank", "2", "--k", k])
     assert proc.returncode == 1 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: numeric failure: ")
-    assert lines[0].endswith("frame is not finite at t = 1.0")
+    assert lines[0].endswith(ending)
 
 
 @pytest.mark.parametrize("argv", [["monodromy", "--k", "100"], ["form", "--k", "1000"]])

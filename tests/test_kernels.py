@@ -18,6 +18,7 @@ import pytest
 from schwarz_atlas import _kernels, roots, torus
 from schwarz_atlas import gauss as G
 from test_gauss import ORACLE_PARAMS, _param_id
+from test_torus import _mirror_ring
 
 A2 = roots.build(roots.RootSystemType("A", 2))
 E8 = roots.build(roots.RootSystemType("E", 8))
@@ -82,7 +83,7 @@ def test_torus_segment_matches_high_precision_ode_solve(segment):
     base = torus.default_base_point(A2)
     if segment == "ring":
         # one segment of the ring around the mirror of the first simple root
-        ring = torus._mirror_ring(A2, np.array([1, 0]), base)
+        ring = _mirror_ring(A2, np.array([1, 0]), base)
         a, b = ring[1], ring[2]
     else:
         # the first third of the coordinate loop z_1 -> e^{2 pi i t} z_1
@@ -159,10 +160,11 @@ def _sequential_transport(system, k, path, rtol=_kernels._TORUS_RTOL):
 
 
 def _loop_parts(system):
-    """The stage and the ring of the highest-root mirror loop, and the first
-    coordinate loop, as log-coordinate paths."""
+    """The stage and the ring of the highest-root mirror loop staged from
+    default_base_point, and the first coordinate loop there, as
+    log-coordinate paths."""
     base = torus.default_base_point(system)
-    ring = torus._mirror_ring(system, roots.highest_root(system), base)
+    ring = _mirror_ring(system, roots.highest_root(system), base)
     stage = np.array([base, ring[0]])
     return {"stage": stage, "ring": ring, "coordinate": torus._coordinate_circle(system, 0, base)}
 
@@ -291,13 +293,14 @@ def test_torus_transport_onto_a_mirror_raises_numeric_failure():
     assert not isinstance(info.value, ValueError)
 
 
-def test_mirror_monodromy_singular_stage_raises_numeric_failure(monkeypatch):
+def test_mirror_monodromy_singular_half_turn_word_raises_numeric_failure(monkeypatch):
+    # the highest root of A2 is s_1(alpha_2): its loop inverts T_w = T_1
     def singular(system, k, path):
         return np.zeros((3, 3), dtype=np.complex128)
 
     monkeypatch.setattr(torus, "transport", singular)
-    with pytest.raises(_kernels.NumericFailure, match="singular"):
-        torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
+    with pytest.raises(_kernels.NumericFailure, match="T_w is singular"):
+        torus.mirror_monodromy(A2, F(1, 4), np.array([1, 1]))
 
 
 def test_kernel_raises_at_the_singular_point():
