@@ -37,7 +37,8 @@ take a stack of points, one row each: flatness_residual measures all its
 points in one _curvature pass per chunk (chunks bounded by the kernel's byte
 budget), and every point's residual keeps the bits it has alone.  So the
 characters are one matrix-vector product per row, and the connection's
-4-operand einsum runs once per point.
+coefficient block and its derivative are each one real GEMM whose left
+factor broadcasts over the points.
 Every numeric breakdown, MirrorSingularity and InvariantFormError included,
 raises a _kernels.NumericFailure where it is found.
 """
@@ -198,21 +199,26 @@ def _connection(system, k, tchar, a):
     by its rows of root character values tchar, at scalar coupling a, as one
     (points, n, n+1, n+1) array: row 0 of A_i is e_{i+1}, column 0 below it is
     -a k^2 C^-1 and the lower block is minus the coefficient vectors
-    (k/2) sum_p c_pi c_pj u_p (Cc)_pl with u = (1+t)/(1-t).  The einsum runs
-    once per point, as for a single point, so its loop order and its bits do
-    not depend on the stack; the batched "pi,pj,sp,pl->sijl" form gave the
-    same bits but was slower at D8 (five points: 2.0 ms against 1.6 ms)."""
+    (k/2) sum_p c_pi c_pj u_p (Cc)_pl with u = (1+t)/(1-t).
+
+    The sum is one real GEMM over the positive roots per point, laid out as
+    in _theta_frame_matrices: (n^2, |Phi+|) @ (|Phi+|, 2n), with the real and
+    imaginary parts of u_p (Cc)_pl side by side in the right factor.  The
+    left factor broadcasts over the points, so each point's block has the
+    bits it has alone.
+    """
     if np.min(np.abs(tchar - 1.0)) < 1e-12:
         raise MirrorSingularity("a positive-root character equals 1 at this point")
     croots, coroots, cinv = _float_rows(system)
-    n = system.rank
+    npos, n = croots.shape
     u = (1.0 + tchar) / (1.0 - tchar)
+    left = (croots[:, :, None] * croots[:, None, :]).reshape(npos, n * n).T
+    G = left @ np.concatenate([u.real[:, :, None] * coroots,
+                               u.imag[:, :, None] * coroots], axis=2)
     A = np.zeros((len(u), n, n + 1, n + 1), dtype=np.complex128)
     A[:, np.arange(n), 0, np.arange(1, n + 1)] = 1.0
     A[:, :, 1:, 0] = -(float(a) * float(k) ** 2 * cinv)
-    for Ap, up in zip(A, u):
-        Ap[:, 1:, 1:] = -(0.5 * float(k) * np.einsum("pi,pj,p,pl->ijl",
-                                                     croots, croots, up, coroots))
+    A[:, :, 1:, 1:] = -(0.5 * float(k) * (G[..., :n] + 1j * G[..., n:])).reshape(-1, n, n, n)
     return A
 
 
@@ -276,13 +282,13 @@ def _curvature(system, k, tchar, a):
     character values tchar, at scalar coupling a, and the largest |entry| of
     the connection matrices it is made of, as two (points,) arrays.  All
     n^2 products A_j A_i of every point come from one batched matmul, and the
-    pairs i < j are reduced at once."""
+    curvature is formed on the pairs i < j alone."""
     A = _connection(system, k, tchar, a)
     dA = _theta_frame_matrices(system, k, tchar)
     AA = np.matmul(A[:, None], A[:, :, None])    # AA[s, i, j] = A_j A_i at point s
-    R = (dA - dA.swapaxes(1, 2) + AA) - AA.swapaxes(1, 2)
-    upper = np.triu_indices(system.rank, 1)
-    return (np.max(np.abs(R[:, upper[0], upper[1]]), axis=(1, 2, 3), initial=0.0),
+    i, j = np.triu_indices(system.rank, 1)
+    R = (dA[:, i, j] - dA[:, j, i] + AA[:, i, j]) - AA[:, j, i]
+    return (np.max(np.abs(R), axis=(1, 2, 3), initial=0.0),
             np.max(np.abs(A), axis=(1, 2, 3)))
 
 

@@ -309,6 +309,29 @@ def test_connection_matches_literal_frame_entry_by_entry(fam, rank):
         assert np.max(np.abs(got - _literal_frame(system, k, np.exp(lz + 0.3)))) > 1e-3 * scale
 
 
+def _einsum_block(system, k, tchar):
+    """The connection's lower blocks at each row of tchar, one 4-operand
+    einsum per point: -(k/2) sum_p c_pi c_pj u_p (Cc)_pl, u = (1+t)/(1-t)."""
+    croots = system.positive_roots.astype(float)
+    coroots = croots @ system.cartan.astype(float)
+    u = (1.0 + tchar) / (1.0 - tchar)
+    return np.array([-(0.5 * float(k) * np.einsum("pi,pj,p,pl->ijl", croots, croots, up, coroots))
+                     for up in u])
+
+
+@pytest.mark.parametrize("fam, rank", ADE_UP_TO_8 + [("A", 12), ("D", 12)])
+def test_connection_block_matches_the_einsum_oracle(fam, rank):
+    # the GEMM sums the roots in its own order, so the blocks agree to
+    # rounding of the largest entry, at each of a stack's points
+    system = _sys(fam, rank)
+    stack = torus.sample_points_near(system, torus.default_base_point(system), 5, seed=rank)
+    tchar = torus._char_values(system, stack)
+    for k in (roots.hyperbolic_exponent(system) / 2, F(-5, 3)):
+        got = torus._connection(system, k, tchar, roots.integrability_constant(system))
+        want = _einsum_block(system, k, tchar)
+        assert np.max(np.abs(got[..., 1:, 1:] - want)) <= 2e-15 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("fam, rank", [("A", 3), ("D", 5), ("E", 6)])
 def test_theta_derivatives_match_roots_sum_and_differences(fam, rank):
     # the derivative terms cancel in the curvature, so check the tensor itself
@@ -331,6 +354,18 @@ def test_w_invariance():
     logs = torus.default_base_point(D4)
     for i in range(4):
         assert torus.w_invariance_residual(D4, F(1, 6), logs, i) < 1e-10
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)])
+def test_w_invariance_at_sampled_points(fam, rank):
+    # the coefficient block is symmetric in (i, j) only if the connection's
+    # layout is, and s_i mixes both indices: every simple reflection, two points
+    system = _sys(fam, rank)
+    k = roots.hyperbolic_exponent(system) / 2
+    for lz in torus.sample_points_near(system, torus.default_base_point(system), 2, seed=rank):
+        scale = np.max(np.abs(torus.connection(system, k, lz)))
+        for i in range(rank):
+            assert torus.w_invariance_residual(system, k, lz, i) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("fam, rank", [*(("A", n) for n in range(1, 31)),
