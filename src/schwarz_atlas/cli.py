@@ -528,7 +528,6 @@ def build_parser():
     f.add_argument("--a-override", dest="a_override", type=parse_rational, default=None)
     f.add_argument("--tol", type=_tolerance, default=1e-8)
     f.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    f.add_argument("--json", dest="fmt", action="store_const", const="json")
     f.set_defaults(func=_cmd_torus_flatness)
     m = torus_sub.add_parser("monodromy", help="mirror-loop monodromy and its relation")
     _add_type_args(m)
@@ -537,7 +536,6 @@ def build_parser():
                    help="simple-root index (1-based) or 'highest'")
     m.add_argument("--tol", type=_tolerance, default=1e-6)
     m.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    m.add_argument("--json", dest="fmt", action="store_const", const="json")
     m.set_defaults(func=_cmd_torus_monodromy)
     fo = torus_sub.add_parser("form", help="invariant Hermitian form and negative cone")
     _add_type_args(fo)
@@ -546,7 +544,6 @@ def build_parser():
     fo.add_argument("--seed", type=int, default=0)
     fo.add_argument("--tol", type=_tolerance, default=1e-6)
     fo.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    fo.add_argument("--json", dest="fmt", action="store_const", const="json")
     fo.set_defaults(func=_cmd_torus_form)
 
     p_schwarz = sub.add_parser("schwarz", help="exact stratum conditions")

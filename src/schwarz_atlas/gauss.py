@@ -293,17 +293,20 @@ def spectrum_mismatch(matrix, expected):
 
 
 def scaled_spectrum_residual(matrix, expected):
-    """||(M - e0)(M - e1)|| / ||M||^2 in the Frobenius norm, scaled as
-    torus.hecke_residual is.  It vanishes when M, not a scalar matrix, has
-    the characteristic polynomial (x - e0)(x - e1).  Unlike the eigenvalue
-    distance of spectrum_mismatch it does not grow with the condition of the
-    eigenvectors, which at large |alpha| puts the eigenvalues of the exactly
-    rounded loop matrices 1e-3 away from exp(2 pi i e)."""
+    """||(M - e0)(M - e1)|| / ||M||^2 in the Frobenius norm, for a square M
+    of any size; torus.hecke_residual is this residual of (1, q^2).  M is
+    divided by its norm before the product, so the residual is finite
+    wherever ||M|| is.  On 2x2 M it vanishes when M, not a scalar matrix,
+    has the characteristic polynomial (x - e0)(x - e1).  Unlike the
+    eigenvalue distance of spectrum_mismatch it does not grow with the
+    condition of the eigenvectors, which at large |alpha| puts the
+    eigenvalues of the exactly rounded loop matrices 1e-3 away from
+    exp(2 pi i e)."""
     M = np.asarray(matrix)
     scale = np.linalg.norm(M)
     A = M / scale
     e0, e1 = expected
-    I = np.eye(2) / scale
+    I = np.eye(len(M)) / scale
     return float(np.linalg.norm((A - e0 * I) @ (A - e1 * I)))
 
 

@@ -19,14 +19,17 @@ half-turns and the n coordinate loops at b, and invariant_form solves the form
 H_b from them.  The mirror loop of a positive root alpha is T_alpha^2 with
 T_alpha = T_w T_j T_w^-1, where w(alpha_j) = alpha comes from descending alpha
 to a simple root: matrix algebra on the half-turns that w and j use, with no
-transport of its own.  ball_check's paths and torus form's samples start at
-b; only the torus flatness report samples around default_base_point.  Scalar
-couplings are exact;
-continuation runs through _kernels.torus_segment, once per path: it lays out
-the step grid of every segment of the path (steps of half the distance to the
-nearest mirror crossing), sums each step's propagator, the Taylor series of
-the frame that starts as the identity, in batches of steps whose coefficient
-stacks fit a fixed byte budget, and multiplies the propagators in path order.
+transport of its own.  invariant_form solves M* H M = H on column-major
+vec(H) as the null line of one stacked complex system with blocks
+M^T kron M* - 1, by vec(A X B) = (B^T kron A) vec(X), and takes the
+Hermitian one of H + H* and i(H - H*).  ball_check's paths and torus form's
+samples start at b; only the torus flatness report samples around
+default_base_point.  Scalar couplings are exact; continuation runs through
+_kernels.torus_segment, once per path: it lays out the step grid of every
+segment of the path (steps of half the distance to the nearest mirror
+crossing), sums each step's propagator, the Taylor series of the frame that
+starts as the identity, in batches of steps whose coefficient stacks fit a
+fixed byte budget, and multiplies the propagators in path order.
 That grid is the one mirror guard of a path: it raises when a step point comes
 within _kernels._MIN_CLEARANCE of a mirror.  The sampled clearance,
 _clearance, is read only by sample_points_near, which keeps a draw whose path
@@ -54,6 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
+from .gauss import scaled_spectrum_residual
 from .roots import integrability_constant
 
 __all__ = [
@@ -469,16 +473,10 @@ def toric_monodromy(system, k, j):
 
 
 def hecke_residual(M, k):
-    """|| (M - 1)(M - q^2) || / ||M||^2 with q = exp(-2 pi i k); the plain loop
-    in the complement is the square of the orbifold generator, hence q^2.
-    M is divided by its norm before the product, as in
-    gauss.scaled_spectrum_residual, so the residual is finite wherever
-    ||M|| is."""
-    scale = np.linalg.norm(M)
-    A = M / scale
-    q2 = cmath.exp(-4j * math.pi * float(k))
-    I = np.eye(M.shape[0]) / scale
-    return float(np.linalg.norm((A - I) @ (A - q2 * I)))
+    """|| (M - 1)(M - q^2) || / ||M||^2 with q = exp(-2 pi i k), the
+    gauss.scaled_spectrum_residual of the pair (1, q^2); the plain loop in
+    the complement is the square of the orbifold generator, hence q^2."""
+    return scaled_spectrum_residual(M, (1, cmath.exp(-4j * math.pi * float(k))))
 
 
 def hecke_generators(system, k):
@@ -506,50 +504,33 @@ class InvariantForm:
     singular_values: np.ndarray
 
 
-def _hermitian_basis(N):
-    """Real basis of the N x N Hermitian matrices as one (N^2, N, N) stack:
-    the diagonal units, then per pair i < j the symmetric real unit and the
-    antisymmetric imaginary one."""
-    basis = np.zeros((N * N, N, N), dtype=np.complex128)
-    idx = np.arange(N)
-    basis[idx, idx, idx] = 1.0
-    b = N
-    for i in range(N):
-        for j in range(i + 1, N):
-            basis[b, i, j] = basis[b, j, i] = 1.0
-            basis[b + 1, i, j] = 1j
-            basis[b + 1, j, i] = -1j
-            b += 2
-    return basis
-
-
 def invariant_form(generators):
     """Least-squares solve of M* H M = H over Hermitian H for all generators,
     loops at one base point.
 
-    Each generator's block of the stacked system is divided by ||M||_F^2,
-    so that no generator outweighs the others; one thin SVD of the
-    equilibrated system, without the unused left factor, gives both the
-    count of null vectors (singular values at most _RANK_TOL of the largest)
-    and the null vector.  Raises InvariantFormError when the solution space
-    is numerically zero- or multi-dimensional (the latter signals
-    reducibility or a coupling outside the hyperbolic range).  H is
-    normalised to unit Frobenius norm and signed so that the positive
-    eigenvalues are the majority; the residual is the largest
-    ||M* H M - H|| over the generators.
+    By vec(A X B) = (B^T kron A) vec(X) on column-major vec, each generator
+    is one block (M^T kron M* - 1) of a complex system on vec(H), divided by
+    ||M||_F^2 so that no generator outweighs the others.  One thin SVD of
+    the stacked system, without the unused left factor, gives both the count
+    of null vectors (singular values at most _RANK_TOL of the largest) and
+    the null vector.  The system maps Hermitian matrices to Hermitian ones
+    and commutes with i, so its singular values are those of the solve in
+    orthonormal Hermitian coordinates, and its null line is closed under
+    H -> H*: of H + H* and i(H - H*), the one of larger norm is Hermitian
+    and spans it.  Raises InvariantFormError when the solution space is
+    numerically zero- or multi-dimensional (the latter signals reducibility
+    or a coupling outside the hyperbolic range).  H is normalised to unit
+    Frobenius norm and signed so that the positive eigenvalues are the
+    majority; the residual is the largest ||M* H M - H|| over the
+    generators.
     """
     gens = [np.asarray(M, dtype=np.complex128) for M in generators]
     if not gens:
         raise ValueError("need at least one generator")
     N = gens[0].shape[0]
-    basis = _hermitian_basis(N)
-    rows = []
-    for M in gens:
-        block = (np.matmul(np.matmul(M.conj().T, basis), M) - basis).reshape(N * N, -1).T
-        block /= np.linalg.norm(M) ** 2
-        rows.append(block.real)
-        rows.append(block.imag)
-    L = np.concatenate(rows, axis=0)
+    one = np.eye(N * N)
+    L = np.concatenate([(np.kron(M.T, M.conj().T) - one) / np.linalg.norm(M) ** 2
+                        for M in gens])
     _, svals, vt = np.linalg.svd(L, full_matrices=False)
     smax = svals[0] if svals[0] > 0 else 1.0
     null_dim = int(np.sum(svals <= _RANK_TOL * smax))
@@ -561,12 +542,8 @@ def invariant_form(generators):
         raise InvariantFormError(
             f"invariant-form space has dimension {null_dim}; "
             "the representation looks reducible", null_dim)
-    # _hermitian_basis order: the diagonal, then Re and Im of H[i, j] per i < j
-    coeff = vt[-1]
-    upper = np.triu_indices(N, 1)
-    H = np.diag(coeff[:N]).astype(np.complex128)
-    H[upper] = coeff[N::2] + 1j * coeff[N + 1::2]
-    H[upper[::-1]] = H[upper].conj()
+    H = vt[-1].conj().reshape(N, N, order="F")
+    H = max(H + H.conj().T, 1j * (H - H.conj().T), key=np.linalg.norm)
     H /= np.linalg.norm(H)
     residual = max(
         float(np.linalg.norm(M.conj().T @ H @ M - H)) for M in gens
