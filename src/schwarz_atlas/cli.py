@@ -229,6 +229,7 @@ def _cmd_triangle_tessellate(args):
     if args.depth is not None:
         _require_at_least("--depth", args.depth, 0)
     _require_at_least("--max-tiles", args.max_tiles, 1)
+    _require_at_most("--max-tiles", args.max_tiles, 200000)
     tess = triangle.tessellate(args.k, args.l, args.m, max_word_length=args.depth,
                                max_tiles=args.max_tiles)
     rep = tess.report()
@@ -269,7 +270,8 @@ def _require_at_most(flag, value, most):
     # dm_equivalence_scan covers, and bounds on the orders enumerate scans
     # (about 50 us each at rank 13, so a mistyped bound would run for minutes)
     # and on the torus samples (each one a transport or a curvature, so
-    # --samples 10000000 at E8 would run for hours)
+    # --samples 10000000 at E8 would run for hours), and on the tile budget
+    # (about 1.7 KB a tile: 200000 tiles of (2, 3, 7) take 384 MB and 3.5 s)
     if value > most:
         raise ValueError(f"{flag} must be at most {most}, got {value}")
 

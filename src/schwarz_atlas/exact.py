@@ -1,5 +1,6 @@
-"""Exact rational arithmetic: unit-fraction predicates, reflection-order bookkeeping,
-and reduction of hypergeometric exponent differences.
+"""Exact rational arithmetic: parsing and formatting of rationals, the coupling
+of a reflection order, and the exponent differences of the hypergeometric
+equation with their reduction.
 
 Everything in this module is exact; no floats enter or leave.  Rationals are
 ``fractions.Fraction`` throughout (arbitrary-precision, always in lowest terms
@@ -22,9 +23,6 @@ __all__ = [
     "ReductionWitness",
     "parse_rational",
     "format_rational",
-    "is_unit_fraction",
-    "conditional_unit_fraction",
-    "is_in_two_over_n",
     "k_from_p",
     "exponent_differences",
     "reduce_parameters",
@@ -55,33 +53,6 @@ def format_rational(x):
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def is_unit_fraction(x):
-    """True iff x = 1/n for an integer n >= 1.
-
-    Note 1 itself qualifies (n = 1) and 0 does not: the index set here is
-    {1, 2, 3, ...}.
-    """
-    x = Fraction(x)
-    return x > 0 and x.numerator == 1
-
-
-def conditional_unit_fraction(x):
-    """The guarded membership test: vacuously true for x <= 0, else is_unit_fraction.
-
-    The boundary x = 0 counts as vacuous (literal reading of the guard "if > 0");
-    the enumeration layer surfaces the resulting borderline cases instead of
-    patching them here.
-    """
-    x = Fraction(x)
-    return x <= 0 or is_unit_fraction(x)
-
-
-def is_in_two_over_n(x):
-    """True iff x = 2/n for an integer n >= 1 (so 1/5 = 2/10 qualifies)."""
-    x = Fraction(x)
-    return x > 0 and x.numerator in (1, 2)
 
 
 def k_from_p(p):

@@ -1,8 +1,9 @@
 """Simply laced (ADE) root systems with exact integer lattice data.
 
 Roots are stored as integer coordinate vectors in the simple-root basis, so the
-bilinear form is the Cartan matrix and every quantity below is computed in
-integer arithmetic.  Node numbering follows Bourbaki: A_n is the path
+bilinear form is the Cartan matrix C: the pairing of x and y is x @ C @ y, the
+coroot coordinates of a root alpha are C @ alpha, and every quantity below is
+computed in integer arithmetic.  Node numbering follows Bourbaki: A_n is the path
 1-2-...-n, D_n has nodes n-1 and n attached to the chain at n-2, and E_n hangs
 node 2 off node 4 of the chain 1-3-4-5-...-n.
 """
@@ -24,8 +25,6 @@ __all__ = [
     "integrability_constant",
     "hyperbolic_exponent",
     "toric_distances",
-    "reflect",
-    "coroot_coordinates",
     "highest_root",
 ]
 
@@ -95,12 +94,6 @@ class RootSystem:
     @property
     def simple_roots(self):
         return np.eye(self.rank, dtype=np.int64)
-
-    def inner(self, x, y):
-        """Bilinear form of two lattice vectors given in simple-root coordinates."""
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        return int(x @ self.cartan @ y)
 
     def __str__(self):
         return str(self.rtype)
@@ -186,25 +179,6 @@ def toric_distances(system):
     if fam == "E":
         return (1, 2, n - 4)
     raise ValueError("toric distances are defined for families D and E only")
-
-
-def reflect(lam, alpha, system):
-    """Orthogonal reflection s_alpha(lam) = lam - (lam, alpha) alpha, in coordinates."""
-    lam = np.asarray(lam, dtype=np.int64)
-    alpha = np.asarray(alpha, dtype=np.int64)
-    if system.inner(alpha, alpha) != 2:
-        raise ValueError(f"{alpha!r} is not a root (squared norm != 2)")
-    return lam - system.inner(lam, alpha) * alpha
-
-
-def coroot_coordinates(alpha, system):
-    """Coordinates of the coroot in the basis dual to the simple roots.
-
-    Entry i is (alpha_i, alpha); integral for every root of a simply laced
-    system.
-    """
-    alpha = np.asarray(alpha, dtype=np.int64)
-    return system.cartan @ alpha
 
 
 def highest_root(system):

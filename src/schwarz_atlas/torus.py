@@ -1,10 +1,10 @@
 """The rank-n hypergeometric system on the toric mirror-arrangement complement:
-the first-order frame connection at a point, one (n, n+1, n+1) array built by
-_connection, its exact scalar block and its curvature, multidimensional
-continuation along log-linear paths, mirror and coordinate monodromy, the
-Hecke generators of the orbifold group, the invariant Hermitian form, and the
-negative-cone (ball) check, whose values are the unsigned pairings under the
-inverse form.
+the first-order frame connection at a stack of points, one
+(points, n, n+1, n+1) array built by _connection, and its curvature,
+multidimensional continuation along log-linear paths, mirror monodromy, the
+Hecke generators of the orbifold group with the coordinate loops, the
+invariant Hermitian form, and the negative-cone (ball) check, whose values
+are the unsigned pairings under the inverse form.
 
 Coordinates are z_i = h^{-alpha_i}; the vector fields theta_i dual to the
 simple roots act as -z_i d/dz_i, so characters restrict to monomials and all
@@ -52,7 +52,6 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -66,13 +65,9 @@ __all__ = [
     "default_base_point",
     "hecke_base_point",
     "char_value",
-    "connection",
-    "exact_scalar",
     "flatness_residual",
-    "w_invariance_residual",
     "transport",
     "mirror_monodromy",
-    "toric_monodromy",
     "hecke_residual",
     "hecke_generators",
     "invariant_form",
@@ -173,31 +168,6 @@ def hecke_base_point(system):
 # ---------------------------------------------------------------------------
 # the connection
 
-def _inverse_cartan(system):
-    n = system.rank
-    cart = [[Fraction(int(system.cartan[i, j])) for j in range(n)] for i in range(n)]
-    # Gauss-Jordan over the rationals
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(cart)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [v / pval for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def exact_scalar(system, k):
-    """The scalar block of the connection in exact arithmetic: the rows of
-    a k^2 C^-1 as Fractions, at the forced coupling a.  Row i, negated, is
-    column 0 of connection's A_i below row 0."""
-    c = integrability_constant(system) * Fraction(k) ** 2
-    return [[c * v for v in row] for row in _inverse_cartan(system)]
-
-
 def _connection(system, k, tchar, a):
     """The n matrices A_i of theta_i F = A_i F at each point of a stack, given
     by its rows of root character values tchar, at scalar coupling a, as one
@@ -224,14 +194,6 @@ def _connection(system, k, tchar, a):
     A[:, :, 1:, 0] = -(float(a) * float(k) ** 2 * cinv)
     A[:, :, 1:, 1:] = -(0.5 * float(k) * (G[..., :n] + 1j * G[..., n:])).reshape(-1, n, n, n)
     return A
-
-
-def connection(system, k, logs):
-    """First-order form theta_i F = A_i F on the jet frame (f, theta_1 f, ...)
-    at the off-mirror point with log-coordinates logs and the forced coupling:
-    the n matrices A_i stacked as one (n, n+1, n+1) array."""
-    tchar = _char_values(system, np.asarray(logs)[None])
-    return _connection(system, k, tchar, integrability_constant(system))[0]
 
 
 def _theta_frame_matrices(system, k, tchar):
@@ -306,21 +268,6 @@ def _reflection_matrix(system, i):
     return S
 
 
-def w_invariance_residual(system, k, logs, i):
-    """Covariance of the coefficients under the simple reflection s_i.
-
-    Compares the coefficient vector of the pair (s_i xi_a, s_i xi_b) at the
-    reflected point with the s_i-transport of the pair (xi_a, xi_b) vector at
-    the original point; the scalar parts agree exactly by construction.
-    """
-    S = _reflection_matrix(system, i)
-    tchar = _char_values(system, np.array([logs, S @ logs]))
-    G_here, G_there = -_connection(system, k, tchar, integrability_constant(system))[:, :, 1:, 1:]
-    lhs = np.einsum("pa,qb,pql->abl", S, S, G_there)
-    rhs = np.einsum("lm,abm->abl", S, G_here)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 # ---------------------------------------------------------------------------
 # continuation
 #
@@ -371,8 +318,8 @@ def transport(system, k, path):
     that runs close to a mirror loses digits the kernel does not report (the
     A2 simple-root ring of radius 1e-3 against radius 0.1: 8.7e-12 relative
     at k = 3/4, 5.9e-7 at k = 2), and the Hecke residual does not see the
-    loss.  The curvature is not checked here: mirror_monodromy,
-    toric_monodromy and hecke_generators check it once at hecke_base_point.
+    loss.  The curvature is not checked here: mirror_monodromy and
+    hecke_generators check it once at hecke_base_point.
     """
     pts = np.asarray(path, dtype=np.complex128)
     moves = np.diff(pts, axis=0)
@@ -410,9 +357,9 @@ def _half_turn_generator(system, k, i, base):
     """T_i = diag(1, A_i^T) transport(half-turn i): the frame continued from
     base to s_i base and pulled back by the simple reflection
     A_i = _reflection_matrix(system, i)."""
-    reflect = np.eye(system.rank + 1)
-    reflect[1:, 1:] = _reflection_matrix(system, i).T
-    return reflect @ transport(system, k, _half_turn(system, i, base))
+    pullback = np.eye(system.rank + 1)
+    pullback[1:, 1:] = _reflection_matrix(system, i).T
+    return pullback @ transport(system, k, _half_turn(system, i, base))
 
 
 def _descent(system, alpha):
@@ -462,14 +409,6 @@ def mirror_monodromy(system, k, alpha):
         M = Ta @ Ta
         _require_finite(M)
     return M
-
-
-def toric_monodromy(system, k, j):
-    """Monodromy of the counterclockwise coordinate loop z_j -> e^{2 pi i t} z_j
-    at the base point b of hecke_base_point.  The flatness gate runs at b
-    first."""
-    _flatness_gate(system, k)
-    return transport(system, k, _coordinate_circle(system, j, hecke_base_point(system)))
 
 
 def hecke_residual(M, k):

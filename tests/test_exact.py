@@ -1,4 +1,5 @@
-"""Exact-arithmetic layer: predicates and exponent-difference reduction."""
+"""Exact-arithmetic layer: exponent-difference reduction, and the
+unit-fraction predicates that the stratum tests use as oracles."""
 
 import itertools
 from fractions import Fraction as F
@@ -7,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import conditional_unit_fraction, is_in_two_over_n, is_unit_fraction
 from schwarz_atlas.exact import (
     ExponentTriple,
     ReductionWitness,
-    conditional_unit_fraction,
     exponent_differences,
     format_rational,
-    is_in_two_over_n,
-    is_unit_fraction,
     k_from_p,
     parse_rational,
     reduce_parameters,

@@ -1,9 +1,9 @@
-"""Hypergeometric machinery: local solutions, continuation, monodromy, the
-conformal triangle map and the degree-2 pullback.
+"""Hypergeometric machinery: continuation, monodromy, the vertex angles of
+the conformal triangle map, and the degree-2 pullback oracle of criterion 7.
 
-Numeric expectations are checked against independent oracles: the binomial
-series, central finite differences, homotopy of paths, the exact Riemann
-scheme data, and closed forms in mpmath.hyp2f1 at 30 digits.
+Numeric expectations are checked against independent oracles: homotopy of
+paths, the exact Riemann scheme data, closed forms in mpmath.hyp2f1 at 30
+digits, and the exact angles pi x of the triangles.
 """
 
 import cmath
@@ -16,6 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (PullbackParams, dictionary, dictionary_inverse, monodromy_relation_residual,
+                     pullback_coefficients, pullback_map, pullback_ode_residual, riemann_scheme4,
+                     spectrum_mismatch)
 from schwarz_atlas import gauss as G
 from schwarz_atlas.exact import reduce_parameters
 from schwarz_atlas.triangle import GeneralizedCircle
@@ -29,7 +32,7 @@ def test_riemann_scheme_exact():
     assert sch.at_one == (0, F(1, 3))
     assert sch.at_infinity == (F(1, 84), F(13, 84))
     assert sch.exponent_differences.as_tuple() == (F(1, 2), F(1, 3), F(1, 7))
-    assert sch.exponent_sum() == 1
+    assert sum(sch.at_zero) + sum(sch.at_one) + sum(sch.at_infinity) == 1
 
 
 def test_scheme_sum_is_one_for_random_params():
@@ -40,7 +43,8 @@ def test_scheme_sum_is_one_for_random_params():
             F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))),
             F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))),
         )
-        assert G.riemann_scheme(p).exponent_sum() == 1
+        sch = G.riemann_scheme(p)
+        assert sum(sch.at_zero) + sum(sch.at_one) + sum(sch.at_infinity) == 1
 
 
 def test_log_case_flag():
@@ -53,68 +57,14 @@ def test_params_from_differences_round_trip():
     assert (p.alpha, p.beta, p.gamma) == (F(1, 84), F(13, 84), F(1, 2))
 
 
-def test_local_basis_binomial_oracle():
-    # gamma = beta makes the analytic-at-zero solution equal (1 - z)^(-alpha)
-    p = G.GaussParams(F(1, 3), F(2, 7), F(2, 7))
-    for z in (0.3, 0.2 + 0.4j, -0.5 + 0.1j):
-        fr = G.local_basis_at_zero(p, z)
-        oracle = (1 - z) ** (-1.0 / 3.0)
-        assert abs(fr[0, 1] - oracle) < 1e-12
-
-
-def test_local_basis_leading_terms():
-    p = P_STD
-    fr = G.local_basis_at_zero(p, 1e-6)
-    assert abs(fr[0, 1] - 1.0) < 1e-5          # analytic branch -> 1
-    assert abs(fr[0, 0] - 1e-6 ** 0.5) < 1e-8  # exponent 1/2 branch
-
-
-def test_local_basis_derivative_against_finite_differences():
-    p = P_STD
-    h = 1e-5
-    for z in (0.2, 0.25 + 0.3j):
-        fr = G.local_basis_at_zero(p, z)
-        plus = G.local_basis_at_zero(p, z + h)
-        minus = G.local_basis_at_zero(p, z - h)
-        for col in range(2):
-            fd = (plus[0, col] - minus[0, col]) / (2 * h)
-            assert abs(fr[1, col] - fd) < 1e-8
-
-
-def test_local_basis_domain_errors():
-    with pytest.raises(ValueError):
-        G.local_basis_at_zero(P_STD, 0.97)
-    with pytest.raises(ValueError):
-        G.local_basis_at_zero(P_STD, -0.5)
-    with pytest.raises(G.LogarithmicCaseError):
-        G.local_basis_at_zero(G.GaussParams(F(1, 2), F(1, 2), F(1)), 0.3)
-
-
-def test_local_series_that_does_not_converge_is_a_numeric_failure():
-    # |alpha|, |beta| near 150 need more terms at |z| = 1/2 than the budget
-    p = G.GaussParams(150 + F(1, 3), 150 + F(1, 5), F(1, 2))
-    with pytest.raises(G.NumericFailure, match="did not converge") as info:
-        G.local_basis_at_zero(p, 0.5)
-    assert not isinstance(info.value, ValueError)
-
-
-def test_path_clearance_enforced():
-    fr = np.eye(2, dtype=complex)
-    with pytest.raises(ValueError, match="singular point 0.0"):
-        G.continue_along(P_STD, (0.5, -0.5), fr)  # straight through 0
-    with pytest.raises(ValueError, match="singular point 1.0"):
-        G.continue_along(P_STD, (1.0005,), fr)  # a one-point path at 1
-    G.continue_along(P_STD, (0.5, 0.5 + 0.5j), fr)
-
-
 def test_continuation_empty_and_reverse():
     p = P_STD
     fr = np.eye(2, dtype=complex)
-    same = G.continue_along(p, (0.5,), fr)
+    same = G._transport(p, [(0.5,)], fr)[0]
     assert np.allclose(same, np.eye(2), atol=1e-14)
     path = (0.5, 0.5 + 0.5j, -0.3 + 0.7j)
-    out = G.continue_along(p, path, fr)
-    back = G.continue_along(p, tuple(reversed(path)), out)
+    out = G._transport(p, [path], fr)[0]
+    back = G._transport(p, [tuple(reversed(path))], out)[0]
     assert np.max(np.abs(back - np.eye(2))) < 1e-9
 
 
@@ -122,8 +72,8 @@ def test_continuation_homotopy_invariance():
     p = P_STD
     fr = np.eye(2, dtype=complex)
     target = 0.5 + 0.5j
-    direct = G.continue_along(p, (0.5, target), fr)
-    detour = G.continue_along(p, (0.5, 0.2 + 0.2j, 0.1 + 0.6j, target), fr)
+    direct = G._transport(p, [(0.5, target)], fr)[0]
+    detour = G._transport(p, [(0.5, 0.2 + 0.2j, 0.1 + 0.6j, target)], fr)[0]
     assert np.max(np.abs(direct - detour)) < 1e-8
 
 
@@ -134,9 +84,9 @@ def test_continuation_linear_in_frame():
     F1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     F2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     c1, c2 = 0.7 - 0.2j, -1.1 + 0.4j
-    out1 = G.continue_along(p, path, F1)
-    out2 = G.continue_along(p, path, F2)
-    combo = G.continue_along(p, path, c1 * F1 + c2 * F2)
+    out1 = G._transport(p, [path], F1)[0]
+    out2 = G._transport(p, [path], F2)[0]
+    combo = G._transport(p, [path], c1 * F1 + c2 * F2)[0]
     assert np.max(np.abs(combo - (c1 * out1 + c2 * out2))) < 1e-9
 
 
@@ -144,11 +94,11 @@ def test_monodromy_eigenvalues_and_relation():
     p = P_STD
     loops = G.monodromy_matrices(p)
     assert list(loops) == [0, 1, "inf"]
-    assert G.spectrum_mismatch(loops[0], [1.0, -1.0]) < 1e-9  # gamma = 1/2
+    assert spectrum_mismatch(loops[0], [1.0, -1.0]) < 1e-9  # gamma = 1/2
     for s, M in loops.items():
         expected = G.expected_monodromy_spectrum(p, s)
-        assert G.spectrum_mismatch(M, expected) < 1e-9
-    assert G.monodromy_relation_residual(loops[0], loops[1], loops["inf"]) < 1e-9
+        assert spectrum_mismatch(M, expected) < 1e-9
+    assert monodromy_relation_residual(loops[0], loops[1], loops["inf"]) < 1e-9
 
 
 @pytest.mark.parametrize("name", ["infinity", math.inf])
@@ -215,10 +165,10 @@ def _param_id(p):
 def test_continuation_matches_hyp2f1(p):
     # straight segments from 1/2 stay in one half-plane, where continuation
     # gives the principal branches of z^(1-gamma) and 2F1
-    base = G.local_basis_at_zero(p, 0.5)
+    base = _frobenius_oracle(p, 0.5)
     for z in (1.1 + 0.2j, -2 + 1.5j, 6 + 2j, -30 + 40j):
         for w in (z, z.conjugate()):
-            got = G.continue_along(p, (0.5, w), base)
+            got = G._transport(p, [(0.5, w)], base)[0]
             want = _frobenius_oracle(p, w)
             for j in range(2):
                 err = np.max(np.abs(got[:, j] - want[:, j])) / np.max(np.abs(want[:, j]))
@@ -334,32 +284,6 @@ def test_wronskian_along_loop_scaled_by_det_monodromy():
     assert abs(abs(np.linalg.det(m0)) - 1.0) < 1e-10
 
 
-def test_schwarz_map_power_law_at_zero():
-    # |Pev(t)| ~ t^kappa: fit the exponent from two samples
-    p = P_STD
-    v1 = abs(G.schwarz_map(p, 0.02))
-    v2 = abs(G.schwarz_map(p, 0.04))
-    slope = math.log(v2 / v1) / math.log(2.0)
-    assert abs(slope - 0.5) < 0.02
-
-
-def test_schwarz_map_boundary_image_is_circular():
-    p = P_STD
-    pts = [G.schwarz_map(p, t) for t in (0.15, 0.3, 0.5, 0.7, 0.85)]
-    _, res = G._fit_circle(pts)
-    assert res < 1e-9
-
-
-def test_schwarz_map_conformality():
-    # angle between two crossing curves is preserved; compare the arguments of
-    # central-difference directional derivatives at an interior point
-    p = P_STD
-    z0, h = 0.4 + 0.4j, 1e-5
-    d1 = (G.schwarz_map(p, z0 + h) - G.schwarz_map(p, z0 - h)) / (2 * h)
-    d2 = (G.schwarz_map(p, z0 + h * 1j) - G.schwarz_map(p, z0 - h * 1j)) / (2 * h * 1j)
-    assert abs(cmath.phase(d2 / d1)) < 1e-6
-
-
 def test_vertex_angles_standard_triple():
     angles = G.vertex_angles(P_STD)
     for got, want in zip(angles, (math.pi / 2, math.pi / 3, math.pi / 7)):
@@ -375,12 +299,18 @@ def test_vertex_angles_invariant_under_basis_change(monkeypatch):
         assert abs(a - b) < 1e-6
 
 
-@pytest.mark.parametrize("klm", [(5, 5, 5), (4, 6, 8)])
+@pytest.mark.parametrize("klm", [
+    (F(1, 5), F(1, 5), F(1, 5)), (F(1, 4), F(1, 6), F(1, 8)),
+    (F(1, 2), F(1, 3), F(1, 7)), (F(1, 2), F(1, 3), F(1, 5)), (F(1, 4), F(1, 4), F(1, 4)),
+    (F(0), F(1, 3), F(1, 4)), (F(3, 8), F(3, 8), F(3, 8)), (F(5, 8), F(5, 8), F(5, 8)),
+    (F(7, 8), F(1, 2), F(1, 2)), (F(3, 4), F(3, 4), F(3, 4))])
 def test_vertex_angles_regressions(klm):
-    # both triples once came back wrong without an error being raised
-    p = G.params_from_differences(*(F(1, n) for n in klm))
-    for got, n in zip(G.vertex_angles(p), klm):
-        assert abs(got - math.pi / n) < 1e-8
+    # the first two triples once came back wrong without an error being
+    # raised; the rest reach a cusp and angles past pi/2.  Every chart
+    # starts from its basis at 1/2, with no local series
+    p = G.params_from_differences(*klm)
+    for got, x in zip(G.vertex_angles(p), klm):
+        assert abs(got - math.pi * x) <= 1e-12
 
 
 def test_vertex_measurement_failing_in_every_chart_is_a_numeric_failure():
@@ -407,31 +337,31 @@ def test_vertex_angle_of_circles_that_do_not_meet_is_zero():
 
 
 def test_pullback_map_values():
-    assert G.pullback_map(F(1)) == 0
-    assert G.pullback_map(F(-1)) == 1
+    assert pullback_map(F(1)) == 0
+    assert pullback_map(F(-1)) == 1
     for z in (F(3, 7), F(-5, 2), F(12, 5)):
-        assert G.pullback_map(z) == G.pullback_map(1 / z)
+        assert pullback_map(z) == pullback_map(1 / z)
     with pytest.raises(ZeroDivisionError):
-        G.pullback_map(F(0))
+        pullback_map(F(0))
 
 
 def test_dictionary_round_trip():
     rng = np.random.default_rng(11)
     for _ in range(100):
-        pb = G.PullbackParams(
+        pb = PullbackParams(
             F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))),
             F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))),
             F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))),
         )
-        assert G.dictionary_inverse(G.dictionary(pb)) == pb
-    p = G.dictionary(G.PullbackParams(F(1, 4), F(0), F(0)))
+        assert dictionary_inverse(dictionary(pb)) == pb
+    p = dictionary(PullbackParams(F(1, 4), F(0), F(0)))
     assert (p.alpha, p.beta, p.gamma) == (F(1, 8), F(1, 8), F(3, 4))
 
 
 def test_scheme4_exponents():
-    pb = G.PullbackParams(F(1, 5), F(1, 7), F(1, 3))
-    p = G.dictionary(pb)
-    sch = G.riemann_scheme4(pb)
+    pb = PullbackParams(F(1, 5), F(1, 7), F(1, 3))
+    p = dictionary(pb)
+    sch = riemann_scheme4(pb)
     assert sch.at_plus_one == (0, 2 - 2 * p.gamma)
     assert sch.at_plus_one[1] == 1 - 2 * pb.k1 - 2 * pb.k2
     assert sch.at_minus_one == (0, 2 * p.gamma - 2 * (p.alpha + p.beta))
@@ -439,24 +369,24 @@ def test_scheme4_exponents():
 
 
 def test_pullback_residual_generic_point():
-    pb = G.PullbackParams(F(1, 5), F(1, 7), F(1, 3))
+    pb = PullbackParams(F(1, 5), F(1, 7), F(1, 3))
     z = 1.7 * cmath.exp(1.1j)
-    assert G.pullback_ode_residual(pb, z) < 1e-8
+    assert pullback_ode_residual(pb, z) < 1e-8
 
 
 def test_pullback_residual_rejects_singular_neighborhood():
-    pb = G.PullbackParams(F(1, 5), F(1, 7), F(1, 3))
+    pb = PullbackParams(F(1, 5), F(1, 7), F(1, 3))
     with pytest.raises(ValueError):
-        G.pullback_ode_residual(pb, 1.05 + 0j)
+        pullback_ode_residual(pb, 1.05 + 0j)
 
 
 def test_reduced_coefficients_match_rank_one_form():
     # k1 = k, k2 = 0, lam = 0 collapses the operator to
     # theta^2 + k (1+1/z)/(1-1/z) theta + k^2/4
     k = F(1, 4)
-    pb = G.PullbackParams(k, F(0), F(0))
+    pb = PullbackParams(k, F(0), F(0))
     for z in (1.7 + 0.4j, -2.2 + 1.1j):
-        c1, c0 = G.pullback_coefficients(pb, z)
+        c1, c0 = pullback_coefficients(pb, z)
         u = (1 + 1 / z) / (1 - 1 / z)
         assert abs(c1 - float(k) * u) < 1e-14
         assert abs(c0 - float(k) ** 2 / 4) < 1e-16

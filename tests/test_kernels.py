@@ -377,6 +377,8 @@ GAUSS_LOOPS = list(G._LOOPS.values())
 # the boundary samples of one vertex_angles chart, z = 1/2 among them
 VERTEX_PATHS = [G._plan_path(G.BASE_POINT, t)
                 for side in (G._SIDE_01, G._SIDE_1INF, G._SIDE_INF0) for t in side]
+# a start frame with no zero entry, so that every product in the kernel counts
+FIXED_FRAME = np.array([[0.8 + 0.1j, 0.35], [-0.45j, 1.2 - 0.2j]], dtype=np.complex128)
 
 
 @pytest.mark.parametrize("p", ORACLE_PARAMS, ids=_param_id)
@@ -405,7 +407,7 @@ def test_gauss_batch_equals_each_path_alone(p):
     # and the product runs path by path, so batching changes no bit
     al, be, ga = p.floats()
     for paths, F0 in ((GAUSS_LOOPS, np.eye(2, dtype=np.complex128)),
-                      (VERTEX_PATHS, G._frame_at_base(p))):
+                      (VERTEX_PATHS, FIXED_FRAME)):
         frames, ok = _kernels.gauss_segment(al, be, ga, paths, F0)
         assert ok is True and frames.shape == (len(paths), 2, 2)
         for path, got in zip(paths, frames):
@@ -414,13 +416,12 @@ def test_gauss_batch_equals_each_path_alone(p):
 
 
 def test_gauss_zero_length_path_returns_the_frame():
-    F0 = G._frame_at_base(G.params_from_differences(F(1, 2), F(1, 3), F(1, 7)))
     path = G._plan_path(G.BASE_POINT, G.BASE_POINT)
     assert path[0] == path[-1]
-    frames, ok = _kernels.gauss_segment(0.25 + 0j, 0.5 + 0j, 0.75 + 0j, [path], F0)
+    frames, ok = _kernels.gauss_segment(0.25 + 0j, 0.5 + 0j, 0.75 + 0j, [path], FIXED_FRAME)
     # vertex_angles plans this path to z = 1/2
     assert ok is True
-    assert np.array_equal(frames[0], F0)
+    assert np.array_equal(frames[0], FIXED_FRAME)
 
 
 def test_one_kernel_call_per_measurement(monkeypatch):

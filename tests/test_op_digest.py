@@ -2,6 +2,7 @@
 comparison between two checkouts is made with it."""
 
 import importlib.util
+import os
 import pathlib
 import subprocess
 import sys
@@ -65,6 +66,21 @@ def test_op_digest_prints_one_block_per_seed_in_order(monkeypatch, capsys):
     assert blocks[0] != blocks[1].replace("seed 0", "seed 1")
     tool.main(["torus-ade", "1", "0"])
     assert capsys.readouterr().out == blocks[0] + blocks[1]
+
+
+def test_op_digest_seed_line_names_the_thread_setting(monkeypatch, capsys):
+    # the torus form outputs differ between one and two BLAS threads, so each
+    # digest carries the setting it was taken under
+    tool = _load_tool(monkeypatch)
+    monkeypatch.setattr(tool.workloads, "build", lambda workload, seed, seconds: _ops(tool, 4))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    tool.main(["torus-ade", "1"])
+    seed_line, *kind_lines = capsys.readouterr().out.splitlines()
+    assert seed_line.startswith("torus-ade seed 1: 3 ops, sha256 ")
+    assert seed_line.endswith(
+        f" (OPENBLAS_NUM_THREADS=3, OMP_NUM_THREADS=unset, cpu_count={os.cpu_count()})")
+    assert all("THREADS" not in line for line in kind_lines)
 
 
 @pytest.mark.parametrize("argv", [["torus-ade"], ["torus-ade", "101", "x"],

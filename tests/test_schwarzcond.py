@@ -10,13 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import conditional_unit_fraction, is_in_two_over_n, is_unit_fraction
 from schwarz_atlas import schwarzcond as sc
-from schwarz_atlas.exact import (
-    conditional_unit_fraction,
-    format_rational,
-    is_in_two_over_n,
-    is_unit_fraction,
-)
+from schwarz_atlas.exact import format_rational
 from schwarz_atlas.roots import RootSystemType
 
 

@@ -197,12 +197,20 @@ def test_unused_public_name_finder():
         ("a", "ORPHAN"), ("a", "listed"), ("a", "recursive")]
 
 
+# public names that no program code loads yet, each with the ROADMAP item
+# that plans its caller: the exact monomial for exact flatness (item 10) and
+# the closed-form reduction for exact rank-one monodromy (item 19)
+PLANNED_CALLERS = {("exact", "reduce_parameters"): 19, ("torus", "char_value"): 10}
+
+
 def test_every_public_name_is_used():
+    # the package is what the program runs: a name that only tests load is
+    # a test oracle and lives in tests/, so loads from tests/ do not count
     root = pathlib.Path(__file__).resolve().parent.parent
     package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     others = {str(path): path.read_text(encoding="utf-8")
-              for folder in ("tests", "perfbench") for path in sorted((root / folder).glob("*.py"))}
-    assert unused_public_names(package, others) == []
+              for folder in ("perfbench", "tools") for path in sorted((root / folder).glob("*.py"))}
+    assert unused_public_names(package, others) == sorted(PLANNED_CALLERS)
 
 
 def _defaulted_parameters(node, offset):

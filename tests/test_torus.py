@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _inverse_cartan, connection, exact_scalar, reflect, w_invariance_residual
 from schwarz_atlas import _kernels, roots, torus
 
 
@@ -56,11 +57,11 @@ def test_e8_highest_root_monomial():
 
 def test_a1_reduces_to_rank_one_operator():
     l1 = cmath.log(2.0 + 0.5j)
-    conn = torus.connection(A1, F(1, 4), np.array([l1]))
+    conn = connection(A1, F(1, 4), np.array([l1]))
     t = cmath.exp(l1)    # the character of the one positive root
     u = (1 + t) / (1 - t)
     assert abs(-conn[0, 1, 1] - 0.25 * u) < 1e-15
-    assert torus.exact_scalar(A1, F(1, 4)) == [[F(1, 4) ** 2 / 4]]
+    assert exact_scalar(A1, F(1, 4)) == [[F(1, 4) ** 2 / 4]]
 
 
 @pytest.mark.parametrize("fam, rank", [
@@ -68,15 +69,15 @@ def test_a1_reduces_to_rank_one_operator():
     *(("E", n) for n in range(6, 9))])
 def test_exact_inverse_cartan_at_every_rank(fam, rank):
     system = _sys(fam, rank)
-    cinv = torus._inverse_cartan(system)
+    cinv = _inverse_cartan(system)
     cart = [[F(int(v)) for v in row] for row in system.cartan]
     for i in range(rank):
         for j in range(rank):
             assert sum(cart[i][l] * cinv[l][j] for l in range(rank)) == int(i == j)
     # the float scalar block inverts the Cartan matrix in floats: equal to
     # the exact one to rounding (at most about 7 eps relative, at E8)
-    conn = torus.connection(system, F(1, 7), torus.default_base_point(system))
-    exact = [[float(v) for v in row] for row in torus.exact_scalar(system, F(1, 7))]
+    conn = connection(system, F(1, 7), torus.default_base_point(system))
+    exact = [[float(v) for v in row] for row in exact_scalar(system, F(1, 7))]
     np.testing.assert_allclose(-conn[:, 1:, 0], exact, rtol=16 * np.finfo(float).eps, atol=0)
 
 
@@ -85,13 +86,13 @@ def test_assemble_two_summation_orders_agree():
     # with plain Python complex arithmetic, in reversed order
     k = F(1, 4)
     zvals = [2.0 + 0j, 3.0 + 0j]
-    conn = torus.connection(A2, k, np.log(zvals))
+    conn = connection(A2, k, np.log(zvals))
     n = 2
     acc = np.zeros((n, n, n), dtype=complex)
     for alpha in reversed(A2.positive_roots):
         t = torus.char_value(zvals, alpha)
         u = (1 + t) / (1 - t)
-        cc = roots.coroot_coordinates(alpha, A2)
+        cc = A2.cartan @ alpha
         for i in range(n):
             for j in range(n):
                 for l in range(n):
@@ -100,14 +101,14 @@ def test_assemble_two_summation_orders_agree():
 
 
 def test_assemble_symmetry_and_mirror_error():
-    block = torus.connection(A2, F(1, 6), np.log([2.0 + 1j, 0.5 - 0.3j]))[:, 1:, 1:]
+    block = connection(A2, F(1, 6), np.log([2.0 + 1j, 0.5 - 0.3j]))[:, 1:, 1:]
     assert np.max(np.abs(block - np.swapaxes(block, 0, 1))) == 0
     with pytest.raises(torus.MirrorSingularity):    # z_1 = e^0 = 1 is on the mirror of alpha_1
-        torus.connection(A2, F(1, 6), np.log([1.0 + 0j, 2.0 + 0j]))
+        connection(A2, F(1, 6), np.log([1.0 + 0j, 2.0 + 0j]))
 
 
 def test_connection_frame_layout():
-    conn = torus.connection(A2, F(1, 4), np.log([2.0 + 1j, 3.0 - 1j]))
+    conn = connection(A2, F(1, 4), np.log([2.0 + 1j, 3.0 - 1j]))
     for i, A in enumerate(conn):
         row0 = np.zeros(3)
         row0[i + 1] = 1.0
@@ -178,8 +179,8 @@ def _fd_theta_A(system, k, logs, h=1e-6):
     A_i(l - h e_m))/(2h), laid out as _theta_frame_matrices lays out the
     analytic derivatives."""
     return np.array([
-        -(torus.connection(system, k, logs + h * e)
-          - torus.connection(system, k, logs - h * e)) / (2.0 * h)
+        -(connection(system, k, logs + h * e)
+          - connection(system, k, logs - h * e)) / (2.0 * h)
         for e in np.eye(system.rank)])
 
 
@@ -189,7 +190,7 @@ def test_flatness_fd_cross_check():
         system = _sys(fam, rank)
         k = F(1, 4)
         logs = torus.default_base_point(system)
-        A = torus.connection(system, k, logs)
+        A = connection(system, k, logs)
         dA = _fd_theta_A(system, k, logs)
         worst = max(float(np.max(np.abs(dA[i, j] - dA[j, i] + A[j] @ A[i] - A[i] @ A[j])))
                     for i in range(rank) for j in range(i + 1, rank))
@@ -217,7 +218,7 @@ def _literal_frame(system, k, z, a_override=None):
     block the coefficient vectors (k/2) sum_p c_pi u_p c_p (Cc_p)^T with
     u = (1+t)/(1-t), t = h^(-alpha_p), all with a minus sign."""
     n = system.rank
-    scalar = torus.exact_scalar(system, k)
+    scalar = exact_scalar(system, k)
     if a_override is not None:
         ratio = F(a_override) / roots.integrability_constant(system)
         scalar = [[v * ratio for v in row] for row in scalar]
@@ -230,7 +231,7 @@ def _literal_frame(system, k, z, a_override=None):
     for alpha in system.positive_roots:
         t = torus.char_value(z, alpha)
         u = (1 + t) / (1 - t)
-        cc = roots.coroot_coordinates(alpha, system)
+        cc = system.cartan @ alpha
         for i in range(n):
             mats[i][1:, 1:] -= 0.5 * float(k) * int(alpha[i]) * u * np.outer(alpha, cc)
     return mats
@@ -303,7 +304,7 @@ def test_connection_matches_literal_frame_entry_by_entry(fam, rank):
     system = _sys(fam, rank)
     k = roots.hyperbolic_exponent(system) / 2
     for lz in torus.sample_points_near(system, torus.default_base_point(system), 2, seed=rank):
-        got = torus.connection(system, k, lz)
+        got = connection(system, k, lz)
         scale = np.max(np.abs(got))
         assert np.max(np.abs(got - _literal_frame(system, k, np.exp(lz)))) <= 1e-13 * scale
         assert np.max(np.abs(got - _literal_frame(system, k, np.exp(lz + 0.3)))) > 1e-3 * scale
@@ -350,10 +351,10 @@ def test_theta_derivatives_match_roots_sum_and_differences(fam, rank):
 def test_w_invariance():
     logs = np.log([2.0 + 0j, 3.0 + 0j])
     for i in range(2):
-        assert torus.w_invariance_residual(A2, F(1, 4), logs, i) < 1e-12
+        assert w_invariance_residual(A2, F(1, 4), logs, i) < 1e-12
     logs = torus.default_base_point(D4)
     for i in range(4):
-        assert torus.w_invariance_residual(D4, F(1, 6), logs, i) < 1e-10
+        assert w_invariance_residual(D4, F(1, 6), logs, i) < 1e-10
 
 
 @pytest.mark.parametrize("fam, rank", [("A", 5), ("D", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)])
@@ -363,9 +364,9 @@ def test_w_invariance_at_sampled_points(fam, rank):
     system = _sys(fam, rank)
     k = roots.hyperbolic_exponent(system) / 2
     for lz in torus.sample_points_near(system, torus.default_base_point(system), 2, seed=rank):
-        scale = np.max(np.abs(torus.connection(system, k, lz)))
+        scale = np.max(np.abs(connection(system, k, lz)))
         for i in range(rank):
-            assert torus.w_invariance_residual(system, k, lz, i) <= 1e-13 * scale
+            assert w_invariance_residual(system, k, lz, i) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("fam, rank", [*(("A", n) for n in range(1, 31)),
@@ -379,7 +380,7 @@ def test_reflection_matrix_reflects_the_roots(fam, rank):
     for i, simple in enumerate(np.eye(rank, dtype=np.int64)):
         moved = system.positive_roots @ torus._reflection_matrix(system, i)
         for alpha, got in zip(system.positive_roots, moved):
-            assert np.array_equal(got, roots.reflect(alpha, simple, system))
+            assert np.array_equal(got, reflect(alpha, simple, system))
 
 
 # --- continuation ----------------------------------------------------------------
@@ -548,7 +549,7 @@ def test_descent_reaches_every_positive_root(fam, rank):
         word, j = torus._descent(system, alpha)
         beta = simples[j]
         for i in reversed(word):
-            beta = roots.reflect(beta, simples[i], system)
+            beta = reflect(beta, simples[i], system)
         assert np.array_equal(beta, alpha)
         assert len(word) == int(alpha.sum()) - 1
 
@@ -580,8 +581,6 @@ def test_loop_primitive_matches_hand_built_loops(fam, rank):
     gens = torus.hecke_generators(system, k)
     assert len(gens) == 2 * rank
     assert all(np.array_equal(G, M) for G, M in zip(gens, halves + circles))
-    for j in range(rank):
-        assert np.array_equal(torus.toric_monodromy(system, k, j), circles[j])
     simples = np.eye(rank, dtype=np.int64)
     assert np.array_equal(torus.mirror_monodromy(system, k, simples[0]), halves[0] @ halves[0])
     word, j = torus._descent(system, roots.highest_root(system))
@@ -662,7 +661,7 @@ def test_clearance_matches_point_by_point_sampling():
 
 
 def test_clearance_matches_point_by_point_sampling_at_e8():
-    # the rings of mirror_monodromy and the coordinate loop of toric_monodromy
+    # the rings of mirror_monodromy and a coordinate loop of hecke_generators
     base = torus.default_base_point(E8)
     simple_ring = _mirror_ring(E8, np.eye(8, dtype=np.int64)[0], base)
     toric_loop = torus._coordinate_circle(E8, 0, base)
@@ -720,7 +719,6 @@ def test_clearance_is_measured_only_by_the_sampler(monkeypatch):
 
     monkeypatch.setattr(torus, "_clearance", counted)
     torus.mirror_monodromy(A2, k, np.array([1, 0]))
-    torus.toric_monodromy(A2, k, 0)
     torus.hecke_generators(A2, k)
     torus.ball_check(A2, k, form, samples)
     assert measured == []
@@ -749,9 +747,8 @@ def test_generator_set_gates_flatness_once(monkeypatch):
     torus.hecke_generators(A2, F(1, 4))
     assert len(calls) == 1
     torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
-    torus.toric_monodromy(A2, F(1, 4), 0)
     torus.transport(A2, F(1, 4), _full_mirror_loop(A2, np.array([0, 1])))
-    assert len(calls) == 3
+    assert len(calls) == 2
     # the gate measures the one base point as a one-row stack
     assert all(tchar.shape == (1, len(A2.positive_roots)) for _, _, tchar, _ in calls)
 

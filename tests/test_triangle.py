@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reflect_point
 from schwarz_atlas import cli
 from schwarz_atlas import triangle as tri
-from schwarz_atlas.triangle import Geometry, GeneralizedCircle, reflect_point
+from schwarz_atlas.triangle import Geometry, GeneralizedCircle
 
 
 def chart_points(tess):

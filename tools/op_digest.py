@@ -8,7 +8,10 @@ length, runs each op through perfbench/worker.run_op, and prints the op
 count and one sha256 of (argv, call, exit code, stdout, stderr) and the name
 and bytes of each file the op wrote.  Under that line it prints the same
 count and sha256 for the ops of each kind, so a change that moves some
-outputs can name the kinds it moved.  The temporary directory the ops write
+outputs can name the kinds it moved.  The seed line also names the thread
+setting it was taken under, OPENBLAS_NUM_THREADS and OMP_NUM_THREADS ("unset"
+when absent) and os.cpu_count(): the `torus form` outputs differ between one
+and two BLAS threads, so two digests compare only at one setting.  The temporary directory the ops write
 into is written as {tmp}, so two checkouts that give the same answers print
 the same lines.  It uses the package and the benchmark of the checkout it
 sits in.  An unknown workload or a seed that is not an integer exits with
@@ -52,6 +55,13 @@ def op_digest(workload, seed):
     return len(ops), digest.hexdigest(), {k: (n, h.hexdigest()) for k, (n, h) in kinds.items()}
 
 
+def thread_setting():
+    """The BLAS and OpenMP thread variables and the CPU count, as one string."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    return ", ".join([f"{name}={os.environ.get(name, 'unset')}" for name in names]
+                     + [f"cpu_count={os.cpu_count()}"])
+
+
 USAGE = "usage: python3 tools/op_digest.py WORKLOAD SEED [SEED ...]"
 
 
@@ -65,7 +75,7 @@ def main(argv):
         sys.exit(USAGE)
     for arg, seed in zip(argv[1:], seeds):
         count, hexdigest, kinds = op_digest(argv[0], seed)
-        print(f"{argv[0]} seed {arg}: {count} ops, sha256 {hexdigest}")
+        print(f"{argv[0]} seed {arg}: {count} ops, sha256 {hexdigest} ({thread_setting()})")
         for kind, (n, kind_digest) in sorted(kinds.items()):
             print(f"  {kind}: {n} ops, sha256 {kind_digest}")
 
