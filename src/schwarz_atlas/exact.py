@@ -75,12 +75,6 @@ class ExponentTriple:
     def as_tuple(self):
         return (self.kappa, self.lam, self.mu)
 
-    def is_reduced(self):
-        k, l, m = self.kappa, self.lam, self.mu
-        if k < 0 or l < 0 or m < 0:
-            return False
-        return k + l <= 1 and k + m <= 1 and l + m <= 1
-
 
 @dataclass(frozen=True)
 class ReductionWitness:

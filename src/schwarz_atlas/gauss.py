@@ -10,7 +10,10 @@ propagators in path order; the kernel raises NumericFailure, naming the
 segment, where continuation breaks down, a step that reaches 0 or 1
 included.  So does a vertex measurement that fails in every chart.  Each
 measurement is one kernel call: the three loops of monodromy_matrices and
-the boundary samples of each vertex_angles chart.
+the boundary samples of each vertex_angles chart.  vertex_angles fits each
+boundary image with a circle row (a, Re b, Im b, c), the one circle format
+of `triangle`, and measures its three corners with the tiles' corner-angle
+code.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import NumericFailure
-from .exact import ExponentTriple, exponent_differences
-from .triangle import GeneralizedCircle, circle_intersections
+from .exact import exponent_differences
+from .triangle import _corner_angles, circle_intersections
 
 __all__ = [
     "GaussParams",
@@ -86,14 +89,6 @@ class RiemannScheme3:
     at_one: tuple
     at_infinity: tuple
 
-    @property
-    def exponent_differences(self):
-        return ExponentTriple(
-            self.at_zero[1] - self.at_zero[0],
-            self.at_one[1] - self.at_one[0],
-            self.at_infinity[1] - self.at_infinity[0],
-        )
-
 
 def riemann_scheme(p):
     return RiemannScheme3(
@@ -129,14 +124,6 @@ LOOP_INFINITY = (
 _LOOPS = {0: LOOP_ZERO, 1: LOOP_ONE, "inf": LOOP_INFINITY}
 
 
-def _singular_point(s):
-    """The _LOOPS key of s; "inf", "infinity" and math.inf name infinity."""
-    key = "inf" if s in ("inf", "infinity", math.inf) else s
-    if key not in _LOOPS:
-        raise ValueError(f"singular point must be 0, 1 or 'inf', got {s!r}")
-    return key
-
-
 def monodromy_matrices(p):
     """The loop matrices around 0, 1 and "inf", keyed so, from one kernel
     call, in the frame of initial jets at the base point 1/2.  The
@@ -159,7 +146,7 @@ def scaled_relation_residual(m0, m1, minf):
 
 def expected_monodromy_spectrum(p, s):
     sch = riemann_scheme(p)
-    pair = {0: sch.at_zero, 1: sch.at_one, "inf": sch.at_infinity}[_singular_point(s)]
+    pair = {0: sch.at_zero, 1: sch.at_one, "inf": sch.at_infinity}[s]
     return [cmath.exp(2j * cmath.pi * float(e)) for e in pair]
 
 
@@ -232,15 +219,20 @@ _MOBIUS_RETRIES = (
 )
 
 
+# the corners of the image triangle at the images of 0, 1 and infinity: for
+# each of the two sides that meet there (01, 1inf and inf0 as 0, 1 and 2),
+# the side and the index of its sample nearest the corner
+_CORNERS = (((0, 0), (2, 0)), ((0, -1), (1, 0)), ((1, -1), (2, -1)))
+
+
 def _fit_circle(points):
-    """Least-squares generalized circle through the sampled points (SVD on the
-    homogeneous coefficients), plus the worst scaled residual."""
+    """Least-squares generalized circle through the sampled points, as the row
+    (a, Re b, Im b, c): the SVD null vector of the homogeneous coefficients.
+    Also the worst scaled residual."""
     rows = np.array([[abs(z) ** 2, 2 * z.real, 2 * z.imag, 1.0] for z in points])
     _, svals, vt = np.linalg.svd(rows, full_matrices=True)
-    coeffs = vt[-1]
-    circ = GeneralizedCircle(coeffs[0], complex(coeffs[1], coeffs[2]), coeffs[3])
     scale = max(float(np.max(np.abs(rows))), 1.0)
-    return circ, float(svals[-1]) / scale
+    return vt[-1], float(svals[-1]) / scale
 
 
 def vertex_angles(p):
@@ -271,43 +263,22 @@ def vertex_angles(p):
                 if res > 1e-7:
                     raise ValueError(f"boundary image is not a circle (residual {res:.2e})")
                 circles.append(circ)
-            angles = []
-            # vertex images: 0 joins sides (01, inf0); 1 joins (01, 1inf);
-            # infinity joins (1inf, inf0)
-            for (ia, ib), (near_a, near_b) in (
-                ((0, 2), (samples[0][0], samples[2][0])),
-                ((0, 1), (samples[0][-1], samples[1][0])),
-                ((1, 2), (samples[1][-1], samples[2][-1])),
-            ):
-                angles.append(
-                    _vertex_angle(circles[ia], circles[ib], near_a, near_b)
-                )
-            return tuple(angles)
+            # each corner is the intersection nearest the sides' samples there;
+            # circles that do not meet make a cusp, of angle 0
+            angles, corners = np.zeros(3), []
+            for i, ((ia, ja), (ib, jb)) in enumerate(_CORNERS):
+                near = samples[ia][ja], samples[ib][jb]
+                pts = circle_intersections(circles[ia], circles[ib])
+                if pts:
+                    vertex = min(pts, key=lambda q: abs(q - near[0]) + abs(q - near[1]))
+                    corners.append((i, ia, ib, vertex, *near))
+            if corners:
+                i, ia, ib, *z = map(list, zip(*corners))
+                z = np.array(z)
+                at, toward_a, toward_b = np.stack([z.real, z.imag], axis=1)
+                rows = np.array(circles).T
+                angles[i] = _corner_angles(rows[:, ia], rows[:, ib], at, toward_a, toward_b)
+            return tuple(angles.tolist())
         except ValueError as exc:
             last_error = exc
     raise NumericFailure(f"vertex measurement failed for every chart ({last_error})")
-
-
-def _vertex_angle(ca, cb, near_a, near_b):
-    pts = circle_intersections(ca, cb)
-    if not pts:
-        # tangent circles: cusp
-        return 0.0
-    vertex = min(pts, key=lambda q: abs(q - near_a) + abs(q - near_b))
-    return abs(cmath.phase(_tangent(ca, vertex, near_a).conjugate() * _tangent(cb, vertex, near_b)))
-
-
-def _tangent(circ, p, towards):
-    """Unit tangent of the circle at p, oriented so it points toward `towards`.
-
-    Scalar, unlike the tile angles of `triangle`: the fitted circles and the
-    sample points are numpy scalars, and their complex arithmetic rounds as
-    numpy's does, which the measured angles keep."""
-    if circ.is_line:
-        tau = 1j * circ.line_normal
-    else:
-        nu = p - circ.center
-        tau = 1j * nu / abs(nu)
-    if (tau.conjugate() * (towards - p)).real < 0:
-        tau = -tau
-    return tau

@@ -40,7 +40,6 @@ from .roots import (
 )
 
 __all__ = [
-    "passes",
     "check",
     "enumerate_solutions",
     "KNOWN_TABLE",
@@ -131,12 +130,6 @@ def _table(rtype):
             ) + _SPECIAL_ROWS.get((rtype.family, rtype.rank), ()),
         )
     return _TABLE_CACHE[rtype]
-
-
-def passes(rtype, k):
-    """check(rtype, k)["passed"], decided by integer tests on k = a/b alone."""
-    k = Fraction(k)
-    return _table(rtype).passes(k.numerator, k.denominator)
 
 
 def check(rtype, k):

@@ -3,8 +3,8 @@ plane models of spherical / Euclidean / hyperbolic geometry, breadth-first
 closure under side reflections, orthogonality checks against the unit circle,
 and deterministic SVG export.
 
-A generalized circle is stored by the real coefficients of
-A|z|^2 + 2 Re(conj(B) z) + C = 0  (A, C real, B complex); A ~ 0 is a line.
+A generalized circle is the row (a, Re b, Im b, c) of the real coefficients of
+a|z|^2 + 2 Re(conj(b) z) + c = 0  (a, c real, b complex); a ~ 0 is a line.
 
 Tessellations run in one linear model for all three geometries: R^3 with the
 form J = diag(1, 1, s), s = +1 (unit sphere), 0 (plane in homogeneous
@@ -19,7 +19,7 @@ tiles' chart points and side circles are computed at the end, as arrays over
 all tiles; spherical tiles reaching too close to the projection pole are
 reported in a secondary chart.  The residuals and the SVG read the same
 arrays.  A single triangle is a one-tile Tessellation whose rows come from
-the scalar construction with GeneralizedCircle sides.
+a scalar construction of the same rows; tessellate takes only its vertices.
 """
 
 from __future__ import annotations
@@ -30,17 +30,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "Geometry",
-    "GeneralizedCircle",
     "Tessellation",
     "classify",
     "classify_angles",
-    "build_triangle",
     "triangle_from_angles",
     "tessellate",
     "export_svg",
@@ -74,78 +71,41 @@ def classify_angles(kappa, lam, mu):
 
 
 # ---------------------------------------------------------------------------
-# generalized circles
+# generalized circles, one row (a, Re b, Im b, c) at a time
 
-@dataclass(frozen=True)
-class GeneralizedCircle:
-    a: float
-    b: complex
-    c: float
-
-    @classmethod
-    def from_center_radius(cls, center, radius):
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        center = complex(center)
-        return cls(1.0, -center, abs(center) ** 2 - radius**2)
-
-    @classmethod
-    def from_line(cls, normal, offset):
-        """Line {z : Re(conj(u) z) = offset} with u the unit normal."""
-        normal = complex(normal)
-        mod = abs(normal)
-        if mod == 0:
-            raise ValueError("line normal must be nonzero")
-        return cls(0.0, normal / mod, -2.0 * float(offset))
-
-    @cached_property
-    def is_line(self):
-        return abs(self.a) <= _LINE_EPS * max(abs(self.b), abs(self.c), 1.0)
-
-    @cached_property
-    def center(self):
-        if self.is_line:
-            raise ValueError("a line has no center")
-        return -self.b / self.a
-
-    @cached_property
-    def radius(self):
-        if self.is_line:
-            raise ValueError("a line has no radius")
-        r2 = (abs(self.b) ** 2 - self.a * self.c) / self.a**2
-        if r2 <= 0:
-            raise ValueError("degenerate circle (non-positive squared radius)")
-        return math.sqrt(r2)
-
-    @property
-    def line_normal(self):
-        return self.b / abs(self.b)
-
-    @property
-    def line_offset(self):
-        return -self.c / (2 * abs(self.b))
-
-    def eval(self, z):
-        """Sign of this is the side of the circle z lies on; zero on the circle."""
-        return self.a * abs(z) ** 2 + 2 * (self.b.conjugate() * z).real + self.c
+def _circle(row):
+    """One row read as (True, u, d) for the line Re(conj(u) z) = d, with the
+    unit normal u = b / |b| and the offset d = -c / (2 |b|), or as
+    (False, centre, radius) for a circle, with the centre -b / a and the
+    radius from |b|^2 - a c; a degenerate circle raises."""
+    a, br, bi, c = row
+    b = complex(br, bi)
+    if abs(a) <= _LINE_EPS * max(abs(b), abs(c), 1.0):
+        return True, b / abs(b), -c / (2 * abs(b))
+    r2 = (abs(b) ** 2 - a * c) / a**2
+    if r2 <= 0:
+        raise ValueError("degenerate circle (non-positive squared radius)")
+    return False, -b / a, math.sqrt(r2)
 
 
 def circle_intersections(c1, c2):
-    """Intersection points of two generalized circles (list of 0, 1 or 2 points)."""
-    if c1.is_line and c2.is_line:
-        u1, d1 = c1.line_normal, c1.line_offset
-        u2, d2 = c2.line_normal, c2.line_offset
+    """Intersection points of two generalized circles, given as rows (list of
+    0, 1 or 2 points)."""
+    c1, c2 = _circle(c1), _circle(c2)
+    if c1[0] and c2[0]:
+        _, u1, d1 = c1
+        _, u2, d2 = c2
         det = u1.real * u2.imag - u1.imag * u2.real
         if abs(det) < 1e-14:
             return []
         x = (d1 * u2.imag - d2 * u1.imag) / det
         y = (u1.real * d2 - u2.real * d1) / det
         return [complex(x, y)]
-    if c1.is_line:
+    if c1[0]:
         c1, c2 = c2, c1
-    if c2.is_line:
-        u, d = c2.line_normal, c2.line_offset
-        c, r = c1.center, c1.radius
+    if c2[0]:
+        _, u, d = c2
+        _, c, r = c1
         s = (u.conjugate() * c).real - d
         h2 = r * r - s * s
         if h2 < 0:
@@ -153,8 +113,8 @@ def circle_intersections(c1, c2):
         foot = c - s * u
         t = math.sqrt(h2) * 1j * u
         return [foot + t, foot - t] if h2 > 0 else [foot]
-    ca, ra = c1.center, c1.radius
-    cb, rb = c2.center, c2.radius
+    _, ca, ra = c1
+    _, cb, rb = c2
     d = abs(cb - ca)
     if d < 1e-15:
         return []
@@ -174,13 +134,16 @@ def circle_intersections(c1, c2):
 # triangles
 
 def _geodesic_side(va, vb, geometry):
-    """Side circle through two vertices: orthogonal to the unit circle in the
-    hyperbolic model, antipodally symmetric in the spherical chart, straight in
-    the Euclidean plane; diameters degenerate to lines through the origin."""
+    """Row of the side through two vertices: orthogonal to the unit circle in
+    the hyperbolic model, antipodally symmetric in the spherical chart,
+    straight in the Euclidean plane; diameters degenerate to lines through
+    the origin.  A line is the unit normal and -2 times the offset, a circle
+    a = 1, b = -centre and c = |centre|^2 - radius^2."""
     if geometry is Geometry.EUCLIDEAN or abs(va * vb.conjugate() - vb * va.conjugate()) < 1e-14:
         chord = vb - va
         u = 1j * chord / abs(chord)
-        return GeneralizedCircle.from_line(u, (u.conjugate() * va).real)
+        normal = u / abs(u)
+        return 0.0, normal.real, normal.imag, -2.0 * (u.conjugate() * va).real
     sign = 1.0 if geometry is Geometry.HYPERBOLIC else -1.0
     # solve 2 Re(conj(c) v) = |v|^2 + sign for c
     a11, a12, r1 = 2 * va.real, 2 * va.imag, abs(va) ** 2 + sign
@@ -191,16 +154,16 @@ def _geodesic_side(va, vb, geometry):
     cx = (r1 * a22 - r2 * a12) / det
     cy = (a11 * r2 - a21 * r1) / det
     c = complex(cx, cy)
-    r2val = abs(c) ** 2 - sign
-    return GeneralizedCircle.from_center_radius(c, math.sqrt(r2val))
+    r = math.sqrt(abs(c) ** 2 - sign)
+    return 1.0, -c.real, -c.imag, abs(c) ** 2 - r**2
 
 
 def _arc_midpoint(side, va, vb):
     """Point of the arc between va and vb (the shorter arc), or the chord
     midpoint for a straight side."""
-    if side.is_line:
+    is_line, c, r = _circle(side)
+    if is_line:
         return (va + vb) / 2
-    c, r = side.center, side.radius
     th1, th2 = cmath.phase(va - c), cmath.phase(vb - c)
     delta = (th2 - th1) % (2 * math.pi)
     if delta > math.pi:
@@ -227,8 +190,28 @@ def triangle_from_angles(a0, a1, a2, geometry):
     order = (0, 1, 2)
     if a0 == 0:
         order = (1, 2, 0) if a1 > 0 else (2, 0, 1)
-    aa = [(a0, a1, a2)[i] for i in order]
+    verts3 = _vertices([(a0, a1, a2)[i] for i in order], geometry)
+    vb, vc = verts3[1:]
+    sides3 = [
+        _geodesic_side(vb, vc, geometry),
+        _geodesic_side(complex(0.0), vc, geometry),
+        _geodesic_side(complex(0.0), vb, geometry),
+    ]
+    mids3 = [_arc_midpoint(sides3[i], verts3[(i + 1) % 3], verts3[(i + 2) % 3]) for i in range(3)]
 
+    # undo the ordering permutation
+    inv = [order.index(i) for i in range(3)]
+    verts = tuple(verts3[inv[i]] for i in range(3))
+    sides = tuple(sides3[inv[i]] for i in range(3))
+    mids = tuple(mids3[inv[i]] for i in range(3))
+    interior = _find_interior_point(verts, sides)
+    return _one_tile(geometry, (a0, a1, a2), verts, sides, mids, interior)
+
+
+def _vertices(aa, geometry):
+    """The vertices 0, v1 and v2 of the triangle with the interior angles aa
+    (radians, aa[0] > 0): v1 on the positive real axis, v2 at the argument
+    aa[0]."""
     if geometry is Geometry.EUCLIDEAN:
         vb = complex(1.0, 0.0)
         vc = cmath.rect(math.sin(aa[1]) / math.sin(aa[2]), aa[0])
@@ -255,22 +238,7 @@ def triangle_from_angles(a0, a1, a2, geometry):
 
         vb = complex(_radial(_cosh_side(aa[0], aa[1], aa[2])), 0.0)
         vc = cmath.rect(_radial(_cosh_side(aa[0], aa[2], aa[1])), aa[0])
-
-    verts3 = [complex(0.0), vb, vc]
-    sides3 = [
-        _geodesic_side(vb, vc, geometry),
-        _geodesic_side(complex(0.0), vc, geometry),
-        _geodesic_side(complex(0.0), vb, geometry),
-    ]
-    mids3 = [_arc_midpoint(sides3[i], verts3[(i + 1) % 3], verts3[(i + 2) % 3]) for i in range(3)]
-
-    # undo the ordering permutation
-    inv = [order.index(i) for i in range(3)]
-    verts = tuple(verts3[inv[i]] for i in range(3))
-    sides = tuple(sides3[inv[i]] for i in range(3))
-    mids = tuple(mids3[inv[i]] for i in range(3))
-    interior = _find_interior_point(verts, sides)
-    return _one_tile(geometry, (a0, a1, a2), verts, sides, mids, interior)
+    return [complex(0.0), vb, vc]
 
 
 def _ideal_triangle():
@@ -288,19 +256,23 @@ def _ideal_triangle():
 
 def _one_tile(geometry, angles, verts, sides, mids, interior):
     """The Tessellation of one triangle: its vertices, side midpoints and
-    interior point (complex) and its sides (GeneralizedCircle)."""
-    z = (*verts, *mids, interior)
-    flat = np.array([*(p.real for p in z), *(p.imag for p in z), *(t.a for t in sides),
-                     *(t.b.real for t in sides), *(t.b.imag for t in sides),
-                     *(t.c for t in sides)], float)
+    interior point (complex) and its sides (rows)."""
+    z = np.array([*verts, *mids, interior])
     return Tessellation(geometry=geometry, words=[""], depth=0, closure_reached=True,
-                        angles=angles, points=flat[:14].reshape(2, 1, 7),
-                        sides=flat[14:].reshape(4, 1, 3), secondary=np.zeros(1, bool))
+                        angles=angles, points=np.stack([z.real, z.imag])[:, None],
+                        sides=np.array(sides, float).T[:, None], secondary=np.zeros(1, bool))
+
+
+def _side_sign(side, z):
+    """Which side of the row side the point z lies on: the sign of
+    Re(conj(u) z) - d for a line, of |z - centre| - radius for a circle."""
+    is_line, p, q = _circle(side)
+    return (p.conjugate() * z).real - q if is_line else abs(z - p) - q
 
 
 def _find_interior_point(verts, sides):
     # interior side of side i is the side its opposite vertex lies on
-    refs = [sides[i].eval(verts[i]) for i in range(3)]
+    refs = [_side_sign(sides[i], verts[i]) for i in range(3)]
     candidates = [
         (verts[0] + verts[1] + verts[2]) / 3,
         verts[0] + ((verts[1] - verts[0]) + (verts[2] - verts[0])) / 4,
@@ -309,17 +281,10 @@ def _find_interior_point(verts, sides):
         (verts[0] + verts[1] + verts[2]) / 3 * 0.5,
     ]
     for p in candidates:
-        vals = [sides[i].eval(p) for i in range(3)]
+        vals = [_side_sign(sides[i], p) for i in range(3)]
         if all(v * r > 0 for v, r in zip(vals, refs)):
             return p
     raise ValueError("could not locate an interior point of the triangle")
-
-
-def build_triangle(k, l, m):
-    """Fundamental (k, l, m) triangle with interior angles pi/k, pi/l, pi/m,
-    as a one-tile Tessellation."""
-    geometry = classify(k, l, m)
-    return triangle_from_angles(math.pi / k, math.pi / l, math.pi / m, geometry)
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +339,6 @@ def _lift(z, s=1.0):
     """Finite chart point to model point (the unit sphere by default)."""
     q = abs(z) ** 2
     return np.array([2 * z.real, 2 * z.imag, 1.0 - s * q]) / (1.0 + s * q)
-
-
-def _project(v):
-    """Model point to primary chart point; _sphere_chart does whole tiles."""
-    x, y, h = v
-    if 1.0 + h < 1e-12:
-        return complex(math.inf, math.inf)
-    return complex(x, y) / (1.0 + h)
 
 
 def _on_model(X, s):
@@ -455,9 +412,8 @@ def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
     """
     geometry = classify(k, l, m)
     s = _FORM_SIGN[geometry]
-    base = build_triangle(k, l, m)
-    vertices = zip(*base.points[:, 0, :3].tolist())
-    P = np.array([_lift(complex(x, y), s) for x, y in vertices]).T   # columns p0, p1, p2
+    angles = (math.pi / k, math.pi / l, math.pi / m)
+    P = np.array([_lift(v, s) for v in _vertices(angles, geometry)]).T   # columns p0, p1, p2
     ells = np.cross(P[:, [1, 2, 0]].T, P[:, [2, 0, 1]].T)    # side i: p_{i+1} x p_{i+2}
     jells = ells * np.array([1.0, 1.0, s])
     R = np.eye(3) - 2 * jells[:, :, None] * ells[:, None, :] \
@@ -484,7 +440,7 @@ def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
             sides = _through(ends[0], points[..., 3:6], ends[1])
     return Tessellation(
         geometry=geometry, words=words, depth=len(words[-1]), closure_reached=closed,
-        angles=base.angles, points=points, sides=sides, secondary=secondary,
+        angles=angles, points=points, sides=sides, secondary=secondary,
     )
 
 
@@ -526,8 +482,6 @@ def _great_circles(normals, secondary):
 
 _PLUS1, _PLUS2 = [1, 2, 0], [2, 0, 1]    # i + 1 and i + 2 (mod 3): side i runs from
                                          # vertex i + 1 to vertex i + 2
-_TIMES_I = np.array([-1.0, 1.0])[:, None, None]   # i z = z[::-1] * _TIMES_I, up to
-                                                  # signs of zero, on (2, tiles, k)
 
 
 def _square(x):
@@ -560,8 +514,8 @@ def _times_i(z):
 
 
 def _line(n, offset):
-    """GeneralizedCircle.from_line: the lines Re(conj(u) z) = offset for the
-    normals n scaled to unit length u."""
+    """The rows of the lines Re(conj(u) z) = offset for the normals n scaled
+    to unit length u, as _geodesic_side builds a line's row."""
     u = _div_real(n, np.hypot(n[0], n[1]))
     return np.stack(np.broadcast_arrays(0.0, *u, -2.0 * offset))
 
@@ -620,27 +574,34 @@ def _radii(sides, babs, used):
 
 
 def _tangents(sides, p, toward):
-    """Unit tangent i n / |n| of each side at p, turned to point toward
-    toward, for n = b on a line and n = p - centre on a circle.  Plain
-    division stands in for Python's here: the two differ at most in the sign
-    of a zero component, which no measured angle sees."""
+    """Unit tangent i n / |n| of each side (4, ...) at p (2, ...), turned to
+    point toward toward, for n = b on a line and n = p - centre on a circle.
+    i n is (-Im n, Re n), and plain division stands in for Python's here:
+    each differs from Python's at most in the sign of a zero component, which
+    no measured angle sees."""
     is_line, _, centre = _circle_parts(sides)
     n = np.where(is_line, sides[1:3], p - centre)
-    u = n[::-1] * _TIMES_I / np.hypot(n[0], n[1])
+    u = np.stack([-n[1], n[0]]) / np.hypot(n[0], n[1])
     along = u * (toward - p)
     return np.where(along[0] + along[1] < 0, -u, u)
 
 
-def _measured_angles(points, sides):
-    """Interior angle at each vertex i of each tile, (tiles, 3): the angle
-    |phase(conj(t1) t2)| between the tangents t1 of side i + 1 and t2 of side
-    i + 2 there, each turned toward its side's midpoint."""
-    at = _PLUS1 + _PLUS2                        # the side of each tangent
-    p = points[..., [0, 1, 2, 0, 1, 2] + [3 + i for i in at]]
-    u = _tangents(sides[..., at], p[..., :6], p[..., 6:])
-    t1, t2 = u[..., :3], u[..., 3:]
+def _corner_angles(sides1, sides2, at, toward1, toward2):
+    """The angle |phase(conj(t1) t2)| at each point of at between the tangent
+    t1 of sides1 there, turned toward toward1, and t2 of sides2, turned
+    toward toward2.  The tiles and gauss.vertex_angles measure with it."""
+    t1, t2 = _tangents(sides1, at, toward1), _tangents(sides2, at, toward2)
     dot = t1 * t2
     return np.abs(_atan2(t1[0] * t2[1] - t1[1] * t2[0], dot[0] + dot[1]))
+
+
+def _measured_angles(points, sides):
+    """Interior angle at each vertex i of each tile, (tiles, 3): the corner
+    angle between side i + 1 and side i + 2, each tangent turned toward its
+    side's midpoint."""
+    return _corner_angles(sides[..., _PLUS1], sides[..., _PLUS2], points[..., :3],
+                          points[..., [3 + i for i in _PLUS1]],
+                          points[..., [3 + i for i in _PLUS2]])
 
 
 def _angle_residuals(points, sides, angles):
@@ -734,23 +695,21 @@ def _sampled_sphere_path(vertices, midpoints, chart):
     s = np.arange(_SPHERE_SAMPLES + 1) / _SPHERE_SAMPLES
     first = s <= 0.5
     f0, f1 = 2 * s[first], 2 * s[~first] - 1
-    pieces = []
-    pen_down = False
+    halves = []
     for i in range(3):
-        j = (i + 1) % 3
-        opp = (i + 2) % 3
         a = _unproject(vertices[i], chart)
-        b = _unproject(vertices[j], chart)
-        mid = _unproject(midpoints[opp], chart)
-        V = np.concatenate([_slerp_rows(a, mid, f0), _slerp_rows(mid, b, f1)])
-        for v in V.tolist():
-            z = _project(v)
-            if math.isfinite(z.real) and abs(z) <= _SPHERE_CLIP:
-                cmd = "L" if pen_down else "M"
-                pieces.append(f"{cmd} {_fmt(z.real)} {_fmt(z.imag)}")
-                pen_down = True
-            else:
-                pen_down = False
+        b = _unproject(vertices[(i + 1) % 3], chart)
+        mid = _unproject(midpoints[(i + 2) % 3], chart)
+        halves += [_slerp_rows(a, mid, f0), _slerp_rows(mid, b, f1)]
+    x, y, h = np.concatenate(halves).T
+    # every sample projected to the primary chart at once; a sample at the
+    # pole is not drawn, and the pen is down after a drawn sample
+    pole = 1.0 + h < 1e-12
+    z = _div_real(np.stack([x, y]), np.where(pole, 1.0, 1.0 + h))
+    shown = ~pole & np.isfinite(z[0]) & (np.hypot(z[0], z[1]) <= _SPHERE_CLIP)
+    cmds = np.where(np.concatenate([[False], shown[:-1]]), "L", "M")[shown].tolist()
+    xs, ys = z[:, shown].tolist()
+    pieces = [f"{cmd} {_fmt(u)} {_fmt(v)}" for cmd, u, v in zip(cmds, xs, ys)]
     return " ".join(pieces) if pieces else "M 0 0"
 
 

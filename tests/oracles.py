@@ -1,8 +1,9 @@
 """Independent checks that only the tests call: the degree-2 pullback of
 criterion 7, the loop-relation and eigenvalue distances of criterion 6, the
-torus connection at one point with its exact scalar block and its
-W-covariance, the exact unit-fraction predicates, the root reflection and the
-point inversion in a generalized circle.
+exponent differences of a Riemann scheme, the torus connection at one point
+with its exact scalar block and its W-covariance, the exact unit-fraction
+predicates, the reduced-triple test, the one-call stratum verdict, the root
+reflection and the point inversion in a generalized circle.
 
 The package runs none of these.  Each is the body it had in the package,
 with its helpers imported from there.
@@ -14,9 +15,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from schwarz_atlas.exact import ExponentTriple
 from schwarz_atlas.gauss import BASE_POINT, GaussParams, _plan_path, _transport
 from schwarz_atlas.roots import integrability_constant
+from schwarz_atlas.schwarzcond import _table
 from schwarz_atlas.torus import _char_values, _connection, _reflection_matrix
+from schwarz_atlas.triangle import _circle
 
 # ---------------------------------------------------------------------------
 # gauss: the loop relation and eigenvalue distances of criterion 6
@@ -34,6 +38,18 @@ def spectrum_mismatch(matrix, expected):
     direct = max(abs(ev[0] - e0), abs(ev[1] - e1))
     crossed = max(abs(ev[0] - e1), abs(ev[1] - e0))
     return float(min(direct, crossed))
+
+
+# ---------------------------------------------------------------------------
+# gauss: the exponent differences of a Riemann scheme
+
+def exponent_differences(scheme):
+    """The exponent differences of a RiemannScheme3, at 0, 1 and infinity."""
+    return ExponentTriple(
+        scheme.at_zero[1] - scheme.at_zero[0],
+        scheme.at_one[1] - scheme.at_one[0],
+        scheme.at_infinity[1] - scheme.at_infinity[0],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +215,7 @@ def w_invariance_residual(system, k, logs, i):
 
 
 # ---------------------------------------------------------------------------
-# exact: the unit-fraction predicates
+# exact: the unit-fraction predicates and the reduced-triple test
 
 def is_unit_fraction(x):
     """True iff x = 1/n for an integer n >= 1.
@@ -228,6 +244,24 @@ def is_in_two_over_n(x):
     return x > 0 and x.numerator in (1, 2)
 
 
+def is_reduced(triple):
+    """Whether the ExponentTriple has no negative entry and no two entries
+    adding up to more than 1."""
+    k, l, m = triple.kappa, triple.lam, triple.mu
+    if k < 0 or l < 0 or m < 0:
+        return False
+    return k + l <= 1 and k + m <= 1 and l + m <= 1
+
+
+# ---------------------------------------------------------------------------
+# schwarzcond: the verdict alone
+
+def passes(rtype, k):
+    """check(rtype, k)["passed"], decided by integer tests on k = a/b alone."""
+    k = Fraction(k)
+    return _table(rtype).passes(k.numerator, k.denominator)
+
+
 # ---------------------------------------------------------------------------
 # roots: the root reflection
 
@@ -250,13 +284,15 @@ def reflect(lam, alpha, system):
 # ---------------------------------------------------------------------------
 # triangle: the point inversion
 
-def reflect_point(p, circ):
-    """Inversion in a circle / mirror reflection in a line; an involution."""
-    if circ.is_line:
-        u, d = circ.line_normal, circ.line_offset
+def reflect_point(p, row):
+    """Inversion in a circle / mirror reflection in a line, given as a row
+    (a, Re b, Im b, c); an involution."""
+    is_line, x, y = _circle(row)
+    if is_line:
+        u, d = x, y
         return p - 2 * ((u.conjugate() * p).real - d) * u
-    c = circ.center
+    c, r = x, y
     w = p - c
     if w == 0:
         raise ValueError("cannot invert the center of the circle")
-    return c + circ.radius**2 / w.conjugate()
+    return c + r**2 / w.conjugate()

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (PullbackParams, dictionary, dictionary_inverse, monodromy_relation_residual,
+from oracles import (PullbackParams, dictionary, dictionary_inverse, exponent_differences,
+                     monodromy_relation_residual,
                      pullback_coefficients, pullback_map, pullback_ode_residual, riemann_scheme4,
                      spectrum_mismatch)
 from schwarz_atlas import gauss as G
 from schwarz_atlas.exact import reduce_parameters
-from schwarz_atlas.triangle import GeneralizedCircle
 
 P_STD = G.GaussParams(F(1, 84), F(13, 84), F(1, 2))  # differences (1/2, 1/3, 1/7)
 
@@ -31,7 +31,7 @@ def test_riemann_scheme_exact():
     assert sch.at_zero == (0, F(1, 2))
     assert sch.at_one == (0, F(1, 3))
     assert sch.at_infinity == (F(1, 84), F(13, 84))
-    assert sch.exponent_differences.as_tuple() == (F(1, 2), F(1, 3), F(1, 7))
+    assert exponent_differences(sch).as_tuple() == (F(1, 2), F(1, 3), F(1, 7))
     assert sum(sch.at_zero) + sum(sch.at_one) + sum(sch.at_infinity) == 1
 
 
@@ -99,18 +99,6 @@ def test_monodromy_eigenvalues_and_relation():
         expected = G.expected_monodromy_spectrum(p, s)
         assert spectrum_mismatch(M, expected) < 1e-9
     assert monodromy_relation_residual(loops[0], loops[1], loops["inf"]) < 1e-9
-
-
-@pytest.mark.parametrize("name", ["infinity", math.inf])
-def test_loop_at_infinity_names(name):
-    p = P_STD
-    assert G.expected_monodromy_spectrum(p, name) == G.expected_monodromy_spectrum(p, "inf")
-
-
-@pytest.mark.parametrize("fn", [G.expected_monodromy_spectrum])
-def test_unknown_singular_point_raises_value_error(fn):
-    with pytest.raises(ValueError, match="singular point must be 0, 1 or 'inf', got 2"):
-        fn(P_STD, 2)
 
 
 def _mp(x):
@@ -299,18 +287,33 @@ def test_vertex_angles_invariant_under_basis_change(monkeypatch):
         assert abs(a - b) < 1e-6
 
 
+# triples whose first chart reaches the chart infinity, so that the angles
+# come from the second basis of _MOBIUS_RETRIES
+SECOND_CHART = [(F(9, 8), F(5, 4), F(11, 8)), (F(7, 6), F(7, 6), F(4, 3)),
+                (F(8, 7), F(9, 7), F(10, 7))]
+
+
 @pytest.mark.parametrize("klm", [
     (F(1, 5), F(1, 5), F(1, 5)), (F(1, 4), F(1, 6), F(1, 8)),
     (F(1, 2), F(1, 3), F(1, 7)), (F(1, 2), F(1, 3), F(1, 5)), (F(1, 4), F(1, 4), F(1, 4)),
     (F(0), F(1, 3), F(1, 4)), (F(3, 8), F(3, 8), F(3, 8)), (F(5, 8), F(5, 8), F(5, 8)),
-    (F(7, 8), F(1, 2), F(1, 2)), (F(3, 4), F(3, 4), F(3, 4))])
+    (F(7, 8), F(1, 2), F(1, 2)), (F(3, 4), F(3, 4), F(3, 4)), *SECOND_CHART])
 def test_vertex_angles_regressions(klm):
     # the first two triples once came back wrong without an error being
-    # raised; the rest reach a cusp and angles past pi/2.  Every chart
-    # starts from its basis at 1/2, with no local series
+    # raised; the next reach a cusp and angles past pi/2, and the last three
+    # a second chart.  Every chart starts from its basis at 1/2, with no
+    # local series.  A measured angle is at most pi, so a difference x past
+    # 1 reads pi (2 - x)
     p = G.params_from_differences(*klm)
     for got, x in zip(G.vertex_angles(p), klm):
-        assert abs(got - math.pi * x) <= 1e-12
+        assert abs(got - math.pi * min(x, 2 - x)) <= 1e-12
+
+
+@pytest.mark.parametrize("klm", SECOND_CHART)
+def test_first_chart_alone_fails_on_the_second_chart_triples(klm, monkeypatch):
+    monkeypatch.setattr(G, "_MOBIUS_RETRIES", G._MOBIUS_RETRIES[:1])
+    with pytest.raises(G.NumericFailure, match="failed for every chart"):
+        G.vertex_angles(G.params_from_differences(*klm))
 
 
 def test_vertex_measurement_failing_in_every_chart_is_a_numeric_failure():
@@ -330,10 +333,22 @@ def test_vertex_angle_cusp():
     assert abs(angles[1] - abs(float(d.lam)) * math.pi) < 1e-4
 
 
-def test_vertex_angle_of_circles_that_do_not_meet_is_zero():
-    ca = GeneralizedCircle.from_center_radius(0.0, 1.0)
-    cb = GeneralizedCircle.from_center_radius(3.0, 1.0)
-    assert G._vertex_angle(ca, cb, 1.0, 2.0) == 0.0
+def test_vertex_angle_of_circles_that_do_not_meet_is_zero(monkeypatch):
+    # the corner at the image of 1 is measured as if its circles missed
+    # each other; the other two corners keep their bits
+    angles = G.vertex_angles(P_STD)
+    meets = G.circle_intersections
+    calls = []
+
+    def second_misses(c1, c2):
+        calls.append(1)
+        return [] if len(calls) == 2 else meets(c1, c2)
+
+    monkeypatch.setattr(G, "circle_intersections", second_misses)
+    assert G.vertex_angles(P_STD) == (angles[0], 0.0, angles[2])
+    assert len(calls) == 3
+    monkeypatch.setattr(G, "circle_intersections", lambda c1, c2: [])
+    assert G.vertex_angles(P_STD) == (0.0, 0.0, 0.0)
 
 
 def test_pullback_map_values():

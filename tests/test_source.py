@@ -148,29 +148,58 @@ def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
 
 
+def _module_names(tree, modules):
+    """The names a source binds to package modules by import: `from . import
+    a`, `from pkg import a as b` and `import pkg.a as b`, each to a."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            bound.update((alias.asname or alias.name, alias.name)
+                         for alias in node.names if alias.name in modules)
+        elif isinstance(node, ast.Import):
+            bound.update((alias.asname, alias.name.rsplit(".", 1)[-1]) for alias in node.names
+                         if alias.asname and alias.name.rsplit(".", 1)[-1] in modules)
+    return bound
+
+
+def _loads(tree, bound):
+    """Counts of the loads in a tree: a bare name or an imported name by
+    itself, an attribute of a package module as (module, name), and any
+    other attribute as (None, name)."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            obj = node.value
+            found[bound.get(obj.id) if isinstance(obj, ast.Name) else None, node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
 def unused_public_names(package, others):
     """(module, name) for every public module-level name bound in one of the
     package sources that no source loads, package or other: not as a name,
-    an attribute nor an import.  A load inside the name's own definition and
-    its entry in __all__ do not count."""
+    an import nor an attribute of that module; and (module, "Class.name")
+    for every public method or property of a package class that no source
+    loads as an attribute of anything but a module.  A load inside the
+    name's own definition and its entry in __all__ do not count."""
     trees = {module: ast.parse(source) for module, source in {**package, **others}.items()}
-
-    def loads(tree):
-        found = Counter()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                found[node.id] += 1
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                found[node.attr] += 1
-            elif isinstance(node, ast.ImportFrom):
-                found.update(alias.name for alias in node.names)
-        return found
-
-    loaded = sum((loads(tree) for tree in trees.values()), Counter())
-    return sorted(
-        (module, name) for module in package for node in trees[module].body
-        for name in _bound_at_module_level(node)
-        if not name.startswith("_") and loaded[name] == loads(node)[name])
+    bound = {module: _module_names(tree, package) for module, tree in trees.items()}
+    loaded = sum((_loads(tree, bound[module]) for module, tree in trees.items()), Counter())
+    unused = []
+    for module in package:
+        for node in trees[module].body:
+            own = _loads(node, bound[module])
+            unused += [(module, name) for name in _bound_at_module_level(node)
+                       if not name.startswith("_")
+                       and loaded[name] + loaded[module, name] == own[name] + own[module, name]]
+            if isinstance(node, ast.ClassDef):
+                unused += [(module, f"{node.name}.{fn.name}") for fn in node.body
+                           if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                           and loaded[None, fn.name] == _loads(fn, bound[module])[None, fn.name]]
+    return sorted(unused)
 
 
 def test_unused_public_name_finder():
@@ -185,16 +214,39 @@ def test_unused_public_name_finder():
             "    return 0\n"
             "def recursive(n):\n"
             "    return recursive(n - 1) if n else 0\n"
+            "def shadowed():\n"
+            "    return 1\n"
+            "def reached():\n"
+            "    return 2\n"
             "class Shape:\n"
-            "    pass\n"
+            "    def area(self):\n"
+            "        return self.side()\n"
+            "    def side(self):\n"
+            "        return 1\n"
+            "    def orphan(self, n):\n"
+            "        return self.orphan(n - 1) if n else 0\n"
+            "    @property\n"
+            "    def reached(self):\n"
+            "        return 0\n"
             "def _private():\n"
             "    return 1\n"
         ),
-        "b": "from .a import Shape\n",
+        "b": (
+            "from .a import Shape\n"
+            "from . import a as mod\n"
+            "class _Table:\n"
+            "    def shadowed(self):\n"
+            "        return 2\n"
+            "def _use(table):\n"
+            "    return table.shadowed() + Shape().area() + mod.reached()\n"
+        ),
     }
     others = {"test_a": "from pkg import a\n\ndef test_used():\n    assert a.used() == 3\n"}
+    # shadowed: only a method of that name is loaded; Shape.reached: only the
+    # module function of that name, through its module
     assert unused_public_names(package, others) == [
-        ("a", "ORPHAN"), ("a", "listed"), ("a", "recursive")]
+        ("a", "ORPHAN"), ("a", "Shape.orphan"), ("a", "Shape.reached"), ("a", "listed"),
+        ("a", "recursive"), ("a", "shadowed")]
 
 
 # public names that no program code loads yet, each with the ROADMAP item

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import reflect_point
 from schwarz_atlas import cli
 from schwarz_atlas import triangle as tri
-from schwarz_atlas.triangle import Geometry, GeneralizedCircle
+from schwarz_atlas.triangle import Geometry
 
 
 def chart_points(tess):
@@ -29,9 +29,27 @@ def chart_points(tess):
 
 
 def tile_circles(tess, tile):
-    """The three sides of one tile as GeneralizedCircle objects."""
-    return [GeneralizedCircle(a, complex(br, bi), c)
-            for a, br, bi, c in tess.sides[:, tile].T.tolist()]
+    """The three sides of one tile as rows (a, Re b, Im b, c)."""
+    return tess.sides[:, tile].T.tolist()
+
+
+def circle_row(center, radius):
+    """The row of the circle |z - center| = radius."""
+    center = complex(center)
+    return 1.0, -center.real, -center.imag, abs(center) ** 2 - radius**2
+
+
+def line_row(normal, offset):
+    """The row of the line Re(conj(u) z) = offset, u the normal scaled to
+    unit length."""
+    u = complex(normal) / abs(normal)
+    return 0.0, u.real, u.imag, -2.0 * offset
+
+
+def base_triangle(k, l, m):
+    """The (k, l, m) triangle with the angles pi/k, pi/l and pi/m, as the
+    one-tile Tessellation that triangle_from_angles builds."""
+    return tri.triangle_from_angles(math.pi / k, math.pi / l, math.pi / m, tri.classify(k, l, m))
 
 
 def side_values(sides, z):
@@ -39,11 +57,6 @@ def side_values(sides, z):
     points z (k,): (tiles, 3, k), whose sign is the side of the circle."""
     a, br, bi, c = sides[..., None]
     return a * np.abs(z) ** 2 + 2 * (br * z.real + bi * z.imag) + c
-
-
-def circle_array(*circles):
-    """(a, Re b, Im b, c) of each GeneralizedCircle, (4, circles)."""
-    return np.array([[t.a, t.b.real, t.b.imag, t.c] for t in circles]).T
 
 
 def test_classify_exact():
@@ -60,7 +73,7 @@ def test_classify_exact():
 
 
 def test_build_hyperbolic_triangle():
-    t = tri.build_triangle(2, 3, 7)
+    t = base_triangle(2, 3, 7)
     assert (t.words, t.depth, t.closure_reached) == ([""], 0, True)
     measured = tri._measured_angles(t.points, t.sides)[0]
     for got, want in zip(measured, (math.pi / 2, math.pi / 3, math.pi / 7)):
@@ -73,13 +86,13 @@ def test_build_hyperbolic_triangle():
 
 
 def test_build_euclidean_triangle():
-    t = tri.build_triangle(2, 4, 4)
+    t = base_triangle(2, 4, 4)
     assert t.max_angle_residual() < 1e-10
     assert tri._circle_parts(t.sides)[0].all()
 
 
 def test_build_spherical_octant():
-    t = tri.build_triangle(2, 2, 2)
+    t = base_triangle(2, 2, 2)
     vertices = chart_points(t)[0, :3]
     assert vertices[0] == 0
     assert abs(vertices[1] - 1) < 1e-14
@@ -87,11 +100,22 @@ def test_build_spherical_octant():
     assert t.max_angle_residual() < 1e-12
 
 
+def test_circle_rows_read_as_lines_and_circles():
+    is_line, u, d = tri._circle(line_row(3j, 0.25))
+    assert is_line and u == 1j and d == 0.25
+    is_line, centre, radius = tri._circle(circle_row(1 - 2j, 0.5))
+    assert not is_line and centre == 1 - 2j and abs(radius - 0.5) < 1e-15
+    # a coefficient a below 1e-12 of the others reads as a line
+    assert tri._circle((1e-13, 0.6, 0.8, 0.5))[0]
+    with pytest.raises(ValueError, match="degenerate circle"):
+        tri._circle((1.0, 0.0, 0.0, 1.0))       # |z|^2 + 1 = 0
+
+
 def test_reflect_point_cases():
-    unit = GeneralizedCircle.from_center_radius(0.0, 1.0)
+    unit = circle_row(0.0, 1.0)
     assert abs(reflect_point(2.0 + 0j, unit) - 0.5) < 1e-15
     rng = np.random.default_rng(0)
-    line = GeneralizedCircle.from_line(1j * np.exp(0.3j), 0.25)
+    line = line_row(1j * np.exp(0.3j), 0.25)
     for _ in range(50):
         p = complex(rng.normal(), rng.normal())
         for circ in (unit, line):
@@ -102,8 +126,7 @@ def test_reflect_point_cases():
 
 
 def test_circle_intersections_without_two_points():
-    circle = GeneralizedCircle.from_center_radius
-    line = GeneralizedCircle.from_line
+    circle, line = circle_row, line_row
     # parallel lines, a line that misses a circle, concentric and disjoint circles
     assert tri.circle_intersections(line(1.0, 0.0), line(1.0, 2.0)) == []
     assert tri.circle_intersections(circle(0.0, 1.0), line(1.0, 2.0)) == []
@@ -192,7 +215,8 @@ def test_spherical_svg_renders_all_tiles(tmp_path):
 
 def oracle_sphere_path(vertices, midpoints, chart, clip=8.0, samples=48):
     """The sampled spherical path drawn point by point: one slerp, one
-    np.linalg.norm and one projection per sample."""
+    np.linalg.norm and one projection to the primary chart per sample, in
+    Python's complex arithmetic."""
     pieces = []
     pen_down = False
     for i in range(3):
@@ -212,7 +236,8 @@ def oracle_sphere_path(vertices, midpoints, chart, clip=8.0, samples=48):
                 v = p0
             else:
                 v = (math.sin((1 - f) * omega) * p0 + math.sin(f * omega) * p1) / math.sin(omega)
-            z = tri._project(v / np.linalg.norm(v))
+            x, y, h = (v / np.linalg.norm(v)).tolist()
+            z = complex(math.inf, math.inf) if 1.0 + h < 1e-12 else complex(x, y) / (1.0 + h)
             if math.isfinite(z.real) and abs(z) <= clip:
                 pieces.append(f"{'L' if pen_down else 'M'} {tri._fmt(z.real)} {tri._fmt(z.imag)}")
                 pen_down = True
@@ -246,9 +271,8 @@ def test_orthogonality_residual_is_relative():
     # absolute error of about eps R^2 in |c|^2 - r^2 - 1
     R = 1e6
     center = math.sqrt(1.0 + R * R) * np.exp(0.3j)
-    exact = GeneralizedCircle.from_center_radius(center, R)
-    off = GeneralizedCircle.from_center_radius(center, R * (1 + 1e-6))
-    residuals = tri._orthogonality_residuals(circle_array(exact, off))
+    rows = [circle_row(center, R), circle_row(center, R * (1 + 1e-6))]
+    residuals = tri._orthogonality_residuals(np.array(rows).T)
     assert residuals[0] <= 1e-12
     assert residuals[1] > 1e-9
 
@@ -347,7 +371,7 @@ def test_tiles_match_reflections_in_the_base_sides(klm, depth):
     # the tile of the word w1...wn is the base triangle reflected in its sides
     # wn first, then ..., w1 last; reflect_point never sees the matrices
     tess = tri.tessellate(*klm, max_word_length=depth)
-    base = tri.build_triangle(*klm)
+    base = base_triangle(*klm)
     mirrors = tile_circles(base, 0)
     tiles = chart_points(tess)[:, :3].tolist()
     for i in random.Random(11).sample(range(tess.tile_count), 60):
@@ -598,7 +622,7 @@ def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
         geometry, [""], 0, True)
     assert not tess.secondary.any()
     z = chart_points(tess)[0].tolist()
-    sides = [(s.a, s.b, s.c) for s in tile_circles(tess, 0)]
+    sides = [(a, complex(br, bi), c) for a, br, bi, c in tile_circles(tess, 0)]
     residual = oracle_angle_residual(z[:3], z[3:6], tess.angles, sides)
     assert tess.max_angle_residual().hex() == residual.hex()
     monkeypatch.setattr(tri, "_fmt", float.hex)
@@ -612,22 +636,24 @@ def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
     ["--k", "2", "--l", "3", "--m", "7", "--depth", "8"],
 ])
 def test_cli_builds_no_per_tile_objects(argv, monkeypatch, tmp_path):
-    built = Counter()
+    # the tiles are arrays alone, and tessellate reads only the base
+    # triangle's vertices: no scalar side, arc midpoint or row reading
+    called = Counter()
 
-    def counted(cls):
-        init = cls.__init__
+    def counted(name):
+        fn = getattr(tri, name)
 
-        def spy(self, *args, **kwargs):
-            built[cls.__name__] += 1
-            init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", spy)
+        def spy(*args):
+            called[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(tri, name, spy)
 
-    counted(tri.GeneralizedCircle)
-    tri.build_triangle(*(int(v) for v in argv[1:6:2]))
-    base = Counter(built)
-    assert base == {"GeneralizedCircle": 3}
-    built.clear()
+    for name in ("_geodesic_side", "_arc_midpoint", "_circle"):
+        counted(name)
+    base_triangle(*(int(v) for v in argv[1:6:2]))
+    assert called["_geodesic_side"] == called["_arc_midpoint"] == 3
+    called.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["triangle", "tessellate", *argv, "--svg", str(tmp_path / "t.svg"),
                          "--json", str(tmp_path / "t.json")]) == 0
-    assert built == base
+    assert not called
