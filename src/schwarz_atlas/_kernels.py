@@ -39,15 +39,10 @@ import cmath
 
 import numpy as np
 
+from . import NumericFailure
+
 # read by perfbench/run.py to label the backend; no kernel is compiled
 USING_NUMBA = False
-
-
-class NumericFailure(Exception):
-    """Numerics broke down: a series that does not converge, a frame that is
-    no longer finite, a path that reaches a singular point, or (its torus
-    subclasses) a mirror point or no single invariant form.  Deliberately
-    not a ValueError: the input was valid, the numerics failed (exit 1)."""
 
 
 _EPS = 2.0 ** -52

@@ -5,6 +5,11 @@ schwarz); every run with the same flags produces byte-identical output, exact
 rationals are only ever accepted as "p/q" strings, and the exit code contract
 is: 0 success, 1 a numeric check failed its tolerance or the numerics broke
 down, 2 invalid usage.
+
+This module and the parser import the exact layer alone (exact, roots,
+schwarzcond), so `schwarz *`, `roots dump` and `schema` run on the standard
+library.  Each `gauss`, `triangle` and `torus` handler imports the numeric
+module it runs, and numpy with it, when it is called.
 """
 
 from __future__ import annotations
@@ -16,10 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import __version__, roots, schwarzcond, torus, triangle
-from . import gauss as gaussmod
+from . import NumericFailure, __version__, roots, schwarzcond
 from .exact import format_rational, parse_rational
 
 SCHEMA_VERSION = "1.0"
@@ -30,11 +32,11 @@ EXIT_USAGE = 2
 
 
 def _complex_out(z):
-    return [float(np.real(z)), float(np.imag(z))]
+    return [float(z.real), float(z.imag)]
 
 
 def _matrix_out(M):
-    return [[_complex_out(v) for v in row] for row in np.asarray(M)]
+    return [[_complex_out(v) for v in row] for row in M]
 
 
 def _report(module, inputs, results, residuals, checks):
@@ -158,16 +160,21 @@ def _cmd_roots_dump(args):
 
 
 def _cmd_gauss_monodromy(args):
-    p = gaussmod.GaussParams(args.alpha, args.beta, args.gamma)
+    import numpy as np
+
+    from .gauss import (GaussParams, expected_monodromy_spectrum, monodromy_matrices,
+                        scaled_relation_residual, scaled_spectrum_residual)
+
+    p = GaussParams(args.alpha, args.beta, args.gamma)
     if p.log_case:
         raise ValueError("integer exponent difference (logarithmic case)")
-    mats = gaussmod.monodromy_matrices(p)
-    relation = gaussmod.scaled_relation_residual(mats[0], mats[1], mats["inf"])
+    mats = monodromy_matrices(p)
+    relation = scaled_relation_residual(mats[0], mats[1], mats["inf"])
     spectra = {}
     mismatch = 0.0
     for s, M in mats.items():
-        expected = gaussmod.expected_monodromy_spectrum(p, s)
-        mismatch = max(mismatch, gaussmod.scaled_spectrum_residual(M, expected))
+        expected = expected_monodromy_spectrum(p, s)
+        mismatch = max(mismatch, scaled_spectrum_residual(M, expected))
         spectra[str(s)] = {
             "matrix": _matrix_out(M),
             "eigenvalues": [_complex_out(v) for v in np.linalg.eigvals(M)],
@@ -189,25 +196,27 @@ def _cmd_gauss_monodromy(args):
 
 
 def _cmd_gauss_triangle(args):
+    from .triangle import Geometry, classify_angles, export_svg, triangle_from_angles
+
     kappa, lam, mu = (Fraction(args.kappa), Fraction(args.lam), Fraction(args.mu))
-    geometry = triangle.classify_angles(kappa, lam, mu)
+    geometry = classify_angles(kappa, lam, mu)
     for flag, angle in (("--kappa", kappa), ("--lambda", lam), ("--mu", mu)):
-        if angle < 0 or (angle == 0 and geometry is not triangle.Geometry.HYPERBOLIC):
+        if angle < 0 or (angle == 0 and geometry is not Geometry.HYPERBOLIC):
             raise ValueError(
                 f"{flag} must be positive, got {format_rational(angle)}"
                 + ("" if angle else " (a zero angle needs a hyperbolic triangle)"))
     # a spherical triangle needs 1 + x > y + z for each angle x (in units of
     # pi), which also keeps every angle below 1; the arc construction and its
     # angle residual assume both
-    if geometry is triangle.Geometry.SPHERICAL and 1 + 2 * min(kappa, lam, mu) <= kappa + lam + mu:
+    if geometry is Geometry.SPHERICAL and 1 + 2 * min(kappa, lam, mu) <= kappa + lam + mu:
         raise ValueError(
             f"the angles {format_rational(kappa)}, {format_rational(lam)}, {format_rational(mu)}"
             " (times pi) make no spherical triangle: each angle plus 1 must exceed the sum"
             " of the other two")
-    tess = triangle.triangle_from_angles(
+    tess = triangle_from_angles(
         float(kappa) * math.pi, float(lam) * math.pi, float(mu) * math.pi, geometry)
     if args.svg:
-        triangle.export_svg(tess, args.svg)
+        export_svg(tess, args.svg)
     residual = tess.max_angle_residual()
     payload = _report(
         module="gauss",
@@ -226,15 +235,17 @@ def _cmd_gauss_triangle(args):
 
 
 def _cmd_triangle_tessellate(args):
+    from .triangle import export_svg, tessellate
+
     if args.depth is not None:
         _require_at_least("--depth", args.depth, 0)
     _require_at_least("--max-tiles", args.max_tiles, 1)
     _require_at_most("--max-tiles", args.max_tiles, 200000)
-    tess = triangle.tessellate(args.k, args.l, args.m, max_word_length=args.depth,
-                               max_tiles=args.max_tiles)
+    tess = tessellate(args.k, args.l, args.m, max_word_length=args.depth,
+                      max_tiles=args.max_tiles)
     rep = tess.report()
     if args.svg:
-        triangle.export_svg(tess, args.svg)
+        export_svg(tess, args.svg)
     if args.json_path:
         with open(args.json_path, "w", encoding="utf-8") as fh:
             _emit(rep, "json", fh)
@@ -277,16 +288,20 @@ def _require_at_most(flag, value, most):
 
 
 def _cmd_torus_flatness(args):
+    import numpy as np
+
+    from .torus import default_base_point, flatness_residual, sample_points_near
+
     _require_at_least("--samples", args.samples, 1)
     _require_at_most("--samples", args.samples, 1000)
     _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     a_override = Fraction(args.a_override) if args.a_override is not None else None
-    stack = torus.sample_points_near(system, torus.default_base_point(system), args.samples,
-                                     seed=args.seed)
+    stack = sample_points_near(system, default_base_point(system), args.samples,
+                               seed=args.seed)
     # the exp/log round trip keeps the residuals this report has always printed
-    worst = torus.flatness_residual(system, k, np.log(np.exp(stack)), a_override)
+    worst = flatness_residual(system, k, np.log(np.exp(stack)), a_override)
     payload = _report(
         module="torus",
         inputs={"type": str(system.rtype), "k": format_rational(k),
@@ -301,6 +316,10 @@ def _cmd_torus_flatness(args):
 
 
 def _cmd_torus_monodromy(args):
+    import numpy as np
+
+    from .torus import hecke_residual, mirror_monodromy
+
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
     n = system.rank
@@ -313,9 +332,9 @@ def _cmd_torus_monodromy(args):
             idx = 0    # out of range, so named below like any other
         if not 1 <= idx <= n:
             raise ValueError(f"--root must be 1..{n} or 'highest', got {args.root!r}")
-        alpha = np.eye(n, dtype=np.int64)[idx - 1]
-    M = torus.mirror_monodromy(system, k, alpha)
-    residual = torus.hecke_residual(M, k)
+        alpha = system.simple_roots[idx - 1]
+    M = mirror_monodromy(system, k, alpha)
+    residual = hecke_residual(M, k)
     payload = _report(
         module="torus",
         inputs={"type": str(system.rtype), "k": format_rational(k),
@@ -335,15 +354,17 @@ def _cmd_torus_monodromy(args):
 
 
 def _cmd_torus_form(args):
+    from .torus import (ball_check, hecke_base_point, hecke_generators, invariant_form,
+                        sample_points_near)
+
     _require_at_least("--samples", args.samples, 1)
     _require_at_most("--samples", args.samples, 1000)
     _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
     k = Fraction(args.k)
-    form = torus.invariant_form(torus.hecke_generators(system, k))
-    samples = torus.sample_points_near(system, torus.hecke_base_point(system), args.samples,
-                                       seed=args.seed)
-    ball = torus.ball_check(system, k, form, samples)
+    form = invariant_form(hecke_generators(system, k))
+    samples = sample_points_near(system, hecke_base_point(system), args.samples, seed=args.seed)
+    ball = ball_check(system, k, form, samples)
     negative = all(v < 0 for v in ball)
     payload = _report(
         module="torus",
@@ -600,6 +621,15 @@ def _attach_negative_values(argv):
     return out
 
 
+def _numeric_failures():
+    """The exceptions that exit 1: NumericFailure, and numpy's LinAlgError (a
+    ValueError) when numpy is loaded; a run that never loaded numpy cannot
+    raise it.  An except clause evaluates this only once the handler has
+    raised, so after the handler's own imports."""
+    numpy = sys.modules.get("numpy")
+    return NumericFailure if numpy is None else (NumericFailure, numpy.linalg.LinAlgError)
+
+
 def main(argv=None):
     global _PARSER
     if _PARSER is None:
@@ -608,7 +638,7 @@ def main(argv=None):
     args = _PARSER.parse_args(_attach_negative_values(argv))
     try:
         code, payload = args.func(args)
-    except (gaussmod.NumericFailure, np.linalg.LinAlgError) as exc:
+    except _numeric_failures() as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, ZeroDivisionError) as exc:

@@ -1,9 +1,12 @@
 """Simply laced (ADE) root systems with exact integer lattice data.
 
 Roots are stored as integer coordinate vectors in the simple-root basis, so the
-bilinear form is the Cartan matrix C: the pairing of x and y is x @ C @ y, the
-coroot coordinates of a root alpha are C @ alpha, and every quantity below is
-computed in integer arithmetic.  Node numbering follows Bourbaki: A_n is the path
+bilinear form is the Cartan matrix C: the pairing of x and y is x^T C y, the
+coroot coordinates of a root alpha are C alpha, and every quantity below is
+computed in integer arithmetic.  The Cartan matrix and the roots are tuples of
+Python int tuples: immutable, and built without numpy, so the exact layer and
+the CLI subcommands on it start on the standard library alone.  torus keeps
+its own float copies.  Node numbering follows Bourbaki: A_n is the path
 1-2-...-n, D_n has nodes n-1 and n attached to the chain at n-2, and E_n hangs
 node 2 off node 4 of the chain 1-3-4-5-...-n.
 """
@@ -12,8 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from operator import add
 
 from .exact import format_rational
 
@@ -70,22 +72,26 @@ def _diagram_edges(rtype):
     return edges
 
 
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def cartan_matrix(rtype):
     n = rtype.rank
-    cart = 2 * np.eye(n, dtype=np.int64)
+    cart = [[2 * (i == j) for j in range(n)] for i in range(n)]
     for i, j in _diagram_edges(rtype):
-        cart[i, j] = cart[j, i] = -1
-    return cart
+        cart[i][j] = cart[j][i] = -1
+    return tuple(map(tuple, cart))
 
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Immutable root-system data; safe to share freely once built: the
-    arrays are read-only."""
+    """Immutable root-system data; safe to share freely once built: every
+    field is a tuple of int tuples."""
 
     rtype: RootSystemType
-    cartan: np.ndarray          # n x n, also the Gram matrix of the simple roots
-    positive_roots: np.ndarray  # (n_pos, n) integer coordinates, by height then lex
+    cartan: tuple          # n rows of n, also the Gram matrix of the simple roots
+    positive_roots: tuple  # integer coordinate rows, by height then lex
 
     @property
     def rank(self):
@@ -93,7 +99,7 @@ class RootSystem:
 
     @property
     def simple_roots(self):
-        return np.eye(self.rank, dtype=np.int64)
+        return _identity(self.rank)
 
     def __str__(self):
         return str(self.rtype)
@@ -118,24 +124,26 @@ def _enumerate(rtype):
     Every positive root of height h+1 is (positive root of height h) + (simple
     root), and in the simply laced case the roots are exactly the lattice
     vectors of squared norm 2.  Since |r + alpha_i|^2 = 4 + 2 (C r)_i for a
-    root r, r + alpha_i is a root iff (C r)_i = -1: each level is one integer
-    matrix product away from the last.  Each level is sorted, so the roots
-    come out by height, then lexicographically.
+    root r, r + alpha_i is a root iff (C r)_i = -1.  Each root of a level
+    carries its coroot coordinates C r, and a child's are C r plus row i of
+    the symmetric C, so a child costs O(n).  Each level is sorted, so the
+    roots come out by height, then lexicographically.
     """
-    n = rtype.rank
     cart = cartan_matrix(rtype)
-    level = np.eye(n, dtype=np.int64)[::-1]
-    levels = [level]
-    while len(level):
-        roots, nodes = np.nonzero(level @ cart == -1)
-        nxt = level[roots]
-        nxt[np.arange(len(roots)), nodes] += 1
-        level = np.array(sorted(set(map(tuple, nxt.tolist()))), dtype=np.int64).reshape(-1, n)
-        levels.append(level)
-    pos = np.concatenate(levels)
-    cart.setflags(write=False)
-    pos.setflags(write=False)
-    return RootSystem(rtype=rtype, cartan=cart, positive_roots=pos)
+    # (root, C root) pairs; the simple root alpha_i has row i of C
+    level = sorted(zip(_identity(rtype.rank), cart))
+    pos = []
+    while level:
+        pos += [root for root, _ in level]
+        nxt = {}
+        for root, coroot in level:
+            for i, c in enumerate(coroot):
+                if c == -1:
+                    child = root[:i] + (root[i] + 1,) + root[i + 1:]
+                    if child not in nxt:
+                        nxt[child] = tuple(map(add, coroot, cart[i]))
+        level = sorted(nxt.items())
+    return RootSystem(rtype=rtype, cartan=cart, positive_roots=tuple(pos))
 
 
 def coxeter_number(system):
@@ -182,7 +190,7 @@ def toric_distances(system):
 
 
 def highest_root(system):
-    return system.positive_roots[-1].copy()
+    return system.positive_roots[-1]
 
 
 def dump(system):
@@ -190,9 +198,9 @@ def dump(system):
     return {
         "family": system.rtype.family,
         "rank": system.rank,
-        "simple_roots": system.simple_roots.tolist(),
-        "positive_roots": system.positive_roots.tolist(),
-        "gram": system.cartan.tolist(),
+        "simple_roots": [list(r) for r in system.simple_roots],
+        "positive_roots": [list(r) for r in system.positive_roots],
+        "gram": [list(r) for r in system.cartan],
         "coxeter_number": coxeter_number(system),
         "integrability_constant": format_rational(integrability_constant(system)),
         "hyperbolic_exponent": format_rational(hyperbolic_exponent(system)),

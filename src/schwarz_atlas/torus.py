@@ -52,6 +52,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -117,13 +118,13 @@ _FLOAT_ROWS = {}
 
 
 def _float_rows(system):
-    """Float positive-root rows, coroot rows and inverse Cartan matrix of a
-    root system, computed once per type."""
+    """Float positive-root rows, coroot rows, inverse Cartan matrix and Cartan
+    matrix of a root system, computed once per type from its integer tuples."""
     rows = _FLOAT_ROWS.get(system.rtype)
     if rows is None:
-        croots = system.positive_roots.astype(np.float64)
-        cart = system.cartan.astype(np.float64)
-        rows = (croots, croots @ cart, np.linalg.inv(cart))
+        croots = np.array(system.positive_roots, dtype=np.float64)
+        cart = np.array(system.cartan, dtype=np.float64)
+        rows = (croots, croots @ cart, np.linalg.inv(cart), cart)
         for arr in rows:
             arr.setflags(write=False)
         _FLOAT_ROWS[system.rtype] = rows
@@ -183,7 +184,7 @@ def _connection(system, k, tchar, a):
     """
     if np.min(np.abs(tchar - 1.0)) < 1e-12:
         raise MirrorSingularity("a positive-root character equals 1 at this point")
-    croots, coroots, cinv = _float_rows(system)
+    croots, coroots, cinv, _ = _float_rows(system)
     npos, n = croots.shape
     u = (1.0 + tchar) / (1.0 - tchar)
     left = (croots[:, :, None] * croots[:, None, :]).reshape(npos, n * n).T
@@ -210,7 +211,7 @@ def _theta_frame_matrices(system, k, tchar):
     w_p c_pj (Cc)_pl sit side by side in the right factor, and the left
     factor broadcasts over the points.
     """
-    croots, coroots, _ = _float_rows(system)
+    croots, coroots, _, _ = _float_rows(system)
     npos, n = croots.shape
     weight = 0.5 * float(k) * (-tchar * 2.0 / (1.0 - tchar) ** 2)
     left = (croots[:, :, None] * croots[:, None, :]).reshape(npos, n * n).T
@@ -264,7 +265,7 @@ def _reflection_matrix(system, i):
     log-coordinates: l_j -> l_j - C_ij l_i, which is z_j -> z_j z_i^(-C_ij)."""
     n = system.rank
     S = np.eye(n)
-    S[:, i] = S[:, i] - system.cartan[:, i].astype(np.float64)
+    S[:, i] = S[:, i] - _float_rows(system)[3][:, i]
     return S
 
 
@@ -326,9 +327,9 @@ def transport(system, k, path):
     kept = np.max(np.abs(moves), axis=1) >= 1e-15
     if not kept.any():
         return np.eye(system.rank + 1, dtype=np.complex128)
-    croots, coroots, _ = _float_rows(system)
+    croots, coroots, _, cart = _float_rows(system)
     afac = float(integrability_constant(system)) * float(k) ** 2
-    svec = afac * np.linalg.solve(system.cartan.astype(np.float64), moves[kept].T).T
+    svec = afac * np.linalg.solve(cart, moves[kept].T).T
     return _kernels.torus_segment(pts[:-1][kept], moves[kept], croots, coroots,
                                   float(k), svec)[0]
 
@@ -347,7 +348,7 @@ def _half_turn(system, i, base):
     in 12 segments.  The alpha_i-log runs half around 0, from L0 to -L0, and
     every other root log moves by a half-integer multiple of the same
     increment."""
-    d = system.cartan[:, i].astype(np.complex128) / 2.0
+    d = _float_rows(system)[3][:, i].astype(np.complex128) / 2.0
     L0 = base[i]
     return np.array([base + (L0 * cmath.exp(1j * math.pi * s / 12) - L0) * d
                      for s in range(13)])
@@ -365,15 +366,16 @@ def _half_turn_generator(system, k, i, base):
 def _descent(system, alpha):
     """(w, j) with w(alpha_j) = alpha for the positive root alpha: alpha
     descends to the simple root alpha_j by s_i for the lowest i with
-    (C beta)_i > 0, and each such i is appended to the word w."""
-    beta = np.array(alpha, dtype=np.int64)
+    (C beta)_i > 0, and each such i is appended to the word w.  The pairing
+    C beta is taken on the integer Cartan rows."""
+    beta = [int(c) for c in alpha]
     word = []
-    while beta.sum() > 1:
-        pairing = system.cartan @ beta
-        i = int(np.flatnonzero(pairing > 0)[0])
+    while sum(beta) > 1:
+        pairing = [sum(map(mul, row, beta)) for row in system.cartan]
+        i = next(i for i, p in enumerate(pairing) if p > 0)
         beta[i] -= pairing[i]
         word.append(i)
-    return word, int(np.flatnonzero(beta)[0])
+    return word, next(i for i, c in enumerate(beta) if c)
 
 
 def _require_finite(M):

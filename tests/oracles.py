@@ -10,6 +10,7 @@ with its helpers imported from there.
 """
 
 import cmath
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from schwarz_atlas.exact import ExponentTriple
 from schwarz_atlas.gauss import BASE_POINT, GaussParams, _plan_path, _transport
-from schwarz_atlas.roots import integrability_constant
+from schwarz_atlas.roots import build, integrability_constant
 from schwarz_atlas.schwarzcond import _table
 from schwarz_atlas.torus import _char_values, _connection, _reflection_matrix
 from schwarz_atlas.triangle import _circle
@@ -168,7 +169,7 @@ def pullback_ode_residual(pb, z):
 
 def _inverse_cartan(system):
     n = system.rank
-    cart = [[Fraction(int(system.cartan[i, j])) for j in range(n)] for i in range(n)]
+    cart = [[Fraction(int(system.cartan[i][j])) for j in range(n)] for i in range(n)]
     # Gauss-Jordan over the rationals
     aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(cart)]
     for col in range(n):
@@ -265,11 +266,17 @@ def passes(rtype, k):
 # ---------------------------------------------------------------------------
 # roots: the root reflection
 
+@functools.cache
+def _cartan_array(rtype):
+    """The integer Cartan matrix of a type as an int64 array, built once."""
+    return np.array(build(rtype).cartan, dtype=np.int64)
+
+
 def inner(system, x, y):
     """Bilinear form of two lattice vectors given in simple-root coordinates."""
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    return int(x @ system.cartan @ y)
+    return int(x @ _cartan_array(system.rtype) @ y)
 
 
 def reflect(lam, alpha, system):

@@ -19,7 +19,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from schwarz_atlas import cli, roots, schwarzcond, torus
+import schwarz_atlas
+from schwarz_atlas import _kernels, cli, gauss, roots, schwarzcond, torus
 
 
 def run_cli(argv):
@@ -762,20 +763,70 @@ def test_schema_self_describes():
     jsonschema.Draft7Validator.check_schema(schema)
 
 
-def _run_subprocess(argv):
-    """`python -m schwarz_atlas.cli` in a fresh process that imports the same
-    package as these tests, whether or not PYTHONPATH names it."""
+def _run_python(args):
+    """`python *args` in a fresh process that imports the same package as
+    these tests, whether or not PYTHONPATH names it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "schwarz_atlas.cli", *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def _run_subprocess(argv):
+    """`python -m schwarz_atlas.cli` in a fresh process."""
+    return _run_python(["-m", "schwarz_atlas.cli", *argv])
 
 
 def test_console_entry_point_subprocess():
     proc = _run_subprocess(["schwarz", "enumerate", "--p-max", "10"])
     assert proc.returncode == 0
     assert "p =  10 : A2" in proc.stdout
+
+
+# the modules that an exact subcommand must not load: each loads numpy
+NUMERIC_MODULES = ("numpy", "schwarz_atlas.gauss", "schwarz_atlas.triangle",
+                   "schwarz_atlas.torus", "schwarz_atlas._kernels")
+
+
+@pytest.mark.parametrize("argv", [
+    ["schwarz", "enumerate", "--p-max", "10"],
+    ["schwarz", "check", "--type", "E", "--rank", "8", "--p", "7"],
+    ["schwarz", "dm", "--n", "5", "--p", "4"],
+    ["schwarz", "dm-scan", "--n-max", "3", "--p-max", "5"],
+    ["roots", "dump", "--type", "D", "--rank", "30"],
+    ["schema"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_exact_subcommands_load_no_numpy_subprocess(argv):
+    # the CLI imports the numeric modules inside the handlers that run them,
+    # so the exact subcommands start on the standard library alone
+    proc = _run_python(["-c", (
+        "import sys\n"
+        "from schwarz_atlas import cli\n"
+        f"code = cli.main({argv!r})\n"
+        f"print(code, [m for m in {NUMERIC_MODULES!r} if m in sys.modules], file=sys.stderr)\n")])
+    assert proc.returncode == 0
+    assert proc.stderr == "0 []\n"
+
+
+def test_worker_imports_load_every_traced_layer_subprocess():
+    # perfbench/tracer.py reads every layer from sys.modules right after the
+    # benchmark worker's `from schwarz_atlas import cli, gauss`
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    proc = _run_python(["-c", (
+        "import sys\n"
+        "from schwarz_atlas import cli, gauss\n"
+        "loaded = set(sys.modules)\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "from tracer import LAYERS, PACKAGE\n"
+        "print([layer for layer in LAYERS if f'{PACKAGE}.{layer}' not in loaded])\n")])
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+def test_numeric_failure_is_one_class():
+    assert _kernels.NumericFailure is gauss.NumericFailure is schwarz_atlas.NumericFailure
+    assert issubclass(torus.MirrorSingularity, gauss.NumericFailure)
+    assert issubclass(torus.InvariantFormError, gauss.NumericFailure)
+    assert not issubclass(gauss.NumericFailure, ValueError)
 
 
 def test_torus_monodromy_with_a_large_frame_reports_a_finite_residual(capsys):

@@ -28,11 +28,11 @@ def _segment_args(system, k, a, b):
     """torus_segment arguments for the log-linear segment a -> b, as
     torus.transport builds them."""
     m = np.asarray(b, dtype=np.complex128) - np.asarray(a, dtype=np.complex128)
-    croots = system.positive_roots.astype(np.float64)
+    croots = np.array(system.positive_roots, dtype=np.float64)
+    cart = np.array(system.cartan, dtype=np.float64)
     afac = float(roots.integrability_constant(system)) * float(k) ** 2
-    svec = afac * np.linalg.solve(system.cartan.astype(np.float64), m)
-    return (np.asarray(a, dtype=np.complex128), m, croots,
-            croots @ system.cartan.astype(np.float64), float(k), svec)
+    svec = afac * np.linalg.solve(cart, m)
+    return (np.asarray(a, dtype=np.complex128), m, croots, croots @ cart, float(k), svec)
 
 
 def _segment_oracle(system, k, a, b, dps):
@@ -41,13 +41,13 @@ def _segment_oracle(system, k, a, b, dps):
     in z = exp(log-coordinates) and u = (1 + chi)/(1 - chi)."""
     n = system.rank
     N = n + 1
-    cr = system.positive_roots.tolist()
-    co = (system.positive_roots @ system.cartan).tolist()
+    cr = np.array(system.positive_roots).tolist()
+    co = (np.array(system.positive_roots) @ np.array(system.cartan)).tolist()
     with mpmath.workdps(dps):
         kk = mpmath.mpf(k.numerator) / k.denominator
         ac = roots.integrability_constant(system)
         afac = mpmath.mpf(ac.numerator) / ac.denominator * kk ** 2
-        cinv = mpmath.inverse(mpmath.matrix(system.cartan.tolist()))
+        cinv = mpmath.inverse(mpmath.matrix(np.array(system.cartan).tolist()))
         l0 = [mpmath.mpc(v.real, v.imag) for v in a]
         mm = [mpmath.mpc(v.real, v.imag) for v in np.asarray(b) - np.asarray(a)]
         svec = [afac * mpmath.fsum(cinv[i, j] * mm[j] for j in range(n)) for i in range(n)]
@@ -171,7 +171,7 @@ def _loop_parts(system):
 
 def _steps(system, path):
     pts = np.asarray(path, dtype=np.complex128)
-    croots = system.positive_roots.astype(np.float64)
+    croots = np.array(system.positive_roots, dtype=np.float64)
     return len(_kernels._torus_grid(pts[:-1], np.diff(pts, axis=0), croots)[0])
 
 

@@ -1,13 +1,17 @@
 """Root-system construction against brute-force lattice enumeration."""
 
+import hashlib
+import io
+import math
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 from itertools import product
 
 import numpy as np
 import pytest
 
-from oracles import inner, reflect
-from schwarz_atlas import roots
+from oracles import _inverse_cartan, inner, reflect
+from schwarz_atlas import cli, roots
 
 # classical highest-root coordinate vectors (Bourbaki node order); these bound
 # the brute-force box scan below and pin the E8 monomial example
@@ -31,7 +35,7 @@ def _sys(fam, rank):
 def brute_force_positive_roots(fam, rank):
     """Independent oracle: scan the integer box below the classical highest
     root for norm-2 vectors with nonnegative coordinates."""
-    cart = roots.cartan_matrix(roots.RootSystemType(fam, rank))
+    cart = np.array(roots.cartan_matrix(roots.RootSystemType(fam, rank)))
     bounds = HIGHEST[(fam, rank)]
     out = set()
     for c in product(*(range(b + 1) for b in bounds)):
@@ -100,12 +104,12 @@ def test_toric_distances():
 
 def test_reflect_basics():
     system = _sys("A", 2)
-    a1, a2 = system.simple_roots
+    a1, a2 = np.array(system.simple_roots)
     assert np.array_equal(reflect(a1, a1, system), -a1)
     assert np.array_equal(reflect(a1, a2, system), a1 + a2)
     # fixed when orthogonal: in A3, alpha_1 and alpha_3 are orthogonal
     system3 = _sys("A", 3)
-    e = system3.simple_roots
+    e = np.array(system3.simple_roots)
     assert np.array_equal(reflect(e[0], e[2], system3), e[0])
 
 
@@ -134,13 +138,13 @@ def test_root_set_closed_under_reflection():
 
 def test_coroot_coordinates():
     system = _sys("A", 2)
-    a1 = system.simple_roots[0]
-    assert (system.cartan @ a1).tolist() == [2, -1]
-    assert (system.cartan @ (a1 + system.simple_roots[1])).tolist() == [1, 1]
+    a1, a2 = np.array(system.simple_roots)
+    assert (np.array(system.cartan) @ a1).tolist() == [2, -1]
+    assert (np.array(system.cartan) @ (a1 + a2)).tolist() == [1, 1]
     # integrality over a whole system
     e7 = _sys("E", 7)
     for r in e7.positive_roots:
-        cc = e7.cartan @ r
+        cc = np.array(e7.cartan) @ r
         assert cc.dtype.kind == "i"
 
 
@@ -156,13 +160,48 @@ def test_invalid_types_rejected():
 
 
 def test_build_is_shared_and_read_only():
+    # tuples of int tuples: immutable by type, so a shared system cannot change
     rtype = roots.RootSystemType("E", 7)
     system = roots.build(rtype)
     assert roots.build(roots.RootSystemType("E", 7)) is system
-    for arr in (system.cartan, system.positive_roots):
-        before = arr.copy()
-        with pytest.raises(ValueError):
-            arr[0, 0] = 5
-        with pytest.raises(ValueError):
-            arr += 1
-        assert np.array_equal(arr, before)
+    for rows in (system.cartan, system.positive_roots, system.simple_roots):
+        assert type(rows) is tuple
+        assert all(type(row) is tuple and all(type(v) is int for v in row) for row in rows)
+        with pytest.raises(TypeError):
+            rows[0][0] = 5
+    assert type(roots.highest_root(system)) is tuple
+
+
+def _box_roots(system):
+    """Every non-negative integer vector x with x^T C x = 2, by (height,
+    coordinates).  Since C is positive definite, x_i^2 <= 2 (C^-1)_ii for
+    such x, so the box of those bounds holds them all."""
+    cinv = _inverse_cartan(system)
+    bounds = [math.isqrt(math.floor(2 * cinv[i][i])) for i in range(system.rank)]
+    cart = np.array(system.cartan)
+    found = [c for c in product(*(range(b + 1) for b in bounds))
+             if np.array(c) @ cart @ np.array(c) == 2]
+    return sorted(found, key=lambda c: (sum(c), c))
+
+
+@pytest.mark.parametrize("fam, rank", [
+    *(("A", n) for n in range(1, 7)), *(("D", n) for n in range(4, 7)), ("E", 6)])
+def test_positive_roots_are_the_norm_two_box_vectors_in_order(fam, rank):
+    system = _sys(fam, rank)
+    assert list(system.positive_roots) == _box_roots(system)
+
+
+# sha256 of the `roots dump` JSON outputs of A1-A30, D4-D30 and E6-E8, one
+# after the other in that order, as the numpy enumeration printed them
+ROOTS_DUMP_SHA256 = "7aa6d10ffa7b13efb3a18df4bf76bf71cd9008dc7f19ecbd109a3ecb2ce895f6"
+
+
+def test_roots_dump_bytes_are_pinned():
+    types = [("A", n) for n in range(1, 31)] + [("D", n) for n in range(4, 31)]
+    digest = hashlib.sha256()
+    for fam, rank in types + [("E", 6), ("E", 7), ("E", 8)]:
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert cli.main(["roots", "dump", "--type", fam, "--rank", str(rank)]) == 0
+        digest.update(buf.getvalue().encode())
+    assert digest.hexdigest() == ROOTS_DUMP_SHA256

@@ -351,7 +351,7 @@ def test_every_default_is_set_somewhere():
 
 
 # the modules whose docstrings state that no float enters
-EXACT_MODULES = ("exact.py", "schwarzcond.py")
+EXACT_MODULES = ("exact.py", "schwarzcond.py", "roots.py")
 
 
 def float_uses(source):
@@ -390,6 +390,81 @@ def test_float_use_finder():
 def test_exact_modules_use_no_floats(name):
     path = pathlib.Path(schwarz_atlas.__file__).parent / name
     assert float_uses(path.read_text(encoding="utf-8")) == []
+
+
+# the package modules that load numpy when imported
+NUMERIC_MODULES = ("gauss", "triangle", "torus", "_kernels")
+
+
+def _run_at_import(tree):
+    """The nodes of a module that run when it is imported: all but those
+    inside a function body or a lambda."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def eager_numeric_imports(source):
+    """(line, module) for every import of numpy or of a numeric package
+    module that runs when the source, a package module, is imported."""
+    found = set()
+    for node in _run_at_import(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module.split(".") if node.module else []
+            module = ["schwarz_atlas", *module] if node.level else module
+            paths = [[*module, alias.name] for alias in node.names]
+        else:
+            continue
+        for path in paths:
+            if path[0] == "numpy":
+                found.add((node.lineno, "numpy"))
+            elif path[0] == "schwarz_atlas" and path[1:2] and path[1] in NUMERIC_MODULES:
+                found.add((node.lineno, ".".join(path[:2])))
+    return sorted(found)
+
+
+def test_eager_numeric_import_finder():
+    source = (
+        "import json\n"
+        "import numpy as np\n"
+        "from numpy.linalg import LinAlgError\n"
+        "from . import roots, torus\n"
+        "from .gauss import NumericFailure\n"
+        "import schwarz_atlas._kernels as kernels\n"
+        "from .exact import format_rational\n"
+        "try:\n"
+        "    from .triangle import tessellate\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def handler():\n"
+        "    import numpy\n"
+        "    from . import torus\n"
+        "    return lambda: __import__('numpy')\n"
+        "class Report:\n"
+        "    from .torus import invariant_form\n"
+        "    def run(self):\n"
+        "        from .gauss import monodromy_matrices\n"
+        "import schwarz_atlas\n"
+    )
+    assert eager_numeric_imports(source) == [
+        (2, "numpy"), (3, "numpy"), (4, "schwarz_atlas.torus"), (5, "schwarz_atlas.gauss"),
+        (6, "schwarz_atlas._kernels"), (9, "schwarz_atlas.triangle"),
+        (17, "schwarz_atlas.torus")]
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_cli_imports_the_numeric_layer_only_in_its_handlers(name):
+    # `schwarz *`, `roots dump` and `schema` run on the standard library:
+    # the package and cli load numpy and the numeric modules only inside
+    # the functions that run them (the exact modules are held to no numpy
+    # at all by test_exact_modules_use_no_floats)
+    path = pathlib.Path(schwarz_atlas.__file__).parent / name
+    assert eager_numeric_imports(path.read_text(encoding="utf-8")) == []
 
 
 # methods that change a dict or list in place

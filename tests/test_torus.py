@@ -36,7 +36,7 @@ def test_char_value_definition_and_additivity():
 def test_char_value_exact_homomorphism():
     zq = [F(2, 3), F(5, 7), F(9, 4), F(3), F(1, 2), F(7, 5), F(11, 3), F(4, 9)]
     e8 = _sys("E", 8)
-    pos = e8.positive_roots
+    pos = np.array(e8.positive_roots)
     rng = np.random.default_rng(2)
     for _ in range(40):
         a = pos[rng.integers(len(pos))]
@@ -48,7 +48,7 @@ def test_char_value_exact_homomorphism():
 
 def test_e8_highest_root_monomial():
     e8 = _sys("E", 8)
-    assert roots.highest_root(e8).tolist() == [2, 3, 4, 6, 5, 4, 3, 2]
+    assert np.array(roots.highest_root(e8)).tolist() == [2, 3, 4, 6, 5, 4, 3, 2]
     z = [F(2), F(1), F(1), F(1), F(1), F(1), F(1), F(3)]
     assert torus.char_value(z, roots.highest_root(e8)) == F(2**2 * 3**2)
 
@@ -89,10 +89,10 @@ def test_assemble_two_summation_orders_agree():
     conn = connection(A2, k, np.log(zvals))
     n = 2
     acc = np.zeros((n, n, n), dtype=complex)
-    for alpha in reversed(A2.positive_roots):
+    for alpha in reversed(np.array(A2.positive_roots)):
         t = torus.char_value(zvals, alpha)
         u = (1 + t) / (1 - t)
-        cc = A2.cartan @ alpha
+        cc = np.array(A2.cartan) @ alpha
         for i in range(n):
             for j in range(n):
                 for l in range(n):
@@ -203,11 +203,11 @@ def _literal_theta_A(system, k, z, m, i):
     and theta_m t = -c_pm t, du/dt = 2/(1-t)^2."""
     n = system.rank
     D = np.zeros((n + 1, n + 1), dtype=complex)
-    for alpha in system.positive_roots:
+    for alpha in np.array(system.positive_roots):
         c = alpha.astype(float)
         t = torus.char_value(z, alpha)
         theta_u = -c[m] * t * 2.0 / (1.0 - t) ** 2
-        coroot = (system.cartan @ alpha).astype(float)
+        coroot = (np.array(system.cartan) @ alpha).astype(float)
         D[1:, 1:] -= 0.5 * float(k) * c[i] * theta_u * np.outer(c, coroot)
     return D
 
@@ -228,10 +228,10 @@ def _literal_frame(system, k, z, a_override=None):
         A[0, i + 1] = 1.0
         A[1:, 0] = [-float(v) for v in scalar[i]]
         mats.append(A)
-    for alpha in system.positive_roots:
+    for alpha in np.array(system.positive_roots):
         t = torus.char_value(z, alpha)
         u = (1 + t) / (1 - t)
-        cc = system.cartan @ alpha
+        cc = np.array(system.cartan) @ alpha
         for i in range(n):
             mats[i][1:, 1:] -= 0.5 * float(k) * int(alpha[i]) * u * np.outer(alpha, cc)
     return mats
@@ -313,8 +313,8 @@ def test_connection_matches_literal_frame_entry_by_entry(fam, rank):
 def _einsum_block(system, k, tchar):
     """The connection's lower blocks at each row of tchar, one 4-operand
     einsum per point: -(k/2) sum_p c_pi c_pj u_p (Cc)_pl, u = (1+t)/(1-t)."""
-    croots = system.positive_roots.astype(float)
-    coroots = croots @ system.cartan.astype(float)
+    croots = np.array(system.positive_roots, dtype=float)
+    coroots = croots @ np.array(system.cartan, dtype=float)
     u = (1.0 + tchar) / (1.0 - tchar)
     return np.array([-(0.5 * float(k) * np.einsum("pi,pj,p,pl->ijl", croots, croots, up, coroots))
                      for up in u])
@@ -378,7 +378,7 @@ def test_reflection_matrix_reflects_the_roots(fam, rank):
     # _reflection_matrix must be s_i on the root coefficients, exactly
     system = _sys(fam, rank)
     for i, simple in enumerate(np.eye(rank, dtype=np.int64)):
-        moved = system.positive_roots @ torus._reflection_matrix(system, i)
+        moved = np.array(system.positive_roots) @ torus._reflection_matrix(system, i)
         for alpha, got in zip(system.positive_roots, moved):
             assert np.array_equal(got, reflect(alpha, simple, system))
 
@@ -428,7 +428,7 @@ def _mirror_ring(system, alpha, base, radius=0.1):
     around the full circle in 24 segments, on the one-parameter line through
     the log-coordinates base in the direction dual to alpha."""
     alpha = np.asarray(alpha, dtype=np.int64)
-    d = (system.cartan.astype(np.float64) @ alpha).astype(np.complex128) / 2.0
+    d = (np.array(system.cartan, dtype=np.float64) @ alpha).astype(np.complex128) / 2.0
     L0 = complex(alpha.astype(np.float64) @ base)
     ring = [cmath.log(1.0 + radius * cmath.exp(2j * math.pi * s / 24)) for s in range(25)]
     return np.array([base + (s - L0) * d for s in ring])
@@ -545,7 +545,7 @@ def test_descent_reaches_every_positive_root(fam, rank):
     # (w, j) with w(alpha_j) = alpha, one simple reflection per unit of height
     system = _sys(fam, rank)
     simples = np.eye(rank, dtype=np.int64)
-    for alpha in system.positive_roots:
+    for alpha in np.array(system.positive_roots):
         word, j = torus._descent(system, alpha)
         beta = simples[j]
         for i in reversed(word):
@@ -558,7 +558,7 @@ def _half_turn_by_hand(system, k, i):
     """T_i from the half-turn's 13 points at b, pulled back by diag(1, A_i^T)."""
     rank = system.rank
     b = 0.35 + 0.05 * np.arange(rank)
-    d = system.cartan[:, i].astype(float) / 2.0
+    d = np.array(system.cartan, dtype=float)[:, i] / 2.0
     path = np.array([b + (b[i] * cmath.exp(1j * math.pi * s / 12) - b[i]) * d
                      for s in range(13)])
     reflect = np.eye(rank + 1)
@@ -626,7 +626,7 @@ def test_e8_highest_root_loop_at_b_is_conjugate_to_the_staged_loop():
 
 def _clearance_by_point(system, path, samples_per_segment=9):
     # one sample point at a time, as the check was first written
-    croots = system.positive_roots.astype(np.float64)
+    croots = np.array(system.positive_roots, dtype=np.float64)
     worst = math.inf
     for a, b in zip(path, path[1:]):
         for s in range(samples_per_segment + 1):
@@ -674,7 +674,7 @@ def test_clearance_matches_point_by_point_sampling_at_e8():
     # matmul and the point oracle all err there by 1.3e-14 to 2.3e-14.
     high_ring = _mirror_ring(E8, roots.highest_root(E8), base)
     got = _check_after_complex_matmul(E8, high_ring)
-    lmax = np.max(np.abs(high_ring @ E8.positive_roots.T.astype(np.float64)))
+    lmax = np.max(np.abs(high_ring @ np.array(E8.positive_roots, dtype=np.float64).T))
     assert abs(got - _clearance_by_point(E8, high_ring)) <= (1 + got) * np.spacing(lmax)
 
 
@@ -945,7 +945,7 @@ def test_half_turns_satisfy_the_hecke_relations(fam, rank, table):
         assert np.linalg.norm(Ti @ Ti - loop) <= 1e-10 * np.linalg.norm(loop)
         for j in range(i + 1, rank):
             Tj = T[j]
-            if system.cartan[i, j]:
+            if system.cartan[i][j]:
                 left, right = Ti @ Tj @ Ti, Tj @ Ti @ Tj
             else:
                 left, right = Ti @ Tj, Tj @ Ti
@@ -1010,7 +1010,7 @@ def _oracle_sample_points(system, base_logs, count, seed):
     """The sampler as first written: a draw is kept when its endpoint passes
     the point check and its straight path from the base passes the sampled
     path check (10 points per segment), both against delta = 0.02."""
-    croots = system.positive_roots.astype(np.float64)
+    croots = np.array(system.positive_roots, dtype=np.float64)
     rng = np.random.default_rng(seed)
     n = system.rank
     out, point_rejects = [], 0
