@@ -17,9 +17,11 @@ affine or Lorentzian (Vinberg 1971).  A tile is the group element G that maps
 the base triangle onto it, and the tile across its side i is G R_i.  The
 tiles' chart points and side circles are computed at the end, as arrays over
 all tiles; spherical tiles reaching too close to the projection pole are
-reported in a secondary chart.  The residuals and the SVG read the same
-arrays.  A single triangle is a one-tile Tessellation whose rows come from
-a scalar construction of the same rows; tessellate takes only its vertices.
+reported in a secondary chart.  A tile's chart points are its three
+vertices and its three side midpoints; the base centre serves only the
+closure.  The residuals and the SVG read the same arrays.  A single triangle
+is a one-tile Tessellation whose rows come from a scalar construction of the
+same rows; tessellate takes only its vertices.
 """
 
 from __future__ import annotations
@@ -204,8 +206,7 @@ def triangle_from_angles(a0, a1, a2, geometry):
     verts = tuple(verts3[inv[i]] for i in range(3))
     sides = tuple(sides3[inv[i]] for i in range(3))
     mids = tuple(mids3[inv[i]] for i in range(3))
-    interior = _find_interior_point(verts, sides)
-    return _one_tile(geometry, (a0, a1, a2), verts, sides, mids, interior)
+    return _one_tile(geometry, (a0, a1, a2), verts, sides, mids)
 
 
 def _vertices(aa, geometry):
@@ -251,40 +252,16 @@ def _ideal_triangle():
     )
     mids = tuple(_arc_midpoint(sides[i], verts[(i + 1) % 3], verts[(i + 2) % 3])
                  for i in range(3))
-    return _one_tile(Geometry.HYPERBOLIC, (0.0, 0.0, 0.0), verts, sides, mids, complex(0.0))
+    return _one_tile(Geometry.HYPERBOLIC, (0.0, 0.0, 0.0), verts, sides, mids)
 
 
-def _one_tile(geometry, angles, verts, sides, mids, interior):
-    """The Tessellation of one triangle: its vertices, side midpoints and
-    interior point (complex) and its sides (rows)."""
-    z = np.array([*verts, *mids, interior])
+def _one_tile(geometry, angles, verts, sides, mids):
+    """The Tessellation of one triangle: its vertices and side midpoints
+    (complex) and its sides (rows)."""
+    z = np.array([*verts, *mids])
     return Tessellation(geometry=geometry, words=[""], depth=0, closure_reached=True,
                         angles=angles, points=np.stack([z.real, z.imag])[:, None],
                         sides=np.array(sides, float).T[:, None], secondary=np.zeros(1, bool))
-
-
-def _side_sign(side, z):
-    """Which side of the row side the point z lies on: the sign of
-    Re(conj(u) z) - d for a line, of |z - centre| - radius for a circle."""
-    is_line, p, q = _circle(side)
-    return (p.conjugate() * z).real - q if is_line else abs(z - p) - q
-
-
-def _find_interior_point(verts, sides):
-    # interior side of side i is the side its opposite vertex lies on
-    refs = [_side_sign(sides[i], verts[i]) for i in range(3)]
-    candidates = [
-        (verts[0] + verts[1] + verts[2]) / 3,
-        verts[0] + ((verts[1] - verts[0]) + (verts[2] - verts[0])) / 4,
-        verts[1] + ((verts[0] - verts[1]) + (verts[2] - verts[1])) / 4,
-        verts[2] + ((verts[0] - verts[2]) + (verts[1] - verts[2])) / 4,
-        (verts[0] + verts[1] + verts[2]) / 3 * 0.5,
-    ]
-    for p in candidates:
-        vals = [_side_sign(sides[i], p) for i in range(3)]
-        if all(v * r > 0 for v, r in zip(vals, refs)):
-            return p
-    raise ValueError("could not locate an interior point of the triangle")
 
 
 # ---------------------------------------------------------------------------
@@ -295,15 +272,15 @@ class Tessellation:
     """The tiles as arrays, one row per tile in word order.
 
     points[0] and points[1] hold the chart x and y of each tile's vertices
-    (columns 0-2), side midpoints (3-5) and interior point (6).  sides holds
-    (a, Re b, Im b, c) of side i, the side opposite vertex i, in column i.
-    secondary flags the spherical tiles drawn in the chart z' = 1/z."""
+    (columns 0-2) and side midpoints (3-5).  sides holds (a, Re b, Im b, c)
+    of side i, the side opposite vertex i, in column i.  secondary flags
+    the spherical tiles drawn in the chart z' = 1/z."""
     geometry: Geometry
     words: list
     depth: int
     closure_reached: bool
     angles: tuple              # target interior angles at v0, v1, v2 (radians)
-    points: np.ndarray         # (2, tiles, 7)
+    points: np.ndarray         # (2, tiles, 6)
     sides: np.ndarray          # (4, tiles, 3)
     secondary: np.ndarray      # (tiles,) bool
 
@@ -422,7 +399,7 @@ def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
     c0 = _on_model(P.sum(axis=1, keepdims=True), s)[:, 0]
     mats, words, closed = _closure(R, ells, c0, max_tiles, max_word_length)
 
-    pts = mats @ np.column_stack([P, mids, c0])   # per tile: vertices, midpoints, centre
+    pts = mats @ np.column_stack([P, mids])   # per tile: vertices, midpoints
     if geometry is Geometry.SPHERICAL:
         points, secondary = _sphere_chart(_on_model(pts, s))
         # the sides' normals are G l_i for orthogonal G
@@ -445,12 +422,12 @@ def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
 
 
 def _sphere_chart(pts):
-    """Stereographic chart points (2, tiles, 7) of the model points pts
-    (tiles, 3, 7), and which tiles go to the secondary chart z' = 1/z: those
+    """Stereographic chart points (2, tiles, 6) of the model points pts
+    (tiles, 3, 6), and which tiles go to the secondary chart z' = 1/z: those
     reaching too close to the primary pole.  No point meets the pole of its
     tile's chart, since a tile spans at most a quarter circle."""
     X, Y, H = pts[:, 0], pts[:, 1], pts[:, 2]
-    secondary = ~np.all(1.0 + H[:, :6] > 0.06, axis=1)
+    secondary = ~np.all(1.0 + H > 0.06, axis=1)
     flip = secondary[:, None]
     Y, H = np.where(flip, -Y, Y), np.where(flip, -H, H)
     return _div_real(np.stack([X, Y]), 1.0 + H), secondary
@@ -638,7 +615,7 @@ def _fmt(x):
 
 
 def _tile_paths(points, sides):
-    """Path data of each tile (points (2, tiles, 7), sides (4, tiles, 3)):
+    """Path data of each tile (points (2, tiles, 6), sides (4, tiles, 3)):
     from vertex 0 along side 2 to vertex 1, side 0 to vertex 2 and side 1
     back.  A circle side is an elliptical arc, a line a straight segment.
     Every number goes through _fmt once."""
@@ -742,7 +719,7 @@ def export_svg(tess, path):
     ]
     for t, (word, sample) in enumerate(zip(tess.words, sampled.tolist())):
         if sample:
-            z = [complex(a, b) for a, b in zip(x[t, :6].tolist(), y[t, :6].tolist())]
+            z = [complex(a, b) for a, b in zip(x[t].tolist(), y[t].tolist())]
             chart = "secondary" if tess.secondary[t] else "primary"
             d, fill = _sampled_sphere_path(z[:3], z[3:], chart), "none"
         else:

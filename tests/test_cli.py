@@ -310,6 +310,11 @@ NO_SPHERICAL = "each angle plus 1 must exceed the sum of the other two"
      "--seed must be at least 0, got -1"),
     (["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4", "--seed", "-1"],
      "--seed must be at least 0, got -1"),
+    # thin spherical triples, rejected before any construction is tried
+    (["gauss", "schwarz-triangle", "--kappa", "1/12", "--lambda", "1/12", "--mu", "1"],
+     "the angles 1/12, 1/12, 1 (times pi) make no spherical triangle: " + NO_SPHERICAL),
+    (["gauss", "schwarz-triangle", "--kappa", "1/12", "--lambda", "1/4", "--mu", "7/6"],
+     "the angles 1/12, 1/4, 7/6 (times pi) make no spherical triangle: " + NO_SPHERICAL),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     code, out = run_cli(argv)

@@ -21,8 +21,8 @@ from schwarz_atlas.triangle import Geometry
 
 
 def chart_points(tess):
-    """The chart points of every tile as complex numbers, (tiles, 7):
-    vertices, side midpoints and interior point."""
+    """The chart points of every tile as complex numbers, (tiles, 6):
+    vertices and side midpoints."""
     z = np.empty(tess.points.shape[1:], complex)
     z.real, z.imag = tess.points
     return z
@@ -164,12 +164,23 @@ def test_orthogonal_circle_residuals():
 
 def test_tile_interiors_disjoint():
     tess = tri.tessellate(2, 3, 7, max_word_length=6)
-    centers = chart_points(tess)[:, 6]
-    # values (tiles, 3 sides, centres), signed so that a tile's own centre is
-    # inside: a tile contains a centre iff all three read at least the margin
-    values = side_values(tess.sides, centers)
-    inward = np.where(np.diagonal(values, axis1=0, axis2=2).T > 0, 1.0, -1.0)
-    contains = np.all(values * inward[:, :, None] >= 1e-9, axis=1)
+    z = chart_points(tess)
+    # a centre per tile, walked from the base: the mean of the base vertices,
+    # then the centre of tile w inverted in tile w's side s for the tile w + s
+    index = {word: t for t, word in enumerate(tess.words)}
+    centers = [z[0, :3].mean()]
+    for word in tess.words[1:]:
+        parent, side = index[word[:-1]], "abc".index(word[-1])
+        centers.append(reflect_point(centers[parent], tess.sides[:, parent, side].tolist()))
+    # side i's inward sign is its sign at vertex i, which is off side i; a
+    # tile contains a centre iff its three signed side values there read at
+    # least the margin
+    a, br, bi, c = tess.sides
+    v = z[:, :3]
+    inward = np.where(a * np.abs(v) ** 2 + 2 * (br * v.real + bi * v.imag) + c > 0, 1.0, -1.0)
+    contains = np.all(side_values(tess.sides, np.array(centers)) * inward[:, :, None] >= 1e-9,
+                      axis=1)
+    assert np.diagonal(contains).all(), np.flatnonzero(~np.diagonal(contains))
     np.fill_diagonal(contains, False)
     assert not contains.any(), np.argwhere(contains)
 
@@ -201,7 +212,7 @@ def test_svg_deterministic_and_structured(tmp_path):
 
 def test_svg_rejects_empty(tmp_path):
     tess = tri.Tessellation(geometry=Geometry.HYPERBOLIC, words=[], depth=0,
-                            closure_reached=False, angles=(), points=np.empty((2, 0, 7)),
+                            closure_reached=False, angles=(), points=np.empty((2, 0, 6)),
                             sides=np.empty((4, 0, 3)), secondary=np.empty(0, bool))
     with pytest.raises(ValueError):
         tri.export_svg(tess, tmp_path / "x.svg")
@@ -583,7 +594,7 @@ def tile_digest(tess):
     """Per tile: each chart point's (x, y), then each side's (a, Re b, Im b,
     c), in float.hex, then the chart."""
     h = hashlib.sha256()
-    points = tess.points.transpose(1, 2, 0).reshape(tess.tile_count, 14).tolist()
+    points = tess.points.transpose(1, 2, 0).reshape(tess.tile_count, 12).tolist()
     sides = tess.sides.transpose(1, 2, 0).reshape(tess.tile_count, 12).tolist()
     for p, s, secondary in zip(points, sides, tess.secondary.tolist()):
         chart = "secondary" if secondary else "primary"
@@ -591,24 +602,28 @@ def tile_digest(tess):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("klm,depth,count,digest", [
-    ((2, 3, 3), None, 24, "d87da98219c2d10dbf73c89bf6ffd65f2c3ef4bdddc650a0c8c031f6b3a12410"),
-    ((2, 3, 4), None, 48, "1d0bd94f85a4940bf0b6cce801a2e6cc6dd64c6a9d40c299a4a7d2bdd037550f"),
-    ((2, 3, 5), None, 120, "81bac6be89d4c93cff56a0749fbf1b1c1d986b98ab2eaa455520cccf2b70caf0"),
-    ((2, 2, 6), None, 24, "e447a5aff74a5fa626bf3a5bc228437703e9e95d0039ab3a4f0cf660af2a69dd"),
-    ((3, 3, 3), 12, 235, "3f9a64feb2d1d7d5ce853f3d43312f308bde9a8e575f66a373bac0fb2499a9e8"),
-    ((2, 4, 4), 12, 209, "db10da6739e1c23e3977da8b88810abf3e787f53b7d314eaa6f28f5aea2881b8"),
-    ((2, 3, 6), 12, 189, "5c6c7d262fc678e1533510a6500a677666b45bcea512741a782239a73b810235"),
-    ((3, 3, 4), 9, 281, "f96735ac716fc70a45633fb50e3b2192f188f275fe76ee0a991a824e49dd1abc"),
-    ((2, 3, 7), 30, 5951, "e6076b643e669d82d29ed976451ba182a9b30f24c6ae809f06a1a9bd8207fe6d"),
-    ((4, 4, 4), 13, 6718, "7419eaad2abe5e29297f4945517a08f6113111b93b2fd65c946f736c754c64b8"),
-])
-def test_tiles_are_pinned(klm, depth, count, digest):
-    # sha256 of every vertex, midpoint, interior point, side (a, b, c) and
-    # chart, in float.hex, as the per-tile construction built them
+# the digests are not in the test ids, so a re-pin renames no test
+TILE_DIGESTS = {
+    ((2, 3, 3), None, 24): "5000e572730dd8720efb7f2bc231114bd8c6beea91e0334b2a7ae337c689d9bd",
+    ((2, 3, 4), None, 48): "02f1fd00d020dc82e0f3a73e4aba322c852ee0f796cae99a1e1cb86c8a43c758",
+    ((2, 3, 5), None, 120): "bf1624fc02992e676b1df97af6cebe00d827fda1c06b0b9a55b058f26bf895f6",
+    ((2, 2, 6), None, 24): "65f327c2940c7514f6181501c07ef7f0aaa0a8ea2ad85d522eb102432971fdf3",
+    ((3, 3, 3), 12, 235): "71344dacab37dfcc731b035010557e48e85c4713f3280071f0db4ac16e648437",
+    ((2, 4, 4), 12, 209): "1646fd534ffb742e53edff8823498fd66a61b27b04dada83ca8f04bf3811b93d",
+    ((2, 3, 6), 12, 189): "d6b3c433ddbe05f1c2cb21f00514dd1f65d1a817761d634fad209dc76d6fb02a",
+    ((3, 3, 4), 9, 281): "6dd88c79404cf9fe9fba7c9cc6e5f6f77815dbfba88184f1dcd64f8f98200299",
+    ((2, 3, 7), 30, 5951): "faf62bc81667ee61d0009cb0e95ea0d343bf1ff9f82f5c04615134cf895a50d0",
+    ((4, 4, 4), 13, 6718): "1c9ab849fe488042c2f07a01901dc7eb05e5ab16cc4ffbd5e3ca8e0deb2b5b5a",
+}
+
+
+@pytest.mark.parametrize("klm,depth,count", TILE_DIGESTS)
+def test_tiles_are_pinned(klm, depth, count):
+    # sha256 of every vertex, midpoint, side (a, b, c) and chart, in
+    # float.hex, as the per-tile construction built them
     tess = tri.tessellate(*klm, max_word_length=depth)
     assert tess.tile_count == count
-    assert tile_digest(tess) == digest
+    assert tile_digest(tess) == TILE_DIGESTS[klm, depth, count]
 
 
 @pytest.mark.parametrize("angles", ["1/2 1/3 1/7", "0 1/3 1/2", "1/2 1/4 1/4",
@@ -621,6 +636,7 @@ def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
     assert (tess.geometry, tess.words, tess.depth, tess.closure_reached) == (
         geometry, [""], 0, True)
     assert not tess.secondary.any()
+    assert tess.points.shape == (2, 1, 6)
     z = chart_points(tess)[0].tolist()
     sides = [(a, complex(br, bi), c) for a, br, bi, c in tile_circles(tess, 0)]
     residual = oracle_angle_residual(z[:3], z[3:6], tess.angles, sides)
@@ -638,20 +654,27 @@ def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
 def test_cli_builds_no_per_tile_objects(argv, monkeypatch, tmp_path):
     # the tiles are arrays alone, and tessellate reads only the base
     # triangle's vertices: no scalar side, arc midpoint or row reading
-    called = Counter()
+    called, inside = Counter(), []
 
     def counted(name):
         fn = getattr(tri, name)
 
         def spy(*args):
             called[name] += 1
-            return fn(*args)
+            called[name, *inside] += 1
+            inside.append(name)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
         monkeypatch.setattr(tri, name, spy)
 
     for name in ("_geodesic_side", "_arc_midpoint", "_circle"):
         counted(name)
     base_triangle(*(int(v) for v in argv[1:6:2]))
     assert called["_geodesic_side"] == called["_arc_midpoint"] == 3
+    # the one triangle reads each side's row once, for its arc midpoint
+    assert called["_circle"] == called["_circle", "_arc_midpoint"] == 3
     called.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["triangle", "tessellate", *argv, "--svg", str(tmp_path / "t.svg"),
