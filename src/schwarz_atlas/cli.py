@@ -6,6 +6,10 @@ rationals are only ever accepted as "p/q" strings, and the exit code contract
 is: 0 success, 1 a numeric check failed its tolerance or the numerics broke
 down, 2 invalid usage.
 
+build_parser declares each leaf subcommand in one place: its flags, its
+--format, its handler and its usage bounds as (flag, least, most) entries,
+which main checks (_check_bounds) after parsing and before the handler runs.
+
 This module and the parser import the exact layer alone (exact, roots,
 schwarzcond), so `schwarz *`, `roots dump` and `schema` run on the standard
 library.  Each `gauss`, `triangle` and `torus` handler imports the numeric
@@ -15,11 +19,11 @@ module it runs, and numpy with it, when it is called.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
 import sys
-from fractions import Fraction
 
 from . import NumericFailure, __version__, roots, schwarzcond
 from .exact import format_rational, parse_rational
@@ -40,9 +44,6 @@ def _matrix_out(M):
 
 
 def _report(module, inputs, results, residuals, checks):
-    for key in residuals:
-        if not key.endswith("_residual"):
-            raise ValueError(f"residual key {key!r} must end in '_residual'")
     return {
         "schema_version": SCHEMA_VERSION,
         "module": module,
@@ -198,7 +199,7 @@ def _cmd_gauss_monodromy(args):
 def _cmd_gauss_triangle(args):
     from .triangle import Geometry, classify_angles, export_svg, triangle_from_angles
 
-    kappa, lam, mu = (Fraction(args.kappa), Fraction(args.lam), Fraction(args.mu))
+    kappa, lam, mu = args.kappa, args.lam, args.mu
     geometry = classify_angles(kappa, lam, mu)
     for flag, angle in (("--kappa", kappa), ("--lambda", lam), ("--mu", mu)):
         if angle < 0 or (angle == 0 and geometry is not Geometry.HYPERBOLIC):
@@ -237,10 +238,6 @@ def _cmd_gauss_triangle(args):
 def _cmd_triangle_tessellate(args):
     from .triangle import export_svg, tessellate
 
-    if args.depth is not None:
-        _require_at_least("--depth", args.depth, 0)
-    _require_at_least("--max-tiles", args.max_tiles, 1)
-    _require_at_most("--max-tiles", args.max_tiles, 200000)
     tess = tessellate(args.k, args.l, args.m, max_word_length=args.depth,
                       max_tiles=args.max_tiles)
     rep = tess.report()
@@ -267,37 +264,13 @@ def _cmd_triangle_tessellate(args):
     return (EXIT_OK if ok else EXIT_NUMERIC), payload
 
 
-def _require_at_least(flag, value, least):
-    # an empty sample, scan or tile budget would pass every check vacuously,
-    # below n = 1 there is no weight vector and below depth 0 no word
-    if value < least:
-        raise ValueError(f"{flag} must be at least {least}, got {value}")
-
-
-def _require_at_most(flag, value, most):
-    # the largest A_n and D_n that roots builds (past n = 10 every weight
-    # vector is degenerate for every p >= 3, since k = (p-2)/(2p) >= 1/6, so a
-    # larger --n only writes a longer weight list), the ranks and orders that
-    # dm_equivalence_scan covers, and bounds on the orders enumerate scans
-    # (about 50 us each at rank 13, so a mistyped bound would run for minutes)
-    # and on the torus samples (each one a transport or a curvature, so
-    # --samples 10000000 at E8 would run for hours), and on the tile budget
-    # (about 1.7 KB a tile: 200000 tiles of (2, 3, 7) take 384 MB and 3.5 s)
-    if value > most:
-        raise ValueError(f"{flag} must be at most {most}, got {value}")
-
-
 def _cmd_torus_flatness(args):
     import numpy as np
 
     from .torus import default_base_point, flatness_residual, sample_points_near
 
-    _require_at_least("--samples", args.samples, 1)
-    _require_at_most("--samples", args.samples, 1000)
-    _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
-    k = Fraction(args.k)
-    a_override = Fraction(args.a_override) if args.a_override is not None else None
+    k, a_override = args.k, args.a_override
     stack = sample_points_near(system, default_base_point(system), args.samples,
                                seed=args.seed)
     # the exp/log round trip keeps the residuals this report has always printed
@@ -321,7 +294,7 @@ def _cmd_torus_monodromy(args):
     from .torus import hecke_residual, mirror_monodromy
 
     system = roots.build(_rtype_from(args))
-    k = Fraction(args.k)
+    k = args.k
     n = system.rank
     if args.root == "highest":
         alpha = roots.highest_root(system)
@@ -357,11 +330,8 @@ def _cmd_torus_form(args):
     from .torus import (ball_check, hecke_base_point, hecke_generators, invariant_form,
                         sample_points_near)
 
-    _require_at_least("--samples", args.samples, 1)
-    _require_at_most("--samples", args.samples, 1000)
-    _require_at_least("--seed", args.seed, 0)
     system = roots.build(_rtype_from(args))
-    k = Fraction(args.k)
+    k = args.k
     form = invariant_form(hecke_generators(system, k))
     samples = sample_points_near(system, hecke_base_point(system), args.samples, seed=args.seed)
     ball = ball_check(system, k, form, samples)
@@ -390,11 +360,6 @@ def _cmd_torus_form(args):
 
 
 def _cmd_schwarz_enumerate(args):
-    _require_at_least("--p-min", args.p_min, 3)
-    _require_at_least("--p-max", args.p_max, args.p_min)
-    _require_at_most("--p-max", args.p_max, 1000)
-    _require_at_least("--rank-max", args.rank_max, 2)
-    _require_at_most("--rank-max", args.rank_max, 30)
     results = schwarzcond.enumerate_solutions(
         args.p_min, args.p_max, args.rank_max, args.include_k_half)
     code = EXIT_OK if results["documented_anomalies_only"] else EXIT_NUMERIC
@@ -440,7 +405,7 @@ def _cmd_schwarz_check(args):
         raise ValueError("provide --p or --k")
     if args.k is not None and args.p is not None:
         raise ValueError("provide --p or --k, not both")
-    k = schwarzcond.k_from_p(args.p) if args.k is None else Fraction(args.k)
+    k = schwarzcond.k_from_p(args.p) if args.k is None else args.k
     results = schwarzcond.check(roots.RootSystemType(args.family, args.rank), k)
     payload = _report(
         module="schwarz",
@@ -454,8 +419,6 @@ def _cmd_schwarz_check(args):
 
 
 def _cmd_schwarz_dm(args):
-    _require_at_least("--n", args.n, 1)
-    _require_at_most("--n", args.n, 30)
     payload = _report(
         module="schwarz",
         inputs={"n": args.n, "p": args.p},
@@ -467,11 +430,6 @@ def _cmd_schwarz_dm(args):
 
 
 def _cmd_schwarz_dm_scan(args):
-    # the scan starts at n = 2 and p = 3
-    _require_at_least("--n-max", args.n_max, 2)
-    _require_at_least("--p-max", args.p_max, 3)
-    _require_at_most("--n-max", args.n_max, 10)
-    _require_at_most("--p-max", args.p_max, 60)
     results = schwarzcond.dm_equivalence_scan(args.n_max, args.p_max)
     payload = _report(
         module="schwarz",
@@ -494,6 +452,8 @@ def _cmd_schema(args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    """The parser of every subcommand; a leaf that declares no --format of
+    its own (all but `schwarz enumerate`) gets `--format {text,json}`."""
     parser = argparse.ArgumentParser(
         prog="schwarz-atlas",
         description="hypergeometric monodromy, root-system connections, "
@@ -501,105 +461,134 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    roots_sub, gauss_sub, tri_sub, torus_sub, schwarz_sub = (
+        sub.add_parser(name, help=text).add_subparsers(dest="subcommand", required=True)
+        for name, text in (("roots", "root-system data"),
+                           ("gauss", "second-order hypergeometric equation"),
+                           ("triangle", "reflection triangles and tessellations"),
+                           ("torus", "root-system hypergeometric system"),
+                           ("schwarz", "exact stratum conditions")))
 
-    p_roots = sub.add_parser("roots", help="root-system data")
-    roots_sub = p_roots.add_subparsers(dest="subcommand", required=True)
-    d = roots_sub.add_parser("dump", help="emit lattice data and derived constants")
-    _add_type_args(d)
-    d.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    d.set_defaults(func=_cmd_roots_dump)
+    @contextlib.contextmanager
+    def leaf(group, name, help, func, bounds):
+        p = group.add_parser(name, help=help)
+        p.set_defaults(func=func, bounds=bounds)
+        yield p
+        if p.get_default("fmt") is None:
+            p.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
 
-    p_gauss = sub.add_parser("gauss", help="second-order hypergeometric equation")
-    gauss_sub = p_gauss.add_subparsers(dest="subcommand", required=True)
-    g = gauss_sub.add_parser("monodromy", help="loop matrices, eigenvalues, relation")
-    g.add_argument("--alpha", type=parse_rational, required=True)
-    g.add_argument("--beta", type=parse_rational, required=True)
-    g.add_argument("--gamma", type=parse_rational, required=True)
-    g.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
+    with leaf(roots_sub, "dump", "emit lattice data and derived constants",
+              _cmd_roots_dump, ()) as d:
+        _add_type_args(d)
+
+    with leaf(gauss_sub, "monodromy", "loop matrices, eigenvalues, relation",
+              _cmd_gauss_monodromy, ()) as g:
+        g.add_argument("--alpha", type=parse_rational, required=True)
+        g.add_argument("--beta", type=parse_rational, required=True)
+        g.add_argument("--gamma", type=parse_rational, required=True)
+    # outside the block, so that --help lists it after --format
     g.add_argument("--tol", type=_tolerance, default=1e-7,
                    help="bound on ||M_inf M_1 M_0 - 1|| / (||M_inf|| ||M_1|| ||M_0||)")
-    g.set_defaults(func=_cmd_gauss_monodromy)
-    t = gauss_sub.add_parser("schwarz-triangle", help="render the image triangle")
-    t.add_argument("--kappa", type=parse_rational, required=True)
-    t.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-    t.add_argument("--mu", type=parse_rational, required=True)
-    t.add_argument("--svg", default="")
-    t.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    t.set_defaults(func=_cmd_gauss_triangle)
+    with leaf(gauss_sub, "schwarz-triangle", "render the image triangle",
+              _cmd_gauss_triangle, ()) as t:
+        t.add_argument("--kappa", type=parse_rational, required=True)
+        t.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
+        t.add_argument("--mu", type=parse_rational, required=True)
+        t.add_argument("--svg", default="")
 
-    p_tri = sub.add_parser("triangle", help="reflection triangles and tessellations")
-    tri_sub = p_tri.add_subparsers(dest="subcommand", required=True)
-    tt = tri_sub.add_parser("tessellate", help="breadth-first reflection closure")
-    tt.add_argument("--k", type=int, required=True)
-    tt.add_argument("--l", type=int, required=True)
-    tt.add_argument("--m", type=int, required=True)
-    tt.add_argument("--depth", type=int, default=None,
-                    help="maximum reflection word length")
-    tt.add_argument("--max-tiles", type=int, default=20000)
-    tt.add_argument("--svg", default="")
-    tt.add_argument("--json", dest="json_path", default="")
-    tt.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    tt.set_defaults(func=_cmd_triangle_tessellate)
+    with leaf(tri_sub, "tessellate", "breadth-first reflection closure",
+              _cmd_triangle_tessellate,
+              (("--depth", 0, None), ("--max-tiles", 1, 200000))) as tt:
+        tt.add_argument("--k", type=int, required=True)
+        tt.add_argument("--l", type=int, required=True)
+        tt.add_argument("--m", type=int, required=True)
+        tt.add_argument("--depth", type=int, default=None,
+                        help="maximum reflection word length")
+        tt.add_argument("--max-tiles", type=int, default=20000)
+        tt.add_argument("--svg", default="")
+        tt.add_argument("--json", dest="json_path", default="")
 
-    p_torus = sub.add_parser("torus", help="root-system hypergeometric system")
-    torus_sub = p_torus.add_subparsers(dest="subcommand", required=True)
-    f = torus_sub.add_parser("flatness", help="curvature residual at sample points")
-    _add_type_args(f)
-    f.add_argument("--k", type=parse_rational, required=True)
-    f.add_argument("--samples", type=int, default=5)
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--a-override", dest="a_override", type=parse_rational, default=None)
-    f.add_argument("--tol", type=_tolerance, default=1e-8)
-    f.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    f.set_defaults(func=_cmd_torus_flatness)
-    m = torus_sub.add_parser("monodromy", help="mirror-loop monodromy and its relation")
-    _add_type_args(m)
-    m.add_argument("--k", type=parse_rational, required=True)
-    m.add_argument("--root", default="1",
-                   help="simple-root index (1-based) or 'highest'")
-    m.add_argument("--tol", type=_tolerance, default=1e-6)
-    m.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    m.set_defaults(func=_cmd_torus_monodromy)
-    fo = torus_sub.add_parser("form", help="invariant Hermitian form and negative cone")
-    _add_type_args(fo)
-    fo.add_argument("--k", type=parse_rational, required=True)
-    fo.add_argument("--samples", type=int, default=10)
-    fo.add_argument("--seed", type=int, default=0)
-    fo.add_argument("--tol", type=_tolerance, default=1e-6)
-    fo.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    fo.set_defaults(func=_cmd_torus_form)
+    samples = (("--samples", 1, 1000), ("--seed", 0, None))
+    with leaf(torus_sub, "flatness", "curvature residual at sample points",
+              _cmd_torus_flatness, samples) as f:
+        _add_type_args(f)
+        f.add_argument("--k", type=parse_rational, required=True)
+        f.add_argument("--samples", type=int, default=5)
+        f.add_argument("--seed", type=int, default=0)
+        f.add_argument("--a-override", dest="a_override", type=parse_rational, default=None)
+        f.add_argument("--tol", type=_tolerance, default=1e-8)
+    with leaf(torus_sub, "monodromy", "mirror-loop monodromy and its relation",
+              _cmd_torus_monodromy, ()) as m:
+        _add_type_args(m)
+        m.add_argument("--k", type=parse_rational, required=True)
+        m.add_argument("--root", default="1",
+                       help="simple-root index (1-based) or 'highest'")
+        m.add_argument("--tol", type=_tolerance, default=1e-6)
+    with leaf(torus_sub, "form", "invariant Hermitian form and negative cone",
+              _cmd_torus_form, samples) as fo:
+        _add_type_args(fo)
+        fo.add_argument("--k", type=parse_rational, required=True)
+        fo.add_argument("--samples", type=int, default=10)
+        fo.add_argument("--seed", type=int, default=0)
+        fo.add_argument("--tol", type=_tolerance, default=1e-6)
 
-    p_schwarz = sub.add_parser("schwarz", help="exact stratum conditions")
-    schwarz_sub = p_schwarz.add_subparsers(dest="subcommand", required=True)
-    e = schwarz_sub.add_parser("enumerate", help="scan reflection orders and types")
-    e.add_argument("--p-min", type=int, default=3)
-    e.add_argument("--p-max", type=int, default=100)
-    e.add_argument("--rank-max", type=int, default=13)
-    e.add_argument("--include-k-half", action="store_true")
-    e.add_argument("--format", dest="fmt", choices=["text", "json", "csv"],
-                   default="text")
-    e.set_defaults(func=_cmd_schwarz_enumerate)
-    c = schwarz_sub.add_parser("check", help="conditions for one type and order")
-    _add_type_args(c)
-    c.add_argument("--p", type=int, default=None)
-    c.add_argument("--k", type=parse_rational, default=None)
-    c.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    c.set_defaults(func=_cmd_schwarz_check)
-    dm = schwarz_sub.add_parser("dm", help="weight vector on n+3 points")
-    dm.add_argument("--n", type=int, required=True)
-    dm.add_argument("--p", type=int, required=True)
-    dm.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    dm.set_defaults(func=_cmd_schwarz_dm)
-    ds = schwarz_sub.add_parser("dm-scan", help="identity and equivalence sweep")
-    ds.add_argument("--n-max", type=int, default=10)
-    ds.add_argument("--p-max", type=int, default=60)
-    ds.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    ds.set_defaults(func=_cmd_schwarz_dm_scan)
+    with leaf(schwarz_sub, "enumerate", "scan reflection orders and types",
+              _cmd_schwarz_enumerate,
+              (("--p-min", 3, None), ("--p-max", "--p-min", 1000),
+               ("--rank-max", 2, roots._RANK_CAP))) as e:
+        e.add_argument("--p-min", type=int, default=3)
+        e.add_argument("--p-max", type=int, default=100)
+        e.add_argument("--rank-max", type=int, default=13)
+        e.add_argument("--include-k-half", action="store_true")
+        e.add_argument("--format", dest="fmt", choices=["text", "json", "csv"],
+                       default="text")
+    with leaf(schwarz_sub, "check", "conditions for one type and order",
+              _cmd_schwarz_check, ()) as c:
+        _add_type_args(c)
+        c.add_argument("--p", type=int, default=None)
+        c.add_argument("--k", type=parse_rational, default=None)
+    with leaf(schwarz_sub, "dm", "weight vector on n+3 points",
+              _cmd_schwarz_dm, (("--n", 1, roots._RANK_CAP),)) as dm:
+        dm.add_argument("--n", type=int, required=True)
+        dm.add_argument("--p", type=int, required=True)
+    # both lower bounds first, so "--n-max 11 --p-max 2" names --p-max
+    with leaf(schwarz_sub, "dm-scan", "identity and equivalence sweep", _cmd_schwarz_dm_scan,
+              (("--n-max", 2, None), ("--p-max", 3, None),
+               ("--n-max", None, 10), ("--p-max", None, 60))) as ds:
+        ds.add_argument("--n-max", type=int, default=10)
+        ds.add_argument("--p-max", type=int, default=60)
 
-    sc = sub.add_parser("schema", help="JSON schema of the report envelope")
-    sc.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
-    sc.set_defaults(func=_cmd_schema)
+    with leaf(sub, "schema", "JSON schema of the report envelope", _cmd_schema, ()):
+        pass
     return parser
+
+
+def _check_bounds(args):
+    """Raise ValueError naming the first of the leaf's (flag, least, most)
+    bounds that its value breaks.  A least written as a flag name is that
+    flag's value, and a flag left unset (None) is not checked."""
+    # an empty sample, scan or tile budget would pass every check vacuously
+    # (the dm scan starts at n = 2 and p = 3), below n = 1 there is no weight
+    # vector, below depth 0 no word, and numpy's generator takes no negative
+    # seed.  Above: the largest A_n and D_n that roots builds (past n = 10
+    # every weight vector is degenerate for every p >= 3, since
+    # k = (p-2)/(2p) >= 1/6, so a larger --n only writes a longer weight
+    # list), the ranks and orders that dm_equivalence_scan covers, the orders
+    # enumerate scans (about 50 us each at rank 13, so a mistyped bound would
+    # run for minutes), the torus samples (each one a transport or a
+    # curvature, so --samples 10000000 at E8 would run for hours) and the tile
+    # budget (about 1.7 KB a tile: 200000 tiles of (2, 3, 7) take 384 MB and
+    # 3.5 s)
+    for flag, least, most in args.bounds:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        if isinstance(least, str):
+            least = getattr(args, least[2:].replace("-", "_"))
+        if least is not None and value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise ValueError(f"{flag} must be at most {most}, got {value}")
 
 
 _PARSER = None
@@ -637,6 +626,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _PARSER.parse_args(_attach_negative_values(argv))
     try:
+        _check_bounds(args)
         code, payload = args.func(args)
     except _numeric_failures() as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
@@ -648,7 +638,7 @@ def main(argv=None):
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     if payload is not None:
-        _emit(payload, getattr(args, "fmt", "json"), sys.stdout)
+        _emit(payload, args.fmt, sys.stdout)
     return code
 
 

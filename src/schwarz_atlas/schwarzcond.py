@@ -201,8 +201,6 @@ def enumerate_solutions(p_min, p_max, rank_max, include_k_half):
     the table but not enumerated, and the run is clean when the diff is
     exactly the documented anomalies in the scanned range.
     """
-    if not (3 <= p_min <= p_max):
-        raise ValueError(f"need 3 <= p_min <= p_max, got {p_min}, {p_max}")
     tables = [(str(t), _table(t)) for t in _scan_types(rank_max)]
     rows, diff = {}, {"extra": [], "missing": []}
     for p in range(p_min, p_max + 1):
@@ -319,8 +317,6 @@ def dm_equivalence_scan(n_max, p_max):
     2b, with numerator 2a in the middle and 2b - (n+1)a at the ends, each
     verdict is a divisibility test, and k = 2/(n+3) reads a(n+3) = 2b.
     """
-    if n_max > 10 or p_max > 60:
-        raise ValueError("scan bounds exceed the supported (10, 60) range")
     ns, ks = range(2, n_max + 1), [(p, k_from_p(p)) for p in range(3, p_max + 1)]
     identities, agree, hidden, degenerate_cases = True, True, [], []
     for n in ns:

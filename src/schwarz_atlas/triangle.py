@@ -179,12 +179,9 @@ def triangle_from_angles(a0, a1, a2, geometry):
     the angles).
 
     The first vertex sits at 0 with its first side along the positive real
-    axis.  Angles are radians; in the hyperbolic case a zero angle produces an
-    ideal vertex on the unit circle.
+    axis.  Angles are positive radians, except that in the hyperbolic case a
+    zero angle produces an ideal vertex on the unit circle.
     """
-    if geometry is not Geometry.HYPERBOLIC and min(a0, a1, a2) <= 0:
-        raise ValueError("zero angles are only meaningful in the hyperbolic case")
-
     if a0 == a1 == a2 == 0.0:
         return _ideal_triangle()
 

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, determinism, report schema."""
 
+import argparse
 import dataclasses
 import hashlib
 import io
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -315,6 +317,9 @@ NO_SPHERICAL = "each angle plus 1 must exceed the sum of the other two"
      "the angles 1/12, 1/12, 1 (times pi) make no spherical triangle: " + NO_SPHERICAL),
     (["gauss", "schwarz-triangle", "--kappa", "1/12", "--lambda", "1/4", "--mu", "7/6"],
      "the angles 1/12, 1/4, 7/6 (times pi) make no spherical triangle: " + NO_SPHERICAL),
+    # a run past two bounds names the first its subcommand declares
+    (["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--samples", "1001",
+      "--seed", "-1"], "--samples must be at most 1000, got 1001"),
 ])
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     code, out = run_cli(argv)
@@ -726,6 +731,8 @@ def test_enumerate_exits_1_on_a_table_diff_beyond_the_anomalies(fmt, monkeypatch
     (["--n-max", "11"], "--n-max must be at most 10, got 11"),
     (["--p-max", "61"], "--p-max must be at most 60, got 61"),
     (["--n-max", "11", "--p-max", "61"], "--n-max must be at most 10, got 11"),
+    # both lower bounds come before either upper bound
+    (["--n-max", "11", "--p-max", "2"], "--p-max must be at least 3, got 2"),
 ])
 def test_dm_scan_rejects_empty_ranges(flags, message, capsys):
     # an empty scan would report every identity and verdict as holding
@@ -759,6 +766,108 @@ def test_dm_smallest_ranges_run():
     code, out = run_cli(["schwarz", "dm-scan", "--n-max", "2", "--p-max", "3"])
     assert code == 0
     assert json.loads(out)["results"]["row_count"] == 1
+
+
+def _parsers(parser=None, path=()):
+    """(path, parser) of the top-level parser, each group and each leaf."""
+    parser = parser or cli.build_parser()
+    found = [(path, parser)]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                found += _parsers(child, (*path, name))
+    return found
+
+
+LEAVES = {path: parser for path, parser in _parsers() if parser.get_default("func")}
+
+# the required flags of each leaf that declares bounds, so that a run varies
+# only the bounded flag
+MINIMAL_ARGV = {
+    ("triangle", "tessellate"): ["--k", "2", "--l", "3", "--m", "7"],
+    ("torus", "flatness"): ["--type", "A", "--rank", "2", "--k", "1/6"],
+    ("torus", "form"): ["--type", "A", "--rank", "2", "--k", "1/4"],
+    ("schwarz", "enumerate"): [],
+    ("schwarz", "dm"): ["--n", "1", "--p", "4"],
+    ("schwarz", "dm-scan"): [],
+}
+
+
+# (leaf, flag, "least" or "most", bound) for every bound a leaf declares; a
+# least written as a flag name is that flag's default
+DECLARED_BOUNDS = [
+    (path, flag, side,
+     leaf.get_default(bound[2:].replace("-", "_")) if isinstance(bound, str) else bound)
+    for path, leaf in LEAVES.items()
+    for flag, least, most in leaf.get_default("bounds")
+    for side, bound in (("least", least), ("most", most)) if bound is not None]
+
+
+def test_declared_bounds_cover_the_bounded_leaves():
+    assert len(LEAVES) == 12
+    assert {path for path, *_ in DECLARED_BOUNDS} == set(MINIMAL_ARGV)
+    assert len(DECLARED_BOUNDS) == 20
+
+
+@pytest.mark.parametrize("path, flag, side, bound", DECLARED_BOUNDS,
+                         ids=[f"{' '.join(p)} {f} {s}" for p, f, s, _ in DECLARED_BOUNDS])
+def test_every_declared_bound_holds_at_its_edge(path, flag, side, bound, capsys):
+    argv = [*path, *MINIMAL_ARGV[path]]
+    past = bound - 1 if side == "least" else bound + 1
+    code, out = run_cli([*argv, f"{flag}={past}"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {flag} must be at {side} {bound}, got {past}\n"
+    cli._check_bounds(cli.build_parser().parse_args([*argv, f"{flag}={bound}"]))
+
+
+def test_bounds_run_before_the_handler(monkeypatch, capsys):
+    # main checks the declared bounds once, before it calls the handler (here
+    # None, which a call would fail on)
+    monkeypatch.setattr(cli, "_cmd_torus_form", None)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    code, out = run_cli(["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4",
+                         "--samples", "0"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: --samples must be at least 1, got 0\n"
+
+
+# sha256 of each parser's --help at COLUMNS=80, taken under Python 3.11
+HELP_DIGESTS = {
+    "": "cf2eefef88fc229b86c1870f37ec1e632805737ccf64a69630395bbca1ccda65",
+    "roots": "12c33ce25e5dd1ed63ddc33b5691961f9b233d54fc345973911a2a3787cbaa3b",
+    "roots dump": "a489ac83f8e218ca860dfae6eba69d1fa2d0a3ab66f9ae431c711cfbe9a96a59",
+    "gauss": "3b312a0f8d14f6ccd7f984c54c9b3521813d287d6f9a6e6988c46ee74cdee47a",
+    "gauss monodromy": "9b7925f7d54cc09a9085f4a0eb34bf161dc291d11742ece247f5fe2888fd2d24",
+    "gauss schwarz-triangle":
+        "980c1dd1e9b2d784484864df9901e94498ef5b462f5df65c5c15146d8df70ad3",
+    "triangle": "cda045392a71e362697af968278057fce55fdcfa7ca9f5940953b41452126f45",
+    "triangle tessellate": "ae879ca3928e8510aec609325a35121160872217ddb438bd0abe666ae826de3c",
+    "torus": "f0d61a4ff451b3cc63b59bb0631db0c34237fce364b41d3d4911e1c29f1c2f0a",
+    "torus flatness": "cd593f0035f2aaa5e036f7b5bdb37f9426b4559f8cf12abb45a64ae80dfb83d2",
+    "torus monodromy": "c4ee2d3a7f8485476873f68db805cdd1735743b20ca3674f33682924f70ef794",
+    "torus form": "5fd3ac39d8e589d44b2882291ec44271656b9ce9fff868f585a7ea19347ab36c",
+    "schwarz": "a7a2d8c181d129d3eda3127f497b4edc14831c0e0bee2215f18ca8b39f8a91a2",
+    "schwarz enumerate": "4c0c85099a06284cef4cd8ea9a7a5ebc6c9f962a87e8eda2c4aa6bf73944c695",
+    "schwarz check": "cef57ec0bdfc651f07223f44bbdaf960caa25e92fd3065f5755f2a3d62a03b97",
+    "schwarz dm": "34c04687fd7defb3d48b12de0dba73ed046ed8c8ef384f9efb604e54e1526738",
+    "schwarz dm-scan": "b130839271f602c26daefb767a132d8b414f7f43c02fb7739bd70968f7b73606",
+    "schema": "ec2605368527614e461ac5e3c43148ddfec3ef1a73c3dee39c8a42ccd117ce70",
+}
+
+
+def test_help_digests_name_every_parser():
+    assert sorted(" ".join(path) for path, _ in _parsers()) == sorted(HELP_DIGESTS)
+
+
+@pytest.mark.parametrize("path", HELP_DIGESTS)
+def test_help_is_pinned(path, monkeypatch, capsys):
+    # the layout of each parser: flags, their order, choices and help lines
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([*path.split(), "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[path], out
 
 
 def test_schema_self_describes():
@@ -971,9 +1080,7 @@ def test_one_parser_serves_many_runs(monkeypatch):
     assert [code for code, _ in fresh] == [0, 0, 2, 0, 0, 0]
 
 
-# `roots dump`, `gauss monodromy`, `torus monodromy`, `schwarz enumerate` and
-# a hyperbolic `triangle tessellate` are validated in their own tests above
-@pytest.mark.parametrize("argv", [
+REPORT_ARGV = [
     ["gauss", "schwarz-triangle", "--kappa", "1/2", "--lambda", "1/3", "--mu", "1/7"],
     ["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "5"],
     ["torus", "flatness", "--type", "A", "--rank", "3", "--k", "1/6", "--samples", "2"],
@@ -982,7 +1089,20 @@ def test_one_parser_serves_many_runs(monkeypatch):
     ["schwarz", "dm", "--n", "5", "--p", "4"],
     ["schwarz", "dm", "--n", "5", "--p", "6"],
     ["schwarz", "dm-scan", "--n-max", "4", "--p-max", "23"],
-])
+    ["roots", "dump", "--type", "E", "--rank", "7"],
+    ["gauss", "monodromy", "--alpha", "1/84", "--beta", "13/84", "--gamma", "1/2"],
+    ["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root", "highest"],
+    ["schwarz", "enumerate", "--p-max", "12"],
+    ["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "7", "--depth", "6"],
+]
+
+
+def test_report_argv_name_every_report():
+    # every leaf but `schema`, which prints the schema itself
+    assert {tuple(argv[:2]) for argv in REPORT_ARGV} == set(LEAVES) - {("schema",)}
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGV)
 def test_every_json_report_matches_the_schema(argv):
     code, out = run_cli(argv + ["--format", "json"])
     assert code == 0
@@ -1060,3 +1180,14 @@ def test_readme_command_examples_run(tmp_path, monkeypatch, capsys):
     for argv, want in commands:
         code, _ = _run_exit(argv)
         assert code == want, (argv, capsys.readouterr().err)
+
+
+def test_readme_names_every_declared_bound():
+    # the README paragraph on usage bounds names each bounded flag and each
+    # numeric bound, so that it cannot fall behind the declarations
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    paragraph = next(para for para in readme.read_text(encoding="utf-8").split("\n\n")
+                     if para.startswith("Usage bounds are checked after parsing"))
+    words = set(re.findall(r"--[\w-]+|\d+", paragraph))
+    for _, flag, _, bound in DECLARED_BOUNDS:
+        assert flag in words and str(bound) in words, (flag, bound)
