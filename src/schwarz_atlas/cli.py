@@ -9,6 +9,12 @@ down, 2 invalid usage.
 build_parser declares each leaf subcommand in one place: its flags, its
 --format, its handler and its usage bounds as (flag, least, most) entries,
 which main checks (_check_bounds) after parsing and before the handler runs.
+build_parser runs once per process, and main parses every run with the
+parser it built.
+
+Every JSON report, on stdout or in a `triangle tessellate --json` file, is
+written by _write_json: the bytes of json.dumps(report, sort_keys=True,
+indent=2), appended to one list and joined once.
 
 This module and the parser import the exact layer alone (exact, roots,
 schwarzcond), so `schwarz *`, `roots dump` and `schema` run on the standard
@@ -20,10 +26,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import functools
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import NumericFailure, __version__, roots, schwarzcond
 from .exact import format_rational, parse_rational
@@ -81,9 +88,67 @@ def report_schema():
 
 def _emit(payload, fmt, stream):
     if fmt == "json":
-        stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        out = []
+        _write_json(payload, out, "\n")
+        out.append("\n")
+        stream.write("".join(out))
     else:
         _emit_text(payload, stream)
+
+
+def _write_json(value, out, pad):
+    """Append to out the text that json.dumps(value, sort_keys=True, indent=2)
+    writes, byte for byte; pad is the newline and indent of value's own line.
+    json.dumps with an indent runs the pure-Python encoder, which costs more
+    than the rest of a cheap report.  A key that is not a str raises
+    TypeError in _json_str, where json.dumps would write it as a string."""
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _json_str(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_float(x):
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def _emit_text(payload, stream, indent=0):
@@ -451,9 +516,11 @@ def _cmd_schema(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
     """The parser of every subcommand; a leaf that declares no --format of
-    its own (all but `schwarz enumerate`) gets `--format {text,json}`."""
+    its own (all but `schwarz enumerate`) gets `--format {text,json}`.  It is
+    built once per process: main parses every run with it."""
     parser = argparse.ArgumentParser(
         prog="schwarz-atlas",
         description="hypergeometric monodromy, root-system connections, "
@@ -591,7 +658,6 @@ def _check_bounds(args):
             raise ValueError(f"{flag} must be at most {most}, got {value}")
 
 
-_PARSER = None
 # "-1/3", "-1e-3" and "-inf" start like an option, so argparse would not take
 # them as the value of the flag before it; "--k -1/3" is rewritten as
 # "--k=-1/3", and the flag's own type then accepts or names the value
@@ -620,11 +686,8 @@ def _numeric_failures():
 
 
 def main(argv=None):
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = _PARSER.parse_args(_attach_negative_values(argv))
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         _check_bounds(args)
         code, payload = args.func(args)

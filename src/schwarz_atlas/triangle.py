@@ -22,6 +22,14 @@ vertices and its three side midpoints; the base centre serves only the
 closure.  The residuals and the SVG read the same arrays.  A single triangle
 is a one-tile Tessellation whose rows come from a scalar construction of the
 same rows; tessellate takes only its vertices.
+
+The SVG draws every tile as three arcs (or segments) and fills it.  A great
+circle's stereographic image is a circle or a line, so a spherical tile is
+an arc triangle in any chart: the SVG lifts the residual charts' points and
+side normals back to the sphere, turns them by one fixed generic rotation
+and draws all tiles in the chart of the rotated sphere.  The one tile that
+holds that chart's pole is the outside of its three arcs, filled with
+fill-rule="evenodd" against the view box.
 """
 
 from __future__ import annotations
@@ -271,7 +279,7 @@ class Tessellation:
     points[0] and points[1] hold the chart x and y of each tile's vertices
     (columns 0-2) and side midpoints (3-5).  sides holds (a, Re b, Im b, c)
     of side i, the side opposite vertex i, in column i.  secondary flags
-    the spherical tiles drawn in the chart z' = 1/z."""
+    the spherical tiles whose points and sides are in the chart z' = 1/z."""
     geometry: Geometry
     words: list
     depth: int
@@ -346,8 +354,8 @@ def _closure(R, ells, c0, max_tiles, max_word_length):
     """Breadth-first closure of the group generated by the reflections R[i] in
     the planes ells[i].X = 0.  Returns the tile matrices, their words (length
     first, then a < b < c) and whether no budget stopped the sweep."""
-    mats, words, budget_hit = [np.eye(3)], [""], False
     G, Y, level = np.eye(3)[None], c0[None], [""]
+    mats, words, budget_hit = [G], [""], False
     base_side = ells @ c0 > 0
     while level:
         # a reflection changes the word length by one: the child G R_i is one
@@ -369,9 +377,9 @@ def _closure(R, ells, c0, max_tiles, max_word_length):
         G = children[keep]
         Y = (R[letter] @ Y[par][:, :, None])[:, :, 0]
         level = [level[p] + "abc"[i] for p, i in zip(par.tolist(), letter.tolist())]
-        mats.extend(G)
+        mats.append(G)
         words.extend(level)
-    return np.array(mats), words, not budget_hit
+    return np.concatenate(mats), words, not budget_hit
 
 
 def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
@@ -602,13 +610,23 @@ def _orthogonality_residuals(sides):
 _FILL = ("#dce6f2", "#f2e3dc")
 _STROKE = "#20242c"
 _STROKE_WIDTH = 0.004     # relative to the larger side of the view box
-_SPHERE_SAMPLES = 48      # sample points per side of a sampled sphere tile
-_SPHERE_CLIP = 8.0        # chart radius past which sampled points are dropped
 _ARC_FLAGS = np.array(["0 0 ", "0 1 ", "1 0 ", "1 1 "], object)   # large-arc, sweep
+_fmt = "{:.9f}".format
 
 
-def _fmt(x):
-    return f"{x:.9f}"
+def _tilt(angle, azimuth):
+    """The rotation of R^3 by angle about the horizontal axis at azimuth."""
+    u = np.array([math.cos(azimuth), math.sin(azimuth), 0.0])
+    K = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * K @ K
+
+
+# the sphere is drawn in the stereographic chart of this rotation of it.  Its
+# pole (the point that the drawing chart sends to infinity) must lie on no
+# side: it stays at least 0.0078 (the sine of the angular distance) from every
+# side of (2, 3, 3), (2, 3, 4), (2, 3, 5), (2, 2, n) for n <= 60 and the
+# single triangles with angles in {1/2, 1/3, 1/4, 1/5, 1/7, 2/3, 3/4, 5/6}
+_DRAW_ROTATION = _tilt(0.25, 0.15)
 
 
 def _tile_paths(points, sides):
@@ -638,75 +656,53 @@ def _tile_paths(points, sides):
     ]
 
 
-def _unproject(z, chart):
-    """Chart coordinate back to the sphere; the secondary chart is z' = 1/z."""
-    if chart == "secondary":
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return np.array([0.0, 0.0, 1.0])
-        if z == 0:
-            return np.array([0.0, 0.0, -1.0])
-        z = 1.0 / z
-    return _lift(z)
+def _drawing_chart(tess):
+    """Chart points (2, tiles, 6) and side rows (4, tiles, 3) of a spherical
+    tessellation in the drawing chart, and which tile holds its pole.
 
-
-def _slerp_rows(p0, p1, f):
-    """Unit vectors at the fractions f along the great arc from p0 to p1, one row
-    each.  Every row is bitwise the per-point slerp v / np.linalg.norm(v): the
-    batched matmul takes each squared norm from the same dot product."""
-    omega = math.acos(max(-1.0, min(1.0, float(p0 @ p1))))
-    if omega < 1e-12:
-        V = np.tile(p0, (len(f), 1))
-    else:
-        V = (np.sin((1 - f) * omega)[:, None] * p0
-             + np.sin(f * omega)[:, None] * p1) / math.sin(omega)
-    return V / np.sqrt(np.matmul(V[:, None, :], V[:, :, None])[:, 0])
-
-
-def _sampled_sphere_path(vertices, midpoints, chart):
-    # tiles flagged "secondary" or touching the projection pole are drawn by
-    # sampling the sphere arcs in the primary chart and clipping; each side is
-    # slerped a -> mid -> b through its midpoint, one array per half-arc
-    s = np.arange(_SPHERE_SAMPLES + 1) / _SPHERE_SAMPLES
-    first = s <= 0.5
-    f0, f1 = 2 * s[first], 2 * s[~first] - 1
-    halves = []
-    for i in range(3):
-        a = _unproject(vertices[i], chart)
-        b = _unproject(vertices[(i + 1) % 3], chart)
-        mid = _unproject(midpoints[(i + 2) % 3], chart)
-        halves += [_slerp_rows(a, mid, f0), _slerp_rows(mid, b, f1)]
-    x, y, h = np.concatenate(halves).T
-    # every sample projected to the primary chart at once; a sample at the
-    # pole is not drawn, and the pen is down after a drawn sample
-    pole = 1.0 + h < 1e-12
-    z = _div_real(np.stack([x, y]), np.where(pole, 1.0, 1.0 + h))
-    shown = ~pole & np.isfinite(z[0]) & (np.hypot(z[0], z[1]) <= _SPHERE_CLIP)
-    cmds = np.where(np.concatenate([[False], shown[:-1]]), "L", "M")[shown].tolist()
-    xs, ys = z[:, shown].tolist()
-    pieces = [f"{cmd} {_fmt(u)} {_fmt(v)}" for cmd, u, v in zip(cmds, xs, ys)]
-    return " ".join(pieces) if pieces else "M 0 0"
+    Each chart point is lifted back to the sphere, and each side's row
+    (-n3, n1, n2, n3) gives the normal n of its great circle; the secondary
+    chart's points and normals are (x, -y, -h).  Both are turned by
+    _DRAW_ROTATION and projected, a normal to its row as _great_circles
+    writes it.  The pole (0, 0, -1) lies in a tile when it lies on the same
+    side of each side's plane as the opposite vertex."""
+    x, y = tess.points
+    q = x * x + y * y
+    flip = np.where(tess.secondary, -1.0, 1.0)[:, None]
+    model = np.stack([2.0 * x, 2.0 * y * flip, (1.0 - q) * flip]) / (1.0 + q)
+    b1, b2, c = tess.sides[1:]
+    normals = np.stack([b1, b2 * flip, c * flip])
+    model = np.tensordot(_DRAW_ROTATION, model, 1)
+    normals = np.tensordot(_DRAW_ROTATION, normals, 1)
+    pole = np.all(-normals[2] * (normals * model[:, :, :3]).sum(axis=0) > 0, axis=1)
+    sides = _great_circles(np.moveaxis(normals, 0, 1), np.zeros(tess.tile_count, bool))
+    return model[:2] / (1.0 + model[2]), sides, pole
 
 
 def export_svg(tess, path):
-    """Write a deterministic SVG rendering: one path element per tile, arcs via
-    the elliptical-arc command, the unit circle for hyperbolic geometry."""
+    """Write a deterministic SVG rendering: one filled path element per tile,
+    arcs via the elliptical-arc command, the unit circle for hyperbolic
+    geometry.  A spherical tessellation is drawn in one chart of the rotated
+    sphere (_drawing_chart); the tile that holds the chart's pole is the
+    outside of its three arcs, drawn against the view box with
+    fill-rule="evenodd"."""
     if not tess.tile_count:
         raise ValueError("refusing to render an empty tessellation")
-    x, y = tess.points
+    points, sides = tess.points, tess.sides
+    pole = np.zeros(tess.tile_count, bool)
     if tess.geometry is Geometry.HYPERBOLIC:
         box = (-1.05, -1.05, 2.1, 2.1)
     elif tess.geometry is Geometry.SPHERICAL:
         box = (-4.2, -4.2, 8.4, 8.4)
+        points, sides, pole = _drawing_chart(tess)
     else:
-        xs, ys = x[:, :3].ravel().tolist(), y[:, :3].ravel().tolist()
+        xs, ys = points[0, :, :3].ravel().tolist(), points[1, :, :3].ravel().tolist()
         pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
         box = (min(xs) - pad, min(ys) - pad,
                (max(xs) - min(xs)) + 2 * pad, (max(ys) - min(ys)) + 2 * pad)
-    # spherical tiles in the secondary chart or reaching far out are sampled
-    sampled = np.zeros(tess.tile_count, bool)
-    if tess.geometry is Geometry.SPHERICAL:
-        sampled = tess.secondary | np.any(np.hypot(x[:, :3], y[:, :3]) > 4.0, axis=1)
-    drawn = iter(_tile_paths(tess.points[:, ~sampled], tess.sides[:, ~sampled]))
+    # the view box, in the coordinates of the flipped group
+    left, right, low, high = map(_fmt, (box[0], box[0] + box[2], -box[1] - box[3], -box[1]))
+    frame = f"M {left} {low} L {right} {low} L {right} {high} L {left} {high} Z "
     stroke = f'stroke="{_STROKE}" stroke-width="{_fmt(_STROKE_WIDTH * max(box[2], box[3]))}"'
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -714,14 +710,11 @@ def export_svg(tess, path):
         f'viewBox="{_fmt(box[0])} {_fmt(box[1])} {_fmt(box[2])} {_fmt(box[3])}">',
         '<g transform="scale(1,-1)">',
     ]
-    for t, (word, sample) in enumerate(zip(tess.words, sampled.tolist())):
-        if sample:
-            z = [complex(a, b) for a, b in zip(x[t].tolist(), y[t].tolist())]
-            chart = "secondary" if tess.secondary[t] else "primary"
-            d, fill = _sampled_sphere_path(z[:3], z[3:], chart), "none"
-        else:
-            d, fill = next(drawn), _FILL[len(word) % 2]
-        lines.append(f'<path d="{d}" fill="{fill}" {stroke}/>')
+    lines += [
+        f'<path d="{frame}{d}" fill="{_FILL[n % 2]}" fill-rule="evenodd" {stroke}/>' if inside
+        else f'<path d="{d}" fill="{_FILL[n % 2]}" {stroke}/>'
+        for d, n, inside in zip(_tile_paths(points, sides), map(len, tess.words), pole.tolist())
+    ]
     if tess.geometry is Geometry.HYPERBOLIC:
         lines.append(
             f'<circle cx="0" cy="0" r="1" fill="none" stroke="{_STROKE}" '

@@ -20,6 +20,8 @@ from fractions import Fraction
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schwarz_atlas
 from schwarz_atlas import _kernels, cli, gauss, roots, schwarzcond, torus
@@ -550,6 +552,7 @@ def test_triangle_tessellate_files(tmp_path):
     jsonschema.validate(payload, cli.report_schema())
     assert svg.exists()
     side = json.loads(rep.read_text())
+    assert rep.read_text() == json.dumps(side, sort_keys=True, indent=2) + "\n"
     assert side["geometry"] == "hyperbolic"
     assert side["tile_count"] == payload["results"]["tile_count"]
     assert side["max_orthogonality_residual"] < 1e-9
@@ -629,7 +632,9 @@ def test_gauss_schwarz_triangle_zero_angle_is_an_ideal_vertex():
 def test_schwarz_triangle_reports_are_pinned(tmp_path, capsys):
     # every angle triple from {0, 1/2, 1/3, 1/5, 1/7}: all three geometries,
     # one to three zero angles and the zero-angle usage errors.  sha256 of
-    # (argv, exit code, stdout, stderr) and the SVG bytes, as first pinned
+    # (argv, exit code, stdout, stderr) and the SVG bytes, as first pinned;
+    # re-pinned when spherical triangles were drawn in the rotated drawing
+    # chart (the 19 spherical SVGs moved, and nothing else)
     svg = tmp_path / "t.svg"
     digest = hashlib.sha256()
     for angles in itertools.product(["0", "1/2", "1/3", "1/5", "1/7"], repeat=3):
@@ -643,7 +648,7 @@ def test_schwarz_triangle_reports_are_pinned(tmp_path, capsys):
         digest.update(repr(record).encode())
         digest.update(svg.read_bytes() if svg.exists() else b"no svg")
     assert digest.hexdigest() == (
-        "483624f8c37ec9a856da2cd718bf5d6ea49a7725fa4caf59d64b7f0706d4d041")
+        "9d1ed985c70fc26aa81035ae2956cf2726d80b5bcfc2331ae3cd3398f4350d7b")
 
 
 def test_schwarz_check_and_dm():
@@ -823,8 +828,7 @@ def test_every_declared_bound_holds_at_its_edge(path, flag, side, bound, capsys)
 def test_bounds_run_before_the_handler(monkeypatch, capsys):
     # main checks the declared bounds once, before it calls the handler (here
     # None, which a call would fail on)
-    monkeypatch.setattr(cli, "_cmd_torus_form", None)
-    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setitem(dict(_parsers())[("torus", "form")]._defaults, "func", None)
     code, out = run_cli(["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4",
                          "--samples", "0"])
     assert code == 2 and out == ""
@@ -1052,16 +1056,13 @@ def test_schwarz_check_reference_strings(case):
 
 def test_one_parser_serves_many_runs(monkeypatch):
     # several subcommands in one process, an argparse error (exit 2) among
-    # them, give the stdout and exit codes of fresh processes
-    builds = []
-    build = cli.build_parser
-
-    def counted():
-        builds.append(1)
-        return build()
-
-    monkeypatch.setattr(cli, "_PARSER", None)
-    monkeypatch.setattr(cli, "build_parser", counted)
+    # them, give the stdout and exit codes of fresh processes.  One parser is
+    # built, by the first build_parser() call, and main parses every run
+    # with it
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    parse, parsed = parser.parse_args, []
+    monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(argv) or parse(argv))
     runs = [
         ["schwarz", "check", "--type", "E", "--rank", "6", "--p", "4"],
         ["roots", "dump", "--type", "A", "--rank", "3", "--format", "text"],
@@ -1071,7 +1072,7 @@ def test_one_parser_serves_many_runs(monkeypatch):
         ["gauss", "schwarz-triangle", "--kappa", "1/2", "--lambda", "1/3", "--mu", "1/7"],
     ]
     in_process = [_run_exit(argv) for argv in runs]
-    assert len(builds) == 1
+    assert cli.build_parser.cache_info().misses == 1 and len(parsed) == len(runs)
     fresh = []
     for argv in runs:
         proc = _run_subprocess(argv)
@@ -1107,6 +1108,48 @@ def test_every_json_report_matches_the_schema(argv):
     code, out = run_cli(argv + ["--format", "json"])
     assert code == 0
     jsonschema.validate(json.loads(out), cli.report_schema())
+
+
+@pytest.mark.parametrize("argv", [*REPORT_ARGV, ["schema"]])
+def test_every_json_report_is_written_as_json_dumps_writes_it(argv):
+    code, out = run_cli(argv + ["--format", "json"])
+    assert code == 0
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+# the JSON text of values that the reports hold and of the edge cases of
+# json's number and string writers
+JSON_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\"quoted\"", "back\\slash", "\x00\x1f\t\n\x7f", "é ß ∞ 😀"]),
+    st.integers(),
+    st.integers(2**63 - 2, 2**70) | st.integers(-(2**70), -(2**63) + 2),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+                     1e16, 1e-7, 0.1, 1 / 3]),
+    st.booleans(),
+    st.none(),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    out = io.StringIO()
+    cli._emit(value, "json", out)
+    assert out.getvalue() == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": [{None: 0}]}, {"a": {2.5: 1}}])
+def test_json_writer_rejects_keys_that_are_not_str(value):
+    # json.dumps would write such a key as a string; no report has one
+    with pytest.raises(TypeError):
+        cli._emit(value, "json", io.StringIO())
 
 
 def _hyperbolic_m(family, rank):

@@ -4,6 +4,7 @@ import cmath
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import random
 from collections import Counter
@@ -224,51 +225,125 @@ def test_spherical_svg_renders_all_tiles(tmp_path):
     assert data.count("<path") == tess.tile_count
 
 
-def oracle_sphere_path(vertices, midpoints, chart, clip=8.0, samples=48):
-    """The sampled spherical path drawn point by point: one slerp, one
-    np.linalg.norm and one projection to the primary chart per sample, in
-    Python's complex arithmetic."""
-    pieces = []
-    pen_down = False
-    for i in range(3):
-        j = (i + 1) % 3
-        opp = (i + 2) % 3
-        a = tri._unproject(vertices[i], chart)
-        b = tri._unproject(vertices[j], chart)
-        mid = tri._unproject(midpoints[opp], chart)
-        for step in range(samples + 1):
-            s = step / samples
-            if s <= 0.5:
-                p0, p1, f = a, mid, 2 * s
-            else:
-                p0, p1, f = mid, b, 2 * s - 1
-            omega = math.acos(max(-1.0, min(1.0, float(p0 @ p1))))
-            if omega < 1e-12:
-                v = p0
-            else:
-                v = (math.sin((1 - f) * omega) * p0 + math.sin(f * omega) * p1) / math.sin(omega)
-            x, y, h = (v / np.linalg.norm(v)).tolist()
-            z = complex(math.inf, math.inf) if 1.0 + h < 1e-12 else complex(x, y) / (1.0 + h)
-            if math.isfinite(z.real) and abs(z) <= clip:
-                pieces.append(f"{'L' if pen_down else 'M'} {tri._fmt(z.real)} {tri._fmt(z.imag)}")
-                pen_down = True
-            else:
-                pen_down = False
-    return " ".join(pieces) if pieces else "M 0 0"
+def on_sphere(z, secondary):
+    """The unit-sphere point of the chart point z: stereographic from the
+    south pole, and (x, -y, -h) in the secondary chart."""
+    q = abs(z) ** 2
+    x, y, h = 2 * z.real / (1 + q), 2 * z.imag / (1 + q), (1 - q) / (1 + q)
+    return np.array([x, -y, -h] if secondary else [x, y, h])
 
 
-@pytest.mark.parametrize("exact", [False, True], ids=["svg", "bitwise"])
-@pytest.mark.parametrize("klm", [(2, 3, 3), (2, 3, 4), (2, 3, 5)])
-def test_sampled_sphere_path_matches_pointwise_oracle(klm, exact, monkeypatch):
-    if exact:
-        # every coordinate written in full, so that no bit of a point can move
-        monkeypatch.setattr(tri, "_fmt", float.hex)
-    tess = tri.tessellate(*klm)
-    assert tess.secondary.any()
-    for z, secondary in zip(chart_points(tess).tolist(), tess.secondary.tolist()):
-        chart = "secondary" if secondary else "primary"
-        drawn = tri._sampled_sphere_path(z[:3], z[3:6], chart)
-        assert drawn == oracle_sphere_path(z[:3], z[3:6], chart)
+def svg_arcs(d):
+    """The path data of one tile read back, every number by float.fromhex:
+    its start point and its three (radius, large-arc, sweep, end point)."""
+    words = d.split()
+    assert (words[0], words[3], words[11], words[19], words[27:]) == ("M", "A", "A", "A", ["Z"])
+    num = float.fromhex
+    start = complex(num(words[1]), num(words[2]))
+    arcs = [(num(words[i + 1]), words[i + 4] == "1", words[i + 5] == "1",
+             complex(num(words[i + 6]), num(words[i + 7]))) for i in (3, 11, 19)]
+    return start, arcs
+
+
+def svg_arc_centre(p, q, r, large, sweep):
+    """The centre of the SVG arc of radius r from p to q (SVG 1.1, F.6.5)."""
+    half = (p - q) / 2
+    coef = math.sqrt(max(r * r - abs(half) ** 2, 0.0) / abs(half) ** 2)
+    return (coef if large != sweep else -coef) * complex(half.imag, -half.real) + (p + q) / 2
+
+
+@pytest.mark.parametrize("case", ["2 3 3", "2 3 4", "2 3 5", "2 2 7", "1/2 1/3 1/4"])
+def test_spherical_svg_draws_every_tile_as_arcs(case, monkeypatch, tmp_path):
+    # every tile filled and drawn as three arcs in the chart of the rotated
+    # sphere; read back through the inverse rotation, each arc is the great
+    # circle through its side's two vertices and midpoint, and runs through
+    # the midpoint.  The tile holding the chart's pole, found from its
+    # vertices alone, is the one evenodd path, drawn against the view box
+    monkeypatch.setattr(tri, "_fmt", float.hex)
+    svg = tmp_path / "s.svg"
+    if "/" in case:
+        flags = [x for pair in zip(["--kappa", "--lambda", "--mu"], case.split()) for x in pair]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gauss", "schwarz-triangle", *flags, "--svg", str(svg)]) == 0
+        tess = tri.triangle_from_angles(*(float(Fraction(a)) * math.pi for a in case.split()),
+                                        Geometry.SPHERICAL)
+    else:
+        tess = tri.tessellate(*map(int, case.split()))
+        assert tess.closure_reached
+        tri.export_svg(tess, svg)
+    paths = [line for line in svg.read_text().splitlines() if line.startswith("<path")]
+    assert len(paths) == tess.tile_count
+    assert all(f'fill="{tri._FILL[len(word) % 2]}"' in line
+               for line, word in zip(paths, tess.words))
+    assert not any('fill="none"' in line for line in paths)
+
+    Q = tri._DRAW_ROTATION
+    model = [[on_sphere(z, secondary) for z in row]
+             for row, secondary in zip(chart_points(tess).tolist(), tess.secondary.tolist())]
+    pole = Q.T @ [0.0, 0.0, -1.0]
+    holds = [all(np.linalg.det([X[(i + 1) % 3], X[(i + 2) % 3], pole])
+                 * np.linalg.det([X[(i + 1) % 3], X[(i + 2) % 3], X[i]]) > 0 for i in range(3))
+             for X in model]
+    evenodd = [t for t, line in enumerate(paths) if 'fill-rule="evenodd"' in line]
+    assert evenodd == [t for t, inside in enumerate(holds) if inside]
+    assert len(evenodd) == (0 if "/" in case else 1)
+
+    def unproject(z):
+        return Q.T @ on_sphere(z, False)
+
+    def drawn(X):
+        Y = Q @ X
+        return complex(Y[0], Y[1]) / (1.0 + Y[2])
+
+    lo, hi = float.hex(-4.2), float.hex(4.2)
+    frame = f"M {lo} {lo} L {hi} {lo} L {hi} {hi} L {lo} {hi} Z "
+    worst = 0.0
+    for t, (line, X) in enumerate(zip(paths, model)):
+        d = line.split('"')[1]
+        if t in evenodd:
+            assert d.startswith(frame)
+            d = d[len(frame):]
+        pen, arcs = svg_arcs(d)
+        # side 2 runs from vertex 0 to vertex 1, side 0 on to 2, side 1 back
+        for (r, large, sweep, end), (a, b, side) in zip(arcs, [(0, 1, 2), (1, 2, 0), (2, 0, 1)]):
+            worst = max(worst, np.abs(unproject(pen) - X[a]).max(),
+                        np.abs(unproject(end) - X[b]).max())
+            c = svg_arc_centre(pen, end, r, large, sweep)
+            # the chart circle |z - c| = r is the plane N.Y = -(1 + |c|^2 - r^2)
+            # of the rotated sphere, and Q^T N the normal in the model
+            offset = -(1.0 + abs(c) ** 2 - r * r)
+            N = np.array([-2 * c.real, -2 * c.imag, abs(c) ** 2 - r * r - 1.0])
+            scale = np.linalg.norm(N)
+            worst = max(worst, abs(offset) / scale,
+                        *(abs((Q.T @ N) @ X[v]) / scale for v in (a, b, 3 + side)))
+            # the arc turns from the start through the midpoint to the end
+            turn = 1.0 if sweep else -1.0
+            angle = [(turn * cmath.phase((z - c) / (pen - c))) % (2 * math.pi)
+                     for z in (drawn(X[3 + side]), end)]
+            assert angle[0] < angle[1] and (angle[1] > math.pi) == large
+            pen = end
+    assert worst < 1e-9
+
+
+def test_drawing_pole_stays_off_every_side():
+    # the bound that the comment on triangle._DRAW_ROTATION states: the sine
+    # of the angular distance from the drawing chart's pole to each side
+    pole = tri._DRAW_ROTATION.T @ [0.0, 0.0, -1.0]
+    drawn = [tri.tessellate(*klm)
+             for klm in [(2, 3, 3), (2, 3, 4), (2, 3, 5), *((2, 2, n) for n in range(2, 61))]]
+    for angles in itertools.product(map(Fraction, ["1/2", "1/3", "1/4", "1/5", "1/7", "2/3",
+                                                   "3/4", "5/6"]), repeat=3):
+        # the spherical triples that gauss schwarz-triangle accepts
+        if sum(angles) > 1 and 1 + 2 * min(angles) > sum(angles):
+            drawn.append(tri.triangle_from_angles(*(float(a) * math.pi for a in angles),
+                                                  Geometry.SPHERICAL))
+    assert len(drawn) == 63 + 228
+    for tess in drawn:
+        flip = np.where(tess.secondary, -1.0, 1.0)[:, None]
+        b1, b2, c = tess.sides[1:]
+        normals = np.stack([b1, b2 * flip, c * flip])
+        sine = np.abs(np.tensordot(pole, normals, 1)) / np.linalg.norm(normals, axis=0)
+        assert sine.min() > 0.0078
 
 
 def test_ideal_triangle():
@@ -525,6 +600,21 @@ def oracle_tile_path(v, mids, sides):
     return " ".join(pieces)
 
 
+def oracle_sphere_paths(tess):
+    """The path data of each tile of a spherical tessellation, one tile at a
+    time from the arrays of the drawing chart, which
+    test_spherical_svg_draws_every_tile_as_arcs checks on the sphere."""
+    points, rows, pole = tri._drawing_chart(tess)
+    z = np.empty(points.shape[1:], complex)
+    z.real, z.imag = points
+    lo, hi = tri._fmt(-4.2), tri._fmt(4.2)
+    frame = f"M {lo} {lo} L {hi} {lo} L {hi} {hi} L {lo} {hi} Z "
+    return [frame * inside + oracle_tile_path(
+                zt[:3], zt[3:], [(a, complex(br, bi), c) for a, br, bi, c in coeffs])
+            for zt, coeffs, inside in zip(z.tolist(), rows.transpose(1, 2, 0).tolist(),
+                                          pole.tolist())]
+
+
 def check_against_oracle(tess, tmp_path):
     """Every side, residual and SVG path of tess against the per-tile
     oracle, each number compared by its float.hex."""
@@ -533,9 +623,7 @@ def check_against_oracle(tess, tmp_path):
         return float(a).hex(), b.real.hex(), b.imag.hex(), float(c).hex()
 
     residuals, orthogonality, paths = [], [], []
-    tiles = zip(chart_points(tess).tolist(), tess.sides.transpose(1, 2, 0).tolist(),
-                tess.secondary.tolist())
-    for z, coeffs, secondary in tiles:
+    for z, coeffs in zip(chart_points(tess).tolist(), tess.sides.transpose(1, 2, 0).tolist()):
         vertices, mids = z[:3], z[3:6]
         built = [(a, complex(br, bi), c) for a, br, bi, c in coeffs]
         if tess.geometry is Geometry.SPHERICAL:
@@ -550,11 +638,7 @@ def check_against_oracle(tess, tmp_path):
         residuals.append(oracle_angle_residual(vertices, mids, tess.angles, sides))
         if tess.geometry is Geometry.HYPERBOLIC:
             orthogonality.extend(oracle_orthogonality(s) for s in sides)
-        chart = "secondary" if secondary else "primary"
-        sampled = tess.geometry is Geometry.SPHERICAL and (
-            secondary or any(abs(v) > 4.0 for v in vertices))
-        paths.append(oracle_sphere_path(vertices, mids, chart) if sampled
-                     else oracle_tile_path(vertices, mids, sides))
+        paths.append(oracle_tile_path(vertices, mids, sides))
     per_tile = tri._angle_residuals(tess.points, tess.sides, tess.angles).tolist()
     assert list(map(float.hex, per_tile)) == list(map(float.hex, residuals))
     assert tess.max_angle_residual().hex() == max(residuals).hex()
@@ -564,6 +648,8 @@ def check_against_oracle(tess, tmp_path):
         assert alone.item().hex() == residuals[i].hex()
     if orthogonality:
         assert tess.max_orthogonality_residual().hex() == max(orthogonality).hex()
+    if tess.geometry is Geometry.SPHERICAL:
+        paths = oracle_sphere_paths(tess)
     svg = tri.export_svg(tess, tmp_path / "t.svg")
     assert [line.split('"')[1] for line in svg.splitlines() if line.startswith("<path")] == paths
 
@@ -643,7 +729,9 @@ def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
     assert tess.max_angle_residual().hex() == residual.hex()
     monkeypatch.setattr(tri, "_fmt", float.hex)
     svg = tri.export_svg(tess, tmp_path / "t.svg")
-    assert svg.splitlines()[3].split('"')[1] == oracle_tile_path(z[:3], z[3:6], sides)
+    want = (oracle_sphere_paths(tess)[0] if geometry is Geometry.SPHERICAL
+            else oracle_tile_path(z[:3], z[3:6], sides))
+    assert svg.splitlines()[3].split('"')[1] == want
 
 
 @pytest.mark.parametrize("argv", [
