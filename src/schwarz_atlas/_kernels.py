@@ -21,15 +21,20 @@ epsilon.  Batches hold up to _GAUSS_BATCH_STEPS steps and _GAUSS_BLOCK
 terms of each.
 
 `torus_segment` continues the rank-n torus jet frame dF/dt = B(t) F along
-the log-linear segments of a path.  A step is half the distance in t to the
-nearest mirror crossing.  Steps go in batches whose coefficient stacks fit a
-fixed byte budget (_TORUS_BATCH_BYTES: about 8 steps at E8, wider at lower
-rank), with room for _TORUS_START_TERMS terms at first and more, within the
-budget, when a series needs them.  Each term is one numpy call for the whole
-batch: the Riccati recurrence of coth for the Taylor coefficients of every
-root coefficient -coth(L/2), one real GEMM for the Taylor coefficients of B,
-and one batched matmul for the convolution that gives the frame's
-coefficients.
+the log-linear segments of many paths in one call: every loop of a
+monodromy or form measurement, or every sample path of a ball check.  At low
+rank a batch of steps costs about as much as a part-filled one, so one call
+for all the paths takes fewer batches than one call per path.  A step is
+half the distance in t to the nearest mirror crossing.  Steps go in batches
+whose coefficient stacks fit a fixed byte budget (_TORUS_BATCH_BYTES: about
+7 steps at E8, wider at lower rank), with room for _TORUS_START_TERMS terms
+at first and more, within the budget, when a series needs them.  Each term
+is one numpy call for the whole batch: the Riccati recurrence of coth for
+the Taylor coefficients of every root coefficient -coth(L/2), one real GEMM
+for the Taylor coefficients of B, and one batched matmul for the
+convolution that gives the frame's coefficients.  Each step's series stops
+at its own last term, so a path's frame does not depend on the paths that
+share its call beyond rounding.
 
 Every breakdown raises NumericFailure where it is found, naming the segment.
 Both kernels return (result, True): perfbench/tracer.py reads r[-1].
@@ -235,27 +240,32 @@ _TORUS_MAX_TERMS = 400
 # terms a batch's coefficient stacks make room for at first; a batch that needs
 # more starts again with twice the room and correspondingly fewer steps
 _TORUS_START_TERMS = 48
-# bytes of coefficient stacks in one batch: those of a single E8 step with room
-# for _TORUS_MAX_TERMS terms (401 blocks of 120 root coefficients and two 9x9
-# matrices), so about 8 steps per batch at E8 and more at lower rank
+# bytes of one batch's coefficient stacks and of the root matrices K0 they are
+# multiplied by: the stacks of a single E8 step with room for _TORUS_MAX_TERMS
+# terms (401 blocks of 120 root coefficients and two 9x9 matrices), so about 7
+# steps per batch at E8 and more at lower rank.  K0 grows with the roots that
+# move on some path of a call, so it is counted against the budget
 _TORUS_BATCH_BYTES = 401 * (120 + 2 * 81) * 16
 
 
-def torus_segment(lz0, m, croots, coroots, k, svec):
+def torus_segment(lz0, m, ends, croots, coroots, k, svec):
     """Transport the (n+1)x(n+1) jet frame that starts as the identity along
-    consecutive log-linear torus segments.
+    each of a stack of paths, every path a run of consecutive log-linear
+    torus segments.
 
     Segment s runs through the log-coordinates lz0[s] + t m[s], t in [0, 1];
-    lz0, m and the constant scalar columns svec are (segments, n) stacks, or
-    single rows for one segment.  croots and coroots are the real positive-root
-    and coroot coordinate rows.  Returns (frame, True).  Raises
-    NumericFailure, naming the segment, when a step point comes within
-    _MIN_CLEARANCE of a mirror, where the system is singular (nothing is
-    transported then), when a step's series has not fallen below
-    max(_TORUS_RTOL, _EPS) times its largest term after _TORUS_MAX_TERMS
-    terms, or when the frame stops being finite.
+    lz0, m and the constant scalar columns svec are (segments, n) stacks, the
+    segments of every path in path order, and path p is the segments before
+    ends[p] that its predecessor has not taken, as in gauss_segment.  All the
+    paths' steps share one grid and go through the same batches.  croots and
+    coroots are the real positive-root and coroot coordinate rows.  Returns
+    (frames, True): frames[p] is the frame continued along path p, the
+    identity for a path without segments.  Raises NumericFailure, naming the
+    segment, when a step point comes within _MIN_CLEARANCE of a mirror, where
+    the system is singular (nothing is transported then), when a step's
+    series has not fallen below max(_TORUS_RTOL, _EPS) times its largest term
+    after _TORUS_MAX_TERMS terms, or when a frame stops being finite.
     """
-    lz0, m, svec = (np.atleast_2d(np.asarray(v, dtype=np.complex128)) for v in (lz0, m, svec))
     seg, ts, hs, moving = _torus_grid(lz0, m, croots)
     # dF/dt = B(t) F: row 0 of B is [0, -m], column 0 is [0; svec], and the
     # lower block is sum_p b_p u_p(t) K0_p with L_p(t) = a_p + b_p t the log of
@@ -268,14 +278,26 @@ def torus_segment(lz0, m, croots, coroots, k, svec):
     nr = croots.shape[0]
     J = _TORUS_MAX_TERMS
     tol = max(_TORUS_RTOL, _EPS)
-    K0 = (0.5 * k) * (croots[:, :, None] * coroots[:, None, :]).reshape(nr, -1)
-    F = np.eye(n1, dtype=np.complex128)
+    K0 = (0.5 * k) * (croots[:, :, None] * coroots[:, None, :]).reshape(nr, (n1 - 1) ** 2)
+    one = np.eye(n1, dtype=np.complex128)
+    frames = np.empty((len(ends), n1, n1), dtype=np.complex128)
+    # the steps of path p are those before stops[p]
+    stops = np.searchsorted(seg, ends).tolist()
+    p = 0
+    F = one
+
+    def require_finite(i):
+        if not np.isfinite(F).all():
+            raise NumericFailure(
+                f"torus segment from {lz0[seg[i]].tolist()} along {m[seg[i]].tolist()}: "
+                f"frame is not finite at t = {ts[i] + hs[i]}")
+
     cap = min(_TORUS_START_TERMS, J) + 1
     first = 0
     # an overflowing series or frame is caught by the checks below
     with np.errstate(over="ignore", invalid="ignore"):
         while first < len(ts):
-            width = max(1, _TORUS_BATCH_BYTES // (16 * cap * (nr + 2 * n1 * n1)))
+            width = max(1, (_TORUS_BATCH_BYTES - K0.nbytes) // (16 * cap * (nr + 2 * n1 * n1)))
             s = seg[first:first + width]
             t, h = ts[first:first + width], hs[first:first + width]
             b = m[s] @ croots.T
@@ -291,14 +313,19 @@ def torus_segment(lz0, m, croots, coroots, k, svec):
                     raise NumericFailure(
                         f"torus segment from {lz0[seg[i]].tolist()} along {m[seg[i]].tolist()}: "
                         f"series at t = {ts[i]} did not converge within {J} terms")
-            for D in P:
+            for i, D in enumerate(P, first):
+                while stops[p] == i:
+                    require_finite(i - 1)
+                    frames[p] = F
+                    F = one
+                    p += 1
                 F = F + D @ F
-            if not np.isfinite(F).all():
-                raise NumericFailure(
-                    f"torus segment from {lz0[s[-1]].tolist()} along {m[s[-1]].tolist()}: "
-                    f"frame is not finite at t = {t[-1] + h[-1]}")
             first += len(t)
-    return F, True
+            require_finite(first - 1)
+    frames[p:] = one
+    if p < len(frames):
+        frames[p] = F
+    return frames, True
 
 
 def _torus_propagators(L, b, m, svec, h, K0, cap, tol):
@@ -309,9 +336,11 @@ def _torus_propagators(L, b, m, svec, h, K0, cap, tol):
     Every term is computed for the whole batch at once, from stacks with room
     for cap - 1 terms.  Returns each step's propagator minus the identity and
     whether each step's series has fallen below tol times its largest term
-    for two terms in a row.  The identity is left out so that the frame F is
-    carried as F + D F: F itself then takes no rounding from the product, as
-    it takes none when a step's series starts from the frame.
+    for two terms in a row.  A step's sum stops at its own last term, so its
+    propagator does not depend on the other steps of the batch.  The identity
+    is left out so that the frame F is carried as F + D F: F itself then
+    takes no rounding from the product, as it takes none when a step's series
+    starts from the frame.
     """
     w, nr = L.shape
     n = m.shape[1]
@@ -335,6 +364,8 @@ def _torus_propagators(L, b, m, svec, h, K0, cap, tol):
     Fv[:, cap - 1] = np.eye(n1)
     big = np.ones(w)
     small = done = np.zeros(w, dtype=bool)
+    # row j: whether each step's series is done by term j
+    history = np.empty((cap - 1, w), dtype=bool)
     for j in range(cap - 1):
         # the lower block of B_j as one real GEMM for the whole batch
         g = np.concatenate((V[j].real, V[j].imag)) @ K0
@@ -352,11 +383,21 @@ def _torus_propagators(L, b, m, svec, h, K0, cap, tol):
         size = np.abs(term).max(axis=(1, 2))
         np.maximum(big, size, out=big)
         now = size <= tol * big
-        done = done | (now & small)
+        done = np.logical_or(done, now & small, out=history[j])
         small = now
         if done.all():
             break
-    return Fv[:, cap - 2 - j:cap - 1].sum(axis=1), done
+    # position p of terms holds term j - p
+    terms = Fv[:, cap - 2 - j:cap - 1]
+    if j and history[j - 1].any():
+        # a step's series ends at its own last term, the first by which it is
+        # done (all of them for a step that is not): the terms the batch
+        # computed past it are zeroed, so a step's propagator does not depend
+        # on the other steps of its batch
+        last = np.where(done, history[:j + 1].argmax(axis=0), j)
+        head = terms[:, :j - last.min()]
+        head[np.arange(j, last.min(), -1) > last[:, None]] = 0.0
+    return terms.sum(axis=1), done
 
 
 def _torus_grid(lz0, m, croots):

@@ -392,12 +392,11 @@ def _cmd_torus_monodromy(args):
 
 
 def _cmd_torus_form(args):
-    from .torus import (ball_check, hecke_base_point, hecke_generators, invariant_form,
-                        sample_points_near)
+    from .torus import ball_check, hecke_base_point, monodromy_form, sample_points_near
 
     system = roots.build(_rtype_from(args))
     k = args.k
-    form = invariant_form(hecke_generators(system, k))
+    form = monodromy_form(system, k)
     samples = sample_points_near(system, hecke_base_point(system), args.samples, seed=args.seed)
     ball = ball_check(system, k, form, samples)
     negative = all(v < 0 for v in ball)
@@ -408,7 +407,7 @@ def _cmd_torus_form(args):
         results={
             "hermitian_form": _matrix_out(form.matrix),
             "signature": list(form.signature),
-            # invariant_form raises unless its solution space is a line
+            # monodromy_form raises unless its solution space is a line
             "solution_space_dimension": 1,
             "ball_values": list(ball),
             "ball_all_negative": negative,

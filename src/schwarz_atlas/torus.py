@@ -3,8 +3,9 @@ the first-order frame connection at a stack of points, one
 (points, n, n+1, n+1) array built by _connection, and its curvature,
 multidimensional continuation along log-linear paths, mirror monodromy, the
 Hecke generators of the orbifold group with the coordinate loops, the
-invariant Hermitian form, and the negative-cone (ball) check, whose values
-are the unsigned pairings under the inverse form.
+invariant Hermitian form (Couwenberg-Heckman-Looijenga, Publ. IHES 101,
+2005), and the negative-cone (ball) check, whose values are the unsigned
+pairings under the inverse form.
 
 Coordinates are z_i = h^{-alpha_i}; the vector fields theta_i dual to the
 simple roots act as -z_i d/dz_i, so characters restrict to monomials and all
@@ -15,21 +16,28 @@ _reflection_matrix.  Only char_value, the exact monomial, takes coordinates z.
 Every loop and every form starts at one base point, the real point b of
 hecke_base_point in the dominant chamber.  The half-turn T_i continues the
 frame from b to s_i b and pulls it back by s_i; hecke_generators gives the n
-half-turns and the n coordinate loops at b, and invariant_form solves the form
-H_b from them.  The mirror loop of a positive root alpha is T_alpha^2 with
-T_alpha = T_w T_j T_w^-1, where w(alpha_j) = alpha comes from descending alpha
-to a simple root: matrix algebra on the half-turns that w and j use, with no
-transport of its own.  invariant_form solves M* H M = H on column-major
-vec(H) as the null line of one stacked complex system with blocks
-M^T kron M* - 1, by vec(A X B) = (B^T kron A) vec(X), and takes the
-Hermitian one of H + H* and i(H - H*).  ball_check's paths and torus form's
-samples start at b; only the torus flatness report samples around
-default_base_point.  Scalar couplings are exact; continuation runs through
-_kernels.torus_segment, once per path: it lays out the step grid of every
-segment of the path (steps of half the distance to the nearest mirror
-crossing), sums each step's propagator, the Taylor series of the frame that
-starts as the identity, in batches of steps whose coefficient stacks fit a
-fixed byte budget, and multiplies the propagators in path order.
+half-turns and the n coordinate loops at b.  monodromy_form gives the form
+H_b: for 0 < k < m with k != 1/h and 2k != 1 it reads the n half-turns and
+one coordinate loop and solves H from the structure of the Hecke reflection
+representation (_reflection_form, O(n^3)); elsewhere invariant_form solves
+it from all 2n loops.  The mirror loop of a positive root alpha is
+T_alpha^2 with T_alpha = T_w T_j T_w^-1, where w(alpha_j) = alpha comes from
+descending alpha to a simple root: matrix algebra on the half-turns that w
+and j use, with no transport of its own.  invariant_form, the Kronecker
+solve, solves M* H M = H on column-major vec(H) as the null line of one
+stacked complex system with blocks M^T kron M* - 1, by
+vec(A X B) = (B^T kron A) vec(X), and takes the Hermitian one of H + H* and
+i(H - H*); the SVD of that system is the one step whose bits follow the BLAS
+thread count.  ball_check's paths and torus form's samples start at b; only
+the torus flatness report samples around default_base_point.  Scalar
+couplings are exact; continuation runs through _kernels.torus_segment, once
+per measurement for all of its paths (the loops of hecke_generators,
+mirror_monodromy or monodromy_form, the sample paths of ball_check): it lays
+out the step grid of every segment of every path (steps of half the
+distance to the nearest mirror crossing), sums each step's propagator, the
+Taylor series of the frame that starts as the identity, in batches of steps
+whose coefficient stacks fit a fixed byte budget, and multiplies the
+propagators in path order.
 That grid is the one mirror guard of a path: it raises when a step point comes
 within _kernels._MIN_CLEARANCE of a mirror.  The sampled clearance,
 _clearance, is read only by sample_points_near, which keeps a draw whose path
@@ -52,13 +60,14 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 
 import numpy as np
 
 from . import _kernels
 from .gauss import scaled_spectrum_residual
-from .roots import integrability_constant
+from .roots import coxeter_number, hyperbolic_exponent, integrability_constant
 
 __all__ = [
     "MirrorSingularity",
@@ -71,6 +80,7 @@ __all__ = [
     "mirror_monodromy",
     "hecke_residual",
     "hecke_generators",
+    "monodromy_form",
     "invariant_form",
     "ball_check",
     "sample_points_near",
@@ -303,34 +313,41 @@ def _flatness_gate(system, k):
         raise _kernels.NumericFailure(f"connection is not flat at the start (residual {res:.2e})")
 
 
-def transport(system, k, path):
-    """The jet frame that starts as the identity, continued along the path by
-    integrating dF = (sum A_i dlog z_i) F; path is a (points, n) array of
+def transport(system, k, paths):
+    """The jet frames that start as the identity, each continued along one of
+    the paths by integrating dF = (sum A_i dlog z_i) F, as a
+    (len(paths), n+1, n+1) stack; each path is a (points, n) array of
     log-coordinates.
 
-    All segments go to one _kernels.torus_segment call, which lays out every
-    segment's step grid, each step half the distance to the nearest mirror
-    crossing, computes the steps' propagators in batches and multiplies them
-    in path order, each series summed to _kernels._TORUS_RTOL.  Nothing is
-    sampled first: the kernel's grid is the one mirror guard, and it raises
+    Every segment of every path goes to one _kernels.torus_segment call,
+    which lays out every segment's step grid, each step half the distance to
+    the nearest mirror crossing, computes the steps' propagators in batches
+    shared by all the paths and multiplies them in path order, each series
+    summed to _kernels._TORUS_RTOL.  A path's frame from a shared call
+    differs from its frame alone only at rounding level.  Nothing is sampled
+    first: the kernel's grid is the one mirror guard, and it raises
     _kernels.NumericFailure, naming the segment, when a step point comes
-    within _kernels._MIN_CLEARANCE of a mirror or a series or the frame
-    breaks down.  That guard is not an accuracy bound: past k = 1/2 a path
-    that runs close to a mirror loses digits the kernel does not report (the
-    A2 simple-root ring of radius 1e-3 against radius 0.1: 8.7e-12 relative
-    at k = 3/4, 5.9e-7 at k = 2), and the Hecke residual does not see the
-    loss.  The curvature is not checked here: mirror_monodromy and
-    hecke_generators check it once at hecke_base_point.
+    within _kernels._MIN_CLEARANCE of a mirror or a series or a frame breaks
+    down.  That guard is not an accuracy bound: past k = 1/2 a path that
+    runs close to a mirror loses digits the kernel does not report (the A2
+    simple-root ring of radius 1e-3 against radius 0.1: 8.7e-12 relative at
+    k = 3/4, 5.9e-7 at k = 2), and the Hecke residual does not see the loss.
+    The curvature is not checked here: each monodromy measurement checks it
+    once at hecke_base_point.
     """
-    pts = np.asarray(path, dtype=np.complex128)
-    moves = np.diff(pts, axis=0)
-    kept = np.max(np.abs(moves), axis=1) >= 1e-15
-    if not kept.any():
-        return np.eye(system.rank + 1, dtype=np.complex128)
+    starts, moves = [], []
+    for path in paths:
+        pts = np.asarray(path, dtype=np.complex128)
+        step = np.diff(pts, axis=0)
+        kept = np.max(np.abs(step), axis=1) >= 1e-15
+        starts.append(pts[:-1][kept])
+        moves.append(step[kept])
+    ends = np.cumsum([len(move) for move in moves])
     croots, coroots, _, cart = _float_rows(system)
+    m = np.concatenate(moves)
     afac = float(integrability_constant(system)) * float(k) ** 2
-    svec = afac * np.linalg.solve(cart, moves[kept].T).T
-    return _kernels.torus_segment(pts[:-1][kept], moves[kept], croots, coroots,
+    svec = afac * np.linalg.solve(cart, m.T).T
+    return _kernels.torus_segment(np.concatenate(starts), m, ends, croots, coroots,
                                   float(k), svec)[0]
 
 
@@ -354,13 +371,21 @@ def _half_turn(system, i, base):
                      for s in range(13)])
 
 
-def _half_turn_generator(system, k, i, base):
-    """T_i = diag(1, A_i^T) transport(half-turn i): the frame continued from
-    base to s_i base and pulled back by the simple reflection
-    A_i = _reflection_matrix(system, i)."""
+def _loops(system, k, halves, circles):
+    """The half-turns T_i at the base point b of hecke_base_point for i in
+    halves, then the coordinate loops around z_j at b for j in circles, as
+    one (loops, n+1, n+1) stack from one transport call.  T_i =
+    diag(1, A_i^T) transport(half-turn i): the frame continued from b to
+    s_i b and pulled back by the simple reflection A_i =
+    _reflection_matrix(system, i)."""
+    b = hecke_base_point(system)
+    frames = transport(system, k, [_half_turn(system, i, b) for i in halves]
+                       + [_coordinate_circle(system, j, b) for j in circles])
     pullback = np.eye(system.rank + 1)
-    pullback[1:, 1:] = _reflection_matrix(system, i).T
-    return pullback @ transport(system, k, _half_turn(system, i, base))
+    for row, i in enumerate(halves):
+        pullback[1:, 1:] = _reflection_matrix(system, i).T
+        frames[row] = pullback @ frames[row]
+    return frames
 
 
 def _descent(system, alpha):
@@ -391,12 +416,13 @@ def mirror_monodromy(system, k, alpha):
     positive root alpha, in the jet frame at the base point b of
     hecke_base_point: T_alpha^2 with T_alpha = T_w T_j T_w^-1, (w, j) from
     _descent and T_w the product of the half-turns of w in word order.  Only
-    the half-turns that w and j use are transported.  The flatness gate runs
-    at b first; T_w, T_alpha and the square must have finite norms."""
+    the half-turns that w and j use are transported, in one transport call.
+    The flatness gate runs at b first; T_w, T_alpha and the square must have
+    finite norms."""
     _flatness_gate(system, k)
     word, j = _descent(system, alpha)
-    b = hecke_base_point(system)
-    T = {i: _half_turn_generator(system, k, i, b) for i in sorted({*word, j})}
+    used = sorted({*word, j})
+    T = dict(zip(used, _loops(system, k, used, ())))
     Ta = T[j]
     with np.errstate(over="ignore", invalid="ignore"):
         if word:
@@ -421,17 +447,15 @@ def hecke_residual(M, k):
 
 
 def hecke_generators(system, k):
-    """The 2n generators the invariant form is solved from, at the base point
-    b of hecke_base_point: first the n half-turns T_i of
-    _half_turn_generator, which generate the orbifold group and satisfy
-    (T_i - 1)(T_i + q) = 0 with q = exp(-2 pi i k), then the n coordinate
-    loops z_j -> e^{2 pi i t} z_j at b.  The flatness gate runs at b once.
+    """The 2n generators the Kronecker solve of invariant_form reads, at the
+    base point b of hecke_base_point, as one (2n, n+1, n+1) stack from one
+    transport call: first the n half-turns T_i of _loops, which generate the
+    orbifold group and satisfy (T_i - 1)(T_i + q) = 0 with
+    q = exp(-2 pi i k), then the n coordinate loops z_j -> e^{2 pi i t} z_j
+    at b.  The flatness gate runs at b once.
     """
     _flatness_gate(system, k)
-    b = hecke_base_point(system)
-    halves = [_half_turn_generator(system, k, i, b) for i in range(system.rank)]
-    return halves + [transport(system, k, _coordinate_circle(system, j, b))
-                     for j in range(system.rank)]
+    return _loops(system, k, range(system.rank), range(system.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +469,85 @@ class InvariantForm:
     singular_values: np.ndarray
 
 
+def monodromy_form(system, k):
+    """The invariant Hermitian form H_b of the monodromy at coupling k, at the
+    base point b of hecke_base_point.  The flatness gate runs at b once.
+
+    Where _reflection_range holds (0 < k < m, k != 1/h, 2k != 1), the n
+    half-turns and the first coordinate loop are transported in one call and
+    _reflection_form solves H from them.  Everywhere else the Kronecker
+    solve, invariant_form(hecke_generators(system, k)), reads all 2n loops.
+    """
+    if not _reflection_range(system, k):
+        return invariant_form(hecke_generators(system, k))
+    _flatness_gate(system, k)
+    return _reflection_form(system, _loops(system, k, range(system.rank), (0,)))
+
+
+def _reflection_range(system, k):
+    """Whether 0 < k < m, k != 1/h and 2k != 1, in exact Fractions: inside
+    (0, m) these are the only k where G_0 = I + A/(2 cos pi k), with A the
+    Dynkin adjacency, is singular or undefined.  A has the eigenvalues
+    2 cos(pi m_j/h) over the exponents m_j, so G_0 is singular exactly at
+    k = +-m_j/h (mod 2), and the only exponent with m_j/h < m is m_j = 1;
+    2 cos pi k vanishes at k = 1/2, which lies in (0, m) only for A2."""
+    k = Fraction(k)
+    return (0 < k < hyperbolic_exponent(system) and k != Fraction(1, coxeter_number(system))
+            and 2 * k != 1)
+
+
+def _reflection_form(system, loops):
+    """The invariant form from the n half-turns loops[:n] and one coordinate
+    loop loops[n], solved through the structure of the Hecke reflection
+    representation (Geck & Pfeiffer, Characters of Finite Coxeter Groups and
+    Iwahori-Hecke Algebras, 2000).
+
+    Each T_i - 1 = u_i w_i* has rank one: u_i is its column of largest norm,
+    and w_i* its least-squares row against u_i.  An invariant H maps u_i to
+    c_i w_i.  Hermitian symmetry, c_i (w_i* u_j)^- = c_j^- (w_j* u_i), fixes
+    each c_j from c_i along the Dynkin edge i-j, and so every c_j from c_0
+    up to one real scale; c_0 makes the Gram entry u_0* H u_0 one.  H is
+    block-diagonal in the basis (u_1, ..., u_n, f), where f spans the common
+    kernel of the w_i*: with V and e the rows of the inverse basis matrix,
+    H = r V* G V + s e* e, G the Gram matrix of the u_i.  The two real
+    scales (r, s) are the null vector of the loop's equation M* H M = H,
+    divided by ||M||_F^2, in its real and imaginary parts: a least-squares
+    system in two unknowns, whose null count reads _RANK_TOL as
+    invariant_form does.  The residual is the largest ||M* H M - H|| over
+    the n + 1 loops.
+    """
+    n = system.rank
+    T, M = loops[:n], loops[n]
+    R = T - np.eye(n + 1)
+    U = R[np.arange(n), :, np.argmax(np.linalg.norm(R, axis=1), axis=1)]
+    W = np.einsum("ia,iab->ib", U.conj(), R) / np.sum(np.abs(U) ** 2, axis=1)[:, None]
+    X = W @ U.T    # X[i, j] = w_i* u_j
+    c = np.zeros(n, dtype=np.complex128)
+    c[0] = 1.0 / np.conj(X[0, 0])
+    # breadth first over the Dynkin tree: the list grows as it is read
+    reached = [0]
+    for i in reached:
+        for j in range(n):
+            if system.cartan[i][j] and j not in reached:
+                c[j] = np.conj(c[i]) * X[i, j] / np.conj(X[j, i])
+                reached.append(j)
+    G = X.conj().T * c    # G[j, i] = u_j* H u_i = c_i (w_i* u_j)^-
+    f = np.linalg.svd(W)[2][-1].conj()
+    inv = np.linalg.inv(np.concatenate([U, f[None]]).T)
+    V, e = inv[:n], inv[n]
+    parts = [V.conj().T @ ((G + G.conj().T) / 2) @ V, np.outer(e.conj(), e)]
+    parts = [P / np.linalg.norm(P) for P in parts]
+    L = np.stack([(M.conj().T @ P @ M - P).ravel() / np.linalg.norm(M) ** 2 for P in parts],
+                 axis=1)
+    _, svals, vt = np.linalg.svd(np.concatenate([L.real, L.imag]), full_matrices=False)
+    _count_null_line(svals)
+    H = vt[-1, 0] * parts[0] + vt[-1, 1] * parts[1]
+    return _signed_form(H + H.conj().T, loops, svals)
+
+
 def invariant_form(generators):
     """Least-squares solve of M* H M = H over Hermitian H for all generators,
-    loops at one base point.
+    loops at one base point: the Kronecker solve.
 
     By vec(A X B) = (B^T kron A) vec(X) on column-major vec, each generator
     is one block (M^T kron M* - 1) of a complex system on vec(H), divided by
@@ -463,7 +563,8 @@ def invariant_form(generators):
     or a coupling outside the hyperbolic range).  H is normalised to unit
     Frobenius norm and signed so that the positive eigenvalues are the
     majority; the residual is the largest ||M* H M - H|| over the
-    generators.
+    generators.  The SVD of the stacked system, (1296, 81) at E8, is the
+    one step whose bits depend on the BLAS thread count.
     """
     gens = [np.asarray(M, dtype=np.complex128) for M in generators]
     if not gens:
@@ -473,6 +574,15 @@ def invariant_form(generators):
     L = np.concatenate([(np.kron(M.T, M.conj().T) - one) / np.linalg.norm(M) ** 2
                         for M in gens])
     _, svals, vt = np.linalg.svd(L, full_matrices=False)
+    _count_null_line(svals)
+    H = vt[-1].conj().reshape(N, N, order="F")
+    return _signed_form(max(H + H.conj().T, 1j * (H - H.conj().T), key=np.linalg.norm),
+                        gens, svals)
+
+
+def _count_null_line(svals):
+    """Raise InvariantFormError unless exactly one of the singular values
+    svals of a form solve is at most _RANK_TOL of the largest."""
     smax = svals[0] if svals[0] > 0 else 1.0
     null_dim = int(np.sum(svals <= _RANK_TOL * smax))
     if null_dim == 0:
@@ -483,16 +593,23 @@ def invariant_form(generators):
         raise InvariantFormError(
             f"invariant-form space has dimension {null_dim}; "
             "the representation looks reducible", null_dim)
-    H = vt[-1].conj().reshape(N, N, order="F")
-    H = max(H + H.conj().T, 1j * (H - H.conj().T), key=np.linalg.norm)
-    H /= np.linalg.norm(H)
+
+
+def _signed_form(H, generators, svals):
+    """The InvariantForm of the Hermitian H solved from the generators: H at
+    unit Frobenius norm, signed so that the positive eigenvalues are the
+    majority, with the largest ||M* H M - H|| over the generators.  On a tie,
+    as at rank one, where either sign is Lorentzian, the base evaluation
+    vector (1, 0, ..., 0) pairs negatively under the inverse form, so that
+    the sign does not follow the rounding of the solve."""
+    H = H / np.linalg.norm(H)
     residual = max(
-        float(np.linalg.norm(M.conj().T @ H @ M - H)) for M in gens
+        float(np.linalg.norm(M.conj().T @ H @ M - H)) for M in generators
     )
     eigs = np.linalg.eigvalsh(H)
     pos = int(np.sum(eigs > _EIG_TOL))
     neg = int(np.sum(eigs < -_EIG_TOL))
-    if neg > pos:
+    if neg > pos or (neg == pos and np.linalg.inv(H)[0, 0].real > 0):
         H = -H
         pos, neg = neg, pos
     return InvariantForm(
@@ -540,7 +657,7 @@ def ball_check(system, k, form, sample_logs):
     of H by its signature (n, 1), so the pairings are returned as computed,
     unsigned; a base evaluation vector outside the negative cone gives
     positive values.  Paths start at hecke_base_point, where the form is
-    solved.
+    solved, and all of them go to one transport call.
     """
     b = hecke_base_point(system)
     Hinv = np.linalg.inv(form.matrix)
@@ -548,5 +665,5 @@ def ball_check(system, k, form, sample_logs):
     # the base evaluation vector is (1, 0, ..., 0): it pairs to Hinv[0, 0]
     if abs(Hinv[0, 0].real) < 1e-8:
         raise _kernels.NumericFailure("base evaluation vector is numerically isotropic")
-    values = (transport(system, k, (b, lz))[0, :] for lz in sample_logs)
+    values = transport(system, k, [(b, lz) for lz in sample_logs])[:, 0, :]
     return tuple(float((v @ Hinv @ v.conj()).real) for v in values)

@@ -698,7 +698,8 @@ def export_svg(tess, path):
     else:
         xs, ys = points[0, :, :3].ravel().tolist(), points[1, :, :3].ravel().tolist()
         pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-        box = (min(xs) - pad, min(ys) - pad,
+        # the tiles are drawn under scale(1,-1): chart y runs down the box
+        box = (min(xs) - pad, -max(ys) - pad,
                (max(xs) - min(xs)) + 2 * pad, (max(ys) - min(ys)) + 2 * pad)
     # the view box, in the coordinates of the flipped group
     left, right, low, high = map(_fmt, (box[0], box[0] + box[2], -box[1] - box[3], -box[1]))

@@ -303,3 +303,20 @@ def reflect_point(p, row):
     if w == 0:
         raise ValueError("cannot invert the center of the circle")
     return c + r**2 / w.conjugate()
+
+
+# ---------------------------------------------------------------------------
+# torus: the Hecke reflection representation
+
+def hecke_model(system, k):
+    """The reflection representation of the Iwahori-Hecke algebra of W at
+    q = exp(-2 pi i k), built from the integer Cartan rows: the n matrices
+    T_i = 1 - (1 + q) e_i g_i^T as one (n, n, n) array, g_i row i of
+    G_0 = I + A/(2 cos pi k) with A = 2I - C the Dynkin adjacency.  Each T_i
+    fixes the hyperplane g_i^T x = 0 and has the eigenvalue -q on e_i."""
+    n = system.rank
+    A = np.array([[2 * (i == j) - system.cartan[i][j] for j in range(n)] for i in range(n)],
+                 dtype=np.float64)
+    G0 = np.eye(n) + A / (2.0 * np.cos(np.pi * float(k)))
+    q = cmath.exp(-2j * np.pi * float(k))
+    return np.eye(n) - (1.0 + q) * np.eye(n)[:, :, None] * G0[:, None, :]

@@ -368,13 +368,13 @@ _ISOTROPIC_FORM = torus.InvariantForm(
 
 @pytest.mark.parametrize("target, replacement, subcommand, message", [
     *(pytest.param(target, _raising(exc), subcommand, str(exc), id=f"exc{i}-{target}")
-      for target, subcommand in (("invariant_form", "form"), ("sample_points_near", "flatness"))
+      for target, subcommand in (("monodromy_form", "form"), ("sample_points_near", "flatness"))
       for i, exc in enumerate([torus.MirrorSingularity("a sample lies on a mirror"),
                                np.linalg.LinAlgError("singular matrix")])),
     pytest.param("_curvature", lambda *args, **kwargs: (np.ones(1), np.ones(1)), "monodromy",
                  "connection is not flat at the start (residual 1.00e+00)",
                  id="not_flat-transport"),
-    pytest.param("invariant_form", lambda *args, **kwargs: _ISOTROPIC_FORM, "form",
+    pytest.param("monodromy_form", lambda *args, **kwargs: _ISOTROPIC_FORM, "form",
                  "base evaluation vector is numerically isotropic", id="isotropic-ball_check"),
 ])
 def test_torus_numeric_failures_exit_1(target, replacement, subcommand, message, monkeypatch,
@@ -412,7 +412,7 @@ def test_torus_monodromy_d5_past_k_one_passes(k, root):
 
 
 def test_torus_form_without_one_invariant_form_exits_1(monkeypatch, capsys):
-    monkeypatch.setattr(torus, "invariant_form",
+    monkeypatch.setattr(torus, "monodromy_form",
                         _raising(torus.InvariantFormError("no invariant Hermitian form", 0)))
     code, out = run_cli(["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4",
                          "--samples", "2"])
@@ -483,21 +483,38 @@ def test_torus_form_with_two_invariant_forms_exits_1(capsys):
         "the representation looks reducible\n")
 
 
+@pytest.mark.parametrize("rank, k", [(6, "1/6"), (8, "1/10")])
+def test_torus_form_prints_the_same_bytes_at_one_and_two_blas_threads(rank, k, monkeypatch):
+    # the form from the half-turns and one loop takes no large SVD: the SVD
+    # of the Kronecker system, (588, 49) at E6 and (1296, 81) at E8, was the
+    # one step whose bits followed the BLAS thread count
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        proc = _run_subprocess(["torus", "form", "--type", "E", "--rank", str(rank), "--k", k,
+                                "--samples", "10"])
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
 def test_torus_form_builds_generators_once(monkeypatch):
+    # one transport call for the form's loops, the two half-turns and one
+    # coordinate loop of A2, and one for the ball check's four sample paths
     calls = []
-    build = torus.hecke_generators
+    transport = torus.transport
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return build(*args, **kwargs)
+    def counted(system, k, paths):
+        calls.append(len(paths))
+        return transport(system, k, paths)
 
-    monkeypatch.setattr(torus, "hecke_generators", counted)
+    monkeypatch.setattr(torus, "transport", counted)
     code, out = run_cli(["torus", "form", "--type", "A", "--rank", "2", "--k", "1/4",
                          "--samples", "4", "--seed", "3", "--format", "json"])
     assert code == 0
-    assert len(calls) == 1
+    assert calls == [3, 4]
     a2 = roots.build(roots.RootSystemType("A", 2))
-    form = torus.invariant_form(torus.hecke_generators(a2, Fraction(1, 4)))
+    form = torus.monodromy_form(a2, Fraction(1, 4))
     samples = torus.sample_points_near(a2, torus.hecke_base_point(a2), 4, seed=3)
     fresh = torus.ball_check(a2, Fraction(1, 4), form, samples)
     assert json.loads(out)["results"]["ball_values"] == list(fresh)
@@ -634,7 +651,9 @@ def test_schwarz_triangle_reports_are_pinned(tmp_path, capsys):
     # one to three zero angles and the zero-angle usage errors.  sha256 of
     # (argv, exit code, stdout, stderr) and the SVG bytes, as first pinned;
     # re-pinned when spherical triangles were drawn in the rotated drawing
-    # chart (the 19 spherical SVGs moved, and nothing else)
+    # chart (the 19 spherical SVGs moved, and nothing else), and when the
+    # Euclidean view box was mirrored to hold the flipped drawing (the SVG of
+    # (1/3, 1/3, 1/3) moved, and nothing else)
     svg = tmp_path / "t.svg"
     digest = hashlib.sha256()
     for angles in itertools.product(["0", "1/2", "1/3", "1/5", "1/7"], repeat=3):
@@ -648,7 +667,7 @@ def test_schwarz_triangle_reports_are_pinned(tmp_path, capsys):
         digest.update(repr(record).encode())
         digest.update(svg.read_bytes() if svg.exists() else b"no svg")
     assert digest.hexdigest() == (
-        "9d1ed985c70fc26aa81035ae2956cf2726d80b5bcfc2331ae3cd3398f4350d7b")
+        "1f127954c30fefb004bc5254b76e18df233a26482181650a562b1ddb76b677d8")
 
 
 def test_schwarz_check_and_dm():

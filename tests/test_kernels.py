@@ -25,14 +25,15 @@ E8 = roots.build(roots.RootSystemType("E", 8))
 
 
 def _segment_args(system, k, a, b):
-    """torus_segment arguments for the log-linear segment a -> b, as
-    torus.transport builds them."""
+    """torus_segment arguments for the one path of the log-linear segment
+    a -> b, as torus.transport builds them."""
     m = np.asarray(b, dtype=np.complex128) - np.asarray(a, dtype=np.complex128)
     croots = np.array(system.positive_roots, dtype=np.float64)
     cart = np.array(system.cartan, dtype=np.float64)
     afac = float(roots.integrability_constant(system)) * float(k) ** 2
     svec = afac * np.linalg.solve(cart, m)
-    return (np.asarray(a, dtype=np.complex128), m, croots, croots @ cart, float(k), svec)
+    return (np.asarray(a, dtype=np.complex128)[None], m[None], [1], croots, croots @ cart,
+            float(k), svec[None])
 
 
 def _segment_oracle(system, k, a, b, dps):
@@ -155,7 +156,8 @@ def _sequential_segment(lz0, m, croots, coroots, k, svec, F0, rtol):
 def _sequential_transport(system, k, path, rtol=_kernels._TORUS_RTOL):
     F = np.eye(system.rank + 1, dtype=np.complex128)
     for a, b in zip(path, path[1:]):
-        F = _sequential_segment(*_segment_args(system, k, a, b), F, rtol)
+        lz0, m, _, croots, coroots, kf, svec = _segment_args(system, k, a, b)
+        F = _sequential_segment(lz0[0], m[0], croots, coroots, kf, svec[0], F, rtol)
     return F
 
 
@@ -184,7 +186,7 @@ def test_transport_matches_sequential_series(fam, rank, part):
     if (fam, rank, part) == ("E", 8, "stage"):
         # the longest segment the mirror loops have
         assert _steps(system, path) == 306
-    got = torus.transport(system, k, path)
+    got = torus.transport(system, k, [path])[0]
     want = _sequential_transport(system, k, path)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -214,13 +216,13 @@ def test_batch_boundaries_match_sequential_series(system, monkeypatch):
         return tuple(base + s * move for s in range(steps + 1))
 
     sizes = _batch_sizes(monkeypatch)
-    torus.transport(system, k, path(300))
+    torus.transport(system, k, [path(300)])
     width = sizes[0]
     assert 1 < width < 300
     for steps, batches in ((1, [1]), (width, [width]), (width + 1, [width, 1])):
         assert _steps(system, path(steps)) == steps
         sizes.clear()
-        got = torus.transport(system, k, path(steps))
+        got = torus.transport(system, k, [path(steps)])[0]
         assert sizes == batches
         want = _sequential_transport(system, k, path(steps))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -235,7 +237,7 @@ def test_series_longer_than_the_stacks_restart_with_more_room(monkeypatch):
     steps = _steps(system, path)
     sizes = _batch_sizes(monkeypatch)
     monkeypatch.setattr(_kernels, "_TORUS_RTOL", 1e-17)
-    got = torus.transport(system, k, path)
+    got = torus.transport(system, k, [path])[0]
     assert sizes[1] < sizes[0] and sum(sizes[1:]) == steps
     want = _sequential_transport(system, k, path, rtol=1e-17)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -280,7 +282,7 @@ def test_torus_segment_raises_on_overflow():
     args = _segment_args(A2, F(1, 4), base, base + 0.3)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(_kernels.NumericFailure, match="not finite"):
-        _kernels.torus_segment(*args[:4], 1e300, args[5])
+        _kernels.torus_segment(*args[:5], 1e300, args[6])
 
 
 def test_torus_transport_onto_a_mirror_raises_numeric_failure():
@@ -289,14 +291,74 @@ def test_torus_transport_onto_a_mirror_raises_numeric_failure():
     end = base.copy()
     end[0] = 2j * np.pi
     with pytest.raises(_kernels.NumericFailure, match="reaches a mirror") as info:
-        torus.transport(A2, F(1, 4), np.array([base, end]))
+        torus.transport(A2, F(1, 4), [np.array([base, end])])
     assert not isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 8)])
+def test_shared_transport_matches_each_path_alone(fam, rank):
+    # the half-turns, the coordinate loops and three sample paths at b in one
+    # call: the batches mix the paths' steps, and each frame stays within
+    # rounding of its frame alone
+    system = roots.build(roots.RootSystemType(fam, rank))
+    k = roots.hyperbolic_exponent(system) / 3
+    b = torus.hecke_base_point(system)
+    paths = ([torus._half_turn(system, i, b) for i in range(rank)]
+             + [torus._coordinate_circle(system, j, b) for j in range(rank)]
+             + [(b, lz) for lz in torus.sample_points_near(system, b, 3, seed=1)])
+    shared = torus.transport(system, k, paths)
+    assert shared.shape == (len(paths), rank + 1, rank + 1)
+    for path, frame in zip(paths, shared):
+        alone = torus.transport(system, k, [path])[0]
+        assert np.linalg.norm(frame - alone) <= 1e-13 * np.linalg.norm(alone)
+
+
+def test_a_later_path_onto_a_mirror_raises_naming_its_segment():
+    # the grid of every path is laid out before any step: the third path
+    # ends on the alpha_1 mirror, and the failure names its segment
+    base = torus.default_base_point(A2)
+    end = base.copy()
+    end[0] = 2j * np.pi
+    paths = [np.array([base + 0.3, base + 0.5]), np.array([base + 0.5, base + 0.3]),
+             np.array([base, end])]
+    with pytest.raises(_kernels.NumericFailure,
+                       match=r"^torus segment from \[\(0\.18\+0\.3j\), .*\] along "
+                             r"\[\(-0\.18\+5\.98.*\]: reaches a mirror") as info:
+        torus.transport(A2, F(1, 4), paths)
+    assert not isinstance(info.value, ValueError)
+
+
+def test_a_path_without_segments_gives_the_identity_between_others():
+    base = torus.default_base_point(A2)
+    move = np.array([base, base + 0.3])
+    frames = torus.transport(A2, F(1, 4), [move, np.array([base, base]), move])
+    assert np.array_equal(frames[1], np.eye(3))
+    assert np.linalg.norm(frames[0] - frames[2]) <= 1e-13 * np.linalg.norm(frames[0])
+
+
+def test_one_torus_kernel_call_per_measurement(monkeypatch):
+    # every loop of a monodromy or form measurement, and every sample path of
+    # a ball check, in one kernel call
+    calls = []
+    segment = _kernels.torus_segment
+
+    def recorded(lz0, m, ends, *args):
+        calls.append(len(ends))
+        return segment(lz0, m, ends, *args)
+
+    monkeypatch.setattr(_kernels, "torus_segment", recorded)
+    k = F(1, 4)
+    torus.hecke_generators(A2, k)
+    torus.mirror_monodromy(A2, k, np.array([1, 1]))
+    form = torus.monodromy_form(A2, k)
+    torus.ball_check(A2, k, form, torus.sample_points_near(A2, torus.hecke_base_point(A2), 5))
+    assert calls == [4, 2, 3, 5]
 
 
 def test_mirror_monodromy_singular_half_turn_word_raises_numeric_failure(monkeypatch):
     # the highest root of A2 is s_1(alpha_2): its loop inverts T_w = T_1
-    def singular(system, k, path):
-        return np.zeros((3, 3), dtype=np.complex128)
+    def singular(system, k, paths):
+        return np.zeros((len(paths), 3, 3), dtype=np.complex128)
 
     monkeypatch.setattr(torus, "transport", singular)
     with pytest.raises(_kernels.NumericFailure, match="T_w is singular"):
@@ -472,11 +534,11 @@ except gauss.NumericFailure:
     pass
 A2 = roots.build(roots.RootSystemType("A", 2))
 base = torus.default_base_point(A2)
-torus.transport(A2, F(1, 4), np.array([base, base + 0.3]))
+torus.transport(A2, F(1, 4), [np.array([base, base + 0.3])])
 end = base.copy()
 end[0] = 2j * np.pi
 try:
-    torus.transport(A2, F(1, 4), np.array([base, end]))
+    torus.transport(A2, F(1, 4), [np.array([base, end])])
 except gauss.NumericFailure:
     pass
 spans = t.aggregate()[0]

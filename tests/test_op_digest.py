@@ -69,8 +69,8 @@ def test_op_digest_prints_one_block_per_seed_in_order(monkeypatch, capsys):
 
 
 def test_op_digest_seed_line_names_the_thread_setting(monkeypatch, capsys):
-    # the torus form outputs differ between one and two BLAS threads, so each
-    # digest carries the setting it was taken under
+    # each digest carries the thread setting it was taken under, so that an
+    # output that moves with the BLAS thread count shows where it was taken
     tool = _load_tool(monkeypatch)
     monkeypatch.setattr(tool.workloads, "build", lambda workload, seed, seconds: _ops(tool, 4))
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")

@@ -2,6 +2,7 @@
 invariant form and the negative-cone check."""
 
 import cmath
+import functools
 import math
 import time
 from fractions import Fraction as F
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _inverse_cartan, connection, exact_scalar, reflect, w_invariance_residual
+from oracles import (_inverse_cartan, connection, exact_scalar, hecke_model, reflect,
+                     w_invariance_residual)
 from schwarz_atlas import _kernels, roots, torus
 
 
@@ -387,24 +389,24 @@ def test_reflection_matrix_reflects_the_roots(fam, rank):
 
 def test_transport_constant_path_is_identity():
     base = torus.default_base_point(A2)
-    Fend = torus.transport(A2, F(1, 4), np.array([base, base]))
+    Fend = torus.transport(A2, F(1, 4), [np.array([base, base])])[0]
     assert np.max(np.abs(Fend - np.eye(3))) < 1e-12
 
 
 def test_transport_reverse_inverts():
     base = torus.default_base_point(A2)
     path = np.array([base, base + np.array([0.4 + 0.3j, -0.2 + 0.5j])])
-    fwd = torus.transport(A2, F(1, 4), path)
-    back = torus.transport(A2, F(1, 4), path[::-1]) @ fwd
+    fwd, rev = torus.transport(A2, F(1, 4), [path, path[::-1]])
+    back = rev @ fwd
     assert np.max(np.abs(back - np.eye(3))) < 1e-8
 
 
 def test_transport_homotopy_invariance():
     base = torus.default_base_point(A2)
     target = base + np.array([0.5 + 0.2j, 0.3 - 0.1j])
-    direct = torus.transport(A2, F(1, 4), np.array([base, target]))
     mid = base + np.array([0.1 + 0.4j, 0.4 + 0.2j])
-    detour = torus.transport(A2, F(1, 4), np.array([base, mid, target]))
+    direct, detour = torus.transport(A2, F(1, 4), [np.array([base, target]),
+                                                   np.array([base, mid, target])])
     assert np.max(np.abs(direct - detour)) < 1e-7
 
 
@@ -415,8 +417,7 @@ def test_transport_passes_close_to_a_mirror():
     lz = np.array([0.005 + 0.0j, 0.7 + 0.9j])
     detour = np.array([lz, lz + np.array([0.01 + 0.004j, 0.004j]), lz + 0.01])
     for k in (F(1, 4), F(-1, 3), F(3, 4)):
-        straight = torus.transport(A2, k, np.array([lz, lz + 0.01]))
-        around = torus.transport(A2, k, detour)
+        straight, around = torus.transport(A2, k, [np.array([lz, lz + 0.01]), detour])
         assert np.linalg.norm(straight - around) <= 1e-11 * np.linalg.norm(around)
 
 
@@ -438,8 +439,7 @@ def _staged_loop(system, k, curve, base):
     """S^-1 T S: the loop that goes straight from the log-coordinates base to
     curve[0], runs along the curve and comes back, with S the stage's
     transport and T the curve's."""
-    S = torus.transport(system, k, (base, curve[0]))
-    T = torus.transport(system, k, curve)
+    S, T = torus.transport(system, k, [(base, curve[0]), curve])
     return np.linalg.solve(S, T @ S)
 
 
@@ -474,8 +474,8 @@ def _staged_generators(system, k):
 def _move(system, k):
     """P, the transport along the straight path from default_base_point to
     the base point b of every loop."""
-    return torus.transport(system, k, (torus.default_base_point(system),
-                                       torus.hecke_base_point(system)))
+    return torus.transport(system, k, [(torus.default_base_point(system),
+                                        torus.hecke_base_point(system))])[0]
 
 
 def test_hecke_relation_rank_one():
@@ -535,7 +535,7 @@ def test_stage_once_matches_full_loop_transport():
     # ring, stage reversed) must give the same matrix
     k = F(1, 4)
     alpha = roots.highest_root(D4)
-    full = torus.transport(D4, k, _full_mirror_loop(D4, alpha))
+    full = torus.transport(D4, k, [_full_mirror_loop(D4, alpha)])[0]
     staged = _staged_mirror_loop(D4, k, alpha)
     assert np.max(np.abs(staged - full)) / np.max(np.abs(full)) < 1e-10
 
@@ -554,16 +554,26 @@ def test_descent_reaches_every_positive_root(fam, rank):
         assert len(word) == int(alpha.sum()) - 1
 
 
-def _half_turn_by_hand(system, k, i):
-    """T_i from the half-turn's 13 points at b, pulled back by diag(1, A_i^T)."""
+def _loops_by_hand(system, k, halves, circles):
+    """The half-turns T_i for i in halves, from their 13 points at b pulled
+    back by diag(1, A_i^T), then the coordinate circles at b for j in
+    circles, transported in one call as one measurement is."""
     rank = system.rank
     b = 0.35 + 0.05 * np.arange(rank)
-    d = np.array(system.cartan, dtype=float)[:, i] / 2.0
-    path = np.array([b + (b[i] * cmath.exp(1j * math.pi * s / 12) - b[i]) * d
-                     for s in range(13)])
-    reflect = np.eye(rank + 1)
-    reflect[1:, 1:] = torus._reflection_matrix(system, i).T
-    return reflect @ torus.transport(system, k, path)
+    paths = []
+    for i in halves:
+        d = np.array(system.cartan, dtype=float)[:, i] / 2.0
+        paths.append(np.array([b + (b[i] * cmath.exp(1j * math.pi * s / 12) - b[i]) * d
+                               for s in range(13)]))
+    paths += [np.array([b + 2j * math.pi * (s / 3.0) * np.eye(rank)[j] for s in range(4)])
+              for j in circles]
+    frames = torus.transport(system, k, paths)
+    loops = []
+    for i, frame in zip(halves, frames):
+        reflect = np.eye(rank + 1)
+        reflect[1:, 1:] = torus._reflection_matrix(system, i).T
+        loops.append(reflect @ frame)
+    return loops + list(frames[len(loops):])
 
 
 @pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 6)])
@@ -571,19 +581,20 @@ def test_loop_primitive_matches_hand_built_loops(fam, rank):
     # every loop starts at b: the Hecke set is the half-turns and the
     # coordinate circles at b built by hand, a simple-root loop is the
     # square of its half-turn and the highest-root loop the square of
-    # T_w T_j T_w^-1, bit for bit
+    # T_w T_j T_w^-1, bit for bit, each measurement's loops transported in
+    # one call
     system = _sys(fam, rank)
     k = roots.hyperbolic_exponent(system) / 2
-    b = 0.35 + 0.05 * np.arange(rank)
-    halves = [_half_turn_by_hand(system, k, i) for i in range(rank)]
-    circles = [torus.transport(system, k, np.array(
-        [b + 2j * math.pi * (s / 3.0) * np.eye(rank)[j] for s in range(4)])) for j in range(rank)]
     gens = torus.hecke_generators(system, k)
     assert len(gens) == 2 * rank
-    assert all(np.array_equal(G, M) for G, M in zip(gens, halves + circles))
+    hand = _loops_by_hand(system, k, range(rank), range(rank))
+    assert all(np.array_equal(G, M) for G, M in zip(gens, hand))
     simples = np.eye(rank, dtype=np.int64)
-    assert np.array_equal(torus.mirror_monodromy(system, k, simples[0]), halves[0] @ halves[0])
+    T0 = _loops_by_hand(system, k, [0], [])[0]
+    assert np.array_equal(torus.mirror_monodromy(system, k, simples[0]), T0 @ T0)
     word, j = torus._descent(system, roots.highest_root(system))
+    used = sorted({*word, j})
+    halves = dict(zip(used, _loops_by_hand(system, k, used, [])))
     Tw = halves[word[0]]
     for i in word[1:]:
         Tw = Tw @ halves[i]
@@ -747,7 +758,7 @@ def test_generator_set_gates_flatness_once(monkeypatch):
     torus.hecke_generators(A2, F(1, 4))
     assert len(calls) == 1
     torus.mirror_monodromy(A2, F(1, 4), np.array([1, 0]))
-    torus.transport(A2, F(1, 4), _full_mirror_loop(A2, np.array([0, 1])))
+    torus.transport(A2, F(1, 4), [_full_mirror_loop(A2, np.array([0, 1]))])
     assert len(calls) == 2
     # the gate measures the one base point as a one-row stack
     assert all(tchar.shape == (1, len(A2.positive_roots)) for _, _, tchar, _ in calls)
@@ -976,7 +987,7 @@ def test_moved_form_matches_the_staged_oracle(fam, rank, k):
     got = scale * np.array(torus.ball_check(system, k, form, samples))
     Hinv = np.linalg.inv(oracle.matrix)
     want = np.array([float((v @ Hinv @ v.conj()).real)
-                     for v in (torus.transport(system, k, (base, lz))[0] for lz in samples)])
+                     for v in torus.transport(system, k, [(base, lz) for lz in samples])[:, 0]])
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
 
 
@@ -1002,6 +1013,107 @@ def test_ball_check_a1_arc():
     arc = [np.array([complex(0.0, phi)]) for phi in (0.6, 1.4, 2.4, 3.6, 4.8, 5.7)]
     form = torus.invariant_form(torus.hecke_generators(A1, F(1, 2)))
     assert all(v < 0 for v in torus.ball_check(A1, F(1, 2), form, arc))
+
+
+# --- the form from the reflections ------------------------------------------------
+
+TORUS_ADE = ([("A", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+             + [("E", n) for n in range(6, 9)])
+# the k of each type's row of `schwarz enumerate --rank-max 8` with the largest
+# p, or k_from_p(3) = 1/6 where the type has no row
+TABLE_K = {("A", 2): F(2, 5), ("A", 3): F(1, 3), ("A", 4): F(1, 3), ("A", 5): F(1, 4),
+           ("A", 6): F(1, 6), ("A", 7): F(1, 6), ("A", 8): F(1, 6), ("D", 4): F(1, 3),
+           ("D", 5): F(1, 4), ("D", 6): F(1, 6), ("D", 7): F(1, 6), ("D", 8): F(1, 6),
+           ("E", 6): F(1, 4), ("E", 7): F(1, 6), ("E", 8): F(1, 6)}
+
+
+@pytest.mark.parametrize("fam, rank", TORUS_ADE)
+@pytest.mark.parametrize("table", [True, False])
+def test_half_turn_word_traces_match_the_hecke_model(fam, rank, table):
+    # the half-turns at b are the Hecke reflection representation plus the
+    # line they all fix, so the trace of a word in them is the model's plus 1
+    system = _sys(fam, rank)
+    k = TABLE_K[(fam, rank)] if table else _off_table_k(system, 2000 + rank)
+    halves = torus._loops(system, k, range(rank), ())
+    model = hecke_model(system, k)
+    rng = np.random.default_rng(rank)
+    for length in (2, 3, 4, 6, rank):
+        for word in rng.integers(0, rank, (3, length)):
+            product = functools.reduce(np.matmul, halves[word])
+            want = np.trace(functools.reduce(np.matmul, model[word])) + 1.0
+            # relative to the word's size: a trace can vanish
+            assert abs(np.trace(product) - want) <= 1e-11 * np.linalg.norm(product), word
+
+
+# every torus-ade type at a seeded k of the reflection range, and A2, D5 and
+# E8 at three k each
+REFLECTION_CASES = ([(fam, rank, None) for fam, rank in TORUS_ADE]
+                    + [("A", 2, k) for k in (F(1, 10), F(1, 4), F(3, 5))]
+                    + [("D", 5, k) for k in (F(1, 20), F(1, 5), F(3, 10))]
+                    + [("E", 8, k) for k in (F(1, 100), F(1, 10), F(19, 100))])
+
+
+@pytest.mark.parametrize("fam, rank, k", REFLECTION_CASES)
+def test_form_from_the_reflections_matches_the_full_svd_solve(fam, rank, k):
+    # H from the n half-turns and one coordinate loop against the oracle's
+    # solve on all 2n loops: the same line, signature (n, 1), and invariant
+    # under every loop
+    system = _sys(fam, rank)
+    k = _off_table_k(system, 3000 + rank) if k is None else k
+    assert torus._reflection_range(system, k)
+    form = torus.monodromy_form(system, k)
+    gens = torus.hecke_generators(system, k)
+    dim, signature, H = _full_svd_form(gens)
+    assert dim == 1
+    assert form.signature == signature == (rank, 1)
+    assert min(np.max(np.abs(form.matrix - H)), np.max(np.abs(form.matrix + H))) <= 1e-12
+    assert form.residual <= 1e-10
+    assert max(np.linalg.norm(M.conj().T @ form.matrix @ M - form.matrix) for M in gens) <= 1e-10
+
+
+def test_one_over_h_and_one_half_take_the_kronecker_route(monkeypatch):
+    # off the reflection range (k <= 0, k >= m, k = 1/h, and A2 at 1/2) the
+    # form comes from the Kronecker solve on all 2n loops; inside it, from
+    # the n half-turns and the first coordinate loop
+    routes = []
+    monkeypatch.setattr(torus, "_flatness_gate", lambda system, k: None)
+    monkeypatch.setattr(torus, "hecke_generators", lambda system, k: "all 2n loops")
+    monkeypatch.setattr(torus, "invariant_form", routes.append)
+    monkeypatch.setattr(torus, "_loops", lambda system, k, halves, circles: (list(halves),
+                                                                           list(circles)))
+    monkeypatch.setattr(torus, "_reflection_form", lambda system, loops: routes.append(loops))
+    for fam, rank in TORUS_ADE:
+        system = _sys(fam, rank)
+        m = roots.hyperbolic_exponent(system)
+        h = roots.coxeter_number(system)
+        off = [F(1, h), F(0), -m / 2, m, 2 * m] + ([F(1, 2)] if F(1, 2) < m else [])
+        routes.clear()
+        for k in off:
+            torus.monodromy_form(system, k)
+        assert routes == ["all 2n loops"] * len(off)
+        routes.clear()
+        torus.monodromy_form(system, m * F(7, 23))
+        assert routes == [(list(range(rank)), [0])]
+    assert F(1, 2) < roots.hyperbolic_exponent(_sys("A", 2))
+
+
+def test_g0_is_singular_in_the_hyperbolic_range_exactly_off_the_reflection_range():
+    # G_0 = I + A/(2 cos pi k) has the eigenvalues 1 + a_j/(2 cos pi k) over
+    # the eigenvalues a_j of the Dynkin adjacency A: over every k in (0, m)
+    # with denominator below 200, it is singular or undefined exactly where
+    # the reflection range leaves the form to the Kronecker solve
+    for fam, rank in TORUS_ADE:
+        system = _sys(fam, rank)
+        adjacency = 2 * np.eye(rank) - np.array(system.cartan, dtype=np.float64)
+        a = np.linalg.eigvalsh(adjacency)
+        m = roots.hyperbolic_exponent(system)
+        ks = [F(p, q) for q in range(1, 200) for p in range(1, math.ceil(m * q))
+              if math.gcd(p, q) == 1]
+        two_cos = 2.0 * np.cos(np.pi * np.array([float(k) for k in ks]))
+        degenerate = ((np.abs(two_cos) < 1e-9)
+                      | (np.min(np.abs(two_cos[:, None] + a), axis=1) < 1e-9))
+        assert ([k for k, d in zip(ks, degenerate) if d]
+                == [k for k in ks if not torus._reflection_range(system, k)])
 
 
 # --- sample points -------------------------------------------------------------

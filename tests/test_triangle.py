@@ -211,6 +211,35 @@ def test_svg_deterministic_and_structured(tmp_path):
     assert "<circle" in data1  # the bounding circle of the disc model
 
 
+def _flipped_vertices_outside_view_box(data, points):
+    """Chart vertices of the tiles, drawn under scale(1,-1), that lie outside
+    the SVG's view box."""
+    x0, y0, width, height = map(float, data.split('viewBox="')[1].split('"')[0].split())
+    x, y = points[0, :, :3].ravel(), -points[1, :, :3].ravel()
+    eps = 1e-9
+    outside = (x < x0 - eps) | (x > x0 + width + eps) | (y < y0 - eps) | (y > y0 + height + eps)
+    return np.count_nonzero(outside)
+
+
+@pytest.mark.parametrize("klm", [(3, 3, 3), (2, 4, 4), (2, 3, 6)])
+def test_euclidean_view_box_holds_the_flipped_tiles(klm, tmp_path):
+    # the tiles are drawn under scale(1,-1), so the box starts at
+    # y = -max(y) - pad: a box from min(y) held the drawing's mirror image
+    for depth in range(4, 9):
+        tess = tri.tessellate(*klm, max_word_length=depth)
+        data = tri.export_svg(tess, tmp_path / "e.svg")
+        assert _flipped_vertices_outside_view_box(data, tess.points) == 0, depth
+
+
+def test_euclidean_schwarz_triangle_svg_holds_its_triangle(tmp_path):
+    svg = tmp_path / "t.svg"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gauss", "schwarz-triangle", "--kappa", "1/3", "--lambda", "1/3",
+                         "--mu", "1/3", "--svg", str(svg)]) == 0
+    tess = tri.triangle_from_angles(math.pi / 3, math.pi / 3, math.pi / 3, Geometry.EUCLIDEAN)
+    assert _flipped_vertices_outside_view_box(svg.read_text(), tess.points) == 0
+
+
 def test_svg_rejects_empty(tmp_path):
     tess = tri.Tessellation(geometry=Geometry.HYPERBOLIC, words=[], depth=0,
                             closure_reached=False, angles=(), points=np.empty((2, 0, 6)),

@@ -10,10 +10,10 @@ and bytes of each file the op wrote.  Under that line it prints the same
 count and sha256 for the ops of each kind, so a change that moves some
 outputs can name the kinds it moved.  The seed line also names the thread
 setting it was taken under, OPENBLAS_NUM_THREADS and OMP_NUM_THREADS ("unset"
-when absent) and os.cpu_count(): the `torus form` outputs differ between one
-and two BLAS threads, so two digests compare only at one setting.  The temporary directory the ops write
-into is written as {tmp}, so two checkouts that give the same answers print
-the same lines.  It uses the package and the benchmark of the checkout it
+when absent) and os.cpu_count(), so that a digest that moves with the thread
+count shows where it was taken; every output is meant to be the same at any
+setting.  The temporary directory the ops write into is written as {tmp}, so
+two checkouts that give the same answers print the same lines.  It uses the package and the benchmark of the checkout it
 sits in.  An unknown workload or a seed that is not an integer exits with
 the usage line.
 """
