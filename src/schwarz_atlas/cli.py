@@ -10,7 +10,10 @@ build_parser declares each leaf subcommand in one place: its flags, its
 --format, its handler and its usage bounds as (flag, least, most) entries,
 which main checks (_check_bounds) after parsing and before the handler runs.
 build_parser runs once per process, and main parses every run with the
-parser it built.
+parser it built: with the leaf parser that the argv names when it takes the
+whole argv (about a third of the full tree's cost), and with the full tree for
+everything else, so help, --version and every usage error read as the
+full tree prints them.
 
 Every JSON report, on stdout or in a `triangle tessellate --json` file, is
 written by _write_json: the bytes of json.dumps(report, sort_keys=True,
@@ -519,13 +522,16 @@ def _cmd_schema(args):
 def build_parser():
     """The parser of every subcommand; a leaf that declares no --format of
     its own (all but `schwarz enumerate`) gets `--format {text,json}`.  It is
-    built once per process: main parses every run with it."""
+    built once per process: main parses every run with it.  Its `leaves`
+    maps each leaf's argv path, such as ("torus", "flatness") or
+    ("schema",), to the leaf's parser."""
     parser = argparse.ArgumentParser(
         prog="schwarz-atlas",
         description="hypergeometric monodromy, root-system connections, "
                     "triangle tessellations and exact stratum conditions",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.leaves = {}
     sub = parser.add_subparsers(dest="command", required=True)
     roots_sub, gauss_sub, tri_sub, torus_sub, schwarz_sub = (
         sub.add_parser(name, help=text).add_subparsers(dest="subcommand", required=True)
@@ -539,6 +545,7 @@ def build_parser():
     def leaf(group, name, help, func, bounds):
         p = group.add_parser(name, help=help)
         p.set_defaults(func=func, bounds=bounds)
+        parser.leaves[tuple(p.prog.split()[1:])] = p    # prog is "schwarz-atlas torus flatness"
         yield p
         if p.get_default("fmt") is None:
             p.add_argument("--format", dest="fmt", choices=["text", "json"], default="json")
@@ -684,9 +691,25 @@ def _numeric_failures():
     return NumericFailure if numpy is None else (NumericFailure, numpy.linalg.LinAlgError)
 
 
+def _parse(parser, argv):
+    """The Namespace of argv, parsed by the leaf parser that its first one or
+    two words name: the full tree hands a leaf's words to that same parser,
+    so only the command and subcommand entries are missing.  An argv that
+    names no leaf, or leaves words the leaf does not take, goes through the
+    full tree, which prints the help, --version or usage error for it, such
+    as an unknown command or "unrecognized arguments"."""
+    depth = 1 if tuple(argv[:1]) in parser.leaves else 2
+    leaf = parser.leaves.get(tuple(argv[:depth]))
+    if leaf is not None:
+        args, rest = leaf.parse_known_args(argv[depth:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_negative_values(argv))
+    args = _parse(build_parser(), _attach_negative_values(argv))
     try:
         _check_bounds(args)
         code, payload = args.func(args)

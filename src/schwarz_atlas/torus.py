@@ -43,13 +43,15 @@ within _kernels._MIN_CLEARANCE of a mirror.  The sampled clearance,
 _clearance, is read only by sample_points_near, which keeps a draw whose path
 from the base keeps MIRROR_DELTA from every mirror; it draws and measures its
 candidates in blocks.
-The characters, the connection, its theta-derivatives and the curvature all
-take a stack of points, one row each: flatness_residual measures all its
-points in one _curvature pass per chunk (chunks bounded by the kernel's byte
-budget), and every point's residual keeps the bits it has alone.  So the
-characters are one matrix-vector product per row, and the connection's
-coefficient block and its derivative are each one real GEMM whose left
-factor broadcasts over the points.
+The characters, the connection and the curvature all take a stack of
+points, one row each: flatness_residual measures all its points in one
+_curvature pass per chunk (chunks bounded by the kernel's byte budget), and
+every point's residual keeps the bits it has alone.  So the characters are
+one matrix-vector product per row, and the connection's coefficient block is
+one real GEMM whose left factor broadcasts over the points.  The curvature
+is the commutators [A_j, A_i] alone: every coefficient of the connection
+form is a closed 1-form u(t) dlog t, so theta_i A_j = theta_j A_i and the
+derivative terms cancel identically.
 Every numeric breakdown, MirrorSingularity and InvariantFormError included,
 raises a _kernels.NumericFailure where it is found.
 """
@@ -186,11 +188,11 @@ def _connection(system, k, tchar, a):
     -a k^2 C^-1 and the lower block is minus the coefficient vectors
     (k/2) sum_p c_pi c_pj u_p (Cc)_pl with u = (1+t)/(1-t).
 
-    The sum is one real GEMM over the positive roots per point, laid out as
-    in _theta_frame_matrices: (n^2, |Phi+|) @ (|Phi+|, 2n), with the real and
-    imaginary parts of u_p (Cc)_pl side by side in the right factor.  The
-    left factor broadcasts over the points, so each point's block has the
-    bits it has alone.
+    The sum is one real GEMM over the positive roots per point,
+    (n^2, |Phi+|) @ (|Phi+|, 2n), with the root products c_pi c_pj as the
+    left factor and the real and imaginary parts of u_p (Cc)_pl side by side
+    in the right factor.  The left factor broadcasts over the points, so each
+    point's block has the bits it has alone.
     """
     if np.min(np.abs(tchar - 1.0)) < 1e-12:
         raise MirrorSingularity("a positive-root character equals 1 at this point")
@@ -207,44 +209,18 @@ def _connection(system, k, tchar, a):
     return A
 
 
-def _theta_frame_matrices(system, k, tchar):
-    """Analytic theta-derivatives dA[s, m, i] = theta_m A_i of the connection
-    matrices at each point s of a stack, given by its rows of root character
-    values tchar, as one (points, n, n, n+1, n+1) array.
-
-    theta_m acts on each character factor by t -> -c_m t and on u(t) by the
-    closed form u'(t) = 2/(1-t)^2.  With w = -t u'(t), the derivative of the
-    coefficient block is
-    dG[m, i, j, l] = (k/2) sum_p c_pm c_pi w_p c_pj (Cc)_pl,
-    one GEMM over the positive roots per point.  It is a real one, of shape
-    (n^2, |Phi+|) @ (|Phi+|, 2 n^2): the real and imaginary parts of
-    w_p c_pj (Cc)_pl sit side by side in the right factor, and the left
-    factor broadcasts over the points.
-    """
-    croots, coroots, _, _ = _float_rows(system)
-    npos, n = croots.shape
-    weight = 0.5 * float(k) * (-tchar * 2.0 / (1.0 - tchar) ** 2)
-    left = (croots[:, :, None] * croots[:, None, :]).reshape(npos, n * n).T
-    right = (croots[:, :, None] * coroots[:, None, :]).reshape(npos, n * n)
-    dG = left @ np.concatenate([weight.real[:, :, None] * right,
-                                weight.imag[:, :, None] * right], axis=2)
-    dA = np.zeros((len(weight), n, n, n + 1, n + 1), dtype=np.complex128)
-    dA[..., 1:, 1:] = -(dG[..., :n * n] + 1j * dG[..., n * n:]).reshape(-1, n, n, n, n)
-    return dA
-
-
 def flatness_residual(system, k, logs, a_override=None):
     """Curvature of the frame connection, largest over the rows of the
     (points, n) log-coordinates logs (one point is a one-row array): max over
-    points and pairs (i, j) of
-    || theta_i A_j - theta_j A_i + A_j A_i - A_i A_j ||_inf.
+    points and pairs i < j of || A_j A_i - A_i A_j ||_inf, which is
+    theta_i A_j - theta_j A_i + A_j A_i - A_i A_j since the derivative terms
+    cancel identically (_curvature).
 
     Vanishes exactly when the scalar coupling takes its forced value, which
-    a_override replaces.  The derivatives are analytic, and the root
-    character values are computed once for them and the matrices.  The
-    points go to _curvature in chunks whose (points, n, n, n+1, n+1) stacks
-    fit _rows_per_chunk's budget (one point a chunk from D16 on); each
-    point's residual has the bits it has alone.
+    a_override replaces.  The points go to _curvature in chunks of
+    _rows_per_chunk(16 n^2 (n+1)^2) rows, so each of its
+    (points, n(n-1)/2, n+1, n+1) complex stacks fits the budget (one point a
+    chunk from D16 on); each point's residual has the bits it has alone.
     """
     a = integrability_constant(system) if a_override is None else a_override
     logs = np.atleast_2d(logs)
@@ -257,14 +233,16 @@ def flatness_residual(system, k, logs, a_override=None):
 def _curvature(system, k, tchar, a):
     """The curvature at each point of a stack, given by its rows of root
     character values tchar, at scalar coupling a, and the largest |entry| of
-    the connection matrices it is made of, as two (points,) arrays.  All
-    n^2 products A_j A_i of every point come from one batched matmul, and the
-    curvature is formed on the pairs i < j alone."""
+    the connection matrices it is made of, as two (points,) arrays.
+
+    A_i's coefficient block is -(k/2) sum_p c_pi u_p c_p (Cc_p)^T, and
+    theta_m u_p = c_pm w_p with w = -2t/(1-t)^2, so theta_m A_i is symmetric
+    in (m, i): each term u_p dlog t_p of the connection form is closed.  So
+    the curvature theta_i A_j - theta_j A_i + A_j A_i - A_i A_j is the
+    commutator alone, one batched matmul for each order of the pairs i < j."""
     A = _connection(system, k, tchar, a)
-    dA = _theta_frame_matrices(system, k, tchar)
-    AA = np.matmul(A[:, None], A[:, :, None])    # AA[s, i, j] = A_j A_i at point s
     i, j = np.triu_indices(system.rank, 1)
-    R = (dA[:, i, j] - dA[:, j, i] + AA[:, i, j]) - AA[:, j, i]
+    R = A[:, j] @ A[:, i] - A[:, i] @ A[:, j]
     return (np.max(np.abs(R), axis=(1, 2, 3), initial=0.0),
             np.max(np.abs(A), axis=(1, 2, 3)))
 

@@ -264,7 +264,7 @@ def test_torus_flatness_runs_one_thousand_samples():
 NO_SPHERICAL = "each angle plus 1 must exceed the sum of the other two"
 
 
-@pytest.mark.parametrize("argv, message", [
+USAGE_ERRORS = [
     (["gauss", "monodromy", "--alpha", "1/2", "--beta", "1/3", "--gamma", "1"],
      "integer exponent difference (logarithmic case)"),
     (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root", "3"],
@@ -322,7 +322,10 @@ NO_SPHERICAL = "each angle plus 1 must exceed the sum of the other two"
     # a run past two bounds names the first its subcommand declares
     (["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--samples", "1001",
       "--seed", "-1"], "--samples must be at most 1000, got 1001"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
 def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     code, out = run_cli(argv)
     assert code == 2 and out == ""
@@ -829,6 +832,10 @@ DECLARED_BOUNDS = [
 
 def test_declared_bounds_cover_the_bounded_leaves():
     assert len(LEAVES) == 12
+    # main's leaf route finds each leaf under the path the full tree reaches it by
+    leaves = cli.build_parser().leaves
+    assert {path: leaf.prog for path, leaf in leaves.items()} == {
+        path: leaf.prog for path, leaf in _parsers() if leaf.get_default("func")}
     assert {path for path, *_ in DECLARED_BOUNDS} == set(MINIMAL_ARGV)
     assert len(DECLARED_BOUNDS) == 20
 
@@ -1077,11 +1084,15 @@ def test_one_parser_serves_many_runs(monkeypatch):
     # several subcommands in one process, an argparse error (exit 2) among
     # them, give the stdout and exit codes of fresh processes.  One parser is
     # built, by the first build_parser() call, and main parses every run
-    # with it
+    # with it: each run names its leaf and the leaf takes all of its words,
+    # so each is one parse by the leaf's parser and none by the full tree
     cli.build_parser.cache_clear()
     parser = cli.build_parser()
-    parse, parsed = parser.parse_args, []
-    monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(argv) or parse(argv))
+    parsed = []
+    for leaf in parser.leaves.values():
+        monkeypatch.setattr(leaf, "parse_known_args",
+                            lambda *a, parse=leaf.parse_known_args: parsed.append(a) or parse(*a))
+    monkeypatch.setattr(parser, "parse_args", lambda *a: pytest.fail(f"full-tree parse of {a}"))
     runs = [
         ["schwarz", "check", "--type", "E", "--rank", "6", "--p", "4"],
         ["roots", "dump", "--type", "A", "--rank", "3", "--format", "text"],
@@ -1098,6 +1109,49 @@ def test_one_parser_serves_many_runs(monkeypatch):
         fresh.append((proc.returncode, proc.stdout))
     assert in_process == fresh
     assert [code for code, _ in fresh] == [0, 0, 2, 0, 0, 0]
+
+
+def _without_command(args):
+    return {key: value for key, value in vars(args).items()
+            if key not in ("command", "subcommand")}
+
+
+@pytest.mark.parametrize("argv", [
+    *([*path, *MINIMAL_ARGV[path], f"{flag}={edge}"]
+      for path, flag, side, bound in DECLARED_BOUNDS
+      for edge in (bound, bound - 1 if side == "least" else bound + 1)),
+    *(argv for argv, _ in USAGE_ERRORS), ["schema", "--format", "text"]])
+def test_leaf_parse_gives_the_full_tree_namespace(argv):
+    # main parses a run with its leaf's parser alone; the full tree hands the
+    # same words to the same parser, so the Namespaces differ only in the
+    # command and subcommand that the full tree records
+    parser = cli.build_parser()
+    argv = cli._attach_negative_values(argv)
+    got = cli._parse(parser, argv)
+    want = parser.parse_args(argv)
+    assert "command" not in vars(got) and "command" in vars(want)
+    assert _without_command(got) == _without_command(want)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--version"], ["--help"], ["torus"], ["torus", "--help"], ["torus", "flatnes"],
+    ["--format", "json", "schema"], ["schema", "extra"],
+    ["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--bogus"],
+    ["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "7"],
+    ["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--vers"],
+    ["torus", "flatness", "--type", "A", "--rank", "2"],
+    ["schwarz", "check", "--type", "A", "--rank", "x", "--p", "3"],
+    ["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "7", "--help"],
+])
+def test_argv_outside_one_leaf_reads_as_the_full_tree(argv, capsys):
+    # what the leaf route does not take (no leaf named, words left over) or
+    # stops on (argparse errors, help) prints the full tree's output and exit
+    with pytest.raises(SystemExit) as want:
+        cli.build_parser().parse_args(argv)
+    want_out = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        cli.main(argv)
+    assert (got.value.code, capsys.readouterr()) == (want.value.code, want_out)
 
 
 REPORT_ARGV = [
