@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import io
 import itertools
@@ -14,7 +15,7 @@ import shlex
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import jsonschema
@@ -832,7 +833,7 @@ DECLARED_BOUNDS = [
 
 def test_declared_bounds_cover_the_bounded_leaves():
     assert len(LEAVES) == 12
-    # main's leaf route finds each leaf under the path the full tree reaches it by
+    # main's leaf reader finds each leaf under the path the full tree reaches it by
     leaves = cli.build_parser().leaves
     assert {path: leaf.prog for path, leaf in leaves.items()} == {
         path: leaf.prog for path, leaf in _parsers() if leaf.get_default("func")}
@@ -1084,15 +1085,16 @@ def test_one_parser_serves_many_runs(monkeypatch):
     # several subcommands in one process, an argparse error (exit 2) among
     # them, give the stdout and exit codes of fresh processes.  One parser is
     # built, by the first build_parser() call, and main parses every run
-    # with it: each run names its leaf and the leaf takes all of its words,
-    # so each is one parse by the leaf's parser and none by the full tree
+    # with it: each run names its leaf, so each is one pass of the leaf
+    # reader, and only the run the reader does not take, the invalid choice
+    # --type X, goes on to the full tree, which prints its usage error
     cli.build_parser.cache_clear()
     parser = cli.build_parser()
-    parsed = []
-    for leaf in parser.leaves.values():
-        monkeypatch.setattr(leaf, "parse_known_args",
-                            lambda *a, parse=leaf.parse_known_args: parsed.append(a) or parse(*a))
-    monkeypatch.setattr(parser, "parse_args", lambda *a: pytest.fail(f"full-tree parse of {a}"))
+    read, full = [], []
+    monkeypatch.setattr(cli, "_read_leaf",
+                        lambda *a, read_leaf=cli._read_leaf: read.append(a) or read_leaf(*a))
+    monkeypatch.setattr(parser, "parse_args",
+                        lambda argv, parse=parser.parse_args: full.append(argv) or parse(argv))
     runs = [
         ["schwarz", "check", "--type", "E", "--rank", "6", "--p", "4"],
         ["roots", "dump", "--type", "A", "--rank", "3", "--format", "text"],
@@ -1102,7 +1104,8 @@ def test_one_parser_serves_many_runs(monkeypatch):
         ["gauss", "schwarz-triangle", "--kappa", "1/2", "--lambda", "1/3", "--mu", "1/7"],
     ]
     in_process = [_run_exit(argv) for argv in runs]
-    assert cli.build_parser.cache_info().misses == 1 and len(parsed) == len(runs)
+    assert cli.build_parser.cache_info().misses == 1
+    assert len(read) == len(runs) and full == [runs[2]]
     fresh = []
     for argv in runs:
         proc = _run_subprocess(argv)
@@ -1122,9 +1125,9 @@ def _without_command(args):
       for edge in (bound, bound - 1 if side == "least" else bound + 1)),
     *(argv for argv, _ in USAGE_ERRORS), ["schema", "--format", "text"]])
 def test_leaf_parse_gives_the_full_tree_namespace(argv):
-    # main parses a run with its leaf's parser alone; the full tree hands the
-    # same words to the same parser, so the Namespaces differ only in the
-    # command and subcommand that the full tree records
+    # main reads a run that names a leaf with the leaf reader alone; the full
+    # tree hands the same words to that leaf's parser, so the Namespaces
+    # differ only in the command and subcommand that the full tree records
     parser = cli.build_parser()
     argv = cli._attach_negative_values(argv)
     got = cli._parse(parser, argv)
@@ -1144,14 +1147,135 @@ def test_leaf_parse_gives_the_full_tree_namespace(argv):
     ["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "7", "--help"],
 ])
 def test_argv_outside_one_leaf_reads_as_the_full_tree(argv, capsys):
-    # what the leaf route does not take (no leaf named, words left over) or
-    # stops on (argparse errors, help) prints the full tree's output and exit
+    # what the leaf reader does not take (no leaf named, words it does not
+    # read exactly, argparse errors, help) prints the full tree's output and
+    # exit
     with pytest.raises(SystemExit) as want:
         cli.build_parser().parse_args(argv)
     want_out = capsys.readouterr()
     with pytest.raises(SystemExit) as got:
         cli.main(argv)
     assert (got.value.code, capsys.readouterr()) == (want.value.code, want_out)
+
+
+# the words drawn as the value of a leaf flag, by the flag's type: words that
+# the type takes, and words that it rejects
+GOOD_WORDS = {
+    int: ["3", "7", "1", "0", "-1"],
+    cli.parse_rational: ["1/4", "1/6", "-1/3", "2", "0"],
+    cli._tolerance: ["1e-6", "0.5"],
+    None: ["1", "highest", "", "x"],
+}
+BAD_WORDS = {
+    int: ["x", "2.5", "", "inf", "-inf", "nan"],
+    cli.parse_rational: ["1/0", "0.5", "", "inf", "-inf", "nan"],
+    cli._tolerance: ["nan", "inf", "-inf", "0", "-1", "1e999"],
+    None: [],
+}
+
+
+def _flag_words(path, action, bad):
+    """The words drawn as the value of one flag of the leaf at path.  Good:
+    its choices, or the words its type takes with the flag's declared
+    bounds and the integers one past them.  Bad: a word outside its choices
+    or one its type rejects, a word that starts with "-", and "--"."""
+    if bad:
+        return [*(["X"] if action.choices else BAD_WORDS[action.type]), "-x", "--"]
+    if action.choices is not None:
+        return list(action.choices)
+    return [*GOOD_WORDS[action.type],
+            *(str(bound + step) for p, flag, side, bound in DECLARED_BOUNDS
+              if p == path and flag in action.option_strings
+              for step in (0, -1 if side == "least" else 1))]
+
+
+def _spelled(flag, words):
+    """The groups "--flag word" and "--flag=word" of each word."""
+    return [group for word in words for group in ([flag, word], [f"{flag}={word}"])]
+
+
+@functools.cache
+def _group_strategies(path):
+    """Strategies of the word groups of the leaf at path: the good groups of
+    each required flag, a good group of any flag, and by fault the group that
+    makes a run wrong: a bad value or "=" on a store_true flag, an
+    abbreviated flag (a prefix of one), an unknown flag, a positional word,
+    help, a flag followed by a word that starts with "-", or a flag without
+    its value, which goes at the end."""
+    flags = [a for a in LEAVES[path]._actions if a.dest != "help"]
+    valued = [a for a in flags if a.nargs is None]
+
+    def groups(action, bad):
+        flag = action.option_strings[0]
+        if action.nargs == 0:    # store_true
+            return [[f"{flag}=1"] if bad else [flag]]
+        return _spelled(flag, _flag_words(path, action, bad))
+
+    faults = {
+        "value": [group for a in flags for group in groups(a, True)],
+        "abbreviation": [[a.option_strings[0][:end], word] for a in valued
+                         for end in range(3, len(a.option_strings[0]))
+                         for word in _flag_words(path, a, False)],
+        "unknown": [["--bogus"]],
+        "positional": [["7"]],
+        "help": [["-h"]],
+        "dash": [[a.option_strings[0], "-x"] for a in valued],
+        "no value": [[a.option_strings[0]] for a in valued],
+    }
+    return ({a.option_strings[0]: st.sampled_from(groups(a, False))
+             for a in flags if a.required},
+            st.sampled_from([group for a in flags for group in groups(a, False)]),
+            {fault: st.sampled_from(found) for fault, found in faults.items()})
+
+
+@st.composite
+def _leaf_runs(draw, path):
+    """The words after path of one good run and of one run per fault.  The
+    good run holds the leaf's required flags and up to three more, repeats
+    included, in a drawn order, each spelled "--flag value" or
+    "--flag=value".  Each faulty run is the good run with one required flag
+    left out, or with one group of a _group_strategies fault put in."""
+    required, good, faults = _group_strategies(path)
+    run = draw(st.permutations([draw(group) for group in required.values()]
+                               + draw(st.lists(good, max_size=3))))
+    runs = [run]
+    if required:
+        flag = draw(st.sampled_from(sorted(required)))
+        runs.append([group for group in run if group[0].partition("=")[0] != flag])
+    for fault, strategy in faults.items():
+        at = len(run) if fault == "no value" else draw(st.integers(0, len(run)))
+        runs.append([*run[:at], draw(strategy), *run[at:]])
+    return [[word for group in groups for word in group] for groups in runs]
+
+
+def _outcome(call, argv):
+    """(what call(argv) returns, or None on SystemExit, and (exit code or
+    None, stdout, stderr))."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result, code = call(argv), None
+        except SystemExit as exc:
+            result, code = None, exc.code
+    return result, (code, out.getvalue(), err.getvalue())
+
+
+@pytest.mark.parametrize("path", list(LEAVES), ids=" ".join)
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.data())
+def test_leaf_reader_gives_what_the_full_tree_gives(path, data):
+    # argv drawn from the leaf's declared flags: where the full tree accepts,
+    # _parse gives its Namespace less the command and subcommand; where it
+    # rejects, main prints its help or usage error and exits as it does
+    parser = cli.build_parser()
+    for words in data.draw(_leaf_runs(path)):
+        argv = [*path, *words]
+        want, want_out = _outcome(parser.parse_args, cli._attach_negative_values(argv))
+        if want is None:
+            assert _outcome(cli.main, argv)[1] == want_out, argv
+        else:
+            got = cli._parse(parser, cli._attach_negative_values(argv))
+            assert _without_command(got) == _without_command(want), argv
 
 
 REPORT_ARGV = [

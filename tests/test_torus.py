@@ -1033,12 +1033,15 @@ TABLE_K = {("A", 2): F(2, 5), ("A", 3): F(1, 3), ("A", 4): F(1, 3), ("A", 5): F(
 
 
 @pytest.mark.parametrize("fam, rank", TORUS_ADE)
-@pytest.mark.parametrize("table", [True, False])
+@pytest.mark.parametrize("table", [True, False, None])
 def test_half_turn_word_traces_match_the_hecke_model(fam, rank, table):
     # the half-turns at b are the Hecke reflection representation plus the
-    # line they all fix, so the trace of a word in them is the model's plus 1
+    # line they all fix, so the trace of a word in them is the model's plus 1:
+    # at the table k (True), at a seeded k (False), and at k = 1/h (None),
+    # where G_0 is singular
     system = _sys(fam, rank)
-    k = TABLE_K[(fam, rank)] if table else _off_table_k(system, 2000 + rank)
+    k = {True: TABLE_K[(fam, rank)], False: _off_table_k(system, 2000 + rank),
+         None: F(1, roots.coxeter_number(system))}[table]
     halves = torus._loops(system, k, range(rank), ())
     model = hecke_model(system, k)
     rng = np.random.default_rng(rank)
@@ -1048,6 +1051,28 @@ def test_half_turn_word_traces_match_the_hecke_model(fam, rank, table):
             want = np.trace(functools.reduce(np.matmul, model[word])) + 1.0
             # relative to the word's size: a trace can vanish
             assert abs(np.trace(product) - want) <= 1e-11 * np.linalg.norm(product), word
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 3), ("D", 4), ("A", 5), ("D", 5), ("E", 6)])
+def test_mirror_loops_match_the_hecke_model_beside_each_half_turn(fam, rank):
+    # mirror_monodromy(alpha) is the model's T_alpha^2, T_alpha = T_w T_j T_w^-1
+    # with (w, j) from _descent, plus the fixed line: tr(M T_beta) is the
+    # model's tr(T_alpha^2 T_beta) + 1 for each simple beta.  The loop of
+    # another mirror has the same spectrum but fails this, for every pair of
+    # roots of A5 and E6; on A3, D4 and D5 a few pairs share all n traces
+    system = _sys(fam, rank)
+    k = TABLE_K[(fam, rank)]
+    halves = torus._loops(system, k, range(rank), ())
+    model = hecke_model(system, k)
+    for alpha in system.positive_roots:
+        M = torus.mirror_monodromy(system, k, alpha)
+        word, j = torus._descent(system, alpha)
+        Tw = functools.reduce(np.matmul, model[word], np.eye(rank))
+        Ta = Tw @ model[j] @ np.linalg.inv(Tw)
+        for beta in range(rank):
+            product = M @ halves[beta]
+            want = np.trace(Ta @ Ta @ model[beta]) + 1.0
+            assert abs(np.trace(product) - want) <= 1e-11 * np.linalg.norm(product), (alpha, beta)
 
 
 # every torus-ade type at a seeded k of the reflection range, and A2, D5 and
