@@ -8,7 +8,9 @@ down, 2 invalid usage.
 
 build_parser declares each leaf subcommand in one place: its flags, its
 --format, its handler and its usage bounds as (flag, least, most) entries,
-which main checks (_check_bounds) after parsing and before the handler runs.
+which main checks (_check_bounds) after parsing and before the handler runs;
+a flag given as "--flag=--", which argparse stores as [], is a usage error
+(_check_values).
 build_parser runs once per process, and main parses every run with the
 parser it built.  An argv that names a leaf is read in one pass over that
 leaf's declared actions (_read_leaf, about a quarter of the leaf parser's
@@ -357,6 +359,14 @@ def _cmd_torus_flatness(args):
     return (EXIT_OK if worst <= args.tol else EXIT_NUMERIC), payload
 
 
+# A loop M with relative error d reads |det M - q^2| <= d cond(M) to first
+# order, so torus monodromy fails a loop whose determinant shows d > _DET_TOL.
+# An absolute bound would fail accurate loops of large cond(M): E8 at
+# k = -21/4, root 7, agrees with the whole half-turns' transport to 1.1e-8 and
+# reads |det M - q^2| = 2.3e2 at cond(M) = 8.8e13
+_DET_TOL = 1e-6
+
+
 def _cmd_torus_monodromy(args):
     import numpy as np
 
@@ -377,6 +387,10 @@ def _cmd_torus_monodromy(args):
         alpha = system.simple_roots[idx - 1]
     M = mirror_monodromy(system, k, alpha)
     residual = hecke_residual(M, k)
+    q_squared = np.exp(-4j * np.pi * float(k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = complex(np.linalg.det(M))
+        det_bound = _DET_TOL * np.linalg.cond(M)
     payload = _report(
         module="torus",
         inputs={"type": str(system.rtype), "k": format_rational(k),
@@ -384,15 +398,20 @@ def _cmd_torus_monodromy(args):
         results={
             "matrix": _matrix_out(M),
             "eigenvalues": [_complex_out(v) for v in np.linalg.eigvals(M)],
-            "q_squared": _complex_out(np.exp(-4j * np.pi * float(k))),
+            "q_squared": _complex_out(q_squared),
+            "determinant": _complex_out(det),
         },
         residuals={"hecke_residual": residual},
         checks=[
             "mirror loop satisfies (M - 1)(M - q^2) = 0 with q = exp(-2 pi i k)",
             "plain loops square the orbifold generators, hence the q^2 branch",
+            "det M = q^2, the one eigenvalue of M other than 1, within 1e-6 cond(M)",
         ],
     )
-    return (EXIT_OK if residual <= args.tol else EXIT_NUMERIC), payload
+    # the Hecke residual divides by ||M||^2, so it cannot tell a wrong loop
+    # whose frame is large; its determinant can (NaN fails both)
+    ok = residual <= args.tol and abs(det - q_squared) <= det_bound
+    return (EXIT_OK if ok else EXIT_NUMERIC), payload
 
 
 def _cmd_torus_form(args):
@@ -639,6 +658,16 @@ def build_parser():
     return parser
 
 
+def _check_values(parser, args):
+    """Raise ValueError naming the first flag given as "--flag=--": argparse
+    takes the "--" away, stores [] and applies no type, so no handler could
+    read it."""
+    if [] in vars(args).values():
+        leaf = next(p for p in parser.leaves.values() if p._defaults["func"] is args.func)
+        action = next(a for a in leaf._actions if getattr(args, a.dest, None) == [])
+        raise ValueError(f"{action.option_strings[0]} needs a value, got '--'")
+
+
 def _check_bounds(args):
     """Raise ValueError naming the first of the leaf's (flag, least, most)
     bounds that its value breaks.  A least written as a flag name is that
@@ -715,12 +744,13 @@ def _read_leaf(leaf, words):
     """The Namespace that leaf.parse_args(words) returns, or None for the
     words it does not take exactly: help, an abbreviated, unknown or
     positional word, a flag without its value or followed by a word that
-    starts with "-", a value "--", a type or choice error, a missing required
-    flag, or "=" on a store_true flag.  Each flag is its exact option string,
-    as "--flag value" or "--flag=value"; a repeated flag keeps its last value
-    and an unset one its default, over the leaf's set_defaults.  A str
-    default is kept as written, as argparse keeps it for a flag with no
-    type, and every leaf flag with a str default has none."""
+    starts with "-", a type or choice error, a missing required flag, or "="
+    on a store_true flag.  Each flag is its exact option string, as
+    "--flag value" or "--flag=value", and "--flag=--" stores [], as argparse
+    does; a repeated flag keeps its last value and an unset one its default,
+    over the leaf's set_defaults.  A str default is kept as written, as
+    argparse keeps it for a flag with no type, and every leaf flag with a str
+    default has none."""
     given = {}
     words = iter(words)
     for word in words:
@@ -735,8 +765,9 @@ def _read_leaf(leaf, words):
             value = next(words, None)
             if value is None or value.startswith("-"):
                 return None
-        elif value == "--":    # argparse drops it and stores []
-            return None
+        elif value == "--":    # argparse drops it and stores [], which _check_values names
+            given[action] = []
+            continue
         try:
             value = value if action.type is None else action.type(value)
         except (argparse.ArgumentTypeError, TypeError, ValueError):
@@ -755,8 +786,10 @@ def _read_leaf(leaf, words):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse(build_parser(), _attach_negative_values(argv))
+    parser = build_parser()
+    args = _parse(parser, _attach_negative_values(argv))
     try:
+        _check_values(parser, args)
         _check_bounds(args)
         code, payload = args.func(args)
     except _numeric_failures() as exc:

@@ -15,12 +15,16 @@ the Weyl group acts on them linearly, the simple reflection s_i by
 _reflection_matrix.  Only char_value, the exact monomial, takes coordinates z.
 Every loop and every form starts at one base point, the real point b of
 hecke_base_point in the dominant chamber.  The half-turn T_i continues the
-frame from b to s_i b and pulls it back by s_i; hecke_generators gives the n
-half-turns and the n coordinate loops at b.  monodromy_form gives the form
-H_b: for 0 < k < m with k != 1/h and 2k != 1 it reads the n half-turns and
-one coordinate loop and solves H from the structure of the Hecke reflection
-representation (_reflection_form, O(n^3)); elsewhere invariant_form solves
-it from all 2n loops.  The mirror loop of a positive root alpha is
+frame from b to s_i b and pulls it back by s_i.  At real k the connection is
+real and s_i-covariant, and the half-turn's second half is its first,
+conjugated and reflected: so only the first half, the quarter-turn of
+_quarter_turn, is transported, and T_i = conj(Phi_i)^-1 g_i Phi_i is one
+solve (_loops).  hecke_generators gives the n half-turns and the n
+coordinate loops at b, which are transported whole.  monodromy_form gives
+the form H_b: for 0 < k < m with k != 1/h and 2k != 1 it reads the n
+half-turns and one coordinate loop and solves H from the structure of the
+Hecke reflection representation (_reflection_form, O(n^3)); elsewhere
+invariant_form solves it from all 2n loops.  The mirror loop of a positive root alpha is
 T_alpha^2 with T_alpha = T_w T_j T_w^-1, where w(alpha_j) = alpha comes from
 descending alpha to a simple root: matrix algebra on the half-turns that w
 and j use, with no transport of its own.  invariant_form, the Kronecker
@@ -337,32 +341,48 @@ def _coordinate_circle(system, j, base):
     return np.array([base + 2j * math.pi * (s / 3.0) * e for s in range(4)])
 
 
-def _half_turn(system, i, base):
-    """Log-coordinates of the half-turn from the real point base to s_i base:
-    base + (L0 e^{i pi t} - L0) C e_i / 2 for t in [0, 1], with L0 = base_i,
-    in 12 segments.  The alpha_i-log runs half around 0, from L0 to -L0, and
-    every other root log moves by a half-integer multiple of the same
-    increment."""
+def _quarter_turn(system, i, base):
+    """Log-coordinates of the first half of the half-turn from the real point
+    base to s_i base: base + (L0 e^{i pi t} - L0) C e_i / 2 for t in [0, 1/2],
+    with L0 = base_i, in 6 segments (the half-turn's 12 at t = s/12).  The
+    alpha_i-log runs a quarter around 0, from L0 to i L0, and every other root
+    log moves by a half-integer multiple of the same increment."""
     d = _float_rows(system)[3][:, i].astype(np.complex128) / 2.0
     L0 = base[i]
     return np.array([base + (L0 * cmath.exp(1j * math.pi * s / 12) - L0) * d
-                     for s in range(13)])
+                     for s in range(7)])
 
 
 def _loops(system, k, halves, circles):
     """The half-turns T_i at the base point b of hecke_base_point for i in
     halves, then the coordinate loops around z_j at b for j in circles, as
-    one (loops, n+1, n+1) stack from one transport call.  T_i =
-    diag(1, A_i^T) transport(half-turn i): the frame continued from b to
-    s_i b and pulled back by the simple reflection A_i =
-    _reflection_matrix(system, i)."""
+    one (loops, n+1, n+1) stack from one transport call.
+
+    T_i is the frame continued along the half-turn P from b to s_i b and
+    pulled back by g_i = diag(1, S_i^T), S_i = _reflection_matrix(system, i),
+    g_i^2 = 1.  At real k the connection is real, A(conj l) = conj A(l), and
+    s_i-covariant through g_i, and P(1 - t) = conj(S_i P(t)): so the second
+    half of P transports by g_i conj(Phi_i)^-1 g_i, where Phi_i is the frame
+    along the first half, the quarter-turn of _quarter_turn, and
+    T_i = conj(Phi_i)^-1 g_i Phi_i, one solve.  Only the quarter-turns are
+    transported.  The coordinate circles are transported whole: the frame of
+    a half circle can be ill-conditioned (cond up to 1.9e17 at D5,
+    k = -21/4), and the same construction would then lose every digit of the
+    circle.  Raises _kernels.NumericFailure, naming the half-turn, when
+    conj(Phi_i) is singular or the norm of T_i is not finite."""
     b = hecke_base_point(system)
-    frames = transport(system, k, [_half_turn(system, i, b) for i in halves]
+    frames = transport(system, k, [_quarter_turn(system, i, b) for i in halves]
                        + [_coordinate_circle(system, j, b) for j in circles])
-    pullback = np.eye(system.rank + 1)
+    g = np.eye(system.rank + 1)
     for row, i in enumerate(halves):
-        pullback[1:, 1:] = _reflection_matrix(system, i).T
-        frames[row] = pullback @ frames[row]
+        g[1:, 1:] = _reflection_matrix(system, i).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                frames[row] = np.linalg.solve(frames[row].conj(), g @ frames[row])
+            except np.linalg.LinAlgError as exc:
+                raise _kernels.NumericFailure(
+                    f"half-turn T_{i + 1}: the quarter-turn frame is singular") from exc
+            _require_finite(frames[row], f"half-turn T_{i + 1}: ")
     return frames
 
 
@@ -381,12 +401,14 @@ def _descent(system, alpha):
     return word, next(i for i, c in enumerate(beta) if c)
 
 
-def _require_finite(M):
-    """Raise _kernels.NumericFailure unless the Frobenius norm of the product
-    M is finite, which hecke_residual and invariant_form divide by: finite
-    frames whose products overflow are caught here."""
+def _require_finite(M, name=""):
+    """Raise _kernels.NumericFailure, its message after name, unless the
+    Frobenius norm of the loop M is finite, which hecke_residual and
+    invariant_form divide by: finite frames whose products or solves overflow
+    are caught here."""
     if not np.isfinite(np.linalg.norm(M)):
-        raise _kernels.NumericFailure("loop monodromy is not finite: the transports overflow")
+        raise _kernels.NumericFailure(
+            f"{name}loop monodromy is not finite: the transports overflow")
 
 
 def mirror_monodromy(system, k, alpha):
@@ -394,8 +416,9 @@ def mirror_monodromy(system, k, alpha):
     positive root alpha, in the jet frame at the base point b of
     hecke_base_point: T_alpha^2 with T_alpha = T_w T_j T_w^-1, (w, j) from
     _descent and T_w the product of the half-turns of w in word order.  Only
-    the half-turns that w and j use are transported, in one transport call.
-    The flatness gate runs at b first; T_w, T_alpha and the square must have
+    the quarter-turns of the half-turns that w and j use are transported, in
+    one transport call, and _loops solves each half-turn from its own.  The
+    flatness gate runs at b first; T_w, T_alpha and the square must have
     finite norms."""
     _flatness_gate(system, k)
     word, j = _descent(system, alpha)

@@ -323,6 +323,14 @@ USAGE_ERRORS = [
     # a run past two bounds names the first its subcommand declares
     (["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--samples", "1001",
       "--seed", "-1"], "--samples must be at most 1000, got 1001"),
+    # argparse takes "--flag=--" as the flag with no value and stores [],
+    # which no handler could read (a traceback, or no file written)
+    (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", "1/4", "--root=--"],
+     "--root needs a value, got '--'"),
+    (["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "5", "--svg=--"],
+     "--svg needs a value, got '--'"),
+    (["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "5", "--json=--"],
+     "--json needs a value, got '--'"),
 ]
 
 
@@ -985,16 +993,41 @@ def test_torus_monodromy_with_a_large_frame_reports_a_finite_residual(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("fam, rank, k, root, code", [
+    # wrong loops: their squares of half-turns lost every digit, and the
+    # Hecke residual, which divides by ||M||^2, reads below 1e-6 on each
+    ("E", 8, "40", "1", 1), ("E", 8, "20", "6", 1), ("D", 8, "20", "1", 1),
+    ("E", 8, "10", "6", 1), ("E", 8, "150", "1", 1), ("E", 8, "200", "1", 1),
+    # loops within 3.3e-8 of those from the whole half-turns' transport: the
+    # last two read |det M - q^2| = 2.3e2 and 1.6 at cond(M) = 8.8e13 and 1.8e13
+    ("D", 5, "-21/4", "highest", 0), ("E", 8, "-21/4", "7", 0),
+    ("E", 6, "-21/4", "highest", 0)])
+def test_torus_monodromy_determinant_fails_wrong_large_loops(fam, rank, k, root, code, capsys):
+    # det M = q^2 within _DET_TOL cond(M), reported under results
+    got, out = run_cli(["torus", "monodromy", "--type", fam, "--rank", str(rank), f"--k={k}",
+                        "--root", root, "--format", "json"])
+    assert got == code and capsys.readouterr().err == ""
+    payload = json.loads(out)
+    jsonschema.validate(payload, cli.report_schema())
+    assert "determinant" not in payload["residuals"]
+    M = np.array([[complex(*v) for v in row] for row in payload["results"]["matrix"]])
+    det = complex(*payload["results"]["determinant"])
+    q_squared = complex(*payload["results"]["q_squared"])
+    assert (abs(det - q_squared) > cli._DET_TOL * np.linalg.cond(M)) == bool(code)
+
+
 @pytest.mark.parametrize("k, ending", [
-    pytest.param("100", "loop monodromy is not finite: the transports overflow", id="100"),
+    pytest.param("240", "loop monodromy is not finite: the transports overflow", id="240"),
     pytest.param("300", "frame is not finite at t = 1.0", id="300"),
     pytest.param("1000", "did not converge within 400 terms", id="1000"),
 ])
 def test_torus_overflow_prints_one_error_line_subprocess(k, ending):
-    # as k grows the A2 half-turn's frame grows until the loop's square
-    # overflows (k = 100), the frame overflows in the kernel (300) or a step
-    # needs more series terms than it may take (1000): numpy's warnings stay
-    # off stderr, which holds the one error line of every numeric failure
+    # as k grows the A2 quarter-turn's frame grows until the solve for the
+    # half-turn overflows (k = 240), the frame overflows in the kernel (300)
+    # or a step needs more series terms than it may take (1000): numpy's
+    # warnings stay off stderr, which holds the one error line of every
+    # numeric failure.  The quarter-turn frame grows as the square root of
+    # the half-turn's, so k = 100 now prints a report (exit 1)
     proc = _run_subprocess(["torus", "monodromy", "--type", "A", "--rank", "2", "--k", k])
     assert proc.returncode == 1 and proc.stdout == ""
     lines = proc.stderr.splitlines()
@@ -1002,10 +1035,11 @@ def test_torus_overflow_prints_one_error_line_subprocess(k, ending):
     assert lines[0].endswith(ending)
 
 
-@pytest.mark.parametrize("argv", [["monodromy", "--k", "100"], ["form", "--k", "1000"]])
+@pytest.mark.parametrize("argv", [["monodromy", "--k", "300"], ["form", "--k", "1000"]])
 def test_e8_overflow_prints_one_error_line_subprocess(argv):
     # the flatness gate passes the flat E8 connection at these k; the loop
-    # transports then overflow, and that is the one error line
+    # transports then overflow, and that is the one error line (monodromy's
+    # quarter-turns stay finite at k = 200, where it prints a report)
     proc = _run_subprocess(["torus", argv[0], "--type", "E", "--rank", "8", *argv[1:]])
     assert proc.returncode == 1 and proc.stdout == ""
     lines = proc.stderr.splitlines()

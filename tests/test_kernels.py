@@ -297,13 +297,13 @@ def test_torus_transport_onto_a_mirror_raises_numeric_failure():
 
 @pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 4), ("E", 8)])
 def test_shared_transport_matches_each_path_alone(fam, rank):
-    # the half-turns, the coordinate loops and three sample paths at b in one
-    # call: the batches mix the paths' steps, and each frame stays within
+    # the quarter-turns, the coordinate loops and three sample paths at b in
+    # one call: the batches mix the paths' steps, and each frame stays within
     # rounding of its frame alone
     system = roots.build(roots.RootSystemType(fam, rank))
     k = roots.hyperbolic_exponent(system) / 3
     b = torus.hecke_base_point(system)
-    paths = ([torus._half_turn(system, i, b) for i in range(rank)]
+    paths = ([torus._quarter_turn(system, i, b) for i in range(rank)]
              + [torus._coordinate_circle(system, j, b) for j in range(rank)]
              + [(b, lz) for lz in torus.sample_points_near(system, b, 3, seed=1)])
     shared = torus.transport(system, k, paths)
@@ -357,12 +357,32 @@ def test_one_torus_kernel_call_per_measurement(monkeypatch):
 
 def test_mirror_monodromy_singular_half_turn_word_raises_numeric_failure(monkeypatch):
     # the highest root of A2 is s_1(alpha_2): its loop inverts T_w = T_1
-    def singular(system, k, paths):
-        return np.zeros((len(paths), 3, 3), dtype=np.complex128)
+    def singular(system, k, halves, circles):
+        return np.zeros((len(halves) + len(circles), 3, 3), dtype=np.complex128)
 
-    monkeypatch.setattr(torus, "transport", singular)
+    monkeypatch.setattr(torus, "_loops", singular)
     with pytest.raises(_kernels.NumericFailure, match="T_w is singular"):
         torus.mirror_monodromy(A2, F(1, 4), np.array([1, 1]))
+
+
+@pytest.mark.parametrize("measure", [
+    lambda: torus.mirror_monodromy(A2, F(1, 4), np.array([0, 1])),
+    lambda: torus.hecke_generators(A2, F(1, 4)),
+    lambda: torus.monodromy_form(A2, F(1, 4))])
+def test_singular_quarter_turn_frame_raises_naming_its_half_turn(measure, monkeypatch):
+    # each half-turn is solved from its quarter-turn frame: a singular frame
+    # is a numeric failure that names the half-turn, not a LinAlgError
+    def singular(system, k, paths):
+        # the quarter-turn of T_2 comes second, or alone for the alpha_2 loop
+        frames = np.tile(np.eye(3, dtype=np.complex128), (len(paths), 1, 1))
+        frames[min(1, len(paths) - 1)] = 0.0
+        return frames
+
+    monkeypatch.setattr(torus, "transport", singular)
+    with pytest.raises(_kernels.NumericFailure,
+                       match=r"^half-turn T_2: the quarter-turn frame is singular$") as info:
+        measure()
+    assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def test_kernel_raises_at_the_singular_point():

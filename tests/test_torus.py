@@ -559,25 +559,34 @@ def test_descent_reaches_every_positive_root(fam, rank):
         assert len(word) == int(alpha.sum()) - 1
 
 
+def _half_turn_by_hand(system, i, b):
+    """The 13 points of the half-turn from b to s_i b: the alpha_i-log runs
+    half around 0 in 12 steps of pi/12, and the path moves along C e_i / 2."""
+    d = np.array(system.cartan, dtype=float)[:, i] / 2.0
+    return np.array([b + (b[i] * cmath.exp(1j * math.pi * s / 12) - b[i]) * d
+                     for s in range(13)])
+
+
+def _pullback(system, i):
+    """g_i = diag(1, A_i^T), which pulls a frame at s_i b back to b."""
+    g = np.eye(system.rank + 1)
+    g[1:, 1:] = torus._reflection_matrix(system, i).T
+    return g
+
+
 def _loops_by_hand(system, k, halves, circles):
-    """The half-turns T_i for i in halves, from their 13 points at b pulled
-    back by diag(1, A_i^T), then the coordinate circles at b for j in
-    circles, transported in one call as one measurement is."""
+    """The half-turns T_i for i in halves, each solved as
+    conj(Phi_i)^-1 g_i Phi_i from the frame Phi_i along the first 7 points of
+    its half-turn at b, then the coordinate circles at b for j in circles,
+    transported in one call as one measurement is."""
     rank = system.rank
     b = 0.35 + 0.05 * np.arange(rank)
-    paths = []
-    for i in halves:
-        d = np.array(system.cartan, dtype=float)[:, i] / 2.0
-        paths.append(np.array([b + (b[i] * cmath.exp(1j * math.pi * s / 12) - b[i]) * d
-                               for s in range(13)]))
+    paths = [_half_turn_by_hand(system, i, b)[:7] for i in halves]
     paths += [np.array([b + 2j * math.pi * (s / 3.0) * np.eye(rank)[j] for s in range(4)])
               for j in circles]
     frames = torus.transport(system, k, paths)
-    loops = []
-    for i, frame in zip(halves, frames):
-        reflect = np.eye(rank + 1)
-        reflect[1:, 1:] = torus._reflection_matrix(system, i).T
-        loops.append(reflect @ frame)
+    loops = [np.linalg.solve(frame.conj(), _pullback(system, i) @ frame)
+             for i, frame in zip(halves, frames)]
     return loops + list(frames[len(loops):])
 
 
@@ -1030,6 +1039,46 @@ TABLE_K = {("A", 2): F(2, 5), ("A", 3): F(1, 3), ("A", 4): F(1, 3), ("A", 5): F(
            ("A", 6): F(1, 6), ("A", 7): F(1, 6), ("A", 8): F(1, 6), ("D", 4): F(1, 3),
            ("D", 5): F(1, 4), ("D", 6): F(1, 6), ("D", 7): F(1, 6), ("D", 8): F(1, 6),
            ("E", 6): F(1, 4), ("E", 7): F(1, 6), ("E", 8): F(1, 6)}
+
+
+def _seeded_k(rank):
+    """A seeded k with 0 < |k| <= 1: j/20 for a drawn j of either sign."""
+    rng = np.random.default_rng(4000 + rank)
+    return F(int(rng.integers(1, 21)) * int(rng.choice([-1, 1])), 20)
+
+
+@pytest.mark.parametrize("fam, rank", TORUS_ADE)
+@pytest.mark.parametrize("table", [True, False])
+def test_half_turns_match_the_whole_half_turn_transported_by_hand(fam, rank, table):
+    # each T_i of _loops, solved from its quarter-turn by the real structure
+    # and the s_i-covariance of the connection, against the frame along all
+    # 13 points of the half-turn pulled back by g_i, which uses neither
+    system = _sys(fam, rank)
+    k = TABLE_K[(fam, rank)] if table else _seeded_k(rank)
+    b = torus.hecke_base_point(system).real
+    whole = torus.transport(system, k, [_half_turn_by_hand(system, i, b) for i in range(rank)])
+    for i, (T, frame) in enumerate(zip(torus._loops(system, k, range(rank), ()), whole)):
+        want = _pullback(system, i) @ frame
+        assert np.linalg.norm(T - want) <= 1e-11 * np.linalg.norm(want), i
+
+
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("D", 5), ("E", 6), ("E", 8)])
+@pytest.mark.parametrize("table", [True, False])
+def test_second_half_of_a_half_turn_is_the_first_conjugated_and_reflected(fam, rank, table):
+    # the half-turn P satisfies P(1 - t) = conj(S_i P(t)), so the frame along
+    # its points 6..12 is g_i conj(Phi_i)^-1 g_i, Phi_i the frame along
+    # points 0..6: the real structure and the s_i-covariance of the connection
+    system = _sys(fam, rank)
+    k = TABLE_K[(fam, rank)] if table else _seeded_k(rank)
+    b = torus.hecke_base_point(system).real
+    for i in range(rank):
+        path = _half_turn_by_hand(system, i, b)
+        mirrored = (path @ torus._reflection_matrix(system, i).T).conj()[::-1]
+        assert np.max(np.abs(path - mirrored)) <= 1e-15 * np.max(np.abs(path))
+        first, second = torus.transport(system, k, [path[:7], path[6:]])
+        g = _pullback(system, i)
+        want = g @ np.linalg.inv(first.conj()) @ g
+        assert np.linalg.norm(second - want) <= 1e-11 * np.linalg.norm(want), i
 
 
 @pytest.mark.parametrize("fam, rank", TORUS_ADE)
