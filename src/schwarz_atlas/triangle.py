@@ -30,13 +30,19 @@ side normals back to the sphere, turns them by one fixed generic rotation
 and draws all tiles in the chart of the rotated sphere.  The one tile that
 holds that chart's pole is the outside of its three arcs, filled with
 fill-rule="evenodd" against the view box.
+
+tessellate is memoized per process, keyed by its exact arguments and bounded
+by _MEMO_TILES tiles in all, least recently used first out.  A Tessellation
+is immutable, and its report and SVG text are computed once, on the object.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -264,7 +270,7 @@ def _one_tile(geometry, angles, verts, sides, mids):
     """The Tessellation of one triangle: its vertices and side midpoints
     (complex) and its sides (rows)."""
     z = np.array([*verts, *mids])
-    return Tessellation(geometry=geometry, words=[""], depth=0, closure_reached=True,
+    return Tessellation(geometry=geometry, words=("",), depth=0, closure_reached=True,
                         angles=angles, points=np.stack([z.real, z.imag])[:, None],
                         sides=np.array(sides, float).T[:, None], secondary=np.zeros(1, bool))
 
@@ -272,22 +278,30 @@ def _one_tile(geometry, angles, verts, sides, mids):
 # ---------------------------------------------------------------------------
 # tessellation
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Tessellation:
     """The tiles as arrays, one row per tile in word order.
 
     points[0] and points[1] hold the chart x and y of each tile's vertices
     (columns 0-2) and side midpoints (3-5).  sides holds (a, Re b, Im b, c)
     of side i, the side opposite vertex i, in column i.  secondary flags
-    the spherical tiles whose points and sides are in the chart z' = 1/z."""
+    the spherical tiles whose points and sides are in the chart z' = 1/z.
+
+    A Tessellation is immutable (its arrays are read-only), since tessellate
+    hands one object to every caller that asks for it; its report and its
+    SVG text are computed once, on the object."""
     geometry: Geometry
-    words: list
+    words: tuple
     depth: int
     closure_reached: bool
     angles: tuple              # target interior angles at v0, v1, v2 (radians)
     points: np.ndarray         # (2, tiles, 6)
     sides: np.ndarray          # (4, tiles, 3)
     secondary: np.ndarray      # (tiles,) bool
+
+    def __post_init__(self):
+        for a in (self.points, self.sides, self.secondary):
+            a.flags.writeable = False
 
     @property
     def tile_count(self):
@@ -302,6 +316,11 @@ class Tessellation:
         return _orthogonality_residuals(self.sides).max().item()
 
     def report(self):
+        """The report's fields, a fresh dict of values computed once."""
+        return dict(self._report)
+
+    @functools.cached_property
+    def _report(self):
         rep = {
             "geometry": self.geometry.value,
             "tile_count": self.tile_count,
@@ -312,6 +331,10 @@ class Tessellation:
         if self.geometry is Geometry.HYPERBOLIC:
             rep["max_orthogonality_residual"] = self.max_orthogonality_residual()
         return rep
+
+    @functools.cached_property
+    def _svg(self):
+        return _svg_text(self)
 
 
 _FORM_SIGN = {Geometry.SPHERICAL: 1.0, Geometry.EUCLIDEAN: 0.0, Geometry.HYPERBOLIC: -1.0}
@@ -382,6 +405,13 @@ def _closure(R, ells, c0, max_tiles, max_word_length):
     return np.concatenate(mats), words, not budget_hit
 
 
+# tessellate keeps its results for the life of the process, keyed by its
+# exact arguments, up to _MEMO_TILES tiles in all (the default max_tiles);
+# past that it drops the least recently used, and it never keeps a larger one
+_MEMO_TILES = 20000
+_memo = OrderedDict()
+
+
 def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
     """Breadth-first closure of the (k, l, m) triangle under side reflections.
 
@@ -391,8 +421,27 @@ def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
     the chart points and side circles of the tiles kept are computed at the
     end, for all tiles at once.  Spherical input closes up with one tile per
     element of the full reflection group.
+
+    The result is memoized per process: a repeated call returns the same
+    immutable Tessellation, whose report and SVG text were computed once.
     """
+    # classify before the lookup: it rejects an order 7.0, which hashes as 7
     geometry = classify(k, l, m)
+    key = (k, l, m, max_tiles, max_word_length)
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key]
+    tess = _closure_tessellation(geometry, k, l, m, max_tiles, max_word_length)
+    if tess.tile_count <= _MEMO_TILES:
+        _memo[key] = tess
+        held = sum(t.tile_count for t in _memo.values())
+        while held > _MEMO_TILES:
+            held -= _memo.popitem(last=False)[1].tile_count
+    return tess
+
+
+def _closure_tessellation(geometry, k, l, m, max_tiles, max_word_length):
+    """The Tessellation that tessellate returns, computed afresh."""
     s = _FORM_SIGN[geometry]
     angles = (math.pi / k, math.pi / l, math.pi / m)
     P = np.array([_lift(v, s) for v in _vertices(angles, geometry)]).T   # columns p0, p1, p2
@@ -421,7 +470,7 @@ def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
         else:
             sides = _through(ends[0], points[..., 3:6], ends[1])
     return Tessellation(
-        geometry=geometry, words=words, depth=len(words[-1]), closure_reached=closed,
+        geometry=geometry, words=tuple(words), depth=len(words[-1]), closure_reached=closed,
         angles=angles, points=points, sides=sides, secondary=secondary,
     )
 
@@ -685,7 +734,16 @@ def export_svg(tess, path):
     geometry.  A spherical tessellation is drawn in one chart of the rotated
     sphere (_drawing_chart); the tile that holds the chart's pole is the
     outside of its three arcs, drawn against the view box with
-    fill-rule="evenodd"."""
+    fill-rule="evenodd".  The text is rendered once per Tessellation, so a
+    memoized one is only written again; returns the text."""
+    data = tess._svg
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(data)
+    return data
+
+
+def _svg_text(tess):
+    """The SVG text that export_svg writes."""
     if not tess.tile_count:
         raise ValueError("refusing to render an empty tessellation")
     points, sides = tess.points, tess.sides
@@ -723,7 +781,4 @@ def export_svg(tess, path):
         )
     lines.append("</g>")
     lines.append("</svg>")
-    data = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    return data
+    return "\n".join(lines) + "\n"

@@ -1102,6 +1102,34 @@ def test_half_turn_word_traces_match_the_hecke_model(fam, rank, table):
             assert abs(np.trace(product) - want) <= 1e-11 * np.linalg.norm(product), word
 
 
+@pytest.mark.parametrize("fam, rank", [("A", 2), ("A", 3), ("D", 4), ("D", 5), ("E", 6), ("E", 8)])
+@pytest.mark.parametrize("at_one_over_h", [True, False])
+def test_coxeter_element_power_h_has_the_identity_row_phase(fam, rank, at_one_over_h):
+    # c = T_1...T_n from the half-turns: c^h has the eigenvalue
+    # lambda = exp(-2 pi i (hk - 1)) n times and 1 once (the fixed line),
+    # the identity row (hk - 1)/2 of the Hecke model in closed form
+    system = _sys(fam, rank)
+    h = roots.coxeter_number(system)
+    k = F(1, h) + (0 if at_one_over_h else F(1, 50))
+    c = functools.reduce(np.matmul, torus.hecke_generators(system, k)[:rank])
+    ch = np.linalg.matrix_power(c, h)
+    lam = np.exp(-2j * np.pi * float(h * k - 1))
+    assert abs(np.trace(ch) - (rank * lam + 1)) <= 1e-10 * np.linalg.norm(ch)
+    if at_one_over_h:
+        # lambda = 1, and c^h = 1 + N with N of rank one and N^2 = 0: the fixed
+        # line lies in the reflection part (G_0 is singular), a Jordan block
+        # whose computed eigenvalues would hold only half the digits
+        N = ch - np.eye(rank + 1)
+        assert np.linalg.norm(N) > 1.0
+        assert np.linalg.norm(N @ N) <= 1e-10 * np.linalg.norm(N) ** 2
+    else:
+        eigenvalues = list(np.linalg.eigvals(ch))
+        for want in [lam] * rank + [1.0]:
+            gaps = np.abs(np.array(eigenvalues) - want)
+            assert gaps.min() <= 1e-10, (want, eigenvalues)
+            eigenvalues.pop(int(np.argmin(gaps)))
+
+
 @pytest.mark.parametrize("fam, rank", [("A", 3), ("D", 4), ("A", 5), ("D", 5), ("E", 6)])
 def test_mirror_loops_match_the_hecke_model_beside_each_half_turn(fam, rank):
     # mirror_monodromy(alpha) is the model's T_alpha^2, T_alpha = T_w T_j T_w^-1

@@ -75,7 +75,7 @@ def test_classify_exact():
 
 def test_build_hyperbolic_triangle():
     t = base_triangle(2, 3, 7)
-    assert (t.words, t.depth, t.closure_reached) == ([""], 0, True)
+    assert (t.words, t.depth, t.closure_reached) == (("",), 0, True)
     measured = tri._measured_angles(t.points, t.sides)[0]
     for got, want in zip(measured, (math.pi / 2, math.pi / 3, math.pi / 7)):
         assert abs(got - want) < 1e-10
@@ -190,7 +190,7 @@ def test_word_ordering():
     tess = tri.tessellate(2, 3, 7, max_word_length=3)
     words = tess.words
     assert words[0] == ""
-    assert words == sorted(words, key=lambda w: (len(w), w))
+    assert words == tuple(sorted(words, key=lambda w: (len(w), w)))
 
 
 def test_angles_preserved_along_words():
@@ -519,7 +519,7 @@ def test_budgets():
     assert not tri.tessellate(2, 3, 5, max_tiles=119).closure_reached
     assert tri.tessellate(2, 3, 5, max_word_length=15).closure_reached
     assert not tri.tessellate(2, 3, 5, max_word_length=14).closure_reached
-    assert tri.tessellate(2, 3, 7, max_word_length=0).words == [""]
+    assert tri.tessellate(2, 3, 7, max_word_length=0).words == ("",)
 
 
 def test_residuals_see_tile_matrices_off_the_group(monkeypatch):
@@ -749,7 +749,7 @@ def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
     geometry = tri.classify_angles(*angles)
     tess = tri.triangle_from_angles(*(float(a) * math.pi for a in angles), geometry)
     assert (tess.geometry, tess.words, tess.depth, tess.closure_reached) == (
-        geometry, [""], 0, True)
+        geometry, ("",), 0, True)
     assert not tess.secondary.any()
     assert tess.points.shape == (2, 1, 6)
     z = chart_points(tess)[0].tolist()
@@ -797,3 +797,69 @@ def test_cli_builds_no_per_tile_objects(argv, monkeypatch, tmp_path):
         assert cli.main(["triangle", "tessellate", *argv, "--svg", str(tmp_path / "t.svg"),
                          "--json", str(tmp_path / "t.json")]) == 0
     assert not called
+
+
+# ---------------------------------------------------------------------------
+# the per-process memo of tessellate (tests/conftest.py empties it before
+# each test)
+
+
+def test_repeated_tessellate_returns_one_immutable_object():
+    tess = tri.tessellate(2, 3, 7, max_word_length=6)
+    assert tri.tessellate(2, 3, 7, max_word_length=6) is tess
+    assert tri.tessellate(2, 3, 7, max_word_length=5) is not tess
+    assert isinstance(tess.words, tuple)
+    for array in (tess.points, tess.sides, tess.secondary):
+        with pytest.raises(ValueError):
+            array[..., 0] = 0
+    with pytest.raises(AttributeError):
+        tess.words = ()
+    rep = tess.report()
+    rep["tile_count"] = -1
+    assert tess.report()["tile_count"] == tess.tile_count
+
+
+@pytest.mark.parametrize("klm,depth", [((2, 3, 5), None), ((2, 4, 4), 8), ((2, 3, 7), 8)])
+def test_memo_hit_matches_a_fresh_computation(klm, depth, tmp_path):
+    def outputs(name):
+        tess = tri.tessellate(*klm, max_word_length=depth)
+        svg = tri.export_svg(tess, tmp_path / name)
+        return tess, tile_digest(tess), tess.report(), svg, (tmp_path / name).read_bytes()
+
+    first = outputs("first.svg")
+    hit = outputs("hit.svg")
+    tri._memo.clear()
+    fresh = outputs("fresh.svg")
+    assert hit[0] is first[0] and fresh[0] is not first[0]
+    assert hit[1:] == first[1:] == fresh[1:]
+
+
+def test_memo_keeps_its_tile_budget(monkeypatch):
+    monkeypatch.setattr(tri, "_MEMO_TILES", 130)
+    a = tri.tessellate(2, 3, 3)                             # 24 tiles
+    big = tri.tessellate(2, 3, 7, max_word_length=10)       # 158: not kept, a stays
+    assert big.tile_count > 130 and list(tri._memo.values()) == [a]
+    assert tri.tessellate(2, 3, 7, max_word_length=10) is not big
+    b = tri.tessellate(2, 3, 4)                             # 48
+    c = tri.tessellate(2, 2, 7)                             # 28
+    assert tri.tessellate(2, 3, 3) is a                     # now b is the least recent
+    d = tri.tessellate(2, 2, 9)                             # 36: 136 tiles, b goes
+    assert [t.tile_count for t in (a, b, c, d)] == [24, 48, 28, 36]
+    assert list(tri._memo.values()) == [c, a, d]
+    assert tri.tessellate(2, 3, 4) is not b
+
+
+def test_cli_repeated_in_one_process_writes_the_same_bytes(tmp_path):
+    outs = []
+    for run in ("1", "2"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "7",
+                             "--depth", "8", "--svg", str(tmp_path / f"t{run}.svg"),
+                             "--json", str(tmp_path / f"t{run}.json")]) == 0
+        # the report names its SVG file
+        outs.append(out.getvalue().replace(str(tmp_path / f"t{run}.svg"), "t.svg"))
+    assert tri._memo
+    assert outs[0] == outs[1]
+    for ext in ("svg", "json"):
+        assert (tmp_path / f"t1.{ext}").read_bytes() == (tmp_path / f"t2.{ext}").read_bytes()
