@@ -6,41 +6,44 @@ follow a recurrence read off the equation, the step is half the distance to
 the nearest singularity, so every series converges asymptotically like 2^-n,
 and each one is summed until its terms fall below a tolerance times its
 largest term.  This is the holonomic-function evaluation of Chudnovsky &
-Chudnovsky and van der Hoeven (1999), in plain floating point.  The steps
-depend only on the path and the equations are linear, so both kernels lay
-out the step grid of the whole call first, then sum every step's propagator
-(its series from the identity frame) in batches of steps, one numpy call per
-term for the whole batch, and then apply the propagators in path order.
+Chudnovsky and van der Hoeven (1999), in plain floating point.
 
-`gauss_segment` continues the 2x2 (value, derivative) frame of the
-hypergeometric equation along many paths in one call: the three loops of a
-monodromy measurement, or every boundary sample of a conformal chart.  The
-coefficients of a solution in x = z - z0 follow a three-term recurrence, the
-step radius is half the distance to {0, 1}, and the tolerance is machine
-epsilon.  Batches hold up to _GAUSS_BATCH_STEPS steps and _GAUSS_BLOCK
-terms of each.
+The steps depend only on the path and the equations are linear, so one
+kernel call takes many paths, and its stages are shared:
+- the equation lays out the step grid of every path of the call first, and
+  a step that reaches a singular point raises before any series is summed;
+- one driver, _continue, then runs the steps in batches: the equation sums
+  each batch's propagators (each step's series from the identity frame), one
+  numpy call per term for the whole batch, and the driver applies them to the
+  frame in path order, a path without steps keeping the start frame;
+- the driver raises NumericFailure, naming the segment, when a series did not
+  converge within its term budget (an overflowed one is reported as overflow)
+  or when a frame is not finite at a path's end or a batch's end.
+Each step's series stops at its own last term, so a path's frame does not
+depend on the paths that share its call beyond rounding.  Both kernels return
+(frames, True): perfbench/tracer.py reads r[-1].
 
-`torus_segment` continues the rank-n torus jet frame dF/dt = B(t) F along
-the log-linear segments of many paths in one call: every loop of a
-monodromy or form measurement, or every sample path of a ball check.  At low
-rank a batch of steps costs about as much as a part-filled one, so one call
-for all the paths takes fewer batches than one call per path.  A step is
-half the distance in t to the nearest mirror crossing.  Steps go in batches
-whose coefficient stacks fit a fixed byte budget (_TORUS_BATCH_BYTES: about
-7 steps at E8, wider at lower rank), with room for _TORUS_START_TERMS terms
-at first and more, within the budget, when a series needs them.  Each term
-is one numpy call for the whole batch: the Riccati recurrence of coth for
-the Taylor coefficients of every root coefficient -coth(L/2), one real GEMM
-for the Taylor coefficients of B, and one batched matmul for the
-convolution that gives the frame's coefficients.  Each step's series stops
-at its own last term, so a path's frame does not depend on the paths that
-share its call beyond rounding.
-
-Every breakdown raises NumericFailure where it is found, naming the segment.
-Both kernels return (result, True): perfbench/tracer.py reads r[-1].
+What each equation brings:
+- `gauss_segment` continues the 2x2 (value, derivative) frame of the
+  hypergeometric equation: the three loops of a monodromy measurement, or
+  every boundary sample of a conformal chart.  The coefficients of a solution
+  in x = z - z0 follow a three-term recurrence, the step radius is half the
+  distance to {0, 1}, and the tolerance is machine epsilon.  Batches hold up
+  to _GAUSS_BATCH_STEPS steps and _GAUSS_BLOCK terms of each, and the frame
+  is carried as complex scalars, one 2x2 product a step.
+- `torus_segment` continues the rank-n torus jet frame dF/dt = B(t) F along
+  log-linear segments: every loop of a monodromy or form measurement, or
+  every sample path of a ball check.  A step is half the distance in t to
+  the nearest mirror crossing.  Batches' coefficient stacks fit a fixed byte
+  budget (_TORUS_BATCH_BYTES: about 7 steps at E8, wider at lower rank), with
+  room for _TORUS_START_TERMS terms at first; a batch whose series need more
+  starts again with twice the room and fewer steps.  Each term is the
+  Riccati recurrence of coth for every root coefficient -coth(L/2), one real
+  GEMM for the Taylor coefficients of B, and one batched matmul for the
+  convolution that gives the frame's coefficients.  At low rank a batch costs
+  about as much as a part-filled one, so one call for all the paths takes
+  fewer batches than one call per path.
 """
-
-import cmath
 
 import numpy as np
 
@@ -64,6 +67,53 @@ _GAUSS_BLOCK = 16
 _GAUSS_BATCH_STEPS = 128
 
 
+def _continue(batch, step, start, ends, where, terms):
+    """Continue the frame start along every path of a call, the paths' steps
+    in one run: path p is the steps before ends[p] that the path before it has
+    not taken.
+
+    batch(first) returns the propagators of a batch of steps from step first
+    on and whether each step's series stopped; step(F, P) is the frame F after
+    the step of propagator P; where(i) names step i's segment, its start and
+    its end.  The propagators are applied in path order as each batch comes,
+    and a path without steps keeps start.  Returns the frames.  Raises
+    NumericFailure, naming the segment, when a step's series did not stop
+    within terms terms, or when a frame is not finite at the end of a path or
+    of a batch.
+    """
+    frames = np.empty((len(ends),) + np.shape(start), dtype=np.complex128)
+    F = start
+
+    def require_finite(i):
+        if not np.isfinite(F).all():
+            segment, _, end = where(i)
+            raise NumericFailure(f"{segment}: frame is not finite at {end}")
+
+    p = first = 0
+    # an overflowing series or frame is caught by the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        while first < (ends[-1] if ends else 0):
+            P, done = batch(first)
+            # an overflowed series never converges: it is reported as overflow
+            if not done.all() and np.isfinite(P).all():
+                segment, at, _ = where(first + int(np.argmin(done)))
+                raise NumericFailure(
+                    f"{segment}: series at {at} did not converge within {terms} terms")
+            for i, D in enumerate(P, first):
+                while ends[p] == i:
+                    require_finite(i - 1)
+                    frames[p] = F
+                    F = start
+                    p += 1
+                F = step(F, D)
+            first += len(P)
+            require_finite(first - 1)
+    # path p ends at the last step, and the paths after it take none
+    frames[p:] = start
+    frames[p:p + 1] = F
+    return frames
+
+
 def gauss_segment(alpha, beta, gamma, paths, F0):
     """Transport the 2x2 frame F0 (row 0 values, row 1 derivatives), given at
     the first waypoint of each path, along each piecewise-linear path.
@@ -77,32 +127,25 @@ def gauss_segment(alpha, beta, gamma, paths, F0):
     """
     z, h, segment, ends = _gauss_grid(paths)
     S = _GAUSS_BATCH_STEPS
-    with np.errstate(over="ignore", invalid="ignore"):
-        P, done = (np.concatenate(part) for part in zip(*(
-            _gauss_propagators(alpha, beta, gamma, z[i:i + S], h[i:i + S])
-            for i in range(0, max(len(z), 1), S))))
-    # an overflowed series never converges: report it as overflow below
-    unconverged = set(np.flatnonzero(~done & np.isfinite(P).all(axis=1)).tolist())
-    rows = P.tolist()
-    (a0, a1), (b0, b1) = np.asarray(F0, dtype=np.complex128).tolist()
-    frames = np.empty((len(ends), 2, 2), dtype=np.complex128)
-    first = 0
-    for k, last in enumerate(ends):
-        f0, f1, g0, g1 = a0, a1, b0, b1
-        for i in range(first, last):
-            za, zb = segment[i]
-            if i in unconverged:
-                raise NumericFailure(f"segment {za} -> {zb}: series at z = {z[i]} did not "
-                                     f"converge within {_MAX_TERMS} terms")
-            p00, p01, p10, p11 = rows[i]
-            f0, f1, g0, g1 = (p00 * f0 + p01 * g0, p00 * f1 + p01 * g1,
-                              p10 * f0 + p11 * g0, p10 * f1 + p11 * g1)
-            if not all(map(cmath.isfinite, (f0, f1, g0, g1))):
-                raise NumericFailure(
-                    f"segment {za} -> {zb}: frame is not finite at z = {z[i] + h[i]}")
-        frames[k] = ((f0, f1), (g0, g1))
-        first = last
-    return frames, True
+
+    def batch(first):
+        P, done = _gauss_propagators(alpha, beta, gamma, z[first:first + S], h[first:first + S])
+        return P.tolist(), done
+
+    def where(i):
+        za, zb = segment[i]
+        return f"segment {za} -> {zb}", f"z = {z[i]}", f"z = {z[i] + h[i]}"
+
+    start = np.asarray(F0, dtype=np.complex128).tolist()
+    return _continue(batch, _gauss_step, start, ends, where, _MAX_TERMS), True
+
+
+def _gauss_step(F, P):
+    """The frame F, nested pairs of complex scalars, after the step whose
+    propagator has the entries P = (p00, p01, p10, p11)."""
+    (f0, f1), (g0, g1) = F
+    p00, p01, p10, p11 = P
+    return (p00 * f0 + p01 * g0, p00 * f1 + p01 * g1), (p10 * f0 + p11 * g0, p10 * f1 + p11 * g1)
 
 
 def _gauss_grid(paths):
@@ -279,52 +322,29 @@ def torus_segment(lz0, m, ends, croots, coroots, k, svec):
     J = _TORUS_MAX_TERMS
     tol = max(_TORUS_RTOL, _EPS)
     K0 = (0.5 * k) * (croots[:, :, None] * coroots[:, None, :]).reshape(nr, (n1 - 1) ** 2)
-    one = np.eye(n1, dtype=np.complex128)
-    frames = np.empty((len(ends), n1, n1), dtype=np.complex128)
-    # the steps of path p are those before stops[p]
-    stops = np.searchsorted(seg, ends).tolist()
-    p = 0
-    F = one
-
-    def require_finite(i):
-        if not np.isfinite(F).all():
-            raise NumericFailure(
-                f"torus segment from {lz0[seg[i]].tolist()} along {m[seg[i]].tolist()}: "
-                f"frame is not finite at t = {ts[i] + hs[i]}")
-
     cap = min(_TORUS_START_TERMS, J) + 1
-    first = 0
-    # an overflowing series or frame is caught by the checks below
-    with np.errstate(over="ignore", invalid="ignore"):
-        while first < len(ts):
+
+    def batch(first):
+        nonlocal cap
+        while True:
             width = max(1, (_TORUS_BATCH_BYTES - K0.nbytes) // (16 * cap * (nr + 2 * n1 * n1)))
             s = seg[first:first + width]
             t, h = ts[first:first + width], hs[first:first + width]
             b = m[s] @ croots.T
             P, done = _torus_propagators(lz0[s] @ croots.T + b * t[:, None], b, m[s], svec[s],
                                          h, K0, cap, tol)
-            if not done.all():
-                if cap <= J:
-                    cap = min(2 * (cap - 1), J) + 1
-                    continue
-                # an overflowed series never converges: report it as overflow below
-                if np.isfinite(P).all():
-                    i = first + int(np.argmin(done))
-                    raise NumericFailure(
-                        f"torus segment from {lz0[seg[i]].tolist()} along {m[seg[i]].tolist()}: "
-                        f"series at t = {ts[i]} did not converge within {J} terms")
-            for i, D in enumerate(P, first):
-                while stops[p] == i:
-                    require_finite(i - 1)
-                    frames[p] = F
-                    F = one
-                    p += 1
-                F = F + D @ F
-            first += len(t)
-            require_finite(first - 1)
-    frames[p:] = one
-    if p < len(frames):
-        frames[p] = F
+            if done.all() or cap > J:
+                return P, done
+            cap = min(2 * (cap - 1), J) + 1
+
+    def where(i):
+        return (f"torus segment from {lz0[seg[i]].tolist()} along {m[seg[i]].tolist()}",
+                f"t = {ts[i]}", f"t = {ts[i] + hs[i]}")
+
+    # the steps of path p are those before stops[p]
+    stops = np.searchsorted(seg, ends).tolist()
+    frames = _continue(batch, lambda F, D: F + D @ F, np.eye(n1, dtype=np.complex128), stops,
+                       where, J)
     return frames, True
 
 

@@ -7,8 +7,9 @@ is: 0 success, 1 a numeric check failed its tolerance or the numerics broke
 down, 2 invalid usage.
 
 build_parser declares each leaf subcommand in one place: its flags, its
---format, its handler and its usage bounds as (flag, least, most) entries,
-which main checks (_check_bounds) after parsing and before the handler runs;
+--format, its handler, its usage bounds as (flag, least, most) entries and
+the rational flags that the numeric layer reads as floats, which main checks
+(_check_bounds) after parsing and before the handler runs;
 a flag given as "--flag=--", which argparse stores as [], is a usage error
 (_check_values).
 build_parser runs once per process, and main parses every run with the
@@ -564,9 +565,9 @@ def build_parser():
                            ("schwarz", "exact stratum conditions")))
 
     @contextlib.contextmanager
-    def leaf(group, name, help, func, bounds):
+    def leaf(group, name, help, func, bounds, floats=()):
         p = group.add_parser(name, help=help)
-        p.set_defaults(func=func, bounds=bounds)
+        p.set_defaults(func=func, bounds=bounds, floats=floats)
         parser.leaves[tuple(p.prog.split()[1:])] = p    # prog is "schwarz-atlas torus flatness"
         yield p
         if p.get_default("fmt") is None:
@@ -577,7 +578,7 @@ def build_parser():
         _add_type_args(d)
 
     with leaf(gauss_sub, "monodromy", "loop matrices, eigenvalues, relation",
-              _cmd_gauss_monodromy, ()) as g:
+              _cmd_gauss_monodromy, (), ("--alpha", "--beta", "--gamma")) as g:
         g.add_argument("--alpha", type=parse_rational, required=True)
         g.add_argument("--beta", type=parse_rational, required=True)
         g.add_argument("--gamma", type=parse_rational, required=True)
@@ -605,7 +606,7 @@ def build_parser():
 
     samples = (("--samples", 1, 1000), ("--seed", 0, None))
     with leaf(torus_sub, "flatness", "curvature residual at sample points",
-              _cmd_torus_flatness, samples) as f:
+              _cmd_torus_flatness, samples, ("--k", "--a-override")) as f:
         _add_type_args(f)
         f.add_argument("--k", type=parse_rational, required=True)
         f.add_argument("--samples", type=int, default=5)
@@ -613,14 +614,14 @@ def build_parser():
         f.add_argument("--a-override", dest="a_override", type=parse_rational, default=None)
         f.add_argument("--tol", type=_tolerance, default=1e-8)
     with leaf(torus_sub, "monodromy", "mirror-loop monodromy and its relation",
-              _cmd_torus_monodromy, ()) as m:
+              _cmd_torus_monodromy, (), ("--k",)) as m:
         _add_type_args(m)
         m.add_argument("--k", type=parse_rational, required=True)
         m.add_argument("--root", default="1",
                        help="simple-root index (1-based) or 'highest'")
         m.add_argument("--tol", type=_tolerance, default=1e-6)
     with leaf(torus_sub, "form", "invariant Hermitian form and negative cone",
-              _cmd_torus_form, samples) as fo:
+              _cmd_torus_form, samples, ("--k",)) as fo:
         _add_type_args(fo)
         fo.add_argument("--k", type=parse_rational, required=True)
         fo.add_argument("--samples", type=int, default=10)
@@ -669,9 +670,15 @@ def _check_values(parser, args):
 
 
 def _check_bounds(args):
-    """Raise ValueError naming the first of the leaf's (flag, least, most)
-    bounds that its value breaks.  A least written as a flag name is that
-    flag's value, and a flag left unset (None) is not checked."""
+    """Raise ValueError naming the first of the leaf's rationals that the
+    numeric layer reads as floats (its floats) that has no float, or else the
+    first of its (flag, least, most) bounds that its value breaks.  A least
+    written as a flag name is that flag's value, and a flag left unset (None)
+    is not checked."""
+    for flag in args.floats:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"{flag} must be within the float range, got {value}")
     # an empty sample, scan or tile budget would pass every check vacuously
     # (the dm scan starts at n = 2 and p = 3), below n = 1 there is no weight
     # vector, below depth 0 no word, and numpy's generator takes no negative
@@ -715,12 +722,14 @@ def _attach_negative_values(argv):
 
 
 def _numeric_failures():
-    """The exceptions that exit 1: NumericFailure, and numpy's LinAlgError (a
-    ValueError) when numpy is loaded; a run that never loaded numpy cannot
-    raise it.  An except clause evaluates this only once the handler has
-    raised, so after the handler's own imports."""
+    """The exceptions that exit 1: NumericFailure, a float power past the float
+    range (OverflowError, as float(k) ** 2 at |k| = 1e160), and numpy's
+    LinAlgError (a ValueError) when numpy is loaded; a run that never loaded
+    numpy cannot raise it.  An except clause evaluates this only once the
+    handler has raised, so after the handler's own imports."""
     numpy = sys.modules.get("numpy")
-    return NumericFailure if numpy is None else (NumericFailure, numpy.linalg.LinAlgError)
+    failures = NumericFailure, OverflowError
+    return failures if numpy is None else (*failures, numpy.linalg.LinAlgError)
 
 
 def _parse(parser, argv):

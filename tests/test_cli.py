@@ -197,6 +197,22 @@ def test_gauss_monodromy_numeric_failure_exits_1(capsys):
     assert elapsed < 10.0
 
 
+def test_schwarz_check_k_stays_exact_past_the_float_range():
+    code, out = run_cli(["schwarz", "check", "--type", "A", "--rank", "2", "--k", PAST_FLOAT,
+                         "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["inputs"]["k"] == PAST_FLOAT
+
+
+def test_torus_k_whose_square_overflows_is_a_numeric_failure(capsys):
+    # 10^160 is a float, but float(k) ** 2 is not
+    code, out = run_cli(["torus", "monodromy", "--type", "A", "--rank", "2",
+                         "--k", "1" + "0" * 160])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: numeric failure: ") and err.count("\n") == 1
+
+
 def test_malformed_rational_rejected():
     with pytest.raises(SystemExit) as info:
         cli.main(["gauss", "monodromy", "--alpha", "1/0", "--beta", "1/3",
@@ -265,6 +281,9 @@ def test_torus_flatness_runs_one_thousand_samples():
 NO_SPHERICAL = "each angle plus 1 must exceed the sum of the other two"
 
 
+# 10^309, past the largest float
+PAST_FLOAT = "1" + "0" * 309
+
 USAGE_ERRORS = [
     (["gauss", "monodromy", "--alpha", "1/2", "--beta", "1/3", "--gamma", "1"],
      "integer exponent difference (logarithmic case)"),
@@ -331,6 +350,21 @@ USAGE_ERRORS = [
      "--svg needs a value, got '--'"),
     (["triangle", "tessellate", "--k", "2", "--l", "3", "--m", "5", "--json=--"],
      "--json needs a value, got '--'"),
+    # a rational that the numeric layer reads as a float must have one
+    (["gauss", "monodromy", "--alpha", PAST_FLOAT, "--beta", "1/3", "--gamma", "1/2"],
+     f"--alpha must be within the float range, got {PAST_FLOAT}"),
+    (["gauss", "monodromy", "--alpha", "1/3", "--beta", f"-{PAST_FLOAT}", "--gamma", "1/2"],
+     f"--beta must be within the float range, got -{PAST_FLOAT}"),
+    (["gauss", "monodromy", "--alpha", "1/3", "--beta", "1/2", "--gamma", f"{PAST_FLOAT}/3"],
+     f"--gamma must be within the float range, got {PAST_FLOAT}/3"),
+    (["torus", "flatness", "--type", "A", "--rank", "2", "--k", PAST_FLOAT],
+     f"--k must be within the float range, got {PAST_FLOAT}"),
+    (["torus", "monodromy", "--type", "A", "--rank", "2", "--k", f"-{PAST_FLOAT}"],
+     f"--k must be within the float range, got -{PAST_FLOAT}"),
+    (["torus", "form", "--type", "A", "--rank", "2", "--k", PAST_FLOAT],
+     f"--k must be within the float range, got {PAST_FLOAT}"),
+    (["torus", "flatness", "--type", "A", "--rank", "2", "--k", "1/6", "--a-override",
+      PAST_FLOAT], f"--a-override must be within the float range, got {PAST_FLOAT}"),
 ]
 
 

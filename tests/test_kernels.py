@@ -278,11 +278,16 @@ def test_torus_segment_raises_when_series_budget_is_exhausted(monkeypatch):
 
 
 def test_torus_segment_raises_on_overflow():
+    # the frame at k = 1e300 overflows on the path's one segment, and the
+    # failure names the path's end, where frames are checked
     base = torus.default_base_point(A2)
     args = _segment_args(A2, F(1, 4), base, base + 0.3)
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(_kernels.NumericFailure, match="not finite"):
+            pytest.raises(_kernels.NumericFailure) as info:
         _kernels.torus_segment(*args[:5], 1e300, args[6])
+    assert str(info.value) == (
+        "torus segment from [(0.18+0.3j), (0.33999999999999997+1.4000000000000001j)] along "
+        "[(0.3+0j), (0.29999999999999993+0j)]: frame is not finite at t = 1.0")
 
 
 def test_torus_transport_onto_a_mirror_raises_numeric_failure():
@@ -326,6 +331,70 @@ def test_a_later_path_onto_a_mirror_raises_naming_its_segment():
                              r"\[\(-0\.18\+5\.98.*\]: reaches a mirror") as info:
         torus.transport(A2, F(1, 4), paths)
     assert not isinstance(info.value, ValueError)
+
+
+def test_a_later_gauss_path_onto_a_singular_point_raises_naming_its_segment():
+    # the Gauss twin of the test above: the third path ends on the singular
+    # point 1, and the failure names its segment
+    paths = [(0.5, 0.25), (0.25, 0.5), (0.5, 1.0)]
+    with pytest.raises(_kernels.NumericFailure,
+                       match=r"^segment \(0\.5\+0j\) -> \(1\+0j\): reaches the singular "
+                             r"point 1 at z = ") as info:
+        _kernels.gauss_segment(0.25 + 0j, 0.5 + 0j, 0.75 + 0j, paths, np.eye(2))
+    assert not isinstance(info.value, ValueError)
+
+
+def _batches(monkeypatch, propagators):
+    """Each batch of the kernel's propagators (_gauss_propagators or
+    _torus_propagators): its size and how many of its series stopped."""
+    batches = []
+    summed = getattr(_kernels, propagators)
+
+    def recorded(*args):
+        P, done = summed(*args)
+        batches.append((len(done), int(done.sum())))
+        return P, done
+
+    monkeypatch.setattr(_kernels, propagators, recorded)
+    return batches
+
+
+def _gauss_short_then_long():
+    # 200 steps of 1e-3 fill the first batch, each series stopping within a
+    # few terms; the long step to 0.5 + 0.4i, in the second batch, needs more
+    paths = [[0.5 + 1e-3 * s for s in range(200)], [0.5, 0.5 + 0.4j]]
+    return _kernels.gauss_segment(0.25 + 0j, 0.5 + 0j, 0.75 + 0j, paths, np.eye(2))
+
+
+def _torus_short_then_long():
+    # 1000 steps of about 1e-3 fill the first batch, each series stopping
+    # within a few terms; the segment of length 0.3 needs more
+    base = torus.default_base_point(A2)
+    move = 1e-3 * (1.0 + 0.5j) * np.linspace(1.0, 2.0, 2)
+    paths = [np.array([base + s * move for s in range(1000)]), np.array([base, base + 0.3])]
+    return torus.transport(A2, F(1, 4), paths)
+
+
+@pytest.mark.parametrize("budget, call, propagators, segment", [
+    ("_MAX_TERMS", _gauss_short_then_long, "_gauss_propagators",
+     r"^segment \(0\.5\+0j\) -> \(0\.5\+0\.4j\): series at z = \(0\.5\+0j\) "),
+    ("_TORUS_MAX_TERMS", _torus_short_then_long, "_torus_propagators",
+     r"^torus segment from \[\(0\.18\+0\.3j\), .*\] along \[\(0\.3\+0j\), .*\]: "
+     r"series at t = 0\.0 ")], ids=["gauss", "torus"])
+def test_a_series_out_of_terms_in_a_later_batch_raises(budget, call, propagators, segment,
+                                                         monkeypatch):
+    # the driver raises for the first step whose series did not stop, in the
+    # batch it comes in: no frame is returned for any path of the call
+    monkeypatch.setattr(_kernels, budget, 8)
+    sizes = _batches(monkeypatch, propagators)
+    with pytest.raises(_kernels.NumericFailure,
+                       match=segment + "did not converge within 8 terms$") as info:
+        call()
+    assert not isinstance(info.value, ValueError)
+    # every series of the first batch stopped, and a later one did not
+    first, done = sizes[0]
+    assert len(sizes) >= 2 and first == done
+    assert sizes[-1][0] > sizes[-1][1]
 
 
 def test_a_path_without_segments_gives_the_identity_between_others():
@@ -409,9 +478,13 @@ def test_transport_names_the_singular_point_reached():
 
 
 def test_transport_raises_numeric_failure_on_overflow():
+    # the frame overflows on the first loop's second segment; the failure
+    # names the loop's end, where frames are checked, as the torus kernel's
     p = G.GaussParams(F(400), F(1, 7), F(1, 2))
-    with pytest.raises(G.NumericFailure, match="not finite"):
+    with pytest.raises(G.NumericFailure) as info:
         G.monodromy_matrices(p)
+    assert str(info.value) == (
+        "segment (0.5-0.4j) -> (0.5+0j): frame is not finite at z = (0.5+0j)")
 
 
 def _sequential_step(alpha, beta, gamma, z, h, F):

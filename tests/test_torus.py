@@ -3,6 +3,7 @@ invariant form and the negative-cone check."""
 
 import cmath
 import functools
+import itertools
 import math
 import time
 from fractions import Fraction as F
@@ -1133,23 +1134,29 @@ def test_coxeter_element_power_h_has_the_identity_row_phase(fam, rank, at_one_ov
 @pytest.mark.parametrize("fam, rank", [("A", 3), ("D", 4), ("A", 5), ("D", 5), ("E", 6)])
 def test_mirror_loops_match_the_hecke_model_beside_each_half_turn(fam, rank):
     # mirror_monodromy(alpha) is the model's T_alpha^2, T_alpha = T_w T_j T_w^-1
-    # with (w, j) from _descent, plus the fixed line: tr(M T_beta) is the
-    # model's tr(T_alpha^2 T_beta) + 1 for each simple beta.  The loop of
+    # with (w, j) from _descent, plus the fixed line: tr(M T_beta) and
+    # tr(M T_beta T_gamma) are the model's tr(T_alpha^2 T_beta) + 1 and
+    # tr(T_alpha^2 T_beta T_gamma) + 1 for simple beta < gamma.  The loop of
     # another mirror has the same spectrum but fails this, for every pair of
-    # roots of A5 and E6; on A3, D4 and D5 a few pairs share all n traces
+    # roots of A3, A5 and E6.  On D4 the three roots a_1 + a_2 + a_3,
+    # a_1 + a_2 + a_4 and a_2 + a_3 + a_4, and on D5 the pairs
+    # a_2 + a_3 + a_4 and a_2 + a_3 + a_5, a_1 + a_2 + a_3 + a_4 and
+    # a_1 + a_2 + a_3 + a_5, which a diagram symmetry swaps, still share every
+    # one of these traces (words of three half-turns tell them apart)
     system = _sys(fam, rank)
     k = TABLE_K[(fam, rank)]
     halves = torus._loops(system, k, range(rank), ())
     model = hecke_model(system, k)
+    words = [(beta,) for beta in range(rank)] + list(itertools.combinations(range(rank), 2))
     for alpha in system.positive_roots:
         M = torus.mirror_monodromy(system, k, alpha)
         word, j = torus._descent(system, alpha)
         Tw = functools.reduce(np.matmul, model[word], np.eye(rank))
         Ta = Tw @ model[j] @ np.linalg.inv(Tw)
-        for beta in range(rank):
-            product = M @ halves[beta]
-            want = np.trace(Ta @ Ta @ model[beta]) + 1.0
-            assert abs(np.trace(product) - want) <= 1e-11 * np.linalg.norm(product), (alpha, beta)
+        for w in words:
+            product = functools.reduce(np.matmul, halves[list(w)], M)
+            want = np.trace(functools.reduce(np.matmul, model[list(w)], Ta @ Ta)) + 1.0
+            assert abs(np.trace(product) - want) <= 1e-11 * np.linalg.norm(product), (alpha, w)
 
 
 # every torus-ade type at a seeded k of the reflection range, and A2, D5 and
