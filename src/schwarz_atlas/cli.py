@@ -722,11 +722,12 @@ def _attach_negative_values(argv):
 
 
 def _numeric_failures():
-    """The exceptions that exit 1: NumericFailure, a float power past the float
-    range (OverflowError, as float(k) ** 2 at |k| = 1e160), and numpy's
-    LinAlgError (a ValueError) when numpy is loaded; a run that never loaded
-    numpy cannot raise it.  An except clause evaluates this only once the
-    handler has raised, so after the handler's own imports."""
+    """The exceptions that exit 1: NumericFailure, a Python float power past
+    the float range (OverflowError; torus turns its k^2 into a NumericFailure
+    that names k), and numpy's LinAlgError (a ValueError) when numpy is
+    loaded; a run that never loaded numpy cannot raise it.  An except clause
+    evaluates this only once the handler has raised, so after the handler's
+    own imports."""
     numpy = sys.modules.get("numpy")
     failures = NumericFailure, OverflowError
     return failures if numpy is None else (*failures, numpy.linalg.LinAlgError)

@@ -103,9 +103,13 @@ class _Table:
         """0 < a/b < m for b > 0."""
         return 0 < a and a * self.m.denominator < self.m.numerator * b
 
+    def holds(self, a, b):
+        """Every row's verdict at k = a/b with b > 0, in integer arithmetic."""
+        return all(row.holds(a, b) for row in self.rows)
+
     def passes(self, a, b):
-        """Every condition at k = a/b with b > 0, in integer arithmetic."""
-        return self.in_range(a, b) and all(row.holds(a, b) for row in self.rows)
+        """Every condition at k = a/b with b > 0: the range and every row."""
+        return self.in_range(a, b) and self.holds(a, b)
 
 
 _TABLE_CACHE = {}
@@ -199,13 +203,20 @@ def enumerate_solutions(p_min, p_max, rank_max, include_k_half):
     The same pass diffs each p against the reference table entries of rank
     <= rank_max: extra are enumerated but not in the table, missing are in
     the table but not enumerated, and the run is clean when the diff is
-    exactly the documented anomalies in the scanned range.
+    exactly the documented anomalies in the scanned range.  A type leaves
+    the scan at the first p whose k = 1/2 - 1/p is past its range, since k
+    grows with p.
     """
     tables = [(str(t), _table(t)) for t in _scan_types(rank_max)]
     rows, diff = {}, {"extra": [], "missing": []}
+    live = tables
     for p in range(p_min, p_max + 1):
         k = k_from_p(p)
-        got = [name for name, table in tables if table.passes(k.numerator, k.denominator)]
+        a, b = k.numerator, k.denominator
+        # k = 1/2 - 1/p > 0 grows with p, so a type whose range 0 < k < m
+        # it has left never comes back
+        live = [(name, table) for name, table in live if table.in_range(a, b)]
+        got = [name for name, table in live if table.holds(a, b)]
         if got:
             rows[str(p)] = got
         want = {t for t in KNOWN_TABLE.get(p, ()) if _type_rank(t) <= rank_max}

@@ -185,6 +185,23 @@ def hecke_base_point(system):
 # ---------------------------------------------------------------------------
 # the connection
 
+def _k_squared(k):
+    """float(k) ** 2, which the connection's scalar column carries; raises
+    _kernels.NumericFailure, naming k, when it is past the float range."""
+    try:
+        return float(k) ** 2
+    except OverflowError:
+        raise _kernels.NumericFailure(f"k^2 is past the float range at k = {k}") from None
+
+
+def _finite(value, what, k):
+    """value, or _kernels.NumericFailure, naming what and k, when it is not
+    finite (an overflowed curvature reads inf or NaN)."""
+    if not math.isfinite(value):
+        raise _kernels.NumericFailure(f"{what} is not finite at k = {k}")
+    return value
+
+
 def _connection(system, k, tchar, a):
     """The n matrices A_i of theta_i F = A_i F at each point of a stack, given
     by its rows of root character values tchar, at scalar coupling a, as one
@@ -208,7 +225,7 @@ def _connection(system, k, tchar, a):
                                u.imag[:, :, None] * coroots], axis=2)
     A = np.zeros((len(u), n, n + 1, n + 1), dtype=np.complex128)
     A[:, np.arange(n), 0, np.arange(1, n + 1)] = 1.0
-    A[:, :, 1:, 0] = -(float(a) * float(k) ** 2 * cinv)
+    A[:, :, 1:, 0] = -(float(a) * _k_squared(k) * cinv)
     A[:, :, 1:, 1:] = -(0.5 * float(k) * (G[..., :n] + 1j * G[..., n:])).reshape(-1, n, n, n)
     return A
 
@@ -225,13 +242,16 @@ def flatness_residual(system, k, logs, a_override=None):
     _rows_per_chunk(16 n^2 (n+1)^2) rows, so each of its
     (points, n(n-1)/2, n+1, n+1) complex stacks fits the budget (one point a
     chunk from D16 on); each point's residual has the bits it has alone.
+    Raises _kernels.NumericFailure, naming k, when the products overflow
+    and the residual is not finite.
     """
     a = integrability_constant(system) if a_override is None else a_override
     logs = np.atleast_2d(logs)
     n = system.rank
     step = _rows_per_chunk(16 * n * n * (n + 1) ** 2)
-    return max(float(np.max(_curvature(system, k, _char_values(system, logs[s:s + step]), a)[0]))
-               for s in range(0, len(logs), step))
+    worst = np.max([np.max(_curvature(system, k, _char_values(system, logs[s:s + step]), a)[0])
+                    for s in range(0, len(logs), step)])
+    return _finite(float(worst), "the curvature", k)
 
 
 def _curvature(system, k, tchar, a):
@@ -243,12 +263,14 @@ def _curvature(system, k, tchar, a):
     theta_m u_p = c_pm w_p with w = -2t/(1-t)^2, so theta_m A_i is symmetric
     in (m, i): each term u_p dlog t_p of the connection form is closed.  So
     the curvature theta_i A_j - theta_j A_i + A_j A_i - A_i A_j is the
-    commutator alone, one batched matmul for each order of the pairs i < j."""
+    commutator alone, one batched matmul for each order of the pairs i < j.
+    Products past the float range read inf or NaN, without a warning."""
     A = _connection(system, k, tchar, a)
     i, j = np.triu_indices(system.rank, 1)
-    R = A[:, j] @ A[:, i] - A[:, i] @ A[:, j]
-    return (np.max(np.abs(R), axis=(1, 2, 3), initial=0.0),
-            np.max(np.abs(A), axis=(1, 2, 3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = A[:, j] @ A[:, i] - A[:, i] @ A[:, j]
+        return (np.max(np.abs(R), axis=(1, 2, 3), initial=0.0),
+                np.max(np.abs(A), axis=(1, 2, 3)))
 
 
 def _reflection_matrix(system, i):
@@ -288,10 +310,12 @@ def _flatness_gate(system, k):
     unless the connection is flat at the base point b of hecke_base_point,
     where every loop starts; flatness makes the loops' monodromy homotopy
     invariant.  The bound scales with the products A_j A_i the curvature is
-    a difference of."""
+    a difference of; a residual or bound that overflowed is a failure too,
+    since no residual exceeds an infinite bound."""
     tchar = _char_values(system, hecke_base_point(system)[None])
     res, amax = (float(v[0]) for v in _curvature(system, k, tchar, integrability_constant(system)))
-    if res > _FLAT_TOL * max(1.0, amax * amax):
+    _finite(res, "the curvature at the start", k)
+    if res > _finite(_FLAT_TOL * max(1.0, amax * amax), "the flatness bound", k):
         raise _kernels.NumericFailure(f"connection is not flat at the start (residual {res:.2e})")
 
 
@@ -327,7 +351,7 @@ def transport(system, k, paths):
     ends = np.cumsum([len(move) for move in moves])
     croots, coroots, _, cart = _float_rows(system)
     m = np.concatenate(moves)
-    afac = float(integrability_constant(system)) * float(k) ** 2
+    afac = float(integrability_constant(system)) * _k_squared(k)
     svec = afac * np.linalg.solve(cart, m.T).T
     return _kernels.torus_segment(np.concatenate(starts), m, ends, croots, coroots,
                                   float(k), svec)[0]

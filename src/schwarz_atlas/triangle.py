@@ -15,13 +15,14 @@ sphere.  The side through the model points p, q is the plane l.X = 0 with
 l = p x q, and its reflection is I - 2 (J l) l^T / (l^T J l): orthogonal,
 affine or Lorentzian (Vinberg 1971).  A tile is the group element G that maps
 the base triangle onto it, and the tile across its side i is G R_i.  The
-tiles' chart points and side circles are computed at the end, as arrays over
-all tiles; spherical tiles reaching too close to the projection pole are
-reported in a secondary chart.  A tile's chart points are its three
-vertices and its three side midpoints; the base centre serves only the
-closure.  The residuals and the SVG read the same arrays.  A single triangle
-is a one-tile Tessellation whose rows come from a scalar construction of the
-same rows; tessellate takes only its vertices.
+closure runs one level of word length at a time, and the tiles' chart points
+and side circles are arrays over the levels swept; spherical tiles reaching
+too close to the projection pole are reported in a secondary chart.  A
+tile's chart points are its three vertices and its three side midpoints; the
+base centre serves only the closure.  The residuals and the SVG read the
+same arrays.  A single triangle is a one-tile Tessellation whose rows come
+from a scalar construction of the same rows; tessellate takes only its
+vertices.
 
 The SVG draws every tile as three arcs (or segments) and fills it.  A great
 circle's stereographic image is a circle or a line, so a spherical tile is
@@ -31,9 +32,14 @@ and draws all tiles in the chart of the rotated sphere.  The one tile that
 holds that chart's pole is the outside of its three arcs, filled with
 fill-rule="evenodd" against the view box.
 
-tessellate is memoized per process, keyed by its exact arguments and bounded
-by _MEMO_TILES tiles in all, least recently used first out.  A Tessellation
-is immutable, and its report and SVG text are computed once, on the object.
+The levels come in shortlex word order, and a level's children are formed
+and merged from that level alone, so the tiles of word length <= d are the
+first tiles of any deeper closure, bit for bit.  tessellate therefore keeps
+one resumable closure (_Closure) per group and tile budget for the life of
+the process, bounded by _MEMO_TILES tiles in all, least recently used first
+out, and serves every depth as a prefix of it: read-only views of its
+arrays, and the residual rows and SVG path elements it computed once per
+tile.  A Tessellation is immutable.
 """
 
 from __future__ import annotations
@@ -288,8 +294,10 @@ class Tessellation:
     the spherical tiles whose points and sides are in the chart z' = 1/z.
 
     A Tessellation is immutable (its arrays are read-only), since tessellate
-    hands one object to every caller that asks for it; its report and its
-    SVG text are computed once, on the object."""
+    hands one object to every caller that asks for it.  Its per-tile
+    residuals and SVG path elements are computed from the arrays on first
+    use; tessellate hands a prefix of a memoized closure the rows that the
+    closure computed once per tile."""
     geometry: Geometry
     words: tuple
     depth: int
@@ -308,12 +316,12 @@ class Tessellation:
         return len(self.words)
 
     def max_angle_residual(self):
-        return _angle_residuals(self.points, self.sides, self.angles).max().item()
+        return self._angle_rows.max().item()
 
     def max_orthogonality_residual(self):
         if self.geometry is not Geometry.HYPERBOLIC:
             raise ValueError("orthogonality residual is a hyperbolic-model quantity")
-        return _orthogonality_residuals(self.sides).max().item()
+        return self._orthogonality_rows.max().item()
 
     def report(self):
         """The report's fields, a fresh dict of values computed once."""
@@ -333,8 +341,16 @@ class Tessellation:
         return rep
 
     @functools.cached_property
-    def _svg(self):
-        return _svg_text(self)
+    def _angle_rows(self):
+        return _angle_residuals(self.points, self.sides, self.angles)
+
+    @functools.cached_property
+    def _orthogonality_rows(self):
+        return _orthogonality_residuals(self.sides).max(axis=1)
+
+    @functools.cached_property
+    def _path_heads(self):
+        return _path_heads(self.geometry, self.words, self.points, self.sides, self.secondary)
 
 
 _FORM_SIGN = {Geometry.SPHERICAL: 1.0, Geometry.EUCLIDEAN: 0.0, Geometry.HYPERBOLIC: -1.0}
@@ -373,41 +389,145 @@ def _first_distinct(points):
     return keep
 
 
-def _closure(R, ells, c0, max_tiles, max_word_length):
-    """Breadth-first closure of the group generated by the reflections R[i] in
-    the planes ells[i].X = 0.  Returns the tile matrices, their words (length
-    first, then a < b < c) and whether no budget stopped the sweep."""
-    G, Y, level = np.eye(3)[None], c0[None], [""]
-    mats, words, budget_hit = [G], [""], False
-    base_side = ells @ c0 > 0
-    while level:
+def _closure(R, c0, G, Y, words, par, letter, room):
+    """One level of the breadth-first closure of the group generated by the
+    reflections R[i]: from the tiles G of one word length, with Y = G^-1 c0,
+    their words and their longer children (par, letter), the tiles one letter
+    longer, at most room of them.  Longer children are new elements, and only
+    siblings can coincide.  Returns their G, Y and words (length first, then
+    a < b < c) and whether room cut the level."""
+    children = G[par] @ R[letter]
+    keep = _first_distinct(children @ c0)
+    cut, keep = len(keep) > room, keep[:room]
+    par, letter = par[keep], letter[keep]
+    Y = (R[letter] @ Y[par][:, :, None])[:, :, 0]
+    return (children[keep], Y,
+            [words[p] + "abc"[i] for p, i in zip(par.tolist(), letter.tolist())], cut)
+
+
+class _Closure:
+    """The breadth-first closure of the (k, l, m) group under the budget of
+    max_tiles tiles, swept one level at a time as requests need it.
+
+    It holds the tiles swept so far as one set of arrays in word order, with
+    each tile's residual rows and SVG path element, each computed once;
+    ends[j] counts the tiles of word length <= j.  The sweep resumes from the
+    last level's G, Y, words and longer children (frontier); frontier is None
+    once no tile of the last level has a longer child (closed) or the budget
+    cut the sweep.  The levels one request sweeps are charted in one batch.
+    The tiles of word length <= d are the same bits whichever depth the sweep
+    reached: a level's children are formed and merged from that level alone,
+    and every later array is computed per tile."""
+
+    def __init__(self, geometry, k, l, m, max_tiles):
+        s = _FORM_SIGN[geometry]
+        self.geometry, self.max_tiles = geometry, max_tiles
+        self.angles = (math.pi / k, math.pi / l, math.pi / m)
+        P = np.array([_lift(v, s) for v in _vertices(self.angles, geometry)]).T   # columns p0, p1, p2
+        self.ells = np.cross(P[:, [1, 2, 0]].T, P[:, [2, 0, 1]].T)    # side i: p_{i+1} x p_{i+2}
+        jells = self.ells * np.array([1.0, 1.0, s])
+        self.R = np.eye(3) - 2 * jells[:, :, None] * self.ells[:, None, :] \
+            / (self.ells * jells).sum(axis=1)[:, None, None]
+        mids = _on_model(P[:, [1, 2, 0]] + P[:, [2, 0, 1]], s)   # side i's midpoint
+        self.base = np.column_stack([P, mids])                  # per tile: vertices, midpoints
+        self.c0 = _on_model(P.sum(axis=1, keepdims=True), s)[:, 0]
+        self.words, self.ends, self.uncharted, self.served = [], [], [], {}
+        self.points, self.sides = np.empty((2, 0, 6)), np.empty((4, 0, 3))
+        self.secondary, self.angle_rows = np.empty(0, bool), np.empty(0)
+        self.orthogonality_rows, self.heads = np.empty(0), []
+        self._take(np.eye(3)[None], self.c0[None], [""], False)
+
+    @property
+    def tile_count(self):
+        return len(self.words)
+
+    def _take(self, G, Y, words, cut):
+        """Take in one swept level, the tiles G with Y = G^-1 c0 and their
+        words, and set the frontier it leaves."""
+        if words:
+            self.words += words
+            self.ends.append(len(self.words))
+            self.uncharted.append(G)
         # a reflection changes the word length by one: the child G R_i is one
         # longer iff the base centre c0 lies on the tile's side of the tile's
         # mirror i, i.e. iff Y = G^-1 c0 lies on the base side of mirror i
-        par, letter = np.nonzero((Y @ ells.T > 0) == base_side)
-        if not len(par):
-            break
-        if max_word_length is not None and len(level[0]) >= max_word_length:
-            budget_hit = True
-            break
-        children = G[par] @ R[letter]
-        # longer children are new elements; only siblings can coincide
-        keep = _first_distinct(children @ c0)
-        room = max(max_tiles - len(words), 0)
-        if len(keep) > room:
-            budget_hit, keep = True, keep[:room]
-        par, letter = par[keep], letter[keep]
-        G = children[keep]
-        Y = (R[letter] @ Y[par][:, :, None])[:, :, 0]
-        level = [level[p] + "abc"[i] for p, i in zip(par.tolist(), letter.tolist())]
-        mats.append(G)
-        words.extend(level)
-    return np.concatenate(mats), words, not budget_hit
+        par, letter = np.nonzero((Y @ self.ells.T > 0) == (self.ells @ self.c0 > 0))
+        self.closed = not cut and not len(par)
+        self.frontier = None if cut or self.closed else (G, Y, words, par, letter)
+
+    def _chart(self):
+        """The chart arrays and per-tile rows of the tiles swept since the
+        last call, in one batch, appended to the closure's."""
+        start = self.points.shape[1]
+        batch = Tessellation(self.geometry, tuple(self.words[start:]), 0, False, self.angles,
+                             *_charts(self.geometry, np.concatenate(self.uncharted),
+                                      self.base, self.ells))
+        self.uncharted = []
+        if self.geometry is Geometry.HYPERBOLIC:
+            self.orthogonality_rows = np.concatenate(
+                [self.orthogonality_rows, batch._orthogonality_rows])
+        self.angle_rows = np.concatenate([self.angle_rows, batch._angle_rows])
+        self.heads += batch._path_heads
+        self.points = np.concatenate([self.points, batch.points], axis=1)
+        self.sides = np.concatenate([self.sides, batch.sides], axis=1)
+        self.secondary = np.concatenate([self.secondary, batch.secondary])
+        # the prefixes served so far view the arrays just replaced
+        self.served.clear()
+
+    def serve(self, depth):
+        """The Tessellation of the tiles of word length <= depth (every tile
+        for None), sweeping on until the closure has that depth, closes or
+        meets the budget.  Its arrays and rows are read-only views of the
+        closure's, and it reads as a fresh sweep to that depth reads."""
+        while self.frontier is not None and (depth is None or len(self.ends) <= depth):
+            G, Y, words, par, letter = self.frontier
+            room = max(self.max_tiles - self.tile_count, 0)
+            self._take(*_closure(self.R, self.c0, G, Y, words, par, letter, room))
+        if self.uncharted:
+            self._chart()
+        if depth not in self.served:
+            last = len(self.ends) - 1
+            reached = last if depth is None else min(last, depth)
+            n = self.ends[reached]
+            tess = Tessellation(
+                geometry=self.geometry, words=tuple(self.words[:n]), depth=reached,
+                closure_reached=self.closed and reached == last, angles=self.angles,
+                points=self.points[:, :n], sides=self.sides[:, :n], secondary=self.secondary[:n])
+            # the rows Tessellation would compute from these arrays, computed
+            # once per tile: cached_property reads them from the instance dict
+            vars(tess).update(_angle_rows=self.angle_rows[:n], _path_heads=self.heads[:n],
+                              _orthogonality_rows=self.orthogonality_rows[:n])
+            self.served[depth] = tess
+        return self.served[depth]
 
 
-# tessellate keeps its results for the life of the process, keyed by its
-# exact arguments, up to _MEMO_TILES tiles in all (the default max_tiles);
-# past that it drops the least recently used, and it never keeps a larger one
+def _charts(geometry, mats, base, ells):
+    """Chart points (2, tiles, 6), side rows (4, tiles, 3) and secondary
+    flags of the tiles with the model matrices mats, from the base
+    triangle's model points base (vertices, then side midpoints) and side
+    planes ells."""
+    s = _FORM_SIGN[geometry]
+    pts = mats @ base
+    if geometry is Geometry.SPHERICAL:
+        points, secondary = _sphere_chart(_on_model(pts, s))
+        # the sides' normals are G l_i for orthogonal G
+        return points, _great_circles(_on_model(mats @ ells.T, s), secondary), secondary
+    z = (pts[:, 0] + 1j * pts[:, 1]) / (1.0 + pts[:, 2])
+    points = np.stack([z.real, z.imag])
+    ends = points[..., _PLUS1], points[..., _PLUS2]
+    # a hyperbolic side is the circle through its two vertices and its
+    # midpoint, never one orthogonal to the unit circle by construction, so
+    # drift of G off O(2,1) shows in the residuals
+    if geometry is Geometry.EUCLIDEAN:
+        sides = _line_through(*ends)
+    else:
+        sides = _through(ends[0], points[..., 3:6], ends[1])
+    return points, sides, np.zeros(len(mats), bool)
+
+
+# tessellate keeps one _Closure per group and budget for the life of the
+# process, up to _MEMO_TILES tiles in all (the default max_tiles); past that
+# it drops the least recently used, and it never keeps one that grew larger
 _MEMO_TILES = 20000
 _memo = OrderedDict()
 
@@ -418,61 +538,28 @@ def tessellate(k, l, m, max_tiles=20000, max_word_length=None):
     Reflections are enumerated in word order (length first, then a < b < c for
     the three sides), and the sweep stops at closure or at the first exhausted
     budget.  Each tile is a 3x3 matrix in the linear model of its geometry;
-    the chart points and side circles of the tiles kept are computed at the
-    end, for all tiles at once.  Spherical input closes up with one tile per
-    element of the full reflection group.
+    the chart points and side circles of the levels a call sweeps are
+    computed as arrays over those levels.  Spherical input closes up with one
+    tile per element of the full reflection group.
 
-    The result is memoized per process: a repeated call returns the same
-    immutable Tessellation, whose report and SVG text were computed once.
+    The closure is memoized per process, keyed by (k, l, m, max_tiles): the
+    tiles of word length <= max_word_length are the first tiles of any
+    deeper sweep, so every depth is served as a prefix of one resumable
+    closure (_Closure), which sweeps further only when a request needs it.
+    A repeated call returns the same immutable Tessellation until the
+    closure sweeps further.
     """
     # classify before the lookup: it rejects an order 7.0, which hashes as 7
     geometry = classify(k, l, m)
-    key = (k, l, m, max_tiles, max_word_length)
-    if key in _memo:
-        _memo.move_to_end(key)
-        return _memo[key]
-    tess = _closure_tessellation(geometry, k, l, m, max_tiles, max_word_length)
-    if tess.tile_count <= _MEMO_TILES:
-        _memo[key] = tess
-        held = sum(t.tile_count for t in _memo.values())
+    key = (k, l, m, max_tiles)
+    closure = _memo.pop(key, None) or _Closure(geometry, k, l, m, max_tiles)
+    tess = closure.serve(max_word_length)
+    if closure.tile_count <= _MEMO_TILES:
+        _memo[key] = closure
+        held = sum(c.tile_count for c in _memo.values())
         while held > _MEMO_TILES:
             held -= _memo.popitem(last=False)[1].tile_count
     return tess
-
-
-def _closure_tessellation(geometry, k, l, m, max_tiles, max_word_length):
-    """The Tessellation that tessellate returns, computed afresh."""
-    s = _FORM_SIGN[geometry]
-    angles = (math.pi / k, math.pi / l, math.pi / m)
-    P = np.array([_lift(v, s) for v in _vertices(angles, geometry)]).T   # columns p0, p1, p2
-    ells = np.cross(P[:, [1, 2, 0]].T, P[:, [2, 0, 1]].T)    # side i: p_{i+1} x p_{i+2}
-    jells = ells * np.array([1.0, 1.0, s])
-    R = np.eye(3) - 2 * jells[:, :, None] * ells[:, None, :] \
-        / (ells * jells).sum(axis=1)[:, None, None]
-    mids = _on_model(P[:, [1, 2, 0]] + P[:, [2, 0, 1]], s)   # side i's midpoint
-    c0 = _on_model(P.sum(axis=1, keepdims=True), s)[:, 0]
-    mats, words, closed = _closure(R, ells, c0, max_tiles, max_word_length)
-
-    pts = mats @ np.column_stack([P, mids])   # per tile: vertices, midpoints
-    if geometry is Geometry.SPHERICAL:
-        points, secondary = _sphere_chart(_on_model(pts, s))
-        # the sides' normals are G l_i for orthogonal G
-        sides = _great_circles(_on_model(mats @ ells.T, s), secondary)
-    else:
-        z = (pts[:, 0] + 1j * pts[:, 1]) / (1.0 + pts[:, 2])
-        points, secondary = np.stack([z.real, z.imag]), np.zeros(len(words), bool)
-        ends = points[..., _PLUS1], points[..., _PLUS2]
-        # a hyperbolic side is the circle through its two vertices and its
-        # midpoint, never one orthogonal to the unit circle by construction,
-        # so drift of G off O(2,1) shows in the residuals
-        if geometry is Geometry.EUCLIDEAN:
-            sides = _line_through(*ends)
-        else:
-            sides = _through(ends[0], points[..., 3:6], ends[1])
-    return Tessellation(
-        geometry=geometry, words=tuple(words), depth=len(words[-1]), closure_reached=closed,
-        angles=angles, points=points, sides=sides, secondary=secondary,
-    )
 
 
 def _sphere_chart(pts):
@@ -705,9 +792,9 @@ def _tile_paths(points, sides):
     ]
 
 
-def _drawing_chart(tess):
-    """Chart points (2, tiles, 6) and side rows (4, tiles, 3) of a spherical
-    tessellation in the drawing chart, and which tile holds its pole.
+def _drawing_chart(points, sides, secondary):
+    """Chart points (2, tiles, 6) and side rows (4, tiles, 3) of spherical
+    tiles in the drawing chart, and which tile holds its pole.
 
     Each chart point is lifted back to the sphere, and each side's row
     (-n3, n1, n2, n3) gives the normal n of its great circle; the secondary
@@ -715,28 +802,52 @@ def _drawing_chart(tess):
     _DRAW_ROTATION and projected, a normal to its row as _great_circles
     writes it.  The pole (0, 0, -1) lies in a tile when it lies on the same
     side of each side's plane as the opposite vertex."""
-    x, y = tess.points
+    x, y = points
     q = x * x + y * y
-    flip = np.where(tess.secondary, -1.0, 1.0)[:, None]
+    flip = np.where(secondary, -1.0, 1.0)[:, None]
     model = np.stack([2.0 * x, 2.0 * y * flip, (1.0 - q) * flip]) / (1.0 + q)
-    b1, b2, c = tess.sides[1:]
+    b1, b2, c = sides[1:]
     normals = np.stack([b1, b2 * flip, c * flip])
     model = np.tensordot(_DRAW_ROTATION, model, 1)
     normals = np.tensordot(_DRAW_ROTATION, normals, 1)
     pole = np.all(-normals[2] * (normals * model[:, :, :3]).sum(axis=0) > 0, axis=1)
-    sides = _great_circles(np.moveaxis(normals, 0, 1), np.zeros(tess.tile_count, bool))
-    return model[:2] / (1.0 + model[2]), sides, pole
+    rows = _great_circles(np.moveaxis(normals, 0, 1), np.zeros(len(secondary), bool))
+    return model[:2] / (1.0 + model[2]), rows, pole
+
+
+# the view box (x, y, width, height) of the geometries that fix one; a
+# Euclidean box is fitted to the tiles drawn
+_BOX = {Geometry.HYPERBOLIC: (-1.05, -1.05, 2.1, 2.1), Geometry.SPHERICAL: (-4.2, -4.2, 8.4, 8.4)}
+
+
+def _path_heads(geometry, words, points, sides, secondary):
+    """Each tile's SVG path element up to its stroke: its path data, filled
+    by the parity of its word length.  A spherical tessellation is drawn in
+    the drawing chart (_drawing_chart), and the tile that holds its pole is
+    the outside of its three arcs, drawn against the view box with
+    fill-rule="evenodd"."""
+    pole = np.zeros(len(words), bool)
+    frame = ""
+    if geometry is Geometry.SPHERICAL:
+        points, sides, pole = _drawing_chart(points, sides, secondary)
+        # the view box, in the coordinates of the flipped group
+        x, y, w, h = _BOX[geometry]
+        left, right, low, high = map(_fmt, (x, x + w, -y - h, -y))
+        frame = f"M {left} {low} L {right} {low} L {right} {high} L {left} {high} Z "
+    return [
+        f'<path d="{frame}{d}" fill="{_FILL[len(word) % 2]}" fill-rule="evenodd" ' if inside
+        else f'<path d="{d}" fill="{_FILL[len(word) % 2]}" '
+        for d, word, inside in zip(_tile_paths(points, sides), words, pole.tolist())
+    ]
 
 
 def export_svg(tess, path):
     """Write a deterministic SVG rendering: one filled path element per tile,
     arcs via the elliptical-arc command, the unit circle for hyperbolic
     geometry.  A spherical tessellation is drawn in one chart of the rotated
-    sphere (_drawing_chart); the tile that holds the chart's pole is the
-    outside of its three arcs, drawn against the view box with
-    fill-rule="evenodd".  The text is rendered once per Tessellation, so a
-    memoized one is only written again; returns the text."""
-    data = tess._svg
+    sphere (_path_heads).  The path elements are made once per tile, so the
+    text of a memoized tessellation is only joined again; returns the text."""
+    data = _svg_text(tess)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(data)
     return data
@@ -746,34 +857,22 @@ def _svg_text(tess):
     """The SVG text that export_svg writes."""
     if not tess.tile_count:
         raise ValueError("refusing to render an empty tessellation")
-    points, sides = tess.points, tess.sides
-    pole = np.zeros(tess.tile_count, bool)
-    if tess.geometry is Geometry.HYPERBOLIC:
-        box = (-1.05, -1.05, 2.1, 2.1)
-    elif tess.geometry is Geometry.SPHERICAL:
-        box = (-4.2, -4.2, 8.4, 8.4)
-        points, sides, pole = _drawing_chart(tess)
-    else:
+    box = _BOX.get(tess.geometry)
+    if box is None:
+        points = tess.points
         xs, ys = points[0, :, :3].ravel().tolist(), points[1, :, :3].ravel().tolist()
         pad = 0.1 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
         # the tiles are drawn under scale(1,-1): chart y runs down the box
         box = (min(xs) - pad, -max(ys) - pad,
                (max(xs) - min(xs)) + 2 * pad, (max(ys) - min(ys)) + 2 * pad)
-    # the view box, in the coordinates of the flipped group
-    left, right, low, high = map(_fmt, (box[0], box[0] + box[2], -box[1] - box[3], -box[1]))
-    frame = f"M {left} {low} L {right} {low} L {right} {high} L {left} {high} Z "
-    stroke = f'stroke="{_STROKE}" stroke-width="{_fmt(_STROKE_WIDTH * max(box[2], box[3]))}"'
+    tail = f'stroke="{_STROKE}" stroke-width="{_fmt(_STROKE_WIDTH * max(box[2], box[3]))}"/>'
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         f'viewBox="{_fmt(box[0])} {_fmt(box[1])} {_fmt(box[2])} {_fmt(box[3])}">',
         '<g transform="scale(1,-1)">',
     ]
-    lines += [
-        f'<path d="{frame}{d}" fill="{_FILL[n % 2]}" fill-rule="evenodd" {stroke}/>' if inside
-        else f'<path d="{d}" fill="{_FILL[n % 2]}" {stroke}/>'
-        for d, n, inside in zip(_tile_paths(points, sides), map(len, tess.words), pole.tolist())
-    ]
+    lines += [head + tail for head in tess._path_heads]
     if tess.geometry is Geometry.HYPERBOLIC:
         lines.append(
             f'<circle cx="0" cy="0" r="1" fill="none" stroke="{_STROKE}" '

@@ -205,12 +205,29 @@ def test_schwarz_check_k_stays_exact_past_the_float_range():
 
 
 def test_torus_k_whose_square_overflows_is_a_numeric_failure(capsys):
-    # 10^160 is a float, but float(k) ** 2 is not
-    code, out = run_cli(["torus", "monodromy", "--type", "A", "--rank", "2",
-                         "--k", "1" + "0" * 160])
-    assert code == 1 and out == ""
-    err = capsys.readouterr().err
-    assert err.startswith("error: numeric failure: ") and err.count("\n") == 1
+    # 10^160 is a float, but float(k) ** 2 is not: the connection (the
+    # flatness gate, the flatness check) and the transport name k
+    k = "1" + "0" * 160
+    for leaf in ("monodromy", "form", "flatness"):
+        code, out = run_cli(["torus", leaf, "--type", "A", "--rank", "2", "--k", k])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            f"error: numeric failure: k^2 is past the float range at k = {k}\n")
+
+
+@pytest.mark.parametrize("leaf, what", [
+    ("monodromy", "the curvature at the start"),
+    ("form", "the curvature at the start"),
+    ("flatness", "the curvature"),
+])
+def test_torus_curvature_overflow_prints_one_error_line_subprocess(leaf, what):
+    # at 2 * 10^153 k^2 is a float, but the curvature's commutators overflow:
+    # the flatness gate and the flatness check fail on the residual that is
+    # not finite, with no numpy warning and no report
+    k = "2" + "0" * 153
+    proc = _run_subprocess(["torus", leaf, "--type", "A", "--rank", "2", "--k", k])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: numeric failure: {what} is not finite at k = {k}\n"
 
 
 def test_malformed_rational_rejected():

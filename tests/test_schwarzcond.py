@@ -245,6 +245,38 @@ def test_k_half_flag():
     assert "k_half" not in sc.enumerate_solutions(3, 10, 13, False)
 
 
+def enumerate_oracle(p_min, p_max, rank_max, include_k_half):
+    """enumerate_solutions as one loop that tries every type at every p,
+    which the library cuts short once k = 1/2 - 1/p leaves a type's range."""
+    tables = [(str(t), sc._table(t)) for t in sc._scan_types(rank_max)]
+    rows, diff = {}, {"extra": [], "missing": []}
+    for p in range(p_min, p_max + 1):
+        k = sc.k_from_p(p)
+        got = [name for name, table in tables if table.passes(k.numerator, k.denominator)]
+        if got:
+            rows[str(p)] = got
+        want = {t for t in sc.KNOWN_TABLE.get(p, ()) if sc._type_rank(t) <= rank_max}
+        diff["extra"] += [[p, t] for t in sorted(set(got) - want)]
+        diff["missing"] += [[p, t] for t in sorted(want - set(got))]
+    results = {"p_min": p_min, "p_max": p_max, "rank_max": rank_max, "rows": rows}
+    k_half = [name for name, table in tables if include_k_half and table.passes(1, 2)]
+    if k_half:
+        results["k_half"] = k_half
+    results["table_diff"] = diff
+    results["documented_anomalies_only"] = diff == {
+        kind: [[p, t] for p, t in cases if p_min <= p <= p_max and sc._type_rank(t) <= rank_max]
+        for kind, cases in sc.DOCUMENTED_ANOMALIES.items()}
+    return results
+
+
+@pytest.mark.parametrize("include_k_half", [False, True])
+@pytest.mark.parametrize("p_min, p_max", [(3, 300), (3, 5), (4, 12), (7, 300), (150, 300)])
+def test_enumeration_matches_the_every_type_loop(p_min, p_max, include_k_half):
+    for rank_max in range(2, 31):
+        assert sc.enumerate_solutions(p_min, p_max, rank_max, include_k_half) == \
+            enumerate_oracle(p_min, p_max, rank_max, include_k_half)
+
+
 # --- weight vectors ----------------------------------------------------------
 
 def weights(res):

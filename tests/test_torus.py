@@ -172,6 +172,26 @@ def test_flatness_gate_catches_a_coupling_off_by_a_tenth(fam, rank, monkeypatch)
             torus._flatness_gate(system, k)
 
 
+@pytest.mark.parametrize("k, gate, check", [
+    # max|A|^2 overflows, so the gate's bound is inf; the residual is finite
+    (F(10**90), "the flatness bound", None),
+    # the commutators overflow as well
+    (F(2 * 10**153), "the curvature at the start", "the curvature"),
+])
+def test_flatness_checks_fail_where_the_curvature_overflows(k, gate, check):
+    # no residual exceeds an infinite bound, and NaN exceeds nothing: both
+    # would pass the gate, so a residual or bound that is not finite fails
+    system = _sys("A", 2)
+    with pytest.raises(_kernels.NumericFailure, match=f"^{gate} is not finite at k = {k}$"):
+        torus._flatness_gate(system, k)
+    logs = torus.hecke_base_point(system)[None]
+    if check is None:
+        assert math.isfinite(torus.flatness_residual(system, k, logs))
+    else:
+        with pytest.raises(_kernels.NumericFailure, match=f"^{check} is not finite at k = {k}$"):
+            torus.flatness_residual(system, k, logs)
+
+
 def test_flatness_rank_one_trivial():
     assert torus.flatness_residual(A1, F(1, 4), np.log([2.0 + 1j])) == 0.0
 

@@ -528,8 +528,8 @@ def test_residuals_see_tile_matrices_off_the_group(monkeypatch):
     closure = tri._closure
 
     def drifted(*args):
-        mats, words, closed = closure(*args)
-        return np.diag([1 + 1e-6, 1.0, 1.0]) @ mats, words, closed
+        mats, Y, words, cut = closure(*args)
+        return np.diag([1 + 1e-6, 1.0, 1.0]) @ mats, Y, words, cut
 
     monkeypatch.setattr(tri, "_closure", drifted)
     assert tri.tessellate(2, 3, 7, max_word_length=6).max_orthogonality_residual() > 1e-9
@@ -633,7 +633,7 @@ def oracle_sphere_paths(tess):
     """The path data of each tile of a spherical tessellation, one tile at a
     time from the arrays of the drawing chart, which
     test_spherical_svg_draws_every_tile_as_arcs checks on the sphere."""
-    points, rows, pole = tri._drawing_chart(tess)
+    points, rows, pole = tri._drawing_chart(tess.points, tess.sides, tess.secondary)
     z = np.empty(points.shape[1:], complex)
     z.real, z.imag = points
     lo, hi = tri._fmt(-4.2), tri._fmt(4.2)
@@ -835,18 +835,109 @@ def test_memo_hit_matches_a_fresh_computation(klm, depth, tmp_path):
 
 
 def test_memo_keeps_its_tile_budget(monkeypatch):
+    # one closure per group and budget, grown in place; the memo holds at
+    # most _MEMO_TILES tiles, drops the least recently used closure past
+    # that and never keeps one that grew larger
     monkeypatch.setattr(tri, "_MEMO_TILES", 130)
-    a = tri.tessellate(2, 3, 3)                             # 24 tiles
-    big = tri.tessellate(2, 3, 7, max_word_length=10)       # 158: not kept, a stays
-    assert big.tile_count > 130 and list(tri._memo.values()) == [a]
+
+    def held():
+        return [(key[:3], closure.tile_count) for key, closure in tri._memo.items()]
+
+    tri.tessellate(2, 3, 3)                                     # 24 tiles
+    shallow = tri.tessellate(2, 3, 7, max_word_length=4)        # 25
+    tri.tessellate(2, 3, 4)                                     # 48
+    assert held() == [((2, 3, 3), 24), ((2, 3, 7), 25), ((2, 3, 4), 48)]
+    deeper = tri.tessellate(2, 3, 7, max_word_length=7)         # grows to 73: (2, 3, 3) goes
+    assert deeper.words[:25] == shallow.words
+    assert held() == [((2, 3, 4), 48), ((2, 3, 7), 73)]
+    big = tri.tessellate(2, 3, 7, max_word_length=10)           # grows to 158: not kept
+    assert big.tile_count > 130 and held() == [((2, 3, 4), 48)]
     assert tri.tessellate(2, 3, 7, max_word_length=10) is not big
+    assert tri.tessellate(2, 3, 7, max_word_length=4) is not shallow
+
+    tri._memo.clear()
+    a = tri.tessellate(2, 3, 3)                             # 24 tiles
     b = tri.tessellate(2, 3, 4)                             # 48
     c = tri.tessellate(2, 2, 7)                             # 28
     assert tri.tessellate(2, 3, 3) is a                     # now b is the least recent
     d = tri.tessellate(2, 2, 9)                             # 36: 136 tiles, b goes
     assert [t.tile_count for t in (a, b, c, d)] == [24, 48, 28, 36]
-    assert list(tri._memo.values()) == [c, a, d]
+    assert held() == [((2, 2, 7), 28), ((2, 3, 3), 24), ((2, 2, 9), 36)]
     assert tri.tessellate(2, 3, 4) is not b
+
+
+def served(requests, tmp_path):
+    """Per request (klm, max_tiles, depth), in order: the words, depth,
+    closure flag, tile_digest, report and SVG bytes of the tessellation."""
+    out = []
+    for klm, max_tiles, depth in requests:
+        tess = tri.tessellate(*klm, max_tiles=max_tiles, max_word_length=depth)
+        tri.export_svg(tess, tmp_path / "t.svg")
+        out.append((tess.words, tess.depth, tess.closure_reached, tile_digest(tess),
+                    tess.report(), (tmp_path / "t.svg").read_bytes()))
+    return out
+
+
+_FRESH = {}
+
+
+def fresh_sweeps(requests, tmp_path):
+    """served, with the memo emptied before each call: a fresh sweep to
+    each depth, computed once per request in this test run."""
+    for request in requests:
+        if request not in _FRESH:
+            tri._memo.clear()
+            [_FRESH[request]] = served([request], tmp_path)
+    return [_FRESH[request] for request in requests]
+
+
+# the benchmark's triples, each with the depths its tessellate ops take
+WORKLOAD_DEPTHS = {
+    (2, 3, 3): [None], (2, 3, 4): [None], (2, 3, 5): [None],
+    **{klm: range(4, 13) for klm in ((3, 3, 3), (2, 4, 4), (2, 3, 6))},
+    (2, 3, 7): range(4, 14), (2, 4, 5): range(4, 11), (2, 3, 8): range(4, 11),
+    (2, 5, 5): range(4, 9), (3, 3, 4): range(4, 10),
+}
+
+
+@pytest.mark.parametrize("order", ["deep_first", "shallow_first", "interleaved", "repeated"])
+def test_every_depth_is_a_prefix_of_one_closure(order, tmp_path):
+    # each depth read from the one closure of its group, in any request
+    # order, gives the bytes of a fresh sweep to that depth
+    requests = [(klm, 20000, d) for klm, depths in WORKLOAD_DEPTHS.items() for d in depths]
+    if order == "deep_first":
+        requests.sort(key=lambda r: -1 if r[2] is None else -r[2])
+    elif order == "interleaved":
+        random.Random(7).shuffle(requests)
+    elif order == "repeated":
+        requests = [r for r in requests for _ in range(2)]
+        random.Random(8).shuffle(requests)
+    assert served(requests, tmp_path) == fresh_sweeps(requests, tmp_path)
+
+
+# (2, 3, 7) has 25, 37 and 53 tiles to word lengths 4, 5 and 6, and (2, 3, 5)
+# closes at word length 15 with 120 tiles; want is (tiles, depth, closure
+# reached) per requested depth
+@pytest.mark.parametrize("klm, max_tiles, depths, want", [
+    # a cut inside level 6: above, at and below the requested level
+    ((2, 3, 7), 50, [4, 6, 8, None], [(25, 4, False), (50, 6, False), (50, 6, False),
+                                      (50, 6, False)]),
+    # a cut at the end of level 5: the next level has no room at all
+    ((2, 3, 7), 37, [4, 5, 6, None], [(25, 4, False), (37, 5, False), (37, 5, False),
+                                      (37, 5, False)]),
+    # the spherical closure: open below level 15, closed at and past it
+    ((2, 3, 5), 20000, [14, 15, 16, None], [(119, 14, False), (120, 15, True),
+                                            (120, 15, True), (120, 15, True)]),
+    ((2, 3, 5), 120, [14, 15, None], [(119, 14, False), (120, 15, True), (120, 15, True)]),
+    ((2, 3, 5), 119, [14, 15, None], [(119, 14, False), (119, 14, False), (119, 14, False)]),
+])
+def test_prefix_budget_and_closure_read_as_a_fresh_sweep(klm, max_tiles, depths, want, tmp_path):
+    fresh = fresh_sweeps([(klm, max_tiles, d) for d in depths], tmp_path)
+    assert [(len(words), depth, closed) for words, depth, closed, *_ in fresh] == want
+    for order in (depths, depths[::-1], depths[1::2] + depths[::2]):
+        tri._memo.clear()
+        requests = [(klm, max_tiles, d) for d in order]
+        assert served(requests, tmp_path) == fresh_sweeps(requests, tmp_path)
 
 
 def test_cli_repeated_in_one_process_writes_the_same_bytes(tmp_path):
