@@ -205,6 +205,16 @@ def _tolerance(text):
     return value
 
 
+def _rational(text):
+    """argparse type of the rational flags: parse_rational, with its message
+    raised as an ArgumentTypeError, the one exception whose text argparse
+    prints."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _rtype_from(args):
     return roots.RootSystemType(args.family, args.rank)
 
@@ -579,17 +589,17 @@ def build_parser():
 
     with leaf(gauss_sub, "monodromy", "loop matrices, eigenvalues, relation",
               _cmd_gauss_monodromy, (), ("--alpha", "--beta", "--gamma")) as g:
-        g.add_argument("--alpha", type=parse_rational, required=True)
-        g.add_argument("--beta", type=parse_rational, required=True)
-        g.add_argument("--gamma", type=parse_rational, required=True)
+        g.add_argument("--alpha", type=_rational, required=True)
+        g.add_argument("--beta", type=_rational, required=True)
+        g.add_argument("--gamma", type=_rational, required=True)
     # outside the block, so that --help lists it after --format
     g.add_argument("--tol", type=_tolerance, default=1e-7,
                    help="bound on ||M_inf M_1 M_0 - 1|| / (||M_inf|| ||M_1|| ||M_0||)")
     with leaf(gauss_sub, "schwarz-triangle", "render the image triangle",
               _cmd_gauss_triangle, ()) as t:
-        t.add_argument("--kappa", type=parse_rational, required=True)
-        t.add_argument("--lambda", dest="lam", type=parse_rational, required=True)
-        t.add_argument("--mu", type=parse_rational, required=True)
+        t.add_argument("--kappa", type=_rational, required=True)
+        t.add_argument("--lambda", dest="lam", type=_rational, required=True)
+        t.add_argument("--mu", type=_rational, required=True)
         t.add_argument("--svg", default="")
 
     with leaf(tri_sub, "tessellate", "breadth-first reflection closure",
@@ -608,22 +618,22 @@ def build_parser():
     with leaf(torus_sub, "flatness", "curvature residual at sample points",
               _cmd_torus_flatness, samples, ("--k", "--a-override")) as f:
         _add_type_args(f)
-        f.add_argument("--k", type=parse_rational, required=True)
+        f.add_argument("--k", type=_rational, required=True)
         f.add_argument("--samples", type=int, default=5)
         f.add_argument("--seed", type=int, default=0)
-        f.add_argument("--a-override", dest="a_override", type=parse_rational, default=None)
+        f.add_argument("--a-override", dest="a_override", type=_rational, default=None)
         f.add_argument("--tol", type=_tolerance, default=1e-8)
     with leaf(torus_sub, "monodromy", "mirror-loop monodromy and its relation",
               _cmd_torus_monodromy, (), ("--k",)) as m:
         _add_type_args(m)
-        m.add_argument("--k", type=parse_rational, required=True)
+        m.add_argument("--k", type=_rational, required=True)
         m.add_argument("--root", default="1",
                        help="simple-root index (1-based) or 'highest'")
         m.add_argument("--tol", type=_tolerance, default=1e-6)
     with leaf(torus_sub, "form", "invariant Hermitian form and negative cone",
               _cmd_torus_form, samples, ("--k",)) as fo:
         _add_type_args(fo)
-        fo.add_argument("--k", type=parse_rational, required=True)
+        fo.add_argument("--k", type=_rational, required=True)
         fo.add_argument("--samples", type=int, default=10)
         fo.add_argument("--seed", type=int, default=0)
         fo.add_argument("--tol", type=_tolerance, default=1e-6)
@@ -642,7 +652,7 @@ def build_parser():
               _cmd_schwarz_check, ()) as c:
         _add_type_args(c)
         c.add_argument("--p", type=int, default=None)
-        c.add_argument("--k", type=parse_rational, default=None)
+        c.add_argument("--k", type=_rational, default=None)
     with leaf(schwarz_sub, "dm", "weight vector on n+3 points",
               _cmd_schwarz_dm, (("--n", 1, roots._RANK_CAP),)) as dm:
         dm.add_argument("--n", type=int, required=True)

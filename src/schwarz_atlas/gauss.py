@@ -1,6 +1,7 @@
 """The classical second-order hypergeometric equation on P - {0, 1, inf}:
-exact Riemann schemes, loop monodromy, and the vertex angles of the
-conformal triangle (Schwarz) map, measured from its boundary images.
+the loop spectra of its Riemann scheme, loop monodromy, and the vertex
+angles of the conformal triangle (Schwarz) map, measured from its boundary
+images.
 
 Parameters are exact rationals.  Every numeric result starts from a frame
 of initial jets at the base point 1/2, and continuation runs through
@@ -32,9 +33,7 @@ from .triangle import _corner_angles, circle_intersections
 
 __all__ = [
     "GaussParams",
-    "RiemannScheme3",
     "NumericFailure",
-    "riemann_scheme",
     "monodromy_matrices",
     "scaled_relation_residual",
     "scaled_spectrum_residual",
@@ -79,23 +78,6 @@ def params_from_differences(kappa, lam, mu):
     beta = (total + mu) / 2
     alpha = total - beta
     return GaussParams(alpha, beta, gamma)
-
-
-@dataclass(frozen=True)
-class RiemannScheme3:
-    """Singular points {0, 1, inf} with their exponent pairs."""
-
-    at_zero: tuple
-    at_one: tuple
-    at_infinity: tuple
-
-
-def riemann_scheme(p):
-    return RiemannScheme3(
-        at_zero=(Fraction(0), 1 - p.gamma),
-        at_one=(Fraction(0), p.gamma - (p.alpha + p.beta)),
-        at_infinity=(p.alpha, p.beta),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +127,10 @@ def scaled_relation_residual(m0, m1, minf):
 
 
 def expected_monodromy_spectrum(p, s):
-    sch = riemann_scheme(p)
-    pair = {0: sch.at_zero, 1: sch.at_one, "inf": sch.at_infinity}[s]
+    """exp(2 pi i e) for the two local exponents e at s (0, 1 or "inf"), the
+    Riemann scheme's pairs (0, 1 - gamma), (0, gamma - alpha - beta) and
+    (alpha, beta)."""
+    pair = {0: (0, 1 - p.gamma), 1: (0, p.gamma - (p.alpha + p.beta)), "inf": (p.alpha, p.beta)}[s]
     return [cmath.exp(2j * cmath.pi * float(e)) for e in pair]
 
 

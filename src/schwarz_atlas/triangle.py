@@ -20,8 +20,9 @@ and side circles are arrays over the levels swept; spherical tiles reaching
 too close to the projection pole are reported in a secondary chart.  A
 tile's chart points are its three vertices and its three side midpoints; the
 base centre serves only the closure.  The residuals and the SVG read the
-same arrays.  A single triangle is a one-tile Tessellation whose rows come
-from a scalar construction of the same rows; tessellate takes only its
+same arrays.  A single triangle is a one-tile Tessellation whose side rows
+come from a scalar construction of the same rows and whose side midpoints
+follow the closure's rule, in plain floats; tessellate takes only its
 vertices.
 
 The SVG draws every tile as three arcs (or segments) and fills it.  A great
@@ -171,8 +172,6 @@ def _geodesic_side(va, vb, geometry):
     a11, a12, r1 = 2 * va.real, 2 * va.imag, abs(va) ** 2 + sign
     a21, a22, r2 = 2 * vb.real, 2 * vb.imag, abs(vb) ** 2 + sign
     det = a11 * a22 - a12 * a21
-    if abs(det) < 1e-14:
-        raise ValueError("degenerate side: vertices are radially aligned")
     cx = (r1 * a22 - r2 * a12) / det
     cy = (a11 * r2 - a21 * r1) / det
     c = complex(cx, cy)
@@ -180,17 +179,17 @@ def _geodesic_side(va, vb, geometry):
     return 1.0, -c.real, -c.imag, abs(c) ** 2 - r**2
 
 
-def _arc_midpoint(side, va, vb):
-    """Point of the arc between va and vb (the shorter arc), or the chord
-    midpoint for a straight side."""
-    is_line, c, r = _circle(side)
-    if is_line:
-        return (va + vb) / 2
-    th1, th2 = cmath.phase(va - c), cmath.phase(vb - c)
-    delta = (th2 - th1) % (2 * math.pi)
-    if delta > math.pi:
-        th1, delta = th2, 2 * math.pi - delta
-    return c + r * cmath.exp(1j * (th1 + delta / 2))
+def _side_midpoint(va, vb, s):
+    """The midpoint of the side from va to vb as tessellate takes it: the
+    sum of the two vertices' lifts, put on the model of the form sign s and
+    projected back.  The lifts are homogeneous, (2x, 2y, 1 - s|z|^2), so
+    that an ideal vertex lifts to a null vector; the sum is then a point of
+    the side between va and vb in all three models.  Plain floats."""
+    x, y = 2.0 * (va.real + vb.real), 2.0 * (va.imag + vb.imag)
+    h = 2.0 - s * (abs(va) ** 2 + abs(vb) ** 2)
+    if s == 0:
+        return complex(x, y) / (2.0 * h)
+    return complex(x, y) / (math.sqrt(abs(x * x + y * y + s * h * h)) + h)
 
 
 def triangle_from_angles(a0, a1, a2, geometry):
@@ -200,30 +199,38 @@ def triangle_from_angles(a0, a1, a2, geometry):
 
     The first vertex sits at 0 with its first side along the positive real
     axis.  Angles are positive radians, except that in the hyperbolic case a
-    zero angle produces an ideal vertex on the unit circle.
+    zero angle produces an ideal vertex on the unit circle; with all three
+    zero the vertices are the cube roots of unity.  The sides are
+    _geodesic_side's scalar rows, and the side midpoints are the closure's,
+    by _side_midpoint.
     """
     if a0 == a1 == a2 == 0.0:
-        return _ideal_triangle()
-
-    # keep a nonzero angle at the origin vertex
-    order = (0, 1, 2)
-    if a0 == 0:
-        order = (1, 2, 0) if a1 > 0 else (2, 0, 1)
-    verts3 = _vertices([(a0, a1, a2)[i] for i in order], geometry)
-    vb, vc = verts3[1:]
-    sides3 = [
-        _geodesic_side(vb, vc, geometry),
-        _geodesic_side(complex(0.0), vc, geometry),
-        _geodesic_side(complex(0.0), vb, geometry),
-    ]
-    mids3 = [_arc_midpoint(sides3[i], verts3[(i + 1) % 3], verts3[(i + 2) % 3]) for i in range(3)]
-
-    # undo the ordering permutation
-    inv = [order.index(i) for i in range(3)]
-    verts = tuple(verts3[inv[i]] for i in range(3))
-    sides = tuple(sides3[inv[i]] for i in range(3))
-    mids = tuple(mids3[inv[i]] for i in range(3))
-    return _one_tile(geometry, (a0, a1, a2), verts, sides, mids)
+        w = cmath.exp(2j * math.pi / 3)
+        verts = (complex(1.0), w, w.conjugate())
+        sides = tuple(_geodesic_side(verts[(i + 1) % 3], verts[(i + 2) % 3], geometry)
+                      for i in range(3))
+    else:
+        # keep a nonzero angle at the origin vertex
+        order = (0, 1, 2)
+        if a0 == 0:
+            order = (1, 2, 0) if a1 > 0 else (2, 0, 1)
+        verts3 = _vertices([(a0, a1, a2)[i] for i in order], geometry)
+        vb, vc = verts3[1:]
+        sides3 = [
+            _geodesic_side(vb, vc, geometry),
+            _geodesic_side(complex(0.0), vc, geometry),
+            _geodesic_side(complex(0.0), vb, geometry),
+        ]
+        # undo the ordering permutation
+        inv = [order.index(i) for i in range(3)]
+        verts = tuple(verts3[inv[i]] for i in range(3))
+        sides = tuple(sides3[inv[i]] for i in range(3))
+    s = _FORM_SIGN[geometry]
+    z = np.array([*verts, *(_side_midpoint(verts[(i + 1) % 3], verts[(i + 2) % 3], s)
+                            for i in range(3))])
+    return Tessellation(geometry=geometry, words=("",), depth=0, closure_reached=True,
+                        angles=(a0, a1, a2), points=np.stack([z.real, z.imag])[:, None],
+                        sides=np.array(sides, float).T[:, None], secondary=np.zeros(1, bool))
 
 
 def _vertices(aa, geometry):
@@ -257,28 +264,6 @@ def _vertices(aa, geometry):
         vb = complex(_radial(_cosh_side(aa[0], aa[1], aa[2])), 0.0)
         vc = cmath.rect(_radial(_cosh_side(aa[0], aa[2], aa[1])), aa[0])
     return [complex(0.0), vb, vc]
-
-
-def _ideal_triangle():
-    """All three vertices on the unit circle (the cusp-cusp-cusp case)."""
-    w = cmath.exp(2j * math.pi / 3)
-    verts = (complex(1.0), w, w.conjugate())
-    sides = tuple(
-        _geodesic_side(verts[(i + 1) % 3], verts[(i + 2) % 3], Geometry.HYPERBOLIC)
-        for i in range(3)
-    )
-    mids = tuple(_arc_midpoint(sides[i], verts[(i + 1) % 3], verts[(i + 2) % 3])
-                 for i in range(3))
-    return _one_tile(Geometry.HYPERBOLIC, (0.0, 0.0, 0.0), verts, sides, mids)
-
-
-def _one_tile(geometry, angles, verts, sides, mids):
-    """The Tessellation of one triangle: its vertices and side midpoints
-    (complex) and its sides (rows)."""
-    z = np.array([*verts, *mids])
-    return Tessellation(geometry=geometry, words=("",), depth=0, closure_reached=True,
-                        angles=angles, points=np.stack([z.real, z.imag])[:, None],
-                        sides=np.array(sides, float).T[:, None], secondary=np.zeros(1, bool))
 
 
 # ---------------------------------------------------------------------------

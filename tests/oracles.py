@@ -1,6 +1,6 @@
 """Independent checks that only the tests call: the degree-2 pullback of
 criterion 7, the loop-relation and eigenvalue distances of criterion 6, the
-exponent differences of a Riemann scheme, the torus connection at one point
+Riemann scheme and its exponent differences, the torus connection at one point
 with its exact scalar block and its W-covariance, the exact unit-fraction
 predicates, the reduced-triple test, the one-call stratum verdict, the root
 reflection and the point inversion in a generalized circle.
@@ -42,7 +42,24 @@ def spectrum_mismatch(matrix, expected):
 
 
 # ---------------------------------------------------------------------------
-# gauss: the exponent differences of a Riemann scheme
+# gauss: the Riemann scheme and its exponent differences
+
+@dataclass(frozen=True)
+class RiemannScheme3:
+    """Singular points {0, 1, inf} with their exponent pairs."""
+
+    at_zero: tuple
+    at_one: tuple
+    at_infinity: tuple
+
+
+def riemann_scheme(p):
+    return RiemannScheme3(
+        at_zero=(Fraction(0), 1 - p.gamma),
+        at_one=(Fraction(0), p.gamma - (p.alpha + p.beta)),
+        at_infinity=(p.alpha, p.beta),
+    )
+
 
 def exponent_differences(scheme):
     """The exponent differences of a RiemannScheme3, at 0, 1 and infinity."""

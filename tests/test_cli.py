@@ -245,6 +245,25 @@ def test_malformed_rational_rejected():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gauss", "monodromy", "--alpha", "1e3", "--beta", "1/3", "--gamma", "1/2"],
+     "argument --alpha: expected an exact rational like '3/10', got '1e3'"),
+    (["schwarz", "check", "--type", "A", "--rank", "2", "--k", "1/0"],
+     "argument --k: malformed rational '1/0'"),
+    (["schwarz", "check", "--type", "A", "--rank", "2", "--k", "-1.5"],
+     "argument --k: expected an exact rational like '3/10', got '-1.5'"),
+])
+def test_malformed_rational_says_what_is_wrong(argv, message, capsys):
+    # argparse prints the text of an ArgumentTypeError only; any other
+    # error of a type reads "invalid <type name> value"
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].endswith(f" error: {message}")
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
@@ -1247,13 +1266,13 @@ def test_argv_outside_one_leaf_reads_as_the_full_tree(argv, capsys):
 # the type takes, and words that it rejects
 GOOD_WORDS = {
     int: ["3", "7", "1", "0", "-1"],
-    cli.parse_rational: ["1/4", "1/6", "-1/3", "2", "0"],
+    cli._rational: ["1/4", "1/6", "-1/3", "2", "0"],
     cli._tolerance: ["1e-6", "0.5"],
     None: ["1", "highest", "", "x"],
 }
 BAD_WORDS = {
     int: ["x", "2.5", "", "inf", "-inf", "nan"],
-    cli.parse_rational: ["1/0", "0.5", "", "inf", "-inf", "nan"],
+    cli._rational: ["1/0", "0.5", "", "inf", "-inf", "nan"],
     cli._tolerance: ["nan", "inf", "-inf", "0", "-1", "1e999"],
     None: [],
 }

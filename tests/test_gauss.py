@@ -18,21 +18,30 @@ from hypothesis import strategies as st
 
 from oracles import (PullbackParams, dictionary, dictionary_inverse, exponent_differences,
                      monodromy_relation_residual,
-                     pullback_coefficients, pullback_map, pullback_ode_residual, riemann_scheme4,
-                     spectrum_mismatch)
+                     pullback_coefficients, pullback_map, pullback_ode_residual, riemann_scheme,
+                     riemann_scheme4, spectrum_mismatch)
 from schwarz_atlas import gauss as G
 from schwarz_atlas.exact import reduce_parameters
 
 P_STD = G.GaussParams(F(1, 84), F(13, 84), F(1, 2))  # differences (1/2, 1/3, 1/7)
 
 
+def loop_spectra(sch):
+    """exp(2 pi i e) for the exponent pairs of the scheme sch, keyed as
+    monodromy_matrices keys its loops."""
+    pairs = {0: sch.at_zero, 1: sch.at_one, "inf": sch.at_infinity}
+    return {s: [cmath.exp(2j * cmath.pi * float(e)) for e in pair] for s, pair in pairs.items()}
+
+
 def test_riemann_scheme_exact():
-    sch = G.riemann_scheme(P_STD)
+    sch = riemann_scheme(P_STD)
     assert sch.at_zero == (0, F(1, 2))
     assert sch.at_one == (0, F(1, 3))
     assert sch.at_infinity == (F(1, 84), F(13, 84))
     assert exponent_differences(sch).as_tuple() == (F(1, 2), F(1, 3), F(1, 7))
     assert sum(sch.at_zero) + sum(sch.at_one) + sum(sch.at_infinity) == 1
+    assert {s: G.expected_monodromy_spectrum(P_STD, s) for s in (0, 1, "inf")} == (
+        loop_spectra(sch))
 
 
 def test_scheme_sum_is_one_for_random_params():
@@ -43,8 +52,17 @@ def test_scheme_sum_is_one_for_random_params():
             F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))),
             F(int(rng.integers(-9, 10)), int(rng.integers(1, 12))),
         )
-        sch = G.riemann_scheme(p)
+        sch = riemann_scheme(p)
         assert sum(sch.at_zero) + sum(sch.at_one) + sum(sch.at_infinity) == 1
+        assert {s: G.expected_monodromy_spectrum(p, s) for s in (0, 1, "inf")} == (
+            loop_spectra(sch))
+
+
+def test_chart_value_at_a_vanishing_denominator_is_infinity():
+    # a zero of the second solution is a pole of the Schwarz map
+    pole = G._chart_value(np.array([[2.0 + 1j, 1e-16], [0.0, 1.0]]))
+    assert pole == complex(math.inf, math.inf)
+    assert G._chart_value(np.array([[3.0 + 0j, 2.0], [0.0, 1.0]])) == 1.5
 
 
 def test_log_case_flag():

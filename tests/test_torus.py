@@ -192,6 +192,17 @@ def test_flatness_checks_fail_where_the_curvature_overflows(k, gate, check):
             torus.flatness_residual(system, k, logs)
 
 
+def test_require_finite_rejects_an_overflowed_loop():
+    # a product of two finite frames that overflows; the message follows its prefix
+    T = np.full((2, 2), 1e200 + 0j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = T @ T
+    message = "^half-turn T_1: loop monodromy is not finite: the transports overflow$"
+    with pytest.raises(_kernels.NumericFailure, match=message):
+        torus._require_finite(M, "half-turn T_1: ")
+    torus._require_finite(T / 1e200)
+
+
 def test_flatness_rank_one_trivial():
     assert torus.flatness_residual(A1, F(1, 4), np.log([2.0 + 1j])) == 0.0
 

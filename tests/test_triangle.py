@@ -137,6 +137,16 @@ def test_circle_intersections_without_two_points():
     assert tri.circle_intersections(circle(0.0, 1.0), circle(2.0, 1.0)) == [1.0]
 
 
+def test_circle_intersections_of_crossing_lines():
+    # the line-line solve: Re z = 1 meets Im z = 2 at 1 + 2i, and two oblique
+    # lines through p meet at p
+    assert tri.circle_intersections(line_row(1.0, 1.0), line_row(1j, 2.0)) == [1 + 2j]
+    p, u1, u2 = 0.3 - 0.7j, cmath.exp(0.4j), cmath.exp(2.1j)
+    (z,) = tri.circle_intersections(line_row(u1, (u1.conjugate() * p).real),
+                                    line_row(u2, (u2.conjugate() * p).real))
+    assert abs(z - p) < 1e-15
+
+
 @pytest.mark.parametrize("klm,count", [
     ((2, 3, 3), 24), ((2, 3, 4), 48), ((2, 3, 5), 120),
     ((2, 2, 2), 8), ((2, 2, 6), 24),
@@ -281,7 +291,8 @@ def svg_arc_centre(p, q, r, large, sweep):
     return (coef if large != sweep else -coef) * complex(half.imag, -half.real) + (p + q) / 2
 
 
-@pytest.mark.parametrize("case", ["2 3 3", "2 3 4", "2 3 5", "2 2 7", "1/2 1/3 1/4"])
+@pytest.mark.parametrize("case", ["2 3 3", "2 3 4", "2 3 5", "2 2 7", "1/2 1/3 1/4",
+                                  "3/4 3/4 3/4"])
 def test_spherical_svg_draws_every_tile_as_arcs(case, monkeypatch, tmp_path):
     # every tile filled and drawn as three arcs in the chart of the rotated
     # sphere; read back through the inverse rotation, each arc is the great
@@ -410,6 +421,21 @@ def test_circle_through_three_points_keeps_small_circles():
     line = circle_through(0.2 + 0.1j, 0.6 + 0.3j, 1.0 + 0.5j)
     assert tri._circle_parts(line)[0]
     assert abs(side_values(line, np.array(-0.4 - 0.2j))) < 1e-15
+
+
+def test_through_rejects_coincident_points():
+    with pytest.raises(ValueError, match="^a circle needs three distinct points$"):
+        circle_through(0.5 + 0.1j, 0.5 + 0.1j, -0.3j)
+
+
+def test_radii_reject_a_used_row_with_no_real_circle():
+    # |z|^2 + 1 = 0 has the squared radius -1; the unit circle beside it
+    rows = np.array([circle_row(0.0, 1.0), (1.0, 0.0, 0.0, 1.0)]).T
+    is_line, babs, _ = tri._circle_parts(rows)
+    with pytest.raises(ValueError, match="non-positive squared radius"):
+        tri._radii(rows, babs, ~is_line)
+    # a lane that is not used is not read
+    assert tri._radii(rows, babs, np.array([True, False])).tolist() == [1.0, 1.0]
 
 
 def _times(p, q):
@@ -742,7 +768,9 @@ def test_tiles_are_pinned(klm, depth, count):
 
 
 @pytest.mark.parametrize("angles", ["1/2 1/3 1/7", "0 1/3 1/2", "1/2 1/4 1/4",
-                                    "1/2 1/3 1/5", "1/3 1/2 1/7", "0 0 0"])
+                                    "1/2 1/3 1/5", "1/3 1/2 1/7", "0 0 0",
+                                    # spherical, with an angle sum of 2 or more
+                                    "3/4 3/4 3/4", "4/7 4/7 7/8", "5/7 4/7 5/7"])
 def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
     # the gauss schwarz-triangle path: a single triangle as a one-tile tessellation
     angles = [Fraction(a) for a in angles.split()]
@@ -756,11 +784,30 @@ def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
     sides = [(a, complex(br, bi), c) for a, br, bi, c in tile_circles(tess, 0)]
     residual = oracle_angle_residual(z[:3], z[3:6], tess.angles, sides)
     assert tess.max_angle_residual().hex() == residual.hex()
+    assert residual <= 1e-8
     monkeypatch.setattr(tri, "_fmt", float.hex)
     svg = tri.export_svg(tess, tmp_path / "t.svg")
     want = (oracle_sphere_paths(tess)[0] if geometry is Geometry.SPHERICAL
             else oracle_tile_path(z[:3], z[3:6], sides))
     assert svg.splitlines()[3].split('"')[1] == want
+
+
+def test_large_spherical_triangles_that_draw():
+    # every ordered triple of angles in [0, 1) with denominator <= 8 whose
+    # sum is 2 or more and that passes gauss schwarz-triangle's
+    # 1 + x > y + z rule.  With the side midpoints taken in the model, all 13
+    # at sum 2 and 348 of the 600 above it carry their angles; in the 252
+    # left the chart arc from a vertex to its side's midpoint spans more than
+    # half of the side's circle, and the corner tangent turns the wrong way
+    values = sorted({Fraction(p, q) for q in range(1, 9) for p in range(q)})
+    drawn = Counter()
+    for angles in itertools.product(values, repeat=3):
+        total = sum(angles)
+        if total >= 2 and 1 + 2 * min(angles) > total:
+            tess = tri.triangle_from_angles(*(float(a) * math.pi for a in angles),
+                                            Geometry.SPHERICAL)
+            drawn[total == 2, tess.max_angle_residual() <= 1e-8] += 1
+    assert drawn == {(True, True): 13, (False, True): 348, (False, False): 252}
 
 
 @pytest.mark.parametrize("argv", [
@@ -769,29 +816,26 @@ def test_one_triangle_tessellation(angles, monkeypatch, tmp_path):
     ["--k", "2", "--l", "3", "--m", "7", "--depth", "8"],
 ])
 def test_cli_builds_no_per_tile_objects(argv, monkeypatch, tmp_path):
-    # the tiles are arrays alone, and tessellate reads only the base
-    # triangle's vertices: no scalar side, arc midpoint or row reading
-    called, inside = Counter(), []
+    # the tiles are arrays alone: tessellate builds no scalar side or
+    # midpoint and reads no row one at a time.  The one triangle builds its
+    # three sides and three midpoints as scalars, and its report and SVG read
+    # the arrays too
+    called = Counter()
 
     def counted(name):
         fn = getattr(tri, name)
 
         def spy(*args):
             called[name] += 1
-            called[name, *inside] += 1
-            inside.append(name)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
+            return fn(*args)
         monkeypatch.setattr(tri, name, spy)
 
-    for name in ("_geodesic_side", "_arc_midpoint", "_circle"):
+    for name in ("_geodesic_side", "_side_midpoint", "_circle"):
         counted(name)
-    base_triangle(*(int(v) for v in argv[1:6:2]))
-    assert called["_geodesic_side"] == called["_arc_midpoint"] == 3
-    # the one triangle reads each side's row once, for its arc midpoint
-    assert called["_circle"] == called["_circle", "_arc_midpoint"] == 3
+    tess = base_triangle(*(int(v) for v in argv[1:6:2]))
+    tess.report()
+    tri.export_svg(tess, tmp_path / "one.svg")
+    assert called == {"_geodesic_side": 3, "_side_midpoint": 3}
     called.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["triangle", "tessellate", *argv, "--svg", str(tmp_path / "t.svg"),
